@@ -13,7 +13,8 @@ operation list printed by the ``grad-check`` CLI command.
 
 from __future__ import annotations
 
-from typing import Callable
+import zlib
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -193,8 +194,8 @@ def _check_min_max(rng) -> float:
 def _check_giou_pairs(rng) -> float:
     from .losses import giou2d_pairs
 
-    pred = np.stack([rng.uniform(0, 0.4, 2), rng.uniform(0.5, 1.0, 2)],
-                    axis=1).reshape(1, 4)
+    # (x0, y0) below 0.4 and (x1, y1) above 0.5: well-formed boxes
+    pred = np.concatenate([rng.uniform(0, 0.4, 2), rng.uniform(0.5, 1.0, 2)]).reshape(1, 4)
     pred = np.repeat(pred, 3, axis=0) + rng.uniform(-0.05, 0.05, (3, 4))
     target = pred + rng.uniform(0.01, 0.15, (3, 4))  # offsets avoid min/max ties
     proj = rng.normal(size=(3, 1))
@@ -210,6 +211,26 @@ def _check_focal(rng) -> float:
     onehot[rng.integers(4), rng.integers(3)] = 1.0
     return check_scalar_fn(lambda ts: focal_loss(ts[0], onehot, 0.25, 2.0, 2.0),
                            [logits])
+
+
+def _check_l1_loss(rng) -> float:
+    target = rng.normal(size=(4, 3))
+    pred = target + _away_from(rng.normal(size=(4, 3)), [0.0])
+    return check_scalar_fn(lambda ts: nm.l1_loss(ts[0], target, 3.0), [pred])
+
+
+def _check_corner_boxes(rng) -> float:
+    centers = rng.normal(size=(3, 2))
+    lrtb = rng.random(size=(3, 4))
+    proj = rng.normal(size=(3, 4))
+    return check_scalar_fn(
+        lambda ts: nm.sum_all(nm.corner_boxes(ts[0], ts[1]) * nm.Tensor(proj)), [centers, lrtb])
+
+
+def _check_weighted_sum(rng) -> float:
+    terms = [np.asarray(v) for v in rng.normal(size=3)]
+    w = rng.normal(size=3)
+    return check_scalar_fn(lambda ts: nm.weighted_sum(ts, w), terms)
 
 
 def _check_smooth_l1(rng) -> float:
@@ -364,6 +385,9 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
     "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
     "giou2d_pairs": (_check_giou_pairs, OP_TOLERANCE, 50),
     "sigmoid_focal_loss": (_check_focal, OP_TOLERANCE, 50),
+    "l1_loss": (_check_l1_loss, OP_TOLERANCE, 50),
+    "corner_boxes": (_check_corner_boxes, OP_TOLERANCE, 50),
+    "weighted_sum": (_check_weighted_sum, OP_TOLERANCE, 50),
     "gather_concat_narrow": (_check_gather_concat_narrow, OP_TOLERANCE, 50),
     "transpose_narrow_cols": (_check_transpose_cols, OP_TOLERANCE, 50),
     "masked_multihead_attention": (_check_masked_attention, OP_TOLERANCE, 5),
@@ -373,15 +397,21 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
 }
 
 
-def run_suite(seed: int = 0, perturb: bool = False) -> list[tuple[str, float, float, bool]]:
-    """Run every registered check; returns (name, max_err, tolerance, ok) rows.
+def run_suite(seed: int = 0, perturb: bool = False,
+              names: Sequence[str] | None = None) -> list[tuple[str, float, float, bool]]:
+    """Run the registered checks; returns (name, max_err, tolerance, ok) rows.
 
+    ``names`` selects checks by registry name, in the order given (KeyError
+    for a name not registered); None runs them all. Each check draws its
+    inputs from a stream seeded by ``seed`` and a CRC of its name, so a run
+    repeats exactly in any process.
     ``perturb`` is a negative-control hook: it inflates every measured error
     so the suite must fail, proving the pass/fail wiring is live.
     """
     rows = []
-    for name, (fn, tol, repeats) in REGISTRY.items():
-        rng = np.random.default_rng(seed + hash(name) % 100003)
+    for name in REGISTRY if names is None else names:
+        fn, tol, repeats = REGISTRY[name]
+        rng = np.random.default_rng(seed + zlib.crc32(name.encode()))
         worst = 0.0
         for _ in range(repeats):
             worst = max(worst, fn(rng))

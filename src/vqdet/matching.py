@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GroundTruthObject, box2d_corners, giou2d
+from .geometry import GroundTruthObject, box2d_corners
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,34 @@ def hungarian(cost: np.ndarray) -> Assignment:
     return Assignment(pairs=pairs, total_cost=total)
 
 
+def _giou2d_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``geometry.giou2d`` of every (row of a, row of b) pair, as an (n, m) matrix.
+
+    The operations are the scalar function's, in its order, with Python's
+    min/max tie rule (the first argument wins), so every entry is bitwise
+    equal to it, including its degenerate-hull and zero-union branches.
+    """
+    if (a[:, 0] > a[:, 2]).any() or (a[:, 1] > a[:, 3]).any() \
+            or (b[:, 0] > b[:, 2]).any() or (b[:, 1] > b[:, 3]).any():
+        raise ValueError("corner box has min > max")
+    ax0, ay0, ax1, ay1 = (a[:, j:j + 1] for j in range(4))
+    bx0, by0, bx1, by1 = b.T
+    inter_w = np.where(bx1 < ax1, bx1, ax1) - np.where(bx0 > ax0, bx0, ax0)
+    inter_h = np.where(by1 < ay1, by1, ay1) - np.where(by0 > ay0, by0, ay0)
+    inter = np.where(inter_w > 0.0, inter_w, 0.0) * np.where(inter_h > 0.0, inter_h, 0.0)
+    area_a = (ax1 - ax0) * (ay1 - ay0)
+    area_b = (bx1 - bx0) * (by1 - by0)
+    union = area_a + area_b - inter
+    hull = (np.where(bx1 > ax1, bx1, ax1) - np.where(bx0 < ax0, bx0, ax0)) \
+        * (np.where(by1 > ay1, by1, ay1) - np.where(by0 < ay0, by0, ay0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = np.where(union > 0.0, inter / union, 0.0)
+        giou = iou - (hull - union) / hull
+    # a hull of zero area: both boxes collapse to one point or a shared segment
+    same = (ax0 == bx0) & (ay0 == by0) & (ax1 == bx1) & (ay1 == by1)
+    return np.where(hull <= 0.0, np.where(same, 1.0, 0.0), giou)
+
+
 def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
                   corner_boxes: np.ndarray, gts: list[GroundTruthObject],
                   weights: MatcherWeights = MatcherWeights()) -> np.ndarray:
@@ -121,17 +149,16 @@ def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
          + w_giou * (1 - giou2d); all inputs are plain arrays, off the tape.
     """
     nq = class_probs.shape[0]
-    cost = np.zeros((nq, len(gts)))
-    for j, gt in enumerate(gts):
-        cls_term = 1.0 - class_probs[:, gt.c]
-        center_term = (np.abs(centers[:, 0] - gt.x_c)
-                       + np.abs(centers[:, 1] - gt.y_c))
-        gt_box = box2d_corners(gt.anchor())
-        giou_term = np.array([1.0 - giou2d(tuple(corner_boxes[i]), gt_box)
-                              for i in range(nq)])
-        cost[:, j] = (weights.w_cls * cls_term + weights.w_center * center_term
-                      + weights.w_giou * giou_term)
-    return cost
+    if nq == 0 or not gts:
+        return np.zeros((nq, len(gts)))
+    gt_xy = np.array([[gt.x_c, gt.y_c] for gt in gts])
+    cls_term = 1.0 - class_probs[:, [gt.c for gt in gts]]
+    center_term = (np.abs(centers[:, 0:1] - gt_xy[:, 0])
+                   + np.abs(centers[:, 1:2] - gt_xy[:, 1]))
+    gt_boxes = np.array([box2d_corners(gt.anchor()) for gt in gts])
+    giou_term = 1.0 - _giou2d_grid(np.asarray(corner_boxes, dtype=np.float64), gt_boxes)
+    return (weights.w_cls * cls_term + weights.w_center * center_term
+            + weights.w_giou * giou_term)
 
 
 def groupwise_match(group_features: list[tuple[np.ndarray, np.ndarray, np.ndarray]],

@@ -14,6 +14,7 @@ three cases the model needs (same shape, matrix + row vector, scalar).
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -44,6 +45,11 @@ __all__ = [
     "smooth_l1",
     "weighted_row_smooth_l1",
     "gaussian_kl",
+    "focal_loss",
+    "corner_boxes",
+    "giou2d_pairs",
+    "l1_loss",
+    "weighted_sum",
     "sum_all",
     "mean_all",
     "concat_rows",
@@ -238,21 +244,25 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(keep, a.data, 0.0), (a,), lambda g: (g * keep,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Stable on both tails.
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _sigmoid(a.data)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow; derivative is sigmoid(x)."""
-    x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    return _node(out, (a,), lambda g: (g * sig,))
+    sig = _sigmoid(a.data)
+    return _node(_softplus(a.data), (a,), lambda g: (g * sig,))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -459,6 +469,143 @@ def gaussian_kl(mu: Tensor, log_var: Tensor) -> Tensor:
     return _node(out, (mu, log_var), vjp)
 
 
+def focal_loss(logits: Tensor, target_onehot: np.ndarray, alpha: float,
+               gamma: float, normalizer: float) -> Tensor:
+    """Sigmoid focal loss summed over all entries, divided by ``normalizer``.
+
+    Stable form: log p = -softplus(-z) and log(1-p) = -softplus(z), with the
+    modulating factors written as exp(gamma * log(.)) <= 1. The targets are
+    plain numbers; no gradient flows into them.
+    """
+    t = np.asarray(target_onehot, dtype=np.float64)
+    z = logits.data
+    if t.shape != z.shape:
+        raise ShapeError(f"focal_loss: targets {t.shape} vs logits {z.shape}")
+    log_p = -_softplus(-z)
+    log_1mp = -_softplus(z)
+    mod_pos = np.exp(log_1mp * gamma)  # (1 - p)^gamma
+    mod_neg = np.exp(log_p * gamma)    # p^gamma
+    w_pos = alpha * t
+    w_neg = (1.0 - alpha) * (1.0 - t)
+    weighted = mod_pos * log_p * w_pos + mod_neg * log_1mp * w_neg
+    scale = -1.0 / normalizer
+    out = np.asarray(weighted.sum()) * scale
+
+    def vjp(g):
+        gs = float(g) * scale
+        g_pos = gs * w_pos
+        g_neg = gs * w_neg
+        g_log_p = g_pos * mod_pos + g_neg * log_1mp * mod_neg * gamma
+        g_log_1mp = g_pos * log_p * mod_pos * gamma + g_neg * mod_neg
+        # d log p / dz = sigmoid(-z), d log(1-p) / dz = -sigmoid(z)
+        return (g_log_p * _sigmoid(-z) - g_log_1mp * _sigmoid(z),)
+
+    return _node(out, (logits,), vjp)
+
+
+def corner_boxes(centers: Tensor, lrtb: Tensor) -> Tensor:
+    """(rows, 4) corner boxes (x0, y0, x1, y1) from centers and edge distances."""
+    c, e = centers.data, lrtb.data
+    if c.ndim != 2 or c.shape[1] != 2 or e.shape != (c.shape[0], 4):
+        raise ShapeError(f"corner_boxes: centers {c.shape} vs lrtb {e.shape}")
+    out = np.stack([c[:, 0] - e[:, 0], c[:, 1] - e[:, 2],
+                    c[:, 0] + e[:, 1], c[:, 1] + e[:, 3]], axis=1)
+
+    def vjp(g):
+        return (np.stack([g[:, 0] + g[:, 2], g[:, 1] + g[:, 3]], axis=1),
+                np.stack([-g[:, 0], g[:, 2], -g[:, 1], g[:, 3]], axis=1))
+
+    return _node(out, (centers, lrtb), vjp)
+
+
+def giou2d_pairs(pred_corners: Tensor, target_corners: np.ndarray) -> Tensor:
+    """(m, 1) GIoU of (m, 4) predicted vs constant target corner boxes.
+
+    Target boxes must be non-degenerate; their positive areas bound union and
+    hull away from zero, keeping the divisions safe. Every min/max routes its
+    gradient to the predicted coordinate on a tie, and a zero-width
+    intersection passes no gradient.
+    """
+    p = pred_corners.data
+    tc = np.asarray(target_corners, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != 4 or tc.shape != p.shape:
+        raise ShapeError(f"giou2d_pairs: {p.shape} vs {tc.shape}")
+    ax0, ay0, ax1, ay1 = (p[:, j:j + 1] for j in range(4))
+    bx0, by0, bx1, by1 = (tc[:, j:j + 1] for j in range(4))
+    # take_* marks where the predicted coordinate wins each min/max
+    take_ix1, take_iy1 = ax1 <= bx1, ay1 <= by1
+    take_ix0, take_iy0 = ax0 >= bx0, ay0 >= by0
+    take_hx1, take_hy1 = ax1 >= bx1, ay1 >= by1
+    take_hx0, take_hy0 = ax0 <= bx0, ay0 <= by0
+    raw_w = np.where(take_ix1, ax1, bx1) - np.where(take_ix0, ax0, bx0)
+    raw_h = np.where(take_iy1, ay1, by1) - np.where(take_iy0, ay0, by0)
+    keep_w, keep_h = raw_w > 0.0, raw_h > 0.0
+    inter_w = np.where(keep_w, raw_w, 0.0)
+    inter_h = np.where(keep_h, raw_h, 0.0)
+    inter = inter_w * inter_h
+    wa, ha = ax1 - ax0, ay1 - ay0
+    area_b = (tc[:, 2] - tc[:, 0])[:, None] * (tc[:, 3] - tc[:, 1])[:, None]
+    union = wa * ha + area_b - inter
+    hull_w = np.where(take_hx1, ax1, bx1) - np.where(take_hx0, ax0, bx0)
+    hull_h = np.where(take_hy1, ay1, by1) - np.where(take_hy0, ay0, by0)
+    hull = hull_w * hull_h
+    out = inter / union - (hull - union) / hull
+
+    def vjp(g):
+        # out = inter / union - (hull - union) / hull
+        g_inter = g / union
+        g_union = -g * inter / (union * union) + g / hull
+        g_hull = -g * union / (hull * hull)
+        # union = wa * ha + area_b - inter
+        g_inter = g_inter - g_union
+        g_w = g_inter * inter_h * keep_w
+        g_h = g_inter * inter_w * keep_h
+        g_hw = g_hull * hull_h
+        g_hh = g_hull * hull_w
+        g_wa = g_union * ha
+        g_ha = g_union * wa
+        gx0 = -g_w * take_ix0 - g_wa - g_hw * take_hx0
+        gy0 = -g_h * take_iy0 - g_ha - g_hh * take_hy0
+        gx1 = g_w * take_ix1 + g_wa + g_hw * take_hx1
+        gy1 = g_h * take_iy1 + g_ha + g_hh * take_hy1
+        return (np.concatenate([gx0, gy0, gx1, gy1], axis=1),)
+
+    return _node(out, (pred_corners,), vjp)
+
+
+def l1_loss(pred: Tensor, target: np.ndarray, normalizer: float) -> Tensor:
+    """Sum over all entries of |pred - target|, divided by ``normalizer``.
+
+    The target is a plain array; no gradient flows into it. The gradient at
+    pred == target is 0.
+    """
+    t = np.asarray(target, dtype=np.float64)
+    if t.shape != pred.data.shape:
+        raise ShapeError(f"l1_loss: shapes {pred.data.shape} vs {t.shape}")
+    d = pred.data - t
+    scale = 1.0 / normalizer
+    out = np.asarray(np.abs(d).sum()) * scale
+    return _node(out, (pred,), lambda g: (float(g) * scale * np.sign(d),))
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """``weights[0] * terms[0] + weights[1] * terms[1] + ...`` of scalar terms.
+
+    The products are added left to right, so the value is bitwise that of the
+    same expression written with ``*`` and ``+``.
+    """
+    ts, ws = list(terms), [float(w) for w in weights]
+    if not ts or len(ts) != len(ws):
+        raise ShapeError(f"weighted_sum: {len(ts)} terms vs {len(ws)} weights")
+    for t in ts:
+        if t.data.ndim != 0:
+            raise ShapeError(f"weighted_sum: terms must be scalars, got shape {t.data.shape}")
+    out = ts[0].data * ws[0]
+    for t, w in zip(ts[1:], ws[1:]):
+        out = out + t.data * w
+    return _node(out, tuple(ts), lambda g: tuple(g * w for w in ws))
+
+
 def sum_all(a: Tensor) -> Tensor:
     return _node(np.asarray(a.data.sum()), (a,),
                  lambda g: (np.full_like(a.data, float(g)),))
@@ -596,7 +743,11 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
                 continue
             acc = grads.get(id(parent))
             if acc is None:
-                grads[id(parent)] = pg.copy() if pg.base is not None or pg is g else pg
+                # Own the buffer, so that a later in-place add changes only
+                # this entry. A VJP of 0-d operands returns a numpy scalar,
+                # which += would rebind instead of update.
+                owned = isinstance(pg, np.ndarray) and pg.base is None and pg is not g
+                grads[id(parent)] = pg if owned else np.array(pg)
             else:
                 acc += pg
 
@@ -687,29 +838,48 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into a name -> array map."""
+    """Read a checkpoint back into a name -> array map.
+
+    A truncated file, bytes after the last record, or a name that appears
+    twice raise ValueError naming the path and the record.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
+    if len(blob) < 8:
+        raise ValueError(f"{path}: truncated checkpoint header")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     pos = 8
     out: dict[str, np.ndarray] = {}
+
+    def take(n: int, record: str) -> int:
+        """Start of the next n bytes of ``record``; raises if the file ends first."""
+        nonlocal pos
+        if pos + n > len(blob):
+            raise ValueError(f"{path}: {record} is truncated: it needs {pos + n} bytes, "
+                             f"the file has {len(blob)}")
+        start, pos = pos, pos + n
+        return start
+
     while pos < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{rank}Q", blob, pos) if rank else ()
-        pos += 8 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape)
-        pos += 8 * count
-        out[name] = arr.astype(np.float64)
+        record = f"record {len(out)}"
+        if len(blob) - pos < 4:
+            raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after "
+                             f"{len(out)} records, where {record} would start")
+        (nlen,) = struct.unpack_from("<I", blob, take(4, record))
+        start = take(nlen, record)
+        name = blob[start:start + nlen].decode("utf-8")
+        record = f"record {len(out)} ({name!r})"
+        if name in out:
+            raise ValueError(f"{path}: {record} repeats a parameter name")
+        (rank,) = struct.unpack_from("<I", blob, take(4, record))
+        shape = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, record))
+        count = math.prod(shape)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count, record))
+        out[name] = arr.reshape(shape).astype(np.float64)
     return out
 
 

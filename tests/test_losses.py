@@ -1,4 +1,5 @@
-"""Component losses checked against straightline hand-executed formulas."""
+"""Component losses checked against straightline hand-executed formulas, and
+the fused loss ops against the composite graphs of elementwise ops they replace."""
 
 import math
 
@@ -15,6 +16,12 @@ from vqdet.losses import (
     corner_boxes,
     focal_loss,
     giou2d_pairs,
+)
+from oracles import (
+    composite_corner_boxes,
+    composite_focal_loss,
+    composite_giou2d_pairs,
+    composite_l1_loss,
 )
 
 
@@ -145,3 +152,100 @@ class TestComponentLoss:
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError):
             component_loss(pred, [0], [], LossWeights())
+
+
+def _value_and_grads(build, arrays, proj):
+    """Output of ``build`` and the gradients of sum(output * proj) w.r.t. ``arrays``."""
+    leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(leaves)
+    nm.backward(nm.sum_all(out * nm.Tensor(proj)))
+    return out.data, [t.grad for t in leaves]
+
+
+def _assert_fused_matches(fused, composite, arrays, proj):
+    """Value and every gradient within 1e-12 of the composite's largest entry."""
+    got, got_grads = _value_and_grads(fused, arrays, proj)
+    want, want_grads = _value_and_grads(composite, arrays, proj)
+    for g, w in zip([got, *got_grads], [want, *want_grads]):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
+
+
+def _random_boxes(rng, m):
+    lo = rng.uniform(0.0, 0.6, size=(m, 2))
+    return np.concatenate([lo, lo + rng.uniform(0.05, 0.4, size=(m, 2))], axis=1)
+
+
+class TestFusedOpsMatchComposite:
+    def test_focal_loss(self):
+        rng = np.random.default_rng(10)
+        for trial in range(20):
+            logits = rng.normal(size=(7, 3)) * 4.0
+            if trial % 2:
+                # saturated logits on both tails
+                logits[rng.random(size=logits.shape) < 0.4] = 40.0
+                logits[rng.random(size=logits.shape) < 0.4] = -40.0
+            onehot = np.zeros((7, 3))
+            onehot[rng.integers(7, size=3), rng.integers(3, size=3)] = 1.0
+            alpha, gamma = rng.uniform(0.1, 0.9), [0.0, 1.0, 2.0, 2.5][trial % 4]
+            norm = float(rng.integers(1, 5))
+            _assert_fused_matches(
+                lambda ts: focal_loss(ts[0], onehot, alpha, gamma, norm),
+                lambda ts: composite_focal_loss(ts[0], onehot, alpha, gamma, norm),
+                [logits], rng.normal())
+
+    def test_giou2d_pairs(self):
+        rng = np.random.default_rng(11)
+        t = np.array([[0.2, 0.3, 0.6, 0.7]])
+        special = np.concatenate([
+            t,                                    # every min/max pair ties
+            [[0.1, 0.35, 0.2, 0.6]],              # zero-width intersection
+            [[0.25, 0.7, 0.5, 0.9]],              # zero-height intersection
+            [[0.6, 0.1, 0.9, 0.3]],               # touches at a corner
+            [[0.3, 0.4, 0.5, 0.6]],               # contained in the target
+            [[0.1, 0.2, 0.8, 0.9]],               # contains the target
+            [[0.7, 0.8, 0.9, 0.95]],              # disjoint
+            [[0.2, 0.35, 0.5, 0.7]],              # ties on x0 and y1 only
+        ])
+        cases = [(special, np.repeat(t, len(special), axis=0))]
+        for _ in range(20):
+            pred, target = _random_boxes(rng, 6), _random_boxes(rng, 6)
+            # copy some target coordinates so that min/max pairs tie
+            tie = rng.random(size=pred.shape) < 0.3
+            cases.append((np.where(tie, target, pred), target))
+        for pred, target in cases:
+            _assert_fused_matches(lambda ts: giou2d_pairs(ts[0], target),
+                                  lambda ts: composite_giou2d_pairs(ts[0], target),
+                                  [pred], rng.normal(size=(len(pred), 1)))
+
+    def test_corner_boxes(self):
+        rng = np.random.default_rng(12)
+        centers, lrtb = rng.normal(size=(5, 2)), rng.random(size=(5, 4))
+        _assert_fused_matches(lambda ts: corner_boxes(ts[0], ts[1]),
+                              lambda ts: composite_corner_boxes(ts[0], ts[1]),
+                              [centers, lrtb], rng.normal(size=(5, 4)))
+
+    def test_l1_loss(self):
+        rng = np.random.default_rng(13)
+        target = rng.normal(size=(4, 3))
+        pred = rng.normal(size=(4, 3))
+        pred[0] = target[0]  # exact zeros: gradient 0 there in both
+        _assert_fused_matches(lambda ts: nm.l1_loss(ts[0], target, 3.0),
+                              lambda ts: composite_l1_loss(ts[0], target, 3.0),
+                              [pred], rng.normal())
+
+    def test_component_loss_records_few_nodes(self):
+        rng = np.random.default_rng(14)
+        rows = 6
+        pred = PredictionRows(*(nm.Tensor(rng.random(size=(rows, w)), requires_grad=True)
+                                for w in (3, 2, 4, 3, 2, 1)))
+        gts = [GroundTruthObject(k % 3, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
+               for k in range(4)]
+        loss = component_loss(pred, [0, 2, 3, 5], gts, LossWeights())
+        seen, stack = set(), [loss]
+        while stack:
+            t = stack.pop()
+            if t._parents and id(t) not in seen:
+                seen.add(id(t))
+                stack.extend(t._parents)
+        assert len(seen) <= 30

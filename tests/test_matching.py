@@ -3,7 +3,7 @@ import pytest
 
 from vqdet.geometry import GroundTruthObject, box2d_corners, giou2d
 from vqdet.matching import Assignment, MatcherWeights, groupwise_match, hungarian, matching_cost
-from oracles import brute_force_min_cost
+from oracles import brute_force_min_cost, loop_matching_cost
 
 
 def _gt(c=0, x=0.5, y=0.5, half=0.1):
@@ -86,6 +86,37 @@ class TestMatchingCost:
                             + 5.0 * (abs(ctr[0] - gt.x_c) + abs(ctr[1] - gt.y_c))
                             + 2.0 * (1 - giou2d(tuple(box), box2d_corners(gt.anchor()))))
                 assert cost[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+    def test_bitwise_equal_to_per_query_loop(self):
+        rng = np.random.default_rng(6)
+        w = MatcherWeights(w_cls=1.7, w_center=4.3, w_giou=2.9)
+        for nq, ng in [(1, 1), (16, 4), (16, 12), (5, 9)]:
+            probs = rng.random((nq, 3))
+            centers = rng.random((nq, 2))
+            lo = rng.uniform(0.0, 0.7, size=(nq, 2))
+            boxes = np.concatenate([lo, lo + rng.uniform(0.0, 0.3, size=(nq, 2))], axis=1)
+            gts = [GroundTruthObject(int(rng.integers(3)), *rng.uniform(0.2, 0.8, 2),
+                                     *rng.uniform(0.0, 0.2, 4), 4, 2, 1.5, 0.0, 20)
+                   for _ in range(ng)]
+            # a query on its ground truth (every min/max ties), one on a shared
+            # edge (zero-width intersection) and two points: the same point
+            # (degenerate hull) and distinct points (zero union)
+            gts[0] = GroundTruthObject(0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 4, 2, 1.5, 0.0, 20)
+            boxes[0] = box2d_corners(gts[-1].anchor())
+            if nq > 3:
+                boxes[1] = [0.5, 0.5, 0.5, 0.5]
+                boxes[2] = [0.2, 0.1, 0.2, 0.1]
+                g = box2d_corners(gts[-1].anchor())
+                boxes[3] = [g[2], g[1], g[2] + 0.1, g[3]]
+            got = matching_cost(probs, centers, boxes, gts, w)
+            want = loop_matching_cost(probs, centers, boxes, gts, w)
+            assert got.tobytes() == want.tobytes()
+
+    def test_inverted_box_rejected(self):
+        boxes = np.array([[0.3, 0.3, 0.2, 0.5]])
+        with pytest.raises(ValueError, match="min > max"):
+            matching_cost(np.zeros((1, 3)), np.zeros((1, 2)), boxes, [_gt()])
 
 
 class TestGroupwiseMatch:

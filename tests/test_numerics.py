@@ -159,6 +159,28 @@ def test_backward_composite_matches_finite_differences():
     assert err <= OP_TOLERANCE
 
 
+def test_backward_accumulates_into_a_scalar_used_twice():
+    x = nm.Tensor(1.5, requires_grad=True)
+    y = x * 2.0
+    nm.backward(y * 3.0 + y * 5.0)
+    assert x.grad == 16.0
+
+
+def test_weighted_sum_bitwise_equals_written_out_sum():
+    rng = np.random.default_rng(8)
+    vals, ws = rng.normal(size=4), rng.normal(size=4)
+    terms = [nm.Tensor(v, requires_grad=True) for v in vals]
+    out = nm.weighted_sum(terms, ws)
+    a, b, c, d = (nm.Tensor(v) for v in vals)
+    assert out.item() == (a * ws[0] + b * ws[1] + c * ws[2] + d * ws[3]).item()
+    nm.backward(out)
+    assert [t.grad for t in terms] == list(ws)
+    with pytest.raises(nm.ShapeError):
+        nm.weighted_sum([nm.Tensor(np.zeros(2))], [1.0])
+    with pytest.raises(nm.ShapeError):
+        nm.weighted_sum(terms, ws[:3])
+
+
 def test_forward_bit_determinism():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 6))
@@ -256,3 +278,31 @@ class TestCheckpoint:
         other.param("w", (2, 2))
         nm.restore_into(other, nm.load_checkpoint(path))
         assert_array_equal(other["w"].data, store["w"].data)
+
+    def _saved(self, tmp_path):
+        store = nm.ParameterStore(rng_seed=1)
+        store.param("a.w", (2, 3))
+        store.param("b", (2,))
+        path = tmp_path / "ckpt.bin"
+        nm.save_checkpoint(store, path)
+        return path, path.read_bytes()
+
+    def test_truncated_file_names_path_and_record(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        for cut in (3, 16, 20):
+            path.write_bytes(blob[:-cut])
+            with pytest.raises(ValueError, match=r"ckpt\.bin: record 1 \('b'\) is truncated"):
+                nm.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob + b"\x00\x00")
+        with pytest.raises(ValueError, match=r"ckpt\.bin: 2 trailing bytes after 2 records"):
+            nm.load_checkpoint(path)
+
+    def test_duplicated_name_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        first_record = blob[8:8 + 4 + 3 + 4 + 16 + 48]
+        path.write_bytes(blob + first_record)
+        with pytest.raises(ValueError, match=r"ckpt\.bin: record 2 \('a\.w'\) repeats"):
+            nm.load_checkpoint(path)
