@@ -1,16 +1,17 @@
-"""Interaction masks and masked multi-head attention over query groups.
+"""Interaction masks and masked multi-head attention over stacked query groups.
 
-A combined query block stacks N learnable queries followed by C noisy blocks
-of K queries each (S = K*C + N rows). The interaction mask keeps learnable
-rows blind to every noisy column (no ground-truth leakage into matched
-queries), lets noisy rows read the learnable block and their own block, and
-separates noisy blocks from each other. Groups never share activations; the
-same weights are applied to each group independently.
+One group's block stacks N learnable queries followed by C noisy blocks of K
+queries each (S = N + K*C rows). The G groups are stacked group-major into
+one (G*S, D) tensor, so group g owns rows [g*S, (g+1)*S). The (S, S)
+interaction mask keeps learnable rows blind to every noisy column (no
+ground-truth leakage into matched queries), lets noisy rows read the
+learnable block and their own block, and separates noisy blocks from each
+other. Self-attention applies the mask within each group and computes no
+logit across groups, so groups share weights but never activations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,41 +55,6 @@ def build_denoising_mask(n: int, k: int, c: int) -> AttentionMask:
 
 
 @dataclass
-class GroupQuerySet:
-    """G combined query blocks plus the counts describing their layout."""
-
-    groups: list[Tensor]
-    n: int
-    k: int
-    c: int
-
-    def __post_init__(self):
-        s = self.n + self.k * self.c
-        for q in self.groups:
-            if q.data.ndim != 2 or q.data.shape[0] != s:
-                raise ValueError(f"group block has {q.data.shape[0]} rows, expected {s}")
-        widths = {q.data.shape[1] for q in self.groups}
-        if len(widths) > 1:
-            raise ValueError(f"group blocks disagree on width: {sorted(widths)}")
-
-    @property
-    def size(self) -> int:
-        return self.n + self.k * self.c
-
-
-def concat_group_queries(learnable: Tensor, noisy_blocks: list[Tensor]) -> Tensor:
-    """Stack one group's learnable block and its noisy blocks in order."""
-    width = learnable.data.shape[1]
-    for blk in noisy_blocks:
-        if blk.data.shape[1] != width:
-            raise nm.ShapeError(
-                f"noisy block width {blk.data.shape[1]} != learnable width {width}")
-    if not noisy_blocks:
-        return learnable
-    return nm.concat_rows([learnable] + list(noisy_blocks))
-
-
-@dataclass
 class AttentionParams:
     wq: Tensor
     bq: Tensor
@@ -112,71 +78,27 @@ def attention_params(store: nm.ParameterStore, prefix: str, d: int,
                            wv=w("v"), bv=b("v"), wo=w("o"), bo=b("o"))
 
 
-def _split_heads(x: Tensor, heads: int) -> list[Tensor]:
-    d = x.data.shape[1]
-    dh = d // heads
-    return [nm.narrow_cols(x, h * dh, dh) for h in range(heads)]
-
-
 def masked_multihead_self_attention(q: Tensor, mask: AttentionMask,
                                     params: AttentionParams, heads: int
                                     ) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product self-attention restricted to the mask.
+    """Self-attention of G stacked groups, each restricted to ``mask``.
 
-    Returns the projected output and the head-averaged attention map as a
-    plain (S, S) array for diagnostics; the map is off the tape. Disallowed
-    positions are exactly zero in every head, so a row's output is bit-equal
-    to running attention on its allowed columns alone.
+    ``q`` holds G groups of ``mask.size`` rows, group-major; the same weights
+    apply to every group and no row sees another group. Returns the projected
+    output and the head-averaged (G, S, S) attention map, off the tape.
+    Disallowed positions are exactly zero in every head.
     """
-    s, d = q.data.shape
-    if d % heads != 0:
-        raise ValueError(f"width {d} not divisible by {heads} heads")
-    if mask.size != s:
-        raise ValueError(f"mask size {mask.size} != query rows {s}")
-    qp = nm.linear(q, params.wq, params.bq)
-    kp = nm.linear(q, params.wk, params.bk)
-    vp = nm.linear(q, params.wv, params.bv)
-    dh = d // heads
-    inv_scale = 1.0 / math.sqrt(dh)
-    contexts = []
-    avg_map = np.zeros((s, s))
-    for qh, kh, vh in zip(_split_heads(qp, heads), _split_heads(kp, heads),
-                          _split_heads(vp, heads)):
-        logits = nm.matmul(qh, nm.transpose(kh)) * inv_scale
-        probs = nm.softmax_rows(logits, mask.allow)
-        avg_map += probs.data
-        contexts.append(nm.matmul(probs, vh))
-    out = nm.linear(nm.concat_cols(contexts), params.wo, params.bo)
-    return out, avg_map / heads
+    out, attn = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
+                                       nm.linear(q, params.wk, params.bk),
+                                       nm.linear(q, params.wv, params.bv),
+                                       heads, mask.allow)
+    return nm.linear(out, params.wo, params.bo), attn
 
 
 def multihead_cross_attention(q: Tensor, memory: Tensor,
                               params: AttentionParams, heads: int) -> Tensor:
     """Unmasked attention of query rows over a separate memory sequence."""
-    d = q.data.shape[1]
-    if d % heads != 0:
-        raise ValueError(f"width {d} not divisible by {heads} heads")
-    qp = nm.linear(q, params.wq, params.bq)
-    kp = nm.linear(memory, params.wk, params.bk)
-    vp = nm.linear(memory, params.wv, params.bv)
-    dh = d // heads
-    inv_scale = 1.0 / math.sqrt(dh)
-    contexts = []
-    for qh, kh, vh in zip(_split_heads(qp, heads), _split_heads(kp, heads),
-                          _split_heads(vp, heads)):
-        logits = nm.matmul(qh, nm.transpose(kh)) * inv_scale
-        probs = nm.softmax_rows(logits)
-        contexts.append(nm.matmul(probs, vh))
-    return nm.linear(nm.concat_cols(contexts), params.wo, params.bo)
-
-
-def separated_group_attention(queries: GroupQuerySet, mask: AttentionMask,
-                              params: AttentionParams, heads: int
-                              ) -> tuple[list[Tensor], list[np.ndarray]]:
-    """Apply the same masked attention to every group independently."""
-    outputs, maps = [], []
-    for q in queries.groups:
-        out, attn = masked_multihead_self_attention(q, mask, params, heads)
-        outputs.append(out)
-        maps.append(attn)
-    return outputs, maps
+    out, _ = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
+                                    nm.linear(memory, params.wk, params.bk),
+                                    nm.linear(memory, params.wv, params.bv), heads)
+    return nm.linear(out, params.wo, params.bo)

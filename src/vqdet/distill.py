@@ -59,38 +59,33 @@ def iou_weights(decoded_boxes: list[OrientedBox3D], assignment: Assignment,
                      for q, g in assignment.pairs])
 
 
-def forward_looking_distill(layer_group_queries: list[list[Tensor]],
+def forward_looking_distill(layer_queries: list[Tensor],
                             row_indices: list[list[int]],
                             row_weights: list[np.ndarray],
                             refiner: RefinerParams,
                             teacher_rows: list[np.ndarray] | None = None) -> Tensor:
     """Sum over non-final layers of the weighted query-alignment loss.
 
-    ``layer_group_queries[i][g]`` is layer i's output queries for group g;
-    the last layer is the teacher. ``row_indices[g]`` selects the supervised
-    rows (final-matched learnable rows plus all noisy rows) and
-    ``row_weights[g]`` their IoU weights. Per layer the loss averages over
-    queries within a group and over groups, and the teacher values are
+    ``layer_queries[i]`` is layer i's output rows for all groups; the last
+    layer is the teacher. ``row_indices[g]`` selects group g's supervised
+    rows of those tensors (final-matched learnable rows plus all noisy rows)
+    and ``row_weights[g]`` their IoU weights. Per layer the loss averages
+    over queries within a group and over groups, and the teacher values are
     constants (optionally pinned explicitly via ``teacher_rows`` for replay).
     """
-    num_layers = len(layer_group_queries)
     zero = nm.Tensor(0.0)
-    if num_layers <= 1:
+    if len(layer_queries) <= 1:
         return zero
-    final = layer_group_queries[-1]
-    num_groups = len(final)
     if teacher_rows is None:
-        teacher_rows = [final[g].data[row_indices[g]] for g in range(num_groups)]
+        teacher_rows = [layer_queries[-1].data[idx] for idx in row_indices]
     total = zero
-    for layer in layer_group_queries[:-1]:
+    for layer in layer_queries[:-1]:
         layer_term = zero
-        for g in range(num_groups):
-            idx = row_indices[g]
+        for idx, weights, teacher in zip(row_indices, row_weights, teacher_rows):
             if not idx:
                 continue
-            student = nm.gather_rows(layer[g], idx)
-            refined = refine(student, refiner)
+            refined = refine(nm.gather_rows(layer, idx), refiner)
             layer_term = layer_term + nm.weighted_row_smooth_l1(
-                refined, nm.Tensor(teacher_rows[g]), row_weights[g])
-        total = total + layer_term * (1.0 / num_groups)
+                refined, nm.Tensor(teacher), weights)
+        total = total + layer_term * (1.0 / len(row_indices))
     return total

@@ -124,10 +124,12 @@ class NoiseConfig:
     angle_jitter_rad: float = math.pi / 8
     depth_jitter_frac: float = 0.1
 
-    def validate(self) -> None:
-        if not (0 <= self.center_shift_scale < 1 and 0 <= self.box_scale_range < 1
-                and 0 <= self.label_flip_prob <= 1):
-            raise ValueError("noise scales out of range")
+    def __post_init__(self):
+        for name in ("center_shift_scale", "box_scale_range"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0 <= self.label_flip_prob <= 1:
+            raise ValueError(f"label_flip_prob must lie in [0, 1], got {self.label_flip_prob}")
 
 
 def project_to_image(point, intr: CameraIntrinsics) -> tuple[float, float]:

@@ -233,14 +233,6 @@ def _check_weighted_sum(rng) -> float:
     return check_scalar_fn(lambda ts: nm.weighted_sum(ts, w), terms)
 
 
-def _check_smooth_l1(rng) -> float:
-    pred = _away_from(rng.normal(size=(3, 5)) * 2.0, [])
-    target = rng.normal(size=(3, 5)) * 2.0
-    d = pred - target
-    pred = np.where(np.abs(np.abs(d) - 1.0) < 1e-3, pred + 5e-3, pred)
-    return check_scalar_fn(lambda ts: nm.smooth_l1(ts[0], ts[1]), [pred, target])
-
-
 def _check_weighted_row_smooth_l1(rng) -> float:
     pred = rng.normal(size=(4, 3)) * 2.0
     target = rng.normal(size=(4, 3)) * 2.0
@@ -280,26 +272,49 @@ def _check_transpose_cols(rng) -> float:
     return check_scalar_fn(build, [x])
 
 
+def _attention_params(ts):
+    from .attention import AttentionParams
+
+    return AttentionParams(wq=ts[0], bq=ts[1], wk=ts[2], bk=ts[3],
+                           wv=ts[4], bv=ts[5], wo=ts[6], bo=ts[7])
+
+
+def _attention_weights(rng, d: int) -> list[np.ndarray]:
+    """wq, bq, wk, bk, wv, bv, wo, bo for an attention block of width d."""
+    return [a for _ in range(4) for a in (rng.normal(size=(d, d)) * 0.3,
+                                          rng.normal(size=(d,)) * 0.1)]
+
+
 def _check_masked_attention(rng) -> float:
-    from .attention import AttentionMask, AttentionParams, masked_multihead_self_attention
+    """Two groups of s rows stacked under one mask."""
+    from .attention import AttentionMask, masked_multihead_self_attention
 
     s, d, h = 5, 8, 2
-    q = rng.normal(size=(s, d)) * 0.5
-    allow = np.eye(s, dtype=bool) | (rng.random(size=(s, s)) > 0.4)
-    mask = AttentionMask(allow)
-    proj = rng.normal(size=(s, d))
-    weights = [rng.normal(size=(d, d)) * 0.3 for _ in range(4)]
-    biases = [rng.normal(size=(d,)) * 0.1 for _ in range(4)]
+    q = rng.normal(size=(2 * s, d)) * 0.5
+    mask = AttentionMask(np.eye(s, dtype=bool) | (rng.random(size=(s, s)) > 0.4))
+    proj = rng.normal(size=(2 * s, d))
 
     def build(ts):
-        ps = AttentionParams(wq=ts[0], bq=ts[1], wk=ts[2], bk=ts[3],
-                             wv=ts[4], bv=ts[5], wo=ts[6], bo=ts[7])
-        out, _ = masked_multihead_self_attention(ts[8], mask, ps, h)
+        out, _ = masked_multihead_self_attention(ts[8], mask, _attention_params(ts), h)
         return nm.sum_all(out * nm.Tensor(proj))
 
-    ordered = [weights[0], biases[0], weights[1], biases[1],
-               weights[2], biases[2], weights[3], biases[3], q]
-    return check_scalar_fn(build, ordered)
+    return check_scalar_fn(build, _attention_weights(rng, d) + [q])
+
+
+def _check_cross_attention(rng) -> float:
+    """Three query rows over a memory of five."""
+    from .attention import multihead_cross_attention
+
+    d, h = 8, 2
+    q = rng.normal(size=(3, d)) * 0.5
+    memory = rng.normal(size=(5, d)) * 0.5
+    proj = rng.normal(size=(3, d))
+
+    def build(ts):
+        out = multihead_cross_attention(ts[8], ts[9], _attention_params(ts), h)
+        return nm.sum_all(out * nm.Tensor(proj))
+
+    return check_scalar_fn(build, _attention_weights(rng, d) + [q, memory])
 
 
 def _check_box_encoder(rng) -> float:
@@ -380,7 +395,6 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
     "clamp": (_check_clamp, OP_TOLERANCE, 50),
     "divide": (_check_divide, OP_TOLERANCE, 50),
     "minimum_maximum": (_check_min_max, OP_TOLERANCE, 50),
-    "smooth_l1": (_check_smooth_l1, OP_TOLERANCE, 50),
     "weighted_row_smooth_l1": (_check_weighted_row_smooth_l1, OP_TOLERANCE, 50),
     "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
     "giou2d_pairs": (_check_giou_pairs, OP_TOLERANCE, 50),
@@ -391,6 +405,7 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
     "gather_concat_narrow": (_check_gather_concat_narrow, OP_TOLERANCE, 50),
     "transpose_narrow_cols": (_check_transpose_cols, OP_TOLERANCE, 50),
     "masked_multihead_attention": (_check_masked_attention, OP_TOLERANCE, 5),
+    "multihead_cross_attention": (_check_cross_attention, OP_TOLERANCE, 5),
     "noisy_box_encoder": (_check_box_encoder, OP_TOLERANCE, 5),
     "feature_encoder": (_check_feature_encoder, OP_TOLERANCE, 3),
     "end_to_end_minimal_model": (_check_end_to_end, END_TO_END_TOLERANCE, 1),

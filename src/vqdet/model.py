@@ -1,14 +1,16 @@
 """The toy detector: feature encoder, masked group decoder, heads, and losses.
 
 The encoder is a single pre-norm self-attention layer over the flattened
-feature grid with fixed 2D sinusoidal positions. The decoder runs L pre-norm
-layers, each applying mask-separated self-attention per query group, then
-cross-attention over the encoded grid, then a feed-forward block; shared
-prediction heads decode every layer's queries for deep supervision. Learnable
-queries carry learned 2D reference points; noisy queries anchor at their
-noised box center. Inference drops the noisy blocks and uses only the first
-group, so its outputs depend on the weights and the scene alone, never on
-training-time configuration.
+feature grid with fixed 2D sinusoidal positions. The query groups are stacked
+into one (G*S, D) tensor, group-major: group g owns rows [g*S, (g+1)*S), its
+N learnable queries first, then C noisy blocks of K. The decoder runs L
+pre-norm layers once over all rows, each applying mask-separated
+self-attention within every group, then cross-attention over the encoded
+grid, then a feed-forward block; shared prediction heads decode every
+layer's rows for deep supervision. Learnable queries carry learned 2D
+reference points; noisy queries anchor at their noised box center. Inference
+stacks the first group's learnable queries alone, so its outputs depend on
+the weights and the scene alone, never on training-time configuration.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ from . import numerics as nm
 from .attention import (
     AttentionMask,
     AttentionParams,
-    GroupQuerySet,
     attention_params,
     build_denoising_mask,
-    concat_group_queries,
     masked_multihead_self_attention,
     multihead_cross_attention,
 )
@@ -91,9 +91,9 @@ def sincos_positions_2d(size: int, width: int) -> np.ndarray:
 
 @dataclass
 class LayerTrace:
-    queries: list[Tensor]              # per group, (S, D)
-    attention: list[np.ndarray]        # per group, head-averaged (S, S)
-    predictions: list[PredictionRows]  # per group
+    queries: Tensor              # (G*S, D), group-major
+    attention: np.ndarray        # (G, S, S), head-averaged
+    predictions: PredictionRows  # (G*S) rows
 
 
 @dataclass
@@ -105,9 +105,9 @@ class DecoderTrace:
 class NoisyDraw:
     """The step's frozen randomness: box noise and reparameterization noise."""
 
-    anchors: list[list[list]]          # [group][block][object] AnchorBox6D
-    tuples: list[list[list[tuple]]]    # [group][block][object] noisy 3D tuple
-    eps: list[list[np.ndarray]]        # [group][block] (K, D) standard normals
+    anchors: list                # AnchorBox6D per noisy row, group-, then block-major
+    tuples: list[tuple]          # noisy 3D tuple per noisy row, same order
+    eps: np.ndarray              # (G*C*K, D) standard normals, same order
     num_objects: int
 
 
@@ -116,7 +116,7 @@ class DetachedDecisions:
     """Discrete and detached values frozen for replay (probes, determinism)."""
 
     assignments: list[list[Assignment]]         # [layer][group]
-    distill_rows: list[list[int]] | None = None      # [group]
+    distill_rows: list[list[int]] | None = None      # [group], rows of the stack
     distill_weights: list[np.ndarray] | None = None  # [group]
     teacher_rows: list[np.ndarray] | None = None     # [group]
 
@@ -128,7 +128,7 @@ class StepLoss:
     denoising: DenoisingLoss
     distillation: Tensor
     decisions: DetachedDecisions
-    attention_maps: list[np.ndarray]   # last layer, per group
+    attention_maps: np.ndarray   # last layer, (G, S, S)
 
 
 def overall_loss(l_det: Tensor, l_dn: Tensor, l_distill: Tensor,
@@ -224,59 +224,44 @@ class Detector:
         """Draw every random input of the step's noisy blocks up front."""
         cfg = self.cfg
         k = len(scene.objects)
-        anchors, tuples, eps = [], [], []
-        for _ in range(cfg.groups):
-            ga, gt_, ge = [], [], []
-            for _ in range(cfg.noisy_groups):
-                pairs = [apply_box_noise(obj, noise_cfg, rng, cfg.num_classes)
-                         for obj in scene.objects]
-                ga.append([p[0] for p in pairs])
-                gt_.append([p[1] for p in pairs])
-                ge.append(rng.standard_normal((k, cfg.width)))
-            anchors.append(ga)
-            tuples.append(gt_)
-            eps.append(ge)
+        blocks = cfg.groups * cfg.noisy_groups
+        anchors, tuples = [], []
+        eps = np.empty((blocks * k, cfg.width))
+        for b in range(blocks):
+            for obj in scene.objects:
+                anchor, noisy3d = apply_box_noise(obj, noise_cfg, rng, cfg.num_classes)
+                anchors.append(anchor)
+                tuples.append(noisy3d)
+            eps[b * k:(b + 1) * k] = rng.standard_normal((k, cfg.width))
         return NoisyDraw(anchors=anchors, tuples=tuples, eps=eps, num_objects=k)
 
+    def learnable_queries(self, groups: int) -> tuple[Tensor, Tensor]:
+        """The first ``groups`` groups' learnable queries and reference points."""
+        rows = groups * self.cfg.queries_per_group
+        ref = nm.sigmoid(nm.narrow_rows(self.query_ref, 0, rows))
+        return nm.narrow_rows(self.query_content, 0, rows) + nm.linear(ref, *self.lref), ref
+
     def build_group_inputs(self, noisy: NoisyDraw | None, mode: str
-                           ) -> tuple[GroupQuerySet, list[Tensor], AttentionMask,
+                           ) -> tuple[Tensor, Tensor, AttentionMask,
                                       LatentDistribution | None]:
-        """Assemble per-group query blocks, references, mask, and latents."""
+        """Stacked (G*S, D) queries, (G*S, 2) references, the mask, and latents."""
         cfg = self.cfg
-        n = cfg.queries_per_group
-        use_noisy = noisy is not None and cfg.noisy_groups > 0 and noisy.num_objects > 0
-        k = noisy.num_objects if use_noisy else 0
-        c = cfg.noisy_groups if use_noisy else 0
-
-        groups, refs, mus, log_vars = [], [], [], []
-        for g in range(cfg.groups):
-            content = nm.narrow_rows(self.query_content, g * n, n)
-            lr = nm.sigmoid(nm.narrow_rows(self.query_ref, g * n, n))
-            q_learn = content + nm.linear(lr, *self.lref)
-            blocks = []
-            anchor_centers = np.zeros((k * c, 2))
-            for j in range(c):
-                anchors = noisy.anchors[g][j]
-                dist = self.vqg.encode(anchors, noisy.tuples[g][j])
-                mus.append(dist.mu)
-                log_vars.append(dist.log_var)
-                z = sample_reparameterized(dist, None, mode, eps=noisy.eps[g][j])
-                anchor_mat = np.array([[a.x_c, a.y_c, a.l, a.r, a.t, a.b]
-                                       for a in anchors]).reshape(k, 6)
-                blocks.append(z + nm.linear(nm.Tensor(anchor_mat), *self.aref))
-                anchor_centers[j * k:(j + 1) * k] = anchor_mat[:, :2]
-            q = concat_group_queries(q_learn, blocks)
-            ref = nm.concat_rows([lr, nm.Tensor(anchor_centers)]) if k * c else lr
-            groups.append(q)
-            refs.append(ref)
-
-        queries = GroupQuerySet(groups=groups, n=n, k=k, c=c)
-        mask = build_denoising_mask(n, k, c)
-        dist_all = None
-        if mus:
-            dist_all = LatentDistribution(mu=nm.concat_rows(mus),
-                                          log_var=nm.concat_rows(log_vars))
-        return queries, refs, mask, dist_all
+        n, groups = cfg.queries_per_group, cfg.groups
+        queries, refs = self.learnable_queries(groups)
+        if noisy is None or cfg.noisy_groups == 0 or noisy.num_objects == 0:
+            return queries, refs, build_denoising_mask(n, 0, 0), None
+        k, c = noisy.num_objects, cfg.noisy_groups
+        dist = self.vqg.encode(noisy.anchors, noisy.tuples)
+        z = sample_reparameterized(dist, None, mode, eps=noisy.eps)
+        anchor_mat = np.array([[a.x_c, a.y_c, a.l, a.r, a.t, a.b] for a in noisy.anchors])
+        noisy_q = z + nm.linear(nm.Tensor(anchor_mat), *self.aref)
+        # learnable rows of every group, then noisy rows of every group -> group-major
+        order = np.concatenate([np.arange(groups * n).reshape(groups, n),
+                                groups * n + np.arange(groups * c * k).reshape(groups, c * k)],
+                               axis=1).ravel()
+        queries = nm.gather_rows(nm.concat_rows([queries, noisy_q]), order)
+        refs = nm.gather_rows(nm.concat_rows([refs, nm.Tensor(anchor_mat[:, :2])]), order)
+        return queries, refs, build_denoising_mask(n, k, c), dist
 
     def _apply_heads(self, q: Tensor, ref: Tensor) -> PredictionRows:
         h = nm.layer_norm(q, *self.out_ln)
@@ -289,29 +274,24 @@ class Detector:
             depth=nm.softplus(nm.linear(h, *self.head_depth)),
         )
 
-    def decoder_forward(self, memory: Tensor, queries: GroupQuerySet,
-                        refs: list[Tensor], mask: AttentionMask) -> DecoderTrace:
+    def decoder_forward(self, memory: Tensor, queries: Tensor, refs: Tensor,
+                        mask: AttentionMask) -> DecoderTrace:
+        """Every layer once over all stacked rows; memory K/V once per layer."""
         cfg = self.cfg
         layers = []
-        current = list(queries.groups)
+        q = queries
         for i in range(cfg.layers):
             (ln1, ln2, ln3) = self.dec_lns[i]
             ffn1, ffn2 = self.dec_ffn[i]
-            out_queries, out_attn, out_preds = [], [], []
-            for g, q in enumerate(current):
-                sa, attn = masked_multihead_self_attention(
-                    nm.layer_norm(q, *ln1), mask, self.dec_self[i], cfg.heads)
-                q = q + sa
-                q = q + multihead_cross_attention(
-                    nm.layer_norm(q, *ln2), memory, self.dec_cross[i], cfg.heads)
-                hidden = nm.relu(nm.linear(nm.layer_norm(q, *ln3), *ffn1))
-                q = q + nm.linear(hidden, *ffn2)
-                out_queries.append(q)
-                out_attn.append(attn)
-                out_preds.append(self._apply_heads(q, refs[g]))
-            current = out_queries
-            layers.append(LayerTrace(queries=out_queries, attention=out_attn,
-                                     predictions=out_preds))
+            sa, attn = masked_multihead_self_attention(
+                nm.layer_norm(q, *ln1), mask, self.dec_self[i], cfg.heads)
+            q = q + sa
+            q = q + multihead_cross_attention(
+                nm.layer_norm(q, *ln2), memory, self.dec_cross[i], cfg.heads)
+            hidden = nm.relu(nm.linear(nm.layer_norm(q, *ln3), *ffn1))
+            q = q + nm.linear(hidden, *ffn2)
+            layers.append(LayerTrace(queries=q, attention=attn,
+                                     predictions=self._apply_heads(q, refs)))
         return DecoderTrace(layers=layers)
 
 
@@ -358,16 +338,18 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     memory = det.encode_features(scene.grid)
     queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
     trace = det.decoder_forward(memory, queries, refs, mask)
-    k, c = queries.k, queries.c
     weights = cfg.loss_weights
     gts = scene.objects
+    # group g owns rows [g*s, (g+1)*s): n learnable rows, then c blocks of k
+    s, k = mask.size, len(gts)
+    c = (s - n) // k if k else 0
 
     detection = nm.Tensor(0.0)
     assignments: list[list[Assignment]] = []
     for li, layer in enumerate(trace.layers):
         layer_assign = []
-        for g, pred in enumerate(layer.predictions):
-            learn = slice_prediction_rows(pred, 0, n)
+        for g in range(cfg.groups):
+            learn = slice_prediction_rows(layer.predictions, g * s, n)
             if replay is not None:
                 assign = replay.assignments[li][g]
             else:
@@ -381,13 +363,9 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
         assignments.append(layer_assign)
 
     if k > 0 and c > 0:
-        per_layer_blocks = []
-        for layer in trace.layers:
-            blocks = []
-            for pred in layer.predictions:
-                for j in range(c):
-                    blocks.append((slice_prediction_rows(pred, n + j * k, k), gts))
-            per_layer_blocks.append(blocks)
+        per_layer_blocks = [[(slice_prediction_rows(layer.predictions, g * s + n + j * k, k), gts)
+                             for g in range(cfg.groups) for j in range(c)]
+                            for layer in trace.layers]
         dn = denoising_loss(per_layer_blocks, dist, dn_cfg, weights, beta_scale)
     else:
         zero = nm.Tensor(0.0)
@@ -403,19 +381,19 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
             gt_boxes = [b for _, b in scene.gt_boxes3d()]
             rows, row_weights = [], []
             final_layer = trace.layers[-1]
+            all_boxes = decode_box_rows(final_layer.predictions,
+                                        list(range(final_layer.predictions.rows)),
+                                        scene.intrinsics)
             for g, assign in enumerate(assignments[-1]):
-                pred = final_layer.predictions[g]
-                all_boxes = decode_box_rows(pred, list(range(pred.rows)),
-                                            scene.intrinsics)
-                lw = iou_weights(all_boxes, assign, gt_boxes)
-                # noisy row n + j*k + i reconstructs ground truth i
+                boxes = all_boxes[g * s:(g + 1) * s]
+                lw = iou_weights(boxes, assign, gt_boxes)
+                # noisy row n + j*k + i of a group reconstructs ground truth i
                 noisy_rows = list(range(n, n + k * c))
-                nw = np.array([iou3d_pair(all_boxes[r], gt_boxes[(r - n) % k])
+                nw = np.array([iou3d_pair(boxes[r], gt_boxes[(r - n) % k])
                                for r in noisy_rows])
-                rows.append(assign.query_indices() + noisy_rows)
+                rows.append([g * s + r for r in assign.query_indices() + noisy_rows])
                 row_weights.append(np.concatenate([lw, nw]))
-            teacher = [final_layer.queries[g].data[rows[g]]
-                       for g in range(cfg.groups)]
+            teacher = [final_layer.queries.data[r] for r in rows]
         decisions.distill_rows = rows
         decisions.distill_weights = row_weights
         decisions.teacher_rows = teacher
@@ -446,12 +424,9 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
     cfg = det.cfg
     n = cfg.queries_per_group
     memory = det.encode_features(scene.grid)
-    content = nm.narrow_rows(det.query_content, 0, n)
-    lr = nm.sigmoid(nm.narrow_rows(det.query_ref, 0, n))
-    q = content + nm.linear(lr, *det.lref)
-    queries = GroupQuerySet(groups=[q], n=n, k=0, c=0)
-    trace = det.decoder_forward(memory, queries, [lr], build_denoising_mask(n, 0, 0))
-    pred = trace.layers[-1].predictions[0]
+    queries, refs = det.learnable_queries(1)
+    trace = det.decoder_forward(memory, queries, refs, build_denoising_mask(n, 0, 0))
+    pred = trace.layers[-1].predictions
     probs = pred.class_probs()
     detections = []
     boxes = decode_box_rows(pred, list(range(n)), scene.intrinsics)

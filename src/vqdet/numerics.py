@@ -41,8 +41,8 @@ __all__ = [
     "maximum",
     "clamp",
     "softmax_rows",
+    "multihead_attention",
     "layer_norm",
-    "smooth_l1",
     "weighted_row_smooth_l1",
     "gaussian_kl",
     "focal_loss",
@@ -51,7 +51,6 @@ __all__ = [
     "l1_loss",
     "weighted_sum",
     "sum_all",
-    "mean_all",
     "concat_rows",
     "concat_cols",
     "narrow_rows",
@@ -96,10 +95,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def detach(self) -> "Tensor":
-        """A view of the same values cut off from the tape."""
-        return Tensor(self.data, requires_grad=False)
 
     def item(self) -> float:
         return float(self.data)
@@ -363,6 +358,71 @@ def softmax_rows(x: Tensor, allow: np.ndarray | None = None) -> Tensor:
     return _node(p, (x,), vjp)
 
 
+def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                        allow: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention over ``heads`` column blocks, as one node.
+
+    ``q`` is (R, D) and ``k``, ``v`` are (T, D); head h reads columns
+    [h*dh, (h+1)*dh) of each, dh = D / heads. Without ``allow`` every query
+    row attends to every key row. With an (S, S) boolean ``allow``, R = T =
+    G*S and the rows form G consecutive groups of S; row i of a group attends
+    to row j of the same group where ``allow[i, j]`` and never to another
+    group. The softmax matches :func:`softmax_rows` entry for entry:
+    disallowed weights are exactly 0.
+
+    Returns the (R, D) output on the tape and the head-averaged weights off
+    it: (R, T) without ``allow``, (G, S, S) with it.
+    """
+    r, d = q.data.shape
+    t = k.data.shape[0]
+    if k.data.shape != (t, d) or v.data.shape != (t, d) or d % heads:
+        raise ShapeError(f"multihead_attention: q {q.data.shape}, k {k.data.shape}, "
+                         f"v {v.data.shape}, {heads} heads")
+    if allow is None:
+        groups, rows, cols = 1, r, t
+    else:
+        allow = np.asarray(allow, dtype=bool)
+        s = allow.shape[0]
+        if allow.shape != (s, s) or s == 0 or r % s or t != r:
+            raise ShapeError(f"multihead_attention: mask {allow.shape} vs q {q.data.shape}, "
+                             f"k {k.data.shape}")
+        if not allow.any(axis=1).all():
+            bad = int(np.flatnonzero(~allow.any(axis=1))[0])
+            raise DegenerateMaskError(f"row {bad} has no allowed column")
+        groups, rows, cols = r // s, s, s
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(x, n):  # (G*n, D) -> (G, H, n, dh)
+        return x.reshape(groups, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x, n):  # (G, H, n, dh) -> (G*n, D)
+        return x.transpose(0, 2, 1, 3).reshape(groups * n, d)
+
+    qh, kh, vh = split(q.data, rows), split(k.data, cols), split(v.data, cols)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    if allow is not None:
+        np.copyto(p, -np.inf, where=~allow)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    avg = p.sum(axis=1) / heads
+
+    def vjp(g):
+        gh = split(g, rows)
+        ds = gh @ vh.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        return (merge(ds @ kh, rows) if q.requires_grad else None,
+                merge(ds.swapaxes(-1, -2) @ qh, cols) if k.requires_grad else None,
+                merge(p.swapaxes(-1, -2) @ gh, cols) if v.requires_grad else None)
+
+    out = _node(merge(p @ vh, rows), (q, k, v), vjp)
+    return out, (avg[0] if allow is None else avg)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then affine."""
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) \
@@ -398,22 +458,6 @@ def _huber(d: np.ndarray) -> np.ndarray:
 
 def _huber_grad(d: np.ndarray) -> np.ndarray:
     return np.where(np.abs(d) < 1.0, d, np.sign(d))
-
-
-def smooth_l1(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean over all elements of the Huber penalty of pred - target."""
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"smooth_l1: shapes {pred.data.shape} vs {target.data.shape}")
-    d = pred.data - target.data
-    n = max(d.size, 1)
-    out = np.asarray(_huber(d).sum() / n)
-
-    def vjp(g):
-        gd = float(g) * _huber_grad(d) / n
-        return (gd if pred.requires_grad else None,
-                -gd if target.requires_grad else None)
-
-    return _node(out, (pred, target), vjp)
 
 
 def weighted_row_smooth_l1(pred: Tensor, target: Tensor, row_weights: np.ndarray) -> Tensor:
@@ -609,12 +653,6 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     return _node(np.asarray(a.data.sum()), (a,),
                  lambda g: (np.full_like(a.data, float(g)),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = max(a.data.size, 1)
-    return _node(np.asarray(a.data.sum() / n), (a,),
-                 lambda g: (np.full_like(a.data, float(g) / n),))
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
@@ -815,18 +853,19 @@ class ParameterStore:
         return sum(t.data.size for t in self._params.values())
 
 
-# Checkpoint file layout: magic "VQD1", u32 version, then one record per
-# parameter: u32 name length, UTF-8 name, u32 rank, u64 extents, and the
-# row-major little-endian float64 payload. Records run to end of file.
+# Checkpoint file layout: magic "VQD1", u32 version, u32 record count, then
+# one record per parameter: u32 name length, UTF-8 name, u32 rank, u64
+# extents, and the row-major little-endian float64 payload. Records run to
+# end of file.
 
 _MAGIC = b"VQD1"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_checkpoint(store: ParameterStore, path) -> None:
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
+        f.write(struct.pack("<II", _VERSION, len(store.names())))
         for name, t in store.items():
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))
@@ -840,19 +879,20 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into a name -> array map.
 
-    A truncated file, bytes after the last record, or a name that appears
-    twice raise ValueError naming the path and the record.
+    A truncated file, bytes after the last record, a name that appears
+    twice, or a record count other than the header's raise ValueError naming
+    the path and the record.
     """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < 8:
+    if len(blob) < 12:
         raise ValueError(f"{path}: truncated checkpoint header")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    version, expected = struct.unpack_from("<II", blob, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 8
+    pos = 12
     out: dict[str, np.ndarray] = {}
 
     def take(n: int, record: str) -> int:
@@ -880,6 +920,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count, record))
         out[name] = arr.reshape(shape).astype(np.float64)
+    if len(out) != expected:
+        raise ValueError(f"{path}: the header promises {expected} records, "
+                         f"the file holds {len(out)}")
     return out
 
 

@@ -41,6 +41,7 @@ CLASS_DIMENSIONS = [
     (6.5, 2.4, 2.8),   # van-like
     (0.9, 0.8, 1.8),   # pedestrian-like
 ]
+MAX_DEPTH = 120.0  # meters; ground truths must lie nearer (GroundTruthObject.validate)
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,22 @@ class SceneConfig:
     dim_jitter: float = 0.15
     grid_noise: float = 0.05
     intrinsics: CameraIntrinsics = CameraIntrinsics()
+
+    def __post_init__(self):
+        for name in ("feature_size", "num_classes", "max_objects"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        lo, hi = self.depth_range
+        if not lo < hi < MAX_DEPTH:
+            raise ValueError(f"depth_range {self.depth_range} must satisfy "
+                             f"near < far < {MAX_DEPTH}")
+        # A box turned by its yaw reaches half its footprint diagonal toward the camera.
+        reach = (1.0 + self.dim_jitter) * max(
+            math.hypot(*CLASS_DIMENSIONS[c % len(CLASS_DIMENSIONS)][:2]) / 2.0
+            for c in range(self.num_classes))
+        if lo <= reach:
+            raise ValueError(f"depth_range near depth {lo} must exceed {reach:.3f}: a jittered "
+                             "box that near can put a corner at z <= 0")
 
     @property
     def input_channels(self) -> int:

@@ -136,3 +136,29 @@ def composite_l1_loss(pred, target, normalizer):
     from vqdet import numerics as nm
 
     return nm.sum_all(nm.absolute(pred - nm.Tensor(target))) * (1.0 / normalizer)
+
+
+def composite_multihead_attention(q, k, v, heads, allow=None):
+    """Attention one group and one head at a time, from narrow, matmul and softmax nodes.
+
+    Without ``allow`` all q rows attend to all k rows; with an (S, S)
+    ``allow`` the rows form consecutive groups of S, each attending within
+    itself under the mask.
+    """
+    from vqdet import numerics as nm
+
+    d = q.data.shape[1]
+    dh = d // heads
+    s = q.data.shape[0] if allow is None else allow.shape[0]
+    t = k.data.shape[0] if allow is None else s
+    groups = []
+    for g in range(q.data.shape[0] // s):
+        qg = nm.narrow_rows(q, g * s, s)
+        kg, vg = nm.narrow_rows(k, g * t, t), nm.narrow_rows(v, g * t, t)
+        contexts = []
+        for h in range(heads):
+            qh, kh, vh = (nm.narrow_cols(x, h * dh, dh) for x in (qg, kg, vg))
+            logits = nm.matmul(qh, nm.transpose(kh)) * (1.0 / math.sqrt(dh))
+            contexts.append(nm.matmul(nm.softmax_rows(logits, allow), vh))
+        groups.append(nm.concat_cols(contexts))
+    return nm.concat_rows(groups)

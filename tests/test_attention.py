@@ -7,14 +7,12 @@ from vqdet import numerics as nm
 from vqdet.attention import (
     AttentionMask,
     AttentionParams,
-    GroupQuerySet,
-    attention_params,
     build_denoising_mask,
-    concat_group_queries,
     masked_multihead_self_attention,
-    separated_group_attention,
 )
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
+
+from oracles import composite_multihead_attention
 
 
 def _params(rng, d, requires_grad=False) -> AttentionParams:
@@ -23,33 +21,6 @@ def _params(rng, d, requires_grad=False) -> AttentionParams:
 
     return AttentionParams(wq=t((d, d)), bq=t((d,)), wk=t((d, d)), bk=t((d,)),
                            wv=t((d, d)), bv=t((d,)), wo=t((d, d)), bo=t((d,)))
-
-
-class TestConcatGroupQueries:
-    def test_no_noisy_blocks_is_identity(self):
-        q = nm.Tensor(np.arange(8.0).reshape(2, 4))
-        assert concat_group_queries(q, []) is q
-
-    def test_two_rows(self):
-        a = nm.Tensor([[1.0, 2.0]])
-        b = nm.Tensor([[3.0, 4.0]])
-        out = concat_group_queries(a, [b])
-        assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_block_slicing_round_trip(self):
-        rng = np.random.default_rng(0)
-        n, k, c, d = 3, 2, 4, 5
-        learnable = nm.Tensor(rng.normal(size=(n, d)))
-        blocks = [nm.Tensor(rng.normal(size=(k, d))) for _ in range(c)]
-        cat = concat_group_queries(learnable, blocks)
-        for j, blk in enumerate(blocks):
-            piece = cat.data[n + j * k: n + (j + 1) * k]
-            assert_array_equal(piece, blk.data)
-
-    def test_width_mismatch_raises(self):
-        with pytest.raises(nm.ShapeError):
-            concat_group_queries(nm.Tensor(np.zeros((2, 4))),
-                                 [nm.Tensor(np.zeros((1, 3)))])
 
 
 class TestBuildDenoisingMask:
@@ -89,6 +60,67 @@ class TestBuildDenoisingMask:
             AttentionMask(np.zeros((2, 2), dtype=bool))
 
 
+def _relative(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestMultiheadAttentionOp:
+    # (groups, rows per group, key rows, allow): masked cases have T = S
+    CASES = [
+        (1, 5, 7, None),
+        (1, 6, 6, None),
+        (1, 5, 5, build_denoising_mask(1, 2, 2).allow),  # row 0 sees only itself
+        (2, 5, 5, build_denoising_mask(1, 2, 2).allow),
+        (3, 5, 5, build_denoising_mask(1, 2, 2).allow),
+        (2, 4, 4, np.eye(4, dtype=bool) | (np.random.default_rng(0).random((4, 4)) > 0.5)),
+        (3, 4, 4, np.ones((4, 4), dtype=bool)),
+    ]
+
+    @pytest.mark.parametrize("groups,s,t,allow", CASES)
+    def test_matches_per_head_composite(self, groups, s, t, allow):
+        rng = np.random.default_rng(groups * 100 + s * 10 + t)
+        d, heads = 8, 2
+        arrays = [rng.normal(size=(groups * s, d)), rng.normal(size=(groups * t, d)),
+                  rng.normal(size=(groups * t, d))]
+        proj = rng.normal(size=(groups * s, d))
+        results = []
+        for fn in (lambda q, k, v: nm.multihead_attention(q, k, v, heads, allow)[0],
+                   lambda q, k, v: composite_multihead_attention(q, k, v, heads, allow)):
+            leaves = [nm.Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(*leaves)
+            nm.backward(nm.sum_all(out * nm.Tensor(proj)))
+            results.append([out.data] + [x.grad for x in leaves])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert _relative(got, want) <= 1e-12
+
+    def test_map_is_head_average_per_group(self):
+        rng = np.random.default_rng(1)
+        allow = build_denoising_mask(2, 1, 2).allow
+        q, k, v = (nm.Tensor(rng.normal(size=(8, 4))) for _ in range(3))
+        _, attn = nm.multihead_attention(q, k, v, 2, allow)
+        assert attn.shape == (2, 4, 4)
+        for g in range(2):
+            rows = slice(4 * g, 4 * g + 4)
+            heads = [nm.softmax_rows(nm.Tensor(q.data[rows, h:h + 2] @ k.data[rows, h:h + 2].T
+                                               / np.sqrt(2)), allow).data for h in (0, 2)]
+            np.testing.assert_allclose(attn[g], (heads[0] + heads[1]) / 2, rtol=0, atol=1e-15)
+        _, full = nm.multihead_attention(q, k, nm.Tensor(rng.normal(size=(8, 4))), 2)
+        assert full.shape == (8, 8)
+
+    def test_rejects_rows_that_are_not_whole_groups(self):
+        x = nm.Tensor(np.zeros((5, 4)))
+        with pytest.raises(nm.ShapeError):
+            nm.multihead_attention(x, x, x, 2, np.ones((2, 2), dtype=bool))
+        with pytest.raises(nm.ShapeError):
+            nm.multihead_attention(x, x, x, 3)
+
+    def test_row_without_allowed_column_raises(self):
+        x = nm.Tensor(np.zeros((2, 4)))
+        with pytest.raises(nm.DegenerateMaskError, match="row 1"):
+            nm.multihead_attention(x, x, x, 2, np.array([[1, 0], [0, 0]], dtype=bool))
+
+
 class TestMaskedAttention:
     def test_single_query(self):
         rng = np.random.default_rng(1)
@@ -97,7 +129,7 @@ class TestMaskedAttention:
         out, attn = masked_multihead_self_attention(q, AttentionMask(np.ones((1, 1), bool)),
                                                     params, heads=2)
         assert out.data.shape == (1, 4)
-        assert_array_equal(attn, [[1.0]])
+        assert_array_equal(attn, [[[1.0]]])
 
     def test_all_true_mask_matches_unmasked_softmax(self):
         rng = np.random.default_rng(2)
@@ -107,26 +139,20 @@ class TestMaskedAttention:
         masked, _ = masked_multihead_self_attention(
             q, AttentionMask(np.ones((s, s), bool)), params, heads=2)
 
-        # unmasked reference built from the same primitives
-        qp = nm.linear(q, params.wq, params.bq)
-        kp = nm.linear(q, params.wk, params.bk)
-        vp = nm.linear(q, params.wv, params.bv)
-        ctxs = []
-        for h in range(2):
-            qh = nm.narrow_cols(qp, h * 3, 3)
-            kh = nm.narrow_cols(kp, h * 3, 3)
-            vh = nm.narrow_cols(vp, h * 3, 3)
-            probs = nm.softmax_rows(nm.matmul(qh, nm.transpose(kh)) * (1 / np.sqrt(3)))
-            ctxs.append(nm.matmul(probs, vh))
-        ref = nm.linear(nm.concat_cols(ctxs), params.wo, params.bo)
-        assert_array_equal(masked.data, ref.data)
+        projected = [nm.linear(q, w, b) for w, b in ((params.wq, params.bq),
+                                                    (params.wk, params.bk),
+                                                    (params.wv, params.bv))]
+        unmasked, _ = nm.multihead_attention(*projected, 2)
+        assert_array_equal(masked.data, nm.linear(unmasked, params.wo, params.bo).data)
+        ref = nm.linear(composite_multihead_attention(*projected, 2), params.wo, params.bo)
+        assert _relative(masked.data, ref.data) <= 1e-12
 
     def test_masked_columns_exactly_zero(self):
         rng = np.random.default_rng(3)
         mask = build_denoising_mask(2, 1, 2)
         params = _params(rng, 4)
         q = nm.Tensor(rng.normal(size=(4, 4)))
-        _, attn = masked_multihead_self_attention(q, mask, params, heads=2)
+        _, (attn,) = masked_multihead_self_attention(q, mask, params, heads=2)
         assert_array_equal(attn[~mask.allow], np.zeros((~mask.allow).sum()))
         np.testing.assert_allclose(attn.sum(axis=1), np.ones(4), atol=1e-12)
 
@@ -168,54 +194,51 @@ class TestMaskedAttention:
 
 
 class TestSeparatedGroupAttention:
-    def _query_set(self, rng, g=2, n=2, k=1, c=2, d=4):
-        s = n + k * c
-        groups = [nm.Tensor(rng.normal(size=(s, d))) for _ in range(g)]
-        return GroupQuerySet(groups=groups, n=n, k=k, c=c)
+    """G groups stacked row-wise under one mask behave as G separate calls."""
+
+    MASK = build_denoising_mask(2, 1, 2)  # S = 4
+
+    def _stacked(self, rng, g=2, d=4):
+        return nm.Tensor(rng.normal(size=(g * self.MASK.size, d)))
 
     def test_single_group_equals_direct_call(self):
         rng = np.random.default_rng(6)
         params = _params(rng, 4)
-        qs = self._query_set(rng, g=1)
-        mask = build_denoising_mask(2, 1, 2)
-        outs, maps = separated_group_attention(qs, mask, params, heads=2)
-        direct, direct_map = masked_multihead_self_attention(qs.groups[0], mask, params, 2)
-        assert_array_equal(outs[0].data, direct.data)
-        assert_array_equal(maps[0], direct_map)
+        q = self._stacked(rng)
+        out, maps = masked_multihead_self_attention(q, self.MASK, params, heads=2)
+        for g in range(2):
+            rows = nm.Tensor(q.data[4 * g:4 * g + 4])
+            direct, direct_map = masked_multihead_self_attention(rows, self.MASK, params, 2)
+            assert_array_equal(out.data[4 * g:4 * g + 4], direct.data)
+            assert_array_equal(maps[g], direct_map[0])
 
     def test_cross_group_independence(self):
         rng = np.random.default_rng(7)
         params = _params(rng, 4)
-        qs = self._query_set(rng)
-        mask = build_denoising_mask(2, 1, 2)
-        outs, _ = separated_group_attention(qs, mask, params, heads=2)
-        perturbed = GroupQuerySet(
-            groups=[qs.groups[0], nm.Tensor(qs.groups[1].data + 1.0)],
-            n=qs.n, k=qs.k, c=qs.c)
-        outs2, _ = separated_group_attention(perturbed, mask, params, heads=2)
-        assert_array_equal(outs[0].data, outs2[0].data)
-        assert (outs[1].data != outs2[1].data).any()
+        q = self._stacked(rng)
+        out, _ = masked_multihead_self_attention(q, self.MASK, params, heads=2)
+        moved = q.data.copy()
+        moved[4:] += 1.0
+        out2, _ = masked_multihead_self_attention(nm.Tensor(moved), self.MASK, params, heads=2)
+        assert_array_equal(out.data[:4], out2.data[:4])
+        assert (out.data[4:] != out2.data[4:]).any()
 
     def test_identical_groups_identical_outputs(self):
         rng = np.random.default_rng(8)
         params = _params(rng, 4)
-        base = rng.normal(size=(4, 4))
-        qs = GroupQuerySet(groups=[nm.Tensor(base.copy()) for _ in range(3)],
-                           n=2, k=1, c=2)
-        outs, maps = separated_group_attention(qs, build_denoising_mask(2, 1, 2),
-                                               params, heads=2)
-        for out, m in zip(outs[1:], maps[1:]):
-            assert_array_equal(out.data, outs[0].data)
-            assert_array_equal(m, maps[0])
+        q = nm.Tensor(np.tile(rng.normal(size=(4, 4)), (3, 1)))
+        out, maps = masked_multihead_self_attention(q, self.MASK, params, heads=2)
+        for g in (1, 2):
+            assert_array_equal(out.data[4 * g:4 * g + 4], out.data[:4])
+            assert_array_equal(maps[g], maps[0])
 
     def test_cross_group_gradient_exactly_zero(self):
         rng = np.random.default_rng(9)
         params = _params(rng, 4)
-        qs = self._query_set(rng)
-        for g in qs.groups:
-            g.requires_grad = True
-        mask = build_denoising_mask(2, 1, 2)
-        outs, _ = separated_group_attention(qs, mask, params, heads=2)
-        nm.backward(nm.sum_all(outs[0] * outs[0]))
-        assert qs.groups[1].grad is None or not qs.groups[1].grad.any()
-        assert np.abs(qs.groups[0].grad).max() > 0
+        q = self._stacked(rng)
+        q.requires_grad = True
+        out, _ = masked_multihead_self_attention(q, self.MASK, params, heads=2)
+        first = nm.narrow_rows(out, 0, 4)
+        nm.backward(nm.sum_all(first * first))
+        assert not q.grad[4:].any()
+        assert np.abs(q.grad[:4]).max() > 0

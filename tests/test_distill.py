@@ -50,7 +50,7 @@ class TestIoUWeights:
 class TestForwardLookingDistill:
     def test_single_layer_is_zero(self):
         rng = np.random.default_rng(1)
-        q = [[nm.Tensor(rng.normal(size=(3, 4)))]]
+        q = [nm.Tensor(rng.normal(size=(3, 4)))]
         out = forward_looking_distill(q, [[0, 1]], [np.ones(2)],
                                       _random_refiner(rng, 4))
         assert out.item() == 0.0
@@ -58,7 +58,7 @@ class TestForwardLookingDistill:
     def test_identity_refiner_equal_layers_is_zero(self):
         rng = np.random.default_rng(2)
         base = rng.normal(size=(4, 6))
-        layers = [[nm.Tensor(base.copy())] for _ in range(3)]
+        layers = [nm.Tensor(base.copy()) for _ in range(3)]
         out = forward_looking_distill(layers, [[0, 2, 3]], [np.ones(3)],
                                       _identity_refiner(6))
         assert out.item() == pytest.approx(0.0, abs=1e-12)
@@ -67,7 +67,7 @@ class TestForwardLookingDistill:
         """L=2, one group, identity refiner; weighted huber means by hand."""
         student = np.array([[0.2, -0.4], [1.0, 3.0], [0.0, 0.5]])
         teacher = np.array([[0.5, -0.4], [-1.0, 3.0], [0.0, 0.5]])
-        layers = [[nm.Tensor(student)], [nm.Tensor(teacher)]]
+        layers = [nm.Tensor(student), nm.Tensor(teacher)]
         weights = np.array([0.8, 0.25])
         out = forward_looking_distill(layers, [[0, 1]], [weights],
                                       _identity_refiner(2))
@@ -77,20 +77,20 @@ class TestForwardLookingDistill:
 
     def test_teacher_receives_no_gradient(self):
         rng = np.random.default_rng(3)
-        layers = [[nm.Tensor(rng.normal(size=(3, 4)), requires_grad=True)]
+        layers = [nm.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
                   for _ in range(3)]
         refiner = _random_refiner(rng, 4)
         for t in (refiner.w1, refiner.b1, refiner.w2, refiner.b2):
             t.requires_grad = True
         out = forward_looking_distill(layers, [[0, 1, 2]], [np.full(3, 0.7)], refiner)
         nm.backward(out)
-        assert layers[-1][0].grad is None
+        assert layers[-1].grad is None
         for early in layers[:-1]:
-            assert np.abs(early[0].grad).max() > 0
+            assert np.abs(early.grad).max() > 0
 
     def test_zero_weight_removes_query_contribution(self):
         rng = np.random.default_rng(4)
-        layers = [[nm.Tensor(rng.normal(size=(4, 5)))] for _ in range(2)]
+        layers = [nm.Tensor(rng.normal(size=(4, 5))) for _ in range(2)]
         refiner = _random_refiner(rng, 5)
         w = np.array([0.5, 0.9, 0.3])
         full = forward_looking_distill(layers, [[0, 1, 3]], [w], refiner)
@@ -108,14 +108,24 @@ class TestForwardLookingDistill:
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            layers = [[nm.Tensor(rng.normal(size=(3, 4)))] for _ in range(3)]
+            layers = [nm.Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
             out = forward_looking_distill(layers, [[0, 2]], [rng.random(2)],
                                           _random_refiner(rng, 4))
             assert out.item() >= 0.0
 
+    def test_groups_address_their_rows_of_the_stacked_layer(self):
+        rng = np.random.default_rng(7)
+        layers = [nm.Tensor(rng.normal(size=(6, 4))) for _ in range(3)]
+        refiner = _random_refiner(rng, 4)
+        rows, weights = [[0, 2], [3, 5]], [rng.random(2), rng.random(2)]
+        both = forward_looking_distill(layers, rows, weights, refiner)
+        alone = [forward_looking_distill(layers, [r], [w], refiner).item()
+                 for r, w in zip(rows, weights)]
+        assert both.item() == pytest.approx(sum(alone) / 2, rel=1e-12)
+
     def test_empty_rows_contribute_zero(self):
         rng = np.random.default_rng(6)
-        layers = [[nm.Tensor(rng.normal(size=(3, 4)))] for _ in range(2)]
+        layers = [nm.Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
         out = forward_looking_distill(layers, [[]], [np.zeros(0)],
                                       _random_refiner(rng, 4))
         assert out.item() == 0.0
@@ -123,8 +133,8 @@ class TestForwardLookingDistill:
 
 def _row_term(layers, row, refiner) -> float:
     """Mean-over-width huber between the refined student row and teacher row."""
-    student = nm.gather_rows(layers[0][0], [row])
+    student = nm.gather_rows(layers[0], [row])
     refined = refine(student, refiner)
-    d = refined.data - layers[1][0].data[[row]]
+    d = refined.data - layers[1].data[[row]]
     ad = np.abs(d)
     return float(np.where(ad < 1, 0.5 * d * d, ad - 0.5).mean())

@@ -167,6 +167,13 @@ def _random_corner_box(rng):
 
 
 class TestBoxNoise:
+    @pytest.mark.parametrize("field,value", [("center_shift_scale", 5.0),
+                                             ("box_scale_range", 1.0),
+                                             ("label_flip_prob", 1.5)])
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NoiseConfig(**{field: value})
+
     def test_identity_noise(self):
         gt = GroundTruthObject(1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 4, 2, 1.5, 0.3, 20)
         cfg = NoiseConfig(center_shift_scale=0, box_scale_range=0, label_flip_prob=0,

@@ -32,3 +32,8 @@ def test_fused_loss_entries_pass():
 def test_perturbed_suite_fails():
     (row,) = run_suite(names=["matmul"], perturb=True)
     assert not row[3]
+
+
+def test_attention_entries_pass():
+    rows = run_suite(names=["masked_multihead_attention", "multihead_cross_attention"])
+    assert all(ok for *_, ok in rows), rows

@@ -79,7 +79,7 @@ class TestDecoderForward:
         queries, refs, mask, _ = det.build_group_inputs(None, DETERMINISTIC)
         trace = det.decoder_forward(memory, queries, refs, mask)
         assert len(trace.layers) == 1
-        assert trace.layers[0].queries[0].data.shape == (2, 8)
+        assert trace.layers[0].queries.data.shape == (2, 8)
 
     def test_learnable_path_unchanged_by_noisy_blocks(self):
         """Removing the noisy blocks leaves learnable outputs bit-identical."""
@@ -93,14 +93,16 @@ class TestDecoderForward:
         q_without, refs_without, mask_without, _ = det.build_group_inputs(None, VARIATIONAL)
         trace_without = det.decoder_forward(memory, q_without, refs_without, mask_without)
 
-        n = TINY.queries_per_group
+        n, s = TINY.queries_per_group, mask_with.size
+        assert s > n
         for lw, lo in zip(trace_with.layers, trace_without.layers):
             for g in range(TINY.groups):
-                assert_array_equal(lw.queries[g].data[:n], lo.queries[g].data)
-                pw = slice_prediction_rows(lw.predictions[g], 0, n)
-                assert_array_equal(pw.class_logits.data,
-                                   lo.predictions[g].class_logits.data)
-                assert_array_equal(pw.centers.data, lo.predictions[g].centers.data)
+                assert_array_equal(lw.queries.data[g * s:g * s + n],
+                                   lo.queries.data[g * n:(g + 1) * n])
+                pw = slice_prediction_rows(lw.predictions, g * s, n)
+                po = slice_prediction_rows(lo.predictions, g * n, n)
+                assert_array_equal(pw.class_logits.data, po.class_logits.data)
+                assert_array_equal(pw.centers.data, po.centers.data)
 
     def test_attention_maps_row_stochastic(self):
         det = Detector(TINY, seed=5)

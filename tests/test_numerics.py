@@ -93,7 +93,7 @@ def test_linear_identity_and_zero_input():
 
 @pytest.mark.parametrize("d,expected", [(0.5, 0.125), (2.0, 1.5), (0.0, 0.0)])
 def test_smooth_l1_branch_values(d, expected):
-    out = nm.smooth_l1(nm.Tensor([[d]]), nm.Tensor([[0.0]]))
+    out = nm.weighted_row_smooth_l1(nm.Tensor([[d]]), nm.Tensor([[0.0]]), np.ones(1))
     assert out.item() == pytest.approx(expected, abs=1e-12)
 
 
@@ -153,7 +153,7 @@ def test_backward_composite_matches_finite_differences():
     def build(ts):
         h = nm.layer_norm(nm.relu(nm.linear(ts[0], ts[1], ts[2])), ts[5], ts[6])
         out = nm.sigmoid(nm.linear(h, ts[3], ts[4]))
-        return nm.mean_all(out * out)
+        return nm.sum_all(out * out) * (1 / out.data.size)
 
     err = check_scalar_fn(build, [x, w1, b1, w2, b2, gain, bias])
     assert err <= OP_TOLERANCE
@@ -261,7 +261,8 @@ class TestCheckpoint:
         nm.save_checkpoint(store, path)
         blob = path.read_bytes()
         assert blob[:4] == b"VQD1"
-        assert int.from_bytes(blob[4:8], "little") == 1
+        assert int.from_bytes(blob[4:8], "little") == 2
+        assert int.from_bytes(blob[8:12], "little") == 1
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -294,6 +295,13 @@ class TestCheckpoint:
             with pytest.raises(ValueError, match=r"ckpt\.bin: record 1 \('b'\) is truncated"):
                 nm.load_checkpoint(path)
 
+    def test_file_cut_at_a_record_boundary_rejected(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[:12 + 4 + 3 + 4 + 16 + 48])  # header and record 0 only
+        with pytest.raises(ValueError,
+                           match=r"ckpt\.bin: the header promises 2 records, the file holds 1"):
+            nm.load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path, blob = self._saved(tmp_path)
         path.write_bytes(blob + b"\x00\x00")
@@ -302,7 +310,7 @@ class TestCheckpoint:
 
     def test_duplicated_name_rejected(self, tmp_path):
         path, blob = self._saved(tmp_path)
-        first_record = blob[8:8 + 4 + 3 + 4 + 16 + 48]
+        first_record = blob[12:12 + 4 + 3 + 4 + 16 + 48]
         path.write_bytes(blob + first_record)
         with pytest.raises(ValueError, match=r"ckpt\.bin: record 2 \('a\.w'\) repeats"):
             nm.load_checkpoint(path)

@@ -22,6 +22,28 @@ from vqdet.scenes import (
 SMALL = SceneConfig(feature_size=8, num_classes=3, max_objects=3)
 
 
+class TestSceneConfigValidation:
+    @pytest.mark.parametrize("field", ["feature_size", "num_classes", "max_objects"])
+    def test_non_positive_count_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            SceneConfig(**{field: 0})
+
+    def test_near_depth_where_a_corner_can_reach_the_camera_rejected(self):
+        with pytest.raises(ValueError, match=r"depth_range near depth 0\.6"):
+            SceneConfig(depth_range=(0.6, 1.0))
+
+    @pytest.mark.parametrize("depth_range", [(20.0, 20.0), (30.0, 10.0), (6.0, 120.0)])
+    def test_empty_or_too_far_depth_range_rejected(self, depth_range):
+        with pytest.raises(ValueError, match="depth_range"):
+            SceneConfig(depth_range=depth_range)
+
+    def test_nearest_accepted_depth_samples_valid_scenes(self):
+        # 3.985 m is the van's jittered half footprint diagonal, the reach bound
+        cfg = SceneConfig(feature_size=4, max_objects=4, depth_range=(3.99, 4.2))
+        for seed in range(100):
+            generate_scene(np.random.default_rng(seed), cfg, f"s{seed}", seed)
+
+
 class TestGenerateScene:
     def test_forced_empty_scene(self):
         scene = generate_scene(np.random.default_rng(0), SMALL, "s0", 0, num_objects=0)
