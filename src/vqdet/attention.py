@@ -66,10 +66,9 @@ class AttentionParams:
     bo: Tensor
 
 
-def attention_params(store: nm.ParameterStore, prefix: str, d: int,
-                     scale: float = 0.1) -> AttentionParams:
+def attention_params(store: nm.ParameterStore, prefix: str, d: int) -> AttentionParams:
     def w(name):
-        return store.param(f"{prefix}.{name}.w", (d, d), scale=scale)
+        return store.param(f"{prefix}.{name}.w", (d, d), scale=0.1)
 
     def b(name):
         return store.param(f"{prefix}.{name}.b", (d,), scale=0.0)
@@ -88,11 +87,11 @@ def masked_multihead_self_attention(q: Tensor, mask: AttentionMask,
     output and the head-averaged (G, S, S) attention map, off the tape.
     Disallowed positions are exactly zero in every head.
     """
-    out, attn = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
-                                       nm.linear(q, params.wk, params.bk),
-                                       nm.linear(q, params.wv, params.bv),
-                                       heads, mask.allow)
-    return nm.linear(out, params.wo, params.bo), attn
+    out, p = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
+                                    nm.linear(q, params.wk, params.bk),
+                                    nm.linear(q, params.wv, params.bv),
+                                    heads, mask.allow)
+    return nm.linear(out, params.wo, params.bo), p.sum(axis=1) / heads
 
 
 def multihead_cross_attention(q: Tensor, memory: Tensor,

@@ -32,13 +32,12 @@ class RefinerParams:
     b2: Tensor
 
 
-def refiner_params(store: nm.ParameterStore, width: int,
-                   prefix: str = "refiner") -> RefinerParams:
+def refiner_params(store: nm.ParameterStore, width: int) -> RefinerParams:
     return RefinerParams(
-        w1=store.param(f"{prefix}.1.w", (width, width), scale=0.1),
-        b1=store.param(f"{prefix}.1.b", (width,), scale=0.0),
-        w2=store.param(f"{prefix}.2.w", (width, width), scale=0.1),
-        b2=store.param(f"{prefix}.2.b", (width,), scale=0.0),
+        w1=store.param("refiner.1.w", (width, width), scale=0.1),
+        b1=store.param("refiner.1.b", (width,), scale=0.0),
+        w2=store.param("refiner.2.w", (width, width), scale=0.1),
+        b2=store.param("refiner.2.b", (width,), scale=0.0),
     )
 
 
@@ -63,21 +62,20 @@ def forward_looking_distill(layer_queries: list[Tensor],
                             row_indices: list[list[int]],
                             row_weights: list[np.ndarray],
                             refiner: RefinerParams,
-                            teacher_rows: list[np.ndarray] | None = None) -> Tensor:
+                            teacher_rows: list[np.ndarray]) -> Tensor:
     """Sum over non-final layers of the weighted query-alignment loss.
 
     ``layer_queries[i]`` is layer i's output rows for all groups; the last
     layer is the teacher. ``row_indices[g]`` selects group g's supervised
-    rows of those tensors (final-matched learnable rows plus all noisy rows)
-    and ``row_weights[g]`` their IoU weights. Per layer the loss averages
-    over queries within a group and over groups, and the teacher values are
-    constants (optionally pinned explicitly via ``teacher_rows`` for replay).
+    rows of those tensors (final-matched learnable rows plus all noisy rows),
+    ``row_weights[g]`` their IoU weights and ``teacher_rows[g]`` the final
+    layer's values at those rows, constants taken off the tape. Per layer
+    the loss averages over queries within a group and over groups; with no
+    groups it is 0.
     """
     zero = nm.Tensor(0.0)
-    if len(layer_queries) <= 1:
+    if len(layer_queries) <= 1 or not row_indices:
         return zero
-    if teacher_rows is None:
-        teacher_rows = [layer_queries[-1].data[idx] for idx in row_indices]
     total = zero
     for layer in layer_queries[:-1]:
         layer_term = zero

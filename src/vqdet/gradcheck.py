@@ -372,11 +372,11 @@ def _check_end_to_end(rng) -> float:
     dn_cfg = DenoisingConfig(beta=0.1, mode="variational")
     noisy = det.draw_noisy_queries(scene, NoiseConfig(), np.random.default_rng(17))
 
-    first = training_loss(det, scene, noisy, dn_cfg, beta_scale=1.0)
+    first = training_loss(det, scene, noisy, dn_cfg)
     replay = first.decisions
 
     def loss_fn():
-        return training_loss(det, scene, noisy, dn_cfg, beta_scale=1.0, replay=replay).total
+        return training_loss(det, scene, noisy, dn_cfg, replay=replay).total
 
     return check_params_fn(loss_fn, det.store)
 

@@ -1,17 +1,20 @@
 """Per-component set-prediction losses shared by detection and denoising.
 
-One group-layer's head outputs are a :class:`PredictionRows` bundle. The
-component loss applies sigmoid focal classification over every row (positives
-one-hot, the rest background) and L1 / GIoU regression over the positive rows
-only. Each component is normalized by the positive count, so magnitudes do
-not scale with the number of objects; the weighted sum uses
-:class:`LossWeights`.
+One decoder layer's head outputs for every stacked row are a
+:class:`PredictionRows` bundle, and a block is a set of its rows: one
+group's learnable queries, or one noisy block. The component loss reads the
+block in place. It applies sigmoid focal classification over every row of
+the block (positives one-hot, the rest background) and L1 / GIoU regression
+over the positive rows only. Each component is normalized by the positive
+count, so magnitudes do not scale with the number of objects; the weighted
+sum uses :class:`LossWeights`.
 
 Each term is a single tape op with a closed-form gradient, defined in
 :mod:`numerics` and re-exported here: ``focal_loss``, ``corner_boxes``,
 ``giou2d_pairs`` and ``l1_loss`` (one per regression target), and the
-weights are applied by one ``weighted_sum``. A call with positives records 17
-tape nodes: 5 row gathers, those 8 ops, 3 for the mean GIoU term and the sum.
+weights are applied by one ``weighted_sum``. A call with positives records 18
+tape nodes: 6 row gathers (the block's logits and the five regression tensors
+at the positive rows), those 8 ops, 3 for the mean GIoU term and the sum.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class LossWeights:
 
 @dataclass
 class PredictionRows:
-    """Decoded head outputs for one block of query rows.
+    """Decoded head outputs for a stack of query rows.
 
     class_logits are pre-sigmoid; angle is a raw (sin, cos) pair; lrtb and
     depth are post-activation (nonnegative / positive).
@@ -71,35 +74,36 @@ class PredictionRows:
                          c[:, 0] + e[:, 1], c[:, 1] + e[:, 3]], axis=1)
 
 
-def component_loss(pred: PredictionRows, positive_rows: Sequence[int],
+def component_loss(pred: PredictionRows, block: Sequence[int],
+                   positive_rows: Sequence[int],
                    targets: Sequence[GroundTruthObject],
                    weights: LossWeights) -> Tensor:
-    """Weighted sum of the six component losses for one block of rows.
+    """Weighted sum of the six component losses for one block of rows of ``pred``.
 
-    ``positive_rows[i]`` is supervised toward ``targets[i]``; every other row
-    is classification background. With no positives only the background focal
-    term remains.
+    ``block`` lists the block's rows of ``pred``, and ``positive_rows[i]``,
+    one of them, is supervised toward ``targets[i]``; every other row of the
+    block is classification background. With no positives only the
+    background focal term remains.
     """
     if len(positive_rows) != len(targets):
         raise ValueError(f"{len(positive_rows)} positive rows vs {len(targets)} targets")
-    rows = pred.rows
     num_classes = pred.class_logits.data.shape[1]
     m = len(targets)
     norm = float(max(1, m))
 
-    onehot = np.zeros((rows, num_classes))
+    onehot = np.zeros((len(block), num_classes))
     for row, gt in zip(positive_rows, targets):
-        onehot[row, gt.c] = 1.0
-    cls = focal_loss(pred.class_logits, onehot, weights.focal_alpha, weights.focal_gamma, norm)
+        onehot[block.index(row), gt.c] = 1.0
+    cls = focal_loss(nm.gather_rows(pred.class_logits, block), onehot,
+                     weights.focal_alpha, weights.focal_gamma, norm)
     if m == 0:
         return nm.weighted_sum([cls], [weights.w_cls])
 
-    idx = list(positive_rows)
-    centers = nm.gather_rows(pred.centers, idx)
-    lrtb = nm.gather_rows(pred.lrtb, idx)
-    size3d = nm.gather_rows(pred.size3d, idx)
-    angle = nm.gather_rows(pred.angle, idx)
-    depth = nm.gather_rows(pred.depth, idx)
+    centers = nm.gather_rows(pred.centers, positive_rows)
+    lrtb = nm.gather_rows(pred.lrtb, positive_rows)
+    size3d = nm.gather_rows(pred.size3d, positive_rows)
+    angle = nm.gather_rows(pred.angle, positive_rows)
+    depth = nm.gather_rows(pred.depth, positive_rows)
 
     t_center = np.array([[gt.x_c, gt.y_c] for gt in targets])
     t_lrtb = np.array([[gt.l, gt.r, gt.t, gt.b] for gt in targets])

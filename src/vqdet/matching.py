@@ -160,15 +160,3 @@ def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
     return (weights.w_cls * cls_term + weights.w_center * center_term
             + weights.w_giou * giou_term)
 
-
-def groupwise_match(group_features: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                    gts: list[GroundTruthObject],
-                    weights: MatcherWeights = MatcherWeights()) -> list[Assignment]:
-    """One independent Hungarian match per group; one-to-many in union.
-
-    Each entry of ``group_features`` is (class_probs, centers, corner_boxes)
-    for that group's learnable queries, so every ground truth can collect up
-    to G positive queries per step.
-    """
-    return [hungarian(matching_cost(probs, centers, boxes, gts, weights))
-            for probs, centers, boxes in group_features]

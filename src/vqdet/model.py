@@ -11,6 +11,12 @@ layer's rows for deep supervision. Learnable queries carry learned 2D
 reference points; noisy queries anchor at their noised box center. Inference
 stacks the first group's learnable queries alone, so its outputs depend on
 the weights and the scene alone, never on training-time configuration.
+
+The training loss first makes every detached decision of the step
+(:func:`step_decisions`: the Hungarian assignments, and the distillation
+rows, IoU weights and teacher values), then scores the stacked head outputs
+under those decisions. A replayed step passes earlier decisions and shares
+the scoring, so it is the function the tape differentiates.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .attention import (
     multihead_cross_attention,
 )
 from .distill import RefinerParams, forward_looking_distill, iou_weights, refiner_params
-from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject
+from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject, iou3d
 from .losses import LossWeights, PredictionRows, component_loss
 from .matching import Assignment, MatcherWeights, hungarian, matching_cost
 from .numerics import ParameterStore, Tensor
@@ -113,12 +119,15 @@ class NoisyDraw:
 
 @dataclass
 class DetachedDecisions:
-    """Discrete and detached values frozen for replay (probes, determinism)."""
+    """Discrete and detached values frozen for replay (probes, determinism).
 
-    assignments: list[list[Assignment]]         # [layer][group]
-    distill_rows: list[list[int]] | None = None      # [group], rows of the stack
-    distill_weights: list[np.ndarray] | None = None  # [group]
-    teacher_rows: list[np.ndarray] | None = None     # [group]
+    The distillation lists are empty when distillation is off.
+    """
+
+    assignments: list[list[Assignment]]  # [layer][group], rows of the group
+    distill_rows: list[list[int]]        # [group], rows of the stack
+    distill_weights: list[np.ndarray]    # [group]
+    teacher_rows: list[np.ndarray]       # [group]
 
 
 @dataclass
@@ -129,12 +138,6 @@ class StepLoss:
     distillation: Tensor
     decisions: DetachedDecisions
     attention_maps: np.ndarray   # last layer, (G, S, S)
-
-
-def overall_loss(l_det: Tensor, l_dn: Tensor, l_distill: Tensor,
-                 lambdas: tuple[float, float, float]) -> Tensor:
-    """Weighted sum of the three training terms."""
-    return l_det * lambdas[0] + l_dn * lambdas[1] + l_distill * lambdas[2]
 
 
 class Detector:
@@ -252,7 +255,7 @@ class Detector:
             return queries, refs, build_denoising_mask(n, 0, 0), None
         k, c = noisy.num_objects, cfg.noisy_groups
         dist = self.vqg.encode(noisy.anchors, noisy.tuples)
-        z = sample_reparameterized(dist, None, mode, eps=noisy.eps)
+        z = sample_reparameterized(dist, mode, noisy.eps)
         anchor_mat = np.array([[a.x_c, a.y_c, a.l, a.r, a.t, a.b] for a in noisy.anchors])
         noisy_q = z + nm.linear(nm.Tensor(anchor_mat), *self.aref)
         # learnable rows of every group, then noisy rows of every group -> group-major
@@ -295,17 +298,6 @@ class Detector:
         return DecoderTrace(layers=layers)
 
 
-def slice_prediction_rows(pred: PredictionRows, start: int, count: int) -> PredictionRows:
-    return PredictionRows(
-        class_logits=nm.narrow_rows(pred.class_logits, start, count),
-        centers=nm.narrow_rows(pred.centers, start, count),
-        lrtb=nm.narrow_rows(pred.lrtb, start, count),
-        size3d=nm.narrow_rows(pred.size3d, start, count),
-        angle=nm.narrow_rows(pred.angle, start, count),
-        depth=nm.narrow_rows(pred.depth, start, count),
-    )
-
-
 def decode_box_rows(pred: PredictionRows, rows: list[int],
                     intrinsics) -> list[OrientedBox3D]:
     """Detached 3D boxes for the given query rows (for IoU weights / eval)."""
@@ -324,94 +316,87 @@ def decode_box_rows(pred: PredictionRows, rows: list[int],
     return out
 
 
+def step_decisions(det: Detector, trace: DecoderTrace, scene: Scene,
+                   s: int) -> DetachedDecisions:
+    """Every detached decision of a step, from the decoder's outputs.
+
+    Group g owns rows [g*s, (g+1)*s) of every layer: n learnable rows, then
+    the noisy rows, where noisy row n + j*k + i reconstructs ground truth i.
+    Each layer and group gets a Hungarian assignment of its learnable rows.
+    With distillation on, each group also gets the final layer's matched
+    learnable rows and all its noisy rows, their 3D IoU with their ground
+    truths, and the final layer's query values there.
+    """
+    cfg = det.cfg
+    n, gts = cfg.queries_per_group, scene.objects
+    assignments = []
+    for layer in trace.layers:
+        pred = layer.predictions
+        probs, centers, boxes = pred.class_probs(), pred.centers.data, pred.corner_boxes_array()
+        assignments.append([
+            hungarian(matching_cost(probs[g * s:g * s + n], centers[g * s:g * s + n],
+                                    boxes[g * s:g * s + n], gts, cfg.matcher))
+            for g in range(cfg.groups)])
+
+    rows, row_weights, teacher = [], [], []
+    if cfg.lambda_distill > 0 and cfg.layers > 1 and gts:
+        final = trace.layers[-1]
+        gt_boxes = [b for _, b in scene.gt_boxes3d()]
+        all_boxes = decode_box_rows(final.predictions, list(range(final.predictions.rows)),
+                                    scene.intrinsics)
+        noisy_rows = list(range(n, s))
+        for g, assign in enumerate(assignments[-1]):
+            boxes = all_boxes[g * s:(g + 1) * s]
+            nw = np.array([iou3d_pair(boxes[r], gt_boxes[(r - n) % len(gts)])
+                           for r in noisy_rows])
+            rows.append([g * s + r for r in assign.query_indices() + noisy_rows])
+            row_weights.append(np.concatenate([iou_weights(boxes, assign, gt_boxes), nw]))
+        teacher = [final.queries.data[r] for r in rows]
+    return DetachedDecisions(assignments=assignments, distill_rows=rows,
+                             distill_weights=row_weights, teacher_rows=teacher)
+
+
 def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
-                  dn_cfg: DenoisingConfig, beta_scale: float = 1.0,
+                  dn_cfg: DenoisingConfig,
                   replay: DetachedDecisions | None = None) -> StepLoss:
     """Full per-scene loss with deep supervision on every decoder layer.
 
-    ``replay`` pins the discrete/detached inner decisions (assignments,
-    distillation rows, weights, and teacher values) from an earlier call so
-    the loss becomes a pure differentiable function of the parameters.
+    The step's decisions come from :func:`step_decisions`, or from
+    ``replay``, decisions of an earlier call; under pinned decisions the loss
+    is a pure differentiable function of the parameters.
     """
     cfg = det.cfg
-    n = cfg.queries_per_group
+    n, gts, weights = cfg.queries_per_group, scene.objects, cfg.loss_weights
     memory = det.encode_features(scene.grid)
     queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
     trace = det.decoder_forward(memory, queries, refs, mask)
-    weights = cfg.loss_weights
-    gts = scene.objects
-    # group g owns rows [g*s, (g+1)*s): n learnable rows, then c blocks of k
-    s, k = mask.size, len(gts)
-    c = (s - n) // k if k else 0
+    s = mask.size
+    decisions = step_decisions(det, trace, scene, s) if replay is None else replay
 
+    preds = [layer.predictions for layer in trace.layers]
     detection = nm.Tensor(0.0)
-    assignments: list[list[Assignment]] = []
-    for li, layer in enumerate(trace.layers):
-        layer_assign = []
-        for g in range(cfg.groups):
-            learn = slice_prediction_rows(layer.predictions, g * s, n)
-            if replay is not None:
-                assign = replay.assignments[li][g]
-            else:
-                cost = matching_cost(learn.class_probs(), learn.centers.data,
-                                     learn.corner_boxes_array(), gts, cfg.matcher)
-                assign = hungarian(cost)
-            layer_assign.append(assign)
-            matched_gts = [gts[j] for j in assign.gt_indices()]
+    for pred, layer_assign in zip(preds, decisions.assignments):
+        for g, assign in enumerate(layer_assign):
             detection = detection + component_loss(
-                learn, assign.query_indices(), matched_gts, weights)
-        assignments.append(layer_assign)
+                pred, range(g * s, g * s + n), [g * s + q for q in assign.query_indices()],
+                [gts[j] for j in assign.gt_indices()], weights)
+    # noisy block j of group g: rows g*s + n + j*k onwards, one per ground truth
+    k = len(gts)
+    blocks = [range(g * s + lo, g * s + lo + k)
+              for g in range(cfg.groups) for lo in range(n, s, k)] if k else []
+    dn = denoising_loss(preds, blocks, gts, dist, dn_cfg, weights)
+    distillation = forward_looking_distill(
+        [layer.queries for layer in trace.layers], decisions.distill_rows,
+        decisions.distill_weights, det.refiner, decisions.teacher_rows)
 
-    if k > 0 and c > 0:
-        per_layer_blocks = [[(slice_prediction_rows(layer.predictions, g * s + n + j * k, k), gts)
-                             for g in range(cfg.groups) for j in range(c)]
-                            for layer in trace.layers]
-        dn = denoising_loss(per_layer_blocks, dist, dn_cfg, weights, beta_scale)
-    else:
-        zero = nm.Tensor(0.0)
-        dn = DenoisingLoss(total=zero, reconstruction=zero, kl=zero)
-
-    decisions = DetachedDecisions(assignments=assignments)
-    if cfg.lambda_distill > 0 and cfg.layers > 1:
-        if replay is not None and replay.distill_rows is not None:
-            rows = replay.distill_rows
-            row_weights = replay.distill_weights
-            teacher = replay.teacher_rows
-        else:
-            gt_boxes = [b for _, b in scene.gt_boxes3d()]
-            rows, row_weights = [], []
-            final_layer = trace.layers[-1]
-            all_boxes = decode_box_rows(final_layer.predictions,
-                                        list(range(final_layer.predictions.rows)),
-                                        scene.intrinsics)
-            for g, assign in enumerate(assignments[-1]):
-                boxes = all_boxes[g * s:(g + 1) * s]
-                lw = iou_weights(boxes, assign, gt_boxes)
-                # noisy row n + j*k + i of a group reconstructs ground truth i
-                noisy_rows = list(range(n, n + k * c))
-                nw = np.array([iou3d_pair(boxes[r], gt_boxes[(r - n) % k])
-                               for r in noisy_rows])
-                rows.append([g * s + r for r in assign.query_indices() + noisy_rows])
-                row_weights.append(np.concatenate([lw, nw]))
-            teacher = [final_layer.queries.data[r] for r in rows]
-        decisions.distill_rows = rows
-        decisions.distill_weights = row_weights
-        decisions.teacher_rows = teacher
-        distillation = forward_looking_distill(
-            [layer.queries for layer in trace.layers], rows, row_weights,
-            det.refiner, teacher_rows=teacher)
-    else:
-        distillation = nm.Tensor(0.0)
-
-    total = overall_loss(detection, dn.total, distillation,
-                         (cfg.lambda_det, cfg.lambda_dn, cfg.lambda_distill))
+    total = nm.weighted_sum([detection, dn.total, distillation],
+                            [cfg.lambda_det, cfg.lambda_dn, cfg.lambda_distill])
     return StepLoss(total=total, detection=detection, denoising=dn,
                     distillation=distillation, decisions=decisions,
                     attention_maps=trace.layers[-1].attention)
 
 
 def iou3d_pair(a: OrientedBox3D, b: OrientedBox3D) -> float:
-    from .geometry import iou3d
     return iou3d(a, b)
 
 

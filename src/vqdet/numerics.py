@@ -370,8 +370,9 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     group. The softmax matches :func:`softmax_rows` entry for entry:
     disallowed weights are exactly 0.
 
-    Returns the (R, D) output on the tape and the head-averaged weights off
-    it: (R, T) without ``allow``, (G, S, S) with it.
+    Returns the (R, D) output on the tape and the per-head weights off it, a
+    read-only (G, H, S, S) array; G = 1 and the weights are (1, H, R, T)
+    without ``allow``.
     """
     r, d = q.data.shape
     t = k.data.shape[0]
@@ -407,7 +408,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    avg = p.sum(axis=1) / heads
+    p.flags.writeable = False  # the backward reads it
 
     def vjp(g):
         gh = split(g, rows)
@@ -419,8 +420,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                 merge(ds.swapaxes(-1, -2) @ qh, cols) if k.requires_grad else None,
                 merge(p.swapaxes(-1, -2) @ gh, cols) if v.requires_grad else None)
 
-    out = _node(merge(p @ vh, rows), (q, k, v), vjp)
-    return out, (avg[0] if allow is None else avg)
+    return _node(merge(p @ vh, rows), (q, k, v), vjp), p
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -67,20 +67,18 @@ class VariationalQueryGenerator:
 
     LOG_VAR_CLAMP = 10.0
 
-    def __init__(self, store: nm.ParameterStore, num_classes: int, width: int,
-                 class_embed_dim: int | None = None, prefix: str = "vqg"):
+    def __init__(self, store: nm.ParameterStore, num_classes: int, width: int):
         self.num_classes = num_classes
         self.width = width
-        ce = class_embed_dim if class_embed_dim is not None else min(width, 16)
-        self.class_embed_dim = ce
+        ce = min(width, 16)  # class embedding width
         cont = 12  # anchor (6) + dims (3) + sin/cos yaw (2) + scaled depth (1)
-        self.class_table = store.param(f"{prefix}.class_table", (num_classes, ce))
-        self.w_in = store.param(f"{prefix}.in.w", (ce + cont, width), scale=0.1)
-        self.b_in = store.param(f"{prefix}.in.b", (width,), scale=0.0)
-        self.w_mu = store.param(f"{prefix}.mu.w", (width, width), scale=0.1)
-        self.b_mu = store.param(f"{prefix}.mu.b", (width,), scale=0.0)
-        self.w_lv = store.param(f"{prefix}.lv.w", (width, width), scale=0.1)
-        self.b_lv = store.param(f"{prefix}.lv.b", (width,), scale=0.0)
+        self.class_table = store.param("vqg.class_table", (num_classes, ce))
+        self.w_in = store.param("vqg.in.w", (ce + cont, width), scale=0.1)
+        self.b_in = store.param("vqg.in.b", (width,), scale=0.0)
+        self.w_mu = store.param("vqg.mu.w", (width, width), scale=0.1)
+        self.b_mu = store.param("vqg.mu.b", (width,), scale=0.0)
+        self.w_lv = store.param("vqg.lv.w", (width, width), scale=0.1)
+        self.b_lv = store.param("vqg.lv.b", (width,), scale=0.0)
 
     def encode(self, anchors: Sequence[AnchorBox6D],
                noisy3d: Sequence[tuple]) -> LatentDistribution:
@@ -106,20 +104,15 @@ class VariationalQueryGenerator:
         return LatentDistribution(mu=mu, log_var=log_var)
 
 
-def sample_reparameterized(dist: LatentDistribution, rng: np.random.Generator,
-                           mode: str = VARIATIONAL,
-                           eps: np.ndarray | None = None) -> Tensor:
-    """Draw z = mu + exp(log_var / 2) * eps with eps ~ N(0, I).
+def sample_reparameterized(dist: LatentDistribution, mode: str, eps: np.ndarray) -> Tensor:
+    """z = mu + exp(log_var / 2) * eps for standard normal draws ``eps``.
 
     Gradients flow to mu and log_var only; eps stays off the tape. In
-    deterministic mode the sample is mu itself and no noise is drawn. ``eps``
-    can be supplied explicitly (tests, finite-difference probes).
+    deterministic mode the sample is mu itself and ``eps`` is unused.
     """
     if mode == DETERMINISTIC:
         return dist.mu
-    if eps is None:
-        eps = rng.standard_normal(dist.mu.data.shape)
-    elif eps.shape != dist.mu.data.shape:
+    if eps.shape != dist.mu.data.shape:
         raise nm.ShapeError(f"eps shape {eps.shape} vs mu {dist.mu.data.shape}")
     return dist.mu + nm.exp(dist.log_var * 0.5) * nm.Tensor(eps)
 
@@ -131,34 +124,32 @@ class DenoisingLoss:
     kl: Tensor
 
 
-def denoising_loss(per_layer_blocks: list[list[tuple[PredictionRows, list[GroundTruthObject]]]],
-                   dist: LatentDistribution | None, cfg: DenoisingConfig,
-                   weights: LossWeights, beta_scale: float = 1.0) -> DenoisingLoss:
-    """Reconstruction loss over noisy-query predictions plus the KL term.
+def denoising_loss(layers: Sequence[PredictionRows], blocks: Sequence[Sequence[int]],
+                   targets: Sequence[GroundTruthObject], dist: LatentDistribution | None,
+                   cfg: DenoisingConfig, weights: LossWeights) -> DenoisingLoss:
+    """Reconstruction loss over the noisy blocks plus the KL term.
 
-    ``per_layer_blocks`` groups the noisy blocks by decoder layer; each block
-    pairs one PredictionRows (all rows positive, by construction) with its
-    source ground truths. Reconstruction averages over the blocks of a layer
-    and sums over layers, mirroring deep supervision. The KL term is computed
-    once from the latent distribution, skipped in deterministic mode.
+    ``layers`` holds every decoder layer's stacked head outputs, and each
+    entry of ``blocks`` lists one noisy block's rows, the same in every
+    layer. Row i of a block reconstructs ``targets[i]``, so every row is
+    positive. Reconstruction averages over the blocks of a layer and sums
+    over layers, mirroring deep supervision. The KL term is computed once
+    from the latent distribution, skipped in deterministic mode.
     """
+    for block in blocks:
+        if len(block) != len(targets):
+            raise ValueError(f"block has {len(block)} rows but {len(targets)} targets")
     zero = nm.Tensor(0.0)
     recon = zero
-    for blocks in per_layer_blocks:
-        if not blocks:
-            continue
-        layer_sum = None
-        for pred, targets in blocks:
-            if pred.rows != len(targets):
-                raise ValueError(f"block has {pred.rows} rows but {len(targets)} targets")
-            term = component_loss(pred, list(range(pred.rows)), targets, weights)
-            layer_sum = term if layer_sum is None else layer_sum + term
-        recon = recon + layer_sum * (1.0 / len(blocks))
+    if blocks:
+        for pred in layers:
+            terms = [component_loss(pred, block, block, targets, weights) for block in blocks]
+            recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
 
     if cfg.mode == DETERMINISTIC or dist is None:
         kl = zero
         total = recon
     else:
         kl = nm.gaussian_kl(dist.mu, dist.log_var)
-        total = recon + kl * (cfg.beta * beta_scale)
+        total = recon + kl * cfg.beta
     return DenoisingLoss(total=total, reconstruction=recon, kl=kl)

@@ -95,18 +95,29 @@ class TestMultiheadAttentionOp:
             assert _relative(got, want) <= 1e-12
 
     def test_map_is_head_average_per_group(self):
+        """The op hands out read-only per-head weights; self-attention averages them."""
         rng = np.random.default_rng(1)
         allow = build_denoising_mask(2, 1, 2).allow
         q, k, v = (nm.Tensor(rng.normal(size=(8, 4))) for _ in range(3))
-        _, attn = nm.multihead_attention(q, k, v, 2, allow)
-        assert attn.shape == (2, 4, 4)
+        _, weights = nm.multihead_attention(q, k, v, 2, allow)
+        assert weights.shape == (2, 2, 4, 4) and not weights.flags.writeable
         for g in range(2):
             rows = slice(4 * g, 4 * g + 4)
-            heads = [nm.softmax_rows(nm.Tensor(q.data[rows, h:h + 2] @ k.data[rows, h:h + 2].T
-                                               / np.sqrt(2)), allow).data for h in (0, 2)]
-            np.testing.assert_allclose(attn[g], (heads[0] + heads[1]) / 2, rtol=0, atol=1e-15)
+            for h in range(2):
+                cols = slice(2 * h, 2 * h + 2)
+                want = nm.softmax_rows(nm.Tensor(q.data[rows, cols] @ k.data[rows, cols].T
+                                                 / np.sqrt(2)), allow).data
+                np.testing.assert_allclose(weights[g, h], want, rtol=0, atol=1e-15)
         _, full = nm.multihead_attention(q, k, nm.Tensor(rng.normal(size=(8, 4))), 2)
-        assert full.shape == (8, 8)
+        assert full.shape == (1, 2, 8, 8)
+
+        params = _params(rng, 4)
+        _, attn = masked_multihead_self_attention(q, AttentionMask(allow), params, heads=2)
+        _, weights = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
+                                            nm.linear(q, params.wk, params.bk),
+                                            nm.linear(q, params.wv, params.bv), 2, allow)
+        assert attn.shape == (2, 4, 4)
+        assert attn.tobytes() == (weights.sum(axis=1) / 2).tobytes()
 
     def test_rejects_rows_that_are_not_whole_groups(self):
         x = nm.Tensor(np.zeros((5, 4)))

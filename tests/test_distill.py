@@ -51,16 +51,14 @@ class TestForwardLookingDistill:
     def test_single_layer_is_zero(self):
         rng = np.random.default_rng(1)
         q = [nm.Tensor(rng.normal(size=(3, 4)))]
-        out = forward_looking_distill(q, [[0, 1]], [np.ones(2)],
-                                      _random_refiner(rng, 4))
+        out = _distill(q, [[0, 1]], [np.ones(2)], _random_refiner(rng, 4))
         assert out.item() == 0.0
 
     def test_identity_refiner_equal_layers_is_zero(self):
         rng = np.random.default_rng(2)
         base = rng.normal(size=(4, 6))
         layers = [nm.Tensor(base.copy()) for _ in range(3)]
-        out = forward_looking_distill(layers, [[0, 2, 3]], [np.ones(3)],
-                                      _identity_refiner(6))
+        out = _distill(layers, [[0, 2, 3]], [np.ones(3)], _identity_refiner(6))
         assert out.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_executed_tiny_instance(self):
@@ -69,8 +67,7 @@ class TestForwardLookingDistill:
         teacher = np.array([[0.5, -0.4], [-1.0, 3.0], [0.0, 0.5]])
         layers = [nm.Tensor(student), nm.Tensor(teacher)]
         weights = np.array([0.8, 0.25])
-        out = forward_looking_distill(layers, [[0, 1]], [weights],
-                                      _identity_refiner(2))
+        out = _distill(layers, [[0, 1]], [weights], _identity_refiner(2))
         # row 0: diffs (-0.3, 0) -> huber mean (0.5*0.09)/2 ; row 1: (2, 0) -> (1.5)/2
         expected = (0.8 * (0.5 * 0.09) / 2 + 0.25 * 1.5 / 2) / 2
         assert out.item() == pytest.approx(expected, abs=1e-10)
@@ -82,7 +79,7 @@ class TestForwardLookingDistill:
         refiner = _random_refiner(rng, 4)
         for t in (refiner.w1, refiner.b1, refiner.w2, refiner.b2):
             t.requires_grad = True
-        out = forward_looking_distill(layers, [[0, 1, 2]], [np.full(3, 0.7)], refiner)
+        out = _distill(layers, [[0, 1, 2]], [np.full(3, 0.7)], refiner)
         nm.backward(out)
         assert layers[-1].grad is None
         for early in layers[:-1]:
@@ -93,13 +90,12 @@ class TestForwardLookingDistill:
         layers = [nm.Tensor(rng.normal(size=(4, 5))) for _ in range(2)]
         refiner = _random_refiner(rng, 5)
         w = np.array([0.5, 0.9, 0.3])
-        full = forward_looking_distill(layers, [[0, 1, 3]], [w], refiner)
-        zeroed = forward_looking_distill(layers, [[0, 1, 3]],
-                                         [np.array([0.5, 0.0, 0.3])], refiner)
+        full = _distill(layers, [[0, 1, 3]], [w], refiner)
+        zeroed = _distill(layers, [[0, 1, 3]], [np.array([0.5, 0.0, 0.3])], refiner)
         dropped_rows = [[0, 3]]
         # same normalization only if the row stays in the count; check linearity
         # instead: difference equals the removed row's isolated term
-        only_row1 = forward_looking_distill(layers, [[1]], [np.array([0.9])], refiner)
+        only_row1 = _distill(layers, [[1]], [np.array([0.9])], refiner)
         assert full.item() - zeroed.item() == pytest.approx(
             0.9 * _row_term(layers, 1, refiner) / 3, abs=1e-12)
         assert only_row1.item() == pytest.approx(
@@ -109,8 +105,7 @@ class TestForwardLookingDistill:
         rng = np.random.default_rng(5)
         for _ in range(20):
             layers = [nm.Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
-            out = forward_looking_distill(layers, [[0, 2]], [rng.random(2)],
-                                          _random_refiner(rng, 4))
+            out = _distill(layers, [[0, 2]], [rng.random(2)], _random_refiner(rng, 4))
             assert out.item() >= 0.0
 
     def test_groups_address_their_rows_of_the_stacked_layer(self):
@@ -118,17 +113,22 @@ class TestForwardLookingDistill:
         layers = [nm.Tensor(rng.normal(size=(6, 4))) for _ in range(3)]
         refiner = _random_refiner(rng, 4)
         rows, weights = [[0, 2], [3, 5]], [rng.random(2), rng.random(2)]
-        both = forward_looking_distill(layers, rows, weights, refiner)
-        alone = [forward_looking_distill(layers, [r], [w], refiner).item()
+        both = _distill(layers, rows, weights, refiner)
+        alone = [_distill(layers, [r], [w], refiner).item()
                  for r, w in zip(rows, weights)]
         assert both.item() == pytest.approx(sum(alone) / 2, rel=1e-12)
 
     def test_empty_rows_contribute_zero(self):
         rng = np.random.default_rng(6)
         layers = [nm.Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
-        out = forward_looking_distill(layers, [[]], [np.zeros(0)],
-                                      _random_refiner(rng, 4))
+        out = _distill(layers, [[]], [np.zeros(0)], _random_refiner(rng, 4))
         assert out.item() == 0.0
+
+
+def _distill(layers, rows, weights, refiner):
+    """The loss with the final layer's values at ``rows`` as the teacher."""
+    return forward_looking_distill(layers, rows, weights, refiner,
+                                   [layers[-1].data[r] for r in rows])
 
 
 def _row_term(layers, row, refiner) -> float:

@@ -109,7 +109,7 @@ class TestComponentLoss:
         depth = np.array([[18.0], [30.0]])
         pred = _pred_rows(logits, centers, lrtb, size3d, angle, depth)
         w = LossWeights()
-        got = component_loss(pred, [0], [gt], w).item()
+        got = component_loss(pred, range(2), [0], [gt], w).item()
 
         onehot = np.zeros((2, 2))
         onehot[0, 0] = 1.0
@@ -131,7 +131,7 @@ class TestComponentLoss:
         pred = _pred_rows(logits, np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         w = LossWeights()
-        got = component_loss(pred, [], [], w).item()
+        got = component_loss(pred, range(2), [], [], w).item()
         expected = w.w_cls * _hand_focal(logits, np.zeros((2, 2)),
                                          w.focal_alpha, w.focal_gamma)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -144,14 +144,42 @@ class TestComponentLoss:
             logits, np.array([[0.5, 0.5]]), np.array([[0.1, 0.1, 0.1, 0.1]]),
             np.array([[3.5, 1.6, 1.5]]),
             np.array([[math.sin(0.3), math.cos(0.3)]]), np.array([[20.0]]))
-        got = component_loss(pred, [0], [gt], LossWeights()).item()
+        got = component_loss(pred, range(1), [0], [gt], LossWeights()).item()
         assert got == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("block,positives", [
+        (range(2, 7), [5, 2, 6]),   # a group's learnable rows, some matched
+        (range(7, 10), [7, 8, 9]),  # a noisy block, every row positive
+        (range(0, 4), []),          # no positives: background only
+    ])
+    def test_stacked_rows_equal_a_standalone_block(self, block, positives):
+        """Reading a block in place is the loss of the block cut out, bit for bit."""
+        rng = np.random.default_rng(21)
+        stacked = [rng.uniform(0.05, 0.3, size=(10, w)) for w in (3, 2, 4, 3, 2, 1)]
+        gts = [GroundTruthObject(j % 3, 0.5, 0.4, 0.1, 0.2, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
+               for j in range(len(positives))]
+        results = []
+        for arrays, rows, pos in ((stacked, block, positives),
+                                  ([a[block.start:block.stop] for a in stacked],
+                                   range(len(block)), [r - block.start for r in positives])):
+            leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
+            loss = component_loss(PredictionRows(*leaves), rows, pos, gts, LossWeights())
+            nm.backward(loss)
+            results.append((loss, [t.grad for t in leaves]))
+        (whole, whole_grads), (cut, cut_grads) = results
+        assert whole.data.tobytes() == cut.data.tobytes()
+        for g_whole, g_cut in zip(whole_grads, cut_grads):
+            if g_cut is None:  # a regression tensor, when nothing is positive
+                assert g_whole is None
+                continue
+            assert g_whole[block.start:block.stop].tobytes() == g_cut.tobytes()
+            assert not g_whole[:block.start].any() and not g_whole[block.stop:].any()
 
     def test_mismatched_counts_rejected(self):
         pred = _pred_rows(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError):
-            component_loss(pred, [0], [], LossWeights())
+            component_loss(pred, range(2), [0], [], LossWeights())
 
 
 def _value_and_grads(build, arrays, proj):
@@ -241,11 +269,12 @@ class TestFusedOpsMatchComposite:
                                 for w in (3, 2, 4, 3, 2, 1)))
         gts = [GroundTruthObject(k % 3, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
                for k in range(4)]
-        loss = component_loss(pred, [0, 2, 3, 5], gts, LossWeights())
+        loss = component_loss(pred, range(rows), [0, 2, 3, 5], gts, LossWeights())
         seen, stack = set(), [loss]
         while stack:
             t = stack.pop()
             if t._parents and id(t) not in seen:
                 seen.add(id(t))
                 stack.extend(t._parents)
-        assert len(seen) <= 30
+        # 6 row gathers, focal, corner boxes, GIoU, 3 for the GIoU mean, 5 L1, the sum
+        assert len(seen) == 18

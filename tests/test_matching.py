@@ -2,12 +2,22 @@ import numpy as np
 import pytest
 
 from vqdet.geometry import GroundTruthObject, box2d_corners, giou2d
-from vqdet.matching import Assignment, MatcherWeights, groupwise_match, hungarian, matching_cost
+from vqdet.matching import MatcherWeights, hungarian, matching_cost
 from oracles import brute_force_min_cost, loop_matching_cost
 
 
 def _gt(c=0, x=0.5, y=0.5, half=0.1):
     return GroundTruthObject(c, x, y, half, half, half, half, 4, 2, 1.5, 0.0, 20)
+
+
+def _features(rng, nq=4):
+    """Detached (class probs, centers, corner boxes) of ``nq`` random queries."""
+    probs = rng.random((nq, 3))
+    centers = rng.random((nq, 2))
+    sizes = rng.uniform(0.05, 0.2, size=(nq, 2))
+    boxes = np.stack([centers[:, 0] - sizes[:, 0], centers[:, 1] - sizes[:, 1],
+                      centers[:, 0] + sizes[:, 0], centers[:, 1] + sizes[:, 1]], axis=1)
+    return probs, centers, boxes
 
 
 class TestHungarian:
@@ -49,6 +59,20 @@ class TestHungarian:
             again = hungarian(cost.copy())
             assert again.pairs == first.pairs
             assert again.total_cost == first.total_cost
+
+    def test_gt_permutation_consistency(self):
+        """Permuting the ground truths permutes the matched pairs, per group."""
+        rng = np.random.default_rng(5)
+        feats = [_features(rng) for _ in range(2)]
+        gts = [_gt(c=0, x=0.2), _gt(c=1, x=0.5), _gt(c=2, x=0.8)]
+        perm = [2, 0, 1]
+        inverse = {new_j: old_j for new_j, old_j in enumerate(perm)}
+        for f in feats:
+            a = hungarian(matching_cost(*f, gts))
+            b = hungarian(matching_cost(*f, [gts[p] for p in perm]))
+            remapped = sorted((q, inverse[j]) for q, j in b.pairs)
+            assert remapped == sorted(a.pairs)
+            assert b.total_cost == pytest.approx(a.total_cost, abs=1e-12)
 
     def test_rectangular_both_orientations(self):
         rng = np.random.default_rng(2)
@@ -117,42 +141,3 @@ class TestMatchingCost:
         boxes = np.array([[0.3, 0.3, 0.2, 0.5]])
         with pytest.raises(ValueError, match="min > max"):
             matching_cost(np.zeros((1, 3)), np.zeros((1, 2)), boxes, [_gt()])
-
-
-class TestGroupwiseMatch:
-    def _features(self, rng, nq=4):
-        probs = rng.random((nq, 3))
-        centers = rng.random((nq, 2))
-        sizes = rng.uniform(0.05, 0.2, size=(nq, 2))
-        boxes = np.stack([centers[:, 0] - sizes[:, 0], centers[:, 1] - sizes[:, 1],
-                          centers[:, 0] + sizes[:, 0], centers[:, 1] + sizes[:, 1]], axis=1)
-        return probs, centers, boxes
-
-    def test_single_group_reduces_to_hungarian(self):
-        rng = np.random.default_rng(3)
-        feats = self._features(rng)
-        gts = [_gt(c=0), _gt(c=1, x=0.3)]
-        got = groupwise_match([feats], gts)
-        direct = hungarian(matching_cost(*feats, gts))
-        assert got[0].pairs == direct.pairs
-
-    def test_three_groups_one_gt_gives_three_positives(self):
-        rng = np.random.default_rng(4)
-        gts = [_gt()]
-        assignments = groupwise_match([self._features(rng) for _ in range(3)], gts)
-        assert sum(len(a.pairs) for a in assignments) == 3
-        for a in assignments:
-            assert a.gt_indices() == [0]
-
-    def test_gt_permutation_consistency(self):
-        rng = np.random.default_rng(5)
-        feats = [self._features(rng) for _ in range(2)]
-        gts = [_gt(c=0, x=0.2), _gt(c=1, x=0.5), _gt(c=2, x=0.8)]
-        base = groupwise_match(feats, gts)
-        perm = [2, 0, 1]
-        permuted = groupwise_match(feats, [gts[p] for p in perm])
-        inverse = {new_j: old_j for new_j, old_j in enumerate(perm)}
-        for a, b in zip(base, permuted):
-            remapped = sorted((q, inverse[j]) for q, j in b.pairs)
-            assert remapped == sorted(a.pairs)
-            assert b.total_cost == pytest.approx(a.total_cost, abs=1e-12)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -7,10 +9,8 @@ from vqdet.geometry import NoiseConfig
 from vqdet.model import (
     Detector,
     DetectorConfig,
-    decode_box_rows,
     inference,
-    overall_loss,
-    slice_prediction_rows,
+    step_decisions,
     training_loss,
 )
 from vqdet.scenes import SceneConfig, generate_scene
@@ -99,10 +99,11 @@ class TestDecoderForward:
             for g in range(TINY.groups):
                 assert_array_equal(lw.queries.data[g * s:g * s + n],
                                    lo.queries.data[g * n:(g + 1) * n])
-                pw = slice_prediction_rows(lw.predictions, g * s, n)
-                po = slice_prediction_rows(lo.predictions, g * n, n)
-                assert_array_equal(pw.class_logits.data, po.class_logits.data)
-                assert_array_equal(pw.centers.data, po.centers.data)
+                pw, po = lw.predictions, lo.predictions
+                assert_array_equal(pw.class_logits.data[g * s:g * s + n],
+                                   po.class_logits.data[g * n:(g + 1) * n])
+                assert_array_equal(pw.centers.data[g * s:g * s + n],
+                                   po.centers.data[g * n:(g + 1) * n])
 
     def test_attention_maps_row_stochastic(self):
         det = Detector(TINY, seed=5)
@@ -118,15 +119,25 @@ class TestDecoderForward:
 
 
 class TestOverallLoss:
+    """The total is ``nm.weighted_sum`` of the three terms by the lambdas."""
+
     def test_weighted_sum_value(self):
-        out = overall_loss(nm.Tensor(2.0), nm.Tensor(1.0), nm.Tensor(4.0),
-                           (1.0, 1.0, 0.5))
+        out = nm.weighted_sum([nm.Tensor(2.0), nm.Tensor(1.0), nm.Tensor(4.0)],
+                              (1.0, 1.0, 0.5))
         assert out.item() == pytest.approx(5.0, abs=1e-12)
 
     def test_baseline_weights_reduce_to_detection(self):
-        out = overall_loss(nm.Tensor(3.25), nm.Tensor(9.0), nm.Tensor(7.0),
-                           (1.0, 0.0, 0.0))
+        out = nm.weighted_sum([nm.Tensor(3.25), nm.Tensor(9.0), nm.Tensor(7.0)],
+                              (1.0, 0.0, 0.0))
         assert out.item() == 3.25
+
+    def test_total_is_weighted_sum_of_terms(self):
+        det = Detector(TINY, seed=7)
+        scene = _scene(8)
+        out = training_loss(det, scene, _noisy(det, scene), DenoisingConfig())
+        want = (out.detection.data * TINY.lambda_det + out.denoising.total.data * TINY.lambda_dn
+                + out.distillation.data * TINY.lambda_distill)
+        assert out.total.data.tobytes() == want.tobytes()
 
 
 class TestTrainingLoss:
@@ -167,6 +178,21 @@ class TestTrainingLoss:
         assert out.denoising.total.item() == 0.0
         assert np.isfinite(out.total.item())
 
+    @pytest.mark.parametrize("cfg,num_objects", [
+        (replace(TINY, lambda_distill=0.0), 2),
+        (TINY, 0),
+    ])
+    def test_no_distillation_replays_with_empty_lists(self, cfg, num_objects):
+        det = Detector(cfg, seed=27)
+        scene = _scene(28, num_objects=num_objects)
+        noisy = _noisy(det, scene)
+        first = training_loss(det, scene, noisy, DenoisingConfig())
+        d = first.decisions
+        assert d.distill_rows == [] and d.distill_weights == [] and d.teacher_rows == []
+        assert first.distillation.item() == 0.0
+        again = training_loss(det, scene, noisy, DenoisingConfig(), replay=d)
+        assert again.total.data.tobytes() == first.total.data.tobytes()
+
     def test_fixed_noise_fixed_loss(self):
         det = Detector(TINY, seed=15)
         scene = _scene(16)
@@ -174,6 +200,36 @@ class TestTrainingLoss:
         a = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1))
         b = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1))
         assert a.total.item() == b.total.item()
+
+
+class TestStepDecisions:
+    def _decide(self, cfg, scene):
+        det = Detector(cfg, seed=31)
+        memory = det.encode_features(scene.grid)
+        queries, refs, mask, _ = det.build_group_inputs(_noisy(det, scene), VARIATIONAL)
+        trace = det.decoder_forward(memory, queries, refs, mask)
+        return step_decisions(det, trace, scene, mask.size), mask.size
+
+    def test_every_group_gives_one_positive_per_ground_truth(self):
+        """G independent matches: each ground truth collects G positives per layer."""
+        cfg = replace(TINY, groups=3)
+        decisions, _ = self._decide(cfg, _scene(32, num_objects=1))
+        assert len(decisions.assignments) == cfg.layers
+        for layer in decisions.assignments:
+            assert len(layer) == 3
+            assert [a.gt_indices() for a in layer] == [[0]] * 3
+
+    def test_distillation_rows_are_matched_and_noisy_rows(self):
+        scene = _scene(34, num_objects=2)
+        decisions, s = self._decide(TINY, scene)
+        n = TINY.queries_per_group
+        for g, (rows, w, teacher) in enumerate(zip(decisions.distill_rows,
+                                                   decisions.distill_weights,
+                                                   decisions.teacher_rows)):
+            matched = [g * s + q for q in decisions.assignments[-1][g].query_indices()]
+            assert rows == matched + list(range(g * s + n, (g + 1) * s))
+            assert w.shape == (len(rows),) and ((0.0 <= w) & (w <= 1.0)).all()
+            assert teacher.shape == (len(rows), TINY.width)
 
 
 class TestInference:

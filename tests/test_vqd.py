@@ -78,19 +78,19 @@ class TestReparameterization:
     def test_zero_eps_returns_mu(self):
         mu = np.array([[1.0, -2.0]])
         dist = self._dist(mu, np.zeros((1, 2)))
-        z = sample_reparameterized(dist, None, VARIATIONAL, eps=np.zeros((1, 2)))
+        z = sample_reparameterized(dist, VARIATIONAL, np.zeros((1, 2)))
         assert_array_equal(z.data, mu)
 
     def test_clamp_floor_vanishing_variance(self):
         mu = np.array([[0.5, 0.5]])
         dist = self._dist(mu, np.full((1, 2), -10.0))
         eps = np.array([[1.0, -1.0]])
-        z = sample_reparameterized(dist, None, VARIATIONAL, eps=eps)
+        z = sample_reparameterized(dist, VARIATIONAL, eps)
         assert np.abs(z.data - mu).max() <= math.exp(-5.0) + 1e-12
 
     def test_deterministic_mode_is_mu(self):
         dist = self._dist(np.array([[0.3, 0.7]]), np.zeros((1, 2)))
-        z = sample_reparameterized(dist, np.random.default_rng(0), DETERMINISTIC)
+        z = sample_reparameterized(dist, DETERMINISTIC, np.ones((1, 2)))
         assert z is dist.mu
 
     def test_sample_statistics(self):
@@ -98,7 +98,8 @@ class TestReparameterization:
         mu = np.tile([0.5, -1.0, 0.0, 2.0], (n, 1))
         log_var = np.tile([0.0, 1.0, -1.0, 0.5], (n, 1))
         dist = self._dist(mu, log_var)
-        z = sample_reparameterized(dist, np.random.default_rng(42), VARIATIONAL).data
+        eps = np.random.default_rng(42).standard_normal((n, d))
+        z = sample_reparameterized(dist, VARIATIONAL, eps).data
         var = np.exp(log_var[0])
         for j in range(d):
             se = math.sqrt(var[j] / n)
@@ -110,22 +111,23 @@ class TestReparameterization:
         log_var = nm.Tensor(np.zeros((2, 3)), requires_grad=True)
         dist = LatentDistribution(mu=mu, log_var=log_var)
         eps = np.full((2, 3), 0.7)
-        z = sample_reparameterized(dist, None, VARIATIONAL, eps=eps)
+        z = sample_reparameterized(dist, VARIATIONAL, eps)
         nm.backward(nm.sum_all(z))
         assert_array_equal(mu.grad, np.ones((2, 3)))
         np.testing.assert_allclose(log_var.grad, 0.5 * 0.7 * np.ones((2, 3)), atol=1e-12)
 
 
-def _perfect_block(gt: GroundTruthObject, num_classes=2):
-    logits = np.full((1, num_classes), -40.0)
-    logits[0, gt.c] = 40.0
+def _perfect_rows(gt: GroundTruthObject, rows=1, num_classes=2):
+    """``rows`` stacked copies of a saturated, exact prediction of ``gt``."""
+    logits = np.full((rows, num_classes), -40.0)
+    logits[:, gt.c] = 40.0
     return PredictionRows(
         class_logits=nm.Tensor(logits),
-        centers=nm.Tensor(np.array([[gt.x_c, gt.y_c]])),
-        lrtb=nm.Tensor(np.array([[gt.l, gt.r, gt.t, gt.b]])),
-        size3d=nm.Tensor(np.array([[gt.l3d, gt.w3d, gt.h3d]])),
-        angle=nm.Tensor(np.array([[math.sin(gt.theta), math.cos(gt.theta)]])),
-        depth=nm.Tensor(np.array([[gt.d]])))
+        centers=nm.Tensor(np.tile([gt.x_c, gt.y_c], (rows, 1))),
+        lrtb=nm.Tensor(np.tile([gt.l, gt.r, gt.t, gt.b], (rows, 1))),
+        size3d=nm.Tensor(np.tile([gt.l3d, gt.w3d, gt.h3d], (rows, 1))),
+        angle=nm.Tensor(np.tile([math.sin(gt.theta), math.cos(gt.theta)], (rows, 1))),
+        depth=nm.Tensor(np.full((rows, 1), gt.d)))
 
 
 class TestDenoisingLoss:
@@ -136,22 +138,20 @@ class TestDenoisingLoss:
                                   log_var=nm.Tensor(np.full((1, 4), log_var)))
 
     def test_beta_zero_equals_reconstruction(self):
-        blocks = [[(_perfect_block(self.GT), [self.GT])]]
-        out = denoising_loss(blocks, self._dist(0.5, 0.3),
-                             DenoisingConfig(beta=0.0), LossWeights())
+        out = denoising_loss([_perfect_rows(self.GT)], [range(1)], [self.GT],
+                             self._dist(0.5, 0.3), DenoisingConfig(beta=0.0), LossWeights())
         assert out.total.item() == out.reconstruction.item()
 
     def test_perfect_reconstruction_and_standard_latent_is_zero(self):
-        blocks = [[(_perfect_block(self.GT), [self.GT])]]
-        out = denoising_loss(blocks, self._dist(0.0, 0.0),
-                             DenoisingConfig(beta=0.7), LossWeights())
+        out = denoising_loss([_perfect_rows(self.GT)], [range(1)], [self.GT],
+                             self._dist(0.0, 0.0), DenoisingConfig(beta=0.7), LossWeights())
         assert out.kl.item() == 0.0
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_deterministic_mode_skips_kl(self):
-        blocks = [[(_perfect_block(self.GT), [self.GT])]]
-        out = denoising_loss(blocks, self._dist(3.0, 2.0),
-                             DenoisingConfig(beta=0.7, mode=DETERMINISTIC), LossWeights())
+        out = denoising_loss([_perfect_rows(self.GT)], [range(1)], [self.GT],
+                             self._dist(3.0, 2.0), DenoisingConfig(beta=0.7, mode=DETERMINISTIC),
+                             LossWeights())
         assert out.kl.item() == 0.0
         assert out.total.item() == out.reconstruction.item()
 
@@ -170,8 +170,7 @@ class TestDenoisingLoss:
         mu, log_var = 0.4, -0.6
         dist = LatentDistribution(mu=nm.Tensor(np.full((1, 3), mu)),
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
-        cfg = DenoisingConfig(beta=0.25)
-        out = denoising_loss([[(pred, [gt])]], dist, cfg, w, beta_scale=0.5)
+        out = denoising_loss([pred], [range(1)], [gt], dist, DenoisingConfig(beta=0.125), w)
 
         from vqdet.geometry import box2d_corners, giou2d
         p = 1.0 / (1.0 + np.exp(-logits))
@@ -189,24 +188,24 @@ class TestDenoisingLoss:
                  + w.w_giou * giou_term + w.w_size * size
                  + w.w_angle * angle + w.w_depth * depth)
         kl = 3 * 0.5 * (math.exp(log_var) + mu ** 2 - 1.0 - log_var)
-        expected = recon + 0.25 * 0.5 * kl
+        expected = recon + 0.125 * kl
         assert out.total.item() == pytest.approx(expected, abs=1e-10)
         assert out.kl.item() == pytest.approx(kl, abs=1e-12)
 
     def test_count_mismatch_rejected(self):
-        blocks = [[(_perfect_block(self.GT), [self.GT, self.GT])]]
         with pytest.raises(ValueError, match="targets"):
-            denoising_loss(blocks, self._dist(), DenoisingConfig(), LossWeights())
+            denoising_loss([_perfect_rows(self.GT)], [range(1)], [self.GT, self.GT],
+                           self._dist(), DenoisingConfig(), LossWeights())
 
     def test_layer_and_block_normalization(self):
         """Two layers sum; two blocks in a layer average."""
-        blk = (_perfect_block(self.GT), [self.GT])
-        one = denoising_loss([[blk]], None, DenoisingConfig(mode=DETERMINISTIC),
-                             LossWeights())
-        two_blocks = denoising_loss([[blk, blk]], None,
-                                    DenoisingConfig(mode=DETERMINISTIC), LossWeights())
-        two_layers = denoising_loss([[blk], [blk]], None,
-                                    DenoisingConfig(mode=DETERMINISTIC), LossWeights())
+        pred = _perfect_rows(self.GT, rows=2)
+        pred.centers.data[:] += 0.03  # the same nonzero loss in both rows
+        cfg, w = DenoisingConfig(mode=DETERMINISTIC), LossWeights()
+        one = denoising_loss([pred], [range(1)], [self.GT], None, cfg, w)
+        assert one.total.item() > 0.1
+        two_blocks = denoising_loss([pred], [range(1), range(1, 2)], [self.GT], None, cfg, w)
+        two_layers = denoising_loss([pred, pred], [range(1)], [self.GT], None, cfg, w)
         assert two_blocks.total.item() == pytest.approx(one.total.item(), abs=1e-12)
         assert two_layers.total.item() == pytest.approx(2 * one.total.item(), abs=1e-12)
 
