@@ -7,7 +7,8 @@ two-layer MLP refines the student before the smooth-L1 alignment, and each
 query's term is scaled by the final prediction's 3D IoU with its ground
 truth, so knowledge flows preferentially out of the good final queries. The
 teacher side is off the tape: distillation never drags the final layer
-toward the students.
+toward the students. The student rows of every non-final layer and group are
+stacked, so the refiner and the loss run once per step.
 """
 
 from __future__ import annotations
@@ -72,18 +73,20 @@ def forward_looking_distill(layer_queries: list[Tensor],
     layer's values at those rows, constants taken off the tape. Per layer
     the loss averages over queries within a group and over groups; with no
     groups it is 0.
+
+    The row weights handed to the one weighted smooth-L1 carry the
+    1 / (rows in the group * groups) normaliser.
     """
-    zero = nm.Tensor(0.0)
-    if len(layer_queries) <= 1 or not row_indices:
-        return zero
-    total = zero
-    for layer in layer_queries[:-1]:
-        layer_term = zero
-        for idx, weights, teacher in zip(row_indices, row_weights, teacher_rows):
-            if not idx:
-                continue
-            refined = refine(nm.gather_rows(layer, idx), refiner)
-            layer_term = layer_term + nm.weighted_row_smooth_l1(
-                refined, nm.Tensor(teacher), weights)
-        total = total + layer_term * (1.0 / len(row_indices))
-    return total
+    students = layer_queries[:-1]
+    kept = [g for g, idx in enumerate(row_indices) if idx]
+    if not students or not kept:
+        return nm.Tensor(0.0)
+    groups = len(row_indices)
+    stride = students[0].data.shape[0]
+    idx = [layer * stride + i for layer in range(len(students))
+           for g in kept for i in row_indices[g]]
+    weights = np.concatenate([row_weights[g] / (len(row_indices[g]) * groups) for g in kept])
+    teacher = np.concatenate([teacher_rows[g] for g in kept])
+    refined = refine(nm.gather_rows(nm.concat_rows(students), idx), refiner)
+    return nm.weighted_row_smooth_l1(refined, nm.Tensor(np.tile(teacher, (len(students), 1))),
+                                     np.tile(weights, len(students)))

@@ -49,9 +49,6 @@ class AnchorBox6D:
     t: float
     b: float
 
-    def corners(self) -> tuple[float, float, float, float]:
-        return box2d_corners(self)
-
 
 @dataclass(frozen=True)
 class GroundTruthObject:
@@ -150,31 +147,6 @@ def backproject(u: float, v: float, depth: float, intr: CameraIntrinsics):
 def box2d_corners(anchor: AnchorBox6D) -> tuple[float, float, float, float]:
     return (anchor.x_c - anchor.l, anchor.y_c - anchor.t,
             anchor.x_c + anchor.r, anchor.y_c + anchor.b)
-
-
-def anchor_from_corners(x_c: float, y_c: float, corners) -> AnchorBox6D:
-    x_min, y_min, x_max, y_max = corners
-    return AnchorBox6D(x_c, y_c, x_c - x_min, x_max - x_c, y_c - y_min, y_max - y_c)
-
-
-def giou2d(a, b) -> float:
-    """Generalized IoU of two corner boxes (x_min, y_min, x_max, y_max)."""
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    if ax0 > ax1 or ay0 > ay1 or bx0 > bx1 or by0 > by1:
-        raise ValueError("corner box has min > max")
-    inter_w = max(0.0, min(ax1, bx1) - max(ax0, bx0))
-    inter_h = max(0.0, min(ay1, by1) - max(ay0, by0))
-    inter = inter_w * inter_h
-    area_a = (ax1 - ax0) * (ay1 - ay0)
-    area_b = (bx1 - bx0) * (by1 - by0)
-    union = area_a + area_b - inter
-    hull = (max(ax1, bx1) - min(ax0, bx0)) * (max(ay1, by1) - min(ay0, by0))
-    if hull <= 0.0:
-        # both boxes degenerate to the same point or a shared segment
-        return 1.0 if a == b else 0.0
-    iou = inter / union if union > 0.0 else 0.0
-    return iou - (hull - union) / hull
 
 
 def bev_corners(box: OrientedBox3D) -> np.ndarray:

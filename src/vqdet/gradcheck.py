@@ -1,4 +1,4 @@
-"""Central finite-difference verification of every differentiable operation.
+"""Central finite-difference verification of the operations the detector runs.
 
 Each registered check builds a scalar loss from random small inputs, runs the
 tape backward, and compares the analytic gradients against central
@@ -8,7 +8,8 @@ differences (step 1e-6, double precision). The reported figure per check is
 
 i.e. a relative error with an absolute floor that keeps near-zero entries
 from dividing by noise. The registry is the single source of truth for the
-operation list printed by the ``grad-check`` CLI command.
+operation list printed by the ``grad-check`` CLI command. The reference ops
+that only the tests compose are checked by the tests, with the same helpers.
 """
 
 from __future__ import annotations
@@ -95,12 +96,6 @@ def _away_from(x: np.ndarray, kinks: list[float], margin: float = 1e-3) -> np.nd
     return x
 
 
-def _check_matmul(rng) -> float:
-    a = rng.normal(size=(4, 5))
-    b = rng.normal(size=(5, 3))
-    return check_scalar_fn(lambda ts: nm.sum_all(nm.matmul(ts[0], ts[1])), [a, b])
-
-
 def _check_linear(rng) -> float:
     x = rng.normal(size=(3, 4))
     w = rng.normal(size=(4, 2))
@@ -109,15 +104,6 @@ def _check_linear(rng) -> float:
     return check_scalar_fn(
         lambda ts: nm.sum_all(nm.linear(ts[0], ts[1], ts[2]) * nm.Tensor(proj)),
         [x, w, b])
-
-
-def _check_softmax_rows(rng) -> float:
-    x = rng.normal(size=(4, 6)) * 2.0
-    allow = rng.random(size=(4, 6)) > 0.3
-    allow[:, 0] = True
-    proj = rng.normal(size=(4, 6))
-    return check_scalar_fn(
-        lambda ts: nm.sum_all(nm.softmax_rows(ts[0], allow) * nm.Tensor(proj)), [x])
 
 
 def _check_layer_norm(rng) -> float:
@@ -148,47 +134,16 @@ def _check_softplus(rng) -> float:
     return check_scalar_fn(lambda ts: nm.sum_all(nm.softplus(ts[0]) * nm.Tensor(p)), [x])
 
 
-def _check_exp_log(rng) -> float:
-    x = rng.random(size=(3, 4)) + 0.5
+def _check_exp(rng) -> float:
+    x = rng.normal(size=(3, 4))
     p = rng.normal(size=(3, 4))
-    return check_scalar_fn(
-        lambda ts: nm.sum_all(nm.log(nm.exp(ts[0]) + nm.Tensor(np.ones_like(x))) * nm.Tensor(p)),
-        [x])
-
-
-def _check_absolute(rng) -> float:
-    x = _away_from(rng.normal(size=(4, 4)), [0.0])
-    p = rng.normal(size=(4, 4))
-    return check_scalar_fn(lambda ts: nm.sum_all(nm.absolute(ts[0]) * nm.Tensor(p)), [x])
+    return check_scalar_fn(lambda ts: nm.sum_all(nm.exp(ts[0]) * nm.Tensor(p)), [x])
 
 
 def _check_clamp(rng) -> float:
     x = _away_from(rng.normal(size=(4, 4)) * 2.0, [-1.5, 1.5])
     p = rng.normal(size=(4, 4))
     return check_scalar_fn(lambda ts: nm.sum_all(nm.clamp(ts[0], -1.5, 1.5) * nm.Tensor(p)), [x])
-
-
-def _check_divide(rng) -> float:
-    a = rng.normal(size=(3, 4))
-    b = rng.uniform(0.5, 2.0, size=(3, 4)) * np.where(rng.random((3, 4)) > 0.5, 1, -1)
-    p = rng.normal(size=(3, 4))
-    return check_scalar_fn(lambda ts: nm.sum_all(nm.divide(ts[0], ts[1]) * nm.Tensor(p)),
-                           [a, b])
-
-
-def _check_min_max(rng) -> float:
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(3, 4))
-    near = np.abs(a - b) < 1e-3
-    b = np.where(near, b + 5e-3, b)
-    p = rng.normal(size=(3, 4))
-    q = rng.normal(size=(3, 4))
-
-    def build(ts):
-        return nm.sum_all(nm.minimum(ts[0], ts[1]) * nm.Tensor(p)
-                          + nm.maximum(ts[0], ts[1]) * nm.Tensor(q))
-
-    return check_scalar_fn(build, [a, b])
 
 
 def _check_giou_pairs(rng) -> float:
@@ -251,25 +206,14 @@ def _check_gaussian_kl(rng) -> float:
 def _check_gather_concat_narrow(rng) -> float:
     x = rng.normal(size=(5, 3))
     y = rng.normal(size=(2, 3))
-    p = rng.normal(size=(4, 3))
+    p = rng.normal(size=(4, 6))
 
     def build(ts):
         cat = nm.concat_rows([ts[0], ts[1]])
-        g = nm.gather_rows(cat, [0, 2, 2, 6])
-        return nm.sum_all(g * nm.Tensor(p))
+        wide = nm.concat_cols([nm.gather_rows(cat, [0, 2, 2, 6]), nm.narrow_rows(cat, 1, 4)])
+        return nm.sum_all(wide * nm.Tensor(p))
 
     return check_scalar_fn(build, [x, y])
-
-
-def _check_transpose_cols(rng) -> float:
-    x = rng.normal(size=(3, 5))
-    p = rng.normal(size=(2, 3))
-
-    def build(ts):
-        t = nm.transpose(nm.narrow_cols(ts[0], 1, 2))
-        return nm.sum_all(t * nm.Tensor(p))
-
-    return check_scalar_fn(build, [x])
 
 
 def _attention_params(ts):
@@ -383,18 +327,13 @@ def _check_end_to_end(rng) -> float:
 
 # name -> (check fn, tolerance, number of random repeats)
 REGISTRY: dict[str, tuple[Callable, float, int]] = {
-    "matmul": (_check_matmul, OP_TOLERANCE, 50),
     "linear": (_check_linear, OP_TOLERANCE, 50),
-    "softmax_rows": (_check_softmax_rows, OP_TOLERANCE, 50),
     "layer_norm": (_check_layer_norm, OP_TOLERANCE, 50),
     "relu": (_check_relu, OP_TOLERANCE, 50),
     "sigmoid": (_check_sigmoid, OP_TOLERANCE, 50),
     "softplus": (_check_softplus, OP_TOLERANCE, 50),
-    "exp_log": (_check_exp_log, OP_TOLERANCE, 50),
-    "absolute": (_check_absolute, OP_TOLERANCE, 50),
+    "exp": (_check_exp, OP_TOLERANCE, 50),
     "clamp": (_check_clamp, OP_TOLERANCE, 50),
-    "divide": (_check_divide, OP_TOLERANCE, 50),
-    "minimum_maximum": (_check_min_max, OP_TOLERANCE, 50),
     "weighted_row_smooth_l1": (_check_weighted_row_smooth_l1, OP_TOLERANCE, 50),
     "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
     "giou2d_pairs": (_check_giou_pairs, OP_TOLERANCE, 50),
@@ -403,7 +342,6 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
     "corner_boxes": (_check_corner_boxes, OP_TOLERANCE, 50),
     "weighted_sum": (_check_weighted_sum, OP_TOLERANCE, 50),
     "gather_concat_narrow": (_check_gather_concat_narrow, OP_TOLERANCE, 50),
-    "transpose_narrow_cols": (_check_transpose_cols, OP_TOLERANCE, 50),
     "masked_multihead_attention": (_check_masked_attention, OP_TOLERANCE, 5),
     "multihead_cross_attention": (_check_cross_attention, OP_TOLERANCE, 5),
     "noisy_box_encoder": (_check_box_encoder, OP_TOLERANCE, 5),

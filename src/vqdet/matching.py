@@ -113,11 +113,12 @@ def hungarian(cost: np.ndarray) -> Assignment:
 
 
 def _giou2d_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``geometry.giou2d`` of every (row of a, row of b) pair, as an (n, m) matrix.
+    """Generalized IoU of every (row of a, row of b) pair, as an (n, m) matrix.
 
-    The operations are the scalar function's, in its order, with Python's
-    min/max tie rule (the first argument wins), so every entry is bitwise
-    equal to it, including its degenerate-hull and zero-union branches.
+    The operations are those of the scalar reference ``giou2d`` in
+    ``tests/oracles.py``, in its order, with Python's min/max tie rule (the
+    first argument wins), so every entry is bitwise equal to it, including
+    its degenerate-hull and zero-union branches.
     """
     if (a[:, 0] > a[:, 2]).any() or (a[:, 1] > a[:, 3]).any() \
             or (b[:, 0] > b[:, 2]).any() or (b[:, 1] > b[:, 3]).any():

@@ -4,8 +4,12 @@ Every differentiable quantity in the detector (queries, features, latent
 means/log-variances, logits, losses) lives in a :class:`Tensor`. Forward
 operations record their inputs and a vector-Jacobian closure; calling
 :func:`backward` on a scalar loss walks the recorded graph once in reverse
-topological order and accumulates gradients into every ``requires_grad``
-tensor on the path.
+topological order and accumulates gradients into the ``requires_grad``
+leaves on the path, such as parameters.
+
+The module holds only the operations the detector runs. Reference ops that
+only the tests compose (matmul, softmax, elementwise min/max and the like)
+live beside the oracles that use them, in ``tests/oracles.py``.
 
 The tape is rebuilt from scratch each training step and is single-threaded
 within a step. Data is always float64; there is no broadcasting beyond the
@@ -27,20 +31,12 @@ __all__ = [
     "DegenerateMaskError",
     "DoubleBackwardError",
     "backward",
-    "matmul",
-    "transpose",
     "linear",
     "relu",
     "sigmoid",
     "softplus",
     "exp",
-    "log",
-    "absolute",
-    "divide",
-    "minimum",
-    "maximum",
     "clamp",
-    "softmax_rows",
     "multihead_attention",
     "layer_norm",
     "weighted_row_smooth_l1",
@@ -54,7 +50,6 @@ __all__ = [
     "concat_rows",
     "concat_cols",
     "narrow_rows",
-    "narrow_cols",
     "gather_rows",
     "save_checkpoint",
     "load_checkpoint",
@@ -76,9 +71,11 @@ class DoubleBackwardError(RuntimeError):
 class Tensor:
     """A dense float64 array with an optional gradient slot.
 
-    ``data`` is stored row-major. ``grad`` stays ``None`` until a backward
-    pass reaches this tensor; it then has exactly the shape of ``data`` and
-    accumulates across backward calls until explicitly cleared.
+    ``data`` is stored row-major. Only a leaf, a tensor that no operation
+    produced, keeps a gradient: its ``grad`` stays ``None`` until a backward
+    pass reaches it, then has exactly the shape of ``data`` and accumulates
+    across backward calls until explicitly cleared. Gradients of
+    intermediate results live only for the duration of :func:`backward`.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_backward_done")
@@ -98,9 +95,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -199,25 +193,6 @@ def _neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), lambda g: (-g,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (m, k) by a (k, n) tensor."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    out = a.data @ b.data
-
-    def vjp(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return _node(out, (a, b), vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected matrix, got shape {a.data.shape}")
-    return _node(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` with x (r, Din), w (Din, Dout), b (Dout,)."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
@@ -265,97 +240,10 @@ def exp(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * out,))
 
 
-def log(a: Tensor) -> Tensor:
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def absolute(a: Tensor) -> Tensor:
-    return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
-
-
-def divide(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise a / b; caller guarantees b is bounded away from zero."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"divide: shapes {a.data.shape} vs {b.data.shape}")
-    out = a.data / b.data
-
-    def vjp(g):
-        return (g / b.data if a.requires_grad else None,
-                -g * a.data / (b.data * b.data) if b.requires_grad else None)
-
-    return _node(out, (a, b), vjp)
-
-
-def minimum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise min; ties route the gradient to the first argument."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"minimum: shapes {a.data.shape} vs {b.data.shape}")
-    take_a = a.data <= b.data
-
-    def vjp(g):
-        return (g * take_a if a.requires_grad else None,
-                g * ~take_a if b.requires_grad else None)
-
-    return _node(np.where(take_a, a.data, b.data), (a, b), vjp)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max; ties route the gradient to the first argument."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"maximum: shapes {a.data.shape} vs {b.data.shape}")
-    take_a = a.data >= b.data
-
-    def vjp(g):
-        return (g * take_a if a.requires_grad else None,
-                g * ~take_a if b.requires_grad else None)
-
-    return _node(np.where(take_a, a.data, b.data), (a, b), vjp)
-
-
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Elementwise clip; gradient is zero outside [lo, hi]."""
     inside = (a.data >= lo) & (a.data <= hi)
     return _node(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
-
-
-def softmax_rows(x: Tensor, allow: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax, optionally restricted to an allowed-column mask.
-
-    ``allow`` is a boolean array matching ``x``; disallowed entries come out
-    exactly 0 and each row normalizes over its allowed columns only. The row
-    max over allowed entries is subtracted before exponentiation, so a row
-    computed with extra masked-out columns present is bit-identical to the
-    same row computed without them.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows: expected matrix, got shape {x.data.shape}")
-    if allow is None:
-        z = x.data
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p = e / e.sum(axis=1, keepdims=True)
-        mask = None
-    else:
-        allow = np.asarray(allow, dtype=bool)
-        if allow.shape != x.data.shape:
-            raise ShapeError(f"softmax_rows: mask shape {allow.shape} vs {x.data.shape}")
-        if not allow.any(axis=1).all():
-            bad = int(np.flatnonzero(~allow.any(axis=1))[0])
-            raise DegenerateMaskError(f"row {bad} has no allowed column")
-        neg = np.where(allow, x.data, -np.inf)
-        neg = neg - neg.max(axis=1, keepdims=True)
-        e = np.where(allow, np.exp(neg), 0.0)
-        p = e / e.sum(axis=1, keepdims=True)
-        mask = allow
-
-    def vjp(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        gx = p * (g - dot)
-        if mask is not None:
-            gx = np.where(mask, gx, 0.0)
-        return (gx,)
-
-    return _node(p, (x,), vjp)
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -367,8 +255,8 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     row attends to every key row. With an (S, S) boolean ``allow``, R = T =
     G*S and the rows form G consecutive groups of S; row i of a group attends
     to row j of the same group where ``allow[i, j]`` and never to another
-    group. The softmax matches :func:`softmax_rows` entry for entry:
-    disallowed weights are exactly 0.
+    group. The row max over allowed logits is subtracted before
+    exponentiation, and disallowed weights are exactly 0.
 
     Returns the (R, D) output on the tape and the per-head weights off it, a
     read-only (G, H, S, S) array; G = 1 and the weights are (1, H, R, T)
@@ -461,26 +349,22 @@ def _huber_grad(d: np.ndarray) -> np.ndarray:
 
 
 def weighted_row_smooth_l1(pred: Tensor, target: Tensor, row_weights: np.ndarray) -> Tensor:
-    """Mean over rows of row_weight * (per-row mean Huber of pred - target).
+    """Sum over rows of row_weight * (per-row mean Huber of pred - target).
 
     Row weights are plain numbers, not tape values; no gradient flows into
-    them. An empty pred contributes exactly 0.
+    them, and any normalisation over rows is folded into them by the caller.
+    An empty pred sums to exactly 0.
     """
     if pred.data.shape != target.data.shape:
         raise ShapeError(f"weighted_row_smooth_l1: shapes {pred.data.shape} vs {target.data.shape}")
     w = np.asarray(row_weights, dtype=np.float64)
     if pred.data.ndim != 2 or w.shape != (pred.data.shape[0],):
         raise ShapeError(f"weighted_row_smooth_l1: weights {w.shape} vs rows {pred.data.shape}")
-    r, d_cols = pred.data.shape
-    if r == 0:
-        return _node(np.asarray(0.0), (pred, target), lambda g: (np.zeros_like(pred.data),
-                                                                 np.zeros_like(target.data)))
     d = pred.data - target.data
-    per_row = _huber(d).mean(axis=1)
-    out = np.asarray((w * per_row).sum() / r)
+    out = np.asarray((w * _huber(d).mean(axis=1)).sum())
 
     def vjp(g):
-        gd = float(g) * (w[:, None] / (r * d_cols)) * _huber_grad(d)
+        gd = float(g) * (w[:, None] / d.shape[1]) * _huber_grad(d)
         return (gd if pred.requires_grad else None,
                 -gd if target.requires_grad else None)
 
@@ -705,19 +589,6 @@ def narrow_rows(a: Tensor, start: int, length: int) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def narrow_cols(a: Tensor, start: int, length: int) -> Tensor:
-    if a.data.ndim != 2 or start < 0 or start + length > a.data.shape[1]:
-        raise ShapeError(f"narrow_cols: [{start}:{start + length}) of {a.data.shape}")
-    out = a.data[:, start:start + length].copy()
-
-    def vjp(g):
-        gx = np.zeros_like(a.data)
-        gx[:, start:start + length] = g
-        return (gx,)
-
-    return _node(out, (a,), vjp)
-
-
 def gather_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
     """Select rows by index (duplicates allowed); backward scatter-adds."""
     ind = np.asarray(idx, dtype=np.int64)
@@ -770,11 +641,10 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
+        if node._vjp is None:  # a leaf
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
-        if node._vjp is None:
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
@@ -830,9 +700,6 @@ class ParameterStore:
         self._params[name] = t
         return t
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
@@ -848,9 +715,6 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def num_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
 
 # Checkpoint file layout: magic "VQD1", u32 version, u32 record count, then

@@ -3,12 +3,157 @@
 Everything here is deliberately brute force (sampling, rasterization,
 enumeration, per-element loops) or composed from simpler tape operations, and
 shares no code with the implementations under test.
+
+The simpler tape operations themselves (matmul, transpose, narrow_cols,
+softmax_rows, divide, minimum, maximum, absolute) are defined here too. The
+detector runs none of them, so they are reference ops recorded with
+``numerics._node``; ``tests/test_numerics.py`` checks their gradients against
+central differences. ``giou2d`` is the scalar reference for the matcher's
+vectorised GIoU.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from vqdet import numerics as nm
+from vqdet.numerics import DegenerateMaskError, ShapeError, Tensor, _node
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of a (m, k) by a (k, n) tensor."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
+    out = a.data @ b.data
+
+    def vjp(g):
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
+
+    return _node(out, (a, b), vjp)
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose: expected matrix, got shape {a.data.shape}")
+    return _node(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def narrow_cols(a: Tensor, start: int, length: int) -> Tensor:
+    if a.data.ndim != 2 or start < 0 or start + length > a.data.shape[1]:
+        raise ShapeError(f"narrow_cols: [{start}:{start + length}) of {a.data.shape}")
+    out = a.data[:, start:start + length].copy()
+
+    def vjp(g):
+        gx = np.zeros_like(a.data)
+        gx[:, start:start + length] = g
+        return (gx,)
+
+    return _node(out, (a,), vjp)
+
+
+def softmax_rows(x: Tensor, allow: np.ndarray | None = None) -> Tensor:
+    """Row-wise softmax, optionally restricted to an allowed-column mask.
+
+    ``allow`` is a boolean array matching ``x``; disallowed entries come out
+    exactly 0 and each row normalizes over its allowed columns only. The row
+    max over allowed entries is subtracted before exponentiation, so a row
+    computed with extra masked-out columns present is bit-identical to the
+    same row computed without them.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"softmax_rows: expected matrix, got shape {x.data.shape}")
+    if allow is None:
+        z = x.data
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+        mask = None
+    else:
+        allow = np.asarray(allow, dtype=bool)
+        if allow.shape != x.data.shape:
+            raise ShapeError(f"softmax_rows: mask shape {allow.shape} vs {x.data.shape}")
+        if not allow.any(axis=1).all():
+            bad = int(np.flatnonzero(~allow.any(axis=1))[0])
+            raise DegenerateMaskError(f"row {bad} has no allowed column")
+        neg = np.where(allow, x.data, -np.inf)
+        neg = neg - neg.max(axis=1, keepdims=True)
+        e = np.where(allow, np.exp(neg), 0.0)
+        p = e / e.sum(axis=1, keepdims=True)
+        mask = allow
+
+    def vjp(g):
+        dot = (g * p).sum(axis=1, keepdims=True)
+        gx = p * (g - dot)
+        if mask is not None:
+            gx = np.where(mask, gx, 0.0)
+        return (gx,)
+
+    return _node(p, (x,), vjp)
+
+
+def divide(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a / b; caller guarantees b is bounded away from zero."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"divide: shapes {a.data.shape} vs {b.data.shape}")
+    out = a.data / b.data
+
+    def vjp(g):
+        return (g / b.data if a.requires_grad else None,
+                -g * a.data / (b.data * b.data) if b.requires_grad else None)
+
+    return _node(out, (a, b), vjp)
+
+
+def minimum(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise min; ties route the gradient to the first argument."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"minimum: shapes {a.data.shape} vs {b.data.shape}")
+    take_a = a.data <= b.data
+
+    def vjp(g):
+        return (g * take_a if a.requires_grad else None,
+                g * ~take_a if b.requires_grad else None)
+
+    return _node(np.where(take_a, a.data, b.data), (a, b), vjp)
+
+
+def maximum(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise max; ties route the gradient to the first argument."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"maximum: shapes {a.data.shape} vs {b.data.shape}")
+    take_a = a.data >= b.data
+
+    def vjp(g):
+        return (g * take_a if a.requires_grad else None,
+                g * ~take_a if b.requires_grad else None)
+
+    return _node(np.where(take_a, a.data, b.data), (a, b), vjp)
+
+
+def absolute(a: Tensor) -> Tensor:
+    return _node(np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),))
+
+
+def giou2d(a, b) -> float:
+    """Generalized IoU of two corner boxes (x_min, y_min, x_max, y_max)."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    if ax0 > ax1 or ay0 > ay1 or bx0 > bx1 or by0 > by1:
+        raise ValueError("corner box has min > max")
+    inter_w = max(0.0, min(ax1, bx1) - max(ax0, bx0))
+    inter_h = max(0.0, min(ay1, by1) - max(ay0, by0))
+    inter = inter_w * inter_h
+    area_a = (ax1 - ax0) * (ay1 - ay0)
+    area_b = (bx1 - bx0) * (by1 - by0)
+    union = area_a + area_b - inter
+    hull = (max(ax1, bx1) - min(ax0, bx0)) * (max(ay1, by1) - min(ay0, by0))
+    if hull <= 0.0:
+        # both boxes degenerate to the same point or a shared segment
+        return 1.0 if a == b else 0.0
+    iou = inter / union if union > 0.0 else 0.0
+    return iou - (hull - union) / hull
 
 
 def points_in_oriented_box(points: np.ndarray, box) -> np.ndarray:
@@ -76,7 +221,7 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
 
 def loop_matching_cost(class_probs, centers, corner_boxes, gts, weights) -> np.ndarray:
     """Matching cost filled one ground truth at a time, scalar GIoU per query."""
-    from vqdet.geometry import box2d_corners, giou2d
+    from vqdet.geometry import box2d_corners
 
     nq = class_probs.shape[0]
     cost = np.zeros((nq, len(gts)))
@@ -96,8 +241,6 @@ def loop_matching_cost(class_probs, centers, corner_boxes, gts, weights) -> np.n
 # fused single-node ops in vqdet.numerics must match them in value and gradient.
 
 def composite_focal_loss(logits, target_onehot, alpha, gamma, normalizer):
-    from vqdet import numerics as nm
-
     t = np.asarray(target_onehot, dtype=np.float64)
     log_p = -nm.softplus(-logits)
     log_1mp = -nm.softplus(logits)
@@ -108,34 +251,28 @@ def composite_focal_loss(logits, target_onehot, alpha, gamma, normalizer):
 
 
 def composite_giou2d_pairs(pred_corners, target_corners):
-    from vqdet import numerics as nm
-
     tc = np.asarray(target_corners, dtype=np.float64)
-    ax0, ay0, ax1, ay1 = (nm.narrow_cols(pred_corners, j, 1) for j in range(4))
+    ax0, ay0, ax1, ay1 = (narrow_cols(pred_corners, j, 1) for j in range(4))
     bx0, by0, bx1, by1 = (nm.Tensor(tc[:, j:j + 1]) for j in range(4))
-    inter_w = nm.relu(nm.minimum(ax1, bx1) - nm.maximum(ax0, bx0))
-    inter_h = nm.relu(nm.minimum(ay1, by1) - nm.maximum(ay0, by0))
+    inter_w = nm.relu(minimum(ax1, bx1) - maximum(ax0, bx0))
+    inter_h = nm.relu(minimum(ay1, by1) - maximum(ay0, by0))
     inter = inter_w * inter_h
     area_a = (ax1 - ax0) * (ay1 - ay0)
     area_b = nm.Tensor((tc[:, 2] - tc[:, 0])[:, None] * (tc[:, 3] - tc[:, 1])[:, None])
     union = area_a + area_b - inter
-    hull = (nm.maximum(ax1, bx1) - nm.minimum(ax0, bx0)) \
-        * (nm.maximum(ay1, by1) - nm.minimum(ay0, by0))
-    return nm.divide(inter, union) - nm.divide(hull - union, hull)
+    hull = (maximum(ax1, bx1) - minimum(ax0, bx0)) \
+        * (maximum(ay1, by1) - minimum(ay0, by0))
+    return divide(inter, union) - divide(hull - union, hull)
 
 
 def composite_corner_boxes(centers, lrtb):
-    from vqdet import numerics as nm
-
-    cx, cy = (nm.narrow_cols(centers, j, 1) for j in range(2))
-    l, r, t, b = (nm.narrow_cols(lrtb, j, 1) for j in range(4))
+    cx, cy = (narrow_cols(centers, j, 1) for j in range(2))
+    l, r, t, b = (narrow_cols(lrtb, j, 1) for j in range(4))
     return nm.concat_cols([cx - l, cy - t, cx + r, cy + b])
 
 
 def composite_l1_loss(pred, target, normalizer):
-    from vqdet import numerics as nm
-
-    return nm.sum_all(nm.absolute(pred - nm.Tensor(target))) * (1.0 / normalizer)
+    return nm.sum_all(absolute(pred - nm.Tensor(target))) * (1.0 / normalizer)
 
 
 def composite_multihead_attention(q, k, v, heads, allow=None):
@@ -145,8 +282,6 @@ def composite_multihead_attention(q, k, v, heads, allow=None):
     ``allow`` the rows form consecutive groups of S, each attending within
     itself under the mask.
     """
-    from vqdet import numerics as nm
-
     d = q.data.shape[1]
     dh = d // heads
     s = q.data.shape[0] if allow is None else allow.shape[0]
@@ -157,8 +292,8 @@ def composite_multihead_attention(q, k, v, heads, allow=None):
         kg, vg = nm.narrow_rows(k, g * t, t), nm.narrow_rows(v, g * t, t)
         contexts = []
         for h in range(heads):
-            qh, kh, vh = (nm.narrow_cols(x, h * dh, dh) for x in (qg, kg, vg))
-            logits = nm.matmul(qh, nm.transpose(kh)) * (1.0 / math.sqrt(dh))
-            contexts.append(nm.matmul(nm.softmax_rows(logits, allow), vh))
+            qh, kh, vh = (narrow_cols(x, h * dh, dh) for x in (qg, kg, vg))
+            logits = matmul(qh, transpose(kh)) * (1.0 / math.sqrt(dh))
+            contexts.append(matmul(softmax_rows(logits, allow), vh))
         groups.append(nm.concat_cols(contexts))
     return nm.concat_rows(groups)

@@ -12,7 +12,7 @@ from vqdet.attention import (
 )
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 
-from oracles import composite_multihead_attention
+from oracles import composite_multihead_attention, softmax_rows
 
 
 def _params(rng, d, requires_grad=False) -> AttentionParams:
@@ -105,8 +105,8 @@ class TestMultiheadAttentionOp:
             rows = slice(4 * g, 4 * g + 4)
             for h in range(2):
                 cols = slice(2 * h, 2 * h + 2)
-                want = nm.softmax_rows(nm.Tensor(q.data[rows, cols] @ k.data[rows, cols].T
-                                                 / np.sqrt(2)), allow).data
+                want = softmax_rows(nm.Tensor(q.data[rows, cols] @ k.data[rows, cols].T
+                                              / np.sqrt(2)), allow).data
                 np.testing.assert_allclose(weights[g, h], want, rtol=0, atol=1e-15)
         _, full = nm.multihead_attention(q, k, nm.Tensor(rng.normal(size=(8, 4))), 2)
         assert full.shape == (1, 2, 8, 8)

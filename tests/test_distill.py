@@ -118,6 +118,39 @@ class TestForwardLookingDistill:
                  for r, w in zip(rows, weights)]
         assert both.item() == pytest.approx(sum(alone) / 2, rel=1e-12)
 
+    def test_one_call_equals_the_per_layer_and_group_loop(self):
+        """L=4, G=2, nonzero weights: value and gradients of the per-(layer, group) loop."""
+        rng = np.random.default_rng(8)
+        data = [rng.normal(size=(10, 4)) for _ in range(4)]
+        refiner_data = [rng.normal(size=(4, 4)) * 0.3, rng.normal(size=4) * 0.1,
+                        rng.normal(size=(4, 4)) * 0.3, rng.normal(size=4) * 0.1]
+        rows = [[0, 1, 3], [5, 7]]
+        weights = [rng.uniform(0.1, 1.0, 3), rng.uniform(0.1, 1.0, 2)]
+        teacher = [data[-1][r] for r in rows]
+
+        def run(loop: bool):
+            layers = [nm.Tensor(x, requires_grad=True) for x in data]
+            refiner = RefinerParams(*(nm.Tensor(x, requires_grad=True) for x in refiner_data))
+            if loop:
+                total = nm.Tensor(0.0)
+                for layer in layers[:-1]:
+                    layer_term = nm.Tensor(0.0)
+                    for r, w, t in zip(rows, weights, teacher):
+                        refined = refine(nm.gather_rows(layer, r), refiner)
+                        layer_term = layer_term + nm.weighted_row_smooth_l1(
+                            refined, nm.Tensor(t), w) * (1.0 / len(r))
+                    total = total + layer_term * (1.0 / len(rows))
+            else:
+                total = forward_looking_distill(layers, rows, weights, refiner, teacher)
+            nm.backward(total)
+            leaves = layers[:-1] + [refiner.w1, refiner.b1, refiner.w2, refiner.b2]
+            return total.item(), [t.grad for t in leaves]
+
+        (want, want_grads), (got, got_grads) = run(loop=True), run(loop=False)
+        assert want > 0 and got == pytest.approx(want, rel=1e-12)
+        for w, g in zip(want_grads, got_grads):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
     def test_empty_rows_contribute_zero(self):
         rng = np.random.default_rng(6)
         layers = [nm.Tensor(rng.normal(size=(3, 4))) for _ in range(2)]

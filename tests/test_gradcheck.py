@@ -10,17 +10,17 @@ from vqdet.gradcheck import run_suite
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _matmul_error_in_fresh_process(hash_seed: str) -> str:
+def _linear_error_in_fresh_process(hash_seed: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    code = "from vqdet.gradcheck import run_suite; print(run_suite(names=['matmul'])[0][1].hex())"
+    code = "from vqdet.gradcheck import run_suite; print(run_suite(names=['linear'])[0][1].hex())"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout.strip()
 
 
 def test_inputs_do_not_depend_on_the_string_hash_seed():
-    assert _matmul_error_in_fresh_process("1") == _matmul_error_in_fresh_process("2")
+    assert _linear_error_in_fresh_process("1") == _linear_error_in_fresh_process("2")
 
 
 def test_fused_loss_entries_pass():
@@ -30,7 +30,7 @@ def test_fused_loss_entries_pass():
 
 
 def test_perturbed_suite_fails():
-    (row,) = run_suite(names=["matmul"], perturb=True)
+    (row,) = run_suite(names=["linear"], perturb=True)
     assert not row[3]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vqdet import numerics as nm
-from vqdet.geometry import GroundTruthObject, box2d_corners, giou2d
+from vqdet.geometry import GroundTruthObject, box2d_corners
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 from vqdet.losses import (
     LossWeights,
@@ -22,6 +22,7 @@ from oracles import (
     composite_focal_loss,
     composite_giou2d_pairs,
     composite_l1_loss,
+    giou2d,
 )
 
 

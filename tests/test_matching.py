@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from vqdet.geometry import GroundTruthObject, box2d_corners, giou2d
+from vqdet.geometry import GroundTruthObject, box2d_corners
 from vqdet.matching import MatcherWeights, hungarian, matching_cost
-from oracles import brute_force_min_cost, loop_matching_cost
+from oracles import brute_force_min_cost, giou2d, loop_matching_cost
 
 
 def _gt(c=0, x=0.5, y=0.5, half=0.1):

@@ -172,7 +172,8 @@ class TestDenoisingLoss:
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
         out = denoising_loss([pred], [range(1)], [gt], dist, DenoisingConfig(beta=0.125), w)
 
-        from vqdet.geometry import box2d_corners, giou2d
+        from vqdet.geometry import box2d_corners
+        from oracles import giou2d
         p = 1.0 / (1.0 + np.exp(-logits))
         onehot = np.array([[0.0, 1.0]])
         cls = float((-(onehot * 0.25 * (1 - p) ** 2 * np.log(p))
