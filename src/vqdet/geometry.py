@@ -243,12 +243,13 @@ def apply_box_noise(gt: GroundTruthObject, cfg: NoiseConfig, rng: np.random.Gene
         c = (gt.c + 1 + int(rng.integers(num_classes - 1))) % num_classes
 
     dim_scales = 1.0 + rng.uniform(-1.0, 1.0, size=3) * cfg.dim_scale_range
-    l3d = float(np.clip(gt.l3d * dim_scales[0], 0.05, 29.9))
-    w3d = float(np.clip(gt.w3d * dim_scales[1], 0.05, 29.9))
-    h3d = float(np.clip(gt.h3d * dim_scales[2], 0.05, 29.9))
+    # scalar min/max, not np.clip: the ufunc call costs ~10x more on a scalar
+    l3d = float(min(max(gt.l3d * dim_scales[0], 0.05), 29.9))
+    w3d = float(min(max(gt.w3d * dim_scales[1], 0.05), 29.9))
+    h3d = float(min(max(gt.h3d * dim_scales[2], 0.05), 29.9))
     theta = wrap_angle(gt.theta + rng.uniform(-1.0, 1.0) * cfg.angle_jitter_rad)
-    d = float(np.clip(gt.d * (1.0 + rng.uniform(-1.0, 1.0) * cfg.depth_jitter_frac),
-                      0.51, 119.0))
+    d = float(min(max(gt.d * (1.0 + rng.uniform(-1.0, 1.0) * cfg.depth_jitter_frac),
+                      0.51), 119.0))
     return AnchorBox6D(x_c, y_c, l, r, t, b), (c, l3d, w3d, h3d, theta, d)
 
 

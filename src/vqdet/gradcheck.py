@@ -57,6 +57,7 @@ def check_scalar_fn(build: Callable[[list[nm.Tensor]], nm.Tensor],
 
     ``build`` maps leaf tensors to a scalar loss; it is re-invoked on every
     finite-difference probe, so it must be a pure function of the arrays.
+    The probes need values only, so they run under ``no_grad``.
     """
     leaves = [nm.Tensor(a, requires_grad=True) for a in arrays]
     loss = build(leaves)
@@ -67,7 +68,8 @@ def check_scalar_fn(build: Callable[[list[nm.Tensor]], nm.Tensor],
     def f() -> float:
         return float(build([nm.Tensor(a) for a in arrays]).data)
 
-    numeric = numeric_gradients(f, arrays)
+    with nm.no_grad():
+        numeric = numeric_gradients(f, arrays)
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
@@ -76,7 +78,7 @@ def check_params_fn(loss_fn: Callable[[], nm.Tensor], store: nm.ParameterStore) 
 
     ``loss_fn`` must be a pure function of the store's current parameter
     values (detached or discrete inner decisions frozen by the caller); the
-    probe mutates parameter data in place.
+    probe mutates parameter data in place. The probes run under ``no_grad``.
     """
     store.zero_grad()
     loss = loss_fn()
@@ -84,7 +86,8 @@ def check_params_fn(loss_fn: Callable[[], nm.Tensor], store: nm.ParameterStore) 
     names = store.names()
     analytic = [store[n].grad.copy() for n in names]
     arrays = [store[n].data for n in names]
-    numeric = numeric_gradients(lambda: float(loss_fn().data), arrays)
+    with nm.no_grad():
+        numeric = numeric_gradients(lambda: float(loss_fn().data), arrays)
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 

@@ -6,11 +6,14 @@ into one (G*S, D) tensor, group-major: group g owns rows [g*S, (g+1)*S), its
 N learnable queries first, then C noisy blocks of K. The decoder runs L
 pre-norm layers once over all rows, each applying mask-separated
 self-attention within every group, then cross-attention over the encoded
-grid, then a feed-forward block; shared prediction heads decode every
-layer's rows for deep supervision. Learnable queries carry learned 2D
-reference points; noisy queries anchor at their noised box center. Inference
-stacks the first group's learnable queries alone, so its outputs depend on
-the weights and the scene alone, never on training-time configuration.
+grid, then a feed-forward block, and returns every layer's rows. Shared
+prediction heads decode the rows a caller reads: the training loss decodes
+every layer, one layer at a time, for deep supervision. Learnable queries
+carry learned 2D reference points; noisy queries anchor at their noised box
+center. Inference stacks the first group's learnable queries alone, so its
+outputs depend on the weights and the scene alone, never on training-time
+configuration. It records no tape (:func:`numerics.no_grad`) and decodes
+only the final layer's rows.
 
 The training loss first makes every detached decision of the step
 (:func:`step_decisions`: the Hungarian assignments, and the distillation
@@ -99,7 +102,6 @@ def sincos_positions_2d(size: int, width: int) -> np.ndarray:
 class LayerTrace:
     queries: Tensor              # (G*S, D), group-major
     attention: np.ndarray        # (G, S, S), head-averaged
-    predictions: PredictionRows  # (G*S) rows
 
 
 @dataclass
@@ -266,7 +268,8 @@ class Detector:
         refs = nm.gather_rows(nm.concat_rows([refs, nm.Tensor(anchor_mat[:, :2])]), order)
         return queries, refs, build_denoising_mask(n, k, c), dist
 
-    def _apply_heads(self, q: Tensor, ref: Tensor) -> PredictionRows:
+    def apply_heads(self, q: Tensor, ref: Tensor) -> PredictionRows:
+        """Decode query rows with the heads every layer shares."""
         h = nm.layer_norm(q, *self.out_ln)
         return PredictionRows(
             class_logits=nm.linear(h, *self.head_cls),
@@ -277,9 +280,13 @@ class Detector:
             depth=nm.softplus(nm.linear(h, *self.head_depth)),
         )
 
-    def decoder_forward(self, memory: Tensor, queries: Tensor, refs: Tensor,
+    def decoder_forward(self, memory: Tensor, queries: Tensor,
                         mask: AttentionMask) -> DecoderTrace:
-        """Every layer once over all stacked rows; memory K/V once per layer."""
+        """Every layer once over all stacked rows; memory K/V once per layer.
+
+        Returns each layer's rows and self-attention map; the caller applies
+        :meth:`apply_heads` to the rows it reads.
+        """
         cfg = self.cfg
         layers = []
         q = queries
@@ -293,8 +300,7 @@ class Detector:
                 nm.layer_norm(q, *ln2), memory, self.dec_cross[i], cfg.heads)
             hidden = nm.relu(nm.linear(nm.layer_norm(q, *ln3), *ffn1))
             q = q + nm.linear(hidden, *ffn2)
-            layers.append(LayerTrace(queries=q, attention=attn,
-                                     predictions=self._apply_heads(q, refs)))
+            layers.append(LayerTrace(queries=q, attention=attn))
         return DecoderTrace(layers=layers)
 
 
@@ -316,12 +322,13 @@ def decode_box_rows(pred: PredictionRows, rows: list[int],
     return out
 
 
-def step_decisions(det: Detector, trace: DecoderTrace, scene: Scene,
-                   s: int) -> DetachedDecisions:
+def step_decisions(det: Detector, trace: DecoderTrace, preds: list[PredictionRows],
+                   scene: Scene, s: int) -> DetachedDecisions:
     """Every detached decision of a step, from the decoder's outputs.
 
-    Group g owns rows [g*s, (g+1)*s) of every layer: n learnable rows, then
-    the noisy rows, where noisy row n + j*k + i reconstructs ground truth i.
+    ``preds`` holds the head outputs of every layer of ``trace``. Group g
+    owns rows [g*s, (g+1)*s) of every layer: n learnable rows, then the
+    noisy rows, where noisy row n + j*k + i reconstructs ground truth i.
     Each layer and group gets a Hungarian assignment of its learnable rows.
     With distillation on, each group also gets the final layer's matched
     learnable rows and all its noisy rows, their 3D IoU with their ground
@@ -330,8 +337,7 @@ def step_decisions(det: Detector, trace: DecoderTrace, scene: Scene,
     cfg = det.cfg
     n, gts = cfg.queries_per_group, scene.objects
     assignments = []
-    for layer in trace.layers:
-        pred = layer.predictions
+    for pred in preds:
         probs, centers, boxes = pred.class_probs(), pred.centers.data, pred.corner_boxes_array()
         assignments.append([
             hungarian(matching_cost(probs[g * s:g * s + n], centers[g * s:g * s + n],
@@ -340,10 +346,8 @@ def step_decisions(det: Detector, trace: DecoderTrace, scene: Scene,
 
     rows, row_weights, teacher = [], [], []
     if cfg.lambda_distill > 0 and cfg.layers > 1 and gts:
-        final = trace.layers[-1]
         gt_boxes = [b for _, b in scene.gt_boxes3d()]
-        all_boxes = decode_box_rows(final.predictions, list(range(final.predictions.rows)),
-                                    scene.intrinsics)
+        all_boxes = decode_box_rows(preds[-1], list(range(preds[-1].rows)), scene.intrinsics)
         noisy_rows = list(range(n, s))
         for g, assign in enumerate(assignments[-1]):
             boxes = all_boxes[g * s:(g + 1) * s]
@@ -351,7 +355,7 @@ def step_decisions(det: Detector, trace: DecoderTrace, scene: Scene,
                            for r in noisy_rows])
             rows.append([g * s + r for r in assign.query_indices() + noisy_rows])
             row_weights.append(np.concatenate([iou_weights(boxes, assign, gt_boxes), nw]))
-        teacher = [final.queries.data[r] for r in rows]
+        teacher = [trace.layers[-1].queries.data[r] for r in rows]
     return DetachedDecisions(assignments=assignments, distill_rows=rows,
                              distill_weights=row_weights, teacher_rows=teacher)
 
@@ -369,11 +373,11 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     n, gts, weights = cfg.queries_per_group, scene.objects, cfg.loss_weights
     memory = det.encode_features(scene.grid)
     queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
-    trace = det.decoder_forward(memory, queries, refs, mask)
+    trace = det.decoder_forward(memory, queries, mask)
+    preds = [det.apply_heads(layer.queries, refs) for layer in trace.layers]
     s = mask.size
-    decisions = step_decisions(det, trace, scene, s) if replay is None else replay
+    decisions = step_decisions(det, trace, preds, scene, s) if replay is None else replay
 
-    preds = [layer.predictions for layer in trace.layers]
     detection = nm.Tensor(0.0)
     for pred, layer_assign in zip(preds, decisions.assignments):
         for g, assign in enumerate(layer_assign):
@@ -404,14 +408,16 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
     """Detections from the first group's learnable queries, no noisy blocks.
 
     Queries with maximum class confidence below the configured threshold are
-    discarded; there is no non-maximum suppression.
+    discarded; there is no non-maximum suppression. Nothing is recorded on
+    the tape, and the heads decode the final layer's rows only.
     """
     cfg = det.cfg
     n = cfg.queries_per_group
-    memory = det.encode_features(scene.grid)
-    queries, refs = det.learnable_queries(1)
-    trace = det.decoder_forward(memory, queries, refs, build_denoising_mask(n, 0, 0))
-    pred = trace.layers[-1].predictions
+    with nm.no_grad():
+        memory = det.encode_features(scene.grid)
+        queries, refs = det.learnable_queries(1)
+        trace = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
+        pred = det.apply_heads(trace.layers[-1].queries, refs)
     probs = pred.class_probs()
     detections = []
     boxes = decode_box_rows(pred, list(range(n)), scene.intrinsics)

@@ -5,7 +5,13 @@ means/log-variances, logits, losses) lives in a :class:`Tensor`. Forward
 operations record their inputs and a vector-Jacobian closure; calling
 :func:`backward` on a scalar loss walks the recorded graph once in reverse
 topological order and accumulates gradients into the ``requires_grad``
-leaves on the path, such as parameters.
+leaves on the path, such as parameters. A non-finite loss stops
+:func:`backward` with an error naming the first non-finite tensor.
+
+Inside :func:`no_grad` the same ops compute the same values but record
+nothing: inference and finite-difference probes, which need only values,
+keep no graph alive. A value that only the backward pass reads is computed
+in the VJP, not in the forward op, so untaped calls do not pay for it.
 
 The module holds only the operations the detector runs. Reference ops that
 only the tests compose (matmul, softmax, elementwise min/max and the like)
@@ -20,7 +26,8 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +38,7 @@ __all__ = [
     "DegenerateMaskError",
     "DoubleBackwardError",
     "backward",
+    "no_grad",
     "linear",
     "relu",
     "sigmoid",
@@ -135,10 +143,31 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+# Cleared inside no_grad(): ops then record nothing on the tape.
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the enclosed ops as plain array arithmetic, recording no tape.
+
+    Every op output inside the block has ``requires_grad`` False, no parents
+    and no VJP closure, so it keeps no input alive. Values are bitwise those
+    of the taped ops. The previous state is restored on exit, also when the
+    block raises, so blocks nest.
+    """
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if _recording and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = parents
         out._vjp = vjp
     return out
@@ -231,8 +260,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow; derivative is sigmoid(x)."""
-    sig = _sigmoid(a.data)
-    return _node(_softplus(a.data), (a,), lambda g: (g * sig,))
+    return _node(_softplus(a.data), (a,), lambda g: (g * _sigmoid(a.data),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -242,8 +270,8 @@ def exp(a: Tensor) -> Tensor:
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Elementwise clip; gradient is zero outside [lo, hi]."""
-    inside = (a.data >= lo) & (a.data <= hi)
-    return _node(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+    return _node(np.clip(a.data, lo, hi), (a,),
+                 lambda g: (g * ((a.data >= lo) & (a.data <= hi)),))
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -297,18 +325,21 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     p.flags.writeable = False  # the backward reads it
+    out = merge(p @ vh, rows)
 
     def vjp(g):
         gh = split(g, rows)
         ds = gh @ vh.swapaxes(-1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        # rowsum(dP * P) = rowsum(dO * O) per head: an (R, dh) product
+        # instead of an (R, T) one (FlashAttention, arXiv 2205.14135).
+        ds -= (gh * split(out, rows)).sum(axis=-1, keepdims=True)
         ds *= p
         ds *= scale
         return (merge(ds @ kh, rows) if q.requires_grad else None,
                 merge(ds.swapaxes(-1, -2) @ qh, cols) if k.requires_grad else None,
                 merge(p.swapaxes(-1, -2) @ gh, cols) if v.requires_grad else None)
 
-    return _node(merge(p @ vh, rows), (q, k, v), vjp), p
+    return _node(out, (q, k, v), vjp), p
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -549,9 +580,9 @@ def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
         if t.data.ndim != 2 or t.data.shape[1] != width:
             raise ShapeError(f"concat_rows: widths differ ({t.data.shape} vs width {width})")
     out = np.concatenate([t.data for t in ts], axis=0)
-    offsets = np.cumsum([0] + [t.data.shape[0] for t in ts])
 
     def vjp(g):
+        offsets = np.cumsum([0] + [t.data.shape[0] for t in ts])
         return tuple(g[offsets[i]:offsets[i + 1]] if t.requires_grad else None
                      for i, t in enumerate(ts))
 
@@ -567,9 +598,9 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
         if t.data.ndim != 2 or t.data.shape[0] != rows:
             raise ShapeError(f"concat_cols: row counts differ ({t.data.shape} vs {rows})")
     out = np.concatenate([t.data for t in ts], axis=1)
-    offsets = np.cumsum([0] + [t.data.shape[1] for t in ts])
 
     def vjp(g):
+        offsets = np.cumsum([0] + [t.data.shape[1] for t in ts])
         return tuple(g[:, offsets[i]:offsets[i + 1]] if t.requires_grad else None
                      for i, t in enumerate(ts))
 
@@ -612,6 +643,9 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
     If ``store`` is given, parameters that the loss does not reach receive an
     explicit zero gradient. Calling twice on the same loss raises
     :class:`DoubleBackwardError`; rebuild the graph (a new step) to reset.
+    A non-finite loss raises FloatingPointError naming the first non-finite
+    tensor on its tape, in topological order: an op by name and shape, or a
+    parameter of ``store`` by its name.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -635,6 +669,9 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
+    if not np.isfinite(loss.data).all():
+        raise FloatingPointError(f"backward: loss is {float(loss.data)!r}; "
+                                 f"{_first_non_finite(order, store)}")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
@@ -663,6 +700,23 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
         for t in store.tensors():
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
+
+
+def _first_non_finite(order: list[Tensor], store: "ParameterStore | None") -> str:
+    """Describe the first tensor of ``order`` holding a NaN or an infinity.
+
+    Parents precede their outputs in ``order``, so every recorded input of
+    the named tensor is finite: it is where the non-finite values start.
+    ``order`` ends with the non-finite loss, so there is always one. An op
+    is named by the function that made its VJP.
+    """
+    t = next(t for t in order if not np.isfinite(t.data).all())
+    if t._vjp is not None:
+        what = f"{t._vjp.__qualname__.split('.')[0]} output"
+    else:
+        names = {id(p): name for name, p in store.items()} if store is not None else {}
+        what = f"parameter {names[id(t)]!r}" if id(t) in names else "leaf"
+    return f"first non-finite tensor: {what} {t.data.shape}"
 
 
 class ParameterStore:

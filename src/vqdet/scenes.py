@@ -143,8 +143,8 @@ def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: str,
     grid = np.zeros((f, f, cfg.input_channels))
     nc = cfg.num_classes
     for gt in objects:
-        sigma_u = float(np.clip((gt.l + gt.r) / 2 * 0.6, 0.03, 0.25))
-        sigma_v = float(np.clip((gt.t + gt.b) / 2 * 0.6, 0.03, 0.25))
+        sigma_u = float(min(max((gt.l + gt.r) / 2 * 0.6, 0.03), 0.25))
+        sigma_v = float(min(max((gt.t + gt.b) / 2 * 0.6, 0.03), 0.25))
         _splat(grid, {
             gt.c: 1.0,
             nc: 10.0 / gt.d,

@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vqdet import numerics as nm
+from vqdet.attention import build_denoising_mask
 from vqdet.geometry import NoiseConfig
 from vqdet.model import (
     Detector,
     DetectorConfig,
+    decode_box_rows,
     inference,
     step_decisions,
     training_loss,
@@ -76,8 +78,8 @@ class TestDecoderForward:
         det = Detector(cfg, seed=1)
         scene = _scene(2, cfg=SceneConfig(feature_size=4, num_classes=2))
         memory = det.encode_features(scene.grid)
-        queries, refs, mask, _ = det.build_group_inputs(None, DETERMINISTIC)
-        trace = det.decoder_forward(memory, queries, refs, mask)
+        queries, _, mask, _ = det.build_group_inputs(None, DETERMINISTIC)
+        trace = det.decoder_forward(memory, queries, mask)
         assert len(trace.layers) == 1
         assert trace.layers[0].queries.data.shape == (2, 8)
 
@@ -89,9 +91,9 @@ class TestDecoderForward:
         memory = det.encode_features(scene.grid)
 
         q_with, refs_with, mask_with, _ = det.build_group_inputs(noisy, VARIATIONAL)
-        trace_with = det.decoder_forward(memory, q_with, refs_with, mask_with)
+        trace_with = det.decoder_forward(memory, q_with, mask_with)
         q_without, refs_without, mask_without, _ = det.build_group_inputs(None, VARIATIONAL)
-        trace_without = det.decoder_forward(memory, q_without, refs_without, mask_without)
+        trace_without = det.decoder_forward(memory, q_without, mask_without)
 
         n, s = TINY.queries_per_group, mask_with.size
         assert s > n
@@ -99,7 +101,8 @@ class TestDecoderForward:
             for g in range(TINY.groups):
                 assert_array_equal(lw.queries.data[g * s:g * s + n],
                                    lo.queries.data[g * n:(g + 1) * n])
-                pw, po = lw.predictions, lo.predictions
+                pw = det.apply_heads(lw.queries, refs_with)
+                po = det.apply_heads(lo.queries, refs_without)
                 assert_array_equal(pw.class_logits.data[g * s:g * s + n],
                                    po.class_logits.data[g * n:(g + 1) * n])
                 assert_array_equal(pw.centers.data[g * s:g * s + n],
@@ -110,8 +113,8 @@ class TestDecoderForward:
         scene = _scene(6)
         noisy = _noisy(det, scene)
         memory = det.encode_features(scene.grid)
-        queries, refs, mask, _ = det.build_group_inputs(noisy, VARIATIONAL)
-        trace = det.decoder_forward(memory, queries, refs, mask)
+        queries, _, mask, _ = det.build_group_inputs(noisy, VARIATIONAL)
+        trace = det.decoder_forward(memory, queries, mask)
         for layer in trace.layers:
             for attn in layer.attention:
                 np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
@@ -193,6 +196,15 @@ class TestTrainingLoss:
         again = training_loss(det, scene, noisy, DenoisingConfig(), replay=d)
         assert again.total.data.tobytes() == first.total.data.tobytes()
 
+    def test_planted_nan_parameter_is_named_by_backward(self):
+        det = Detector(TINY, seed=29)
+        scene = _scene(30, num_objects=2)
+        det.store["refiner.2.b"].data[3] = np.nan  # reaches only the distillation term
+        out = training_loss(det, scene, _noisy(det, scene), DenoisingConfig())
+        assert np.isfinite(out.detection.item()) and np.isnan(out.total.item())
+        with pytest.raises(FloatingPointError, match=r"parameter 'refiner\.2\.b' \(8,\)"):
+            nm.backward(out.total, det.store)
+
     def test_fixed_noise_fixed_loss(self):
         det = Detector(TINY, seed=15)
         scene = _scene(16)
@@ -207,8 +219,9 @@ class TestStepDecisions:
         det = Detector(cfg, seed=31)
         memory = det.encode_features(scene.grid)
         queries, refs, mask, _ = det.build_group_inputs(_noisy(det, scene), VARIATIONAL)
-        trace = det.decoder_forward(memory, queries, refs, mask)
-        return step_decisions(det, trace, scene, mask.size), mask.size
+        trace = det.decoder_forward(memory, queries, mask)
+        preds = [det.apply_heads(layer.queries, refs) for layer in trace.layers]
+        return step_decisions(det, trace, preds, scene, mask.size), mask.size
 
     def test_every_group_gives_one_positive_per_ground_truth(self):
         """G independent matches: each ground truth collects G positives per layer."""
@@ -239,6 +252,24 @@ class TestInference:
                              confidence_threshold=1.0)
         det = Detector(cfg, seed=17)
         assert inference(det, _scene(18)) == []
+
+    def test_equals_final_layer_of_taped_decoder(self):
+        """Untaped, final-layer-only decoding gives the taped path's values bitwise."""
+        det = Detector(replace(TINY, confidence_threshold=0.0), seed=21)
+        scene = _scene(22)
+        memory = det.encode_features(scene.grid)
+        queries, refs = det.learnable_queries(1)
+        n = TINY.queries_per_group
+        trace = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
+        pred = det.apply_heads(trace.layers[-1].queries, refs)
+        assert pred.class_logits.requires_grad
+        boxes = decode_box_rows(pred, list(range(n)), scene.intrinsics)
+        probs, corners = pred.class_probs(), pred.corner_boxes_array()
+        dets = inference(det, scene)
+        assert len(dets) == n
+        for r, d in enumerate(dets):
+            assert d.score == float(probs[r].max()) and d.category == int(probs[r].argmax())
+            assert d.box3d == boxes[r] and d.corners2d == tuple(corners[r])
 
     def test_deterministic(self):
         det = Detector(TINY, seed=19)

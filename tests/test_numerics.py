@@ -136,6 +136,55 @@ def test_backward_twice_raises():
         nm.backward(loss)
 
 
+def test_backward_names_planted_nan_parameter():
+    store = nm.ParameterStore(rng_seed=0)
+    w = store.param("a.w", (3, 2))
+    b = store.param("a.b", (2,), scale=0.0)
+    b.data[1] = np.nan
+    loss = nm.sum_all(nm.softplus(nm.linear(nm.Tensor(np.ones((4, 3))), w, b)))
+    with pytest.raises(FloatingPointError, match=r"parameter 'a\.b' \(2,\)"):
+        nm.backward(loss, store)
+    assert w.grad is None
+
+
+def test_backward_names_first_op_that_overflows():
+    x = nm.Tensor(np.array([[1.0, 800.0]]), requires_grad=True)
+    with np.errstate(over="ignore"):
+        loss = nm.sum_all(nm.relu(nm.exp(x * 2.0)))
+    with pytest.raises(FloatingPointError, match=r"exp output \(1, 2\)"):
+        nm.backward(loss)
+
+
+def _taped_chain(x: nm.Tensor) -> nm.Tensor:
+    return nm.sum_all(nm.softplus(nm.linear(x, x, nm.Tensor(np.ones(2)))) * 2.0)
+
+
+def test_no_grad_records_no_tape_and_same_values():
+    x = nm.Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
+    taped = _taped_chain(x)
+    with nm.no_grad():
+        plain = _taped_chain(x)
+    assert taped.requires_grad and taped._parents
+    assert not plain.requires_grad and plain._parents == () and plain._vjp is None
+    assert plain.data.tobytes() == taped.data.tobytes()
+
+
+def test_no_grad_restored_after_exception_and_nesting():
+    x = nm.Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(nm.ShapeError):
+        with nm.no_grad():
+            nm.linear(x, nm.Tensor(np.ones((3, 2))), nm.Tensor(np.ones(2)))
+    assert _taped_chain(x).requires_grad
+    with nm.no_grad():
+        with nm.no_grad():
+            pass
+        assert not _taped_chain(x).requires_grad
+    loss = _taped_chain(x)
+    assert loss._parents
+    nm.backward(loss)
+    assert x.grad is not None and np.isfinite(x.grad).all()
+
+
 def test_backward_composite_matches_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 4))
