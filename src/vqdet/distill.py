@@ -8,7 +8,8 @@ query's term is scaled by the final prediction's 3D IoU with its ground
 truth, so knowledge flows preferentially out of the good final queries. The
 teacher side is off the tape: distillation never drags the final layer
 toward the students. The student rows of every non-final layer and group are
-stacked, so the refiner and the loss run once per step.
+gathered from the step's layer-major stack of decoder rows in one op, so the
+refiner and the loss run once per step.
 """
 
 from __future__ import annotations
@@ -59,34 +60,34 @@ def iou_weights(decoded_boxes: list[OrientedBox3D], assignment: Assignment,
                      for q, g in assignment.pairs])
 
 
-def forward_looking_distill(layer_queries: list[Tensor],
+def forward_looking_distill(stack: Tensor, layers: int,
                             row_indices: list[list[int]],
                             row_weights: list[np.ndarray],
                             refiner: RefinerParams,
                             teacher_rows: list[np.ndarray]) -> Tensor:
     """Sum over non-final layers of the weighted query-alignment loss.
 
-    ``layer_queries[i]`` is layer i's output rows for all groups; the last
-    layer is the teacher. ``row_indices[g]`` selects group g's supervised
-    rows of those tensors (final-matched learnable rows plus all noisy rows),
-    ``row_weights[g]`` their IoU weights and ``teacher_rows[g]`` the final
-    layer's values at those rows, constants taken off the tape. Per layer
-    the loss averages over queries within a group and over groups; with no
-    groups it is 0.
+    ``stack`` holds the output rows of ``layers`` decoder layers, layer-major,
+    each layer's rows for all groups; the last layer is the teacher.
+    ``row_indices[g]`` selects group g's supervised rows of one layer
+    (final-matched learnable rows plus all noisy rows), ``row_weights[g]``
+    their IoU weights and ``teacher_rows[g]`` the final layer's values at
+    those rows, constants taken off the tape. Per layer the loss averages
+    over queries within a group and over groups; with no groups it is 0.
 
     The row weights handed to the one weighted smooth-L1 carry the
     1 / (rows in the group * groups) normaliser.
     """
-    students = layer_queries[:-1]
+    students = layers - 1
     kept = [g for g, idx in enumerate(row_indices) if idx]
     if not students or not kept:
         return nm.Tensor(0.0)
     groups = len(row_indices)
-    stride = students[0].data.shape[0]
-    idx = [layer * stride + i for layer in range(len(students))
+    stride = stack.data.shape[0] // layers
+    idx = [layer * stride + i for layer in range(students)
            for g in kept for i in row_indices[g]]
     weights = np.concatenate([row_weights[g] / (len(row_indices[g]) * groups) for g in kept])
     teacher = np.concatenate([teacher_rows[g] for g in kept])
-    refined = refine(nm.gather_rows(nm.concat_rows(students), idx), refiner)
-    return nm.weighted_row_smooth_l1(refined, nm.Tensor(np.tile(teacher, (len(students), 1))),
-                                     np.tile(weights, len(students)))
+    refined = refine(nm.gather_rows(stack, idx), refiner)
+    return nm.weighted_row_smooth_l1(refined, nm.Tensor(np.tile(teacher, (students, 1))),
+                                     np.tile(weights, students))

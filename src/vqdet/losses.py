@@ -1,13 +1,13 @@
 """Per-component set-prediction losses shared by detection and denoising.
 
-One decoder layer's head outputs for every stacked row are a
+The head outputs of every decoder layer's stacked rows are one
 :class:`PredictionRows` bundle, and a block is a set of its rows: one
-group's learnable queries, or one noisy block. The component loss reads the
-block in place. It applies sigmoid focal classification over every row of
-the block (positives one-hot, the rest background) and L1 / GIoU regression
-over the positive rows only. Each component is normalized by the positive
-count, so magnitudes do not scale with the number of objects; the weighted
-sum uses :class:`LossWeights`.
+layer's learnable queries of one group, or one noisy block. The component
+loss reads the block in place. It applies sigmoid focal classification over
+every row of the block (positives one-hot, the rest background) and L1 /
+GIoU regression over the positive rows only. Each component is normalized
+by the positive count, so magnitudes do not scale with the number of
+objects; the weighted sum uses :class:`LossWeights`.
 
 Each term is a single tape op with a closed-form gradient, defined in
 :mod:`numerics` and re-exported here: ``focal_loss``, ``corner_boxes``,
@@ -57,10 +57,6 @@ class PredictionRows:
     size3d: Tensor        # (rows, 3)
     angle: Tensor         # (rows, 2)
     depth: Tensor         # (rows, 1)
-
-    @property
-    def rows(self) -> int:
-        return self.class_logits.data.shape[0]
 
     def class_probs(self) -> np.ndarray:
         """Detached per-class sigmoid probabilities, for matching/inference."""

@@ -7,8 +7,9 @@ N learnable queries first, then C noisy blocks of K. The decoder runs L
 pre-norm layers once over all rows, each applying mask-separated
 self-attention within every group, then cross-attention over the encoded
 grid, then a feed-forward block, and returns every layer's rows. Shared
-prediction heads decode the rows a caller reads: the training loss decodes
-every layer, one layer at a time, for deep supervision. Learnable queries
+prediction heads decode the rows a caller reads: the training loss stacks
+the L layers' rows layer-major, so layer l owns rows [l*G*S, (l+1)*G*S), and
+decodes the stack in one call for deep supervision. Learnable queries
 carry learned 2D reference points; noisy queries anchor at their noised box
 center. Inference stacks the first group's learnable queries alone, so its
 outputs depend on the weights and the scene alone, never on training-time
@@ -16,16 +17,19 @@ configuration. It records no tape (:func:`numerics.no_grad`) and decodes
 only the final layer's rows.
 
 The training loss first makes every detached decision of the step
-(:func:`step_decisions`: the Hungarian assignments, and the distillation
-rows, IoU weights and teacher values), then scores the stacked head outputs
-under those decisions. A replayed step passes earlier decisions and shares
-the scoring, so it is the function the tape differentiates.
+(:func:`step_decisions`: one matching cost for every layer and group, their
+Hungarian assignments, and the distillation rows, IoU weights and teacher
+values), then scores the stacked head outputs under those decisions: the
+detection, denoising and distillation terms all read the one stack. A
+replayed step passes earlier decisions and shares the scoring, so it is the
+function the tape differentiates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,11 +68,9 @@ class DetectorConfig:
     layers: int = 4
     feature_size: int = 16
     num_classes: int = 3
-    lambda_det: float = 1.0
     lambda_dn: float = 1.0
     lambda_distill: float = 0.5
     confidence_threshold: float = 0.2
-    ffn_multiplier: int = 2
     matcher: MatcherWeights = MatcherWeights()
     loss_weights: LossWeights = LossWeights()
 
@@ -80,7 +82,7 @@ class DetectorConfig:
         if min(self.groups, self.queries_per_group, self.heads, self.layers,
                self.feature_size, self.num_classes) < 1 or self.noisy_groups < 0:
             raise ValueError("counts must be positive (noisy_groups may be 0)")
-        if min(self.lambda_det, self.lambda_dn, self.lambda_distill) < 0:
+        if min(self.lambda_dn, self.lambda_distill) < 0:
             raise ValueError("loss weights must be nonnegative")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must lie in [0, 1]")
@@ -96,17 +98,6 @@ def sincos_positions_2d(size: int, width: int) -> np.ndarray:
     rows = np.repeat(per_axis, size, axis=0)       # v varies slowly
     cols = np.tile(per_axis, (size, 1))            # u varies quickly
     return np.concatenate([cols, rows], axis=1)
-
-
-@dataclass
-class LayerTrace:
-    queries: Tensor              # (G*S, D), group-major
-    attention: np.ndarray        # (G, S, S), head-averaged
-
-
-@dataclass
-class DecoderTrace:
-    layers: list[LayerTrace]
 
 
 @dataclass
@@ -127,7 +118,7 @@ class DetachedDecisions:
     """
 
     assignments: list[list[Assignment]]  # [layer][group], rows of the group
-    distill_rows: list[list[int]]        # [group], rows of the stack
+    distill_rows: list[list[int]]        # [group], rows of one layer
     distill_weights: list[np.ndarray]    # [group]
     teacher_rows: list[np.ndarray]       # [group]
 
@@ -173,7 +164,7 @@ class Detector:
     def _build(self) -> None:
         cfg = self.cfg
         d = cfg.width
-        hidden = cfg.ffn_multiplier * d
+        hidden = 2 * d
         self.enc_proj = self._linear("enc.proj", self.input_channels, d)
         self.enc_attn = attention_params(self.store, "enc.attn", d)
         self.enc_ln1 = self._ln("enc.ln1")
@@ -280,15 +271,16 @@ class Detector:
             depth=nm.softplus(nm.linear(h, *self.head_depth)),
         )
 
-    def decoder_forward(self, memory: Tensor, queries: Tensor,
-                        mask: AttentionMask) -> DecoderTrace:
+    def decoder_forward(self, memory: Tensor, queries: Tensor, mask: AttentionMask
+                        ) -> tuple[list[Tensor], list[np.ndarray]]:
         """Every layer once over all stacked rows; memory K/V once per layer.
 
-        Returns each layer's rows and self-attention map; the caller applies
-        :meth:`apply_heads` to the rows it reads.
+        Returns each layer's (G*S, D) rows and its head-averaged (G, S, S)
+        self-attention map; the caller applies :meth:`apply_heads` to the
+        rows it reads.
         """
         cfg = self.cfg
-        layers = []
+        rows, maps = [], []
         q = queries
         for i in range(cfg.layers):
             (ln1, ln2, ln3) = self.dec_lns[i]
@@ -300,11 +292,12 @@ class Detector:
                 nm.layer_norm(q, *ln2), memory, self.dec_cross[i], cfg.heads)
             hidden = nm.relu(nm.linear(nm.layer_norm(q, *ln3), *ffn1))
             q = q + nm.linear(hidden, *ffn2)
-            layers.append(LayerTrace(queries=q, attention=attn))
-        return DecoderTrace(layers=layers)
+            rows.append(q)
+            maps.append(attn)
+        return rows, maps
 
 
-def decode_box_rows(pred: PredictionRows, rows: list[int],
+def decode_box_rows(pred: PredictionRows, rows: Sequence[int],
                     intrinsics) -> list[OrientedBox3D]:
     """Detached 3D boxes for the given query rows (for IoU weights / eval)."""
     centers = pred.centers.data
@@ -322,32 +315,33 @@ def decode_box_rows(pred: PredictionRows, rows: list[int],
     return out
 
 
-def step_decisions(det: Detector, trace: DecoderTrace, preds: list[PredictionRows],
+def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
                    scene: Scene, s: int) -> DetachedDecisions:
     """Every detached decision of a step, from the decoder's outputs.
 
-    ``preds`` holds the head outputs of every layer of ``trace``. Group g
-    owns rows [g*s, (g+1)*s) of every layer: n learnable rows, then the
-    noisy rows, where noisy row n + j*k + i reconstructs ground truth i.
-    Each layer and group gets a Hungarian assignment of its learnable rows.
+    ``stack`` holds every layer's rows, layer-major, and ``pred`` their head
+    outputs: block b = l*G + g, layer l's group g, owns rows [b*s, (b+1)*s)
+    of both, n learnable rows, then the noisy rows, where noisy row
+    n + j*k + i reconstructs ground truth i. One matching cost over the
+    learnable rows of every block gives each block its Hungarian assignment.
     With distillation on, each group also gets the final layer's matched
     learnable rows and all its noisy rows, their 3D IoU with their ground
     truths, and the final layer's query values there.
     """
     cfg = det.cfg
-    n, gts = cfg.queries_per_group, scene.objects
-    assignments = []
-    for pred in preds:
-        probs, centers, boxes = pred.class_probs(), pred.centers.data, pred.corner_boxes_array()
-        assignments.append([
-            hungarian(matching_cost(probs[g * s:g * s + n], centers[g * s:g * s + n],
-                                    boxes[g * s:g * s + n], gts, cfg.matcher))
-            for g in range(cfg.groups)])
+    n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
+    learnable = (np.arange(cfg.layers * groups)[:, None] * s + np.arange(n)).ravel()
+    cost = matching_cost(pred.class_probs()[learnable], pred.centers.data[learnable],
+                         pred.corner_boxes_array()[learnable], gts, cfg.matcher)
+    assignments = [[hungarian(cost[b * n:(b + 1) * n])
+                    for b in range(layer * groups, (layer + 1) * groups)]
+                   for layer in range(cfg.layers)]
 
     rows, row_weights, teacher = [], [], []
     if cfg.lambda_distill > 0 and cfg.layers > 1 and gts:
         gt_boxes = [b for _, b in scene.gt_boxes3d()]
-        all_boxes = decode_box_rows(preds[-1], list(range(preds[-1].rows)), scene.intrinsics)
+        final = (cfg.layers - 1) * groups * s
+        all_boxes = decode_box_rows(pred, range(final, final + groups * s), scene.intrinsics)
         noisy_rows = list(range(n, s))
         for g, assign in enumerate(assignments[-1]):
             boxes = all_boxes[g * s:(g + 1) * s]
@@ -355,7 +349,7 @@ def step_decisions(det: Detector, trace: DecoderTrace, preds: list[PredictionRow
                            for r in noisy_rows])
             rows.append([g * s + r for r in assign.query_indices() + noisy_rows])
             row_weights.append(np.concatenate([iou_weights(boxes, assign, gt_boxes), nw]))
-        teacher = [trace.layers[-1].queries.data[r] for r in rows]
+        teacher = [stack.data[final:][r] for r in rows]
     return DetachedDecisions(assignments=assignments, distill_rows=rows,
                              distill_weights=row_weights, teacher_rows=teacher)
 
@@ -365,39 +359,44 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
                   replay: DetachedDecisions | None = None) -> StepLoss:
     """Full per-scene loss with deep supervision on every decoder layer.
 
-    The step's decisions come from :func:`step_decisions`, or from
-    ``replay``, decisions of an earlier call; under pinned decisions the loss
-    is a pure differentiable function of the parameters.
+    The L layers' rows are stacked once, layer-major, and the shared heads
+    decode the stack in one call; every term reads that one bundle. The
+    step's decisions come from :func:`step_decisions`, or from ``replay``,
+    decisions of an earlier call; under pinned decisions the loss is a pure
+    differentiable function of the parameters.
     """
     cfg = det.cfg
     n, gts, weights = cfg.queries_per_group, scene.objects, cfg.loss_weights
     memory = det.encode_features(scene.grid)
     queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
-    trace = det.decoder_forward(memory, queries, mask)
-    preds = [det.apply_heads(layer.queries, refs) for layer in trace.layers]
+    layer_rows, maps = det.decoder_forward(memory, queries, mask)
+    stack = nm.concat_rows(layer_rows)
+    pred = det.apply_heads(stack, nm.concat_rows([refs] * cfg.layers))
     s = mask.size
-    decisions = step_decisions(det, trace, preds, scene, s) if replay is None else replay
+    decisions = step_decisions(det, stack, pred, scene, s) if replay is None else replay
 
+    # block b = l*G + g starts at row b*s of the stack
     detection = nm.Tensor(0.0)
-    for pred, layer_assign in zip(preds, decisions.assignments):
-        for g, assign in enumerate(layer_assign):
-            detection = detection + component_loss(
-                pred, range(g * s, g * s + n), [g * s + q for q in assign.query_indices()],
-                [gts[j] for j in assign.gt_indices()], weights)
-    # noisy block j of group g: rows g*s + n + j*k onwards, one per ground truth
+    for b, assign in enumerate(a for layer in decisions.assignments for a in layer):
+        detection = detection + component_loss(
+            pred, range(b * s, b * s + n), [b * s + q for q in assign.query_indices()],
+            [gts[j] for j in assign.gt_indices()], weights)
+    # noisy block j of block b: rows b*s + n + j*k onwards, one per ground truth
     k = len(gts)
-    blocks = [range(g * s + lo, g * s + lo + k)
-              for g in range(cfg.groups) for lo in range(n, s, k)] if k else []
-    dn = denoising_loss(preds, blocks, gts, dist, dn_cfg, weights)
+    groups = cfg.groups
+    blocks = [[range(b * s + lo, b * s + lo + k)
+               for b in range(layer * groups, (layer + 1) * groups) for lo in range(n, s, k)]
+              for layer in range(cfg.layers)] if k else []
+    dn = denoising_loss(pred, blocks, gts, dist, dn_cfg, weights)
     distillation = forward_looking_distill(
-        [layer.queries for layer in trace.layers], decisions.distill_rows,
-        decisions.distill_weights, det.refiner, decisions.teacher_rows)
+        stack, cfg.layers, decisions.distill_rows, decisions.distill_weights,
+        det.refiner, decisions.teacher_rows)
 
     total = nm.weighted_sum([detection, dn.total, distillation],
-                            [cfg.lambda_det, cfg.lambda_dn, cfg.lambda_distill])
+                            [1.0, cfg.lambda_dn, cfg.lambda_distill])
     return StepLoss(total=total, detection=detection, denoising=dn,
                     distillation=distillation, decisions=decisions,
-                    attention_maps=trace.layers[-1].attention)
+                    attention_maps=maps[-1])
 
 
 def iou3d_pair(a: OrientedBox3D, b: OrientedBox3D) -> float:
@@ -416,11 +415,11 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
     with nm.no_grad():
         memory = det.encode_features(scene.grid)
         queries, refs = det.learnable_queries(1)
-        trace = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
-        pred = det.apply_heads(trace.layers[-1].queries, refs)
+        rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
+        pred = det.apply_heads(rows[-1], refs)
     probs = pred.class_probs()
     detections = []
-    boxes = decode_box_rows(pred, list(range(n)), scene.intrinsics)
+    boxes = decode_box_rows(pred, range(n), scene.intrinsics)
     corners = pred.corner_boxes_array()
     for r in range(n):
         score = float(probs[r].max())

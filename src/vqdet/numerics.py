@@ -19,7 +19,8 @@ live beside the oracles that use them, in ``tests/oracles.py``.
 
 The tape is rebuilt from scratch each training step and is single-threaded
 within a step. Data is always float64; there is no broadcasting beyond the
-three cases the model needs (same shape, matrix + row vector, scalar).
+two cases the model needs (same shape, and a scalar operand); ``linear``
+adds its own bias.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Arithmetic. Shapes must match exactly, except that a (r, c) matrix
-    # accepts a (c,) row vector and any tensor accepts a python scalar.
+    # Arithmetic. Shapes must match exactly, except that any tensor accepts
+    # a 0-d tensor or a python scalar.
 
     def __add__(self, other):
         return _add(self, _as_tensor(other))
@@ -174,26 +175,14 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
 
 def _reduce_to(shape: tuple[int, ...], g: np.ndarray) -> np.ndarray:
-    """Sum a gradient down to ``shape`` for the supported broadcast cases."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.asarray(g.sum())
-    # (r, c) gradient flowing into a (c,) row vector
-    if len(shape) == 1 and g.ndim == 2 and g.shape[1] == shape[0]:
-        return g.sum(axis=0)
-    raise ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
+    """Sum a gradient down to ``shape``: itself, or a scalar operand's total."""
+    return g if g.shape == shape else np.asarray(g.sum())
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
     sa, sb = a.data.shape, b.data.shape
-    if sa == sb or sa == () or sb == ():
-        return
-    if len(sa) == 2 and sb == (sa[1],):
-        return
-    if len(sb) == 2 and sa == (sb[1],):
-        return
-    raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
+    if not (sa == sb or sa == () or sb == ()):
+        raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
 
 
 def _add(a: Tensor, b: Tensor) -> Tensor:
@@ -797,9 +786,9 @@ def save_checkpoint(store: ParameterStore, path) -> None:
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into a name -> array map.
 
-    A truncated file, bytes after the last record, a name that appears
-    twice, or a record count other than the header's raise ValueError naming
-    the path and the record.
+    A truncated file, bytes after the last record, a name that is not
+    UTF-8 or appears twice, or a record count other than the header's raise
+    ValueError naming the path and the record.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -829,7 +818,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                              f"{len(out)} records, where {record} would start")
         (nlen,) = struct.unpack_from("<I", blob, take(4, record))
         start = take(nlen, record)
-        name = blob[start:start + nlen].decode("utf-8")
+        try:
+            name = blob[start:start + nlen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {record} has a name that is not UTF-8: {exc}") from exc
         record = f"record {len(out)} ({name!r})"
         if name in out:
             raise ValueError(f"{path}: {record} repeats a parameter name")

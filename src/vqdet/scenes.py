@@ -184,6 +184,11 @@ def save_dataset(scenes: list[Scene], path) -> None:
 
 
 def load_dataset(path) -> list[Scene]:
+    """Read scenes back; each object must pass ``GroundTruthObject.validate``.
+
+    The class count is the grid's channel count minus 3. A malformed line
+    raises :class:`DatasetError` naming the path and the line.
+    """
     scenes = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -197,9 +202,11 @@ def load_dataset(path) -> list[Scene]:
                 shape = tuple(rec["grid_shape"])
                 grid = np.frombuffer(base64.b64decode(rec["grid_b64"]),
                                      dtype="<f8").reshape(shape).astype(np.float64)
+                for obj in objects:
+                    obj.validate(num_classes=shape[-1] - 3)
                 scenes.append(Scene(scene_id=rec["scene_id"], seed=int(rec["seed"]),
                                     intrinsics=intr, objects=objects, grid=grid))
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, IndexError, ValueError, TypeError) as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
     return scenes
 

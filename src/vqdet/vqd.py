@@ -5,7 +5,9 @@ Noisy ground-truth boxes are embedded into a per-query latent Gaussian
 gradient of the reconstruction loss reaches the embedding through mu and
 log_var but never through the noise sample. The deterministic mode short-
 circuits sampling to mu and drops the KL term, which is the conventional
-denoising baseline the variational scheme is compared against.
+denoising baseline the variational scheme is compared against. The
+denoising loss reads every layer's noisy blocks from the one stacked
+:class:`PredictionRows` bundle of the step, one ``component_loss`` per block.
 """
 
 from __future__ import annotations
@@ -124,25 +126,22 @@ class DenoisingLoss:
     kl: Tensor
 
 
-def denoising_loss(layers: Sequence[PredictionRows], blocks: Sequence[Sequence[int]],
+def denoising_loss(pred: PredictionRows, layer_blocks: Sequence[Sequence[Sequence[int]]],
                    targets: Sequence[GroundTruthObject], dist: LatentDistribution | None,
                    cfg: DenoisingConfig, weights: LossWeights) -> DenoisingLoss:
     """Reconstruction loss over the noisy blocks plus the KL term.
 
-    ``layers`` holds every decoder layer's stacked head outputs, and each
-    entry of ``blocks`` lists one noisy block's rows, the same in every
-    layer. Row i of a block reconstructs ``targets[i]``, so every row is
+    ``pred`` holds the stacked head outputs of every decoder layer, and
+    ``layer_blocks[l]`` lists layer l's noisy blocks, each block its rows of
+    ``pred``. Row i of a block reconstructs ``targets[i]``, so every row is
     positive. Reconstruction averages over the blocks of a layer and sums
     over layers, mirroring deep supervision. The KL term is computed once
     from the latent distribution, skipped in deterministic mode.
     """
-    for block in blocks:
-        if len(block) != len(targets):
-            raise ValueError(f"block has {len(block)} rows but {len(targets)} targets")
     zero = nm.Tensor(0.0)
     recon = zero
-    if blocks:
-        for pred in layers:
+    for blocks in layer_blocks:
+        if blocks:
             terms = [component_loss(pred, block, block, targets, weights) for block in blocks]
             recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
 

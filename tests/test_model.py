@@ -1,12 +1,17 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from vqdet import model
 from vqdet import numerics as nm
 from vqdet.attention import build_denoising_mask
+from vqdet.distill import refine
 from vqdet.geometry import NoiseConfig
+from vqdet.losses import component_loss
+from vqdet.matching import hungarian, matching_cost
 from vqdet.model import (
     Detector,
     DetectorConfig,
@@ -45,8 +50,10 @@ class TestConfig:
         cfg = DetectorConfig()
         assert (cfg.groups, cfg.queries_per_group, cfg.noisy_groups) == (2, 16, 3)
         assert (cfg.width, cfg.heads, cfg.layers, cfg.feature_size) == (64, 4, 4, 16)
-        assert (cfg.lambda_det, cfg.lambda_dn, cfg.lambda_distill) == (1.0, 1.0, 0.5)
+        assert (cfg.lambda_dn, cfg.lambda_distill) == (1.0, 0.5)
         assert cfg.confidence_threshold == 0.2
+        store = Detector(cfg, seed=0).store
+        assert store["dec0.ffn.1.w"].data.shape == (64, 128)  # FFN width 2 * width
 
 
 class TestEncodeFeatures:
@@ -79,9 +86,9 @@ class TestDecoderForward:
         scene = _scene(2, cfg=SceneConfig(feature_size=4, num_classes=2))
         memory = det.encode_features(scene.grid)
         queries, _, mask, _ = det.build_group_inputs(None, DETERMINISTIC)
-        trace = det.decoder_forward(memory, queries, mask)
-        assert len(trace.layers) == 1
-        assert trace.layers[0].queries.data.shape == (2, 8)
+        rows, maps = det.decoder_forward(memory, queries, mask)
+        assert len(rows) == len(maps) == 1
+        assert rows[0].data.shape == (2, 8)
 
     def test_learnable_path_unchanged_by_noisy_blocks(self):
         """Removing the noisy blocks leaves learnable outputs bit-identical."""
@@ -91,18 +98,17 @@ class TestDecoderForward:
         memory = det.encode_features(scene.grid)
 
         q_with, refs_with, mask_with, _ = det.build_group_inputs(noisy, VARIATIONAL)
-        trace_with = det.decoder_forward(memory, q_with, mask_with)
+        rows_with, _ = det.decoder_forward(memory, q_with, mask_with)
         q_without, refs_without, mask_without, _ = det.build_group_inputs(None, VARIATIONAL)
-        trace_without = det.decoder_forward(memory, q_without, mask_without)
+        rows_without, _ = det.decoder_forward(memory, q_without, mask_without)
 
         n, s = TINY.queries_per_group, mask_with.size
         assert s > n
-        for lw, lo in zip(trace_with.layers, trace_without.layers):
+        for lw, lo in zip(rows_with, rows_without):
             for g in range(TINY.groups):
-                assert_array_equal(lw.queries.data[g * s:g * s + n],
-                                   lo.queries.data[g * n:(g + 1) * n])
-                pw = det.apply_heads(lw.queries, refs_with)
-                po = det.apply_heads(lo.queries, refs_without)
+                assert_array_equal(lw.data[g * s:g * s + n], lo.data[g * n:(g + 1) * n])
+                pw = det.apply_heads(lw, refs_with)
+                po = det.apply_heads(lo, refs_without)
                 assert_array_equal(pw.class_logits.data[g * s:g * s + n],
                                    po.class_logits.data[g * n:(g + 1) * n])
                 assert_array_equal(pw.centers.data[g * s:g * s + n],
@@ -114,9 +120,9 @@ class TestDecoderForward:
         noisy = _noisy(det, scene)
         memory = det.encode_features(scene.grid)
         queries, _, mask, _ = det.build_group_inputs(noisy, VARIATIONAL)
-        trace = det.decoder_forward(memory, queries, mask)
-        for layer in trace.layers:
-            for attn in layer.attention:
+        _, maps = det.decoder_forward(memory, queries, mask)
+        for layer_map in maps:
+            for attn in layer_map:
                 np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
                 assert_array_equal(attn[~mask.allow], 0.0)
 
@@ -138,7 +144,7 @@ class TestOverallLoss:
         det = Detector(TINY, seed=7)
         scene = _scene(8)
         out = training_loss(det, scene, _noisy(det, scene), DenoisingConfig())
-        want = (out.detection.data * TINY.lambda_det + out.denoising.total.data * TINY.lambda_dn
+        want = (out.detection.data * 1.0 + out.denoising.total.data * TINY.lambda_dn
                 + out.distillation.data * TINY.lambda_distill)
         assert out.total.data.tobytes() == want.tobytes()
 
@@ -214,14 +220,20 @@ class TestTrainingLoss:
         assert a.total.item() == b.total.item()
 
 
+def _stacked_rows(det, scene, noisy):
+    """The step's layer-major stack of decoder rows, its head outputs, and S."""
+    memory = det.encode_features(scene.grid)
+    queries, refs, mask, _ = det.build_group_inputs(noisy, VARIATIONAL)
+    rows, _ = det.decoder_forward(memory, queries, mask)
+    stack = nm.concat_rows(rows)
+    return stack, det.apply_heads(stack, nm.concat_rows([refs] * det.cfg.layers)), mask.size
+
+
 class TestStepDecisions:
     def _decide(self, cfg, scene):
         det = Detector(cfg, seed=31)
-        memory = det.encode_features(scene.grid)
-        queries, refs, mask, _ = det.build_group_inputs(_noisy(det, scene), VARIATIONAL)
-        trace = det.decoder_forward(memory, queries, mask)
-        preds = [det.apply_heads(layer.queries, refs) for layer in trace.layers]
-        return step_decisions(det, trace, preds, scene, mask.size), mask.size
+        stack, pred, s = _stacked_rows(det, scene, _noisy(det, scene))
+        return step_decisions(det, stack, pred, scene, s), s
 
     def test_every_group_gives_one_positive_per_ground_truth(self):
         """G independent matches: each ground truth collects G positives per layer."""
@@ -245,6 +257,109 @@ class TestStepDecisions:
             assert teacher.shape == (len(rows), TINY.width)
 
 
+def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
+    """The loss with the heads applied to each layer and every block scored alone."""
+    cfg, w = det.cfg, det.cfg.loss_weights
+    n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
+    memory = det.encode_features(scene.grid)
+    queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
+    rows, _ = det.decoder_forward(memory, queries, mask)
+    preds = [det.apply_heads(layer, refs) for layer in rows]
+    s, k = mask.size, len(gts)
+    detection = nm.Tensor(0.0)
+    for pred, layer_assign in zip(preds, decisions.assignments):
+        for g, assign in enumerate(layer_assign):
+            detection = detection + component_loss(
+                pred, range(g * s, g * s + n), [g * s + q for q in assign.query_indices()],
+                [gts[j] for j in assign.gt_indices()], w)
+    blocks = [range(g * s + lo, g * s + lo + k) for g in range(groups) for lo in range(n, s, k)]
+    recon = nm.Tensor(0.0)
+    for pred in preds:
+        layer_term = nm.Tensor(0.0)
+        for block in blocks:
+            layer_term = layer_term + component_loss(pred, block, block, gts, w)
+        recon = recon + layer_term * (1.0 / len(blocks))
+    denoising = recon + nm.gaussian_kl(dist.mu, dist.log_var) * dn_cfg.beta
+    distillation = nm.Tensor(0.0)
+    for layer in rows[:-1]:
+        layer_term = nm.Tensor(0.0)
+        for r, weights, teacher in zip(decisions.distill_rows, decisions.distill_weights,
+                                       decisions.teacher_rows):
+            refined = refine(nm.gather_rows(layer, r), det.refiner)
+            layer_term = layer_term + nm.weighted_row_smooth_l1(
+                refined, nm.Tensor(teacher), weights) * (1.0 / len(r))
+        distillation = distillation + layer_term * (1.0 / groups)
+    total = detection + denoising * cfg.lambda_dn + distillation * cfg.lambda_distill
+    return total, detection, denoising, distillation
+
+
+class TestStackedScoring:
+    CFG = replace(TINY, layers=3)
+
+    def _inputs(self):
+        det = Detector(self.CFG, seed=41)
+        scene = _scene(42, num_objects=2)
+        return det, scene, _noisy(det, scene)
+
+    def test_matches_per_layer_reference_in_value_and_gradient(self):
+        det, scene, noisy = self._inputs()
+        decided = training_loss(det, scene, noisy, DenoisingConfig()).decisions
+        # untrained boxes rarely overlap their targets: give every distilled row a weight
+        rng = np.random.default_rng(43)
+        decisions = replace(decided, distill_weights=[rng.uniform(0.1, 1.0, len(r))
+                                                      for r in decided.distill_rows])
+        out = training_loss(det, scene, noisy, DenoisingConfig(), replay=decisions)
+        assert out.distillation.item() > 0
+        got = [out.total, out.detection, out.denoising.total, out.distillation]
+        nm.backward(out.total, det.store)
+        got_grads = {name: t.grad for name, t in det.store.items()}
+        det.store.zero_grad()
+        want = _per_layer_reference(det, scene, noisy, DenoisingConfig(), decisions)
+        nm.backward(want[0], det.store)
+        for a, b in zip(got, want):
+            assert a.item() == pytest.approx(b.item(), rel=1e-12)
+        # relative to the largest entry: some gradients (key biases) are rounding noise
+        scale = max(np.abs(t.grad).max() for t in det.store.tensors())
+        for name, t in det.store.items():
+            assert np.abs(got_grads[name] - t.grad).max() <= 1e-12 * scale, name
+
+    def test_one_matching_cost_equals_per_block_costs_bitwise(self, monkeypatch):
+        det, scene, noisy = self._inputs()
+        costs, solved = [], []
+        monkeypatch.setattr(model, "matching_cost",
+                            lambda *a: costs.append(matching_cost(*a)) or costs[-1])
+        monkeypatch.setattr(model, "hungarian", lambda c: solved.append(c) or hungarian(c))
+        stack, pred, s = _stacked_rows(det, scene, noisy)
+        decisions = step_decisions(det, stack, pred, scene, s)
+        n = self.CFG.queries_per_group
+        probs, centers, boxes = pred.class_probs(), pred.centers.data, pred.corner_boxes_array()
+        assert len(costs) == 1 and len(solved) == self.CFG.layers * self.CFG.groups
+        for b, given in enumerate(solved):
+            rows_b = slice(b * s, b * s + n)
+            alone = matching_cost(probs[rows_b], centers[rows_b], boxes[rows_b],
+                                  scene.objects, self.CFG.matcher)
+            assert alone.tobytes() == given.tobytes()
+            layer, g = divmod(b, self.CFG.groups)
+            assert hungarian(alone).pairs == decisions.assignments[layer][g].pairs
+
+    def test_heads_and_matching_cost_run_once_per_step(self, monkeypatch):
+        det, scene, noisy = self._inputs()
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(Detector, "apply_heads", counted("heads", Detector.apply_heads))
+        monkeypatch.setattr(model, "matching_cost", counted("cost", matching_cost))
+        monkeypatch.setattr(model, "hungarian", counted("hungarian", hungarian))
+        training_loss(det, scene, noisy, DenoisingConfig())
+        assert calls == {"heads": 1, "cost": 1,
+                         "hungarian": self.CFG.layers * self.CFG.groups}
+
+
 class TestInference:
     def test_threshold_one_empty(self):
         cfg = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
@@ -260,8 +375,8 @@ class TestInference:
         memory = det.encode_features(scene.grid)
         queries, refs = det.learnable_queries(1)
         n = TINY.queries_per_group
-        trace = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
-        pred = det.apply_heads(trace.layers[-1].queries, refs)
+        rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
+        pred = det.apply_heads(rows[-1], refs)
         assert pred.class_logits.requires_grad
         boxes = decode_box_rows(pred, list(range(n)), scene.intrinsics)
         probs, corners = pred.class_probs(), pred.corner_boxes_array()

@@ -169,6 +169,19 @@ def test_no_grad_records_no_tape_and_same_values():
     assert plain.data.tobytes() == taped.data.tobytes()
 
 
+def test_only_same_shape_or_scalar_operands_broadcast():
+    m = nm.Tensor(np.ones((2, 3)), requires_grad=True)
+    c = nm.Tensor(2.0, requires_grad=True)
+    nm.backward(nm.sum_all(m * c + 1.0))
+    assert_array_equal(m.grad, np.full((2, 3), 2.0))
+    assert c.grad == 6.0
+    for other in (np.ones(3), np.ones((3, 1))):
+        with pytest.raises(nm.ShapeError, match=r"add: incompatible shapes \(2, 3\)"):
+            m + nm.Tensor(other)
+        with pytest.raises(nm.ShapeError, match=r"mul: incompatible shapes \(2, 3\)"):
+            m * nm.Tensor(other)
+
+
 def test_no_grad_restored_after_exception_and_nesting():
     x = nm.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(nm.ShapeError):
@@ -415,6 +428,12 @@ class TestCheckpoint:
         path, blob = self._saved(tmp_path)
         path.write_bytes(blob + b"\x00\x00")
         with pytest.raises(ValueError, match=r"ckpt\.bin: 2 trailing bytes after 2 records"):
+            nm.load_checkpoint(path)
+
+    def test_name_not_utf8_names_path_and_record(self, tmp_path):
+        path, blob = self._saved(tmp_path)
+        path.write_bytes(blob[:16] + b"\xff" + blob[17:])  # first byte of record 0's name
+        with pytest.raises(ValueError, match=r"ckpt\.bin: record 0 has a name that is not UTF-8"):
             nm.load_checkpoint(path)
 
     def test_duplicated_name_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -130,6 +131,21 @@ class TestDatasetRoundTrip:
         with open(path, "a") as fh:
             fh.write("{not json\n")
         with pytest.raises(DatasetError, match="line 2"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ([], "index out of range"),
+        ([7, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0], "category 7 out of range"),
+        ([1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, -3.0], "depth out of range"),
+    ], ids=["empty-row", "category-7", "negative-depth"])
+    def test_malformed_object_names_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "objects.jsonl"
+        save_dataset(generate_dataset(3, 2, SMALL), path)
+        first, second = path.read_text().splitlines()
+        rec = json.loads(second)
+        rec["objects"] = [row]
+        path.write_text(first + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(DatasetError, match=rf"objects\.jsonl: line 2: .*{message}"):
             load_dataset(path)
 
     def test_disjoint_seed_ranges_disjoint_ids(self):

@@ -138,18 +138,18 @@ class TestDenoisingLoss:
                                   log_var=nm.Tensor(np.full((1, 4), log_var)))
 
     def test_beta_zero_equals_reconstruction(self):
-        out = denoising_loss([_perfect_rows(self.GT)], [range(1)], [self.GT],
+        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT],
                              self._dist(0.5, 0.3), DenoisingConfig(beta=0.0), LossWeights())
         assert out.total.item() == out.reconstruction.item()
 
     def test_perfect_reconstruction_and_standard_latent_is_zero(self):
-        out = denoising_loss([_perfect_rows(self.GT)], [range(1)], [self.GT],
+        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT],
                              self._dist(0.0, 0.0), DenoisingConfig(beta=0.7), LossWeights())
         assert out.kl.item() == 0.0
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_deterministic_mode_skips_kl(self):
-        out = denoising_loss([_perfect_rows(self.GT)], [range(1)], [self.GT],
+        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT],
                              self._dist(3.0, 2.0), DenoisingConfig(beta=0.7, mode=DETERMINISTIC),
                              LossWeights())
         assert out.kl.item() == 0.0
@@ -170,7 +170,7 @@ class TestDenoisingLoss:
         mu, log_var = 0.4, -0.6
         dist = LatentDistribution(mu=nm.Tensor(np.full((1, 3), mu)),
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
-        out = denoising_loss([pred], [range(1)], [gt], dist, DenoisingConfig(beta=0.125), w)
+        out = denoising_loss(pred, [[range(1)]], [gt], dist, DenoisingConfig(beta=0.125), w)
 
         from vqdet.geometry import box2d_corners
         from oracles import giou2d
@@ -195,7 +195,7 @@ class TestDenoisingLoss:
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="targets"):
-            denoising_loss([_perfect_rows(self.GT)], [range(1)], [self.GT, self.GT],
+            denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT, self.GT],
                            self._dist(), DenoisingConfig(), LossWeights())
 
     def test_layer_and_block_normalization(self):
@@ -203,10 +203,10 @@ class TestDenoisingLoss:
         pred = _perfect_rows(self.GT, rows=2)
         pred.centers.data[:] += 0.03  # the same nonzero loss in both rows
         cfg, w = DenoisingConfig(mode=DETERMINISTIC), LossWeights()
-        one = denoising_loss([pred], [range(1)], [self.GT], None, cfg, w)
+        one = denoising_loss(pred, [[range(1)]], [self.GT], None, cfg, w)
         assert one.total.item() > 0.1
-        two_blocks = denoising_loss([pred], [range(1), range(1, 2)], [self.GT], None, cfg, w)
-        two_layers = denoising_loss([pred, pred], [range(1)], [self.GT], None, cfg, w)
+        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], [self.GT], None, cfg, w)
+        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], [self.GT], None, cfg, w)
         assert two_blocks.total.item() == pytest.approx(one.total.item(), abs=1e-12)
         assert two_layers.total.item() == pytest.approx(2 * one.total.item(), abs=1e-12)
 
