@@ -20,7 +20,6 @@ import numpy as np
 
 from . import numerics as nm
 from .geometry import OrientedBox3D, iou3d
-from .matching import Assignment
 from .numerics import Tensor
 
 
@@ -48,16 +47,14 @@ def refine(queries: Tensor, params: RefinerParams) -> Tensor:
                      params.w2, params.b2)
 
 
-def iou_weights(decoded_boxes: list[OrientedBox3D], assignment: Assignment,
+def iou_weights(decoded_boxes: list[OrientedBox3D], gt_indices: list[int],
                 gt_boxes: list[OrientedBox3D]) -> np.ndarray:
-    """Per matched pair, the 3D IoU of the final prediction with its target.
+    """Per supervised row, the 3D IoU of the final prediction with its target.
 
-    ``decoded_boxes`` is indexed by query row; the result aligns with
-    ``assignment.pairs``. Disjoint pairs get weight 0 and contribute nothing
-    downstream.
+    ``decoded_boxes[i]`` is scored against ``gt_boxes[gt_indices[i]]``.
+    Disjoint pairs get weight 0 and contribute nothing downstream.
     """
-    return np.array([iou3d(decoded_boxes[q], gt_boxes[g])
-                     for q, g in assignment.pairs])
+    return np.array([iou3d(box, gt_boxes[j]) for box, j in zip(decoded_boxes, gt_indices)])
 
 
 def forward_looking_distill(stack: Tensor, layers: int,

@@ -37,6 +37,12 @@ class CameraIntrinsics:
     cx: float = 0.5
     cy: float = 0.5
 
+    def __post_init__(self):
+        if not (math.isfinite(self.f) and self.f > 0):
+            raise ValueError(f"intrinsics f must be finite and positive, got {self.f}")
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+            raise ValueError(f"intrinsics cx, cy must be finite, got {self.cx}, {self.cy}")
+
 
 @dataclass(frozen=True)
 class AnchorBox6D:
@@ -80,6 +86,8 @@ class GroundTruthObject:
             raise ValueError("3D dimensions out of range")
         if not 0.5 < self.d < 120:
             raise ValueError("depth out of range")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"yaw {self.theta} is not finite")
 
     def as_row(self) -> list[float]:
         return [float(self.c), self.x_c, self.y_c, self.l, self.r, self.t, self.b,

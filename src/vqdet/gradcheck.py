@@ -149,16 +149,12 @@ def _check_clamp(rng) -> float:
     return check_scalar_fn(lambda ts: nm.sum_all(nm.clamp(ts[0], -1.5, 1.5) * nm.Tensor(p)), [x])
 
 
-def _check_giou_pairs(rng) -> float:
-    from .losses import giou2d_pairs
-
-    # (x0, y0) below 0.4 and (x1, y1) above 0.5: well-formed boxes
-    pred = np.concatenate([rng.uniform(0, 0.4, 2), rng.uniform(0.5, 1.0, 2)]).reshape(1, 4)
-    pred = np.repeat(pred, 3, axis=0) + rng.uniform(-0.05, 0.05, (3, 4))
-    target = pred + rng.uniform(0.01, 0.15, (3, 4))  # offsets avoid min/max ties
-    proj = rng.normal(size=(3, 1))
-    return check_scalar_fn(
-        lambda ts: nm.sum_all(giou2d_pairs(ts[0], target) * nm.Tensor(proj)), [pred])
+def _check_giou_loss(rng) -> float:
+    centers = rng.uniform(0.3, 0.7, (3, 2))
+    lrtb = rng.uniform(0.1, 0.3, (3, 4))
+    corners = np.concatenate([centers - lrtb[:, [0, 2]], centers + lrtb[:, [1, 3]]], axis=1)
+    target = corners + rng.uniform(0.01, 0.15, (3, 4))  # offsets avoid min/max ties
+    return check_scalar_fn(lambda ts: nm.giou_loss(ts[0], ts[1], target, 2.0), [centers, lrtb])
 
 
 def _check_focal(rng) -> float:
@@ -175,14 +171,6 @@ def _check_l1_loss(rng) -> float:
     target = rng.normal(size=(4, 3))
     pred = target + _away_from(rng.normal(size=(4, 3)), [0.0])
     return check_scalar_fn(lambda ts: nm.l1_loss(ts[0], target, 3.0), [pred])
-
-
-def _check_corner_boxes(rng) -> float:
-    centers = rng.normal(size=(3, 2))
-    lrtb = rng.random(size=(3, 4))
-    proj = rng.normal(size=(3, 4))
-    return check_scalar_fn(
-        lambda ts: nm.sum_all(nm.corner_boxes(ts[0], ts[1]) * nm.Tensor(proj)), [centers, lrtb])
 
 
 def _check_weighted_sum(rng) -> float:
@@ -206,14 +194,15 @@ def _check_gaussian_kl(rng) -> float:
     return check_scalar_fn(lambda ts: nm.gaussian_kl(ts[0], ts[1]), [mu, log_var])
 
 
-def _check_gather_concat_narrow(rng) -> float:
+def _check_gather_concat(rng) -> float:
     x = rng.normal(size=(5, 3))
     y = rng.normal(size=(2, 3))
     p = rng.normal(size=(4, 6))
 
     def build(ts):
         cat = nm.concat_rows([ts[0], ts[1]])
-        wide = nm.concat_cols([nm.gather_rows(cat, [0, 2, 2, 6]), nm.narrow_rows(cat, 1, 4)])
+        wide = nm.concat_cols([nm.gather_rows(cat, [0, 2, 2, 6]),
+                               nm.gather_rows(cat, [1, 2, 3, 4])])
         return nm.sum_all(wide * nm.Tensor(p))
 
     return check_scalar_fn(build, [x, y])
@@ -339,12 +328,11 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
     "clamp": (_check_clamp, OP_TOLERANCE, 50),
     "weighted_row_smooth_l1": (_check_weighted_row_smooth_l1, OP_TOLERANCE, 50),
     "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
-    "giou2d_pairs": (_check_giou_pairs, OP_TOLERANCE, 50),
+    "giou_loss": (_check_giou_loss, OP_TOLERANCE, 50),
     "sigmoid_focal_loss": (_check_focal, OP_TOLERANCE, 50),
     "l1_loss": (_check_l1_loss, OP_TOLERANCE, 50),
-    "corner_boxes": (_check_corner_boxes, OP_TOLERANCE, 50),
     "weighted_sum": (_check_weighted_sum, OP_TOLERANCE, 50),
-    "gather_concat_narrow": (_check_gather_concat_narrow, OP_TOLERANCE, 50),
+    "gather_concat": (_check_gather_concat, OP_TOLERANCE, 50),
     "masked_multihead_attention": (_check_masked_attention, OP_TOLERANCE, 5),
     "multihead_cross_attention": (_check_cross_attention, OP_TOLERANCE, 5),
     "noisy_box_encoder": (_check_box_encoder, OP_TOLERANCE, 5),

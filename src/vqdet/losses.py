@@ -10,11 +10,12 @@ by the positive count, so magnitudes do not scale with the number of
 objects; the weighted sum uses :class:`LossWeights`.
 
 Each term is a single tape op with a closed-form gradient, defined in
-:mod:`numerics` and re-exported here: ``focal_loss``, ``corner_boxes``,
-``giou2d_pairs`` and ``l1_loss`` (one per regression target), and the
-weights are applied by one ``weighted_sum``. A call with positives records 18
-tape nodes: 6 row gathers (the block's logits and the five regression tensors
-at the positive rows), those 8 ops, 3 for the mean GIoU term and the sum.
+:mod:`numerics`: ``focal_loss``, ``giou_loss`` (from the centers and edge
+distances straight to the mean GIoU term) and ``l1_loss`` (one per
+regression target), and the weights are applied by one ``weighted_sum``. A
+call with positives records 14 tape nodes: 6 row gathers (the block's logits
+and the five regression tensors at the positive rows), those 7 loss terms
+and the sum. Callers add block losses with one more ``weighted_sum``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import numerics as nm
 from .geometry import GroundTruthObject, box2d_corners
-from .numerics import Tensor, corner_boxes, focal_loss, giou2d_pairs
+from .numerics import Tensor, focal_loss
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,9 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
     t_depth = np.array([[gt.d] for gt in targets])
     t_corners = np.array([box2d_corners(gt.anchor()) for gt in targets])
 
-    giou = giou2d_pairs(corner_boxes(centers, lrtb), t_corners)
-    giou_term = (nm.sum_all(giou) * (-1.0 / norm)) + 1.0
-
     return nm.weighted_sum(
-        [cls, nm.l1_loss(centers, t_center, norm), nm.l1_loss(lrtb, t_lrtb, norm), giou_term,
+        [cls, nm.l1_loss(centers, t_center, norm), nm.l1_loss(lrtb, t_lrtb, norm),
+         nm.giou_loss(centers, lrtb, t_corners, norm),
          nm.l1_loss(size3d, t_size, norm), nm.l1_loss(angle, t_angle, norm),
          nm.l1_loss(depth, t_depth, norm)],
         [weights.w_cls, weights.w_center, weights.w_lrtb, weights.w_giou,

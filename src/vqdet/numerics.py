@@ -13,9 +13,12 @@ nothing: inference and finite-difference probes, which need only values,
 keep no graph alive. A value that only the backward pass reads is computed
 in the VJP, not in the forward op, so untaped calls do not pay for it.
 
-The module holds only the operations the detector runs. Reference ops that
-only the tests compose (matmul, softmax, elementwise min/max and the like)
-live beside the oracles that use them, in ``tests/oracles.py``.
+The module holds only the operations the detector runs. Each loss term is
+one node with a closed-form VJP (``giou_loss`` goes from centers and edge
+distances straight to the mean GIoU term), and so is a weighted sum of
+scalar losses. Reference ops that only the tests compose (matmul, softmax,
+row and column slices, elementwise min/max and the like) live beside the
+oracles that use them, in ``tests/oracles.py``.
 
 The tape is rebuilt from scratch each training step and is single-threaded
 within a step. Data is always float64; there is no broadcasting beyond the
@@ -51,14 +54,12 @@ __all__ = [
     "weighted_row_smooth_l1",
     "gaussian_kl",
     "focal_loss",
-    "corner_boxes",
-    "giou2d_pairs",
+    "giou_loss",
     "l1_loss",
     "weighted_sum",
     "sum_all",
     "concat_rows",
     "concat_cols",
-    "narrow_rows",
     "gather_rows",
     "save_checkpoint",
     "load_checkpoint",
@@ -451,34 +452,23 @@ def focal_loss(logits: Tensor, target_onehot: np.ndarray, alpha: float,
     return _node(out, (logits,), vjp)
 
 
-def corner_boxes(centers: Tensor, lrtb: Tensor) -> Tensor:
-    """(rows, 4) corner boxes (x0, y0, x1, y1) from centers and edge distances."""
-    c, e = centers.data, lrtb.data
-    if c.ndim != 2 or c.shape[1] != 2 or e.shape != (c.shape[0], 4):
-        raise ShapeError(f"corner_boxes: centers {c.shape} vs lrtb {e.shape}")
-    out = np.stack([c[:, 0] - e[:, 0], c[:, 1] - e[:, 2],
-                    c[:, 0] + e[:, 1], c[:, 1] + e[:, 3]], axis=1)
+def giou_loss(centers: Tensor, lrtb: Tensor, target_corners: np.ndarray,
+              normalizer: float) -> Tensor:
+    """``1 - sum(GIoU) / normalizer`` of (m, 2) centers and (m, 4) edge distances.
 
-    def vjp(g):
-        return (np.stack([g[:, 0] + g[:, 2], g[:, 1] + g[:, 3]], axis=1),
-                np.stack([-g[:, 0], g[:, 2], -g[:, 1], g[:, 3]], axis=1))
-
-    return _node(out, (centers, lrtb), vjp)
-
-
-def giou2d_pairs(pred_corners: Tensor, target_corners: np.ndarray) -> Tensor:
-    """(m, 1) GIoU of (m, 4) predicted vs constant target corner boxes.
-
-    Target boxes must be non-degenerate; their positive areas bound union and
-    hull away from zero, keeping the divisions safe. Every min/max routes its
-    gradient to the predicted coordinate on a tie, and a zero-width
-    intersection passes no gradient.
+    Row i's predicted corner box (x0, y0, x1, y1) is the center minus its
+    left/top and plus its right/bottom distance, scored against the constant
+    corner box ``target_corners[i]``. Target boxes must be non-degenerate;
+    their positive areas bound union and hull away from zero, keeping the
+    divisions safe. Every min/max routes its gradient to the predicted
+    coordinate on a tie, and a zero-width intersection passes no gradient.
     """
-    p = pred_corners.data
+    c, e = centers.data, lrtb.data
     tc = np.asarray(target_corners, dtype=np.float64)
-    if p.ndim != 2 or p.shape[1] != 4 or tc.shape != p.shape:
-        raise ShapeError(f"giou2d_pairs: {p.shape} vs {tc.shape}")
-    ax0, ay0, ax1, ay1 = (p[:, j:j + 1] for j in range(4))
+    if c.ndim != 2 or c.shape[1] != 2 or e.shape != (c.shape[0], 4) or tc.shape != e.shape:
+        raise ShapeError(f"giou_loss: centers {c.shape}, lrtb {e.shape}, targets {tc.shape}")
+    ax0, ay0 = c[:, :1] - e[:, 0:1], c[:, 1:] - e[:, 2:3]
+    ax1, ay1 = c[:, :1] + e[:, 1:2], c[:, 1:] + e[:, 3:4]
     bx0, by0, bx1, by1 = (tc[:, j:j + 1] for j in range(4))
     # take_* marks where the predicted coordinate wins each min/max
     take_ix1, take_iy1 = ax1 <= bx1, ay1 <= by1
@@ -497,10 +487,13 @@ def giou2d_pairs(pred_corners: Tensor, target_corners: np.ndarray) -> Tensor:
     hull_w = np.where(take_hx1, ax1, bx1) - np.where(take_hx0, ax0, bx0)
     hull_h = np.where(take_hy1, ay1, by1) - np.where(take_hy0, ay0, by0)
     hull = hull_w * hull_h
-    out = inter / union - (hull - union) / hull
+    giou = inter / union - (hull - union) / hull
+    scale = -1.0 / normalizer
+    out = np.asarray(giou.sum()) * scale + 1.0
 
     def vjp(g):
-        # out = inter / union - (hull - union) / hull
+        g = float(g) * scale  # the same for every row's GIoU
+        # giou = inter / union - (hull - union) / hull
         g_inter = g / union
         g_union = -g * inter / (union * union) + g / hull
         g_hull = -g * union / (hull * hull)
@@ -516,9 +509,11 @@ def giou2d_pairs(pred_corners: Tensor, target_corners: np.ndarray) -> Tensor:
         gy0 = -g_h * take_iy0 - g_ha - g_hh * take_hy0
         gx1 = g_w * take_ix1 + g_wa + g_hw * take_hx1
         gy1 = g_h * take_iy1 + g_ha + g_hh * take_hy1
-        return (np.concatenate([gx0, gy0, gx1, gy1], axis=1),)
+        # x0 = cx - l, y0 = cy - t, x1 = cx + r, y1 = cy + b
+        return (np.concatenate([gx0 + gx1, gy0 + gy1], axis=1),
+                np.concatenate([-gx0, gx1, -gy0, gy1], axis=1))
 
-    return _node(out, (pred_corners,), vjp)
+    return _node(out, (centers, lrtb), vjp)
 
 
 def l1_loss(pred: Tensor, target: np.ndarray, normalizer: float) -> Tensor:
@@ -560,7 +555,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack matrices vertically; inverse of narrow_rows over the blocks."""
+    """Stack matrices vertically."""
     ts = list(tensors)
     if not ts:
         raise ShapeError("concat_rows: empty input")
@@ -594,19 +589,6 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
                      for i, t in enumerate(ts))
 
     return _node(out, tuple(ts), vjp)
-
-
-def narrow_rows(a: Tensor, start: int, length: int) -> Tensor:
-    if a.data.ndim != 2 or start < 0 or start + length > a.data.shape[0]:
-        raise ShapeError(f"narrow_rows: [{start}:{start + length}) of {a.data.shape}")
-    out = a.data[start:start + length].copy()
-
-    def vjp(g):
-        gx = np.zeros_like(a.data)
-        gx[start:start + length] = g
-        return (gx,)
-
-    return _node(out, (a,), vjp)
 
 
 def gather_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
@@ -837,10 +819,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def restore_into(store: ParameterStore, values: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint values over an already-built store, name by name."""
-    missing = [n for n in store.names() if n not in values]
+    """Copy checkpoint values over an already-built store, name by name.
+
+    The checkpoint must hold exactly the store's names: a missing or an
+    unexpected name raises ``KeyError`` naming it.
+    """
+    names = store.names()
+    missing = [n for n in names if n not in values]
     if missing:
         raise KeyError(f"checkpoint missing parameters: {missing[:3]}")
+    unexpected = sorted(values.keys() - set(names))
+    if unexpected:
+        raise KeyError(f"checkpoint has parameters the model lacks: {unexpected[:3]}")
     for name, t in store.items():
         arr = values[name]
         if arr.shape != t.data.shape:

@@ -58,6 +58,10 @@ class SceneConfig:
         for name in ("feature_size", "num_classes", "max_objects"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.grid_noise >= 0:
+            raise ValueError(f"grid_noise must be >= 0, got {self.grid_noise}")
+        if not 0 <= self.dim_jitter < 1:
+            raise ValueError(f"dim_jitter must lie in [0, 1), got {self.dim_jitter}")
         lo, hi = self.depth_range
         if not lo < hi < MAX_DEPTH:
             raise ValueError(f"depth_range {self.depth_range} must satisfy "
@@ -186,8 +190,10 @@ def save_dataset(scenes: list[Scene], path) -> None:
 def load_dataset(path) -> list[Scene]:
     """Read scenes back; each object must pass ``GroundTruthObject.validate``.
 
-    The class count is the grid's channel count minus 3. A malformed line
-    raises :class:`DatasetError` naming the path and the line.
+    The intrinsics are checked by :class:`CameraIntrinsics`, and the grid
+    must be (F, F, classes + 3) with finite entries; the class count is the
+    grid's channel count minus 3. A malformed line raises
+    :class:`DatasetError` naming the path and the line.
     """
     scenes = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -200,8 +206,12 @@ def load_dataset(path) -> list[Scene]:
                 intr = CameraIntrinsics(**rec["intrinsics"])
                 objects = [GroundTruthObject.from_row(row) for row in rec["objects"]]
                 shape = tuple(rec["grid_shape"])
+                if len(shape) != 3 or shape[0] != shape[1] or shape[2] < 4:
+                    raise ValueError(f"grid_shape {list(shape)} is not (F, F, classes + 3)")
                 grid = np.frombuffer(base64.b64decode(rec["grid_b64"]),
                                      dtype="<f8").reshape(shape).astype(np.float64)
+                if not np.isfinite(grid).all():
+                    raise ValueError("grid has non-finite entries")
                 for obj in objects:
                     obj.validate(num_classes=shape[-1] - 3)
                 scenes.append(Scene(scene_id=rec["scene_id"], seed=int(rec["seed"]),

@@ -7,7 +7,9 @@ log_var but never through the noise sample. The deterministic mode short-
 circuits sampling to mu and drops the KL term, which is the conventional
 denoising baseline the variational scheme is compared against. The
 denoising loss reads every layer's noisy blocks from the one stacked
-:class:`PredictionRows` bundle of the step, one ``component_loss`` per block.
+:class:`PredictionRows` bundle of the step, one ``component_loss`` per block;
+one ``weighted_sum`` adds each layer's blocks and one more takes the layers'
+block means, so the sums record L + 1 tape nodes.
 """
 
 from __future__ import annotations
@@ -139,11 +141,10 @@ def denoising_loss(pred: PredictionRows, layer_blocks: Sequence[Sequence[Sequenc
     from the latent distribution, skipped in deterministic mode.
     """
     zero = nm.Tensor(0.0)
-    recon = zero
-    for blocks in layer_blocks:
-        if blocks:
-            terms = [component_loss(pred, block, block, targets, weights) for block in blocks]
-            recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
+    layers = [blocks for blocks in layer_blocks if blocks]
+    sums = [nm.weighted_sum([component_loss(pred, block, block, targets, weights)
+                             for block in blocks], [1.0] * len(blocks)) for blocks in layers]
+    recon = nm.weighted_sum(sums, [1.0 / len(blocks) for blocks in layers]) if layers else zero
 
     if cfg.mode == DETERMINISTIC or dist is None:
         kl = zero

@@ -4,11 +4,11 @@ Everything here is deliberately brute force (sampling, rasterization,
 enumeration, per-element loops) or composed from simpler tape operations, and
 shares no code with the implementations under test.
 
-The simpler tape operations themselves (matmul, transpose, narrow_cols,
-softmax_rows, divide, minimum, maximum, absolute) are defined here too. The
-detector runs none of them, so they are reference ops recorded with
-``numerics._node``; ``tests/test_numerics.py`` checks their gradients against
-central differences. ``giou2d`` is the scalar reference for the matcher's
+The simpler tape operations themselves (matmul, transpose, narrow_rows,
+narrow_cols, softmax_rows, divide, minimum, maximum, absolute) are defined
+here too. The detector runs none of them, so they are reference ops recorded
+with ``numerics._node``; ``tests/test_numerics.py`` checks their gradients
+against central differences. ``giou2d`` is the scalar reference for the matcher's
 vectorised GIoU.
 """
 
@@ -38,6 +38,19 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: expected matrix, got shape {a.data.shape}")
     return _node(a.data.T.copy(), (a,), lambda g: (g.T,))
+
+
+def narrow_rows(a: Tensor, start: int, length: int) -> Tensor:
+    if a.data.ndim != 2 or start < 0 or start + length > a.data.shape[0]:
+        raise ShapeError(f"narrow_rows: [{start}:{start + length}) of {a.data.shape}")
+    out = a.data[start:start + length].copy()
+
+    def vjp(g):
+        gx = np.zeros_like(a.data)
+        gx[start:start + length] = g
+        return (gx,)
+
+    return _node(out, (a,), vjp)
 
 
 def narrow_cols(a: Tensor, start: int, length: int) -> Tensor:
@@ -238,7 +251,9 @@ def loop_matching_cost(class_probs, centers, corner_boxes, gts, weights) -> np.n
 
 
 # Loss terms as graphs of elementwise tape ops, one node per operation. The
-# fused single-node ops in vqdet.numerics must match them in value and gradient.
+# fused single-node ops in vqdet.numerics must match them in value and gradient:
+# ``giou_loss`` is composite_corner_boxes, then composite_giou2d_pairs, then
+# the mean GIoU term written out in composite_giou_loss.
 
 def composite_focal_loss(logits, target_onehot, alpha, gamma, normalizer):
     t = np.asarray(target_onehot, dtype=np.float64)
@@ -271,6 +286,11 @@ def composite_corner_boxes(centers, lrtb):
     return nm.concat_cols([cx - l, cy - t, cx + r, cy + b])
 
 
+def composite_giou_loss(centers, lrtb, target_corners, normalizer):
+    giou = composite_giou2d_pairs(composite_corner_boxes(centers, lrtb), target_corners)
+    return nm.sum_all(giou) * (-1.0 / normalizer) + 1.0
+
+
 def composite_l1_loss(pred, target, normalizer):
     return nm.sum_all(absolute(pred - nm.Tensor(target))) * (1.0 / normalizer)
 
@@ -288,8 +308,8 @@ def composite_multihead_attention(q, k, v, heads, allow=None):
     t = k.data.shape[0] if allow is None else s
     groups = []
     for g in range(q.data.shape[0] // s):
-        qg = nm.narrow_rows(q, g * s, s)
-        kg, vg = nm.narrow_rows(k, g * t, t), nm.narrow_rows(v, g * t, t)
+        qg = narrow_rows(q, g * s, s)
+        kg, vg = narrow_rows(k, g * t, t), narrow_rows(v, g * t, t)
         contexts = []
         for h in range(heads):
             qh, kh, vh = (narrow_cols(x, h * dh, dh) for x in (qg, kg, vg))

@@ -12,7 +12,7 @@ from vqdet.attention import (
 )
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 
-from oracles import composite_multihead_attention, softmax_rows
+from oracles import composite_multihead_attention, narrow_rows, softmax_rows
 
 
 def _params(rng, d, requires_grad=False) -> AttentionParams:
@@ -197,7 +197,7 @@ class TestMaskedAttention:
             params = _params(rng, d)
             q = nm.Tensor(rng.normal(size=(mask.size, d)), requires_grad=True)
             out, _ = masked_multihead_self_attention(q, mask, params, heads)
-            learnable_out = nm.narrow_rows(out, 0, n)
+            learnable_out = narrow_rows(out, 0, n)
             nm.backward(nm.sum_all(learnable_out * learnable_out))
             noisy_grad = q.grad[n:]
             assert_array_equal(noisy_grad, np.zeros_like(noisy_grad))
@@ -249,7 +249,7 @@ class TestSeparatedGroupAttention:
         q = self._stacked(rng)
         q.requires_grad = True
         out, _ = masked_multihead_self_attention(q, self.MASK, params, heads=2)
-        first = nm.narrow_rows(out, 0, 4)
+        first = narrow_rows(out, 0, 4)
         nm.backward(nm.sum_all(first * first))
         assert not q.grad[4:].any()
         assert np.abs(q.grad[:4]).max() > 0

@@ -7,9 +7,9 @@ from vqdet.cli import main
 
 
 def test_grad_check_named_checks_pass(capsys):
-    assert main(["grad-check", "linear", "sigmoid_focal_loss", "giou2d_pairs"]) == 0
+    assert main(["grad-check", "linear", "sigmoid_focal_loss", "giou_loss"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["linear", "sigmoid_focal_loss", "giou2d_pairs"]
+    assert [line.split()[0] for line in lines] == ["linear", "sigmoid_focal_loss", "giou_loss"]
     assert all(line.split()[-1] == "ok" for line in lines)
 
 

@@ -5,7 +5,6 @@ from numpy.testing import assert_array_equal
 from vqdet import numerics as nm
 from vqdet.distill import RefinerParams, forward_looking_distill, iou_weights, refine
 from vqdet.geometry import OrientedBox3D, iou3d
-from vqdet.matching import Assignment
 
 
 def _identity_refiner(d: int, offset: float = 50.0) -> RefinerParams:
@@ -30,21 +29,18 @@ class TestIoUWeights:
                                rng.uniform(-3, 3)) for _ in range(4)]
         gts = [OrientedBox3D(*rng.uniform(-2, 2, 3), *rng.uniform(1, 4, 3),
                              rng.uniform(-3, 3)) for _ in range(2)]
-        assign = Assignment(pairs=[(1, 0), (3, 1)], total_cost=0.0)
-        w = iou_weights(boxes, assign, gts)
-        assert w[0] == iou3d(boxes[1], gts[0])
-        assert w[1] == iou3d(boxes[3], gts[1])
+        w = iou_weights([boxes[1], boxes[3], boxes[0]], [0, 1, 1], gts)
+        assert w.tolist() == [iou3d(boxes[1], gts[0]), iou3d(boxes[3], gts[1]),
+                              iou3d(boxes[0], gts[1])]
 
     def test_perfect_prediction_weight_one(self):
         box = OrientedBox3D(0, 0, 10, 4, 2, 1.5, 0.3)
-        assign = Assignment(pairs=[(0, 0)], total_cost=0.0)
-        assert_array_equal(iou_weights([box], assign, [box]), [1.0])
+        assert_array_equal(iou_weights([box], [0], [box]), [1.0])
 
     def test_disjoint_prediction_weight_zero(self):
         a = OrientedBox3D(0, 0, 10, 4, 2, 1.5, 0.0)
         b = OrientedBox3D(50, 0, 10, 4, 2, 1.5, 0.0)
-        assign = Assignment(pairs=[(0, 0)], total_cost=0.0)
-        assert_array_equal(iou_weights([a], assign, [b]), [0.0])
+        assert_array_equal(iou_weights([a], [0], [b]), [0.0])
 
 
 class TestForwardLookingDistill:

@@ -51,6 +51,21 @@ class TestProjection:
         u, v = project_to_image((2.0, -1.0, 17.0), intr)
         assert_allclose(backproject(u, v, 17.0, intr), [2.0, -1.0, 17.0], atol=1e-12)
 
+    @pytest.mark.parametrize("f,cx,cy", [(0.0, 0.5, 0.5), (-1.0, 0.5, 0.5),
+                                         (math.inf, 0.5, 0.5), (1.2, math.nan, 0.5),
+                                         (1.2, 0.5, -math.inf)])
+    def test_intrinsics_need_finite_positive_focal_and_finite_center(self, f, cx, cy):
+        with pytest.raises(ValueError, match="intrinsics"):
+            CameraIntrinsics(f=f, cx=cx, cy=cy)
+
+
+class TestGroundTruthValidation:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_yaw_rejected(self, theta):
+        gt = GroundTruthObject(0, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, theta, 20.0)
+        with pytest.raises(ValueError, match="yaw"):
+            gt.validate(num_classes=3)
+
 
 class TestIoU3D:
     def test_identical_boxes(self):

@@ -9,18 +9,11 @@ import pytest
 from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject, box2d_corners
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
-from vqdet.losses import (
-    LossWeights,
-    PredictionRows,
-    component_loss,
-    corner_boxes,
-    focal_loss,
-    giou2d_pairs,
-)
+from vqdet.losses import LossWeights, PredictionRows, component_loss, focal_loss
 from oracles import (
     composite_corner_boxes,
     composite_focal_loss,
-    composite_giou2d_pairs,
+    composite_giou_loss,
     composite_l1_loss,
     giou2d,
 )
@@ -68,33 +61,58 @@ class TestFocalLoss:
         assert err <= OP_TOLERANCE
 
 
+def _op_corners(centers, lrtb):
+    """The corner boxes ``giou_loss`` scores, computed with its float ops."""
+    return np.concatenate([centers[:, :1] - lrtb[:, 0:1], centers[:, 1:] - lrtb[:, 2:3],
+                           centers[:, :1] + lrtb[:, 1:2], centers[:, 1:] + lrtb[:, 3:4]],
+                          axis=1)
+
+
+def _random_centers_lrtb(rng, m):
+    return rng.uniform(0.2, 0.8, size=(m, 2)), rng.uniform(0.05, 0.3, size=(m, 4))
+
+
 class TestGIoUPairs:
+    """``giou_loss``: one minus the mean GIoU of predicted and target box pairs."""
+
     def test_matches_scalar_giou(self):
         rng = np.random.default_rng(2)
-        for _ in range(30):
-            x0, y0 = rng.uniform(0, 0.5, 2)
-            a = (x0, y0, x0 + rng.uniform(0.1, 0.5), y0 + rng.uniform(0.1, 0.5))
-            x1, y1 = rng.uniform(0, 0.5, 2)
-            b = (x1, y1, x1 + rng.uniform(0.1, 0.5), y1 + rng.uniform(0.1, 0.5))
-            got = giou2d_pairs(nm.Tensor(np.array([a])), np.array([b]))
-            assert got.data[0, 0] == pytest.approx(giou2d(a, b), abs=1e-12)
+        for m in (1, 3):
+            for _ in range(10):
+                centers, lrtb = _random_centers_lrtb(rng, m)
+                x0, y0 = rng.uniform(0, 0.5, (2, m))
+                target = np.stack([x0, y0, x0 + rng.uniform(0.1, 0.5, m),
+                                   y0 + rng.uniform(0.1, 0.5, m)], axis=1)
+                got = nm.giou_loss(nm.Tensor(centers), nm.Tensor(lrtb), target, 2.0)
+                pred = _op_corners(centers, lrtb)
+                want = 1.0 - sum(giou2d(tuple(a), tuple(b)) for a, b in zip(pred, target)) / 2.0
+                assert got.item() == pytest.approx(want, abs=1e-12)
 
     def test_gradient(self):
         # no coordinate ties between pred and target: min/max kinks break
         # central differences
-        rng = np.random.default_rng(3)
-        pred = np.array([[0.1, 0.1, 0.5, 0.4], [0.2, 0.01, 0.6, 0.3]])
+        centers = np.array([[0.3, 0.25], [0.4, 0.155]])
+        lrtb = np.array([[0.2, 0.2, 0.15, 0.15], [0.2, 0.2, 0.145, 0.145]])
         target = np.array([[0.15, 0.12, 0.55, 0.5], [0.05, 0.02, 0.45, 0.27]])
-        proj = rng.normal(size=(2, 1))
-        err = check_scalar_fn(
-            lambda ts: nm.sum_all(giou2d_pairs(ts[0], target) * nm.Tensor(proj)), [pred])
+        err = check_scalar_fn(lambda ts: nm.giou_loss(ts[0], ts[1], target, 3.0),
+                              [centers, lrtb])
         assert err <= OP_TOLERANCE
 
     def test_corner_boxes_layout(self):
+        """Centers minus left/top and plus right/bottom: (0.4, 0.3, 0.7, 0.65)."""
         centers = nm.Tensor(np.array([[0.5, 0.6]]))
         lrtb = nm.Tensor(np.array([[0.1, 0.2, 0.3, 0.05]]))
-        got = corner_boxes(centers, lrtb)
-        np.testing.assert_allclose(got.data, [[0.4, 0.3, 0.7, 0.65]], atol=1e-15)
+        box = (0.4, 0.3, 0.7, 0.65)
+        assert nm.giou_loss(centers, lrtb, np.array([box]), 1.0).item() == pytest.approx(
+            0.0, abs=1e-12)
+        other = (0.45, 0.2, 0.9, 0.5)
+        assert nm.giou_loss(centers, lrtb, np.array([other]), 1.0).item() == pytest.approx(
+            1.0 - giou2d(box, other), abs=1e-12)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(nm.ShapeError, match="giou_loss"):
+            nm.giou_loss(nm.Tensor(np.zeros((2, 2))), nm.Tensor(np.ones((2, 4))),
+                         np.ones((3, 4)), 1.0)
 
 
 class TestComponentLoss:
@@ -200,11 +218,6 @@ def _assert_fused_matches(fused, composite, arrays, proj):
         assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
 
 
-def _random_boxes(rng, m):
-    lo = rng.uniform(0.0, 0.6, size=(m, 2))
-    return np.concatenate([lo, lo + rng.uniform(0.05, 0.4, size=(m, 2))], axis=1)
-
-
 class TestFusedOpsMatchComposite:
     def test_focal_loss(self):
         rng = np.random.default_rng(10)
@@ -223,36 +236,52 @@ class TestFusedOpsMatchComposite:
                 lambda ts: composite_focal_loss(ts[0], onehot, alpha, gamma, norm),
                 [logits], rng.normal())
 
-    def test_giou2d_pairs(self):
+    def test_giou_loss(self):
         rng = np.random.default_rng(11)
-        t = np.array([[0.2, 0.3, 0.6, 0.7]])
-        special = np.concatenate([
-            t,                                    # every min/max pair ties
-            [[0.1, 0.35, 0.2, 0.6]],              # zero-width intersection
-            [[0.25, 0.7, 0.5, 0.9]],              # zero-height intersection
-            [[0.6, 0.1, 0.9, 0.3]],               # touches at a corner
-            [[0.3, 0.4, 0.5, 0.6]],               # contained in the target
-            [[0.1, 0.2, 0.8, 0.9]],               # contains the target
-            [[0.7, 0.8, 0.9, 0.95]],              # disjoint
-            [[0.2, 0.35, 0.5, 0.7]],              # ties on x0 and y1 only
+        centers = np.array([[0.4, 0.5]])
+        lrtb = np.array([[0.1, 0.2, 0.15, 0.1]])
+        # the op's own corners, so that copied coordinates tie exactly
+        x0, y0, x1, y1 = _op_corners(centers, lrtb)[0]
+        special = np.array([
+            [x0, y0, x1, y1],                         # every min/max pair ties
+            [x1, y0 + 0.05, x1 + 0.2, y1 - 0.05],     # zero-width intersection
+            [x0 + 0.05, y1, x1 - 0.05, y1 + 0.2],     # zero-height intersection
+            [x1, y1, x1 + 0.2, y1 + 0.2],             # touches at a corner
+            [x0 - 0.1, y0 - 0.1, x1 + 0.1, y1 + 0.1],  # contains the prediction
+            [x0 + 0.05, y0 + 0.05, x1 - 0.05, y1 - 0.05],  # inside the prediction
+            [x1 + 0.1, y1 + 0.1, x1 + 0.3, y1 + 0.2],  # disjoint
+            [x0, y0 + 0.05, x1 + 0.1, y1],            # ties on x0 and y1 only
         ])
-        cases = [(special, np.repeat(t, len(special), axis=0))]
-        for _ in range(20):
-            pred, target = _random_boxes(rng, 6), _random_boxes(rng, 6)
-            # copy some target coordinates so that min/max pairs tie
-            tie = rng.random(size=pred.shape) < 0.3
-            cases.append((np.where(tie, target, pred), target))
-        for pred, target in cases:
-            _assert_fused_matches(lambda ts: giou2d_pairs(ts[0], target),
-                                  lambda ts: composite_giou2d_pairs(ts[0], target),
-                                  [pred], rng.normal(size=(len(pred), 1)))
+        m = len(special)
+        cases = [(np.repeat(centers, m, axis=0), np.repeat(lrtb, m, axis=0), special)]
+        for trial in range(20):
+            c, e = _random_centers_lrtb(rng, 6)
+            own = _op_corners(c, e)
+            if trial % 2:
+                # near the prediction; copy some of its coordinates to tie
+                target = own + rng.uniform(-0.04, 0.04, size=own.shape)
+                target = np.where(rng.random(size=own.shape) < 0.3, own, target)
+            else:
+                target = own + np.tile(rng.uniform(-0.3, 0.3, size=(6, 2)), 2)  # moved
+            cases.append((c, e, target))
+        for c, e, target in cases:
+            norm = float(rng.integers(1, 5))
+            _assert_fused_matches(lambda ts: nm.giou_loss(ts[0], ts[1], target, norm),
+                                  lambda ts: composite_giou_loss(ts[0], ts[1], target, norm),
+                                  [c, e], rng.normal())
 
     def test_corner_boxes(self):
+        """Matching's detached corner boxes are the composite's and the ones giou_loss scores."""
         rng = np.random.default_rng(12)
-        centers, lrtb = rng.normal(size=(5, 2)), rng.random(size=(5, 4))
-        _assert_fused_matches(lambda ts: corner_boxes(ts[0], ts[1]),
-                              lambda ts: composite_corner_boxes(ts[0], ts[1]),
-                              [centers, lrtb], rng.normal(size=(5, 4)))
+        centers, lrtb = _random_centers_lrtb(rng, 5)
+        pred = PredictionRows(*(nm.Tensor(a) for a in (
+            np.zeros((5, 3)), centers, lrtb, np.ones((5, 3)), np.ones((5, 2)), np.ones((5, 1)))))
+        boxes = pred.corner_boxes_array()
+        composite = composite_corner_boxes(nm.Tensor(centers), nm.Tensor(lrtb))
+        assert boxes.tobytes() == composite.data.tobytes()
+        # every box against itself has GIoU 1
+        assert nm.giou_loss(pred.centers, pred.lrtb, boxes, 5.0).item() == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_l1_loss(self):
         rng = np.random.default_rng(13)
@@ -277,5 +306,5 @@ class TestFusedOpsMatchComposite:
             if t._parents and id(t) not in seen:
                 seen.add(id(t))
                 stack.extend(t._parents)
-        # 6 row gathers, focal, corner boxes, GIoU, 3 for the GIoU mean, 5 L1, the sum
-        assert len(seen) == 18
+        # 6 row gathers, focal, GIoU, 5 L1, the sum
+        assert len(seen) == 14

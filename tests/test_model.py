@@ -8,8 +8,8 @@ from numpy.testing import assert_array_equal
 from vqdet import model
 from vqdet import numerics as nm
 from vqdet.attention import build_denoising_mask
-from vqdet.distill import refine
-from vqdet.geometry import NoiseConfig
+from vqdet.distill import iou_weights, refine
+from vqdet.geometry import NoiseConfig, iou3d
 from vqdet.losses import component_loss
 from vqdet.matching import hungarian, matching_cost
 from vqdet.model import (
@@ -244,15 +244,30 @@ class TestStepDecisions:
             assert len(layer) == 3
             assert [a.gt_indices() for a in layer] == [[0]] * 3
 
-    def test_distillation_rows_are_matched_and_noisy_rows(self):
+    def test_distillation_rows_are_matched_and_noisy_rows(self, monkeypatch):
         scene = _scene(34, num_objects=2)
-        decisions, s = self._decide(TINY, scene)
-        n = TINY.queries_per_group
+        det = Detector(TINY, seed=31)
+        stack, pred, s = _stacked_rows(det, scene, _noisy(det, scene))
+        weighed = []
+        monkeypatch.setattr(model, "iou_weights",
+                            lambda *a: weighed.append(a) or iou_weights(*a))
+        decisions = step_decisions(det, stack, pred, scene, s)
+        n, k = TINY.queries_per_group, len(scene.objects)
+        final = (TINY.layers - 1) * TINY.groups * s
+        gt_boxes = [b for _, b in scene.gt_boxes3d()]
+        assert len(weighed) == TINY.groups  # one call per group
         for g, (rows, w, teacher) in enumerate(zip(decisions.distill_rows,
                                                    decisions.distill_weights,
                                                    decisions.teacher_rows)):
-            matched = [g * s + q for q in decisions.assignments[-1][g].query_indices()]
-            assert rows == matched + list(range(g * s + n, (g + 1) * s))
+            assign = decisions.assignments[-1][g]
+            noisy = list(range(g * s + n, (g + 1) * s))
+            assert rows == [g * s + q for q in assign.query_indices()] + noisy
+            # matched rows against their match, noisy row i of a block against gt i
+            targets = assign.gt_indices() + [(r - g * s - n) % k for r in noisy]
+            boxes = decode_box_rows(pred, [final + r for r in rows], scene.intrinsics)
+            assert weighed[g] == (boxes, targets, gt_boxes)
+            want = [iou3d(box, gt_boxes[j]) for box, j in zip(boxes, targets)]
+            assert w.tobytes() == np.array(want).tobytes()
             assert w.shape == (len(rows),) and ((0.0 <= w) & (w <= 1.0)).all()
             assert teacher.shape == (len(rows), TINY.width)
 
@@ -341,6 +356,41 @@ class TestStackedScoring:
             assert alone.tobytes() == given.tobytes()
             layer, g = divmod(b, self.CFG.groups)
             assert hungarian(alone).pairs == decisions.assignments[layer][g].pairs
+
+    def test_loss_sums_equal_the_plus_chains_bitwise(self):
+        """Detection and reconstruction sums, against ``+`` chains in value and gradient."""
+        # 12 detection blocks and 3 noisy blocks a layer; at these seeds either
+        # sum reversed, or 1/3 weighing each block instead of the layer's sum,
+        # changes the rounding
+        cfg = replace(TINY, layers=4, groups=3, noisy_groups=1)
+        det = Detector(cfg, seed=49)
+        scene = _scene(50, num_objects=2)
+        noisy = _noisy(det, scene)
+        out = training_loss(det, scene, noisy, DenoisingConfig())
+        w = cfg.loss_weights
+        n, gts, k = cfg.queries_per_group, scene.objects, len(scene.objects)
+        stack, pred, s = _stacked_rows(det, scene, noisy)
+        detection = nm.Tensor(0.0)
+        for b, assign in enumerate(a for layer in out.decisions.assignments for a in layer):
+            detection = detection + component_loss(
+                pred, range(b * s, b * s + n), [b * s + q for q in assign.query_indices()],
+                [gts[j] for j in assign.gt_indices()], w)
+        recon = nm.Tensor(0.0)
+        for layer in range(cfg.layers):
+            blocks = [range(b * s + lo, b * s + lo + k)
+                      for b in range(layer * cfg.groups, (layer + 1) * cfg.groups)
+                      for lo in range(n, s, k)]
+            terms = [component_loss(pred, block, block, gts, w) for block in blocks]
+            recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
+        for got, want in ((out.detection, detection),
+                          (out.denoising.reconstruction, recon)):
+            assert got.data.tobytes() == want.data.tobytes()
+            grads = []
+            for loss in (got, want):
+                det.store.zero_grad()
+                nm.backward(loss, det.store)
+                grads.append(b"".join(t.grad.tobytes() for t in det.store.tensors()))
+            assert grads[0] == grads[1]
 
     def test_heads_and_matching_cost_run_once_per_step(self, monkeypatch):
         det, scene, noisy = self._inputs()

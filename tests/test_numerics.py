@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from vqdet import numerics as nm
 from vqdet.gradcheck import _away_from, check_scalar_fn, OP_TOLERANCE
 
-from oracles import (absolute, divide, matmul, maximum, minimum, narrow_cols, softmax_rows,
-                     transpose)
+from oracles import (absolute, divide, matmul, maximum, minimum, narrow_cols, narrow_rows,
+                     softmax_rows, transpose)
 
 
 def test_matmul_identity():
@@ -260,7 +260,7 @@ def test_concat_narrow_round_trip():
     cat = nm.concat_rows([nm.Tensor(b) for b in blocks])
     start = 0
     for b in blocks:
-        piece = nm.narrow_rows(cat, start, b.shape[0])
+        piece = narrow_rows(cat, start, b.shape[0])
         assert_array_equal(piece.data, b)
         start += b.shape[0]
 
@@ -326,6 +326,12 @@ def _transpose_narrow_cols_case(rng):
     return lambda ts: nm.sum_all(transpose(narrow_cols(ts[0], 1, 2)) * nm.Tensor(p)), [x]
 
 
+def _narrow_rows_case(rng):
+    x = rng.normal(size=(5, 3))
+    p = rng.normal(size=(3, 3))
+    return lambda ts: nm.sum_all(narrow_rows(ts[0], 1, 3) * nm.Tensor(p)), [x]
+
+
 REFERENCE_OP_CASES = {
     "matmul": _matmul_case,
     "softmax_rows": _softmax_rows_case,
@@ -333,6 +339,7 @@ REFERENCE_OP_CASES = {
     "divide": _divide_case,
     "minimum_maximum": _minimum_maximum_case,
     "transpose_narrow_cols": _transpose_narrow_cols_case,
+    "narrow_rows": _narrow_rows_case,
 }
 
 
@@ -401,6 +408,35 @@ class TestCheckpoint:
         other.param("w", (2, 2))
         nm.restore_into(other, nm.load_checkpoint(path))
         assert_array_equal(other["w"].data, store["w"].data)
+
+    def test_restore_into_rejects_missing_and_unexpected_names(self, tmp_path):
+        store = nm.ParameterStore(rng_seed=3)
+        store.param("w", (2, 2))
+        store.param("extra.b", (2,))
+        path = tmp_path / "c.bin"
+        nm.save_checkpoint(store, path)
+        smaller = nm.ParameterStore(rng_seed=4)
+        smaller.param("w", (2, 2))
+        before = smaller["w"].data.copy()
+        with pytest.raises(KeyError, match=r"lacks: \['extra\.b'\]"):
+            nm.restore_into(smaller, nm.load_checkpoint(path))
+        assert_array_equal(smaller["w"].data, before)  # nothing copied
+        larger = nm.ParameterStore(rng_seed=5)
+        for name in ("w", "extra.b", "more"):
+            larger.param(name, (2,) if name != "w" else (2, 2))
+        with pytest.raises(KeyError, match=r"missing parameters: \['more'\]"):
+            nm.restore_into(larger, nm.load_checkpoint(path))
+
+    def test_deeper_detector_checkpoint_does_not_restore_into_shallower(self, tmp_path):
+        from vqdet.model import Detector, DetectorConfig
+
+        small = dict(groups=1, queries_per_group=2, noisy_groups=0, width=8, heads=2,
+                     feature_size=3, num_classes=2)
+        path = tmp_path / "deep.bin"
+        nm.save_checkpoint(Detector(DetectorConfig(layers=6, **small), seed=0).store, path)
+        with pytest.raises(KeyError, match="dec4"):
+            nm.restore_into(Detector(DetectorConfig(layers=4, **small), seed=0).store,
+                            nm.load_checkpoint(path))
 
     def _saved(self, tmp_path):
         store = nm.ParameterStore(rng_seed=1)

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -37,6 +38,12 @@ class TestSceneConfigValidation:
     def test_empty_or_too_far_depth_range_rejected(self, depth_range):
         with pytest.raises(ValueError, match="depth_range"):
             SceneConfig(depth_range=depth_range)
+
+    @pytest.mark.parametrize("field,value", [("grid_noise", -0.1), ("grid_noise", math.nan),
+                                             ("dim_jitter", -0.2), ("dim_jitter", 1.0)])
+    def test_negative_noise_or_jitter_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SceneConfig(**{field: value})
 
     def test_nearest_accepted_depth_samples_valid_scenes(self):
         # 3.985 m is the van's jittered half footprint diagonal, the reach bound
@@ -137,7 +144,9 @@ class TestDatasetRoundTrip:
         ([], "index out of range"),
         ([7, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0], "category 7 out of range"),
         ([1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, -3.0], "depth out of range"),
-    ], ids=["empty-row", "category-7", "negative-depth"])
+        ([1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, math.nan, 20.0], "yaw nan"),
+        ([1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, math.inf, 20.0], "yaw inf"),
+    ], ids=["empty-row", "category-7", "negative-depth", "nan-yaw", "infinite-yaw"])
     def test_malformed_object_names_path_and_line(self, tmp_path, row, message):
         path = tmp_path / "objects.jsonl"
         save_dataset(generate_dataset(3, 2, SMALL), path)
@@ -146,6 +155,27 @@ class TestDatasetRoundTrip:
         rec["objects"] = [row]
         path.write_text(first + "\n" + json.dumps(rec) + "\n")
         with pytest.raises(DatasetError, match=rf"objects\.jsonl: line 2: .*{message}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("intrinsics", {"f": 0.0, "cx": 0.5, "cy": 0.5}, "f must be finite and positive"),
+        ("intrinsics", {"f": -1.0, "cx": 0.5, "cy": 0.5}, "f must be finite and positive"),
+        ("intrinsics", {"f": 1.2, "cx": math.nan, "cy": 0.5}, "cx, cy must be finite"),
+        ("grid_shape", [64, 6], r"grid_shape \[64, 6\]"),
+        ("grid_b64", "nan", "non-finite"),
+    ], ids=["focal-0", "focal-negative", "nan-cx", "2d-grid", "nan-grid-entry"])
+    def test_malformed_camera_or_grid_names_path_and_line(self, tmp_path, key, value, message):
+        path = tmp_path / "scenes.jsonl"
+        save_dataset(generate_dataset(3, 2, SMALL), path)
+        first, second = path.read_text().splitlines()
+        rec = json.loads(second)
+        if key == "grid_b64":
+            grid = np.frombuffer(base64.b64decode(rec["grid_b64"]), dtype="<f8").copy()
+            grid[5] = math.nan
+            value = base64.b64encode(grid.tobytes()).decode("ascii")
+        rec[key] = value
+        path.write_text(first + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(DatasetError, match=rf"scenes\.jsonl: line 2: .*{message}"):
             load_dataset(path)
 
     def test_disjoint_seed_ranges_disjoint_ids(self):
