@@ -74,8 +74,8 @@ class GroundTruthObject:
     def anchor(self) -> AnchorBox6D:
         return AnchorBox6D(self.x_c, self.y_c, self.l, self.r, self.t, self.b)
 
-    def validate(self, num_classes: int | None = None) -> None:
-        if num_classes is not None and not 0 <= self.c < num_classes:
+    def validate(self, num_classes: int) -> None:
+        if not 0 <= self.c < num_classes:
             raise ValueError(f"category {self.c} out of range")
         if min(self.l, self.r, self.t, self.b) < 0:
             raise ValueError("edge distances must be nonnegative")
@@ -130,11 +130,14 @@ class NoiseConfig:
     depth_jitter_frac: float = 0.1
 
     def __post_init__(self):
-        for name in ("center_shift_scale", "box_scale_range"):
+        for name in ("center_shift_scale", "box_scale_range", "dim_scale_range",
+                     "depth_jitter_frac"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not 0 <= self.label_flip_prob <= 1:
             raise ValueError(f"label_flip_prob must lie in [0, 1], got {self.label_flip_prob}")
+        if not 0 <= self.angle_jitter_rad <= math.pi:
+            raise ValueError(f"angle_jitter_rad must lie in [0, pi], got {self.angle_jitter_rad}")
 
 
 def project_to_image(point, intr: CameraIntrinsics) -> tuple[float, float]:

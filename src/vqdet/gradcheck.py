@@ -26,9 +26,8 @@ OP_TOLERANCE = 1e-5
 END_TO_END_TOLERANCE = 1e-4
 
 
-def numeric_gradients(f: Callable[[], float], arrays: list[np.ndarray],
-                      step: float = STEP) -> list[np.ndarray]:
-    """Central-difference gradients of ``f`` w.r.t. arrays mutated in place."""
+def numeric_gradients(f: Callable[[], float], arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Central differences (step ``STEP``) of ``f`` w.r.t. arrays mutated in place."""
     grads = []
     for a in arrays:
         g = np.zeros_like(a)
@@ -36,12 +35,12 @@ def numeric_gradients(f: Callable[[], float], arrays: list[np.ndarray],
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             fp = f()
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             fm = f()
             flat[i] = orig
-            gflat[i] = (fp - fm) / (2.0 * step)
+            gflat[i] = (fp - fm) / (2.0 * STEP)
         grads.append(g)
     return grads
 
@@ -91,11 +90,11 @@ def check_params_fn(loss_fn: Callable[[], nm.Tensor], store: nm.ParameterStore) 
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
-def _away_from(x: np.ndarray, kinks: list[float], margin: float = 1e-3) -> np.ndarray:
-    """Nudge entries off non-differentiable points so central diffs are valid."""
+def _away_from(x: np.ndarray, kinks: list[float]) -> np.ndarray:
+    """Move entries within 1e-3 of a non-differentiable point to 2e-3 from it."""
     for k in kinks:
-        close = np.abs(x - k) < margin
-        x = np.where(close, k + margin * np.where(x >= k, 1.0, -1.0) * 2.0, x)
+        close = np.abs(x - k) < 1e-3
+        x = np.where(close, k + 1e-3 * np.where(x >= k, 1.0, -1.0) * 2.0, x)
     return x
 
 
@@ -305,7 +304,7 @@ def _check_end_to_end(rng) -> float:
     scene_cfg = SceneConfig(feature_size=4, num_classes=2, max_objects=1)
     scene = generate_scene(np.random.default_rng(3), scene_cfg, scene_id="chk", seed=3)
     det = Detector(cfg, seed=5)
-    dn_cfg = DenoisingConfig(beta=0.1, mode="variational")
+    dn_cfg = DenoisingConfig()
     noisy = det.draw_noisy_queries(scene, NoiseConfig(), np.random.default_rng(17))
 
     first = training_loss(det, scene, noisy, dn_cfg)
@@ -341,25 +340,20 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
 }
 
 
-def run_suite(seed: int = 0, perturb: bool = False,
-              names: Sequence[str] | None = None) -> list[tuple[str, float, float, bool]]:
+def run_suite(names: Sequence[str] | None = None) -> list[tuple[str, float, float, bool]]:
     """Run the registered checks; returns (name, max_err, tolerance, ok) rows.
 
     ``names`` selects checks by registry name, in the order given (KeyError
     for a name not registered); None runs them all. Each check draws its
-    inputs from a stream seeded by ``seed`` and a CRC of its name, so a run
-    repeats exactly in any process.
-    ``perturb`` is a negative-control hook: it inflates every measured error
-    so the suite must fail, proving the pass/fail wiring is live.
+    inputs from a stream seeded by a CRC of its name, so a run repeats
+    exactly in any process.
     """
     rows = []
     for name in REGISTRY if names is None else names:
         fn, tol, repeats = REGISTRY[name]
-        rng = np.random.default_rng(seed + zlib.crc32(name.encode()))
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         worst = 0.0
         for _ in range(repeats):
             worst = max(worst, fn(rng))
-        if perturb:
-            worst += 10.0 * tol
         rows.append((name, worst, tol, worst <= tol))
     return rows

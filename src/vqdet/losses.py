@@ -7,7 +7,9 @@ loss reads the block in place. It applies sigmoid focal classification over
 every row of the block (positives one-hot, the rest background) and L1 /
 GIoU regression over the positive rows only. Each component is normalized
 by the positive count, so magnitudes do not scale with the number of
-objects; the weighted sum uses :class:`LossWeights`.
+objects. The objective is fixed, so the component weights and the focal
+parameters are module constants (``W_*``, ``FOCAL_*``); the matching cost
+reads the same class, center and GIoU weights.
 
 Each term is a single tape op with a closed-form gradient, defined in
 :mod:`numerics`: ``focal_loss``, ``giou_loss`` (from the centers and edge
@@ -30,18 +32,8 @@ from . import numerics as nm
 from .geometry import GroundTruthObject, box2d_corners
 from .numerics import Tensor, focal_loss
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    w_cls: float = 2.0
-    w_center: float = 5.0
-    w_lrtb: float = 5.0
-    w_giou: float = 2.0
-    w_size: float = 1.0
-    w_angle: float = 1.0
-    w_depth: float = 0.5
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
+W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH = 2.0, 5.0, 5.0, 2.0, 1.0, 1.0, 0.5
+FOCAL_ALPHA, FOCAL_GAMMA = 0.25, 2.0
 
 
 @dataclass
@@ -73,8 +65,7 @@ class PredictionRows:
 
 def component_loss(pred: PredictionRows, block: Sequence[int],
                    positive_rows: Sequence[int],
-                   targets: Sequence[GroundTruthObject],
-                   weights: LossWeights) -> Tensor:
+                   targets: Sequence[GroundTruthObject]) -> Tensor:
     """Weighted sum of the six component losses for one block of rows of ``pred``.
 
     ``block`` lists the block's rows of ``pred``, and ``positive_rows[i]``,
@@ -92,9 +83,9 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
     for row, gt in zip(positive_rows, targets):
         onehot[block.index(row), gt.c] = 1.0
     cls = focal_loss(nm.gather_rows(pred.class_logits, block), onehot,
-                     weights.focal_alpha, weights.focal_gamma, norm)
+                     FOCAL_ALPHA, FOCAL_GAMMA, norm)
     if m == 0:
-        return nm.weighted_sum([cls], [weights.w_cls])
+        return nm.weighted_sum([cls], [W_CLS])
 
     centers = nm.gather_rows(pred.centers, positive_rows)
     lrtb = nm.gather_rows(pred.lrtb, positive_rows)
@@ -114,5 +105,4 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
          nm.giou_loss(centers, lrtb, t_corners, norm),
          nm.l1_loss(size3d, t_size, norm), nm.l1_loss(angle, t_angle, norm),
          nm.l1_loss(depth, t_depth, norm)],
-        [weights.w_cls, weights.w_center, weights.w_lrtb, weights.w_giou,
-         weights.w_size, weights.w_angle, weights.w_depth])
+        [W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH])

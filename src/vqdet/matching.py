@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GroundTruthObject, box2d_corners
-
-
-@dataclass(frozen=True)
-class MatcherWeights:
-    w_cls: float = 2.0
-    w_center: float = 5.0
-    w_giou: float = 2.0
+from .losses import W_CENTER, W_CLS, W_GIOU
 
 
 @dataclass
@@ -142,12 +136,12 @@ def _giou2d_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
-                  corner_boxes: np.ndarray, gts: list[GroundTruthObject],
-                  weights: MatcherWeights = MatcherWeights()) -> np.ndarray:
+                  corner_boxes: np.ndarray, gts: list[GroundTruthObject]) -> np.ndarray:
     """(num queries, num gts) DETR matching cost from detached predictions.
 
-    cost = w_cls * (1 - p[target class]) + w_center * L1(center)
-         + w_giou * (1 - giou2d); all inputs are plain arrays, off the tape.
+    cost = W_CLS * (1 - p[target class]) + W_CENTER * L1(center)
+         + W_GIOU * (1 - giou2d), with the loss's own weights from
+    :mod:`losses`; all inputs are plain arrays, off the tape.
     """
     nq = class_probs.shape[0]
     if nq == 0 or not gts:
@@ -158,6 +152,5 @@ def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
                    + np.abs(centers[:, 1:2] - gt_xy[:, 1]))
     gt_boxes = np.array([box2d_corners(gt.anchor()) for gt in gts])
     giou_term = 1.0 - _giou2d_grid(np.asarray(corner_boxes, dtype=np.float64), gt_boxes)
-    return (weights.w_cls * cls_term + weights.w_center * center_term
-            + weights.w_giou * giou_term)
+    return W_CLS * cls_term + W_CENTER * center_term + W_GIOU * giou_term
 

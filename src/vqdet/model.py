@@ -44,8 +44,8 @@ from .attention import (
 )
 from .distill import RefinerParams, forward_looking_distill, iou_weights, refiner_params
 from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject, iou3d
-from .losses import LossWeights, PredictionRows, component_loss
-from .matching import Assignment, MatcherWeights, hungarian, matching_cost
+from .losses import PredictionRows, component_loss
+from .matching import Assignment, hungarian, matching_cost
 from .numerics import ParameterStore, Tensor
 from .scenes import Detection, Scene
 from .vqd import (
@@ -68,24 +68,26 @@ class DetectorConfig:
     layers: int = 4
     feature_size: int = 16
     num_classes: int = 3
-    lambda_dn: float = 1.0
     lambda_distill: float = 0.5
     confidence_threshold: float = 0.2
-    matcher: MatcherWeights = MatcherWeights()
-    loss_weights: LossWeights = LossWeights()
 
     def __post_init__(self):
+        for name in ("groups", "queries_per_group", "width", "heads", "layers",
+                     "feature_size", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.noisy_groups < 0:
+            raise ValueError(f"noisy_groups must be nonnegative, got {self.noisy_groups}")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.width % 4 != 0:
-            raise ValueError("width must be a multiple of 4 for the 2D position code")
-        if min(self.groups, self.queries_per_group, self.heads, self.layers,
-               self.feature_size, self.num_classes) < 1 or self.noisy_groups < 0:
-            raise ValueError("counts must be positive (noisy_groups may be 0)")
-        if min(self.lambda_dn, self.lambda_distill) < 0:
-            raise ValueError("loss weights must be nonnegative")
+            raise ValueError(f"width {self.width} must be a multiple of 4 for the 2D position code")
+        if not (math.isfinite(self.lambda_distill) and self.lambda_distill >= 0):
+            raise ValueError(f"lambda_distill must be finite and nonnegative, "
+                             f"got {self.lambda_distill}")
         if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must lie in [0, 1]")
+            raise ValueError(f"confidence_threshold must lie in [0, 1], "
+                             f"got {self.confidence_threshold}")
 
 
 def sincos_positions_2d(size: int, width: int) -> np.ndarray:
@@ -155,9 +157,9 @@ class Detector:
         return (self.store.param(f"{name}.g", (d,), init=np.ones(d)),
                 self.store.param(f"{name}.b", (d,), scale=0.0))
 
-    def _linear(self, name: str, din: int, dout: int, scale: float = 0.1,
+    def _linear(self, name: str, din: int, dout: int,
                 bias_init: float = 0.0) -> tuple[Tensor, Tensor]:
-        return (self.store.param(f"{name}.w", (din, dout), scale=scale),
+        return (self.store.param(f"{name}.w", (din, dout), scale=0.1),
                 self.store.param(f"{name}.b", (dout,),
                                  init=np.full(dout, bias_init)))
 
@@ -332,7 +334,7 @@ def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
     n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
     learnable = (np.arange(cfg.layers * groups)[:, None] * s + np.arange(n)).ravel()
     cost = matching_cost(pred.class_probs()[learnable], pred.centers.data[learnable],
-                         pred.corner_boxes_array()[learnable], gts, cfg.matcher)
+                         pred.corner_boxes_array()[learnable], gts)
     assignments = [[hungarian(cost[b * n:(b + 1) * n])
                     for b in range(layer * groups, (layer + 1) * groups)]
                    for layer in range(cfg.layers)]
@@ -364,7 +366,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     differentiable function of the parameters.
     """
     cfg = det.cfg
-    n, gts, weights = cfg.queries_per_group, scene.objects, cfg.loss_weights
+    n, gts = cfg.queries_per_group, scene.objects
     memory = det.encode_features(scene.grid)
     queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
     layer_rows, maps = det.decoder_forward(memory, queries, mask)
@@ -376,7 +378,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     # block b = l*G + g starts at row b*s of the stack
     scored = [component_loss(pred, range(b * s, b * s + n),
                              [b * s + q for q in assign.query_indices()],
-                             [gts[j] for j in assign.gt_indices()], weights)
+                             [gts[j] for j in assign.gt_indices()])
               for b, assign in enumerate(a for layer in decisions.assignments for a in layer)]
     detection = nm.weighted_sum(scored, [1.0] * len(scored))
     # noisy block j of block b: rows b*s + n + j*k onwards, one per ground truth
@@ -385,13 +387,13 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     blocks = [[range(b * s + lo, b * s + lo + k)
                for b in range(layer * groups, (layer + 1) * groups) for lo in range(n, s, k)]
               for layer in range(cfg.layers)] if k else []
-    dn = denoising_loss(pred, blocks, gts, dist, dn_cfg, weights)
+    dn = denoising_loss(pred, blocks, gts, dist, dn_cfg)
     distillation = forward_looking_distill(
         stack, cfg.layers, decisions.distill_rows, decisions.distill_weights,
         det.refiner, decisions.teacher_rows)
 
     total = nm.weighted_sum([detection, dn.total, distillation],
-                            [1.0, cfg.lambda_dn, cfg.lambda_distill])
+                            [1.0, 1.0, cfg.lambda_distill])
     return StepLoss(total=total, detection=detection, denoising=dn,
                     distillation=distillation, decisions=decisions,
                     attention_maps=maps[-1])

@@ -8,8 +8,9 @@ circuits sampling to mu and drops the KL term, which is the conventional
 denoising baseline the variational scheme is compared against. The
 denoising loss reads every layer's noisy blocks from the one stacked
 :class:`PredictionRows` bundle of the step, one ``component_loss`` per block;
-one ``weighted_sum`` adds each layer's blocks and one more takes the layers'
-block means, so the sums record L + 1 tape nodes.
+one ``weighted_sum`` adds each layer's blocks, one more takes the layers'
+block means, and in variational mode a last one adds the KL term with
+weight :data:`BETA`, so the sums record L + 2 tape nodes (L + 1 without KL).
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ import numpy as np
 
 from . import numerics as nm
 from .geometry import AnchorBox6D, GroundTruthObject
-from .losses import LossWeights, PredictionRows, component_loss
+from .losses import PredictionRows, component_loss
 from .numerics import Tensor
 
 VARIATIONAL = "variational"
 DETERMINISTIC = "deterministic"
 
 DEPTH_FEATURE_SCALE = 50.0  # keeps the raw depth feature O(1)
+BETA = 0.1  # weight of the KL term in the variational denoising loss
 
 
 @dataclass
@@ -48,14 +50,11 @@ class LatentDistribution:
 
 @dataclass(frozen=True)
 class DenoisingConfig:
-    """KL weight and the variational/deterministic mode switch."""
+    """The variational/deterministic mode switch; the KL weight is :data:`BETA`."""
 
-    beta: float = 0.1
     mode: str = VARIATIONAL
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
         if self.mode not in (VARIATIONAL, DETERMINISTIC):
             raise ValueError(f"unknown denoising mode {self.mode!r}")
 
@@ -130,8 +129,8 @@ class DenoisingLoss:
 
 def denoising_loss(pred: PredictionRows, layer_blocks: Sequence[Sequence[Sequence[int]]],
                    targets: Sequence[GroundTruthObject], dist: LatentDistribution | None,
-                   cfg: DenoisingConfig, weights: LossWeights) -> DenoisingLoss:
-    """Reconstruction loss over the noisy blocks plus the KL term.
+                   cfg: DenoisingConfig) -> DenoisingLoss:
+    """Reconstruction loss over the noisy blocks plus :data:`BETA` times the KL term.
 
     ``pred`` holds the stacked head outputs of every decoder layer, and
     ``layer_blocks[l]`` lists layer l's noisy blocks, each block its rows of
@@ -142,7 +141,7 @@ def denoising_loss(pred: PredictionRows, layer_blocks: Sequence[Sequence[Sequenc
     """
     zero = nm.Tensor(0.0)
     layers = [blocks for blocks in layer_blocks if blocks]
-    sums = [nm.weighted_sum([component_loss(pred, block, block, targets, weights)
+    sums = [nm.weighted_sum([component_loss(pred, block, block, targets)
                              for block in blocks], [1.0] * len(blocks)) for blocks in layers]
     recon = nm.weighted_sum(sums, [1.0 / len(blocks) for blocks in layers]) if layers else zero
 
@@ -151,5 +150,5 @@ def denoising_loss(pred: PredictionRows, layer_blocks: Sequence[Sequence[Sequenc
         total = recon
     else:
         kl = nm.gaussian_kl(dist.mu, dist.log_var)
-        total = recon + kl * cfg.beta
+        total = nm.weighted_sum([recon, kl], [1.0, BETA])
     return DenoisingLoss(total=total, reconstruction=recon, kl=kl)

@@ -232,9 +232,10 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
                for p in itertools.permutations(range(n), m))
 
 
-def loop_matching_cost(class_probs, centers, corner_boxes, gts, weights) -> np.ndarray:
+def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:
     """Matching cost filled one ground truth at a time, scalar GIoU per query."""
     from vqdet.geometry import box2d_corners
+    from vqdet.losses import W_CENTER, W_CLS, W_GIOU
 
     nq = class_probs.shape[0]
     cost = np.zeros((nq, len(gts)))
@@ -245,8 +246,7 @@ def loop_matching_cost(class_probs, centers, corner_boxes, gts, weights) -> np.n
         gt_box = box2d_corners(gt.anchor())
         giou_term = np.array([1.0 - giou2d(tuple(corner_boxes[i]), gt_box)
                               for i in range(nq)])
-        cost[:, j] = (weights.w_cls * cls_term + weights.w_center * center_term
-                      + weights.w_giou * giou_term)
+        cost[:, j] = W_CLS * cls_term + W_CENTER * center_term + W_GIOU * giou_term
     return cost
 
 

@@ -174,7 +174,13 @@ def _random_corner_box(rng):
 class TestBoxNoise:
     @pytest.mark.parametrize("field,value", [("center_shift_scale", 5.0),
                                              ("box_scale_range", 1.0),
-                                             ("label_flip_prob", 1.5)])
+                                             ("label_flip_prob", 1.5),
+                                             ("dim_scale_range", math.nan),
+                                             ("dim_scale_range", 1.0),
+                                             ("angle_jitter_rad", math.inf),
+                                             ("angle_jitter_rad", -0.1),
+                                             ("depth_jitter_frac", -3.0),
+                                             ("depth_jitter_frac", math.nan)])
     def test_out_of_range_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             NoiseConfig(**{field: value})

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from vqdet import gradcheck
 from vqdet.gradcheck import run_suite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -29,8 +30,11 @@ def test_fused_loss_entries_pass():
     assert all(ok for *_, ok in rows), rows
 
 
-def test_perturbed_suite_fails():
-    (row,) = run_suite(names=["linear"], perturb=True)
+def test_perturbed_suite_fails(monkeypatch):
+    fn, tol, repeats = gradcheck.REGISTRY["linear"]
+    monkeypatch.setitem(gradcheck.REGISTRY, "linear",
+                        (lambda rng: fn(rng) + 10.0 * tol, tol, repeats))
+    (row,) = run_suite(names=["linear"])
     assert not row[3]
 
 

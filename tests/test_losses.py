@@ -9,7 +9,8 @@ import pytest
 from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject, box2d_corners
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
-from vqdet.losses import LossWeights, PredictionRows, component_loss, focal_loss
+from vqdet import losses
+from vqdet.losses import PredictionRows, component_loss, focal_loss
 from oracles import (
     composite_corner_boxes,
     composite_focal_loss,
@@ -127,12 +128,11 @@ class TestComponentLoss:
         angle = np.array([[0.2, 0.9], [0.0, 1.0]])
         depth = np.array([[18.0], [30.0]])
         pred = _pred_rows(logits, centers, lrtb, size3d, angle, depth)
-        w = LossWeights()
-        got = component_loss(pred, range(2), [0], [gt], w).item()
+        got = component_loss(pred, range(2), [0], [gt]).item()
 
         onehot = np.zeros((2, 2))
         onehot[0, 0] = 1.0
-        cls = _hand_focal(logits, onehot, w.focal_alpha, w.focal_gamma)
+        cls = _hand_focal(logits, onehot, losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
         center = abs(0.45 - 0.5) + abs(0.52 - 0.5)
         lrtb_l1 = abs(0.1 - 0.1) + abs(0.12 - 0.1) + abs(0.08 - 0.1) + abs(0.11 - 0.1)
         pred_box = (0.45 - 0.1, 0.52 - 0.08, 0.45 + 0.12, 0.52 + 0.11)
@@ -140,19 +140,18 @@ class TestComponentLoss:
         size_l1 = abs(3.2 - 3.5) + abs(1.8 - 1.6) + abs(1.4 - 1.5)
         angle_l1 = abs(0.2 - math.sin(0.3)) + abs(0.9 - math.cos(0.3))
         depth_l1 = abs(18.0 - 20.0)
-        expected = (w.w_cls * cls + w.w_center * center + w.w_lrtb * lrtb_l1
-                    + w.w_giou * giou_term + w.w_size * size_l1
-                    + w.w_angle * angle_l1 + w.w_depth * depth_l1)
+        expected = (losses.W_CLS * cls + losses.W_CENTER * center + losses.W_LRTB * lrtb_l1
+                    + losses.W_GIOU * giou_term + losses.W_SIZE * size_l1
+                    + losses.W_ANGLE * angle_l1 + losses.W_DEPTH * depth_l1)
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_no_positives_only_background(self):
         logits = np.array([[2.0, -1.0], [0.5, 0.5]])
         pred = _pred_rows(logits, np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
-        w = LossWeights()
-        got = component_loss(pred, range(2), [], [], w).item()
-        expected = w.w_cls * _hand_focal(logits, np.zeros((2, 2)),
-                                         w.focal_alpha, w.focal_gamma)
+        got = component_loss(pred, range(2), [], []).item()
+        expected = losses.W_CLS * _hand_focal(logits, np.zeros((2, 2)),
+                                              losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_perfect_saturated_prediction_vanishes(self):
@@ -163,7 +162,7 @@ class TestComponentLoss:
             logits, np.array([[0.5, 0.5]]), np.array([[0.1, 0.1, 0.1, 0.1]]),
             np.array([[3.5, 1.6, 1.5]]),
             np.array([[math.sin(0.3), math.cos(0.3)]]), np.array([[20.0]]))
-        got = component_loss(pred, range(1), [0], [gt], LossWeights()).item()
+        got = component_loss(pred, range(1), [0], [gt]).item()
         assert got == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("block,positives", [
@@ -182,7 +181,7 @@ class TestComponentLoss:
                                   ([a[block.start:block.stop] for a in stacked],
                                    range(len(block)), [r - block.start for r in positives])):
             leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
-            loss = component_loss(PredictionRows(*leaves), rows, pos, gts, LossWeights())
+            loss = component_loss(PredictionRows(*leaves), rows, pos, gts)
             nm.backward(loss)
             results.append((loss, [t.grad for t in leaves]))
         (whole, whole_grads), (cut, cut_grads) = results
@@ -198,7 +197,7 @@ class TestComponentLoss:
         pred = _pred_rows(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError):
-            component_loss(pred, range(2), [0], [], LossWeights())
+            component_loss(pred, range(2), [0], [])
 
 
 def _value_and_grads(build, arrays, proj):
@@ -299,7 +298,7 @@ class TestFusedOpsMatchComposite:
                                 for w in (3, 2, 4, 3, 2, 1)))
         gts = [GroundTruthObject(k % 3, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
                for k in range(4)]
-        loss = component_loss(pred, range(rows), [0, 2, 3, 5], gts, LossWeights())
+        loss = component_loss(pred, range(rows), [0, 2, 3, 5], gts)
         seen, stack = set(), [loss]
         while stack:
             t = stack.pop()

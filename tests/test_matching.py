@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vqdet.geometry import GroundTruthObject, box2d_corners
-from vqdet.matching import MatcherWeights, hungarian, matching_cost
+from vqdet.losses import W_CENTER, W_CLS, W_GIOU
+from vqdet.matching import hungarian, matching_cost
 from oracles import brute_force_min_cost, giou2d, loop_matching_cost
 
 
@@ -97,24 +98,24 @@ class TestMatchingCost:
         assert hungarian(cost).pairs == []
 
     def test_hand_computed_two_by_two(self):
-        w = MatcherWeights(w_cls=2.0, w_center=5.0, w_giou=2.0)
+        """The matcher scores with the loss's class, center and GIoU weights."""
+        assert (W_CLS, W_CENTER, W_GIOU) == (2.0, 5.0, 2.0)
         g0 = _gt(c=0, x=0.4, y=0.4)
         g1 = _gt(c=1, x=0.7, y=0.6)
         probs = np.array([[0.8, 0.2, 0.0], [0.1, 0.6, 0.3]])
         centers = np.array([[0.42, 0.40], [0.70, 0.65]])
         boxes = np.array([[0.3, 0.3, 0.5, 0.5], [0.6, 0.5, 0.8, 0.7]])
-        cost = matching_cost(probs, centers, boxes, [g0, g1], w)
+        cost = matching_cost(probs, centers, boxes, [g0, g1])
         for i, (p, ctr, box) in enumerate(zip(probs, centers, boxes)):
             for j, gt in enumerate([g0, g1]):
-                expected = (2.0 * (1 - p[gt.c])
-                            + 5.0 * (abs(ctr[0] - gt.x_c) + abs(ctr[1] - gt.y_c))
-                            + 2.0 * (1 - giou2d(tuple(box), box2d_corners(gt.anchor()))))
+                expected = (W_CLS * (1 - p[gt.c])
+                            + W_CENTER * (abs(ctr[0] - gt.x_c) + abs(ctr[1] - gt.y_c))
+                            + W_GIOU * (1 - giou2d(tuple(box), box2d_corners(gt.anchor()))))
                 assert cost[i, j] == pytest.approx(expected, abs=1e-12)
 
 
     def test_bitwise_equal_to_per_query_loop(self):
         rng = np.random.default_rng(6)
-        w = MatcherWeights(w_cls=1.7, w_center=4.3, w_giou=2.9)
         for nq, ng in [(1, 1), (16, 4), (16, 12), (5, 9)]:
             probs = rng.random((nq, 3))
             centers = rng.random((nq, 2))
@@ -133,8 +134,8 @@ class TestMatchingCost:
                 boxes[2] = [0.2, 0.1, 0.2, 0.1]
                 g = box2d_corners(gts[-1].anchor())
                 boxes[3] = [g[2], g[1], g[2] + 0.1, g[3]]
-            got = matching_cost(probs, centers, boxes, gts, w)
-            want = loop_matching_cost(probs, centers, boxes, gts, w)
+            got = matching_cost(probs, centers, boxes, gts)
+            want = loop_matching_cost(probs, centers, boxes, gts)
             assert got.tobytes() == want.tobytes()
 
     def test_inverted_box_rejected(self):

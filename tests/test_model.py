@@ -1,5 +1,6 @@
+import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from vqdet.model import (
     training_loss,
 )
 from vqdet.scenes import SceneConfig, generate_scene
-from vqdet.vqd import DETERMINISTIC, VARIATIONAL, DenoisingConfig
+from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig
 
 TINY = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
                       heads=2, layers=2, feature_size=4, num_classes=2)
@@ -46,11 +47,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             DetectorConfig(confidence_threshold=1.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_distill", math.nan), ("lambda_distill", math.inf), ("lambda_distill", -0.5),
+        ("groups", 0), ("queries_per_group", 0), ("noisy_groups", -1), ("width", 0),
+        ("heads", 0), ("layers", 0), ("feature_size", 0), ("num_classes", 0),
+    ])
+    def test_bad_value_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            DetectorConfig(**{field: value})
+
     def test_defaults_follow_design(self):
+        # the full option surface: a new knob has to change this test
+        assert [f.name for f in fields(DetectorConfig)] == [
+            "groups", "queries_per_group", "noisy_groups", "width", "heads", "layers",
+            "feature_size", "num_classes", "lambda_distill", "confidence_threshold"]
+        assert [f.name for f in fields(DenoisingConfig)] == ["mode"]
         cfg = DetectorConfig()
         assert (cfg.groups, cfg.queries_per_group, cfg.noisy_groups) == (2, 16, 3)
         assert (cfg.width, cfg.heads, cfg.layers, cfg.feature_size) == (64, 4, 4, 16)
-        assert (cfg.lambda_dn, cfg.lambda_distill) == (1.0, 0.5)
+        assert (cfg.lambda_distill, BETA) == (0.5, 0.1)
         assert cfg.confidence_threshold == 0.2
         store = Detector(cfg, seed=0).store
         assert store["dec0.ffn.1.w"].data.shape == (64, 128)  # FFN width 2 * width
@@ -144,7 +159,7 @@ class TestOverallLoss:
         det = Detector(TINY, seed=7)
         scene = _scene(8)
         out = training_loss(det, scene, _noisy(det, scene), DenoisingConfig())
-        want = (out.detection.data * 1.0 + out.denoising.total.data * TINY.lambda_dn
+        want = (out.detection.data * 1.0 + out.denoising.total.data * 1.0
                 + out.distillation.data * TINY.lambda_distill)
         assert out.total.data.tobytes() == want.tobytes()
 
@@ -154,7 +169,7 @@ class TestTrainingLoss:
         det = Detector(TINY, seed=7)
         scene = _scene(8)
         noisy = _noisy(det, scene)
-        out = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1))
+        out = training_loss(det, scene, noisy, DenoisingConfig())
         for t in (out.total, out.detection, out.denoising.total, out.distillation):
             assert np.isfinite(t.item())
         assert out.denoising.kl.item() >= 0.0
@@ -164,8 +179,8 @@ class TestTrainingLoss:
         det = Detector(TINY, seed=9)
         scene = _scene(10)
         noisy = _noisy(det, scene)
-        first = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1))
-        second = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1),
+        first = training_loss(det, scene, noisy, DenoisingConfig())
+        second = training_loss(det, scene, noisy, DenoisingConfig(),
                                replay=first.decisions)
         assert first.total.item() == second.total.item()
 
@@ -174,7 +189,7 @@ class TestTrainingLoss:
         det = Detector(TINY, seed=11)
         scene = _scene(12)
         noisy = _noisy(det, scene)
-        out = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1))
+        out = training_loss(det, scene, noisy, DenoisingConfig())
         det.store.zero_grad()
         nm.backward(out.denoising.total, det.store)
         assert np.abs(det.store["queries.content"].grad).max() > 0
@@ -183,7 +198,7 @@ class TestTrainingLoss:
         det = Detector(TINY, seed=13)
         scene = _scene(14, num_objects=0)
         noisy = _noisy(det, scene)
-        out = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1))
+        out = training_loss(det, scene, noisy, DenoisingConfig())
         assert out.denoising.total.item() == 0.0
         assert np.isfinite(out.total.item())
 
@@ -215,8 +230,8 @@ class TestTrainingLoss:
         det = Detector(TINY, seed=15)
         scene = _scene(16)
         noisy = _noisy(det, scene, seed=99)
-        a = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1))
-        b = training_loss(det, scene, noisy, DenoisingConfig(beta=0.1))
+        a = training_loss(det, scene, noisy, DenoisingConfig())
+        b = training_loss(det, scene, noisy, DenoisingConfig())
         assert a.total.item() == b.total.item()
 
 
@@ -274,7 +289,7 @@ class TestStepDecisions:
 
 def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
     """The loss with the heads applied to each layer and every block scored alone."""
-    cfg, w = det.cfg, det.cfg.loss_weights
+    cfg = det.cfg
     n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
     memory = det.encode_features(scene.grid)
     queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
@@ -286,15 +301,15 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
         for g, assign in enumerate(layer_assign):
             detection = detection + component_loss(
                 pred, range(g * s, g * s + n), [g * s + q for q in assign.query_indices()],
-                [gts[j] for j in assign.gt_indices()], w)
+                [gts[j] for j in assign.gt_indices()])
     blocks = [range(g * s + lo, g * s + lo + k) for g in range(groups) for lo in range(n, s, k)]
     recon = nm.Tensor(0.0)
     for pred in preds:
         layer_term = nm.Tensor(0.0)
         for block in blocks:
-            layer_term = layer_term + component_loss(pred, block, block, gts, w)
+            layer_term = layer_term + component_loss(pred, block, block, gts)
         recon = recon + layer_term * (1.0 / len(blocks))
-    denoising = recon + nm.gaussian_kl(dist.mu, dist.log_var) * dn_cfg.beta
+    denoising = recon + nm.gaussian_kl(dist.mu, dist.log_var) * BETA
     distillation = nm.Tensor(0.0)
     for layer in rows[:-1]:
         layer_term = nm.Tensor(0.0)
@@ -304,7 +319,7 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
             layer_term = layer_term + nm.weighted_row_smooth_l1(
                 refined, nm.Tensor(teacher), weights) * (1.0 / len(r))
         distillation = distillation + layer_term * (1.0 / groups)
-    total = detection + denoising * cfg.lambda_dn + distillation * cfg.lambda_distill
+    total = detection + denoising + distillation * cfg.lambda_distill
     return total, detection, denoising, distillation
 
 
@@ -352,7 +367,7 @@ class TestStackedScoring:
         for b, given in enumerate(solved):
             rows_b = slice(b * s, b * s + n)
             alone = matching_cost(probs[rows_b], centers[rows_b], boxes[rows_b],
-                                  scene.objects, self.CFG.matcher)
+                                  scene.objects)
             assert alone.tobytes() == given.tobytes()
             layer, g = divmod(b, self.CFG.groups)
             assert hungarian(alone).pairs == decisions.assignments[layer][g].pairs
@@ -367,20 +382,19 @@ class TestStackedScoring:
         scene = _scene(50, num_objects=2)
         noisy = _noisy(det, scene)
         out = training_loss(det, scene, noisy, DenoisingConfig())
-        w = cfg.loss_weights
         n, gts, k = cfg.queries_per_group, scene.objects, len(scene.objects)
         stack, pred, s = _stacked_rows(det, scene, noisy)
         detection = nm.Tensor(0.0)
         for b, assign in enumerate(a for layer in out.decisions.assignments for a in layer):
             detection = detection + component_loss(
                 pred, range(b * s, b * s + n), [b * s + q for q in assign.query_indices()],
-                [gts[j] for j in assign.gt_indices()], w)
+                [gts[j] for j in assign.gt_indices()])
         recon = nm.Tensor(0.0)
         for layer in range(cfg.layers):
             blocks = [range(b * s + lo, b * s + lo + k)
                       for b in range(layer * cfg.groups, (layer + 1) * cfg.groups)
                       for lo in range(n, s, k)]
-            terms = [component_loss(pred, block, block, gts, w) for block in blocks]
+            terms = [component_loss(pred, block, block, gts) for block in blocks]
             recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
         for got, want in ((out.detection, detection),
                           (out.denoising.reconstruction, recon)):
@@ -451,15 +465,15 @@ class TestInference:
         variants = [
             DetectorConfig(groups=2, queries_per_group=3, noisy_groups=0, width=8,
                            heads=2, layers=2, feature_size=4, num_classes=2,
-                           lambda_dn=0.0, lambda_distill=0.0,
+                           lambda_distill=0.0,
                            confidence_threshold=0.0),
             DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
                            heads=2, layers=2, feature_size=4, num_classes=2,
-                           lambda_dn=1.0, lambda_distill=0.5,
+                           lambda_distill=0.5,
                            confidence_threshold=0.0),
             DetectorConfig(groups=2, queries_per_group=3, noisy_groups=3, width=8,
                            heads=2, layers=2, feature_size=4, num_classes=2,
-                           lambda_dn=2.0, lambda_distill=0.0,
+                           lambda_distill=0.0,
                            confidence_threshold=0.0),
         ]
         outputs = []

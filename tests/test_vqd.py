@@ -7,8 +7,10 @@ from numpy.testing import assert_array_equal
 from vqdet import numerics as nm
 from vqdet.geometry import AnchorBox6D, GroundTruthObject
 from vqdet.gradcheck import OP_TOLERANCE, check_params_fn
-from vqdet.losses import LossWeights, PredictionRows
+from vqdet import losses
+from vqdet.losses import PredictionRows
 from vqdet.vqd import (
+    BETA,
     DETERMINISTIC,
     VARIATIONAL,
     DenoisingConfig,
@@ -137,28 +139,21 @@ class TestDenoisingLoss:
         return LatentDistribution(mu=nm.Tensor(np.full((1, 4), mu)),
                                   log_var=nm.Tensor(np.full((1, 4), log_var)))
 
-    def test_beta_zero_equals_reconstruction(self):
-        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT],
-                             self._dist(0.5, 0.3), DenoisingConfig(beta=0.0), LossWeights())
-        assert out.total.item() == out.reconstruction.item()
-
     def test_perfect_reconstruction_and_standard_latent_is_zero(self):
         out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT],
-                             self._dist(0.0, 0.0), DenoisingConfig(beta=0.7), LossWeights())
+                             self._dist(0.0, 0.0), DenoisingConfig())
         assert out.kl.item() == 0.0
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_deterministic_mode_skips_kl(self):
         out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT],
-                             self._dist(3.0, 2.0), DenoisingConfig(beta=0.7, mode=DETERMINISTIC),
-                             LossWeights())
+                             self._dist(3.0, 2.0), DenoisingConfig(mode=DETERMINISTIC))
         assert out.kl.item() == 0.0
         assert out.total.item() == out.reconstruction.item()
 
     def test_hand_executed_tiny_instance(self):
         """K=1 block with known offsets; reconstruction + KL recomputed by hand."""
         gt = self.GT
-        w = LossWeights()
         logits = np.array([[0.2, 1.1]])
         pred = PredictionRows(
             class_logits=nm.Tensor(logits),
@@ -170,7 +165,7 @@ class TestDenoisingLoss:
         mu, log_var = 0.4, -0.6
         dist = LatentDistribution(mu=nm.Tensor(np.full((1, 3), mu)),
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
-        out = denoising_loss(pred, [[range(1)]], [gt], dist, DenoisingConfig(beta=0.125), w)
+        out = denoising_loss(pred, [[range(1)]], [gt], dist, DenoisingConfig())
 
         from vqdet.geometry import box2d_corners
         from oracles import giou2d
@@ -185,34 +180,32 @@ class TestDenoisingLoss:
         size = abs(3.0 - 3.5) + abs(1.5 - 1.6) + abs(1.6 - 1.5)
         angle = abs(0.1 - math.sin(0.3)) + abs(1.0 - math.cos(0.3))
         depth = abs(21.5 - 20.0)
-        recon = (w.w_cls * cls + w.w_center * center + w.w_lrtb * lrtb
-                 + w.w_giou * giou_term + w.w_size * size
-                 + w.w_angle * angle + w.w_depth * depth)
+        recon = (losses.W_CLS * cls + losses.W_CENTER * center + losses.W_LRTB * lrtb
+                 + losses.W_GIOU * giou_term + losses.W_SIZE * size
+                 + losses.W_ANGLE * angle + losses.W_DEPTH * depth)
         kl = 3 * 0.5 * (math.exp(log_var) + mu ** 2 - 1.0 - log_var)
-        expected = recon + 0.125 * kl
+        expected = recon + BETA * kl
         assert out.total.item() == pytest.approx(expected, abs=1e-10)
         assert out.kl.item() == pytest.approx(kl, abs=1e-12)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="targets"):
             denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT, self.GT],
-                           self._dist(), DenoisingConfig(), LossWeights())
+                           self._dist(), DenoisingConfig())
 
     def test_layer_and_block_normalization(self):
         """Two layers sum; two blocks in a layer average."""
         pred = _perfect_rows(self.GT, rows=2)
         pred.centers.data[:] += 0.03  # the same nonzero loss in both rows
-        cfg, w = DenoisingConfig(mode=DETERMINISTIC), LossWeights()
-        one = denoising_loss(pred, [[range(1)]], [self.GT], None, cfg, w)
+        cfg = DenoisingConfig(mode=DETERMINISTIC)
+        one = denoising_loss(pred, [[range(1)]], [self.GT], None, cfg)
         assert one.total.item() > 0.1
-        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], [self.GT], None, cfg, w)
-        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], [self.GT], None, cfg, w)
+        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], [self.GT], None, cfg)
+        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], [self.GT], None, cfg)
         assert two_blocks.total.item() == pytest.approx(one.total.item(), abs=1e-12)
         assert two_layers.total.item() == pytest.approx(2 * one.total.item(), abs=1e-12)
 
 
 def test_denoising_config_validation():
-    with pytest.raises(ValueError):
-        DenoisingConfig(beta=-0.1)
     with pytest.raises(ValueError):
         DenoisingConfig(mode="other")
