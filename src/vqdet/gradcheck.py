@@ -148,28 +148,30 @@ def _check_clamp(rng) -> float:
     return check_scalar_fn(lambda ts: nm.sum_all(nm.clamp(ts[0], -1.5, 1.5) * nm.Tensor(p)), [x])
 
 
-def _check_giou_loss(rng) -> float:
-    centers = rng.uniform(0.3, 0.7, (3, 2))
-    lrtb = rng.uniform(0.1, 0.3, (3, 4))
+def _check_block_loss(rng) -> float:
+    """A block of a 6-row stack with two positive rows, and a block without any."""
+    centers = rng.uniform(0.3, 0.7, (6, 2))
+    lrtb = rng.uniform(0.1, 0.3, (6, 4))
+    arrays = [rng.normal(size=(6, 2)) * 2.0, centers, lrtb, rng.normal(size=(6, 3)),
+              rng.normal(size=(6, 2)), rng.normal(size=(6, 1))]
+    positives = [3, 1]
+    onehot = np.zeros((4, 2))
+    onehot[[2, 0], rng.integers(2, size=2)] = 1.0
+    targets = [a[positives] + _away_from(rng.normal(size=(2, a.shape[1])), [0.0])
+               for a in arrays[1:]]
     corners = np.concatenate([centers - lrtb[:, [0, 2]], centers + lrtb[:, [1, 3]]], axis=1)
-    target = corners + rng.uniform(0.01, 0.15, (3, 4))  # offsets avoid min/max ties
-    return check_scalar_fn(lambda ts: nm.giou_loss(ts[0], ts[1], target, 2.0), [centers, lrtb])
-
-
-def _check_focal(rng) -> float:
-    from .losses import focal_loss
-
-    logits = rng.normal(size=(4, 3)) * 2.0
-    onehot = np.zeros((4, 3))
-    onehot[rng.integers(4), rng.integers(3)] = 1.0
-    return check_scalar_fn(lambda ts: focal_loss(ts[0], onehot, 0.25, 2.0, 2.0),
-                           [logits])
-
-
-def _check_l1_loss(rng) -> float:
-    target = rng.normal(size=(4, 3))
-    pred = target + _away_from(rng.normal(size=(4, 3)), [0.0])
-    return check_scalar_fn(lambda ts: nm.l1_loss(ts[0], target, 3.0), [pred])
+    target_corners = corners[positives] + rng.uniform(0.01, 0.15, (2, 4))  # no min/max ties
+    weights = rng.uniform(0.5, 2.0, size=7)
+    background = np.zeros((4, 2))
+    background[rng.integers(4), rng.integers(2)] = 1.0
+    boxes = [nm.Tensor(a) for a in arrays[1:]]
+    return max(
+        check_scalar_fn(lambda ts: nm.block_loss(ts[0], ts[1:], range(1, 5), positives, onehot,
+                                                 targets, target_corners, 2.0, weights,
+                                                 0.25, 2.0), arrays),
+        check_scalar_fn(lambda ts: nm.block_loss(ts[0], boxes, range(2, 6), [], background,
+                                                 [], None, 1.0, weights, 0.25, 2.0),
+                        arrays[:1]))
 
 
 def _check_weighted_sum(rng) -> float:
@@ -327,9 +329,7 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
     "clamp": (_check_clamp, OP_TOLERANCE, 50),
     "weighted_row_smooth_l1": (_check_weighted_row_smooth_l1, OP_TOLERANCE, 50),
     "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
-    "giou_loss": (_check_giou_loss, OP_TOLERANCE, 50),
-    "sigmoid_focal_loss": (_check_focal, OP_TOLERANCE, 50),
-    "l1_loss": (_check_l1_loss, OP_TOLERANCE, 50),
+    "block_loss": (_check_block_loss, OP_TOLERANCE, 50),
     "weighted_sum": (_check_weighted_sum, OP_TOLERANCE, 50),
     "gather_concat": (_check_gather_concat, OP_TOLERANCE, 50),
     "masked_multihead_attention": (_check_masked_attention, OP_TOLERANCE, 5),

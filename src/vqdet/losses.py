@@ -11,13 +11,11 @@ objects. The objective is fixed, so the component weights and the focal
 parameters are module constants (``W_*``, ``FOCAL_*``); the matching cost
 reads the same class, center and GIoU weights.
 
-Each term is a single tape op with a closed-form gradient, defined in
-:mod:`numerics`: ``focal_loss``, ``giou_loss`` (from the centers and edge
-distances straight to the mean GIoU term) and ``l1_loss`` (one per
-regression target), and the weights are applied by one ``weighted_sum``. A
-call with positives records 14 tape nodes: 6 row gathers (the block's logits
-and the five regression tensors at the positive rows), those 7 loss terms
-and the sum. Callers add block losses with one more ``weighted_sum``.
+A call is one tape op with a closed-form gradient, :func:`numerics.block_loss`:
+it reads the block's logits and its positive rows of the five regression
+tensors in place, computes the focal, GIoU and five L1 terms and adds them
+with the ``W_*`` weights, so it records one tape node. Callers add block
+losses with one ``weighted_sum``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 
 from . import numerics as nm
 from .geometry import GroundTruthObject, box2d_corners
-from .numerics import Tensor, focal_loss
+from .numerics import Tensor
 
 W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH = 2.0, 5.0, 5.0, 2.0, 1.0, 1.0, 0.5
 FOCAL_ALPHA, FOCAL_GAMMA = 0.25, 2.0
@@ -76,33 +74,16 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
     if len(positive_rows) != len(targets):
         raise ValueError(f"{len(positive_rows)} positive rows vs {len(targets)} targets")
     num_classes = pred.class_logits.data.shape[1]
-    m = len(targets)
-    norm = float(max(1, m))
-
     onehot = np.zeros((len(block), num_classes))
     for row, gt in zip(positive_rows, targets):
         onehot[block.index(row), gt.c] = 1.0
-    cls = focal_loss(nm.gather_rows(pred.class_logits, block), onehot,
-                     FOCAL_ALPHA, FOCAL_GAMMA, norm)
-    if m == 0:
-        return nm.weighted_sum([cls], [W_CLS])
-
-    centers = nm.gather_rows(pred.centers, positive_rows)
-    lrtb = nm.gather_rows(pred.lrtb, positive_rows)
-    size3d = nm.gather_rows(pred.size3d, positive_rows)
-    angle = nm.gather_rows(pred.angle, positive_rows)
-    depth = nm.gather_rows(pred.depth, positive_rows)
-
-    t_center = np.array([[gt.x_c, gt.y_c] for gt in targets])
-    t_lrtb = np.array([[gt.l, gt.r, gt.t, gt.b] for gt in targets])
-    t_size = np.array([[gt.l3d, gt.w3d, gt.h3d] for gt in targets])
-    t_angle = np.array([[math.sin(gt.theta), math.cos(gt.theta)] for gt in targets])
-    t_depth = np.array([[gt.d] for gt in targets])
+    box_targets = [np.array([[gt.x_c, gt.y_c] for gt in targets]),
+                   np.array([[gt.l, gt.r, gt.t, gt.b] for gt in targets]),
+                   np.array([[gt.l3d, gt.w3d, gt.h3d] for gt in targets]),
+                   np.array([[math.sin(gt.theta), math.cos(gt.theta)] for gt in targets]),
+                   np.array([[gt.d] for gt in targets])]
     t_corners = np.array([box2d_corners(gt.anchor()) for gt in targets])
-
-    return nm.weighted_sum(
-        [cls, nm.l1_loss(centers, t_center, norm), nm.l1_loss(lrtb, t_lrtb, norm),
-         nm.giou_loss(centers, lrtb, t_corners, norm),
-         nm.l1_loss(size3d, t_size, norm), nm.l1_loss(angle, t_angle, norm),
-         nm.l1_loss(depth, t_depth, norm)],
-        [W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH])
+    return nm.block_loss(
+        pred.class_logits, [pred.centers, pred.lrtb, pred.size3d, pred.angle, pred.depth],
+        block, positive_rows, onehot, box_targets, t_corners, float(max(1, len(targets))),
+        [W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH], FOCAL_ALPHA, FOCAL_GAMMA)

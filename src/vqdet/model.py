@@ -72,6 +72,11 @@ class DetectorConfig:
     confidence_threshold: float = 0.2
 
     def __post_init__(self):
+        for name in ("groups", "queries_per_group", "noisy_groups", "width", "heads", "layers",
+                     "feature_size", "num_classes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("groups", "queries_per_group", "width", "heads", "layers",
                      "feature_size", "num_classes"):
             if getattr(self, name) < 1:

@@ -13,12 +13,13 @@ nothing: inference and finite-difference probes, which need only values,
 keep no graph alive. A value that only the backward pass reads is computed
 in the VJP, not in the forward op, so untaped calls do not pay for it.
 
-The module holds only the operations the detector runs. Each loss term is
-one node with a closed-form VJP (``giou_loss`` goes from centers and edge
-distances straight to the mean GIoU term), and so is a weighted sum of
-scalar losses. Reference ops that only the tests compose (matmul, softmax,
-row and column slices, elementwise min/max and the like) live beside the
-oracles that use them, in ``tests/oracles.py``.
+The module holds only the operations the detector runs. A block's whole
+set-prediction loss is one node with a closed-form VJP (``block_loss``: the
+focal, GIoU and L1 terms of rows it reads in place, weighted and added), and
+so is a weighted sum of scalar losses. Reference ops that only the tests
+compose (matmul, softmax, row and column slices, elementwise min/max, the
+loss terms as separate nodes and the like) live beside the oracles that use
+them, in ``tests/oracles.py``.
 
 The tape is rebuilt from scratch each training step and is single-threaded
 within a step. Data is always float64; there is no broadcasting beyond the
@@ -53,9 +54,7 @@ __all__ = [
     "layer_norm",
     "weighted_row_smooth_l1",
     "gaussian_kl",
-    "focal_loss",
-    "giou_loss",
-    "l1_loss",
+    "block_loss",
     "weighted_sum",
     "sum_all",
     "concat_rows",
@@ -229,8 +228,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0.0
-    return _node(np.where(keep, a.data, 0.0), (a,), lambda g: (g * keep,))
+    """max(x, 0) that passes NaN on; no gradient at exactly 0."""
+    return _node(np.where(a.data <= 0.0, 0.0, a.data), (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -418,117 +417,179 @@ def gaussian_kl(mu: Tensor, log_var: Tensor) -> Tensor:
     return _node(out, (mu, log_var), vjp)
 
 
-def focal_loss(logits: Tensor, target_onehot: np.ndarray, alpha: float,
-               gamma: float, normalizer: float) -> Tensor:
-    """Sigmoid focal loss summed over all entries, divided by ``normalizer``.
+def _focal_sum(z: np.ndarray, t: np.ndarray, alpha: float, gamma: float):
+    """Sigmoid focal loss of logits ``z`` against targets ``t``, summed over all entries.
 
     Stable form: log p = -softplus(-z) and log(1-p) = -softplus(z), with the
-    modulating factors written as exp(gamma * log(.)) <= 1. The targets are
-    plain numbers; no gradient flows into them.
+    modulating factors written as exp(gamma * log(.)) <= 1. Both softplus
+    terms and both sigmoids of the VJP share exp(-|z|). Returns the sum and a
+    VJP mapping the gradient ``gs`` of the sum to that of ``z``.
     """
-    t = np.asarray(target_onehot, dtype=np.float64)
-    z = logits.data
-    if t.shape != z.shape:
-        raise ShapeError(f"focal_loss: targets {t.shape} vs logits {z.shape}")
-    log_p = -_softplus(-z)
-    log_1mp = -_softplus(z)
+    e = np.exp(-np.abs(z))
+    tail = np.log1p(e)
+    log_p = -(np.maximum(-z, 0.0) + tail)
+    log_1mp = -(np.maximum(z, 0.0) + tail)
     mod_pos = np.exp(log_1mp * gamma)  # (1 - p)^gamma
     mod_neg = np.exp(log_p * gamma)    # p^gamma
     w_pos = alpha * t
     w_neg = (1.0 - alpha) * (1.0 - t)
     weighted = mod_pos * log_p * w_pos + mod_neg * log_1mp * w_neg
-    scale = -1.0 / normalizer
-    out = np.asarray(weighted.sum()) * scale
 
-    def vjp(g):
-        gs = float(g) * scale
+    def vjp(gs):
         g_pos = gs * w_pos
         g_neg = gs * w_neg
         g_log_p = g_pos * mod_pos + g_neg * log_1mp * mod_neg * gamma
         g_log_1mp = g_pos * log_p * mod_pos * gamma + g_neg * mod_neg
-        # d log p / dz = sigmoid(-z), d log(1-p) / dz = -sigmoid(z)
-        return (g_log_p * _sigmoid(-z) - g_log_1mp * _sigmoid(z),)
+        # d log p / dz = sigmoid(-z), d log(1-p) / dz = -sigmoid(z); sigmoid(x)
+        # is 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|)
+        ep1 = 1.0 + e
+        upper, lower = 1.0 / ep1, e / ep1
+        return (g_log_p * np.where(z <= 0.0, upper, lower)
+                - g_log_1mp * np.where(z >= 0.0, upper, lower))
 
-    return _node(out, (logits,), vjp)
+    return weighted.sum(), vjp
 
 
-def giou_loss(centers: Tensor, lrtb: Tensor, target_corners: np.ndarray,
-              normalizer: float) -> Tensor:
-    """``1 - sum(GIoU) / normalizer`` of (m, 2) centers and (m, 4) edge distances.
+def _giou_sum(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
+    """Sum over rows of the GIoU of predicted and target corner boxes.
 
-    Row i's predicted corner box (x0, y0, x1, y1) is the center minus its
-    left/top and plus its right/bottom distance, scored against the constant
-    corner box ``target_corners[i]``. Target boxes must be non-degenerate;
-    their positive areas bound union and hull away from zero, keeping the
-    divisions safe. Every min/max routes its gradient to the predicted
-    coordinate on a tie, and a zero-width intersection passes no gradient.
+    Row i's predicted corner box (x0, y0, x1, y1) is center ``c[i]`` minus
+    its left/top and plus its right/bottom distance ``e[i]``, scored against
+    the corner box ``tc[i]``. Target boxes must be non-degenerate; their
+    positive areas bound union and hull away from zero, keeping the divisions
+    safe. Every min/max routes its gradient to the predicted coordinate on a
+    tie, and a zero-width intersection passes no gradient. Returns the sum and
+    a VJP mapping the gradient ``g`` of the sum to those of ``c`` and ``e``.
     """
-    c, e = centers.data, lrtb.data
-    tc = np.asarray(target_corners, dtype=np.float64)
-    if c.ndim != 2 or c.shape[1] != 2 or e.shape != (c.shape[0], 4) or tc.shape != e.shape:
-        raise ShapeError(f"giou_loss: centers {c.shape}, lrtb {e.shape}, targets {tc.shape}")
-    ax0, ay0 = c[:, :1] - e[:, 0:1], c[:, 1:] - e[:, 2:3]
-    ax1, ay1 = c[:, :1] + e[:, 1:2], c[:, 1:] + e[:, 3:4]
-    bx0, by0, bx1, by1 = (tc[:, j:j + 1] for j in range(4))
+    # x and y side by side: lo = (x0, y0) = c - (l, t), hi = (x1, y1) = c + (r, b)
+    lo, hi = c - e[:, 0::2], c + e[:, 1::2]
+    b_lo, b_hi = tc[:, :2], tc[:, 2:]
     # take_* marks where the predicted coordinate wins each min/max
-    take_ix1, take_iy1 = ax1 <= bx1, ay1 <= by1
-    take_ix0, take_iy0 = ax0 >= bx0, ay0 >= by0
-    take_hx1, take_hy1 = ax1 >= bx1, ay1 >= by1
-    take_hx0, take_hy0 = ax0 <= bx0, ay0 <= by0
-    raw_w = np.where(take_ix1, ax1, bx1) - np.where(take_ix0, ax0, bx0)
-    raw_h = np.where(take_iy1, ay1, by1) - np.where(take_iy0, ay0, by0)
-    keep_w, keep_h = raw_w > 0.0, raw_h > 0.0
-    inter_w = np.where(keep_w, raw_w, 0.0)
-    inter_h = np.where(keep_h, raw_h, 0.0)
-    inter = inter_w * inter_h
-    wa, ha = ax1 - ax0, ay1 - ay0
-    area_b = (tc[:, 2] - tc[:, 0])[:, None] * (tc[:, 3] - tc[:, 1])[:, None]
-    union = wa * ha + area_b - inter
-    hull_w = np.where(take_hx1, ax1, bx1) - np.where(take_hx0, ax0, bx0)
-    hull_h = np.where(take_hy1, ay1, by1) - np.where(take_hy0, ay0, by0)
-    hull = hull_w * hull_h
+    take_i1, take_i0 = hi <= b_hi, lo >= b_lo
+    take_h1, take_h0 = hi >= b_hi, lo <= b_lo
+    raw = np.where(take_i1, hi, b_hi) - np.where(take_i0, lo, b_lo)
+    keep = raw > 0.0
+    inter_wh = np.where(keep, raw, 0.0)
+    inter = inter_wh[:, :1] * inter_wh[:, 1:]
+    wh = hi - lo
+    b_wh = b_hi - b_lo
+    union = wh[:, :1] * wh[:, 1:] + b_wh[:, :1] * b_wh[:, 1:] - inter
+    hull_wh = np.where(take_h1, hi, b_hi) - np.where(take_h0, lo, b_lo)
+    hull = hull_wh[:, :1] * hull_wh[:, 1:]
     giou = inter / union - (hull - union) / hull
-    scale = -1.0 / normalizer
-    out = np.asarray(giou.sum()) * scale + 1.0
 
     def vjp(g):
-        g = float(g) * scale  # the same for every row's GIoU
-        # giou = inter / union - (hull - union) / hull
+        # giou = inter / union - (hull - union) / hull, the same g for every row
         g_inter = g / union
         g_union = -g * inter / (union * union) + g / hull
         g_hull = -g * union / (hull * hull)
-        # union = wa * ha + area_b - inter
+        # union = w * h + area_b - inter; each side's gradient takes the other side
         g_inter = g_inter - g_union
-        g_w = g_inter * inter_h * keep_w
-        g_h = g_inter * inter_w * keep_h
-        g_hw = g_hull * hull_h
-        g_hh = g_hull * hull_w
-        g_wa = g_union * ha
-        g_ha = g_union * wa
-        gx0 = -g_w * take_ix0 - g_wa - g_hw * take_hx0
-        gy0 = -g_h * take_iy0 - g_ha - g_hh * take_hy0
-        gx1 = g_w * take_ix1 + g_wa + g_hw * take_hx1
-        gy1 = g_h * take_iy1 + g_ha + g_hh * take_hy1
-        # x0 = cx - l, y0 = cy - t, x1 = cx + r, y1 = cy + b
-        return (np.concatenate([gx0 + gx1, gy0 + gy1], axis=1),
-                np.concatenate([-gx0, gx1, -gy0, gy1], axis=1))
+        g_i = g_inter * inter_wh[:, ::-1] * keep
+        g_h = g_hull * hull_wh[:, ::-1]
+        g_a = g_union * wh[:, ::-1]
+        g_lo = -g_i * take_i0 - g_a - g_h * take_h0
+        g_hi = g_i * take_i1 + g_a + g_h * take_h1
+        g_e = np.empty_like(e)
+        g_e[:, 0::2] = -g_lo
+        g_e[:, 1::2] = g_hi
+        return g_lo + g_hi, g_e
 
-    return _node(out, (centers, lrtb), vjp)
+    return giou.sum(), vjp
 
 
-def l1_loss(pred: Tensor, target: np.ndarray, normalizer: float) -> Tensor:
-    """Sum over all entries of |pred - target|, divided by ``normalizer``.
+def _unique_rows(rows: Sequence[int], count: int, what: str):
+    """Index of unique ``rows`` out of ``count``: a slice for a step-1 range, else an array."""
+    if isinstance(rows, range) and rows.step == 1:
+        if rows and (rows.start < 0 or rows.stop > count):
+            raise IndexError(f"block_loss: {what} {rows} out of range for {count} rows")
+        return slice(rows.start, rows.stop)
+    ind = np.asarray(rows, dtype=np.int64)
+    if ind.size and (ind.min() < 0 or ind.max() >= count):
+        raise IndexError(f"block_loss: {what} out of range for {count} rows")
+    if len(set(ind.tolist())) != ind.size:
+        raise ValueError(f"block_loss: {what} repeat a row")
+    return ind
 
-    The target is a plain array; no gradient flows into it. The gradient at
-    pred == target is 0.
+
+def block_loss(logits: Tensor, boxes: Sequence[Tensor], block: Sequence[int],
+               positive_rows: Sequence[int], onehot: np.ndarray,
+               box_targets: Sequence[np.ndarray], target_corners: np.ndarray,
+               normalizer: float, weights: Sequence[float],
+               alpha: float, gamma: float) -> Tensor:
+    """Set-prediction loss of one block of rows, as one node.
+
+    ``logits`` is (R, C) and ``boxes`` holds five (R, w) tensors: centers,
+    lrtb, size3d, angle and depth. The op reads their ``block`` and
+    ``positive_rows`` rows in place; each list holds unique rows. Its value
+    adds seven terms, each divided by ``normalizer``, with ``weights`` in
+    this order:
+
+    - sigmoid focal loss (``alpha``, ``gamma``) of the block's logits
+      against the (len(block), C) ``onehot``;
+    - L1 of the positive centers and lrtb against ``box_targets[0:2]``;
+    - one minus GIoU, summed over the positive rows, of the corner boxes of
+      their centers and lrtb against ``target_corners``;
+    - L1 of the positive size3d, angle and depth against ``box_targets[2:]``.
+
+    Without positive rows only the focal term remains and ``boxes`` are not
+    parents. Each term's value and gradient are bitwise those of the term
+    written as its own node; the targets are plain arrays that receive no
+    gradient, and the L1 gradient at pred == target is 0.
     """
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.data.shape:
-        raise ShapeError(f"l1_loss: shapes {pred.data.shape} vs {t.shape}")
-    d = pred.data - t
-    scale = 1.0 / normalizer
-    out = np.asarray(np.abs(d).sum()) * scale
-    return _node(out, (pred,), lambda g: (float(g) * scale * np.sign(d),))
+    z, boxes = logits.data, list(boxes)
+    if z.ndim != 2:
+        raise ShapeError(f"block_loss: logits {z.shape} are not a matrix")
+    block_ind = _unique_rows(block, z.shape[0], "block rows")
+    pos = _unique_rows(positive_rows, z.shape[0], "positive rows")
+    t = np.asarray(onehot, dtype=np.float64)
+    if t.shape != (len(block), z.shape[1]) or len(boxes) != 5:
+        raise ShapeError(f"block_loss: logits {z.shape}, onehot {t.shape}, "
+                         f"{len(boxes)} box tensors")
+    ws = [float(w) for w in weights]
+    if len(ws) != 7:
+        raise ShapeError(f"block_loss: {len(ws)} weights for 7 terms")
+    focal, focal_vjp = _focal_sum(z[block_ind], t, alpha, gamma)
+    cls_scale = -1.0 / normalizer
+    out = focal * cls_scale * ws[0]
+    parents = (logits,)
+    if len(positive_rows):
+        preds = [h.data[pos] for h in boxes]
+        targets = [np.asarray(a, dtype=np.float64) for a in box_targets]
+        tc = np.asarray(target_corners, dtype=np.float64)
+        if (any(h.data.ndim != 2 or h.data.shape[0] != z.shape[0] for h in boxes)
+                or len(targets) != 5 or any(p.shape != a.shape for p, a in zip(preds, targets))
+                or preds[0].shape[1] != 2 or preds[1].shape[1] != 4 or tc.shape != preds[1].shape):
+            raise ShapeError(f"block_loss: box tensors {[h.data.shape for h in boxes]}, "
+                             f"targets {[a.shape for a in targets]}, corners {tc.shape} "
+                             f"for {len(positive_rows)} positive rows")
+        parents = (logits, *boxes)
+        diffs = [p - a for p, a in zip(preds, targets)]
+        l1_scale = 1.0 / normalizer
+        l1 = [np.abs(d).sum() * l1_scale for d in diffs]
+        giou, giou_vjp = _giou_sum(preds[0], preds[1], tc)
+        # the terms in weight order, added left to right
+        for term, w in zip((l1[0], l1[1], giou * cls_scale + 1.0, l1[2], l1[3], l1[4]), ws[1:]):
+            out = out + term * w
+
+    def vjp(g):
+        g = float(g)
+        row_grads = [focal_vjp(g * ws[0] * cls_scale)]
+        if len(parents) > 1:
+            row_grads += [g * w * l1_scale * np.sign(d) for w, d in zip(ws[1:3] + ws[4:], diffs)]
+            g_centers, g_lrtb = giou_vjp(g * ws[3] * cls_scale)
+            row_grads[1] = row_grads[1] + g_centers
+            row_grads[2] = row_grads[2] + g_lrtb
+        grads = []
+        for parent, rows, rows_g in zip(parents, (block_ind, *[pos] * 5), row_grads):
+            full = None
+            if parent.requires_grad:
+                full = np.zeros_like(parent.data)
+                full[rows] += rows_g  # not =: a -0.0 lands as +0.0, as in gather_rows
+            grads.append(full)
+        return tuple(grads)
+
+    return _node(np.asarray(out), parents, vjp)
 
 
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:

@@ -7,10 +7,11 @@ log_var but never through the noise sample. The deterministic mode short-
 circuits sampling to mu and drops the KL term, which is the conventional
 denoising baseline the variational scheme is compared against. The
 denoising loss reads every layer's noisy blocks from the one stacked
-:class:`PredictionRows` bundle of the step, one ``component_loss`` per block;
-one ``weighted_sum`` adds each layer's blocks, one more takes the layers'
-block means, and in variational mode a last one adds the KL term with
-weight :data:`BETA`, so the sums record L + 2 tape nodes (L + 1 without KL).
+:class:`PredictionRows` bundle of the step, one ``component_loss`` per block,
+each one tape node; one ``weighted_sum`` adds each layer's blocks, one more
+takes the layers' block means, and in variational mode a last one adds the
+KL term with weight :data:`BETA`, so the sums record L + 2 tape nodes (L + 1
+without KL).
 """
 
 from __future__ import annotations

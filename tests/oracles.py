@@ -10,6 +10,12 @@ here too. The detector runs none of them, so they are reference ops recorded
 with ``numerics._node``; ``tests/test_numerics.py`` checks their gradients
 against central differences. ``giou2d`` is the scalar reference for the matcher's
 vectorised GIoU.
+
+The focal, GIoU and L1 terms that ``numerics.block_loss`` fuses are kept here
+as the single-node ops they were, and ``reference_block_loss`` composes them
+the way the detector scored a block before the fusion. They share only the
+stable sigmoid and softplus helpers with the library, since the op must
+equal them bit for bit.
 """
 
 import itertools
@@ -18,7 +24,8 @@ import math
 import numpy as np
 
 from vqdet import numerics as nm
-from vqdet.numerics import DegenerateMaskError, ShapeError, Tensor, _node
+from vqdet.numerics import (DegenerateMaskError, ShapeError, Tensor, _node, _sigmoid,
+                            _softplus)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -250,8 +257,120 @@ def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:
     return cost
 
 
-# Loss terms as graphs of elementwise tape ops, one node per operation. The
-# fused single-node ops in vqdet.numerics must match them in value and gradient:
+# The loss terms that ``numerics.block_loss`` fuses, each as the single node it
+# was before the fusion, and a block's loss composed from them: six row
+# gathers, the seven terms and their weighted sum. ``reference_block_loss``
+# takes the op's arguments, and the op must equal it bit for bit.
+
+def focal_loss(logits, target_onehot, alpha, gamma, normalizer):
+    """Sigmoid focal loss summed over all entries, divided by ``normalizer``."""
+    t = np.asarray(target_onehot, dtype=np.float64)
+    z = logits.data
+    log_p = -_softplus(-z)
+    log_1mp = -_softplus(z)
+    mod_pos = np.exp(log_1mp * gamma)
+    mod_neg = np.exp(log_p * gamma)
+    w_pos = alpha * t
+    w_neg = (1.0 - alpha) * (1.0 - t)
+    weighted = mod_pos * log_p * w_pos + mod_neg * log_1mp * w_neg
+    scale = -1.0 / normalizer
+    out = np.asarray(weighted.sum()) * scale
+
+    def vjp(g):
+        gs = float(g) * scale
+        g_pos = gs * w_pos
+        g_neg = gs * w_neg
+        g_log_p = g_pos * mod_pos + g_neg * log_1mp * mod_neg * gamma
+        g_log_1mp = g_pos * log_p * mod_pos * gamma + g_neg * mod_neg
+        return (g_log_p * _sigmoid(-z) - g_log_1mp * _sigmoid(z),)
+
+    return _node(out, (logits,), vjp)
+
+
+def giou_loss(centers, lrtb, target_corners, normalizer):
+    """``1 - sum(GIoU) / normalizer`` of (m, 2) centers and (m, 4) edge distances."""
+    c, e = centers.data, lrtb.data
+    tc = np.asarray(target_corners, dtype=np.float64)
+    ax0, ay0 = c[:, :1] - e[:, 0:1], c[:, 1:] - e[:, 2:3]
+    ax1, ay1 = c[:, :1] + e[:, 1:2], c[:, 1:] + e[:, 3:4]
+    bx0, by0, bx1, by1 = (tc[:, j:j + 1] for j in range(4))
+    take_ix1, take_iy1 = ax1 <= bx1, ay1 <= by1
+    take_ix0, take_iy0 = ax0 >= bx0, ay0 >= by0
+    take_hx1, take_hy1 = ax1 >= bx1, ay1 >= by1
+    take_hx0, take_hy0 = ax0 <= bx0, ay0 <= by0
+    raw_w = np.where(take_ix1, ax1, bx1) - np.where(take_ix0, ax0, bx0)
+    raw_h = np.where(take_iy1, ay1, by1) - np.where(take_iy0, ay0, by0)
+    keep_w, keep_h = raw_w > 0.0, raw_h > 0.0
+    inter_w = np.where(keep_w, raw_w, 0.0)
+    inter_h = np.where(keep_h, raw_h, 0.0)
+    inter = inter_w * inter_h
+    wa, ha = ax1 - ax0, ay1 - ay0
+    area_b = (tc[:, 2] - tc[:, 0])[:, None] * (tc[:, 3] - tc[:, 1])[:, None]
+    union = wa * ha + area_b - inter
+    hull_w = np.where(take_hx1, ax1, bx1) - np.where(take_hx0, ax0, bx0)
+    hull_h = np.where(take_hy1, ay1, by1) - np.where(take_hy0, ay0, by0)
+    hull = hull_w * hull_h
+    giou = inter / union - (hull - union) / hull
+    scale = -1.0 / normalizer
+    out = np.asarray(giou.sum()) * scale + 1.0
+
+    def vjp(g):
+        g = float(g) * scale
+        g_inter = g / union
+        g_union = -g * inter / (union * union) + g / hull
+        g_hull = -g * union / (hull * hull)
+        g_inter = g_inter - g_union
+        g_w = g_inter * inter_h * keep_w
+        g_h = g_inter * inter_w * keep_h
+        g_hw = g_hull * hull_h
+        g_hh = g_hull * hull_w
+        g_wa = g_union * ha
+        g_ha = g_union * wa
+        gx0 = -g_w * take_ix0 - g_wa - g_hw * take_hx0
+        gy0 = -g_h * take_iy0 - g_ha - g_hh * take_hy0
+        gx1 = g_w * take_ix1 + g_wa + g_hw * take_hx1
+        gy1 = g_h * take_iy1 + g_ha + g_hh * take_hy1
+        return (np.concatenate([gx0 + gx1, gy0 + gy1], axis=1),
+                np.concatenate([-gx0, gx1, -gy0, gy1], axis=1))
+
+    return _node(out, (centers, lrtb), vjp)
+
+
+def l1_loss(pred, target, normalizer):
+    """Sum over all entries of |pred - target|, divided by ``normalizer``."""
+    d = pred.data - np.asarray(target, dtype=np.float64)
+    scale = 1.0 / normalizer
+    out = np.asarray(np.abs(d).sum()) * scale
+    return _node(out, (pred,), lambda g: (float(g) * scale * np.sign(d),))
+
+
+def _block_loss_from(terms, logits, boxes, block, positive_rows, onehot, box_targets,
+                     target_corners, normalizer, weights, alpha, gamma):
+    focal, giou, l1 = terms
+    cls = focal(nm.gather_rows(logits, list(block)), onehot, alpha, gamma, normalizer)
+    if not len(positive_rows):
+        return nm.weighted_sum([cls], list(weights)[:1])
+    centers, lrtb, size3d, angle, depth = (nm.gather_rows(b, list(positive_rows))
+                                           for b in boxes)
+    t_center, t_lrtb, t_size, t_angle, t_depth = box_targets
+    return nm.weighted_sum(
+        [cls, l1(centers, t_center, normalizer), l1(lrtb, t_lrtb, normalizer),
+         giou(centers, lrtb, target_corners, normalizer), l1(size3d, t_size, normalizer),
+         l1(angle, t_angle, normalizer), l1(depth, t_depth, normalizer)], weights)
+
+
+def reference_block_loss(*args):
+    """``numerics.block_loss`` as 14 nodes: gathers, single-node terms, their sum."""
+    return _block_loss_from((focal_loss, giou_loss, l1_loss), *args)
+
+
+def composite_block_loss(*args):
+    """``numerics.block_loss`` from the elementwise-op composites of its terms."""
+    return _block_loss_from((composite_focal_loss, composite_giou_loss, composite_l1_loss),
+                            *args)
+
+
+# Loss terms as graphs of elementwise tape ops, one node per operation.
 # ``giou_loss`` is composite_corner_boxes, then composite_giou2d_pairs, then
 # the mean GIoU term written out in composite_giou_loss.
 

@@ -1,5 +1,5 @@
 """Component losses checked against straightline hand-executed formulas, and
-the fused loss ops against the composite graphs of elementwise ops they replace."""
+the one-node block loss against the term-by-term graphs it replaces."""
 
 import math
 
@@ -10,14 +10,24 @@ from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject, box2d_corners
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 from vqdet import losses
-from vqdet.losses import PredictionRows, component_loss, focal_loss
+from vqdet.losses import PredictionRows, component_loss
 from oracles import (
+    composite_block_loss,
     composite_corner_boxes,
-    composite_focal_loss,
-    composite_giou_loss,
-    composite_l1_loss,
     giou2d,
+    reference_block_loss,
 )
+
+# widths of the five box tensors: centers, lrtb, size3d, angle, depth
+BOX_WIDTHS = (2, 4, 3, 2, 1)
+TERMS = ("focal", "center", "lrtb", "giou", "size", "angle", "depth")
+WEIGHTS = [losses.W_CLS, losses.W_CENTER, losses.W_LRTB, losses.W_GIOU,
+           losses.W_SIZE, losses.W_ANGLE, losses.W_DEPTH]
+
+
+def _only(term):
+    """Weights that keep one of the op's seven terms."""
+    return [1.0 if t == term else 0.0 for t in TERMS]
 
 
 def _pred_rows(class_logits, centers, lrtb, size3d, angle, depth):
@@ -34,6 +44,24 @@ def _hand_focal(logits, onehot, alpha, gamma):
     return float((onehot * pos + (1 - onehot) * neg).sum())
 
 
+def _focal(logits, onehot, alpha, gamma, norm):
+    """The op's focal term alone: a block of every row and no positive rows."""
+    rows = logits.data.shape[0]
+    boxes = [nm.Tensor(np.zeros((rows, w))) for w in BOX_WIDTHS]
+    return nm.block_loss(logits, boxes, range(rows), [], onehot, [], None, norm,
+                         _only("focal"), alpha, gamma)
+
+
+def _giou(centers, lrtb, target, norm):
+    """The op's GIoU term alone: every row positive, the other terms weighted 0."""
+    m = centers.data.shape[0]
+    rest = [nm.Tensor(np.zeros((m, w))) for w in BOX_WIDTHS[2:]]
+    targets = [np.zeros((m, w)) for w in BOX_WIDTHS]
+    return nm.block_loss(nm.Tensor(np.zeros((m, 1))), [centers, lrtb, *rest], range(m),
+                         range(m), np.zeros((m, 1)), targets, target, norm, _only("giou"),
+                         losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
+
+
 class TestFocalLoss:
     def test_matches_hand_formula(self):
         rng = np.random.default_rng(0)
@@ -41,14 +69,14 @@ class TestFocalLoss:
         onehot = np.zeros((4, 3))
         onehot[0, 1] = 1.0
         onehot[2, 0] = 1.0
-        got = focal_loss(nm.Tensor(logits), onehot, 0.25, 2.0, normalizer=2.0)
+        got = _focal(nm.Tensor(logits), onehot, 0.25, 2.0, norm=2.0)
         assert got.item() == pytest.approx(_hand_focal(logits, onehot, 0.25, 2.0) / 2.0,
                                            abs=1e-12)
 
     def test_extreme_logits_stay_finite(self):
         logits = np.array([[500.0, -500.0]])
         onehot = np.array([[1.0, 0.0]])
-        got = focal_loss(nm.Tensor(logits), onehot, 0.25, 2.0, 1.0)
+        got = _focal(nm.Tensor(logits), onehot, 0.25, 2.0, 1.0)
         assert np.isfinite(got.item())
         assert got.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -57,13 +85,12 @@ class TestFocalLoss:
         logits = rng.normal(size=(3, 4))
         onehot = np.zeros((3, 4))
         onehot[1, 2] = 1.0
-        err = check_scalar_fn(lambda ts: focal_loss(ts[0], onehot, 0.25, 2.0, 1.0),
-                              [logits])
+        err = check_scalar_fn(lambda ts: _focal(ts[0], onehot, 0.25, 2.0, 1.0), [logits])
         assert err <= OP_TOLERANCE
 
 
 def _op_corners(centers, lrtb):
-    """The corner boxes ``giou_loss`` scores, computed with its float ops."""
+    """The corner boxes the GIoU term scores, computed with its float ops."""
     return np.concatenate([centers[:, :1] - lrtb[:, 0:1], centers[:, 1:] - lrtb[:, 2:3],
                            centers[:, :1] + lrtb[:, 1:2], centers[:, 1:] + lrtb[:, 3:4]],
                           axis=1)
@@ -74,7 +101,7 @@ def _random_centers_lrtb(rng, m):
 
 
 class TestGIoUPairs:
-    """``giou_loss``: one minus the mean GIoU of predicted and target box pairs."""
+    """The GIoU term: one minus the mean GIoU of predicted and target box pairs."""
 
     def test_matches_scalar_giou(self):
         rng = np.random.default_rng(2)
@@ -84,7 +111,7 @@ class TestGIoUPairs:
                 x0, y0 = rng.uniform(0, 0.5, (2, m))
                 target = np.stack([x0, y0, x0 + rng.uniform(0.1, 0.5, m),
                                    y0 + rng.uniform(0.1, 0.5, m)], axis=1)
-                got = nm.giou_loss(nm.Tensor(centers), nm.Tensor(lrtb), target, 2.0)
+                got = _giou(nm.Tensor(centers), nm.Tensor(lrtb), target, 2.0)
                 pred = _op_corners(centers, lrtb)
                 want = 1.0 - sum(giou2d(tuple(a), tuple(b)) for a, b in zip(pred, target)) / 2.0
                 assert got.item() == pytest.approx(want, abs=1e-12)
@@ -95,8 +122,7 @@ class TestGIoUPairs:
         centers = np.array([[0.3, 0.25], [0.4, 0.155]])
         lrtb = np.array([[0.2, 0.2, 0.15, 0.15], [0.2, 0.2, 0.145, 0.145]])
         target = np.array([[0.15, 0.12, 0.55, 0.5], [0.05, 0.02, 0.45, 0.27]])
-        err = check_scalar_fn(lambda ts: nm.giou_loss(ts[0], ts[1], target, 3.0),
-                              [centers, lrtb])
+        err = check_scalar_fn(lambda ts: _giou(ts[0], ts[1], target, 3.0), [centers, lrtb])
         assert err <= OP_TOLERANCE
 
     def test_corner_boxes_layout(self):
@@ -104,16 +130,15 @@ class TestGIoUPairs:
         centers = nm.Tensor(np.array([[0.5, 0.6]]))
         lrtb = nm.Tensor(np.array([[0.1, 0.2, 0.3, 0.05]]))
         box = (0.4, 0.3, 0.7, 0.65)
-        assert nm.giou_loss(centers, lrtb, np.array([box]), 1.0).item() == pytest.approx(
+        assert _giou(centers, lrtb, np.array([box]), 1.0).item() == pytest.approx(
             0.0, abs=1e-12)
         other = (0.45, 0.2, 0.9, 0.5)
-        assert nm.giou_loss(centers, lrtb, np.array([other]), 1.0).item() == pytest.approx(
+        assert _giou(centers, lrtb, np.array([other]), 1.0).item() == pytest.approx(
             1.0 - giou2d(box, other), abs=1e-12)
 
     def test_rejects_mismatched_shapes(self):
-        with pytest.raises(nm.ShapeError, match="giou_loss"):
-            nm.giou_loss(nm.Tensor(np.zeros((2, 2))), nm.Tensor(np.ones((2, 4))),
-                         np.ones((3, 4)), 1.0)
+        with pytest.raises(nm.ShapeError, match="block_loss"):
+            _giou(nm.Tensor(np.zeros((2, 2))), nm.Tensor(np.ones((2, 4))), np.ones((3, 4)), 1.0)
 
 
 class TestComponentLoss:
@@ -173,7 +198,7 @@ class TestComponentLoss:
     def test_stacked_rows_equal_a_standalone_block(self, block, positives):
         """Reading a block in place is the loss of the block cut out, bit for bit."""
         rng = np.random.default_rng(21)
-        stacked = [rng.uniform(0.05, 0.3, size=(10, w)) for w in (3, 2, 4, 3, 2, 1)]
+        stacked = [rng.uniform(0.05, 0.3, size=(10, w)) for w in (3, *BOX_WIDTHS)]
         gts = [GroundTruthObject(j % 3, 0.5, 0.4, 0.1, 0.2, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
                for j in range(len(positives))]
         results = []
@@ -200,6 +225,28 @@ class TestComponentLoss:
             component_loss(pred, range(2), [0], [])
 
 
+def _block_args(rng, rows, block, positives, classes=3):
+    """Random head outputs of ``rows`` rows, and the op's other arguments for one block.
+
+    Returns the six arrays (logits, then the box tensors) and the arguments
+    after them: block, positive rows, onehot, box targets, target corners,
+    normaliser, weights, alpha and gamma. Every target box is a real box.
+    """
+    arrays = [rng.normal(size=(rows, classes)) * 3.0,
+              *_random_centers_lrtb(rng, rows), rng.uniform(1.0, 4.0, (rows, 3)),
+              rng.normal(size=(rows, 2)), rng.uniform(5.0, 40.0, (rows, 1))]
+    onehot = np.zeros((len(block), classes))
+    for r in positives:
+        onehot[list(block).index(r), rng.integers(classes)] = 1.0
+    m = len(positives)
+    box_targets = [a[list(positives)] + rng.normal(size=(m, a.shape[1])) * 0.05
+                   for a in arrays[1:]]
+    box_targets[1] = np.abs(box_targets[1])
+    corners = _op_corners(box_targets[0], box_targets[1])
+    return arrays, (block, positives, onehot, box_targets, corners, float(max(1, m)),
+                    WEIGHTS, losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
+
+
 def _value_and_grads(build, arrays, proj):
     """Output of ``build`` and the gradients of sum(output * proj) w.r.t. ``arrays``."""
     leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -213,15 +260,25 @@ def _assert_fused_matches(fused, composite, arrays, proj):
     got, got_grads = _value_and_grads(fused, arrays, proj)
     want, want_grads = _value_and_grads(composite, arrays, proj)
     for g, w in zip([got, *got_grads], [want, *want_grads]):
+        if w is None:  # a box tensor of a block without positives
+            assert g is None
+            continue
         assert g.shape == w.shape
         assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
 
 
+def _op(op, args):
+    return lambda ts: op(ts[0], ts[1:], *args)
+
+
 class TestFusedOpsMatchComposite:
+    """``block_loss`` against the same loss built from elementwise tape ops."""
+
     def test_focal_loss(self):
         rng = np.random.default_rng(10)
         for trial in range(20):
-            logits = rng.normal(size=(7, 3)) * 4.0
+            arrays, args = _block_args(rng, 9, range(1, 8), [])
+            logits = arrays[0]
             if trial % 2:
                 # saturated logits on both tails
                 logits[rng.random(size=logits.shape) < 0.4] = 40.0
@@ -230,10 +287,9 @@ class TestFusedOpsMatchComposite:
             onehot[rng.integers(7, size=3), rng.integers(3, size=3)] = 1.0
             alpha, gamma = rng.uniform(0.1, 0.9), [0.0, 1.0, 2.0, 2.5][trial % 4]
             norm = float(rng.integers(1, 5))
-            _assert_fused_matches(
-                lambda ts: focal_loss(ts[0], onehot, alpha, gamma, norm),
-                lambda ts: composite_focal_loss(ts[0], onehot, alpha, gamma, norm),
-                [logits], rng.normal())
+            args = (*args[:2], onehot, *args[3:5], norm, args[6], alpha, gamma)
+            _assert_fused_matches(_op(nm.block_loss, args), _op(composite_block_loss, args),
+                                  arrays, rng.normal())
 
     def test_giou_loss(self):
         rng = np.random.default_rng(11)
@@ -252,25 +308,28 @@ class TestFusedOpsMatchComposite:
             [x0, y0 + 0.05, x1 + 0.1, y1],            # ties on x0 and y1 only
         ])
         m = len(special)
-        cases = [(np.repeat(centers, m, axis=0), np.repeat(lrtb, m, axis=0), special)]
+        arrays, args = _block_args(rng, m + 2, range(m + 2), list(range(1, m + 1)))
+        arrays[1][1:m + 1], arrays[2][1:m + 1] = centers, lrtb
+        cases = [(arrays, args, special)]
         for trial in range(20):
-            c, e = _random_centers_lrtb(rng, 6)
-            own = _op_corners(c, e)
+            arrays, args = _block_args(rng, 8, range(1, 8), [6, 1, 2, 5, 4, 3])
+            own = _op_corners(arrays[1], arrays[2])[[6, 1, 2, 5, 4, 3]]
             if trial % 2:
                 # near the prediction; copy some of its coordinates to tie
                 target = own + rng.uniform(-0.04, 0.04, size=own.shape)
                 target = np.where(rng.random(size=own.shape) < 0.3, own, target)
             else:
                 target = own + np.tile(rng.uniform(-0.3, 0.3, size=(6, 2)), 2)  # moved
-            cases.append((c, e, target))
-        for c, e, target in cases:
+            cases.append((arrays, args, target))
+        for arrays, args, target in cases:
             norm = float(rng.integers(1, 5))
-            _assert_fused_matches(lambda ts: nm.giou_loss(ts[0], ts[1], target, norm),
-                                  lambda ts: composite_giou_loss(ts[0], ts[1], target, norm),
-                                  [c, e], rng.normal())
+            for weights in (WEIGHTS, _only("giou")):
+                case = (*args[:4], target, norm, weights, *args[7:])
+                _assert_fused_matches(_op(nm.block_loss, case),
+                                      _op(composite_block_loss, case), arrays, rng.normal())
 
     def test_corner_boxes(self):
-        """Matching's detached corner boxes are the composite's and the ones giou_loss scores."""
+        """Matching's detached corner boxes are the composite's and the ones the op scores."""
         rng = np.random.default_rng(12)
         centers, lrtb = _random_centers_lrtb(rng, 5)
         pred = PredictionRows(*(nm.Tensor(a) for a in (
@@ -279,23 +338,24 @@ class TestFusedOpsMatchComposite:
         composite = composite_corner_boxes(nm.Tensor(centers), nm.Tensor(lrtb))
         assert boxes.tobytes() == composite.data.tobytes()
         # every box against itself has GIoU 1
-        assert nm.giou_loss(pred.centers, pred.lrtb, boxes, 5.0).item() == pytest.approx(
+        assert _giou(pred.centers, pred.lrtb, boxes, 5.0).item() == pytest.approx(
             0.0, abs=1e-15)
 
     def test_l1_loss(self):
         rng = np.random.default_rng(13)
-        target = rng.normal(size=(4, 3))
-        pred = rng.normal(size=(4, 3))
-        pred[0] = target[0]  # exact zeros: gradient 0 there in both
-        _assert_fused_matches(lambda ts: nm.l1_loss(ts[0], target, 3.0),
-                              lambda ts: composite_l1_loss(ts[0], target, 3.0),
-                              [pred], rng.normal())
+        arrays, args = _block_args(rng, 6, range(6), [4, 0, 3])
+        box_targets = [t.copy() for t in args[3]]
+        for t, a in zip(box_targets, arrays[1:]):
+            t[1] = a[0]  # exact zeros: gradient 0 there in both
+        args = (*args[:3], box_targets, *args[4:])
+        _assert_fused_matches(_op(nm.block_loss, args), _op(composite_block_loss, args),
+                              arrays, rng.normal())
 
     def test_component_loss_records_few_nodes(self):
         rng = np.random.default_rng(14)
         rows = 6
         pred = PredictionRows(*(nm.Tensor(rng.random(size=(rows, w)), requires_grad=True)
-                                for w in (3, 2, 4, 3, 2, 1)))
+                                for w in (3, *BOX_WIDTHS)))
         gts = [GroundTruthObject(k % 3, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
                for k in range(4)]
         loss = component_loss(pred, range(rows), [0, 2, 3, 5], gts)
@@ -305,5 +365,61 @@ class TestFusedOpsMatchComposite:
             if t._parents and id(t) not in seen:
                 seen.add(id(t))
                 stack.extend(t._parents)
-        # 6 row gathers, focal, GIoU, 5 L1, the sum
-        assert len(seen) == 14
+        # the block loss alone; the six head tensors are leaves
+        assert len(seen) == 1
+
+
+def _taped(build, arrays, upstream):
+    """Value of ``build`` and the leaf gradients of ``upstream`` times it, as bytes."""
+    leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = build(leaves)
+    nm.backward(nm.weighted_sum([out], [upstream]))
+    return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+
+class TestBlockLossBitwise:
+    """``block_loss`` equals the 14-node composition it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("block,positives", [
+        (range(2, 7), [5, 2, 6]),   # learnable rows of a larger stack, some matched
+        (range(7, 10), range(7, 10)),  # a noisy block read in place, every row positive
+        (range(0, 10), [9, 0, 4, 1]),  # the whole stack
+        (range(3, 8), []),          # no positives: background only
+        ([9, 3, 4, 0], [4]),        # rows that are no range
+    ])
+    def test_equals_reference(self, block, positives):
+        rng = np.random.default_rng(31)
+        for trial in range(6):
+            arrays, args = _block_args(rng, 10, block, positives)
+            if trial % 2:  # weights that are no powers of two round at every product
+                args = (*args[:6], list(rng.uniform(0.3, 3.0, size=7)), *args[7:])
+            upstream = rng.uniform(0.1, 3.0)
+            assert (_taped(_op(nm.block_loss, args), arrays, upstream)
+                    == _taped(_op(reference_block_loss, args), arrays, upstream))
+
+    def test_blocks_of_one_stack_summed(self):
+        """Several blocks of one stack, added as the detector adds them."""
+        rng = np.random.default_rng(32)
+        layout = [(range(0, 4), [2, 0]), (range(4, 7), [4, 5, 6]), (range(7, 10), []),
+                  (range(10, 12), [11])]
+        arrays, _ = _block_args(rng, 12, range(12), [])
+        cases = [_block_args(rng, 12, block, pos)[1] for block, pos in layout]
+
+        def summed(op):
+            return lambda ts: nm.weighted_sum([op(ts[0], ts[1:], *args) for args in cases],
+                                              [1.0] * len(cases))
+
+        assert _taped(summed(nm.block_loss), arrays, 0.7) \
+            == _taped(summed(reference_block_loss), arrays, 0.7)
+
+    def test_rows_checked(self):
+        arrays, args = _block_args(np.random.default_rng(33), 6, range(6), [1, 2])
+        tensors = [nm.Tensor(a) for a in arrays]
+        with pytest.raises(ValueError, match="positive rows repeat a row"):
+            nm.block_loss(tensors[0], tensors[1:], args[0], [2, 2], *args[2:])
+        with pytest.raises(ValueError, match="block rows repeat a row"):
+            nm.block_loss(tensors[0], tensors[1:], [0, 1, 1, 2, 3, 4], *args[1:])
+        with pytest.raises(IndexError, match="block rows"):
+            nm.block_loss(tensors[0], tensors[1:], range(1, 7), *args[1:])
+        with pytest.raises(IndexError, match="positive rows"):
+            nm.block_loss(tensors[0], tensors[1:], args[0], [1, -1], *args[2:])

@@ -56,6 +56,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} "):
             DetectorConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("noisy_groups", 1.5), ("layers", 2.0), ("queries_per_group", 2.5), ("groups", "2"),
+        ("width", 64.0), ("heads", None), ("feature_size", True), ("num_classes", 3.0),
+    ])
+    def test_non_integer_count_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            DetectorConfig(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert DetectorConfig(layers=np.int64(2)).layers == 2
+
     def test_defaults_follow_design(self):
         # the full option surface: a new knob has to change this test
         assert [f.name for f in fields(DetectorConfig)] == [

@@ -155,6 +155,26 @@ def test_backward_names_first_op_that_overflows():
         nm.backward(loss)
 
 
+def test_relu_passes_nan_on_so_backward_names_it():
+    store = nm.ParameterStore(rng_seed=0)
+    w = store.param("a.w", (2, 2))
+    b = store.param("a.b", (2,), scale=0.0)
+    x = nm.Tensor(np.array([[1.0, np.nan], [0.5, -0.5]]))
+    loss = nm.sum_all(nm.relu(nm.linear(x, w, b)))
+    assert np.isnan(loss.item())
+    with pytest.raises(FloatingPointError, match=r"non-finite tensor: linear output \(2, 2\)"):
+        nm.backward(loss, store)
+
+
+def test_relu_on_finite_inputs_and_its_tie_rule():
+    x = np.array([-2.0, -0.0, 0.0, 1e-300, 3.5, -np.inf, np.inf])
+    out = nm.relu(nm.Tensor(x)).data
+    assert out.tobytes() == np.where(x > 0.0, x, 0.0).tobytes()  # +0.0 for -0.0
+    leaf = nm.Tensor(x[:5], requires_grad=True)
+    nm.backward(nm.sum_all(nm.relu(leaf) * nm.Tensor(np.full(5, 3.0))))
+    assert leaf.grad.tolist() == [0.0, 0.0, 0.0, 3.0, 3.0]
+
+
 def _taped_chain(x: nm.Tensor) -> nm.Tensor:
     return nm.sum_all(nm.softplus(nm.linear(x, x, nm.Tensor(np.ones(2)))) * 2.0)
 
