@@ -370,11 +370,9 @@ class TestFusedOpsMatchComposite:
 
 
 def _taped(build, arrays, upstream):
-    """Value of ``build`` and the leaf gradients of ``upstream`` times it, as bytes."""
-    leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = build(leaves)
-    nm.backward(nm.weighted_sum([out], [upstream]))
-    return [out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes() for t in leaves]
+    """``_value_and_grads`` of ``build`` as bytes, for bitwise comparison."""
+    out, grads = _value_and_grads(build, arrays, upstream)
+    return [out.tobytes()] + [None if g is None else g.tobytes() for g in grads]
 
 
 class TestBlockLossBitwise:
