@@ -161,17 +161,14 @@ def _check_block_loss(rng) -> float:
                for a in arrays[1:]]
     corners = np.concatenate([centers - lrtb[:, [0, 2]], centers + lrtb[:, [1, 3]]], axis=1)
     target_corners = corners[positives] + rng.uniform(0.01, 0.15, (2, 4))  # no min/max ties
-    weights = rng.uniform(0.5, 2.0, size=7)
     background = np.zeros((4, 2))
     background[rng.integers(4), rng.integers(2)] = 1.0
     boxes = [nm.Tensor(a) for a in arrays[1:]]
     return max(
         check_scalar_fn(lambda ts: nm.block_loss(ts[0], ts[1:], range(1, 5), positives, onehot,
-                                                 targets, target_corners, 2.0, weights,
-                                                 0.25, 2.0), arrays),
+                                                 targets, target_corners, 2.0), arrays),
         check_scalar_fn(lambda ts: nm.block_loss(ts[0], boxes, range(2, 6), [], background,
-                                                 [], None, 1.0, weights, 0.25, 2.0),
-                        arrays[:1]))
+                                                 [], None, 1.0), arrays[:1]))
 
 
 def _check_weighted_sum(rng) -> float:

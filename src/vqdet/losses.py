@@ -8,8 +8,9 @@ every row of the block (positives one-hot, the rest background) and L1 /
 GIoU regression over the positive rows only. Each component is normalized
 by the positive count, so magnitudes do not scale with the number of
 objects. The objective is fixed, so the component weights and the focal
-parameters are module constants (``W_*``, ``FOCAL_*``); the matching cost
-reads the same class, center and GIoU weights.
+parameters are constants (``W_*``, ``FOCAL_*``) of :mod:`numerics`, where
+the op reads them; this module re-exports them, and the matching cost reads
+the same class, center and GIoU weights.
 
 A call is one tape op with a closed-form gradient, :func:`numerics.block_loss`:
 it reads the block's logits and its positive rows of the five regression
@@ -28,10 +29,8 @@ import numpy as np
 
 from . import numerics as nm
 from .geometry import GroundTruthObject, box2d_corners
-from .numerics import Tensor
-
-W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH = 2.0, 5.0, 5.0, 2.0, 1.0, 1.0, 0.5
-FOCAL_ALPHA, FOCAL_GAMMA = 0.25, 2.0
+from .numerics import (FOCAL_ALPHA, FOCAL_GAMMA, W_ANGLE, W_CENTER, W_CLS, W_DEPTH,
+                       W_GIOU, W_LRTB, W_SIZE, Tensor)
 
 
 @dataclass
@@ -85,5 +84,4 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
     t_corners = np.array([box2d_corners(gt.anchor()) for gt in targets])
     return nm.block_loss(
         pred.class_logits, [pred.centers, pred.lrtb, pred.size3d, pred.angle, pred.depth],
-        block, positive_rows, onehot, box_targets, t_corners, float(max(1, len(targets))),
-        [W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH], FOCAL_ALPHA, FOCAL_GAMMA)
+        block, positive_rows, onehot, box_targets, t_corners, float(max(1, len(targets))))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GroundTruthObject, box2d_corners
-from .losses import W_CENTER, W_CLS, W_GIOU
+from .numerics import W_CENTER, W_CLS, W_GIOU
 
 
 @dataclass
@@ -141,7 +141,7 @@ def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
 
     cost = W_CLS * (1 - p[target class]) + W_CENTER * L1(center)
          + W_GIOU * (1 - giou2d), with the loss's own weights from
-    :mod:`losses`; all inputs are plain arrays, off the tape.
+    :mod:`numerics`; all inputs are plain arrays, off the tape.
     """
     nq = class_probs.shape[0]
     if nq == 0 or not gts:

@@ -77,12 +77,10 @@ class DetectorConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("groups", "queries_per_group", "width", "heads", "layers",
-                     "feature_size", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.noisy_groups < 0:
-            raise ValueError(f"noisy_groups must be nonnegative, got {self.noisy_groups}")
+            if name == "noisy_groups" and value < 0:
+                raise ValueError(f"noisy_groups must be nonnegative, got {value}")
+            if name != "noisy_groups" and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.width % 4 != 0:

@@ -417,35 +417,34 @@ def gaussian_kl(mu: Tensor, log_var: Tensor) -> Tensor:
     return _node(out, (mu, log_var), vjp)
 
 
-def _focal_sum(z: np.ndarray, t: np.ndarray, alpha: float, gamma: float):
+# The set-prediction objective is fixed: the weights of ``block_loss``'s seven
+# terms and its focal parameters. ``losses`` and ``matching`` read them here.
+W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH = 2.0, 5.0, 5.0, 2.0, 1.0, 1.0, 0.5
+FOCAL_ALPHA, FOCAL_GAMMA = 0.25, 2.0
+
+
+def _focal_sum(z: np.ndarray, t: np.ndarray):
     """Sigmoid focal loss of logits ``z`` against targets ``t``, summed over all entries.
 
     Stable form: log p = -softplus(-z) and log(1-p) = -softplus(z), with the
-    modulating factors written as exp(gamma * log(.)) <= 1. Both softplus
-    terms and both sigmoids of the VJP share exp(-|z|). Returns the sum and a
-    VJP mapping the gradient ``gs`` of the sum to that of ``z``.
+    modulating factors written as exp(gamma * log(.)) <= 1. Returns the sum
+    and a VJP mapping the gradient ``gs`` of the sum to that of ``z``.
     """
-    e = np.exp(-np.abs(z))
-    tail = np.log1p(e)
-    log_p = -(np.maximum(-z, 0.0) + tail)
-    log_1mp = -(np.maximum(z, 0.0) + tail)
-    mod_pos = np.exp(log_1mp * gamma)  # (1 - p)^gamma
-    mod_neg = np.exp(log_p * gamma)    # p^gamma
-    w_pos = alpha * t
-    w_neg = (1.0 - alpha) * (1.0 - t)
+    log_p = -_softplus(-z)
+    log_1mp = -_softplus(z)
+    mod_pos = np.exp(log_1mp * FOCAL_GAMMA)  # (1 - p)^gamma
+    mod_neg = np.exp(log_p * FOCAL_GAMMA)    # p^gamma
+    w_pos = FOCAL_ALPHA * t
+    w_neg = (1.0 - FOCAL_ALPHA) * (1.0 - t)
     weighted = mod_pos * log_p * w_pos + mod_neg * log_1mp * w_neg
 
     def vjp(gs):
         g_pos = gs * w_pos
         g_neg = gs * w_neg
-        g_log_p = g_pos * mod_pos + g_neg * log_1mp * mod_neg * gamma
-        g_log_1mp = g_pos * log_p * mod_pos * gamma + g_neg * mod_neg
-        # d log p / dz = sigmoid(-z), d log(1-p) / dz = -sigmoid(z); sigmoid(x)
-        # is 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|)
-        ep1 = 1.0 + e
-        upper, lower = 1.0 / ep1, e / ep1
-        return (g_log_p * np.where(z <= 0.0, upper, lower)
-                - g_log_1mp * np.where(z >= 0.0, upper, lower))
+        g_log_p = g_pos * mod_pos + g_neg * log_1mp * mod_neg * FOCAL_GAMMA
+        g_log_1mp = g_pos * log_p * mod_pos * FOCAL_GAMMA + g_neg * mod_neg
+        # d log p / dz = sigmoid(-z), d log(1-p) / dz = -sigmoid(z)
+        return g_log_p * _sigmoid(-z) - g_log_1mp * _sigmoid(z)
 
     return weighted.sum(), vjp
 
@@ -461,21 +460,26 @@ def _giou_sum(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
     tie, and a zero-width intersection passes no gradient. Returns the sum and
     a VJP mapping the gradient ``g`` of the sum to those of ``c`` and ``e``.
     """
-    # x and y side by side: lo = (x0, y0) = c - (l, t), hi = (x1, y1) = c + (r, b)
-    lo, hi = c - e[:, 0::2], c + e[:, 1::2]
-    b_lo, b_hi = tc[:, :2], tc[:, 2:]
+    ax0, ay0 = c[:, :1] - e[:, 0:1], c[:, 1:] - e[:, 2:3]
+    ax1, ay1 = c[:, :1] + e[:, 1:2], c[:, 1:] + e[:, 3:4]
+    bx0, by0, bx1, by1 = (tc[:, j:j + 1] for j in range(4))
     # take_* marks where the predicted coordinate wins each min/max
-    take_i1, take_i0 = hi <= b_hi, lo >= b_lo
-    take_h1, take_h0 = hi >= b_hi, lo <= b_lo
-    raw = np.where(take_i1, hi, b_hi) - np.where(take_i0, lo, b_lo)
-    keep = raw > 0.0
-    inter_wh = np.where(keep, raw, 0.0)
-    inter = inter_wh[:, :1] * inter_wh[:, 1:]
-    wh = hi - lo
-    b_wh = b_hi - b_lo
-    union = wh[:, :1] * wh[:, 1:] + b_wh[:, :1] * b_wh[:, 1:] - inter
-    hull_wh = np.where(take_h1, hi, b_hi) - np.where(take_h0, lo, b_lo)
-    hull = hull_wh[:, :1] * hull_wh[:, 1:]
+    take_ix1, take_iy1 = ax1 <= bx1, ay1 <= by1
+    take_ix0, take_iy0 = ax0 >= bx0, ay0 >= by0
+    take_hx1, take_hy1 = ax1 >= bx1, ay1 >= by1
+    take_hx0, take_hy0 = ax0 <= bx0, ay0 <= by0
+    raw_w = np.where(take_ix1, ax1, bx1) - np.where(take_ix0, ax0, bx0)
+    raw_h = np.where(take_iy1, ay1, by1) - np.where(take_iy0, ay0, by0)
+    keep_w, keep_h = raw_w > 0.0, raw_h > 0.0
+    inter_w = np.where(keep_w, raw_w, 0.0)
+    inter_h = np.where(keep_h, raw_h, 0.0)
+    inter = inter_w * inter_h
+    wa, ha = ax1 - ax0, ay1 - ay0
+    area_b = (tc[:, 2] - tc[:, 0])[:, None] * (tc[:, 3] - tc[:, 1])[:, None]
+    union = wa * ha + area_b - inter
+    hull_w = np.where(take_hx1, ax1, bx1) - np.where(take_hx0, ax0, bx0)
+    hull_h = np.where(take_hy1, ay1, by1) - np.where(take_hy0, ay0, by0)
+    hull = hull_w * hull_h
     giou = inter / union - (hull - union) / hull
 
     def vjp(g):
@@ -483,17 +487,21 @@ def _giou_sum(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
         g_inter = g / union
         g_union = -g * inter / (union * union) + g / hull
         g_hull = -g * union / (hull * hull)
-        # union = w * h + area_b - inter; each side's gradient takes the other side
+        # union = wa * ha + area_b - inter
         g_inter = g_inter - g_union
-        g_i = g_inter * inter_wh[:, ::-1] * keep
-        g_h = g_hull * hull_wh[:, ::-1]
-        g_a = g_union * wh[:, ::-1]
-        g_lo = -g_i * take_i0 - g_a - g_h * take_h0
-        g_hi = g_i * take_i1 + g_a + g_h * take_h1
-        g_e = np.empty_like(e)
-        g_e[:, 0::2] = -g_lo
-        g_e[:, 1::2] = g_hi
-        return g_lo + g_hi, g_e
+        g_w = g_inter * inter_h * keep_w
+        g_h = g_inter * inter_w * keep_h
+        g_hw = g_hull * hull_h
+        g_hh = g_hull * hull_w
+        g_wa = g_union * ha
+        g_ha = g_union * wa
+        gx0 = -g_w * take_ix0 - g_wa - g_hw * take_hx0
+        gy0 = -g_h * take_iy0 - g_ha - g_hh * take_hy0
+        gx1 = g_w * take_ix1 + g_wa + g_hw * take_hx1
+        gy1 = g_h * take_iy1 + g_ha + g_hh * take_hy1
+        # x0 = cx - l, y0 = cy - t, x1 = cx + r, y1 = cy + b
+        return (np.concatenate([gx0 + gx1, gy0 + gy1], axis=1),
+                np.concatenate([-gx0, gx1, -gy0, gy1], axis=1))
 
     return giou.sum(), vjp
 
@@ -515,18 +523,17 @@ def _unique_rows(rows: Sequence[int], count: int, what: str):
 def block_loss(logits: Tensor, boxes: Sequence[Tensor], block: Sequence[int],
                positive_rows: Sequence[int], onehot: np.ndarray,
                box_targets: Sequence[np.ndarray], target_corners: np.ndarray,
-               normalizer: float, weights: Sequence[float],
-               alpha: float, gamma: float) -> Tensor:
+               normalizer: float) -> Tensor:
     """Set-prediction loss of one block of rows, as one node.
 
     ``logits`` is (R, C) and ``boxes`` holds five (R, w) tensors: centers,
     lrtb, size3d, angle and depth. The op reads their ``block`` and
     ``positive_rows`` rows in place; each list holds unique rows. Its value
-    adds seven terms, each divided by ``normalizer``, with ``weights`` in
-    this order:
+    adds seven terms, each divided by ``normalizer``, with the ``W_*``
+    weights in this order:
 
-    - sigmoid focal loss (``alpha``, ``gamma``) of the block's logits
-      against the (len(block), C) ``onehot``;
+    - sigmoid focal loss (``FOCAL_ALPHA``, ``FOCAL_GAMMA``) of the block's
+      logits against the (len(block), C) ``onehot``;
     - L1 of the positive centers and lrtb against ``box_targets[0:2]``;
     - one minus GIoU, summed over the positive rows, of the corner boxes of
       their centers and lrtb against ``target_corners``;
@@ -546,12 +553,9 @@ def block_loss(logits: Tensor, boxes: Sequence[Tensor], block: Sequence[int],
     if t.shape != (len(block), z.shape[1]) or len(boxes) != 5:
         raise ShapeError(f"block_loss: logits {z.shape}, onehot {t.shape}, "
                          f"{len(boxes)} box tensors")
-    ws = [float(w) for w in weights]
-    if len(ws) != 7:
-        raise ShapeError(f"block_loss: {len(ws)} weights for 7 terms")
-    focal, focal_vjp = _focal_sum(z[block_ind], t, alpha, gamma)
+    focal, focal_vjp = _focal_sum(z[block_ind], t)
     cls_scale = -1.0 / normalizer
-    out = focal * cls_scale * ws[0]
+    out = focal * cls_scale * W_CLS
     parents = (logits,)
     if len(positive_rows):
         preds = [h.data[pos] for h in boxes]
@@ -569,15 +573,16 @@ def block_loss(logits: Tensor, boxes: Sequence[Tensor], block: Sequence[int],
         l1 = [np.abs(d).sum() * l1_scale for d in diffs]
         giou, giou_vjp = _giou_sum(preds[0], preds[1], tc)
         # the terms in weight order, added left to right
-        for term, w in zip((l1[0], l1[1], giou * cls_scale + 1.0, l1[2], l1[3], l1[4]), ws[1:]):
-            out = out + term * w
+        out = (out + l1[0] * W_CENTER + l1[1] * W_LRTB + (giou * cls_scale + 1.0) * W_GIOU
+               + l1[2] * W_SIZE + l1[3] * W_ANGLE + l1[4] * W_DEPTH)
 
     def vjp(g):
         g = float(g)
-        row_grads = [focal_vjp(g * ws[0] * cls_scale)]
+        row_grads = [focal_vjp(g * W_CLS * cls_scale)]
         if len(parents) > 1:
-            row_grads += [g * w * l1_scale * np.sign(d) for w, d in zip(ws[1:3] + ws[4:], diffs)]
-            g_centers, g_lrtb = giou_vjp(g * ws[3] * cls_scale)
+            row_grads += [g * w * l1_scale * np.sign(d)
+                          for w, d in zip((W_CENTER, W_LRTB, W_SIZE, W_ANGLE, W_DEPTH), diffs)]
+            g_centers, g_lrtb = giou_vjp(g * W_GIOU * cls_scale)
             row_grads[1] = row_grads[1] + g_centers
             row_grads[2] = row_grads[2] + g_lrtb
         grads = []

@@ -344,33 +344,26 @@ def l1_loss(pred, target, normalizer):
     return _node(out, (pred,), lambda g: (float(g) * scale * np.sign(d),))
 
 
-def _block_loss_from(terms, logits, boxes, block, positive_rows, onehot, box_targets,
-                     target_corners, normalizer, weights, alpha, gamma):
-    focal, giou, l1 = terms
-    cls = focal(nm.gather_rows(logits, list(block)), onehot, alpha, gamma, normalizer)
+def reference_block_loss(logits, boxes, block, positive_rows, onehot, box_targets,
+                         target_corners, normalizer):
+    """``numerics.block_loss`` as 14 nodes: gathers, single-node terms, their sum."""
+    cls = focal_loss(nm.gather_rows(logits, list(block)), onehot, nm.FOCAL_ALPHA,
+                     nm.FOCAL_GAMMA, normalizer)
     if not len(positive_rows):
-        return nm.weighted_sum([cls], list(weights)[:1])
+        return nm.weighted_sum([cls], [nm.W_CLS])
     centers, lrtb, size3d, angle, depth = (nm.gather_rows(b, list(positive_rows))
                                            for b in boxes)
     t_center, t_lrtb, t_size, t_angle, t_depth = box_targets
     return nm.weighted_sum(
-        [cls, l1(centers, t_center, normalizer), l1(lrtb, t_lrtb, normalizer),
-         giou(centers, lrtb, target_corners, normalizer), l1(size3d, t_size, normalizer),
-         l1(angle, t_angle, normalizer), l1(depth, t_depth, normalizer)], weights)
+        [cls, l1_loss(centers, t_center, normalizer), l1_loss(lrtb, t_lrtb, normalizer),
+         giou_loss(centers, lrtb, target_corners, normalizer),
+         l1_loss(size3d, t_size, normalizer), l1_loss(angle, t_angle, normalizer),
+         l1_loss(depth, t_depth, normalizer)],
+        [nm.W_CLS, nm.W_CENTER, nm.W_LRTB, nm.W_GIOU, nm.W_SIZE, nm.W_ANGLE, nm.W_DEPTH])
 
 
-def reference_block_loss(*args):
-    """``numerics.block_loss`` as 14 nodes: gathers, single-node terms, their sum."""
-    return _block_loss_from((focal_loss, giou_loss, l1_loss), *args)
-
-
-def composite_block_loss(*args):
-    """``numerics.block_loss`` from the elementwise-op composites of its terms."""
-    return _block_loss_from((composite_focal_loss, composite_giou_loss, composite_l1_loss),
-                            *args)
-
-
-# Loss terms as graphs of elementwise tape ops, one node per operation.
+# Loss terms as graphs of elementwise tape ops, one node per operation. The
+# single-node terms above must match them in value and gradient:
 # ``giou_loss`` is composite_corner_boxes, then composite_giou2d_pairs, then
 # the mean GIoU term written out in composite_giou_loss.
 

@@ -1,5 +1,7 @@
-"""Component losses checked against straightline hand-executed formulas, and
-the one-node block loss against the term-by-term graphs it replaces."""
+"""Component losses checked against straightline hand-executed formulas, the
+single-node loss terms of ``tests/oracles.py`` against the composite graphs of
+elementwise ops, and the one-node block loss against those terms composed the
+way the detector composed them before, bit for bit."""
 
 import math
 
@@ -12,22 +14,19 @@ from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 from vqdet import losses
 from vqdet.losses import PredictionRows, component_loss
 from oracles import (
-    composite_block_loss,
     composite_corner_boxes,
+    composite_focal_loss,
+    composite_giou_loss,
+    composite_l1_loss,
+    focal_loss,
     giou2d,
+    giou_loss,
+    l1_loss,
     reference_block_loss,
 )
 
 # widths of the five box tensors: centers, lrtb, size3d, angle, depth
 BOX_WIDTHS = (2, 4, 3, 2, 1)
-TERMS = ("focal", "center", "lrtb", "giou", "size", "angle", "depth")
-WEIGHTS = [losses.W_CLS, losses.W_CENTER, losses.W_LRTB, losses.W_GIOU,
-           losses.W_SIZE, losses.W_ANGLE, losses.W_DEPTH]
-
-
-def _only(term):
-    """Weights that keep one of the op's seven terms."""
-    return [1.0 if t == term else 0.0 for t in TERMS]
 
 
 def _pred_rows(class_logits, centers, lrtb, size3d, angle, depth):
@@ -44,24 +43,6 @@ def _hand_focal(logits, onehot, alpha, gamma):
     return float((onehot * pos + (1 - onehot) * neg).sum())
 
 
-def _focal(logits, onehot, alpha, gamma, norm):
-    """The op's focal term alone: a block of every row and no positive rows."""
-    rows = logits.data.shape[0]
-    boxes = [nm.Tensor(np.zeros((rows, w))) for w in BOX_WIDTHS]
-    return nm.block_loss(logits, boxes, range(rows), [], onehot, [], None, norm,
-                         _only("focal"), alpha, gamma)
-
-
-def _giou(centers, lrtb, target, norm):
-    """The op's GIoU term alone: every row positive, the other terms weighted 0."""
-    m = centers.data.shape[0]
-    rest = [nm.Tensor(np.zeros((m, w))) for w in BOX_WIDTHS[2:]]
-    targets = [np.zeros((m, w)) for w in BOX_WIDTHS]
-    return nm.block_loss(nm.Tensor(np.zeros((m, 1))), [centers, lrtb, *rest], range(m),
-                         range(m), np.zeros((m, 1)), targets, target, norm, _only("giou"),
-                         losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
-
-
 class TestFocalLoss:
     def test_matches_hand_formula(self):
         rng = np.random.default_rng(0)
@@ -69,14 +50,14 @@ class TestFocalLoss:
         onehot = np.zeros((4, 3))
         onehot[0, 1] = 1.0
         onehot[2, 0] = 1.0
-        got = _focal(nm.Tensor(logits), onehot, 0.25, 2.0, norm=2.0)
+        got = focal_loss(nm.Tensor(logits), onehot, 0.25, 2.0, normalizer=2.0)
         assert got.item() == pytest.approx(_hand_focal(logits, onehot, 0.25, 2.0) / 2.0,
                                            abs=1e-12)
 
     def test_extreme_logits_stay_finite(self):
         logits = np.array([[500.0, -500.0]])
         onehot = np.array([[1.0, 0.0]])
-        got = _focal(nm.Tensor(logits), onehot, 0.25, 2.0, 1.0)
+        got = focal_loss(nm.Tensor(logits), onehot, 0.25, 2.0, 1.0)
         assert np.isfinite(got.item())
         assert got.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -85,12 +66,13 @@ class TestFocalLoss:
         logits = rng.normal(size=(3, 4))
         onehot = np.zeros((3, 4))
         onehot[1, 2] = 1.0
-        err = check_scalar_fn(lambda ts: _focal(ts[0], onehot, 0.25, 2.0, 1.0), [logits])
+        err = check_scalar_fn(lambda ts: focal_loss(ts[0], onehot, 0.25, 2.0, 1.0),
+                              [logits])
         assert err <= OP_TOLERANCE
 
 
 def _op_corners(centers, lrtb):
-    """The corner boxes the GIoU term scores, computed with its float ops."""
+    """The corner boxes ``giou_loss`` scores, computed with its float ops."""
     return np.concatenate([centers[:, :1] - lrtb[:, 0:1], centers[:, 1:] - lrtb[:, 2:3],
                            centers[:, :1] + lrtb[:, 1:2], centers[:, 1:] + lrtb[:, 3:4]],
                           axis=1)
@@ -101,7 +83,10 @@ def _random_centers_lrtb(rng, m):
 
 
 class TestGIoUPairs:
-    """The GIoU term: one minus the mean GIoU of predicted and target box pairs."""
+    """``giou_loss``: one minus the mean GIoU of predicted and target box pairs.
+
+    ``block_loss`` computes this term with the same float operations.
+    """
 
     def test_matches_scalar_giou(self):
         rng = np.random.default_rng(2)
@@ -111,7 +96,7 @@ class TestGIoUPairs:
                 x0, y0 = rng.uniform(0, 0.5, (2, m))
                 target = np.stack([x0, y0, x0 + rng.uniform(0.1, 0.5, m),
                                    y0 + rng.uniform(0.1, 0.5, m)], axis=1)
-                got = _giou(nm.Tensor(centers), nm.Tensor(lrtb), target, 2.0)
+                got = giou_loss(nm.Tensor(centers), nm.Tensor(lrtb), target, 2.0)
                 pred = _op_corners(centers, lrtb)
                 want = 1.0 - sum(giou2d(tuple(a), tuple(b)) for a, b in zip(pred, target)) / 2.0
                 assert got.item() == pytest.approx(want, abs=1e-12)
@@ -122,7 +107,8 @@ class TestGIoUPairs:
         centers = np.array([[0.3, 0.25], [0.4, 0.155]])
         lrtb = np.array([[0.2, 0.2, 0.15, 0.15], [0.2, 0.2, 0.145, 0.145]])
         target = np.array([[0.15, 0.12, 0.55, 0.5], [0.05, 0.02, 0.45, 0.27]])
-        err = check_scalar_fn(lambda ts: _giou(ts[0], ts[1], target, 3.0), [centers, lrtb])
+        err = check_scalar_fn(lambda ts: giou_loss(ts[0], ts[1], target, 3.0),
+                              [centers, lrtb])
         assert err <= OP_TOLERANCE
 
     def test_corner_boxes_layout(self):
@@ -130,15 +116,19 @@ class TestGIoUPairs:
         centers = nm.Tensor(np.array([[0.5, 0.6]]))
         lrtb = nm.Tensor(np.array([[0.1, 0.2, 0.3, 0.05]]))
         box = (0.4, 0.3, 0.7, 0.65)
-        assert _giou(centers, lrtb, np.array([box]), 1.0).item() == pytest.approx(
+        assert giou_loss(centers, lrtb, np.array([box]), 1.0).item() == pytest.approx(
             0.0, abs=1e-12)
         other = (0.45, 0.2, 0.9, 0.5)
-        assert _giou(centers, lrtb, np.array([other]), 1.0).item() == pytest.approx(
+        assert giou_loss(centers, lrtb, np.array([other]), 1.0).item() == pytest.approx(
             1.0 - giou2d(box, other), abs=1e-12)
 
     def test_rejects_mismatched_shapes(self):
+        """``block_loss`` checks the target corners against its positive rows."""
+        boxes = [nm.Tensor(np.ones((2, w))) for w in BOX_WIDTHS]
+        targets = [np.ones((2, w)) for w in BOX_WIDTHS]
         with pytest.raises(nm.ShapeError, match="block_loss"):
-            _giou(nm.Tensor(np.zeros((2, 2))), nm.Tensor(np.ones((2, 4))), np.ones((3, 4)), 1.0)
+            nm.block_loss(nm.Tensor(np.zeros((2, 3))), boxes, range(2), range(2),
+                          np.zeros((2, 3)), targets, np.ones((3, 4)), 1.0)
 
 
 class TestComponentLoss:
@@ -225,28 +215,6 @@ class TestComponentLoss:
             component_loss(pred, range(2), [0], [])
 
 
-def _block_args(rng, rows, block, positives, classes=3):
-    """Random head outputs of ``rows`` rows, and the op's other arguments for one block.
-
-    Returns the six arrays (logits, then the box tensors) and the arguments
-    after them: block, positive rows, onehot, box targets, target corners,
-    normaliser, weights, alpha and gamma. Every target box is a real box.
-    """
-    arrays = [rng.normal(size=(rows, classes)) * 3.0,
-              *_random_centers_lrtb(rng, rows), rng.uniform(1.0, 4.0, (rows, 3)),
-              rng.normal(size=(rows, 2)), rng.uniform(5.0, 40.0, (rows, 1))]
-    onehot = np.zeros((len(block), classes))
-    for r in positives:
-        onehot[list(block).index(r), rng.integers(classes)] = 1.0
-    m = len(positives)
-    box_targets = [a[list(positives)] + rng.normal(size=(m, a.shape[1])) * 0.05
-                   for a in arrays[1:]]
-    box_targets[1] = np.abs(box_targets[1])
-    corners = _op_corners(box_targets[0], box_targets[1])
-    return arrays, (block, positives, onehot, box_targets, corners, float(max(1, m)),
-                    WEIGHTS, losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
-
-
 def _value_and_grads(build, arrays, proj):
     """Output of ``build`` and the gradients of sum(output * proj) w.r.t. ``arrays``."""
     leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
@@ -260,25 +228,17 @@ def _assert_fused_matches(fused, composite, arrays, proj):
     got, got_grads = _value_and_grads(fused, arrays, proj)
     want, want_grads = _value_and_grads(composite, arrays, proj)
     for g, w in zip([got, *got_grads], [want, *want_grads]):
-        if w is None:  # a box tensor of a block without positives
-            assert g is None
-            continue
         assert g.shape == w.shape
         assert np.abs(g - w).max(initial=0.0) <= 1e-12 * np.abs(w).max(initial=0.0)
 
 
-def _op(op, args):
-    return lambda ts: op(ts[0], ts[1:], *args)
-
-
 class TestFusedOpsMatchComposite:
-    """``block_loss`` against the same loss built from elementwise tape ops."""
+    """The single-node terms against the same terms built from elementwise tape ops."""
 
     def test_focal_loss(self):
         rng = np.random.default_rng(10)
         for trial in range(20):
-            arrays, args = _block_args(rng, 9, range(1, 8), [])
-            logits = arrays[0]
+            logits = rng.normal(size=(7, 3)) * 4.0
             if trial % 2:
                 # saturated logits on both tails
                 logits[rng.random(size=logits.shape) < 0.4] = 40.0
@@ -287,9 +247,10 @@ class TestFusedOpsMatchComposite:
             onehot[rng.integers(7, size=3), rng.integers(3, size=3)] = 1.0
             alpha, gamma = rng.uniform(0.1, 0.9), [0.0, 1.0, 2.0, 2.5][trial % 4]
             norm = float(rng.integers(1, 5))
-            args = (*args[:2], onehot, *args[3:5], norm, args[6], alpha, gamma)
-            _assert_fused_matches(_op(nm.block_loss, args), _op(composite_block_loss, args),
-                                  arrays, rng.normal())
+            _assert_fused_matches(
+                lambda ts: focal_loss(ts[0], onehot, alpha, gamma, norm),
+                lambda ts: composite_focal_loss(ts[0], onehot, alpha, gamma, norm),
+                [logits], rng.normal())
 
     def test_giou_loss(self):
         rng = np.random.default_rng(11)
@@ -308,28 +269,25 @@ class TestFusedOpsMatchComposite:
             [x0, y0 + 0.05, x1 + 0.1, y1],            # ties on x0 and y1 only
         ])
         m = len(special)
-        arrays, args = _block_args(rng, m + 2, range(m + 2), list(range(1, m + 1)))
-        arrays[1][1:m + 1], arrays[2][1:m + 1] = centers, lrtb
-        cases = [(arrays, args, special)]
+        cases = [(np.repeat(centers, m, axis=0), np.repeat(lrtb, m, axis=0), special)]
         for trial in range(20):
-            arrays, args = _block_args(rng, 8, range(1, 8), [6, 1, 2, 5, 4, 3])
-            own = _op_corners(arrays[1], arrays[2])[[6, 1, 2, 5, 4, 3]]
+            c, e = _random_centers_lrtb(rng, 6)
+            own = _op_corners(c, e)
             if trial % 2:
                 # near the prediction; copy some of its coordinates to tie
                 target = own + rng.uniform(-0.04, 0.04, size=own.shape)
                 target = np.where(rng.random(size=own.shape) < 0.3, own, target)
             else:
                 target = own + np.tile(rng.uniform(-0.3, 0.3, size=(6, 2)), 2)  # moved
-            cases.append((arrays, args, target))
-        for arrays, args, target in cases:
+            cases.append((c, e, target))
+        for c, e, target in cases:
             norm = float(rng.integers(1, 5))
-            for weights in (WEIGHTS, _only("giou")):
-                case = (*args[:4], target, norm, weights, *args[7:])
-                _assert_fused_matches(_op(nm.block_loss, case),
-                                      _op(composite_block_loss, case), arrays, rng.normal())
+            _assert_fused_matches(lambda ts: giou_loss(ts[0], ts[1], target, norm),
+                                  lambda ts: composite_giou_loss(ts[0], ts[1], target, norm),
+                                  [c, e], rng.normal())
 
     def test_corner_boxes(self):
-        """Matching's detached corner boxes are the composite's and the ones the op scores."""
+        """Matching's detached corner boxes are the composite's and the ones giou_loss scores."""
         rng = np.random.default_rng(12)
         centers, lrtb = _random_centers_lrtb(rng, 5)
         pred = PredictionRows(*(nm.Tensor(a) for a in (
@@ -338,18 +296,17 @@ class TestFusedOpsMatchComposite:
         composite = composite_corner_boxes(nm.Tensor(centers), nm.Tensor(lrtb))
         assert boxes.tobytes() == composite.data.tobytes()
         # every box against itself has GIoU 1
-        assert _giou(pred.centers, pred.lrtb, boxes, 5.0).item() == pytest.approx(
+        assert giou_loss(pred.centers, pred.lrtb, boxes, 5.0).item() == pytest.approx(
             0.0, abs=1e-15)
 
     def test_l1_loss(self):
         rng = np.random.default_rng(13)
-        arrays, args = _block_args(rng, 6, range(6), [4, 0, 3])
-        box_targets = [t.copy() for t in args[3]]
-        for t, a in zip(box_targets, arrays[1:]):
-            t[1] = a[0]  # exact zeros: gradient 0 there in both
-        args = (*args[:3], box_targets, *args[4:])
-        _assert_fused_matches(_op(nm.block_loss, args), _op(composite_block_loss, args),
-                              arrays, rng.normal())
+        target = rng.normal(size=(4, 3))
+        pred = rng.normal(size=(4, 3))
+        pred[0] = target[0]  # exact zeros: gradient 0 there in both
+        _assert_fused_matches(lambda ts: l1_loss(ts[0], target, 3.0),
+                              lambda ts: composite_l1_loss(ts[0], target, 3.0),
+                              [pred], rng.normal())
 
     def test_component_loss_records_few_nodes(self):
         rng = np.random.default_rng(14)
@@ -369,10 +326,40 @@ class TestFusedOpsMatchComposite:
         assert len(seen) == 1
 
 
+def _block_args(rng, rows, block, positives, classes=3):
+    """Random head outputs of ``rows`` rows, and the op's other arguments for one block.
+
+    Returns the six arrays (logits, then the box tensors) and the arguments
+    after them: block, positive rows, onehot, box targets, target corners
+    and normaliser. Every target box is a real box.
+    """
+    arrays = [rng.normal(size=(rows, classes)) * 3.0,
+              *_random_centers_lrtb(rng, rows), rng.uniform(1.0, 4.0, (rows, 3)),
+              rng.normal(size=(rows, 2)), rng.uniform(5.0, 40.0, (rows, 1))]
+    onehot = np.zeros((len(block), classes))
+    for r in positives:
+        onehot[list(block).index(r), rng.integers(classes)] = 1.0
+    m = len(positives)
+    box_targets = [a[list(positives)] + rng.normal(size=(m, a.shape[1])) * 0.05
+                   for a in arrays[1:]]
+    box_targets[1] = np.abs(box_targets[1])
+    corners = _op_corners(box_targets[0], box_targets[1])
+    return arrays, [block, positives, onehot, box_targets, corners, float(max(1, m))]
+
+
 def _taped(build, arrays, upstream):
     """``_value_and_grads`` of ``build`` as bytes, for bitwise comparison."""
     out, grads = _value_and_grads(build, arrays, upstream)
     return [out.tobytes()] + [None if g is None else g.tobytes() for g in grads]
+
+
+def _assert_bitwise(arrays, args, upstream):
+    """``block_loss`` on ``arrays`` equals ``reference_block_loss``, value and gradients."""
+    def build(op):
+        return lambda ts: op(ts[0], ts[1:], *args)
+
+    assert (_taped(build(nm.block_loss), arrays, upstream)
+            == _taped(build(reference_block_loss), arrays, upstream))
 
 
 class TestBlockLossBitwise:
@@ -387,13 +374,56 @@ class TestBlockLossBitwise:
     ])
     def test_equals_reference(self, block, positives):
         rng = np.random.default_rng(31)
-        for trial in range(6):
+        for _ in range(4):
             arrays, args = _block_args(rng, 10, block, positives)
-            if trial % 2:  # weights that are no powers of two round at every product
-                args = (*args[:6], list(rng.uniform(0.3, 3.0, size=7)), *args[7:])
-            upstream = rng.uniform(0.1, 3.0)
-            assert (_taped(_op(nm.block_loss, args), arrays, upstream)
-                    == _taped(_op(reference_block_loss, args), arrays, upstream))
+            _assert_bitwise(arrays, args, rng.uniform(0.1, 3.0))
+
+    def test_saturated_logits(self):
+        rng = np.random.default_rng(10)
+        for trial in range(10):
+            arrays, args = _block_args(rng, 9, range(1, 8), [] if trial % 2 else [3, 6])
+            logits = arrays[0]
+            logits[rng.random(size=logits.shape) < 0.4] = 40.0
+            logits[rng.random(size=logits.shape) < 0.4] = -40.0
+            _assert_bitwise(arrays, args, rng.normal())
+
+    def test_giou_ties_and_touching_boxes(self):
+        """The min/max ties and degenerate intersections of ``test_giou_loss``."""
+        rng = np.random.default_rng(11)
+        centers = np.array([[0.4, 0.5]])
+        lrtb = np.array([[0.1, 0.2, 0.15, 0.1]])
+        # the op's own corners, so that copied coordinates tie exactly
+        x0, y0, x1, y1 = _op_corners(centers, lrtb)[0]
+        special = np.array([
+            [x0, y0, x1, y1],                         # every min/max pair ties
+            [x1, y0 + 0.05, x1 + 0.2, y1 - 0.05],     # zero-width intersection
+            [x0 + 0.05, y1, x1 - 0.05, y1 + 0.2],     # zero-height intersection
+            [x1, y1, x1 + 0.2, y1 + 0.2],             # touches at a corner
+            [x0 - 0.1, y0 - 0.1, x1 + 0.1, y1 + 0.1],  # contains the prediction
+            [x0 + 0.05, y0 + 0.05, x1 - 0.05, y1 - 0.05],  # inside the prediction
+            [x1 + 0.1, y1 + 0.1, x1 + 0.3, y1 + 0.2],  # disjoint
+            [x0, y0 + 0.05, x1 + 0.1, y1],            # ties on x0 and y1 only
+        ])
+        m = len(special)
+        arrays, args = _block_args(rng, m + 2, range(m + 2), list(range(1, m + 1)))
+        arrays[1][1:m + 1], arrays[2][1:m + 1] = centers, lrtb
+        args[4] = special
+        _assert_bitwise(arrays, args, rng.normal())
+        for _ in range(10):
+            arrays, args = _block_args(rng, 8, range(1, 8), [6, 1, 2, 5, 4, 3])
+            own = _op_corners(arrays[1], arrays[2])[[6, 1, 2, 5, 4, 3]]
+            # near the prediction; copy some of its coordinates to tie
+            target = own + rng.uniform(-0.04, 0.04, size=own.shape)
+            args[4] = np.where(rng.random(size=own.shape) < 0.3, own, target)
+            _assert_bitwise(arrays, args, rng.normal())
+
+    def test_l1_exact_zeros(self):
+        rng = np.random.default_rng(13)
+        arrays, args = _block_args(rng, 6, range(6), [4, 0, 3])
+        for t, a in zip(args[3], arrays[1:]):
+            t[1] = a[0]  # exact zeros: gradient 0 there in both
+        for upstream in (0.8, -0.8):
+            _assert_bitwise(arrays, args, upstream)
 
     def test_blocks_of_one_stack_summed(self):
         """Several blocks of one stack, added as the detector adds them."""
@@ -407,8 +437,8 @@ class TestBlockLossBitwise:
             return lambda ts: nm.weighted_sum([op(ts[0], ts[1:], *args) for args in cases],
                                               [1.0] * len(cases))
 
-        assert _taped(summed(nm.block_loss), arrays, 0.7) \
-            == _taped(summed(reference_block_loss), arrays, 0.7)
+        assert (_taped(summed(nm.block_loss), arrays, 0.7)
+                == _taped(summed(reference_block_loss), arrays, 0.7))
 
     def test_rows_checked(self):
         arrays, args = _block_args(np.random.default_rng(33), 6, range(6), [1, 2])
