@@ -233,16 +233,20 @@ def apply_box_noise(gt: GroundTruthObject, cfg: NoiseConfig, rng: np.random.Gene
     extent per axis, each edge distance is scaled independently, the label is
     resampled over the other classes with label_flip_prob, and dimensions,
     yaw, and depth receive their configured jitter. Outputs are re-clamped to
-    the ground-truth invariants. Draw order is fixed, so a seeded generator
-    reproduces the output bit-for-bit.
+    the ground-truth invariants. The draws are grouped into three generator
+    calls, four on a label flip: six uniforms (center shift x, y and the four
+    edge scales), one flip test, the new label on a flip, then five uniforms
+    (three dimension scales, yaw, depth). The order is fixed, so a seeded
+    generator reproduces the output bit-for-bit.
     """
+    u_x, u_y, s_l, s_r, s_t, s_b = rng.uniform(-1.0, 1.0, size=6).tolist()
     half_x = (gt.l + gt.r) / 2.0
     half_y = (gt.t + gt.b) / 2.0
-    dx = rng.uniform(-1.0, 1.0) * cfg.center_shift_scale * half_x
-    dy = rng.uniform(-1.0, 1.0) * cfg.center_shift_scale * half_y
-    scales = 1.0 + rng.uniform(-1.0, 1.0, size=4) * cfg.box_scale_range
-    l, r = gt.l * scales[0], gt.r * scales[1]
-    t, b = gt.t * scales[2], gt.b * scales[3]
+    dx = u_x * cfg.center_shift_scale * half_x
+    dy = u_y * cfg.center_shift_scale * half_y
+    box_range = cfg.box_scale_range
+    l, r = gt.l * (1.0 + s_l * box_range), gt.r * (1.0 + s_r * box_range)
+    t, b = gt.t * (1.0 + s_t * box_range), gt.b * (1.0 + s_b * box_range)
     x_c = gt.x_c + dx
     y_c = gt.y_c + dy
     # keep the noisy box inside the frame margin the invariants allow
@@ -253,14 +257,13 @@ def apply_box_noise(gt: GroundTruthObject, cfg: NoiseConfig, rng: np.random.Gene
     if rng.random() < cfg.label_flip_prob and num_classes > 1:
         c = (gt.c + 1 + int(rng.integers(num_classes - 1))) % num_classes
 
-    dim_scales = 1.0 + rng.uniform(-1.0, 1.0, size=3) * cfg.dim_scale_range
-    # scalar min/max, not np.clip: the ufunc call costs ~10x more on a scalar
-    l3d = float(min(max(gt.l3d * dim_scales[0], 0.05), 29.9))
-    w3d = float(min(max(gt.w3d * dim_scales[1], 0.05), 29.9))
-    h3d = float(min(max(gt.h3d * dim_scales[2], 0.05), 29.9))
-    theta = wrap_angle(gt.theta + rng.uniform(-1.0, 1.0) * cfg.angle_jitter_rad)
-    d = float(min(max(gt.d * (1.0 + rng.uniform(-1.0, 1.0) * cfg.depth_jitter_frac),
-                      0.51), 119.0))
+    s_l3d, s_w3d, s_h3d, u_theta, u_d = rng.uniform(-1.0, 1.0, size=5).tolist()
+    dim_range = cfg.dim_scale_range
+    l3d = min(max(gt.l3d * (1.0 + s_l3d * dim_range), 0.05), 29.9)
+    w3d = min(max(gt.w3d * (1.0 + s_w3d * dim_range), 0.05), 29.9)
+    h3d = min(max(gt.h3d * (1.0 + s_h3d * dim_range), 0.05), 29.9)
+    theta = wrap_angle(gt.theta + u_theta * cfg.angle_jitter_rad)
+    d = min(max(gt.d * (1.0 + u_d * cfg.depth_jitter_frac), 0.51), 119.0)
     return AnchorBox6D(x_c, y_c, l, r, t, b), (c, l3d, w3d, h3d, theta, d)
 
 

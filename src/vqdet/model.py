@@ -44,7 +44,7 @@ from .attention import (
 )
 from .distill import RefinerParams, forward_looking_distill, iou_weights, refiner_params
 from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject, iou3d
-from .losses import PredictionRows, component_loss
+from .losses import PredictionRows, TargetArrays, component_loss
 from .matching import Assignment, hungarian, matching_cost
 from .numerics import ParameterStore, Tensor
 from .scenes import Detection, Scene
@@ -321,7 +321,7 @@ def decode_box_rows(pred: PredictionRows, rows: Sequence[int],
 
 
 def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
-                   scene: Scene, s: int) -> DetachedDecisions:
+                   scene: Scene, targets: TargetArrays, s: int) -> DetachedDecisions:
     """Every detached decision of a step, from the decoder's outputs.
 
     ``stack`` holds every layer's rows, layer-major, and ``pred`` their head
@@ -331,13 +331,14 @@ def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
     learnable rows of every block gives each block its Hungarian assignment.
     With distillation on, each group also gets the final layer's matched
     learnable rows and all its noisy rows, their 3D IoU with their ground
-    truths, and the final layer's query values there.
+    truths, and the final layer's query values there. ``targets`` are the
+    arrays of ``scene.objects``.
     """
     cfg = det.cfg
     n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
     learnable = (np.arange(cfg.layers * groups)[:, None] * s + np.arange(n)).ravel()
     cost = matching_cost(pred.class_probs()[learnable], pred.centers.data[learnable],
-                         pred.corner_boxes_array()[learnable], gts)
+                         pred.corner_boxes_array()[learnable], targets)
     assignments = [[hungarian(cost[b * n:(b + 1) * n])
                     for b in range(layer * groups, (layer + 1) * groups)]
                    for layer in range(cfg.layers)]
@@ -363,10 +364,11 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     """Full per-scene loss with deep supervision on every decoder layer.
 
     The L layers' rows are stacked once, layer-major, and the shared heads
-    decode the stack in one call; every term reads that one bundle. The
-    step's decisions come from :func:`step_decisions`, or from ``replay``,
-    decisions of an earlier call; under pinned decisions the loss is a pure
-    differentiable function of the parameters.
+    decode the stack in one call; every term reads that one bundle, and the
+    matcher and the losses read one :class:`TargetArrays` of the scene's
+    objects. The step's decisions come from :func:`step_decisions`, or from
+    ``replay``, decisions of an earlier call; under pinned decisions the loss
+    is a pure differentiable function of the parameters.
     """
     cfg = det.cfg
     n, gts = cfg.queries_per_group, scene.objects
@@ -376,12 +378,14 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     stack = nm.concat_rows(layer_rows)
     pred = det.apply_heads(stack, nm.concat_rows([refs] * cfg.layers))
     s = mask.size
-    decisions = step_decisions(det, stack, pred, scene, s) if replay is None else replay
+    targets = TargetArrays.of(gts)
+    decisions = (step_decisions(det, stack, pred, scene, targets, s) if replay is None
+                 else replay)
 
     # block b = l*G + g starts at row b*s of the stack
     scored = [component_loss(pred, range(b * s, b * s + n),
                              [b * s + q for q in assign.query_indices()],
-                             [gts[j] for j in assign.gt_indices()])
+                             targets.take(assign.gt_indices()))
               for b, assign in enumerate(a for layer in decisions.assignments for a in layer)]
     detection = nm.weighted_sum(scored, [1.0] * len(scored))
     # noisy block j of block b: rows b*s + n + j*k onwards, one per ground truth
@@ -390,7 +394,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     blocks = [[range(b * s + lo, b * s + lo + k)
                for b in range(layer * groups, (layer + 1) * groups) for lo in range(n, s, k)]
               for layer in range(cfg.layers)] if k else []
-    dn = denoising_loss(pred, blocks, gts, dist, dn_cfg)
+    dn = denoising_loss(pred, blocks, targets, dist, dn_cfg)
     distillation = forward_looking_distill(
         stack, cfg.layers, decisions.distill_rows, decisions.distill_weights,
         det.refiner, decisions.teacher_rows)

@@ -8,10 +8,11 @@ circuits sampling to mu and drops the KL term, which is the conventional
 denoising baseline the variational scheme is compared against. The
 denoising loss reads every layer's noisy blocks from the one stacked
 :class:`PredictionRows` bundle of the step, one ``component_loss`` per block,
-each one tape node; one ``weighted_sum`` adds each layer's blocks, one more
-takes the layers' block means, and in variational mode a last one adds the
-KL term with weight :data:`BETA`, so the sums record L + 2 tape nodes (L + 1
-without KL).
+each one tape node; every call reads the step's one :class:`TargetArrays`
+as it is. One ``weighted_sum`` adds each layer's blocks, one more takes the
+layers' block means, and in variational mode a last one adds the KL term
+with weight :data:`BETA`, so the sums record L + 2 tape nodes (L + 1 without
+KL).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 import numpy as np
 
 from . import numerics as nm
-from .geometry import AnchorBox6D, GroundTruthObject
-from .losses import PredictionRows, component_loss
+from .geometry import AnchorBox6D
+from .losses import PredictionRows, TargetArrays, component_loss
 from .numerics import Tensor
 
 VARIATIONAL = "variational"
@@ -129,15 +130,16 @@ class DenoisingLoss:
 
 
 def denoising_loss(pred: PredictionRows, layer_blocks: Sequence[Sequence[Sequence[int]]],
-                   targets: Sequence[GroundTruthObject], dist: LatentDistribution | None,
+                   targets: TargetArrays, dist: LatentDistribution | None,
                    cfg: DenoisingConfig) -> DenoisingLoss:
     """Reconstruction loss over the noisy blocks plus :data:`BETA` times the KL term.
 
     ``pred`` holds the stacked head outputs of every decoder layer, and
     ``layer_blocks[l]`` lists layer l's noisy blocks, each block its rows of
-    ``pred``. Row i of a block reconstructs ``targets[i]``, so every row is
-    positive. Reconstruction averages over the blocks of a layer and sums
-    over layers, mirroring deep supervision. The KL term is computed once
+    ``pred``. Row i of a block reconstructs target i of ``targets``, the
+    step's one :class:`TargetArrays` bundle, which every block's call reads
+    as it is; every row is positive. Reconstruction averages over the blocks
+    of a layer and sums over layers, mirroring deep supervision. The KL term is computed once
     from the latent distribution, skipped in deterministic mode.
     """
     zero = nm.Tensor(0.0)

@@ -11,6 +11,10 @@ with ``numerics._node``; ``tests/test_numerics.py`` checks their gradients
 against central differences. ``giou2d`` is the scalar reference for the matcher's
 vectorised GIoU.
 
+``flagged_hungarian_scan`` and ``draw_by_draw_box_noise`` are earlier
+bodies of the Hungarian scan and the box noise, which the library's
+faster forms must equal bit for bit.
+
 The focal, GIoU and L1 terms that ``numerics.block_loss`` fuses are kept here
 as the single-node ops they were, and ``reference_block_loss`` composes them
 the way the detector scored a block before the fusion. They share only the
@@ -237,6 +241,97 @@ def brute_force_min_cost(cost: np.ndarray) -> float:
                    for p in itertools.permutations(range(m), n))
     return min(sum(cost[p[j], j] for j in range(m))
                for p in itertools.permutations(range(n), m))
+
+
+def flagged_hungarian_scan(cost: np.ndarray) -> list[int]:
+    """Column matched to each row of an (n, m), n <= m, matrix: the solver as
+    it was before its scan read Python floats and visited free columns only.
+
+    Every column is tested against a ``used`` flag and the matrix is read as
+    numpy scalars; the scan order and the strict-``<`` tie rule are the
+    solver's, so it must return the same columns.
+    """
+    n, m = cost.shape
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    match = [0] * (m + 1)
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = math.inf
+            j1 = -1
+            row = cost[i0 - 1]
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    row_to_col = [-1] * n
+    for j in range(1, m + 1):
+        if match[j] != 0:
+            row_to_col[match[j] - 1] = j - 1
+    return row_to_col
+
+
+def draw_by_draw_box_noise(gt, cfg, rng: np.random.Generator, num_classes: int):
+    """``geometry.apply_box_noise`` as it was with one generator call per draw.
+
+    The draws, in order: two uniforms for the center shift, four for the
+    edge scales, the flip test, the new label on a flip, three dimension
+    scales, yaw and depth. The library groups the same draws into three
+    calls (four on a flip) and must return the same values and leave the
+    generator at the same position.
+    """
+    from vqdet.geometry import AnchorBox6D, wrap_angle
+
+    half_x = (gt.l + gt.r) / 2.0
+    half_y = (gt.t + gt.b) / 2.0
+    dx = rng.uniform(-1.0, 1.0) * cfg.center_shift_scale * half_x
+    dy = rng.uniform(-1.0, 1.0) * cfg.center_shift_scale * half_y
+    scales = 1.0 + rng.uniform(-1.0, 1.0, size=4) * cfg.box_scale_range
+    l, r = gt.l * scales[0], gt.r * scales[1]
+    t, b = gt.t * scales[2], gt.b * scales[3]
+    x_c = gt.x_c + dx
+    y_c = gt.y_c + dy
+    x_c = min(max(x_c, -0.25 + l), 1.25 - r) if l + r <= 1.5 else gt.x_c
+    y_c = min(max(y_c, -0.25 + t), 1.25 - b) if t + b <= 1.5 else gt.y_c
+
+    c = gt.c
+    if rng.random() < cfg.label_flip_prob and num_classes > 1:
+        c = (gt.c + 1 + int(rng.integers(num_classes - 1))) % num_classes
+
+    dim_scales = 1.0 + rng.uniform(-1.0, 1.0, size=3) * cfg.dim_scale_range
+    l3d = float(min(max(gt.l3d * dim_scales[0], 0.05), 29.9))
+    w3d = float(min(max(gt.w3d * dim_scales[1], 0.05), 29.9))
+    h3d = float(min(max(gt.h3d * dim_scales[2], 0.05), 29.9))
+    theta = wrap_angle(gt.theta + rng.uniform(-1.0, 1.0) * cfg.angle_jitter_rad)
+    d = float(min(max(gt.d * (1.0 + rng.uniform(-1.0, 1.0) * cfg.depth_jitter_frac),
+                      0.51), 119.0))
+    return AnchorBox6D(x_c, y_c, l, r, t, b), (c, l3d, w3d, h3d, theta, d)
 
 
 def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:

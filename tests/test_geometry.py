@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from vqdet.geometry import (
     project_to_image,
     wrap_angle,
 )
-from oracles import giou2d, monte_carlo_iou3d, raster_giou2d
+from oracles import draw_by_draw_box_noise, giou2d, monte_carlo_iou3d, raster_giou2d
 
 
 def _random_gt(rng, num_classes=3):
@@ -223,6 +224,27 @@ class TestBoxNoise:
         # U(-0.08, 0.08): sd = 0.08/sqrt(3); mean within 3 standard errors
         se = 0.08 / math.sqrt(3) / math.sqrt(n)
         assert abs(shifts.mean()) <= 3 * se
+
+    @pytest.mark.parametrize("flip", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("num_classes", [1, 2, 3])
+    def test_grouped_draws_equal_draw_by_draw_bitwise(self, flip, num_classes):
+        """Same values, and the generator left where the draw-by-draw body leaves it."""
+        cfg = NoiseConfig(label_flip_prob=flip)
+        for seed in range(20):
+            gts = [_random_gt(np.random.default_rng((seed, i)), num_classes) for i in range(12)]
+            # a box too wide to shift, and one against the frame margin
+            gts[0] = GroundTruthObject(0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 4, 2, 1.5, 3.1, 20)
+            gts[1] = GroundTruthObject(0, 0.01, 0.99, 0.2, 0.01, 0.01, 0.2, 29, 0.1, 1.5, -3.1, 110)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for gt in gts:
+                (got_anchor, got), (want_anchor, want) = (
+                    apply_box_noise(gt, cfg, got_rng, num_classes),
+                    draw_by_draw_box_noise(gt, cfg, want_rng, num_classes))
+                assert got[0] == want[0] and type(got[0]) is int
+                assert np.array(astuple(got_anchor) + got[1:]).tobytes() \
+                    == np.array(astuple(want_anchor) + want[1:]).tobytes()
+                block = got_rng.standard_normal((2, 5))
+                assert block.tobytes() == want_rng.standard_normal((2, 5)).tobytes()
 
     def test_outputs_satisfy_invariants(self):
         rng = np.random.default_rng(6)

@@ -12,7 +12,7 @@ from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject, box2d_corners
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 from vqdet import losses
-from vqdet.losses import PredictionRows, component_loss
+from vqdet.losses import PredictionRows, TargetArrays, component_loss
 from oracles import (
     composite_corner_boxes,
     composite_focal_loss,
@@ -131,6 +131,50 @@ class TestGIoUPairs:
                           np.zeros((2, 3)), targets, np.ones((3, 4)), 1.0)
 
 
+def _random_gts(rng, k):
+    return [GroundTruthObject(int(rng.integers(3)), *rng.uniform(0.2, 0.8, 2),
+                              *rng.uniform(0.0, 0.2, 4), *rng.uniform(1.0, 5.0, 3),
+                              rng.uniform(-math.pi, math.pi), rng.uniform(5.0, 60.0))
+            for _ in range(k)]
+
+
+def _target_bytes(targets):
+    return [a.tobytes() for a in (targets.classes, *targets.boxes, targets.corners)]
+
+
+class TestTargetArrays:
+    def test_fields_follow_the_objects(self):
+        gts = _random_gts(np.random.default_rng(3), 5)
+        t = TargetArrays.of(gts)
+        want = [np.array([gt.c for gt in gts]),
+                np.array([[gt.x_c, gt.y_c] for gt in gts]),
+                np.array([[gt.l, gt.r, gt.t, gt.b] for gt in gts]),
+                np.array([[gt.l3d, gt.w3d, gt.h3d] for gt in gts]),
+                np.array([[math.sin(gt.theta), math.cos(gt.theta)] for gt in gts]),
+                np.array([[gt.d] for gt in gts]),
+                np.array([box2d_corners(gt.anchor()) for gt in gts])]
+        assert len(t) == 5
+        for got, expected in zip((t.classes, *t.boxes, t.corners), want):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.astype(got.dtype).tobytes()
+
+    def test_take_equals_building_from_the_taken_objects(self):
+        rng = np.random.default_rng(4)
+        gts = _random_gts(rng, 12)
+        whole = TargetArrays.of(gts)
+        for idx in ([], [3], [11, 0, 5], list(rng.permutation(12)), [2, 2, 7]):
+            taken = whole.take(idx)
+            assert len(taken) == len(idx)
+            assert _target_bytes(taken) == _target_bytes(TargetArrays.of([gts[i] for i in idx]))
+
+    def test_empty_gives_zero_row_arrays(self):
+        t = TargetArrays.of([])
+        assert len(t) == 0
+        assert t.classes.shape == (0,)
+        assert [a.shape for a in t.boxes] == [(0, w) for w in BOX_WIDTHS]
+        assert t.corners.shape == (0, 4)
+
+
 class TestComponentLoss:
     def test_hand_executed_tiny_instance(self):
         """One positive row among two; every component recomputed by hand."""
@@ -143,7 +187,7 @@ class TestComponentLoss:
         angle = np.array([[0.2, 0.9], [0.0, 1.0]])
         depth = np.array([[18.0], [30.0]])
         pred = _pred_rows(logits, centers, lrtb, size3d, angle, depth)
-        got = component_loss(pred, range(2), [0], [gt]).item()
+        got = component_loss(pred, range(2), [0], TargetArrays.of([gt])).item()
 
         onehot = np.zeros((2, 2))
         onehot[0, 0] = 1.0
@@ -164,7 +208,7 @@ class TestComponentLoss:
         logits = np.array([[2.0, -1.0], [0.5, 0.5]])
         pred = _pred_rows(logits, np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
-        got = component_loss(pred, range(2), [], []).item()
+        got = component_loss(pred, range(2), [], TargetArrays.of([])).item()
         expected = losses.W_CLS * _hand_focal(logits, np.zeros((2, 2)),
                                               losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
         assert got == pytest.approx(expected, abs=1e-12)
@@ -177,7 +221,7 @@ class TestComponentLoss:
             logits, np.array([[0.5, 0.5]]), np.array([[0.1, 0.1, 0.1, 0.1]]),
             np.array([[3.5, 1.6, 1.5]]),
             np.array([[math.sin(0.3), math.cos(0.3)]]), np.array([[20.0]]))
-        got = component_loss(pred, range(1), [0], [gt]).item()
+        got = component_loss(pred, range(1), [0], TargetArrays.of([gt])).item()
         assert got == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("block,positives", [
@@ -196,7 +240,7 @@ class TestComponentLoss:
                                   ([a[block.start:block.stop] for a in stacked],
                                    range(len(block)), [r - block.start for r in positives])):
             leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
-            loss = component_loss(PredictionRows(*leaves), rows, pos, gts)
+            loss = component_loss(PredictionRows(*leaves), rows, pos, TargetArrays.of(gts))
             nm.backward(loss)
             results.append((loss, [t.grad for t in leaves]))
         (whole, whole_grads), (cut, cut_grads) = results
@@ -212,7 +256,7 @@ class TestComponentLoss:
         pred = _pred_rows(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError):
-            component_loss(pred, range(2), [0], [])
+            component_loss(pred, range(2), [0], TargetArrays.of([]))
 
 
 def _value_and_grads(build, arrays, proj):
@@ -315,7 +359,7 @@ class TestFusedOpsMatchComposite:
                                 for w in (3, *BOX_WIDTHS)))
         gts = [GroundTruthObject(k % 3, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
                for k in range(4)]
-        loss = component_loss(pred, range(rows), [0, 2, 3, 5], gts)
+        loss = component_loss(pred, range(rows), [0, 2, 3, 5], TargetArrays.of(gts))
         seen, stack = set(), [loss]
         while stack:
             t = stack.pop()

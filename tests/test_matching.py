@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from vqdet.geometry import GroundTruthObject, box2d_corners
-from vqdet.losses import W_CENTER, W_CLS, W_GIOU
+from vqdet.losses import W_CENTER, W_CLS, W_GIOU, TargetArrays
 from vqdet.matching import hungarian, matching_cost
-from oracles import brute_force_min_cost, giou2d, loop_matching_cost
+from oracles import brute_force_min_cost, flagged_hungarian_scan, giou2d, loop_matching_cost
 
 
 def _gt(c=0, x=0.5, y=0.5, half=0.1):
@@ -69,8 +69,8 @@ class TestHungarian:
         perm = [2, 0, 1]
         inverse = {new_j: old_j for new_j, old_j in enumerate(perm)}
         for f in feats:
-            a = hungarian(matching_cost(*f, gts))
-            b = hungarian(matching_cost(*f, [gts[p] for p in perm]))
+            a = hungarian(matching_cost(*f, TargetArrays.of(gts)))
+            b = hungarian(matching_cost(*f, TargetArrays.of([gts[p] for p in perm])))
             remapped = sorted((q, inverse[j]) for q, j in b.pairs)
             assert remapped == sorted(a.pairs)
             assert b.total_cost == pytest.approx(a.total_cost, abs=1e-12)
@@ -83,17 +83,57 @@ class TestHungarian:
             assert got.total_cost == pytest.approx(brute_force_min_cost(cost), abs=1e-9)
 
 
+def _step_sized_matrices(rng):
+    """Random, near-tie and integer-cost matrices of a step's sizes, both ways round."""
+    for shape in [(12, 16), (16, 12)]:
+        for _ in range(20):
+            yield rng.normal(size=shape) * rng.uniform(0.5, 10)
+            # an untrained model scores every query alike: rows 1e-12 apart
+            yield (np.tile(rng.uniform(1.0, 9.0, size=shape[1]), (shape[0], 1))
+                   + rng.integers(0, 3, size=shape) * 1e-12)
+            yield rng.integers(0, 4, size=shape).astype(float)
+
+
+class TestHungarianAtStepSizes:
+    def test_total_cost_equals_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for cost in _step_sized_matrices(np.random.default_rng(8)):
+            got = hungarian(cost)
+            rows, cols = optimize.linear_sum_assignment(cost)
+            assert len(got.pairs) == min(cost.shape)
+            assert len({q for q, _ in got.pairs}) == len({g for _, g in got.pairs}) == 12
+            assert got.total_cost == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
+
+    def test_same_columns_as_the_flagged_scan(self):
+        for cost in _step_sized_matrices(np.random.default_rng(9)):
+            small = cost if cost.shape[0] <= cost.shape[1] else cost.T
+            want = flagged_hungarian_scan(small)
+            got = hungarian(small).pairs
+            assert got == [(i, j) for i, j in enumerate(want)]
+
+    def test_tie_heavy_pairs_pinned(self):
+        """Many optimal assignments; the lowest-index tie rule picks these."""
+        cost = np.fromfunction(lambda i, j: (7 * j + 3 * (i // 4)) % 5, (12, 16))
+        got = hungarian(cost)
+        assert got.total_cost == 3.0
+        assert got.pairs == [(0, 0), (1, 5), (2, 10), (3, 15), (4, 1), (5, 6),
+                             (6, 11), (7, 4), (8, 2), (9, 7), (10, 12), (11, 3)]
+        assert hungarian(cost.T).pairs == [(0, 0), (1, 4), (2, 8), (3, 11), (4, 7), (5, 1),
+                                           (6, 5), (7, 9), (10, 2), (11, 6), (12, 10), (15, 3)]
+
+
 class TestMatchingCost:
     def test_perfect_prediction_zero_cost(self):
         gt = _gt(c=1)
         probs = np.array([[0.0, 1.0, 0.0]])
         centers = np.array([[gt.x_c, gt.y_c]])
         boxes = np.array([box2d_corners(gt.anchor())])
-        cost = matching_cost(probs, centers, boxes, [gt])
+        cost = matching_cost(probs, centers, boxes, TargetArrays.of([gt]))
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_ground_truths_empty_columns(self):
-        cost = matching_cost(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 4)), [])
+        cost = matching_cost(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 4)),
+                             TargetArrays.of([]))
         assert cost.shape == (3, 0)
         assert hungarian(cost).pairs == []
 
@@ -105,7 +145,7 @@ class TestMatchingCost:
         probs = np.array([[0.8, 0.2, 0.0], [0.1, 0.6, 0.3]])
         centers = np.array([[0.42, 0.40], [0.70, 0.65]])
         boxes = np.array([[0.3, 0.3, 0.5, 0.5], [0.6, 0.5, 0.8, 0.7]])
-        cost = matching_cost(probs, centers, boxes, [g0, g1])
+        cost = matching_cost(probs, centers, boxes, TargetArrays.of([g0, g1]))
         for i, (p, ctr, box) in enumerate(zip(probs, centers, boxes)):
             for j, gt in enumerate([g0, g1]):
                 expected = (W_CLS * (1 - p[gt.c])
@@ -134,11 +174,11 @@ class TestMatchingCost:
                 boxes[2] = [0.2, 0.1, 0.2, 0.1]
                 g = box2d_corners(gts[-1].anchor())
                 boxes[3] = [g[2], g[1], g[2] + 0.1, g[3]]
-            got = matching_cost(probs, centers, boxes, gts)
+            got = matching_cost(probs, centers, boxes, TargetArrays.of(gts))
             want = loop_matching_cost(probs, centers, boxes, gts)
             assert got.tobytes() == want.tobytes()
 
     def test_inverted_box_rejected(self):
         boxes = np.array([[0.3, 0.3, 0.2, 0.5]])
         with pytest.raises(ValueError, match="min > max"):
-            matching_cost(np.zeros((1, 3)), np.zeros((1, 2)), boxes, [_gt()])
+            matching_cost(np.zeros((1, 3)), np.zeros((1, 2)), boxes, TargetArrays.of([_gt()]))

@@ -11,7 +11,7 @@ from vqdet import numerics as nm
 from vqdet.attention import build_denoising_mask
 from vqdet.distill import iou_weights, refine
 from vqdet.geometry import NoiseConfig, iou3d
-from vqdet.losses import component_loss
+from vqdet.losses import TargetArrays, component_loss
 from vqdet.matching import hungarian, matching_cost
 from vqdet.model import (
     Detector,
@@ -259,7 +259,7 @@ class TestStepDecisions:
     def _decide(self, cfg, scene):
         det = Detector(cfg, seed=31)
         stack, pred, s = _stacked_rows(det, scene, _noisy(det, scene))
-        return step_decisions(det, stack, pred, scene, s), s
+        return step_decisions(det, stack, pred, scene, TargetArrays.of(scene.objects), s), s
 
     def test_every_group_gives_one_positive_per_ground_truth(self):
         """G independent matches: each ground truth collects G positives per layer."""
@@ -277,7 +277,7 @@ class TestStepDecisions:
         weighed = []
         monkeypatch.setattr(model, "iou_weights",
                             lambda *a: weighed.append(a) or iou_weights(*a))
-        decisions = step_decisions(det, stack, pred, scene, s)
+        decisions = step_decisions(det, stack, pred, scene, TargetArrays.of(scene.objects), s)
         n, k = TINY.queries_per_group, len(scene.objects)
         final = (TINY.layers - 1) * TINY.groups * s
         gt_boxes = [b for _, b in scene.gt_boxes3d()]
@@ -312,13 +312,13 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
         for g, assign in enumerate(layer_assign):
             detection = detection + component_loss(
                 pred, range(g * s, g * s + n), [g * s + q for q in assign.query_indices()],
-                [gts[j] for j in assign.gt_indices()])
+                TargetArrays.of([gts[j] for j in assign.gt_indices()]))
     blocks = [range(g * s + lo, g * s + lo + k) for g in range(groups) for lo in range(n, s, k)]
     recon = nm.Tensor(0.0)
     for pred in preds:
         layer_term = nm.Tensor(0.0)
         for block in blocks:
-            layer_term = layer_term + component_loss(pred, block, block, gts)
+            layer_term = layer_term + component_loss(pred, block, block, TargetArrays.of(gts))
         recon = recon + layer_term * (1.0 / len(blocks))
     denoising = recon + nm.gaussian_kl(dist.mu, dist.log_var) * BETA
     distillation = nm.Tensor(0.0)
@@ -371,14 +371,14 @@ class TestStackedScoring:
                             lambda *a: costs.append(matching_cost(*a)) or costs[-1])
         monkeypatch.setattr(model, "hungarian", lambda c: solved.append(c) or hungarian(c))
         stack, pred, s = _stacked_rows(det, scene, noisy)
-        decisions = step_decisions(det, stack, pred, scene, s)
+        decisions = step_decisions(det, stack, pred, scene, TargetArrays.of(scene.objects), s)
         n = self.CFG.queries_per_group
         probs, centers, boxes = pred.class_probs(), pred.centers.data, pred.corner_boxes_array()
         assert len(costs) == 1 and len(solved) == self.CFG.layers * self.CFG.groups
         for b, given in enumerate(solved):
             rows_b = slice(b * s, b * s + n)
             alone = matching_cost(probs[rows_b], centers[rows_b], boxes[rows_b],
-                                  scene.objects)
+                                  TargetArrays.of(scene.objects))
             assert alone.tobytes() == given.tobytes()
             layer, g = divmod(b, self.CFG.groups)
             assert hungarian(alone).pairs == decisions.assignments[layer][g].pairs
@@ -399,13 +399,13 @@ class TestStackedScoring:
         for b, assign in enumerate(a for layer in out.decisions.assignments for a in layer):
             detection = detection + component_loss(
                 pred, range(b * s, b * s + n), [b * s + q for q in assign.query_indices()],
-                [gts[j] for j in assign.gt_indices()])
+                TargetArrays.of([gts[j] for j in assign.gt_indices()]))
         recon = nm.Tensor(0.0)
         for layer in range(cfg.layers):
             blocks = [range(b * s + lo, b * s + lo + k)
                       for b in range(layer * cfg.groups, (layer + 1) * cfg.groups)
                       for lo in range(n, s, k)]
-            terms = [component_loss(pred, block, block, gts) for block in blocks]
+            terms = [component_loss(pred, block, block, TargetArrays.of(gts)) for block in blocks]
             recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
         for got, want in ((out.detection, detection),
                           (out.denoising.reconstruction, recon)):

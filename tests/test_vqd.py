@@ -8,7 +8,7 @@ from vqdet import numerics as nm
 from vqdet.geometry import AnchorBox6D, GroundTruthObject
 from vqdet.gradcheck import OP_TOLERANCE, check_params_fn
 from vqdet import losses
-from vqdet.losses import PredictionRows
+from vqdet.losses import PredictionRows, TargetArrays
 from vqdet.vqd import (
     BETA,
     DETERMINISTIC,
@@ -140,13 +140,13 @@ class TestDenoisingLoss:
                                   log_var=nm.Tensor(np.full((1, 4), log_var)))
 
     def test_perfect_reconstruction_and_standard_latent_is_zero(self):
-        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT],
+        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], TargetArrays.of([self.GT]),
                              self._dist(0.0, 0.0), DenoisingConfig())
         assert out.kl.item() == 0.0
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_deterministic_mode_skips_kl(self):
-        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT],
+        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], TargetArrays.of([self.GT]),
                              self._dist(3.0, 2.0), DenoisingConfig(mode=DETERMINISTIC))
         assert out.kl.item() == 0.0
         assert out.total.item() == out.reconstruction.item()
@@ -165,7 +165,7 @@ class TestDenoisingLoss:
         mu, log_var = 0.4, -0.6
         dist = LatentDistribution(mu=nm.Tensor(np.full((1, 3), mu)),
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
-        out = denoising_loss(pred, [[range(1)]], [gt], dist, DenoisingConfig())
+        out = denoising_loss(pred, [[range(1)]], TargetArrays.of([gt]), dist, DenoisingConfig())
 
         from vqdet.geometry import box2d_corners
         from oracles import giou2d
@@ -190,18 +190,19 @@ class TestDenoisingLoss:
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="targets"):
-            denoising_loss(_perfect_rows(self.GT), [[range(1)]], [self.GT, self.GT],
-                           self._dist(), DenoisingConfig())
+            denoising_loss(_perfect_rows(self.GT), [[range(1)]],
+                           TargetArrays.of([self.GT, self.GT]), self._dist(), DenoisingConfig())
 
     def test_layer_and_block_normalization(self):
         """Two layers sum; two blocks in a layer average."""
         pred = _perfect_rows(self.GT, rows=2)
         pred.centers.data[:] += 0.03  # the same nonzero loss in both rows
         cfg = DenoisingConfig(mode=DETERMINISTIC)
-        one = denoising_loss(pred, [[range(1)]], [self.GT], None, cfg)
+        targets = TargetArrays.of([self.GT])
+        one = denoising_loss(pred, [[range(1)]], targets, None, cfg)
         assert one.total.item() > 0.1
-        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], [self.GT], None, cfg)
-        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], [self.GT], None, cfg)
+        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], targets, None, cfg)
+        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], targets, None, cfg)
         assert two_blocks.total.item() == pytest.approx(one.total.item(), abs=1e-12)
         assert two_layers.total.item() == pytest.approx(2 * one.total.item(), abs=1e-12)
 
