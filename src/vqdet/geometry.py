@@ -2,15 +2,17 @@
 
 Ground-truth objects carry a twelve-field tuple: category, projected center,
 distances to the four 2D box edges, metric 3D dimensions, yaw, and central
-depth. Image coordinates are normalized to [0, 1] on both axes. The camera
-frame is x right, y down, z forward; yaw rotates a box about the vertical
-(y) axis, turning its length axis from +x toward +z.
+depth. A noisy box is one too: :func:`apply_box_noise` corrupts a ground
+truth into another :class:`GroundTruthObject`. Image coordinates are
+normalized to [0, 1] on both axes. The camera frame is x right, y down, z
+forward; yaw rotates a box about the vertical (y) axis, turning its length
+axis from +x toward +z.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +47,6 @@ class CameraIntrinsics:
 
 
 @dataclass(frozen=True)
-class AnchorBox6D:
-    """2D reference box: center plus distances to left/right/top/bottom edges."""
-
-    x_c: float
-    y_c: float
-    l: float
-    r: float
-    t: float
-    b: float
-
-
-@dataclass(frozen=True)
 class GroundTruthObject:
     c: int
     x_c: float
@@ -70,9 +60,6 @@ class GroundTruthObject:
     h3d: float
     theta: float
     d: float
-
-    def anchor(self) -> AnchorBox6D:
-        return AnchorBox6D(self.x_c, self.y_c, self.l, self.r, self.t, self.b)
 
     def validate(self, num_classes: int) -> None:
         if not 0 <= self.c < num_classes:
@@ -116,7 +103,7 @@ class OrientedBox3D:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Corruption strengths for turning a ground truth into a noisy anchor.
+    """Corruption strengths for turning a ground truth into a noisy box.
 
     Defaults follow the published 2D denoising recipe (center shift and box
     scale 0.4, label flip 0.25) extended with mild 3D attribute jitter.
@@ -153,11 +140,6 @@ def backproject(u: float, v: float, depth: float, intr: CameraIntrinsics):
     return np.array([(u - intr.cx) * depth / intr.f,
                      (v - intr.cy) * depth / intr.f,
                      depth])
-
-
-def box2d_corners(anchor: AnchorBox6D) -> tuple[float, float, float, float]:
-    return (anchor.x_c - anchor.l, anchor.y_c - anchor.t,
-            anchor.x_c + anchor.r, anchor.y_c + anchor.b)
 
 
 def bev_corners(box: OrientedBox3D) -> np.ndarray:
@@ -226,8 +208,8 @@ def iou3d(a: OrientedBox3D, b: OrientedBox3D) -> float:
 
 
 def apply_box_noise(gt: GroundTruthObject, cfg: NoiseConfig, rng: np.random.Generator,
-                    num_classes: int) -> tuple[AnchorBox6D, tuple[int, float, float, float, float, float]]:
-    """Corrupt one ground truth into a noisy anchor plus noisy 3D attributes.
+                    num_classes: int) -> GroundTruthObject:
+    """Corrupt one ground truth into a noisy box of the same form.
 
     The whole 2D box is shifted by up to ±center_shift_scale of its half
     extent per axis, each edge distance is scaled independently, the label is
@@ -264,7 +246,7 @@ def apply_box_noise(gt: GroundTruthObject, cfg: NoiseConfig, rng: np.random.Gene
     h3d = min(max(gt.h3d * (1.0 + s_h3d * dim_range), 0.05), 29.9)
     theta = wrap_angle(gt.theta + u_theta * cfg.angle_jitter_rad)
     d = min(max(gt.d * (1.0 + u_d * cfg.depth_jitter_frac), 0.51), 119.0)
-    return AnchorBox6D(x_c, y_c, l, r, t, b), (c, l3d, w3d, h3d, theta, d)
+    return GroundTruthObject(c, x_c, y_c, l, r, t, b, l3d, w3d, h3d, theta, d)
 
 
 def box3d_from_ground_truth(gt: GroundTruthObject, intr: CameraIntrinsics) -> OrientedBox3D:

@@ -252,19 +252,20 @@ def _check_cross_attention(rng) -> float:
 
 
 def _check_box_encoder(rng) -> float:
-    from .geometry import AnchorBox6D
+    from .geometry import GroundTruthObject
+    from .losses import TargetArrays
     from .vqd import VariationalQueryGenerator
 
     store = nm.ParameterStore(rng_seed=11)
     gen = VariationalQueryGenerator(store, num_classes=3, width=6)
-    anchors = [AnchorBox6D(0.4, 0.5, 0.1, 0.12, 0.08, 0.2),
-               AnchorBox6D(0.6, 0.3, 0.05, 0.1, 0.1, 0.1)]
-    tuples = [(1, 3.5, 1.6, 1.5, 0.4, 11.0), (2, 0.8, 0.7, 1.8, -0.9, 7.0)]
+    boxes = TargetArrays.of([
+        GroundTruthObject(1, 0.4, 0.5, 0.1, 0.12, 0.08, 0.2, 3.5, 1.6, 1.5, 0.4, 11.0),
+        GroundTruthObject(2, 0.6, 0.3, 0.05, 0.1, 0.1, 0.1, 0.8, 0.7, 1.8, -0.9, 7.0)])
     pm = rng.normal(size=(2, 6))
     pv = rng.normal(size=(2, 6))
 
     def loss_fn():
-        dist = gen.encode(anchors, tuples)
+        dist = gen.encode(boxes)
         return nm.sum_all(dist.mu * nm.Tensor(pm)) + nm.sum_all(dist.log_var * nm.Tensor(pv))
 
     return check_params_fn(loss_fn, store)

@@ -9,14 +9,15 @@ GIoU regression over the positive rows only. Each component is normalized
 by the positive count, so magnitudes do not scale with the number of
 objects. The objective is fixed, so the component weights and the focal
 parameters are constants (``W_*``, ``FOCAL_*``) of :mod:`numerics`, where
-the op reads them; this module re-exports them, and the matching cost reads
-the same class, center and GIoU weights.
+the op reads them; the matching cost reads the class, center and GIoU
+weights there too.
 
-The ground truths enter as one :class:`TargetArrays` bundle: the class
-ids, the five regression targets and the corner boxes, built once per step
-from the scene's objects. A block's targets are the bundle itself (a noisy
-block) or its matched rows (``take``); the matching cost reads the same
-bundle.
+A box row, target or noisy box, has one array form, :class:`TargetArrays`,
+built once per step from a list of :class:`GroundTruthObject`. A block's
+targets are the ground truths' bundle (a noisy block) or its matched rows
+(``take``); the matching cost reads the same bundle, and the query
+generator the noisy boxes'. :func:`corner_boxes` serves predictions and
+targets alike.
 
 A call is one tape op with a closed-form gradient, :func:`numerics.block_loss`:
 it reads the block's logits and its positive rows of the five regression
@@ -35,8 +36,14 @@ import numpy as np
 
 from . import numerics as nm
 from .geometry import GroundTruthObject
-from .numerics import (FOCAL_ALPHA, FOCAL_GAMMA, W_ANGLE, W_CENTER, W_CLS, W_DEPTH,
-                       W_GIOU, W_LRTB, W_SIZE, Tensor)
+from .numerics import Tensor
+
+
+def corner_boxes(centers: np.ndarray, lrtb: np.ndarray) -> np.ndarray:
+    """(rows, 4) corner boxes (x0, y0, x1, y1) from (rows, 2) centers and
+    (rows, 4) distances to the left, right, top and bottom edges."""
+    return np.stack([centers[:, 0] - lrtb[:, 0], centers[:, 1] - lrtb[:, 2],
+                     centers[:, 0] + lrtb[:, 1], centers[:, 1] + lrtb[:, 3]], axis=1)
 
 
 @dataclass
@@ -60,20 +67,17 @@ class PredictionRows:
 
     def corner_boxes_array(self) -> np.ndarray:
         """Detached (rows, 4) corner boxes, for matching."""
-        c = self.centers.data
-        e = self.lrtb.data
-        return np.stack([c[:, 0] - e[:, 0], c[:, 1] - e[:, 2],
-                         c[:, 0] + e[:, 1], c[:, 1] + e[:, 3]], axis=1)
+        return corner_boxes(self.centers.data, self.lrtb.data)
 
 
 class TargetArrays:
-    """The ground truths of a step as the arrays the loss and the matcher read.
+    """Box rows as the arrays the loss, the matcher and the query generator read.
 
     Row i belongs to object i: ``classes`` holds the (K,) class ids, and one
     (K, 16) ``table`` the rest. ``boxes`` are views of its five regression
     targets in head order (center, lrtb, size3d, (sin, cos) yaw and depth)
-    and ``corners`` of its (K, 4) corner boxes. Built once per step; the
-    targets of matched objects are one :meth:`take`.
+    and ``corners`` of its (K, 4) corner boxes; its first six columns are
+    the 2D box. The targets of matched objects are one :meth:`take`.
     """
 
     def __init__(self, classes: np.ndarray, table: np.ndarray):
@@ -85,13 +89,11 @@ class TargetArrays:
 
     @staticmethod
     def of(objects: Sequence[GroundTruthObject]) -> "TargetArrays":
-        # the corners are box2d_corners' expressions
-        table = np.array([[gt.x_c, gt.y_c, gt.l, gt.r, gt.t, gt.b, gt.l3d, gt.w3d, gt.h3d,
-                           math.sin(gt.theta), math.cos(gt.theta), gt.d,
-                           gt.x_c - gt.l, gt.y_c - gt.t, gt.x_c + gt.r, gt.y_c + gt.b]
-                          for gt in objects], dtype=np.float64)
-        return TargetArrays(np.array([gt.c for gt in objects], dtype=np.intp),
-                            table.reshape(len(objects), 16))
+        rows = np.array([[gt.x_c, gt.y_c, gt.l, gt.r, gt.t, gt.b, gt.l3d, gt.w3d, gt.h3d,
+                          math.sin(gt.theta), math.cos(gt.theta), gt.d]
+                         for gt in objects], dtype=np.float64).reshape(len(objects), 12)
+        table = np.concatenate([rows, corner_boxes(rows[:, 0:2], rows[:, 2:6])], axis=1)
+        return TargetArrays(np.array([gt.c for gt in objects], dtype=np.intp), table)
 
     def take(self, indices: Sequence[int]) -> "TargetArrays":
         """The targets of objects ``indices``, in that order."""

@@ -10,9 +10,11 @@ grid, then a feed-forward block, and returns every layer's rows. Shared
 prediction heads decode the rows a caller reads: the training loss stacks
 the L layers' rows layer-major, so layer l owns rows [l*G*S, (l+1)*G*S), and
 decodes the stack in one call for deep supervision. Learnable queries
-carry learned 2D reference points; noisy queries anchor at their noised box
-center. Inference stacks the first group's learnable queries alone, so its
-outputs depend on the weights and the scene alone, never on training-time
+carry learned 2D reference points. The noisy boxes are one
+:class:`TargetArrays` bundle like the targets; a noisy query anchors at its
+box, the first six table columns, with the center as reference point.
+Inference stacks the first group's learnable queries alone, so its outputs
+depend on the weights and the scene alone, never on training-time
 configuration. It records no tape (:func:`numerics.no_grad`) and decodes
 only the final layer's rows.
 
@@ -107,10 +109,13 @@ def sincos_positions_2d(size: int, width: int) -> np.ndarray:
 
 @dataclass
 class NoisyDraw:
-    """The step's frozen randomness: box noise and reparameterization noise."""
+    """The step's frozen randomness: box noise and reparameterization noise.
 
-    anchors: list                # AnchorBox6D per noisy row, group-, then block-major
-    tuples: list[tuple]          # noisy 3D tuple per noisy row, same order
+    ``boxes`` holds one noisy copy of a ground truth per noisy row, group-,
+    then block-, then object-major, in the row form of the targets.
+    """
+
+    boxes: TargetArrays          # G*C*K noisy boxes
     eps: np.ndarray              # (G*C*K, D) standard normals, same order
     num_objects: int
 
@@ -226,15 +231,13 @@ class Detector:
         cfg = self.cfg
         k = len(scene.objects)
         blocks = cfg.groups * cfg.noisy_groups
-        anchors, tuples = [], []
+        boxes = []
         eps = np.empty((blocks * k, cfg.width))
         for b in range(blocks):
-            for obj in scene.objects:
-                anchor, noisy3d = apply_box_noise(obj, noise_cfg, rng, cfg.num_classes)
-                anchors.append(anchor)
-                tuples.append(noisy3d)
+            boxes += [apply_box_noise(obj, noise_cfg, rng, cfg.num_classes)
+                      for obj in scene.objects]
             eps[b * k:(b + 1) * k] = rng.standard_normal((k, cfg.width))
-        return NoisyDraw(anchors=anchors, tuples=tuples, eps=eps, num_objects=k)
+        return NoisyDraw(boxes=TargetArrays.of(boxes), eps=eps, num_objects=k)
 
     def learnable_queries(self, groups: int) -> tuple[Tensor, Tensor]:
         """The first ``groups`` groups' learnable queries and reference points."""
@@ -252,16 +255,16 @@ class Detector:
         if noisy is None or cfg.noisy_groups == 0 or noisy.num_objects == 0:
             return queries, refs, build_denoising_mask(n, 0, 0), None
         k, c = noisy.num_objects, cfg.noisy_groups
-        dist = self.vqg.encode(noisy.anchors, noisy.tuples)
+        dist = self.vqg.encode(noisy.boxes)
         z = sample_reparameterized(dist, mode, noisy.eps)
-        anchor_mat = np.array([[a.x_c, a.y_c, a.l, a.r, a.t, a.b] for a in noisy.anchors])
-        noisy_q = z + nm.linear(nm.Tensor(anchor_mat), *self.aref)
+        table = noisy.boxes.table
+        noisy_q = z + nm.linear(nm.Tensor(table[:, :6]), *self.aref)
         # learnable rows of every group, then noisy rows of every group -> group-major
         order = np.concatenate([np.arange(groups * n).reshape(groups, n),
                                 groups * n + np.arange(groups * c * k).reshape(groups, c * k)],
                                axis=1).ravel()
         queries = nm.gather_rows(nm.concat_rows([queries, noisy_q]), order)
-        refs = nm.gather_rows(nm.concat_rows([refs, nm.Tensor(anchor_mat[:, :2])]), order)
+        refs = nm.gather_rows(nm.concat_rows([refs, nm.Tensor(table[:, :2])]), order)
         return queries, refs, build_denoising_mask(n, k, c), dist
 
     def apply_heads(self, q: Tensor, ref: Tensor) -> PredictionRows:

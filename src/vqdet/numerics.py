@@ -114,25 +114,14 @@ class Tensor:
     def __add__(self, other):
         return _add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return _add(self, _as_tensor(other))
-
     def __sub__(self, other):
         return _add(self, _neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return _add(_neg(self), _as_tensor(other))
 
     def __mul__(self, other):
         return _mul(self, _as_tensor(other))
 
     def __rmul__(self, other):
         return _mul(self, _as_tensor(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("division is only supported by python scalars")
-        return _mul(self, Tensor(1.0 / float(other)))
 
     def __neg__(self):
         return _neg(self)

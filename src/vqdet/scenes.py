@@ -14,7 +14,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +56,13 @@ class SceneConfig:
 
     def __post_init__(self):
         for name in ("feature_size", "num_classes", "max_objects"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.grid_noise >= 0:
-            raise ValueError(f"grid_noise must be >= 0, got {self.grid_noise}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not (math.isfinite(self.grid_noise) and self.grid_noise >= 0):
+            raise ValueError(f"grid_noise must be finite and >= 0, got {self.grid_noise}")
         if not 0 <= self.dim_jitter < 1:
             raise ValueError(f"dim_jitter must lie in [0, 1), got {self.dim_jitter}")
         lo, hi = self.depth_range

@@ -1,18 +1,18 @@
 """Variational query generation and the denoising loss.
 
-Noisy ground-truth boxes are embedded into a per-query latent Gaussian
-(mu, log sigma^2); queries are drawn with the reparameterization trick so the
-gradient of the reconstruction loss reaches the embedding through mu and
-log_var but never through the noise sample. The deterministic mode short-
-circuits sampling to mu and drops the KL term, which is the conventional
-denoising baseline the variational scheme is compared against. The
-denoising loss reads every layer's noisy blocks from the one stacked
-:class:`PredictionRows` bundle of the step, one ``component_loss`` per block,
-each one tape node; every call reads the step's one :class:`TargetArrays`
-as it is. One ``weighted_sum`` adds each layer's blocks, one more takes the
-layers' block means, and in variational mode a last one adds the KL term
-with weight :data:`BETA`, so the sums record L + 2 tape nodes (L + 1 without
-KL).
+Noisy ground-truth boxes, one :class:`TargetArrays` bundle like the
+targets, are embedded into a per-query latent Gaussian (mu, log sigma^2);
+queries are drawn with the reparameterization trick so the gradient of the
+reconstruction loss reaches the embedding through mu and log_var but never
+through the noise sample. The deterministic mode short-circuits sampling to
+mu and drops the KL term, which is the conventional denoising baseline the
+variational scheme is compared against. The denoising loss reads every
+layer's noisy blocks from the one stacked :class:`PredictionRows` bundle of
+the step, one ``component_loss`` per block, each one tape node; every call
+reads the ground truths' one :class:`TargetArrays` as it is. One
+``weighted_sum`` adds each layer's blocks, one more takes the layers' block
+means, and in variational mode a last one adds the KL term with weight
+:data:`BETA`, so the sums record L + 2 tape nodes (L + 1 without KL).
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import math
 import numpy as np
 
 from . import numerics as nm
-from .geometry import AnchorBox6D
 from .losses import PredictionRows, TargetArrays, component_loss
 from .numerics import Tensor
 
@@ -85,21 +83,19 @@ class VariationalQueryGenerator:
         self.w_lv = store.param("vqg.lv.w", (width, width), scale=0.1)
         self.b_lv = store.param("vqg.lv.b", (width,), scale=0.0)
 
-    def encode(self, anchors: Sequence[AnchorBox6D],
-               noisy3d: Sequence[tuple]) -> LatentDistribution:
-        """Embed K noisy boxes into a (K, D) latent distribution."""
-        if len(anchors) != len(noisy3d):
-            raise ValueError(f"{len(anchors)} anchors vs {len(noisy3d)} noisy tuples")
-        classes = []
-        cont = np.zeros((len(anchors), 12))
-        for i, (a, nz) in enumerate(zip(anchors, noisy3d)):
-            c, l3d, w3d, h3d, theta, d = nz
-            if not 0 <= int(c) < self.num_classes:
-                raise IndexError(f"noisy category {c} out of range")
-            classes.append(int(c))
-            cont[i] = [a.x_c, a.y_c, a.l, a.r, a.t, a.b,
-                       l3d, w3d, h3d, math.sin(theta), math.cos(theta),
-                       d / DEPTH_FEATURE_SCALE]
+    def encode(self, boxes: TargetArrays) -> LatentDistribution:
+        """Embed K noisy boxes into a (K, D) latent distribution.
+
+        The continuous features are the boxes' first 11 table columns (2D
+        box, dimensions, sin and cos of the yaw) and their depth over
+        :data:`DEPTH_FEATURE_SCALE`.
+        """
+        classes = boxes.classes
+        bad = classes[(classes < 0) | (classes >= self.num_classes)]
+        if bad.size:
+            raise IndexError(f"noisy category {bad[0]} out of range")
+        cont = np.concatenate([boxes.table[:, :11],
+                               boxes.table[:, 11:12] / DEPTH_FEATURE_SCALE], axis=1)
         class_rows = nm.gather_rows(self.class_table, classes)
         feats = nm.concat_cols([class_rows, nm.Tensor(cont)])
         hidden = nm.relu(nm.linear(feats, self.w_in, self.b_in))

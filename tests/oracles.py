@@ -9,7 +9,8 @@ narrow_cols, softmax_rows, divide, minimum, maximum, absolute) are defined
 here too. The detector runs none of them, so they are reference ops recorded
 with ``numerics._node``; ``tests/test_numerics.py`` checks their gradients
 against central differences. ``giou2d`` is the scalar reference for the matcher's
-vectorised GIoU.
+vectorised GIoU, and ``box2d_corners`` the scalar reference for the corner
+boxes of ``losses.corner_boxes``.
 
 ``flagged_hungarian_scan`` and ``draw_by_draw_box_noise`` are earlier
 bodies of the Hungarian scan and the box noise, which the library's
@@ -306,7 +307,7 @@ def draw_by_draw_box_noise(gt, cfg, rng: np.random.Generator, num_classes: int):
     calls (four on a flip) and must return the same values and leave the
     generator at the same position.
     """
-    from vqdet.geometry import AnchorBox6D, wrap_angle
+    from vqdet.geometry import GroundTruthObject, wrap_angle
 
     half_x = (gt.l + gt.r) / 2.0
     half_y = (gt.t + gt.b) / 2.0
@@ -331,13 +332,17 @@ def draw_by_draw_box_noise(gt, cfg, rng: np.random.Generator, num_classes: int):
     theta = wrap_angle(gt.theta + rng.uniform(-1.0, 1.0) * cfg.angle_jitter_rad)
     d = float(min(max(gt.d * (1.0 + rng.uniform(-1.0, 1.0) * cfg.depth_jitter_frac),
                       0.51), 119.0))
-    return AnchorBox6D(x_c, y_c, l, r, t, b), (c, l3d, w3d, h3d, theta, d)
+    return GroundTruthObject(c, x_c, y_c, l, r, t, b, l3d, w3d, h3d, theta, d)
+
+
+def box2d_corners(gt) -> tuple[float, float, float, float]:
+    """Corner box (x0, y0, x1, y1) of one ground truth's center and edge distances."""
+    return (gt.x_c - gt.l, gt.y_c - gt.t, gt.x_c + gt.r, gt.y_c + gt.b)
 
 
 def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:
     """Matching cost filled one ground truth at a time, scalar GIoU per query."""
-    from vqdet.geometry import box2d_corners
-    from vqdet.losses import W_CENTER, W_CLS, W_GIOU
+    from vqdet.numerics import W_CENTER, W_CLS, W_GIOU
 
     nq = class_probs.shape[0]
     cost = np.zeros((nq, len(gts)))
@@ -345,7 +350,7 @@ def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:
         cls_term = 1.0 - class_probs[:, gt.c]
         center_term = (np.abs(centers[:, 0] - gt.x_c)
                        + np.abs(centers[:, 1] - gt.y_c))
-        gt_box = box2d_corners(gt.anchor())
+        gt_box = box2d_corners(gt)
         giou_term = np.array([1.0 - giou2d(tuple(corner_boxes[i]), gt_box)
                               for i in range(nq)])
         cost[:, j] = W_CLS * cls_term + W_CENTER * center_term + W_GIOU * giou_term

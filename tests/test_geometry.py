@@ -6,20 +6,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from vqdet.geometry import (
-    AnchorBox6D,
     BehindCameraError,
     CameraIntrinsics,
     GroundTruthObject,
     NoiseConfig,
     OrientedBox3D,
     apply_box_noise,
-    box2d_corners,
     box3d_from_ground_truth,
     iou3d,
     project_to_image,
     wrap_angle,
 )
-from oracles import draw_by_draw_box_noise, giou2d, monte_carlo_iou3d, raster_giou2d
+from vqdet.losses import TargetArrays
+from oracles import (box2d_corners, draw_by_draw_box_noise, giou2d, monte_carlo_iou3d,
+                     raster_giou2d)
 
 
 def _random_gt(rng, num_classes=3):
@@ -133,14 +133,27 @@ def _transform(box: OrientedBox3D, dx: float, dz: float, dyaw: float) -> Oriente
                          wrap_angle(box.yaw + dyaw))
 
 
+def _box2d(x_c, y_c, l, r, t, b):
+    return GroundTruthObject(0, x_c, y_c, l, r, t, b, 4, 2, 1.5, 0.3, 20)
+
+
 class TestBox2D:
+    """``TargetArrays`` corner boxes against the scalar oracle."""
+
     def test_corners_hand_case(self):
-        a = AnchorBox6D(0.5, 0.5, 0.1, 0.1, 0.1, 0.1)
-        assert box2d_corners(a) == pytest.approx((0.4, 0.4, 0.6, 0.6))
+        gt = _box2d(0.5, 0.5, 0.1, 0.1, 0.1, 0.1)
+        assert tuple(TargetArrays.of([gt]).corners[0]) == pytest.approx((0.4, 0.4, 0.6, 0.6))
+        assert box2d_corners(gt) == pytest.approx((0.4, 0.4, 0.6, 0.6))
 
     def test_degenerate_point_box(self):
-        a = AnchorBox6D(0.3, 0.7, 0, 0, 0, 0)
-        assert box2d_corners(a) == (0.3, 0.7, 0.3, 0.7)
+        gt = _box2d(0.3, 0.7, 0, 0, 0, 0)
+        assert tuple(TargetArrays.of([gt]).corners[0]) == (0.3, 0.7, 0.3, 0.7)
+
+    def test_random_boxes_equal_the_oracle_bitwise(self):
+        rng = np.random.default_rng(12)
+        gts = [_random_gt(rng) for _ in range(40)]
+        want = np.array([box2d_corners(gt) for gt in gts])
+        assert TargetArrays.of(gts).corners.tobytes() == want.tobytes()
 
 
 class TestGIoU2D:
@@ -190,17 +203,15 @@ class TestBoxNoise:
         gt = GroundTruthObject(1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 4, 2, 1.5, 0.3, 20)
         cfg = NoiseConfig(center_shift_scale=0, box_scale_range=0, label_flip_prob=0,
                           dim_scale_range=0, angle_jitter_rad=0, depth_jitter_frac=0)
-        anchor, noisy = apply_box_noise(gt, cfg, np.random.default_rng(0), num_classes=3)
-        assert anchor == gt.anchor()
-        assert noisy == (1, 4.0, 2.0, 1.5, 0.3, 20.0)
+        noisy = apply_box_noise(gt, cfg, np.random.default_rng(0), num_classes=3)
+        assert noisy == gt
 
     def test_always_flip_two_classes(self):
         gt = GroundTruthObject(0, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 4, 2, 1.5, 0.0, 20)
         cfg = NoiseConfig(label_flip_prob=1.0)
         rng = np.random.default_rng(1)
         for _ in range(50):
-            _, noisy = apply_box_noise(gt, cfg, rng, num_classes=2)
-            assert noisy[0] == 1
+            assert apply_box_noise(gt, cfg, rng, num_classes=2).c == 1
 
     def test_seeded_reproducibility(self):
         gt = GroundTruthObject(2, 0.4, 0.6, 0.15, 0.1, 0.05, 0.2, 4, 2, 1.5, 1.0, 30)
@@ -217,8 +228,7 @@ class TestBoxNoise:
         n = 10 ** 5
         shifts = np.empty(n)
         for i in range(n):
-            anchor, _ = apply_box_noise(gt, cfg, rng, num_classes=3)
-            shifts[i] = anchor.x_c - gt.x_c
+            shifts[i] = apply_box_noise(gt, cfg, rng, num_classes=3).x_c - gt.x_c
         half_extent = 0.2
         assert np.abs(shifts).max() <= 0.4 * half_extent + 1e-12
         # U(-0.08, 0.08): sd = 0.08/sqrt(3); mean within 3 standard errors
@@ -237,12 +247,12 @@ class TestBoxNoise:
             gts[1] = GroundTruthObject(0, 0.01, 0.99, 0.2, 0.01, 0.01, 0.2, 29, 0.1, 1.5, -3.1, 110)
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for gt in gts:
-                (got_anchor, got), (want_anchor, want) = (
-                    apply_box_noise(gt, cfg, got_rng, num_classes),
-                    draw_by_draw_box_noise(gt, cfg, want_rng, num_classes))
-                assert got[0] == want[0] and type(got[0]) is int
-                assert np.array(astuple(got_anchor) + got[1:]).tobytes() \
-                    == np.array(astuple(want_anchor) + want[1:]).tobytes()
+                got = apply_box_noise(gt, cfg, got_rng, num_classes)
+                want = draw_by_draw_box_noise(gt, cfg, want_rng, num_classes)
+                assert isinstance(got, GroundTruthObject)
+                assert got.c == want.c and type(got.c) is int
+                assert np.array(astuple(got)[1:]).tobytes() \
+                    == np.array(astuple(want)[1:]).tobytes()
                 block = got_rng.standard_normal((2, 5))
                 assert block.tobytes() == want_rng.standard_normal((2, 5)).tobytes()
 
@@ -251,12 +261,9 @@ class TestBoxNoise:
         cfg = NoiseConfig()
         for _ in range(300):
             gt = _random_gt(rng)
-            anchor, (c, l3d, w3d, h3d, theta, d) = apply_box_noise(gt, cfg, rng, num_classes=3)
-            assert min(anchor.l, anchor.r, anchor.t, anchor.b) >= 0
-            assert 0 <= c < 3
-            assert 0 < l3d < 30 and 0 < w3d < 30 and 0 < h3d < 30
-            assert -math.pi < theta <= math.pi
-            assert 0.5 < d < 120
+            noisy = apply_box_noise(gt, cfg, rng, num_classes=3)
+            noisy.validate(num_classes=3)
+            assert -math.pi < noisy.theta <= math.pi
 
 
 def test_box3d_from_ground_truth_center_projects_back():

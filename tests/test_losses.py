@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from vqdet import numerics as nm
-from vqdet.geometry import GroundTruthObject, box2d_corners
+from vqdet.geometry import GroundTruthObject
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
-from vqdet import losses
 from vqdet.losses import PredictionRows, TargetArrays, component_loss
 from oracles import (
+    box2d_corners,
     composite_corner_boxes,
     composite_focal_loss,
     composite_giou_loss,
@@ -152,7 +152,7 @@ class TestTargetArrays:
                 np.array([[gt.l3d, gt.w3d, gt.h3d] for gt in gts]),
                 np.array([[math.sin(gt.theta), math.cos(gt.theta)] for gt in gts]),
                 np.array([[gt.d] for gt in gts]),
-                np.array([box2d_corners(gt.anchor()) for gt in gts])]
+                np.array([box2d_corners(gt) for gt in gts])]
         assert len(t) == 5
         for got, expected in zip((t.classes, *t.boxes, t.corners), want):
             assert got.shape == expected.shape
@@ -191,17 +191,17 @@ class TestComponentLoss:
 
         onehot = np.zeros((2, 2))
         onehot[0, 0] = 1.0
-        cls = _hand_focal(logits, onehot, losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
+        cls = _hand_focal(logits, onehot, nm.FOCAL_ALPHA, nm.FOCAL_GAMMA)
         center = abs(0.45 - 0.5) + abs(0.52 - 0.5)
         lrtb_l1 = abs(0.1 - 0.1) + abs(0.12 - 0.1) + abs(0.08 - 0.1) + abs(0.11 - 0.1)
         pred_box = (0.45 - 0.1, 0.52 - 0.08, 0.45 + 0.12, 0.52 + 0.11)
-        giou_term = 1.0 - giou2d(pred_box, box2d_corners(gt.anchor()))
+        giou_term = 1.0 - giou2d(pred_box, box2d_corners(gt))
         size_l1 = abs(3.2 - 3.5) + abs(1.8 - 1.6) + abs(1.4 - 1.5)
         angle_l1 = abs(0.2 - math.sin(0.3)) + abs(0.9 - math.cos(0.3))
         depth_l1 = abs(18.0 - 20.0)
-        expected = (losses.W_CLS * cls + losses.W_CENTER * center + losses.W_LRTB * lrtb_l1
-                    + losses.W_GIOU * giou_term + losses.W_SIZE * size_l1
-                    + losses.W_ANGLE * angle_l1 + losses.W_DEPTH * depth_l1)
+        expected = (nm.W_CLS * cls + nm.W_CENTER * center + nm.W_LRTB * lrtb_l1
+                    + nm.W_GIOU * giou_term + nm.W_SIZE * size_l1
+                    + nm.W_ANGLE * angle_l1 + nm.W_DEPTH * depth_l1)
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_no_positives_only_background(self):
@@ -209,8 +209,8 @@ class TestComponentLoss:
         pred = _pred_rows(logits, np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         got = component_loss(pred, range(2), [], TargetArrays.of([])).item()
-        expected = losses.W_CLS * _hand_focal(logits, np.zeros((2, 2)),
-                                              losses.FOCAL_ALPHA, losses.FOCAL_GAMMA)
+        expected = nm.W_CLS * _hand_focal(logits, np.zeros((2, 2)),
+                                          nm.FOCAL_ALPHA, nm.FOCAL_GAMMA)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_perfect_saturated_prediction_vanishes(self):

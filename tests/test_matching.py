@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from vqdet.geometry import GroundTruthObject, box2d_corners
-from vqdet.losses import W_CENTER, W_CLS, W_GIOU, TargetArrays
+from vqdet.geometry import GroundTruthObject
+from vqdet.losses import TargetArrays
 from vqdet.matching import hungarian, matching_cost
-from oracles import brute_force_min_cost, flagged_hungarian_scan, giou2d, loop_matching_cost
+from vqdet.numerics import W_CENTER, W_CLS, W_GIOU
+from oracles import (box2d_corners, brute_force_min_cost, flagged_hungarian_scan, giou2d,
+                     loop_matching_cost)
 
 
 def _gt(c=0, x=0.5, y=0.5, half=0.1):
@@ -127,7 +129,7 @@ class TestMatchingCost:
         gt = _gt(c=1)
         probs = np.array([[0.0, 1.0, 0.0]])
         centers = np.array([[gt.x_c, gt.y_c]])
-        boxes = np.array([box2d_corners(gt.anchor())])
+        boxes = np.array([box2d_corners(gt)])
         cost = matching_cost(probs, centers, boxes, TargetArrays.of([gt]))
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -150,7 +152,7 @@ class TestMatchingCost:
             for j, gt in enumerate([g0, g1]):
                 expected = (W_CLS * (1 - p[gt.c])
                             + W_CENTER * (abs(ctr[0] - gt.x_c) + abs(ctr[1] - gt.y_c))
-                            + W_GIOU * (1 - giou2d(tuple(box), box2d_corners(gt.anchor()))))
+                            + W_GIOU * (1 - giou2d(tuple(box), box2d_corners(gt))))
                 assert cost[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -168,11 +170,11 @@ class TestMatchingCost:
             # edge (zero-width intersection) and two points: the same point
             # (degenerate hull) and distinct points (zero union)
             gts[0] = GroundTruthObject(0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 4, 2, 1.5, 0.0, 20)
-            boxes[0] = box2d_corners(gts[-1].anchor())
+            boxes[0] = box2d_corners(gts[-1])
             if nq > 3:
                 boxes[1] = [0.5, 0.5, 0.5, 0.5]
                 boxes[2] = [0.2, 0.1, 0.2, 0.1]
-                g = box2d_corners(gts[-1].anchor())
+                g = box2d_corners(gts[-1])
                 boxes[3] = [g[2], g[1], g[2] + 0.1, g[3]]
             got = matching_cost(probs, centers, boxes, TargetArrays.of(gts))
             want = loop_matching_cost(probs, centers, boxes, gts)

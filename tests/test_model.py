@@ -10,7 +10,7 @@ from vqdet import model
 from vqdet import numerics as nm
 from vqdet.attention import build_denoising_mask
 from vqdet.distill import iou_weights, refine
-from vqdet.geometry import NoiseConfig, iou3d
+from vqdet.geometry import NoiseConfig, apply_box_noise, iou3d
 from vqdet.losses import TargetArrays, component_loss
 from vqdet.matching import hungarian, matching_cost
 from vqdet.model import (
@@ -102,6 +102,32 @@ class TestEncodeFeatures:
         det = Detector(TINY, seed=0)
         with pytest.raises(ValueError, match="grid shape"):
             det.encode_features(np.zeros((5, 4, det.input_channels)))
+
+
+class TestNoisyDraw:
+    def test_boxes_equal_target_arrays_of_the_per_object_draws_bitwise(self):
+        cfg = replace(TINY, noisy_groups=3, num_classes=3)
+        det = Detector(cfg, seed=0)
+        scene = _scene(16, num_objects=3, cfg=SceneConfig(feature_size=4, max_objects=3))
+        noisy = _noisy(det, scene, seed=5)
+        rng = np.random.default_rng(5)
+        draws, eps = [], []
+        for _ in range(cfg.groups * cfg.noisy_groups):
+            draws += [apply_box_noise(gt, NoiseConfig(), rng, cfg.num_classes)
+                      for gt in scene.objects]
+            eps.append(rng.standard_normal((3, cfg.width)))
+        want = TargetArrays.of(draws)
+        assert noisy.boxes.classes.tobytes() == want.classes.tobytes()
+        assert noisy.boxes.table.tobytes() == want.table.tobytes()
+        assert noisy.eps.tobytes() == np.concatenate(eps).tobytes()
+
+    def test_noisy_reference_points_are_the_box_centers(self):
+        det = Detector(TINY, seed=0)
+        noisy = _noisy(det, _scene(17, num_objects=2))
+        _, refs, mask, _ = det.build_group_inputs(noisy, VARIATIONAL)
+        n, c, s = TINY.queries_per_group, TINY.noisy_groups, mask.size
+        rows = [g * s + n + j for g in range(TINY.groups) for j in range(c * 2)]
+        assert refs.data[rows].tobytes() == noisy.boxes.table[:, :2].tobytes()
 
 
 class TestDecoderForward:

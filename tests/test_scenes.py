@@ -30,6 +30,12 @@ class TestSceneConfigValidation:
         with pytest.raises(ValueError, match=field):
             SceneConfig(**{field: 0})
 
+    @pytest.mark.parametrize("field,value", [("feature_size", 2.5), ("num_classes", 2.0),
+                                             ("num_classes", True), ("max_objects", 2.5)])
+    def test_non_integer_count_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SceneConfig(**{field: value})
+
     def test_near_depth_where_a_corner_can_reach_the_camera_rejected(self):
         with pytest.raises(ValueError, match=r"depth_range near depth 0\.6"):
             SceneConfig(depth_range=(0.6, 1.0))
@@ -40,6 +46,7 @@ class TestSceneConfigValidation:
             SceneConfig(depth_range=depth_range)
 
     @pytest.mark.parametrize("field,value", [("grid_noise", -0.1), ("grid_noise", math.nan),
+                                             ("grid_noise", math.inf),
                                              ("dim_jitter", -0.2), ("dim_jitter", 1.0)])
     def test_negative_noise_or_jitter_outside_unit_interval_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

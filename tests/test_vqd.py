@@ -5,9 +5,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vqdet import numerics as nm
-from vqdet.geometry import AnchorBox6D, GroundTruthObject
+from vqdet.geometry import GroundTruthObject
 from vqdet.gradcheck import OP_TOLERANCE, check_params_fn
-from vqdet import losses
 from vqdet.losses import PredictionRows, TargetArrays
 from vqdet.vqd import (
     BETA,
@@ -26,49 +25,48 @@ def _generator(seed=0, num_classes=3, width=8):
     return VariationalQueryGenerator(store, num_classes, width), store
 
 
-def _anchors_and_tuples():
-    anchors = [AnchorBox6D(0.4, 0.5, 0.1, 0.12, 0.08, 0.2),
-               AnchorBox6D(0.6, 0.3, 0.05, 0.1, 0.1, 0.1)]
-    tuples = [(1, 3.5, 1.6, 1.5, 0.4, 11.0), (2, 0.8, 0.7, 1.8, -0.9, 7.0)]
-    return anchors, tuples
+def _noisy_boxes():
+    return TargetArrays.of([
+        GroundTruthObject(1, 0.4, 0.5, 0.1, 0.12, 0.08, 0.2, 3.5, 1.6, 1.5, 0.4, 11.0),
+        GroundTruthObject(2, 0.6, 0.3, 0.05, 0.1, 0.1, 0.1, 0.8, 0.7, 1.8, -0.9, 7.0)])
 
 
 class TestEncoder:
     def test_deterministic(self):
         gen, _ = _generator()
-        anchors, tuples = _anchors_and_tuples()
-        a = gen.encode(anchors, tuples)
-        b = gen.encode(anchors, tuples)
+        boxes = _noisy_boxes()
+        a = gen.encode(boxes)
+        b = gen.encode(boxes)
         assert_array_equal(a.mu.data, b.mu.data)
         assert_array_equal(a.log_var.data, b.log_var.data)
 
     def test_empty_input_empty_output(self):
         gen, _ = _generator()
-        dist = gen.encode([], [])
+        dist = gen.encode(TargetArrays.of([]))
         assert dist.mu.data.shape == (0, 8)
         assert nm.gaussian_kl(dist.mu, dist.log_var).item() == 0.0
 
     def test_category_out_of_range(self):
         gen, _ = _generator(num_classes=2)
-        anchors, tuples = _anchors_and_tuples()
+        boxes = _noisy_boxes()
         with pytest.raises(IndexError, match="category"):
-            gen.encode(anchors, tuples)
+            gen.encode(boxes)
 
     def test_log_var_clamped(self):
         gen, store = _generator()
         store["vqg.lv.b"].data[:] = 50.0
-        anchors, tuples = _anchors_and_tuples()
-        dist = gen.encode(anchors, tuples)
+        boxes = _noisy_boxes()
+        dist = gen.encode(boxes)
         assert dist.log_var.data.max() <= 10.0
 
     def test_gradient_through_embedding(self):
         gen, store = _generator(seed=11, width=6)
-        anchors, tuples = _anchors_and_tuples()
+        boxes = _noisy_boxes()
         rng = np.random.default_rng(0)
         pm = rng.normal(size=(2, 6))
 
         def loss_fn():
-            return nm.sum_all(gen.encode(anchors, tuples).mu * nm.Tensor(pm))
+            return nm.sum_all(gen.encode(boxes).mu * nm.Tensor(pm))
 
         assert check_params_fn(loss_fn, store) <= OP_TOLERANCE
 
@@ -167,8 +165,7 @@ class TestDenoisingLoss:
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
         out = denoising_loss(pred, [[range(1)]], TargetArrays.of([gt]), dist, DenoisingConfig())
 
-        from vqdet.geometry import box2d_corners
-        from oracles import giou2d
+        from oracles import box2d_corners, giou2d
         p = 1.0 / (1.0 + np.exp(-logits))
         onehot = np.array([[0.0, 1.0]])
         cls = float((-(onehot * 0.25 * (1 - p) ** 2 * np.log(p))
@@ -176,13 +173,13 @@ class TestDenoisingLoss:
         center = abs(0.47 - 0.5) + abs(0.55 - 0.5)
         lrtb = abs(0.12 - 0.1) + abs(0.1 - 0.1) + abs(0.09 - 0.1) + abs(0.1 - 0.1)
         pred_box = (0.47 - 0.12, 0.55 - 0.09, 0.47 + 0.1, 0.55 + 0.1)
-        giou_term = 1.0 - giou2d(pred_box, box2d_corners(gt.anchor()))
+        giou_term = 1.0 - giou2d(pred_box, box2d_corners(gt))
         size = abs(3.0 - 3.5) + abs(1.5 - 1.6) + abs(1.6 - 1.5)
         angle = abs(0.1 - math.sin(0.3)) + abs(1.0 - math.cos(0.3))
         depth = abs(21.5 - 20.0)
-        recon = (losses.W_CLS * cls + losses.W_CENTER * center + losses.W_LRTB * lrtb
-                 + losses.W_GIOU * giou_term + losses.W_SIZE * size
-                 + losses.W_ANGLE * angle + losses.W_DEPTH * depth)
+        recon = (nm.W_CLS * cls + nm.W_CENTER * center + nm.W_LRTB * lrtb
+                 + nm.W_GIOU * giou_term + nm.W_SIZE * size
+                 + nm.W_ANGLE * angle + nm.W_DEPTH * depth)
         kl = 3 * 0.5 * (math.exp(log_var) + mu ** 2 - 1.0 - log_var)
         expected = recon + BETA * kl
         assert out.total.item() == pytest.approx(expected, abs=1e-10)
