@@ -76,14 +76,6 @@ class GroundTruthObject:
         if not math.isfinite(self.theta):
             raise ValueError(f"yaw {self.theta} is not finite")
 
-    def as_row(self) -> list[float]:
-        return [float(self.c), self.x_c, self.y_c, self.l, self.r, self.t, self.b,
-                self.l3d, self.w3d, self.h3d, self.theta, self.d]
-
-    @staticmethod
-    def from_row(row) -> "GroundTruthObject":
-        return GroundTruthObject(int(row[0]), *[float(v) for v in row[1:12]])
-
 
 @dataclass(frozen=True)
 class OrientedBox3D:

@@ -90,7 +90,7 @@ def check_params_fn(loss_fn: Callable[[], nm.Tensor], store: nm.ParameterStore) 
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
-def _away_from(x: np.ndarray, kinks: list[float]) -> np.ndarray:
+def _away_from(x: np.ndarray, kinks: Sequence[float]) -> np.ndarray:
     """Move entries within 1e-3 of a non-differentiable point to 2e-3 from it."""
     for k in kinks:
         close = np.abs(x - k) < 1e-3
@@ -118,34 +118,15 @@ def _check_layer_norm(rng) -> float:
         [x, gain, bias])
 
 
-def _check_relu(rng) -> float:
-    x = _away_from(rng.normal(size=(4, 4)), [0.0])
-    p = rng.normal(size=(4, 4))
-    return check_scalar_fn(lambda ts: nm.sum_all(nm.relu(ts[0]) * nm.Tensor(p)), [x])
+def _elementwise(op: Callable[[nm.Tensor], nm.Tensor], shape: tuple[int, ...],
+                 scale: float = 1.0, kinks: Sequence[float] = ()) -> Callable:
+    """Check of ``op`` on N(0, scale^2) entries kept away from its ``kinks``."""
+    def check(rng) -> float:
+        x = _away_from(rng.normal(size=shape) * scale, kinks)
+        p = rng.normal(size=shape)
+        return check_scalar_fn(lambda ts: nm.sum_all(op(ts[0]) * nm.Tensor(p)), [x])
 
-
-def _check_sigmoid(rng) -> float:
-    x = rng.normal(size=(4, 4)) * 3.0
-    p = rng.normal(size=(4, 4))
-    return check_scalar_fn(lambda ts: nm.sum_all(nm.sigmoid(ts[0]) * nm.Tensor(p)), [x])
-
-
-def _check_softplus(rng) -> float:
-    x = rng.normal(size=(4, 4)) * 3.0
-    p = rng.normal(size=(4, 4))
-    return check_scalar_fn(lambda ts: nm.sum_all(nm.softplus(ts[0]) * nm.Tensor(p)), [x])
-
-
-def _check_exp(rng) -> float:
-    x = rng.normal(size=(3, 4))
-    p = rng.normal(size=(3, 4))
-    return check_scalar_fn(lambda ts: nm.sum_all(nm.exp(ts[0]) * nm.Tensor(p)), [x])
-
-
-def _check_clamp(rng) -> float:
-    x = _away_from(rng.normal(size=(4, 4)) * 2.0, [-1.5, 1.5])
-    p = rng.normal(size=(4, 4))
-    return check_scalar_fn(lambda ts: nm.sum_all(nm.clamp(ts[0], -1.5, 1.5) * nm.Tensor(p)), [x])
+    return check
 
 
 def _check_block_loss(rng) -> float:
@@ -320,11 +301,12 @@ def _check_end_to_end(rng) -> float:
 REGISTRY: dict[str, tuple[Callable, float, int]] = {
     "linear": (_check_linear, OP_TOLERANCE, 50),
     "layer_norm": (_check_layer_norm, OP_TOLERANCE, 50),
-    "relu": (_check_relu, OP_TOLERANCE, 50),
-    "sigmoid": (_check_sigmoid, OP_TOLERANCE, 50),
-    "softplus": (_check_softplus, OP_TOLERANCE, 50),
-    "exp": (_check_exp, OP_TOLERANCE, 50),
-    "clamp": (_check_clamp, OP_TOLERANCE, 50),
+    "relu": (_elementwise(nm.relu, (4, 4), kinks=[0.0]), OP_TOLERANCE, 50),
+    "sigmoid": (_elementwise(nm.sigmoid, (4, 4), scale=3.0), OP_TOLERANCE, 50),
+    "softplus": (_elementwise(nm.softplus, (4, 4), scale=3.0), OP_TOLERANCE, 50),
+    "exp": (_elementwise(nm.exp, (3, 4)), OP_TOLERANCE, 50),
+    "clamp": (_elementwise(lambda t: nm.clamp(t, -1.5, 1.5), (4, 4), scale=2.0,
+                           kinks=[-1.5, 1.5]), OP_TOLERANCE, 50),
     "weighted_row_smooth_l1": (_check_weighted_row_smooth_l1, OP_TOLERANCE, 50),
     "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
     "block_loss": (_check_block_loss, OP_TOLERANCE, 50),

@@ -49,7 +49,7 @@ from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject, 
 from .losses import PredictionRows, TargetArrays, component_loss
 from .matching import Assignment, hungarian, matching_cost
 from .numerics import ParameterStore, Tensor
-from .scenes import Detection, Scene
+from .scenes import Detection, Scene, grid_channels
 from .vqd import (
     DenoisingConfig,
     DenoisingLoss,
@@ -153,7 +153,7 @@ class Detector:
 
     def __init__(self, cfg: DetectorConfig, seed: int):
         self.cfg = cfg
-        self.input_channels = cfg.num_classes + 3
+        self.input_channels = grid_channels(cfg.num_classes)
         self.store = ParameterStore(rng_seed=seed)
         self.pos_enc = sincos_positions_2d(cfg.feature_size, cfg.width)
         self._build()

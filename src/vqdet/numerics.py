@@ -748,7 +748,7 @@ def _first_non_finite(order: list[Tensor], store: "ParameterStore | None") -> st
 class ParameterStore:
     """Named trainable tensors with deterministic iteration order.
 
-    Parameters are created lazily through :meth:`param`; creation order fixes
+    Parameters are created through :meth:`param`; creation order fixes
     iteration order, so two stores built by the same code path are aligned
     name-for-name. ``rng_seed`` seeds the initializer stream.
     """
@@ -760,16 +760,14 @@ class ParameterStore:
 
     def param(self, name: str, shape: tuple[int, ...], scale: float = 0.02,
               init: np.ndarray | None = None) -> Tensor:
-        """Fetch a parameter, creating it on first use.
+        """Create a parameter under a name not yet in the store.
 
         New parameters are N(0, scale^2) unless an explicit ``init`` array is
-        given. Re-requesting a name checks the shape and returns the original.
+        given. A repeated name raises ``ValueError``: two layers built under
+        one name would otherwise share weights.
         """
         if name in self._params:
-            t = self._params[name]
-            if t.data.shape != tuple(shape):
-                raise ShapeError(f"parameter {name!r}: shape {t.data.shape} vs {tuple(shape)}")
-            return t
+            raise ValueError(f"parameter {name!r} is already in the store")
         if init is not None:
             data = np.asarray(init, dtype=np.float64).reshape(shape)
         elif scale == 0.0:

@@ -1,18 +1,16 @@
-"""Synthetic 3D scenes, dataset files, and average-precision evaluation.
+"""Synthetic 3D scenes and average-precision evaluation.
 
 A scene is a feature grid plus the ground-truth objects that generated it.
 Objects splat anisotropic Gaussians into the grid: one channel per category
 carries the amplitude, one channel carries inverse depth, and two carry the
 yaw's sine and cosine, each modulated by the same splat, so category, center,
-2D extent, depth, and orientation are all recoverable from the grid. Datasets
-are line-delimited JSON with the raw float64 grid base64-encoded, which makes
-save/load round trips bit-exact.
+2D extent, depth, and orientation are all recoverable from the grid. A scene
+is a function of its seed: :func:`generate_scene` rebuilds it bit for bit,
+so scenes are regenerated from seeds and never stored.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,10 +29,6 @@ from .geometry import (
 )
 
 
-class DatasetError(ValueError):
-    """A dataset file line could not be parsed."""
-
-
 # class-conditional mean dimensions (l3d, w3d, h3d), in meters
 CLASS_DIMENSIONS = [
     (4.0, 1.8, 1.5),   # car-like
@@ -42,6 +36,17 @@ CLASS_DIMENSIONS = [
     (0.9, 0.8, 1.8),   # pedestrian-like
 ]
 MAX_DEPTH = 120.0  # meters; ground truths must lie nearer (GroundTruthObject.validate)
+# Object centers lie this near and far, in meters. The near depth must exceed a
+# jittered box's reach toward the camera, or a corner can land at z <= 0.
+DEPTH_RANGE = (6.0, 40.0)
+DIM_JITTER = 0.15  # each dimension is scaled by U(1 - DIM_JITTER, 1 + DIM_JITTER)
+GRID_NOISE = 0.05  # standard deviation of the Gaussian noise added to every grid entry
+INTRINSICS = CameraIntrinsics()
+
+
+def grid_channels(num_classes: int) -> int:
+    """Per-class amplitude, inverse depth, sin yaw and cos yaw."""
+    return num_classes + 3
 
 
 @dataclass(frozen=True)
@@ -49,10 +54,6 @@ class SceneConfig:
     feature_size: int = 16
     num_classes: int = 3
     max_objects: int = 4
-    depth_range: tuple[float, float] = (6.0, 40.0)
-    dim_jitter: float = 0.15
-    grid_noise: float = 0.05
-    intrinsics: CameraIntrinsics = CameraIntrinsics()
 
     def __post_init__(self):
         for name in ("feature_size", "num_classes", "max_objects"):
@@ -61,26 +62,10 @@ class SceneConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not (math.isfinite(self.grid_noise) and self.grid_noise >= 0):
-            raise ValueError(f"grid_noise must be finite and >= 0, got {self.grid_noise}")
-        if not 0 <= self.dim_jitter < 1:
-            raise ValueError(f"dim_jitter must lie in [0, 1), got {self.dim_jitter}")
-        lo, hi = self.depth_range
-        if not lo < hi < MAX_DEPTH:
-            raise ValueError(f"depth_range {self.depth_range} must satisfy "
-                             f"near < far < {MAX_DEPTH}")
-        # A box turned by its yaw reaches half its footprint diagonal toward the camera.
-        reach = (1.0 + self.dim_jitter) * max(
-            math.hypot(*CLASS_DIMENSIONS[c % len(CLASS_DIMENSIONS)][:2]) / 2.0
-            for c in range(self.num_classes))
-        if lo <= reach:
-            raise ValueError(f"depth_range near depth {lo} must exceed {reach:.3f}: a jittered "
-                             "box that near can put a corner at z <= 0")
 
     @property
     def input_channels(self) -> int:
-        # per-class amplitude + inverse depth + sin yaw + cos yaw
-        return self.num_classes + 3
+        return grid_channels(self.num_classes)
 
 
 @dataclass
@@ -110,12 +95,12 @@ def _splat(grid: np.ndarray, channel_values: dict[int, float], u: float, v: floa
 def _sample_object(rng: np.random.Generator, cfg: SceneConfig) -> GroundTruthObject:
     cls = int(rng.integers(cfg.num_classes))
     means = CLASS_DIMENSIONS[cls % len(CLASS_DIMENSIONS)]
-    dims = [m * (1.0 + rng.uniform(-cfg.dim_jitter, cfg.dim_jitter)) for m in means]
-    depth = rng.uniform(*cfg.depth_range)
+    dims = [m * (1.0 + rng.uniform(-DIM_JITTER, DIM_JITTER)) for m in means]
+    depth = rng.uniform(*DEPTH_RANGE)
     u_c = rng.uniform(0.15, 0.85)
     v_c = rng.uniform(0.15, 0.85)
     yaw = wrap_angle(rng.uniform(-math.pi, math.pi))
-    intr = cfg.intrinsics
+    intr = INTRINSICS
     x = (u_c - intr.cx) * depth / intr.f
     y = (v_c - intr.cy) * depth / intr.f
     box = OrientedBox3D(x, y, depth, dims[0], dims[1], dims[2], yaw)
@@ -158,70 +143,9 @@ def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: str,
             nc + 1: math.sin(gt.theta),
             nc + 2: math.cos(gt.theta),
         }, gt.x_c, gt.y_c, sigma_u, sigma_v)
-    grid += rng.normal(0.0, cfg.grid_noise, size=grid.shape)
-    return Scene(scene_id=scene_id, seed=seed, intrinsics=cfg.intrinsics,
+    grid += rng.normal(0.0, GRID_NOISE, size=grid.shape)
+    return Scene(scene_id=scene_id, seed=seed, intrinsics=INTRINSICS,
                  objects=objects, grid=grid)
-
-
-def generate_dataset(base_seed: int, count: int, cfg: SceneConfig,
-                     split: str = "train") -> list[Scene]:
-    """Scenes with per-scene seeds ``base_seed + i``; ids encode split + seed."""
-    scenes = []
-    for i in range(count):
-        seed = base_seed + i
-        rng = np.random.default_rng(seed)
-        scenes.append(generate_scene(rng, cfg, scene_id=f"{split}-{seed:010d}", seed=seed))
-    return scenes
-
-
-def save_dataset(scenes: list[Scene], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for scene in scenes:
-            record = {
-                "scene_id": scene.scene_id,
-                "seed": scene.seed,
-                "intrinsics": {"f": scene.intrinsics.f, "cx": scene.intrinsics.cx,
-                               "cy": scene.intrinsics.cy},
-                "objects": [gt.as_row() for gt in scene.objects],
-                "grid_shape": list(scene.grid.shape),
-                "grid_b64": base64.b64encode(
-                    np.ascontiguousarray(scene.grid, dtype="<f8").tobytes()).decode("ascii"),
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-
-
-def load_dataset(path) -> list[Scene]:
-    """Read scenes back; each object must pass ``GroundTruthObject.validate``.
-
-    The intrinsics are checked by :class:`CameraIntrinsics`, and the grid
-    must be (F, F, classes + 3) with finite entries; the class count is the
-    grid's channel count minus 3. A malformed line raises
-    :class:`DatasetError` naming the path and the line.
-    """
-    scenes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                intr = CameraIntrinsics(**rec["intrinsics"])
-                objects = [GroundTruthObject.from_row(row) for row in rec["objects"]]
-                shape = tuple(rec["grid_shape"])
-                if len(shape) != 3 or shape[0] != shape[1] or shape[2] < 4:
-                    raise ValueError(f"grid_shape {list(shape)} is not (F, F, classes + 3)")
-                grid = np.frombuffer(base64.b64decode(rec["grid_b64"]),
-                                     dtype="<f8").reshape(shape).astype(np.float64)
-                if not np.isfinite(grid).all():
-                    raise ValueError("grid has non-finite entries")
-                for obj in objects:
-                    obj.validate(num_classes=shape[-1] - 3)
-                scenes.append(Scene(scene_id=rec["scene_id"], seed=int(rec["seed"]),
-                                    intrinsics=intr, objects=objects, grid=grid))
-            except (KeyError, IndexError, ValueError, TypeError) as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from exc
-    return scenes
 
 
 @dataclass
@@ -238,10 +162,12 @@ def ap40(detections: list[Detection],
          iou_threshold: float = 0.5) -> float:
     """Average precision at 40 recall positions with greedy 3D IoU matching.
 
-    Detections are ranked by score (ties broken by scene id then insertion
-    order, so the result is independent of input order); each ground truth
-    can be claimed once, by the highest-scoring same-class detection whose
-    IoU3D clears the threshold. Returns NaN when there are no ground truths.
+    Detections are ranked by score, ties broken by scene id and then by
+    input order. The result therefore does not depend on the order of
+    detections across scenes, but the input order of equal-score detections
+    within one scene can change it. Each ground truth can be claimed once, by
+    the highest-ranked same-class detection whose IoU3D clears the threshold.
+    Returns NaN when there are no ground truths.
     """
     total_gts = sum(len(v) for v in ground_truths.values())
     if total_gts == 0:

@@ -383,11 +383,12 @@ class TestParameterStore:
         b = nm.ParameterStore(rng_seed=12).param("w", (4, 4))
         assert_array_equal(a.data, b.data)
 
-    def test_shape_conflict_rejected(self):
+    def test_repeated_name_rejected(self):
         s = nm.ParameterStore(rng_seed=0)
-        s.param("w", (2, 2))
-        with pytest.raises(nm.ShapeError):
-            s.param("w", (3, 2))
+        s.param("layer.w", (2, 2))
+        for shape in [(2, 2), (3, 2)]:
+            with pytest.raises(ValueError, match="'layer.w' is already in the store"):
+                s.param("layer.w", shape)
 
 
 class TestCheckpoint:
