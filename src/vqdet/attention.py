@@ -20,27 +20,12 @@ from . import numerics as nm
 from .numerics import Tensor
 
 
-class AttentionMask:
-    """Boolean allow matrix; ``allow[i, j]`` permits row i to attend to j."""
-
-    def __init__(self, allow: np.ndarray):
-        allow = np.asarray(allow, dtype=bool)
-        if allow.ndim != 2 or allow.shape[0] != allow.shape[1]:
-            raise ValueError(f"attention mask must be square, got {allow.shape}")
-        if allow.size and not np.diagonal(allow).all():
-            raise ValueError("attention mask diagonal must be all true")
-        self.allow = allow
-
-    @property
-    def size(self) -> int:
-        return self.allow.shape[0]
-
-
-def build_denoising_mask(n: int, k: int, c: int) -> AttentionMask:
+def build_denoising_mask(n: int, k: int, c: int) -> np.ndarray:
     """Interaction rule for one group of N learnable + C*K noisy queries.
 
-    Learnable rows attend only to learnable columns; rows of noisy block j
-    attend to the learnable columns and to block j itself.
+    Returns the (S, S) bool allow matrix: ``allow[i, j]`` lets row i attend
+    to column j. Learnable rows attend only to learnable columns; rows of
+    noisy block j attend to the learnable columns and to block j itself.
     """
     if n < 1 or k < 0 or c < 0:
         raise ValueError(f"invalid counts n={n}, k={k}, c={c}")
@@ -51,7 +36,7 @@ def build_denoising_mask(n: int, k: int, c: int) -> AttentionMask:
     for j in range(c):
         lo = n + j * k
         allow[lo:lo + k, lo:lo + k] = True
-    return AttentionMask(allow)
+    return allow
 
 
 @dataclass
@@ -77,12 +62,13 @@ def attention_params(store: nm.ParameterStore, prefix: str, d: int) -> Attention
                            wv=w("v"), bv=b("v"), wo=w("o"), bo=b("o"))
 
 
-def masked_multihead_self_attention(q: Tensor, mask: AttentionMask,
+def masked_multihead_self_attention(q: Tensor, allow: np.ndarray,
                                     params: AttentionParams, heads: int
                                     ) -> tuple[Tensor, np.ndarray]:
-    """Self-attention of G stacked groups, each restricted to ``mask``.
+    """Self-attention of G stacked groups, each restricted to ``allow``.
 
-    ``q`` holds G groups of ``mask.size`` rows, group-major; the same weights
+    ``q`` holds G groups of S rows, group-major, under the (S, S) bool
+    matrix ``allow`` of :func:`build_denoising_mask`; the same weights
     apply to every group and no row sees another group. Returns the projected
     output and the head-averaged (G, S, S) attention map, off the tape.
     Disallowed positions are exactly zero in every head.
@@ -90,7 +76,7 @@ def masked_multihead_self_attention(q: Tensor, mask: AttentionMask,
     out, p = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
                                     nm.linear(q, params.wk, params.bk),
                                     nm.linear(q, params.wv, params.bv),
-                                    heads, mask.allow)
+                                    heads, allow)
     return nm.linear(out, params.wo, params.bo), p.sum(axis=1) / heads
 
 

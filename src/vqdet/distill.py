@@ -57,34 +57,24 @@ def iou_weights(decoded_boxes: list[OrientedBox3D], gt_indices: list[int],
     return np.array([iou3d(box, gt_boxes[j]) for box, j in zip(decoded_boxes, gt_indices)])
 
 
-def forward_looking_distill(stack: Tensor, layers: int,
-                            row_indices: list[list[int]],
-                            row_weights: list[np.ndarray],
-                            refiner: RefinerParams,
-                            teacher_rows: list[np.ndarray]) -> Tensor:
+def forward_looking_distill(stack: Tensor, layers: int, rows: np.ndarray,
+                            row_weights: np.ndarray, refiner: RefinerParams,
+                            teacher: np.ndarray) -> Tensor:
     """Sum over non-final layers of the weighted query-alignment loss.
 
     ``stack`` holds the output rows of ``layers`` decoder layers, layer-major,
-    each layer's rows for all groups; the last layer is the teacher.
-    ``row_indices[g]`` selects group g's supervised rows of one layer
-    (final-matched learnable rows plus all noisy rows), ``row_weights[g]``
-    their IoU weights and ``teacher_rows[g]`` the final layer's values at
-    those rows, constants taken off the tape. Per layer the loss averages
-    over queries within a group and over groups; with no groups it is 0.
-
-    The row weights handed to the one weighted smooth-L1 carry the
-    1 / (rows in the group * groups) normaliser.
+    each layer's rows for all groups; the last layer is the teacher. ``rows``
+    selects the R supervised rows of one layer over every group (final-matched
+    learnable rows plus all noisy rows), ``row_weights`` their IoU weights
+    divided by R, and ``teacher`` the final layer's (R, D) values at those
+    rows, constants taken off the tape. Per layer the loss averages over the
+    R rows; with no rows it is 0.
     """
     students = layers - 1
-    kept = [g for g, idx in enumerate(row_indices) if idx]
-    if not students or not kept:
+    if not students or not len(rows):
         return nm.Tensor(0.0)
-    groups = len(row_indices)
     stride = stack.data.shape[0] // layers
-    idx = [layer * stride + i for layer in range(students)
-           for g in kept for i in row_indices[g]]
-    weights = np.concatenate([row_weights[g] / (len(row_indices[g]) * groups) for g in kept])
-    teacher = np.concatenate([teacher_rows[g] for g in kept])
+    idx = (np.arange(students)[:, None] * stride + rows).ravel()
     refined = refine(nm.gather_rows(stack, idx), refiner)
     return nm.weighted_row_smooth_l1(refined, nm.Tensor(np.tile(teacher, (students, 1))),
-                                     np.tile(weights, students))
+                                     np.tile(row_weights, students))

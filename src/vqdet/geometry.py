@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+FOCAL, CX, CY = 1.2, 0.5, 0.5  # the pinhole camera, in normalized image units
+MAX_DEPTH = 120.0  # meters; a ground truth lies nearer than this
 
 
 class BehindCameraError(ValueError):
@@ -31,19 +33,6 @@ def wrap_angle(theta: float) -> float:
     if t <= 0.0:
         t += TWO_PI
     return t - math.pi
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    f: float = 1.2
-    cx: float = 0.5
-    cy: float = 0.5
-
-    def __post_init__(self):
-        if not (math.isfinite(self.f) and self.f > 0):
-            raise ValueError(f"intrinsics f must be finite and positive, got {self.f}")
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
-            raise ValueError(f"intrinsics cx, cy must be finite, got {self.cx}, {self.cy}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,7 @@ class GroundTruthObject:
             raise ValueError("2D box leaves the allowed frame margin")
         if not (0 < self.l3d < 30 and 0 < self.w3d < 30 and 0 < self.h3d < 30):
             raise ValueError("3D dimensions out of range")
-        if not 0.5 < self.d < 120:
+        if not 0.5 < self.d < MAX_DEPTH:
             raise ValueError("depth out of range")
         if not math.isfinite(self.theta):
             raise ValueError(f"yaw {self.theta} is not finite")
@@ -119,19 +108,17 @@ class NoiseConfig:
             raise ValueError(f"angle_jitter_rad must lie in [0, pi], got {self.angle_jitter_rad}")
 
 
-def project_to_image(point, intr: CameraIntrinsics) -> tuple[float, float]:
+def project_to_image(point) -> tuple[float, float]:
     """Pinhole projection of a camera-frame point; z must be positive."""
     x, y, z = float(point[0]), float(point[1]), float(point[2])
     if z <= 0.0:
         raise BehindCameraError(f"point has non-positive depth z={z}")
-    return intr.f * x / z + intr.cx, intr.f * y / z + intr.cy
+    return FOCAL * x / z + CX, FOCAL * y / z + CY
 
 
-def backproject(u: float, v: float, depth: float, intr: CameraIntrinsics):
+def backproject(u: float, v: float, depth: float):
     """Invert projection at a known depth; returns a camera-frame point."""
-    return np.array([(u - intr.cx) * depth / intr.f,
-                     (v - intr.cy) * depth / intr.f,
-                     depth])
+    return np.array([(u - CX) * depth / FOCAL, (v - CY) * depth / FOCAL, depth])
 
 
 def bev_corners(box: OrientedBox3D) -> np.ndarray:
@@ -241,9 +228,9 @@ def apply_box_noise(gt: GroundTruthObject, cfg: NoiseConfig, rng: np.random.Gene
     return GroundTruthObject(c, x_c, y_c, l, r, t, b, l3d, w3d, h3d, theta, d)
 
 
-def box3d_from_ground_truth(gt: GroundTruthObject, intr: CameraIntrinsics) -> OrientedBox3D:
+def box3d_from_ground_truth(gt: GroundTruthObject) -> OrientedBox3D:
     """Lift a ground truth to a camera-frame oriented box via its depth."""
-    center = backproject(gt.x_c, gt.y_c, gt.d, intr)
+    center = backproject(gt.x_c, gt.y_c, gt.d)
     return OrientedBox3D(center[0], center[1], center[2], gt.l3d, gt.w3d, gt.h3d, gt.theta)
 
 

@@ -202,15 +202,15 @@ def _attention_weights(rng, d: int) -> list[np.ndarray]:
 
 def _check_masked_attention(rng) -> float:
     """Two groups of s rows stacked under one mask."""
-    from .attention import AttentionMask, masked_multihead_self_attention
+    from .attention import masked_multihead_self_attention
 
     s, d, h = 5, 8, 2
     q = rng.normal(size=(2 * s, d)) * 0.5
-    mask = AttentionMask(np.eye(s, dtype=bool) | (rng.random(size=(s, s)) > 0.4))
+    allow = np.eye(s, dtype=bool) | (rng.random(size=(s, s)) > 0.4)
     proj = rng.normal(size=(2 * s, d))
 
     def build(ts):
-        out, _ = masked_multihead_self_attention(ts[8], mask, _attention_params(ts), h)
+        out, _ = masked_multihead_self_attention(ts[8], allow, _attention_params(ts), h)
         return nm.sum_all(out * nm.Tensor(proj))
 
     return check_scalar_fn(build, _attention_weights(rng, d) + [q])

@@ -37,7 +37,6 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import (
-    AttentionMask,
     AttentionParams,
     attention_params,
     build_denoising_mask,
@@ -124,13 +123,14 @@ class NoisyDraw:
 class DetachedDecisions:
     """Discrete and detached values frozen for replay (probes, determinism).
 
-    The distillation lists are empty when distillation is off.
+    The distillation arrays hold R rows over every group, group-major, and
+    are empty when distillation is off.
     """
 
     assignments: list[list[Assignment]]  # [layer][group], rows of the group
-    distill_rows: list[list[int]]        # [group], rows of one layer
-    distill_weights: list[np.ndarray]    # [group]
-    teacher_rows: list[np.ndarray]       # [group]
+    distill_rows: np.ndarray             # (R,) rows of one layer
+    distill_weights: np.ndarray          # (R,) IoU weights divided by R
+    teacher_rows: np.ndarray             # (R, D) final-layer values there
 
 
 @dataclass
@@ -245,14 +245,14 @@ class Detector:
         ref = nm.sigmoid(nm.gather_rows(self.query_ref, rows))
         return nm.gather_rows(self.query_content, rows) + nm.linear(ref, *self.lref), ref
 
-    def build_group_inputs(self, noisy: NoisyDraw | None, mode: str
-                           ) -> tuple[Tensor, Tensor, AttentionMask,
+    def build_group_inputs(self, noisy: NoisyDraw, mode: str
+                           ) -> tuple[Tensor, Tensor, np.ndarray,
                                       LatentDistribution | None]:
-        """Stacked (G*S, D) queries, (G*S, 2) references, the mask, and latents."""
+        """Stacked (G*S, D) queries, (G*S, 2) references, the (S, S) mask, latents."""
         cfg = self.cfg
         n, groups = cfg.queries_per_group, cfg.groups
         queries, refs = self.learnable_queries(groups)
-        if noisy is None or cfg.noisy_groups == 0 or noisy.num_objects == 0:
+        if cfg.noisy_groups == 0 or noisy.num_objects == 0:
             return queries, refs, build_denoising_mask(n, 0, 0), None
         k, c = noisy.num_objects, cfg.noisy_groups
         dist = self.vqg.encode(noisy.boxes)
@@ -279,10 +279,11 @@ class Detector:
             depth=nm.softplus(nm.linear(h, *self.head_depth)),
         )
 
-    def decoder_forward(self, memory: Tensor, queries: Tensor, mask: AttentionMask
+    def decoder_forward(self, memory: Tensor, queries: Tensor, allow: np.ndarray
                         ) -> tuple[list[Tensor], list[np.ndarray]]:
         """Every layer once over all stacked rows; memory K/V once per layer.
 
+        Self-attention within each group obeys the (S, S) mask ``allow``.
         Returns each layer's (G*S, D) rows and its head-averaged (G, S, S)
         self-attention map; the caller applies :meth:`apply_heads` to the
         rows it reads.
@@ -294,7 +295,7 @@ class Detector:
             (ln1, ln2, ln3) = self.dec_lns[i]
             ffn1, ffn2 = self.dec_ffn[i]
             sa, attn = masked_multihead_self_attention(
-                nm.layer_norm(q, *ln1), mask, self.dec_self[i], cfg.heads)
+                nm.layer_norm(q, *ln1), allow, self.dec_self[i], cfg.heads)
             q = q + sa
             q = q + multihead_cross_attention(
                 nm.layer_norm(q, *ln2), memory, self.dec_cross[i], cfg.heads)
@@ -305,8 +306,7 @@ class Detector:
         return rows, maps
 
 
-def decode_box_rows(pred: PredictionRows, rows: Sequence[int],
-                    intrinsics) -> list[OrientedBox3D]:
+def decode_box_rows(pred: PredictionRows, rows: Sequence[int]) -> list[OrientedBox3D]:
     """Detached 3D boxes for the given query rows (for IoU weights / eval)."""
     centers = pred.centers.data
     sizes = pred.size3d.data
@@ -315,7 +315,7 @@ def decode_box_rows(pred: PredictionRows, rows: Sequence[int],
     out = []
     for r in rows:
         d = float(depths[r, 0])
-        x, y, z = backproject(centers[r, 0], centers[r, 1], d, intrinsics)
+        x, y, z = backproject(centers[r, 0], centers[r, 1], d)
         yaw = math.atan2(angles[r, 0], angles[r, 1])
         out.append(OrientedBox3D(float(x), float(y), float(z),
                                  float(sizes[r, 0]), float(sizes[r, 1]),
@@ -332,10 +332,11 @@ def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
     of both, n learnable rows, then the noisy rows, where noisy row
     n + j*k + i reconstructs ground truth i. One matching cost over the
     learnable rows of every block gives each block its Hungarian assignment.
-    With distillation on, each group also gets the final layer's matched
-    learnable rows and all its noisy rows, their 3D IoU with their ground
-    truths, and the final layer's query values there. ``targets`` are the
-    arrays of ``scene.objects``.
+    With distillation on, the final layer's matched learnable rows and all
+    noisy rows of every group are decoded once: their 3D IoU with their
+    ground truths, divided by the row count R, weights them, and the final
+    layer's query values there are the teacher. ``targets`` are the arrays
+    of ``scene.objects``.
     """
     cfg = det.cfg
     n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
@@ -346,22 +347,22 @@ def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
                     for b in range(layer * groups, (layer + 1) * groups)]
                    for layer in range(cfg.layers)]
 
-    rows, row_weights, teacher = [], [], []
+    final = (cfg.layers - 1) * groups * s
+    rows, row_gts, weights = [], [], np.zeros(0)
     if cfg.lambda_distill > 0 and cfg.layers > 1 and gts:
-        gt_boxes = [b for _, b in scene.gt_boxes3d()]
-        final = (cfg.layers - 1) * groups * s
         noisy_rows = list(range(n, s))
         noisy_gts = [(r - n) % len(gts) for r in noisy_rows]
         for g, assign in enumerate(assignments[-1]):
-            rows.append([g * s + r for r in assign.query_indices() + noisy_rows])
-            boxes = decode_box_rows(pred, [final + r for r in rows[-1]], scene.intrinsics)
-            row_weights.append(iou_weights(boxes, assign.gt_indices() + noisy_gts, gt_boxes))
-        teacher = [stack.data[final:][r] for r in rows]
+            rows += [g * s + r for r in assign.query_indices() + noisy_rows]
+            row_gts += assign.gt_indices() + noisy_gts
+        boxes = decode_box_rows(pred, [final + r for r in rows])
+        weights = iou_weights(boxes, row_gts, [b for _, b in scene.gt_boxes3d()]) / len(rows)
+    rows = np.array(rows, dtype=int)
     return DetachedDecisions(assignments=assignments, distill_rows=rows,
-                             distill_weights=row_weights, teacher_rows=teacher)
+                             distill_weights=weights, teacher_rows=stack.data[final:][rows])
 
 
-def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
+def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
                   dn_cfg: DenoisingConfig,
                   replay: DetachedDecisions | None = None) -> StepLoss:
     """Full per-scene loss with deep supervision on every decoder layer.
@@ -376,11 +377,11 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw | None,
     cfg = det.cfg
     n, gts = cfg.queries_per_group, scene.objects
     memory = det.encode_features(scene.grid)
-    queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
-    layer_rows, maps = det.decoder_forward(memory, queries, mask)
+    queries, refs, allow, dist = det.build_group_inputs(noisy, dn_cfg.mode)
+    layer_rows, maps = det.decoder_forward(memory, queries, allow)
     stack = nm.concat_rows(layer_rows)
     pred = det.apply_heads(stack, nm.concat_rows([refs] * cfg.layers))
-    s = mask.size
+    s = allow.shape[0]
     targets = TargetArrays.of(gts)
     decisions = (step_decisions(det, stack, pred, scene, targets, s) if replay is None
                  else replay)
@@ -431,7 +432,7 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
         pred = det.apply_heads(rows[-1], refs)
     probs = pred.class_probs()
     detections = []
-    boxes = decode_box_rows(pred, range(n), scene.intrinsics)
+    boxes = decode_box_rows(pred, range(n))
     corners = pred.corner_boxes_array()
     for r in range(n):
         score = float(probs[r].max())

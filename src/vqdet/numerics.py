@@ -394,7 +394,6 @@ def gaussian_kl(mu: Tensor, log_var: Tensor) -> Tensor:
     if mu.data.size == 0:
         return _node(np.asarray(0.0), (mu, log_var), lambda g: (np.zeros_like(mu.data),
                                                                 np.zeros_like(log_var.data)))
-    rows = max(rows, 1)
     ev = np.exp(log_var.data)
     out = np.asarray(0.5 * (ev + mu.data ** 2 - 1.0 - log_var.data).sum() / rows)
 
@@ -822,8 +821,9 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into a name -> array map.
 
     A truncated file, bytes after the last record, a name that is not
-    UTF-8 or appears twice, or a record count other than the header's raise
-    ValueError naming the path and the record.
+    UTF-8 or appears twice, a value that is NaN or infinite, or a record
+    count other than the header's raise ValueError naming the path and the
+    record.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -864,6 +864,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         shape = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, record))
         count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count, record))
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: {record} holds a value that is not finite")
         out[name] = arr.reshape(shape).astype(np.float64)
     if len(out) != expected:
         raise ValueError(f"{path}: the header promises {expected} records, "

@@ -18,9 +18,9 @@ import numpy as np
 
 from .geometry import (
     BehindCameraError,
-    CameraIntrinsics,
     GroundTruthObject,
     OrientedBox3D,
+    backproject,
     box3d_corners,
     box3d_from_ground_truth,
     iou3d,
@@ -35,13 +35,11 @@ CLASS_DIMENSIONS = [
     (6.5, 2.4, 2.8),   # van-like
     (0.9, 0.8, 1.8),   # pedestrian-like
 ]
-MAX_DEPTH = 120.0  # meters; ground truths must lie nearer (GroundTruthObject.validate)
 # Object centers lie this near and far, in meters. The near depth must exceed a
 # jittered box's reach toward the camera, or a corner can land at z <= 0.
 DEPTH_RANGE = (6.0, 40.0)
 DIM_JITTER = 0.15  # each dimension is scaled by U(1 - DIM_JITTER, 1 + DIM_JITTER)
 GRID_NOISE = 0.05  # standard deviation of the Gaussian noise added to every grid entry
-INTRINSICS = CameraIntrinsics()
 
 
 def grid_channels(num_classes: int) -> int:
@@ -72,13 +70,11 @@ class SceneConfig:
 class Scene:
     scene_id: str
     seed: int
-    intrinsics: CameraIntrinsics
     objects: list[GroundTruthObject]
     grid: np.ndarray  # (F, F, channels) float64
 
     def gt_boxes3d(self) -> list[tuple[int, OrientedBox3D]]:
-        return [(gt.c, box3d_from_ground_truth(gt, self.intrinsics))
-                for gt in self.objects]
+        return [(gt.c, box3d_from_ground_truth(gt)) for gt in self.objects]
 
 
 def _splat(grid: np.ndarray, channel_values: dict[int, float], u: float, v: float,
@@ -100,15 +96,13 @@ def _sample_object(rng: np.random.Generator, cfg: SceneConfig) -> GroundTruthObj
     u_c = rng.uniform(0.15, 0.85)
     v_c = rng.uniform(0.15, 0.85)
     yaw = wrap_angle(rng.uniform(-math.pi, math.pi))
-    intr = INTRINSICS
-    x = (u_c - intr.cx) * depth / intr.f
-    y = (v_c - intr.cy) * depth / intr.f
+    x, y, _ = backproject(u_c, v_c, depth)
     box = OrientedBox3D(x, y, depth, dims[0], dims[1], dims[2], yaw)
 
     us, vs = [], []
     for corner in box3d_corners(box):
         try:
-            cu, cv = project_to_image(corner, intr)
+            cu, cv = project_to_image(corner)
         except BehindCameraError:
             continue
         us.append(cu)
@@ -144,8 +138,7 @@ def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: str,
             nc + 2: math.cos(gt.theta),
         }, gt.x_c, gt.y_c, sigma_u, sigma_v)
     grid += rng.normal(0.0, GRID_NOISE, size=grid.shape)
-    return Scene(scene_id=scene_id, seed=seed, intrinsics=INTRINSICS,
-                 objects=objects, grid=grid)
+    return Scene(scene_id=scene_id, seed=seed, objects=objects, grid=grid)
 
 
 @dataclass

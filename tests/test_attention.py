@@ -5,7 +5,6 @@ from numpy.testing import assert_array_equal
 
 from vqdet import numerics as nm
 from vqdet.attention import (
-    AttentionMask,
     AttentionParams,
     build_denoising_mask,
     masked_multihead_self_attention,
@@ -25,26 +24,27 @@ def _params(rng, d, requires_grad=False) -> AttentionParams:
 
 class TestBuildDenoisingMask:
     def test_spec_layout_n2_k1_c2(self):
-        mask = build_denoising_mask(2, 1, 2)
+        allow = build_denoising_mask(2, 1, 2)
         expected = np.array([
             [1, 1, 0, 0],
             [1, 1, 0, 0],
             [1, 1, 1, 0],
             [1, 1, 0, 1],
         ], dtype=bool)
-        assert_array_equal(mask.allow, expected)
+        assert_array_equal(allow, expected)
 
     def test_no_noisy_blocks_all_true(self):
-        mask = build_denoising_mask(3, 5, 0)
-        assert_array_equal(mask.allow, np.ones((3, 3), dtype=bool))
+        allow = build_denoising_mask(3, 5, 0)
+        assert_array_equal(allow, np.ones((3, 3), dtype=bool))
 
     @given(n=st.integers(1, 6), k=st.integers(0, 4), c=st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_structural_properties(self, n, k, c):
-        allow = build_denoising_mask(n, k, c).allow
+        allow = build_denoising_mask(n, k, c)
         s = n + k * c
-        assert allow.shape == (s, s)
+        assert allow.shape == (s, s) and allow.dtype == bool
         assert allow.any(axis=1).all()
+        assert np.diagonal(allow).all()  # every row attends to itself
         assert not allow[:n, n:].any()  # learnable rows never see noisy columns
         assert allow[:, :n].all()  # every row sees the learnable block
         for j in range(c):
@@ -54,10 +54,6 @@ class TestBuildDenoisingMask:
                     assert blk.all()
                 else:
                     assert not blk.any()
-
-    def test_diagonal_invariant_enforced(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            AttentionMask(np.zeros((2, 2), dtype=bool))
 
 
 def _relative(got: np.ndarray, want: np.ndarray) -> float:
@@ -69,9 +65,9 @@ class TestMultiheadAttentionOp:
     CASES = [
         (1, 5, 7, None),
         (1, 6, 6, None),
-        (1, 5, 5, build_denoising_mask(1, 2, 2).allow),  # row 0 sees only itself
-        (2, 5, 5, build_denoising_mask(1, 2, 2).allow),
-        (3, 5, 5, build_denoising_mask(1, 2, 2).allow),
+        (1, 5, 5, build_denoising_mask(1, 2, 2)),  # row 0 sees only itself
+        (2, 5, 5, build_denoising_mask(1, 2, 2)),
+        (3, 5, 5, build_denoising_mask(1, 2, 2)),
         (2, 4, 4, np.eye(4, dtype=bool) | (np.random.default_rng(0).random((4, 4)) > 0.5)),
         (3, 4, 4, np.ones((4, 4), dtype=bool)),
     ]
@@ -97,7 +93,7 @@ class TestMultiheadAttentionOp:
     def test_map_is_head_average_per_group(self):
         """The op hands out read-only per-head weights; self-attention averages them."""
         rng = np.random.default_rng(1)
-        allow = build_denoising_mask(2, 1, 2).allow
+        allow = build_denoising_mask(2, 1, 2)
         q, k, v = (nm.Tensor(rng.normal(size=(8, 4))) for _ in range(3))
         _, weights = nm.multihead_attention(q, k, v, 2, allow)
         assert weights.shape == (2, 2, 4, 4) and not weights.flags.writeable
@@ -112,7 +108,7 @@ class TestMultiheadAttentionOp:
         assert full.shape == (1, 2, 8, 8)
 
         params = _params(rng, 4)
-        _, attn = masked_multihead_self_attention(q, AttentionMask(allow), params, heads=2)
+        _, attn = masked_multihead_self_attention(q, allow, params, heads=2)
         _, weights = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
                                             nm.linear(q, params.wk, params.bk),
                                             nm.linear(q, params.wv, params.bv), 2, allow)
@@ -137,8 +133,7 @@ class TestMaskedAttention:
         rng = np.random.default_rng(1)
         params = _params(rng, 4)
         q = nm.Tensor(rng.normal(size=(1, 4)))
-        out, attn = masked_multihead_self_attention(q, AttentionMask(np.ones((1, 1), bool)),
-                                                    params, heads=2)
+        out, attn = masked_multihead_self_attention(q, np.ones((1, 1), bool), params, heads=2)
         assert out.data.shape == (1, 4)
         assert_array_equal(attn, [[[1.0]]])
 
@@ -148,7 +143,7 @@ class TestMaskedAttention:
         params = _params(rng, d)
         q = nm.Tensor(rng.normal(size=(s, d)))
         masked, _ = masked_multihead_self_attention(
-            q, AttentionMask(np.ones((s, s), bool)), params, heads=2)
+            q, np.ones((s, s), bool), params, heads=2)
 
         projected = [nm.linear(q, w, b) for w, b in ((params.wq, params.bq),
                                                     (params.wk, params.bk),
@@ -160,11 +155,11 @@ class TestMaskedAttention:
 
     def test_masked_columns_exactly_zero(self):
         rng = np.random.default_rng(3)
-        mask = build_denoising_mask(2, 1, 2)
+        allow = build_denoising_mask(2, 1, 2)
         params = _params(rng, 4)
         q = nm.Tensor(rng.normal(size=(4, 4)))
-        _, (attn,) = masked_multihead_self_attention(q, mask, params, heads=2)
-        assert_array_equal(attn[~mask.allow], np.zeros((~mask.allow).sum()))
+        _, (attn,) = masked_multihead_self_attention(q, allow, params, heads=2)
+        assert_array_equal(attn[~allow], np.zeros((~allow).sum()))
         np.testing.assert_allclose(attn.sum(axis=1), np.ones(4), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -179,7 +174,7 @@ class TestMaskedAttention:
         def build(ts):
             ps = AttentionParams(wq=ts[0], bq=ts[1], wk=ts[2], bk=ts[3],
                                  wv=ts[4], bv=ts[5], wo=ts[6], bo=ts[7])
-            out, _ = masked_multihead_self_attention(ts[8], AttentionMask(allow), ps, 2)
+            out, _ = masked_multihead_self_attention(ts[8], allow, ps, 2)
             return nm.sum_all(out * nm.Tensor(proj))
 
         err = check_scalar_fn(build, [weights[0], biases[0], weights[1], biases[1],
@@ -193,10 +188,10 @@ class TestMaskedAttention:
             k = int(rng.integers(1, 3))
             c = int(rng.integers(1, 4))
             d, heads = 8, 2
-            mask = build_denoising_mask(n, k, c)
+            allow = build_denoising_mask(n, k, c)
             params = _params(rng, d)
-            q = nm.Tensor(rng.normal(size=(mask.size, d)), requires_grad=True)
-            out, _ = masked_multihead_self_attention(q, mask, params, heads)
+            q = nm.Tensor(rng.normal(size=(allow.shape[0], d)), requires_grad=True)
+            out, _ = masked_multihead_self_attention(q, allow, params, heads)
             learnable_out = narrow_rows(out, 0, n)
             nm.backward(nm.sum_all(learnable_out * learnable_out))
             noisy_grad = q.grad[n:]
@@ -210,7 +205,7 @@ class TestSeparatedGroupAttention:
     MASK = build_denoising_mask(2, 1, 2)  # S = 4
 
     def _stacked(self, rng, g=2, d=4):
-        return nm.Tensor(rng.normal(size=(g * self.MASK.size, d)))
+        return nm.Tensor(rng.normal(size=(g * self.MASK.shape[0], d)))
 
     def test_single_group_equals_direct_call(self):
         rng = np.random.default_rng(6)

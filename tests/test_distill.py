@@ -138,8 +138,10 @@ class TestForwardLookingDistill:
                             refined, nm.Tensor(t), w) * (1.0 / len(r))
                     total = total + layer_term * (1.0 / len(rows))
             else:
-                total = forward_looking_distill(nm.concat_rows(layers), len(layers), rows,
-                                                weights, refiner, teacher)
+                scaled = [w / (len(r) * len(rows)) for r, w in zip(rows, weights)]
+                total = forward_looking_distill(nm.concat_rows(layers), len(layers),
+                                                np.concatenate(rows), np.concatenate(scaled),
+                                                refiner, np.concatenate(teacher))
             nm.backward(total)
             leaves = layers[:-1] + [refiner.w1, refiner.b1, refiner.w2, refiner.b2]
             return total.item(), [t.grad for t in leaves]
@@ -157,9 +159,17 @@ class TestForwardLookingDistill:
 
 
 def _distill(layers, rows, weights, refiner):
-    """The loss on the layers' stack, the final layer's values at ``rows`` the teacher."""
-    return forward_looking_distill(nm.concat_rows(layers), len(layers), rows, weights,
-                                   refiner, [layers[-1].data[r] for r in rows])
+    """The loss on the layers' stack for per-group ``rows`` and ``weights``.
+
+    The groups' rows are concatenated and each group's weights divided by
+    (its row count * groups), which is the row count R when groups are
+    equal, as in ``step_decisions``; the final layer's values at the rows
+    are the teacher.
+    """
+    flat = np.array([r for group in rows for r in group], dtype=int)
+    scaled = np.concatenate([w / (len(r) * len(rows)) for r, w in zip(rows, weights)])
+    return forward_looking_distill(nm.concat_rows(layers), len(layers), flat, scaled,
+                                   refiner, layers[-1].data[flat])
 
 
 def _row_term(layers, row, refiner) -> float:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vqdet import geometry
 from vqdet.geometry import (
     BehindCameraError,
-    CameraIntrinsics,
     GroundTruthObject,
     NoiseConfig,
     OrientedBox3D,
     apply_box_noise,
+    backproject,
     box3d_from_ground_truth,
     iou3d,
     project_to_image,
@@ -38,26 +39,20 @@ class TestProjection:
         ((1, 0, 10), 100, (50, 50), (60, 50)),
         ((0, -2, 4), 100, (64, 64), (64, 14)),
     ])
-    def test_hand_cases(self, point, f, c, expected):
-        intr = CameraIntrinsics(f=f, cx=c[0], cy=c[1])
-        assert project_to_image(point, intr) == pytest.approx(expected)
+    def test_hand_cases(self, monkeypatch, point, f, c, expected):
+        # the hand cases are worked in pixels, so the camera is set to them
+        monkeypatch.setattr(geometry, "FOCAL", f)
+        monkeypatch.setattr(geometry, "CX", c[0])
+        monkeypatch.setattr(geometry, "CY", c[1])
+        assert project_to_image(point) == pytest.approx(expected)
 
     def test_behind_camera_rejected(self):
         with pytest.raises(BehindCameraError):
-            project_to_image((0, 0, -1), CameraIntrinsics())
+            project_to_image((0, 0, -1))
 
     def test_backproject_round_trip(self):
-        intr = CameraIntrinsics()
-        from vqdet.geometry import backproject
-        u, v = project_to_image((2.0, -1.0, 17.0), intr)
-        assert_allclose(backproject(u, v, 17.0, intr), [2.0, -1.0, 17.0], atol=1e-12)
-
-    @pytest.mark.parametrize("f,cx,cy", [(0.0, 0.5, 0.5), (-1.0, 0.5, 0.5),
-                                         (math.inf, 0.5, 0.5), (1.2, math.nan, 0.5),
-                                         (1.2, 0.5, -math.inf)])
-    def test_intrinsics_need_finite_positive_focal_and_finite_center(self, f, cx, cy):
-        with pytest.raises(ValueError, match="intrinsics"):
-            CameraIntrinsics(f=f, cx=cx, cy=cy)
+        u, v = project_to_image((2.0, -1.0, 17.0))
+        assert_allclose(backproject(u, v, 17.0), [2.0, -1.0, 17.0], atol=1e-12)
 
 
 class TestGroundTruthValidation:
@@ -267,9 +262,8 @@ class TestBoxNoise:
 
 
 def test_box3d_from_ground_truth_center_projects_back():
-    intr = CameraIntrinsics()
     gt = GroundTruthObject(0, 0.6, 0.45, 0.1, 0.1, 0.1, 0.1, 4, 2, 1.5, 0.2, 25)
-    box = box3d_from_ground_truth(gt, intr)
-    u, v = project_to_image((box.x, box.y, box.z), intr)
+    box = box3d_from_ground_truth(gt)
+    u, v = project_to_image((box.x, box.y, box.z))
     assert (u, v) == pytest.approx((0.6, 0.45), abs=1e-12)
     assert box.z == pytest.approx(25.0)

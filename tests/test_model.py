@@ -124,8 +124,8 @@ class TestNoisyDraw:
     def test_noisy_reference_points_are_the_box_centers(self):
         det = Detector(TINY, seed=0)
         noisy = _noisy(det, _scene(17, num_objects=2))
-        _, refs, mask, _ = det.build_group_inputs(noisy, VARIATIONAL)
-        n, c, s = TINY.queries_per_group, TINY.noisy_groups, mask.size
+        _, refs, allow, _ = det.build_group_inputs(noisy, VARIATIONAL)
+        n, c, s = TINY.queries_per_group, TINY.noisy_groups, allow.shape[0]
         rows = [g * s + n + j for g in range(TINY.groups) for j in range(c * 2)]
         assert refs.data[rows].tobytes() == noisy.boxes.table[:, :2].tobytes()
 
@@ -137,8 +137,8 @@ class TestDecoderForward:
         det = Detector(cfg, seed=1)
         scene = _scene(2, cfg=SceneConfig(feature_size=4, num_classes=2))
         memory = det.encode_features(scene.grid)
-        queries, _, mask, _ = det.build_group_inputs(None, DETERMINISTIC)
-        rows, maps = det.decoder_forward(memory, queries, mask)
+        queries, _, allow, _ = det.build_group_inputs(_noisy(det, scene), DETERMINISTIC)
+        rows, maps = det.decoder_forward(memory, queries, allow)
         assert len(rows) == len(maps) == 1
         assert rows[0].data.shape == (2, 8)
 
@@ -149,12 +149,14 @@ class TestDecoderForward:
         noisy = _noisy(det, scene)
         memory = det.encode_features(scene.grid)
 
-        q_with, refs_with, mask_with, _ = det.build_group_inputs(noisy, VARIATIONAL)
-        rows_with, _ = det.decoder_forward(memory, q_with, mask_with)
-        q_without, refs_without, mask_without, _ = det.build_group_inputs(None, VARIATIONAL)
-        rows_without, _ = det.decoder_forward(memory, q_without, mask_without)
+        q_with, refs_with, allow_with, _ = det.build_group_inputs(noisy, VARIATIONAL)
+        rows_with, _ = det.decoder_forward(memory, q_with, allow_with)
+        plain = Detector(replace(TINY, noisy_groups=0), seed=3)  # the same weights
+        q_without, refs_without, allow_without, _ = plain.build_group_inputs(
+            _noisy(plain, scene), VARIATIONAL)
+        rows_without, _ = plain.decoder_forward(memory, q_without, allow_without)
 
-        n, s = TINY.queries_per_group, mask_with.size
+        n, s = TINY.queries_per_group, allow_with.shape[0]
         assert s > n
         for lw, lo in zip(rows_with, rows_without):
             for g in range(TINY.groups):
@@ -171,12 +173,12 @@ class TestDecoderForward:
         scene = _scene(6)
         noisy = _noisy(det, scene)
         memory = det.encode_features(scene.grid)
-        queries, _, mask, _ = det.build_group_inputs(noisy, VARIATIONAL)
-        _, maps = det.decoder_forward(memory, queries, mask)
+        queries, _, allow, _ = det.build_group_inputs(noisy, VARIATIONAL)
+        _, maps = det.decoder_forward(memory, queries, allow)
         for layer_map in maps:
             for attn in layer_map:
                 np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
-                assert_array_equal(attn[~mask.allow], 0.0)
+                assert_array_equal(attn[~allow], 0.0)
 
 
 class TestOverallLoss:
@@ -249,7 +251,7 @@ class TestTrainingLoss:
         noisy = _noisy(det, scene)
         first = training_loss(det, scene, noisy, DenoisingConfig())
         d = first.decisions
-        assert d.distill_rows == [] and d.distill_weights == [] and d.teacher_rows == []
+        assert d.distill_rows.size == d.distill_weights.size == d.teacher_rows.size == 0
         assert first.distillation.item() == 0.0
         again = training_loss(det, scene, noisy, DenoisingConfig(), replay=d)
         assert again.total.data.tobytes() == first.total.data.tobytes()
@@ -275,10 +277,10 @@ class TestTrainingLoss:
 def _stacked_rows(det, scene, noisy):
     """The step's layer-major stack of decoder rows, its head outputs, and S."""
     memory = det.encode_features(scene.grid)
-    queries, refs, mask, _ = det.build_group_inputs(noisy, VARIATIONAL)
-    rows, _ = det.decoder_forward(memory, queries, mask)
+    queries, refs, allow, _ = det.build_group_inputs(noisy, VARIATIONAL)
+    rows, _ = det.decoder_forward(memory, queries, allow)
     stack = nm.concat_rows(rows)
-    return stack, det.apply_heads(stack, nm.concat_rows([refs] * det.cfg.layers)), mask.size
+    return stack, det.apply_heads(stack, nm.concat_rows([refs] * det.cfg.layers)), allow.shape[0]
 
 
 class TestStepDecisions:
@@ -307,21 +309,20 @@ class TestStepDecisions:
         n, k = TINY.queries_per_group, len(scene.objects)
         final = (TINY.layers - 1) * TINY.groups * s
         gt_boxes = [b for _, b in scene.gt_boxes3d()]
-        assert len(weighed) == TINY.groups  # one call per group
-        for g, (rows, w, teacher) in enumerate(zip(decisions.distill_rows,
-                                                   decisions.distill_weights,
-                                                   decisions.teacher_rows)):
-            assign = decisions.assignments[-1][g]
+        rows, targets = [], []
+        for g, assign in enumerate(decisions.assignments[-1]):
             noisy = list(range(g * s + n, (g + 1) * s))
-            assert rows == [g * s + q for q in assign.query_indices()] + noisy
+            rows += [g * s + q for q in assign.query_indices()] + noisy
             # matched rows against their match, noisy row i of a block against gt i
-            targets = assign.gt_indices() + [(r - g * s - n) % k for r in noisy]
-            boxes = decode_box_rows(pred, [final + r for r in rows], scene.intrinsics)
-            assert weighed[g] == (boxes, targets, gt_boxes)
-            want = [iou3d(box, gt_boxes[j]) for box, j in zip(boxes, targets)]
-            assert w.tobytes() == np.array(want).tobytes()
-            assert w.shape == (len(rows),) and ((0.0 <= w) & (w <= 1.0)).all()
-            assert teacher.shape == (len(rows), TINY.width)
+            targets += assign.gt_indices() + [(r - g * s - n) % k for r in noisy]
+        assert decisions.distill_rows.tolist() == rows
+        boxes = decode_box_rows(pred, [final + r for r in rows])
+        assert weighed == [(boxes, targets, gt_boxes)]  # one call per step
+        want = np.array([iou3d(box, gt_boxes[j]) for box, j in zip(boxes, targets)])
+        w = decisions.distill_weights
+        assert w.tobytes() == (want / len(rows)).tobytes()
+        assert w.shape == (len(rows),) and ((0.0 <= want) & (want <= 1.0)).all()
+        assert decisions.teacher_rows.tobytes() == stack.data[[final + r for r in rows]].tobytes()
 
 
 def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
@@ -329,10 +330,10 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
     cfg = det.cfg
     n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
     memory = det.encode_features(scene.grid)
-    queries, refs, mask, dist = det.build_group_inputs(noisy, dn_cfg.mode)
-    rows, _ = det.decoder_forward(memory, queries, mask)
+    queries, refs, allow, dist = det.build_group_inputs(noisy, dn_cfg.mode)
+    rows, _ = det.decoder_forward(memory, queries, allow)
     preds = [det.apply_heads(layer, refs) for layer in rows]
-    s, k = mask.size, len(gts)
+    s, k = allow.shape[0], len(gts)
     detection = nm.Tensor(0.0)
     for pred, layer_assign in zip(preds, decisions.assignments):
         for g, assign in enumerate(layer_assign):
@@ -347,15 +348,15 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
             layer_term = layer_term + component_loss(pred, block, block, TargetArrays.of(gts))
         recon = recon + layer_term * (1.0 / len(blocks))
     denoising = recon + nm.gaussian_kl(dist.mu, dist.log_var) * BETA
+    # the weights are taken as given: step_decisions has already divided them by R
     distillation = nm.Tensor(0.0)
     for layer in rows[:-1]:
-        layer_term = nm.Tensor(0.0)
-        for r, weights, teacher in zip(decisions.distill_rows, decisions.distill_weights,
-                                       decisions.teacher_rows):
-            refined = refine(nm.gather_rows(layer, r), det.refiner)
-            layer_term = layer_term + nm.weighted_row_smooth_l1(
-                refined, nm.Tensor(teacher), weights) * (1.0 / len(r))
-        distillation = distillation + layer_term * (1.0 / groups)
+        for g in range(groups):
+            in_g = decisions.distill_rows // s == g
+            refined = refine(nm.gather_rows(layer, decisions.distill_rows[in_g]), det.refiner)
+            distillation = distillation + nm.weighted_row_smooth_l1(
+                refined, nm.Tensor(decisions.teacher_rows[in_g]),
+                decisions.distill_weights[in_g])
     total = detection + denoising + distillation * cfg.lambda_distill
     return total, detection, denoising, distillation
 
@@ -373,8 +374,8 @@ class TestStackedScoring:
         decided = training_loss(det, scene, noisy, DenoisingConfig()).decisions
         # untrained boxes rarely overlap their targets: give every distilled row a weight
         rng = np.random.default_rng(43)
-        decisions = replace(decided, distill_weights=[rng.uniform(0.1, 1.0, len(r))
-                                                      for r in decided.distill_rows])
+        decisions = replace(decided, distill_weights=rng.uniform(0.1, 1.0,
+                                                                 len(decided.distill_rows)))
         out = training_loss(det, scene, noisy, DenoisingConfig(), replay=decisions)
         assert out.distillation.item() > 0
         got = [out.total, out.detection, out.denoising.total, out.distillation]
@@ -479,7 +480,7 @@ class TestInference:
         rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
         pred = det.apply_heads(rows[-1], refs)
         assert pred.class_logits.requires_grad
-        boxes = decode_box_rows(pred, list(range(n)), scene.intrinsics)
+        boxes = decode_box_rows(pred, list(range(n)))
         probs, corners = pred.class_probs(), pred.corner_boxes_array()
         dets = inference(det, scene)
         assert len(dets) == n

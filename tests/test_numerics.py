@@ -499,3 +499,15 @@ class TestCheckpoint:
         path.write_bytes(blob + first_record)
         with pytest.raises(ValueError, match=r"ckpt\.bin: record 2 \('a\.w'\) repeats"):
             nm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_path_and_record(self, tmp_path, bad):
+        store = nm.ParameterStore(rng_seed=1)
+        store.param("a.w", (2, 3))
+        store.param("b", (2,))
+        store["b"].data[1] = bad
+        path = tmp_path / "ckpt.bin"
+        nm.save_checkpoint(store, path)
+        with pytest.raises(ValueError, match=r"ckpt\.bin: record 1 \('b'\) holds a value "
+                                             r"that is not finite"):
+            nm.load_checkpoint(path)

@@ -6,12 +6,11 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vqdet import scenes
-from vqdet.geometry import OrientedBox3D
+from vqdet.geometry import MAX_DEPTH, OrientedBox3D
 from vqdet.scenes import (
     CLASS_DIMENSIONS,
     DEPTH_RANGE,
     DIM_JITTER,
-    MAX_DEPTH,
     Detection,
     SceneConfig,
     ap40,

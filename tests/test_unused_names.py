@@ -1,10 +1,11 @@
-"""Every module-level function and class in ``vqdet`` is named by a caller.
+"""Every module-level function, class and constant in ``vqdet`` is read.
 
-A definition counts as named when ``src/`` or ``bench/`` refers to it as a
-name, an attribute or an import, or when ``bench/tracing.py`` looks it up by
-a string (its ``LAYERS`` table). ``__all__`` does not count: listing a name
-exports it without calling it. Tests do not count either, so code that only
-tests call is dead code.
+A constant is a module-level name in UPPER_CASE. A definition counts as
+read when ``src/`` or ``bench/`` refers to it as a name in load context, an
+attribute or an import, or when ``bench/tracing.py`` looks it up by a string
+(its ``LAYERS`` table). The assignment that defines a constant does not
+count, nor does ``__all__``: listing a name exports it without calling it.
+Tests do not count either, so code that only tests read is dead code.
 """
 
 import ast
@@ -20,14 +21,21 @@ EXEMPT = {"numerics.py: save_checkpoint", "numerics.py: load_checkpoint",
 
 
 def definitions(source: str) -> list[str]:
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and name.id.isupper()]
+    return names
 
 
 def names_used(source: str, strings: bool = False) -> set[str]:
     used = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
@@ -57,11 +65,14 @@ def test_checker_finds_the_unused_names():
               "def imported(): pass\n"
               "def looked_up(): pass\n"
               "def unused(): pass\n"
-              "x = called()\n")
-    caller = "import m\nfrom m import imported\nm.Read\n"
+              "READ, UNREAD = 1, 2\n"
+              "ATTRIBUTE: int = 3\n"
+              "lower = 4\n"
+              "x = called(READ)\n")
+    caller = "import m\nfrom m import imported\nm.Read\nm.ATTRIBUTE\n"
     lookups = "LAYERS = [(m, 'looked_up')]\n"
     assert unused_definitions({"m.py": module}, [module, caller], lookups) == [
-        "m.py: exported", "m.py: unused"]
+        "m.py: exported", "m.py: unused", "m.py: UNREAD"]
 
 
 def test_every_definition_is_named_in_src_or_bench():
