@@ -12,7 +12,8 @@ axis from +x toward +z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,6 +99,10 @@ class NoiseConfig:
     depth_jitter_frac: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
         for name in ("center_shift_scale", "box_scale_range", "dim_scale_range",
                      "depth_jitter_frac"):
             if not 0 <= getattr(self, name) < 1:

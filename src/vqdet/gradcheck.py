@@ -129,27 +129,26 @@ def _elementwise(op: Callable[[nm.Tensor], nm.Tensor], shape: tuple[int, ...],
     return check
 
 
-def _check_block_loss(rng) -> float:
+def _check_component_loss(rng) -> float:
     """A block of a 6-row stack with two positive rows, and a block without any."""
+    from .losses import PredictionRows, TargetArrays, component_loss
+
     centers = rng.uniform(0.3, 0.7, (6, 2))
     lrtb = rng.uniform(0.1, 0.3, (6, 4))
     arrays = [rng.normal(size=(6, 2)) * 2.0, centers, lrtb, rng.normal(size=(6, 3)),
               rng.normal(size=(6, 2)), rng.normal(size=(6, 1))]
     positives = [3, 1]
-    onehot = np.zeros((4, 2))
-    onehot[[2, 0], rng.integers(2, size=2)] = 1.0
-    targets = [a[positives] + _away_from(rng.normal(size=(2, a.shape[1])), [0.0])
-               for a in arrays[1:]]
     corners = np.concatenate([centers - lrtb[:, [0, 2]], centers + lrtb[:, [1, 3]]], axis=1)
-    target_corners = corners[positives] + rng.uniform(0.01, 0.15, (2, 4))  # no min/max ties
-    background = np.zeros((4, 2))
-    background[rng.integers(4), rng.integers(2)] = 1.0
+    table = np.concatenate(
+        [a[positives] + _away_from(rng.normal(size=(2, a.shape[1])), [0.0]) for a in arrays[1:]]
+        + [corners[positives] + rng.uniform(0.01, 0.15, (2, 4))], axis=1)  # no min/max ties
+    targets = TargetArrays(rng.integers(2, size=2), table)
     boxes = [nm.Tensor(a) for a in arrays[1:]]
     return max(
-        check_scalar_fn(lambda ts: nm.block_loss(ts[0], ts[1:], range(1, 5), positives, onehot,
-                                                 targets, target_corners, 2.0), arrays),
-        check_scalar_fn(lambda ts: nm.block_loss(ts[0], boxes, range(2, 6), [], background,
-                                                 [], None, 1.0), arrays[:1]))
+        check_scalar_fn(lambda ts: component_loss(PredictionRows(*ts), range(1, 5), positives,
+                                                  targets), arrays),
+        check_scalar_fn(lambda ts: component_loss(PredictionRows(ts[0], *boxes), range(2, 6), [],
+                                                  targets.take([])), arrays[:1]))
 
 
 def _check_weighted_sum(rng) -> float:
@@ -309,7 +308,7 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
                            kinks=[-1.5, 1.5]), OP_TOLERANCE, 50),
     "weighted_row_smooth_l1": (_check_weighted_row_smooth_l1, OP_TOLERANCE, 50),
     "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
-    "block_loss": (_check_block_loss, OP_TOLERANCE, 50),
+    "component_loss": (_check_component_loss, OP_TOLERANCE, 50),
     "weighted_sum": (_check_weighted_sum, OP_TOLERANCE, 50),
     "gather_concat": (_check_gather_concat, OP_TOLERANCE, 50),
     "masked_multihead_attention": (_check_masked_attention, OP_TOLERANCE, 5),

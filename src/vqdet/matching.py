@@ -9,7 +9,9 @@ scan reads the matrix as Python floats, which give the same IEEE doubles as
 numpy scalars at about half the cost per operation, and visits only the
 columns not yet in the alternating tree.
 Assignments are discrete: no gradient flows through them, only through the
-losses later evaluated at the matched pairs.
+losses later evaluated at the matched pairs. The cost weighs its class,
+center and GIoU terms with the set-prediction objective's own weights, which
+:mod:`losses` owns.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import TargetArrays
-from .numerics import W_CENTER, W_CLS, W_GIOU
+from .losses import W_CENTER, W_CLS, W_GIOU, TargetArrays
 
 
 @dataclass
@@ -146,9 +147,9 @@ def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
     """(num queries, num targets) DETR matching cost from detached predictions.
 
     cost = W_CLS * (1 - p[target class]) + W_CENTER * L1(center)
-         + W_GIOU * (1 - giou2d), with the loss's own weights from
-    :mod:`numerics` and the loss's own target arrays; all inputs are plain
-    arrays, off the tape.
+         + W_GIOU * (1 - giou2d), with the objective's own weights and
+    target arrays from :mod:`losses`; all inputs are plain arrays, off the
+    tape.
     """
     nq = class_probs.shape[0]
     if nq == 0 or len(targets) == 0:

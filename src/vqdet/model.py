@@ -30,6 +30,7 @@ function the tape differentiates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,6 +87,10 @@ class DetectorConfig:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.width % 4 != 0:
             raise ValueError(f"width {self.width} must be a multiple of 4 for the 2D position code")
+        for name in ("lambda_distill", "confidence_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (math.isfinite(self.lambda_distill) and self.lambda_distill >= 0):
             raise ValueError(f"lambda_distill must be finite and nonnegative, "
                              f"got {self.lambda_distill}")

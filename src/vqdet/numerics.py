@@ -13,13 +13,14 @@ nothing: inference and finite-difference probes, which need only values,
 keep no graph alive. A value that only the backward pass reads is computed
 in the VJP, not in the forward op, so untaped calls do not pay for it.
 
-The module holds only the operations the detector runs. A block's whole
-set-prediction loss is one node with a closed-form VJP (``block_loss``: the
-focal, GIoU and L1 terms of rows it reads in place, weighted and added), and
-so is a weighted sum of scalar losses. Reference ops that only the tests
-compose (matmul, softmax, row and column slices, elementwise min/max, the
-loss terms as separate nodes and the like) live beside the oracles that use
-them, in ``tests/oracles.py``.
+The module holds the generic operations the detector runs; a weighted sum
+of scalar losses is one node. The set-prediction objective is not generic:
+its one op, weights and kernels live in :mod:`losses`, which records its
+node with :func:`_node` and reuses the stable :func:`_sigmoid` and
+:func:`_softplus`. Reference ops that only the tests compose (matmul,
+softmax, row and column slices, elementwise min/max, the loss terms as
+separate nodes and the like) live beside the oracles that use them, in
+``tests/oracles.py``.
 
 The tape is rebuilt from scratch each training step and is single-threaded
 within a step. Data is always float64; there is no broadcasting beyond the
@@ -54,7 +55,6 @@ __all__ = [
     "layer_norm",
     "weighted_row_smooth_l1",
     "gaussian_kl",
-    "block_loss",
     "weighted_sum",
     "sum_all",
     "concat_rows",
@@ -403,186 +403,6 @@ def gaussian_kl(mu: Tensor, log_var: Tensor) -> Tensor:
                 s * 0.5 * (ev - 1.0) if log_var.requires_grad else None)
 
     return _node(out, (mu, log_var), vjp)
-
-
-# The set-prediction objective is fixed: the weights of ``block_loss``'s seven
-# terms and its focal parameters. ``losses`` and ``matching`` read them here.
-W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH = 2.0, 5.0, 5.0, 2.0, 1.0, 1.0, 0.5
-FOCAL_ALPHA, FOCAL_GAMMA = 0.25, 2.0
-
-
-def _focal_sum(z: np.ndarray, t: np.ndarray):
-    """Sigmoid focal loss of logits ``z`` against targets ``t``, summed over all entries.
-
-    Stable form: log p = -softplus(-z) and log(1-p) = -softplus(z), with the
-    modulating factors written as exp(gamma * log(.)) <= 1. Returns the sum
-    and a VJP mapping the gradient ``gs`` of the sum to that of ``z``.
-    """
-    log_p = -_softplus(-z)
-    log_1mp = -_softplus(z)
-    mod_pos = np.exp(log_1mp * FOCAL_GAMMA)  # (1 - p)^gamma
-    mod_neg = np.exp(log_p * FOCAL_GAMMA)    # p^gamma
-    w_pos = FOCAL_ALPHA * t
-    w_neg = (1.0 - FOCAL_ALPHA) * (1.0 - t)
-    weighted = mod_pos * log_p * w_pos + mod_neg * log_1mp * w_neg
-
-    def vjp(gs):
-        g_pos = gs * w_pos
-        g_neg = gs * w_neg
-        g_log_p = g_pos * mod_pos + g_neg * log_1mp * mod_neg * FOCAL_GAMMA
-        g_log_1mp = g_pos * log_p * mod_pos * FOCAL_GAMMA + g_neg * mod_neg
-        # d log p / dz = sigmoid(-z), d log(1-p) / dz = -sigmoid(z)
-        return g_log_p * _sigmoid(-z) - g_log_1mp * _sigmoid(z)
-
-    return weighted.sum(), vjp
-
-
-def _giou_sum(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
-    """Sum over rows of the GIoU of predicted and target corner boxes.
-
-    Row i's predicted corner box (x0, y0, x1, y1) is center ``c[i]`` minus
-    its left/top and plus its right/bottom distance ``e[i]``, scored against
-    the corner box ``tc[i]``. Target boxes must be non-degenerate; their
-    positive areas bound union and hull away from zero, keeping the divisions
-    safe. Every min/max routes its gradient to the predicted coordinate on a
-    tie, and a zero-width intersection passes no gradient. Returns the sum and
-    a VJP mapping the gradient ``g`` of the sum to those of ``c`` and ``e``.
-    """
-    ax0, ay0 = c[:, :1] - e[:, 0:1], c[:, 1:] - e[:, 2:3]
-    ax1, ay1 = c[:, :1] + e[:, 1:2], c[:, 1:] + e[:, 3:4]
-    bx0, by0, bx1, by1 = (tc[:, j:j + 1] for j in range(4))
-    # take_* marks where the predicted coordinate wins each min/max
-    take_ix1, take_iy1 = ax1 <= bx1, ay1 <= by1
-    take_ix0, take_iy0 = ax0 >= bx0, ay0 >= by0
-    take_hx1, take_hy1 = ax1 >= bx1, ay1 >= by1
-    take_hx0, take_hy0 = ax0 <= bx0, ay0 <= by0
-    raw_w = np.where(take_ix1, ax1, bx1) - np.where(take_ix0, ax0, bx0)
-    raw_h = np.where(take_iy1, ay1, by1) - np.where(take_iy0, ay0, by0)
-    keep_w, keep_h = raw_w > 0.0, raw_h > 0.0
-    inter_w = np.where(keep_w, raw_w, 0.0)
-    inter_h = np.where(keep_h, raw_h, 0.0)
-    inter = inter_w * inter_h
-    wa, ha = ax1 - ax0, ay1 - ay0
-    area_b = (tc[:, 2] - tc[:, 0])[:, None] * (tc[:, 3] - tc[:, 1])[:, None]
-    union = wa * ha + area_b - inter
-    hull_w = np.where(take_hx1, ax1, bx1) - np.where(take_hx0, ax0, bx0)
-    hull_h = np.where(take_hy1, ay1, by1) - np.where(take_hy0, ay0, by0)
-    hull = hull_w * hull_h
-    giou = inter / union - (hull - union) / hull
-
-    def vjp(g):
-        # giou = inter / union - (hull - union) / hull, the same g for every row
-        g_inter = g / union
-        g_union = -g * inter / (union * union) + g / hull
-        g_hull = -g * union / (hull * hull)
-        # union = wa * ha + area_b - inter
-        g_inter = g_inter - g_union
-        g_w = g_inter * inter_h * keep_w
-        g_h = g_inter * inter_w * keep_h
-        g_hw = g_hull * hull_h
-        g_hh = g_hull * hull_w
-        g_wa = g_union * ha
-        g_ha = g_union * wa
-        gx0 = -g_w * take_ix0 - g_wa - g_hw * take_hx0
-        gy0 = -g_h * take_iy0 - g_ha - g_hh * take_hy0
-        gx1 = g_w * take_ix1 + g_wa + g_hw * take_hx1
-        gy1 = g_h * take_iy1 + g_ha + g_hh * take_hy1
-        # x0 = cx - l, y0 = cy - t, x1 = cx + r, y1 = cy + b
-        return (np.concatenate([gx0 + gx1, gy0 + gy1], axis=1),
-                np.concatenate([-gx0, gx1, -gy0, gy1], axis=1))
-
-    return giou.sum(), vjp
-
-
-def _unique_rows(rows: Sequence[int], count: int, what: str):
-    """Index of unique ``rows`` out of ``count``: a slice for a step-1 range, else an array."""
-    if isinstance(rows, range) and rows.step == 1:
-        if rows and (rows.start < 0 or rows.stop > count):
-            raise IndexError(f"block_loss: {what} {rows} out of range for {count} rows")
-        return slice(rows.start, rows.stop)
-    ind = np.asarray(rows, dtype=np.int64)
-    if ind.size and (ind.min() < 0 or ind.max() >= count):
-        raise IndexError(f"block_loss: {what} out of range for {count} rows")
-    if len(set(ind.tolist())) != ind.size:
-        raise ValueError(f"block_loss: {what} repeat a row")
-    return ind
-
-
-def block_loss(logits: Tensor, boxes: Sequence[Tensor], block: Sequence[int],
-               positive_rows: Sequence[int], onehot: np.ndarray,
-               box_targets: Sequence[np.ndarray], target_corners: np.ndarray,
-               normalizer: float) -> Tensor:
-    """Set-prediction loss of one block of rows, as one node.
-
-    ``logits`` is (R, C) and ``boxes`` holds five (R, w) tensors: centers,
-    lrtb, size3d, angle and depth. The op reads their ``block`` and
-    ``positive_rows`` rows in place; each list holds unique rows. Its value
-    adds seven terms, each divided by ``normalizer``, with the ``W_*``
-    weights in this order:
-
-    - sigmoid focal loss (``FOCAL_ALPHA``, ``FOCAL_GAMMA``) of the block's
-      logits against the (len(block), C) ``onehot``;
-    - L1 of the positive centers and lrtb against ``box_targets[0:2]``;
-    - one minus GIoU, summed over the positive rows, of the corner boxes of
-      their centers and lrtb against ``target_corners``;
-    - L1 of the positive size3d, angle and depth against ``box_targets[2:]``.
-
-    Without positive rows only the focal term remains and ``boxes`` are not
-    parents. Each term's value and gradient are bitwise those of the term
-    written as its own node; the targets are plain arrays that receive no
-    gradient, and the L1 gradient at pred == target is 0.
-    """
-    z, boxes = logits.data, list(boxes)
-    if z.ndim != 2:
-        raise ShapeError(f"block_loss: logits {z.shape} are not a matrix")
-    block_ind = _unique_rows(block, z.shape[0], "block rows")
-    pos = _unique_rows(positive_rows, z.shape[0], "positive rows")
-    t = np.asarray(onehot, dtype=np.float64)
-    if t.shape != (len(block), z.shape[1]) or len(boxes) != 5:
-        raise ShapeError(f"block_loss: logits {z.shape}, onehot {t.shape}, "
-                         f"{len(boxes)} box tensors")
-    focal, focal_vjp = _focal_sum(z[block_ind], t)
-    cls_scale = -1.0 / normalizer
-    out = focal * cls_scale * W_CLS
-    parents = (logits,)
-    if len(positive_rows):
-        preds = [h.data[pos] for h in boxes]
-        targets = [np.asarray(a, dtype=np.float64) for a in box_targets]
-        tc = np.asarray(target_corners, dtype=np.float64)
-        if (any(h.data.ndim != 2 or h.data.shape[0] != z.shape[0] for h in boxes)
-                or len(targets) != 5 or any(p.shape != a.shape for p, a in zip(preds, targets))
-                or preds[0].shape[1] != 2 or preds[1].shape[1] != 4 or tc.shape != preds[1].shape):
-            raise ShapeError(f"block_loss: box tensors {[h.data.shape for h in boxes]}, "
-                             f"targets {[a.shape for a in targets]}, corners {tc.shape} "
-                             f"for {len(positive_rows)} positive rows")
-        parents = (logits, *boxes)
-        diffs = [p - a for p, a in zip(preds, targets)]
-        l1_scale = 1.0 / normalizer
-        l1 = [np.abs(d).sum() * l1_scale for d in diffs]
-        giou, giou_vjp = _giou_sum(preds[0], preds[1], tc)
-        # the terms in weight order, added left to right
-        out = (out + l1[0] * W_CENTER + l1[1] * W_LRTB + (giou * cls_scale + 1.0) * W_GIOU
-               + l1[2] * W_SIZE + l1[3] * W_ANGLE + l1[4] * W_DEPTH)
-
-    def vjp(g):
-        g = float(g)
-        row_grads = [focal_vjp(g * W_CLS * cls_scale)]
-        if len(parents) > 1:
-            row_grads += [g * w * l1_scale * np.sign(d)
-                          for w, d in zip((W_CENTER, W_LRTB, W_SIZE, W_ANGLE, W_DEPTH), diffs)]
-            g_centers, g_lrtb = giou_vjp(g * W_GIOU * cls_scale)
-            row_grads[1] = row_grads[1] + g_centers
-            row_grads[2] = row_grads[2] + g_lrtb
-        grads = []
-        for parent, rows, rows_g in zip(parents, (block_ind, *[pos] * 5), row_grads):
-            full = None
-            if parent.requires_grad:
-                full = np.zeros_like(parent.data)
-                full[rows] += rows_g  # not =: a -0.0 lands as +0.0, as in gather_rows
-            grads.append(full)
-        return tuple(grads)
-
-    return _node(np.asarray(out), parents, vjp)
 
 
 def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:

@@ -61,10 +61,6 @@ class SceneConfig:
             if value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
 
-    @property
-    def input_channels(self) -> int:
-        return grid_channels(self.num_classes)
-
 
 @dataclass
 class Scene:
@@ -126,7 +122,7 @@ def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: str,
     k = int(rng.integers(1, cfg.max_objects + 1)) if num_objects is None else num_objects
     objects = [_sample_object(rng, cfg) for _ in range(k)]
     f = cfg.feature_size
-    grid = np.zeros((f, f, cfg.input_channels))
+    grid = np.zeros((f, f, grid_channels(cfg.num_classes)))
     nc = cfg.num_classes
     for gt in objects:
         sigma_u = float(min(max((gt.l + gt.r) / 2 * 0.6, 0.03), 0.25))

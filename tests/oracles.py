@@ -16,11 +16,11 @@ boxes of ``losses.corner_boxes``.
 bodies of the Hungarian scan and the box noise, which the library's
 faster forms must equal bit for bit.
 
-The focal, GIoU and L1 terms that ``numerics.block_loss`` fuses are kept here
-as the single-node ops they were, and ``reference_block_loss`` composes them
-the way the detector scored a block before the fusion. They share only the
-stable sigmoid and softplus helpers with the library, since the op must
-equal them bit for bit.
+The focal, GIoU and L1 terms that ``losses.component_loss`` fuses are kept
+here as the single-node ops they were, and ``reference_block_loss`` composes
+them the way the detector scored a block before the fusion. They share only
+the stable sigmoid and softplus helpers and the objective's constants with
+the library, since the op must equal them bit for bit.
 """
 
 import itertools
@@ -342,7 +342,7 @@ def box2d_corners(gt) -> tuple[float, float, float, float]:
 
 def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:
     """Matching cost filled one ground truth at a time, scalar GIoU per query."""
-    from vqdet.numerics import W_CENTER, W_CLS, W_GIOU
+    from vqdet.losses import W_CENTER, W_CLS, W_GIOU
 
     nq = class_probs.shape[0]
     cost = np.zeros((nq, len(gts)))
@@ -357,10 +357,11 @@ def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:
     return cost
 
 
-# The loss terms that ``numerics.block_loss`` fuses, each as the single node it
-# was before the fusion, and a block's loss composed from them: six row
+# The loss terms that ``losses.component_loss`` fuses, each as the single node
+# it was before the fusion, and a block's loss composed from them: six row
 # gathers, the seven terms and their weighted sum. ``reference_block_loss``
-# takes the op's arguments, and the op must equal it bit for bit.
+# takes the one-hot classes, box targets, corners and normaliser as plain
+# arrays, and the op must equal it bit for bit.
 
 def focal_loss(logits, target_onehot, alpha, gamma, normalizer):
     """Sigmoid focal loss summed over all entries, divided by ``normalizer``."""
@@ -446,11 +447,14 @@ def l1_loss(pred, target, normalizer):
 
 def reference_block_loss(logits, boxes, block, positive_rows, onehot, box_targets,
                          target_corners, normalizer):
-    """``numerics.block_loss`` as 14 nodes: gathers, single-node terms, their sum."""
-    cls = focal_loss(nm.gather_rows(logits, list(block)), onehot, nm.FOCAL_ALPHA,
-                     nm.FOCAL_GAMMA, normalizer)
+    """``losses.component_loss`` as 14 nodes: gathers, single-node terms, their sum."""
+    from vqdet.losses import (FOCAL_ALPHA, FOCAL_GAMMA, W_ANGLE, W_CENTER, W_CLS, W_DEPTH,
+                              W_GIOU, W_LRTB, W_SIZE)
+
+    cls = focal_loss(nm.gather_rows(logits, list(block)), onehot, FOCAL_ALPHA, FOCAL_GAMMA,
+                     normalizer)
     if not len(positive_rows):
-        return nm.weighted_sum([cls], [nm.W_CLS])
+        return nm.weighted_sum([cls], [W_CLS])
     centers, lrtb, size3d, angle, depth = (nm.gather_rows(b, list(positive_rows))
                                            for b in boxes)
     t_center, t_lrtb, t_size, t_angle, t_depth = box_targets
@@ -459,7 +463,7 @@ def reference_block_loss(logits, boxes, block, positive_rows, onehot, box_target
          giou_loss(centers, lrtb, target_corners, normalizer),
          l1_loss(size3d, t_size, normalizer), l1_loss(angle, t_angle, normalizer),
          l1_loss(depth, t_depth, normalizer)],
-        [nm.W_CLS, nm.W_CENTER, nm.W_LRTB, nm.W_GIOU, nm.W_SIZE, nm.W_ANGLE, nm.W_DEPTH])
+        [W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH])
 
 
 # Loss terms as graphs of elementwise tape ops, one node per operation. The

@@ -7,9 +7,9 @@ from vqdet.cli import main
 
 
 def test_grad_check_named_checks_pass(capsys):
-    assert main(["grad-check", "linear", "block_loss", "weighted_sum"]) == 0
+    assert main(["grad-check", "linear", "component_loss", "weighted_sum"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == ["linear", "block_loss", "weighted_sum"]
+    assert [line.split()[0] for line in lines] == ["linear", "component_loss", "weighted_sum"]
     assert all(line.split()[-1] == "ok" for line in lines)
 
 

@@ -25,8 +25,8 @@ def test_inputs_do_not_depend_on_the_string_hash_seed():
 
 
 def test_fused_loss_entries_pass():
-    rows = run_suite(names=["block_loss", "weighted_sum"])
-    assert [name for name, *_ in rows] == ["block_loss", "weighted_sum"]
+    rows = run_suite(names=["component_loss", "weighted_sum"])
+    assert [name for name, *_ in rows] == ["component_loss", "weighted_sum"]
     assert all(ok for *_, ok in rows), rows
 
 

@@ -1,7 +1,7 @@
 """Component losses checked against straightline hand-executed formulas, the
 single-node loss terms of ``tests/oracles.py`` against the composite graphs of
-elementwise ops, and the one-node block loss against those terms composed the
-way the detector composed them before, bit for bit."""
+elementwise ops, and the one-node ``component_loss`` against those terms
+composed the way the detector composed them before, bit for bit."""
 
 import math
 
@@ -11,7 +11,20 @@ import pytest
 from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
-from vqdet.losses import PredictionRows, TargetArrays, component_loss
+from vqdet.losses import (
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
+    W_ANGLE,
+    W_CENTER,
+    W_CLS,
+    W_DEPTH,
+    W_GIOU,
+    W_LRTB,
+    W_SIZE,
+    PredictionRows,
+    TargetArrays,
+    component_loss,
+)
 from oracles import (
     box2d_corners,
     composite_corner_boxes,
@@ -85,7 +98,7 @@ def _random_centers_lrtb(rng, m):
 class TestGIoUPairs:
     """``giou_loss``: one minus the mean GIoU of predicted and target box pairs.
 
-    ``block_loss`` computes this term with the same float operations.
+    ``component_loss`` computes this term with the same float operations.
     """
 
     def test_matches_scalar_giou(self):
@@ -121,14 +134,6 @@ class TestGIoUPairs:
         other = (0.45, 0.2, 0.9, 0.5)
         assert giou_loss(centers, lrtb, np.array([other]), 1.0).item() == pytest.approx(
             1.0 - giou2d(box, other), abs=1e-12)
-
-    def test_rejects_mismatched_shapes(self):
-        """``block_loss`` checks the target corners against its positive rows."""
-        boxes = [nm.Tensor(np.ones((2, w))) for w in BOX_WIDTHS]
-        targets = [np.ones((2, w)) for w in BOX_WIDTHS]
-        with pytest.raises(nm.ShapeError, match="block_loss"):
-            nm.block_loss(nm.Tensor(np.zeros((2, 3))), boxes, range(2), range(2),
-                          np.zeros((2, 3)), targets, np.ones((3, 4)), 1.0)
 
 
 def _random_gts(rng, k):
@@ -191,7 +196,7 @@ class TestComponentLoss:
 
         onehot = np.zeros((2, 2))
         onehot[0, 0] = 1.0
-        cls = _hand_focal(logits, onehot, nm.FOCAL_ALPHA, nm.FOCAL_GAMMA)
+        cls = _hand_focal(logits, onehot, FOCAL_ALPHA, FOCAL_GAMMA)
         center = abs(0.45 - 0.5) + abs(0.52 - 0.5)
         lrtb_l1 = abs(0.1 - 0.1) + abs(0.12 - 0.1) + abs(0.08 - 0.1) + abs(0.11 - 0.1)
         pred_box = (0.45 - 0.1, 0.52 - 0.08, 0.45 + 0.12, 0.52 + 0.11)
@@ -199,9 +204,9 @@ class TestComponentLoss:
         size_l1 = abs(3.2 - 3.5) + abs(1.8 - 1.6) + abs(1.4 - 1.5)
         angle_l1 = abs(0.2 - math.sin(0.3)) + abs(0.9 - math.cos(0.3))
         depth_l1 = abs(18.0 - 20.0)
-        expected = (nm.W_CLS * cls + nm.W_CENTER * center + nm.W_LRTB * lrtb_l1
-                    + nm.W_GIOU * giou_term + nm.W_SIZE * size_l1
-                    + nm.W_ANGLE * angle_l1 + nm.W_DEPTH * depth_l1)
+        expected = (W_CLS * cls + W_CENTER * center + W_LRTB * lrtb_l1
+                    + W_GIOU * giou_term + W_SIZE * size_l1
+                    + W_ANGLE * angle_l1 + W_DEPTH * depth_l1)
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_no_positives_only_background(self):
@@ -209,8 +214,7 @@ class TestComponentLoss:
         pred = _pred_rows(logits, np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         got = component_loss(pred, range(2), [], TargetArrays.of([])).item()
-        expected = nm.W_CLS * _hand_focal(logits, np.zeros((2, 2)),
-                                          nm.FOCAL_ALPHA, nm.FOCAL_GAMMA)
+        expected = W_CLS * _hand_focal(logits, np.zeros((2, 2)), FOCAL_ALPHA, FOCAL_GAMMA)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_perfect_saturated_prediction_vanishes(self):
@@ -257,6 +261,17 @@ class TestComponentLoss:
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError):
             component_loss(pred, range(2), [0], TargetArrays.of([]))
+
+    @pytest.mark.parametrize("field", range(5))
+    def test_box_width_mismatch_rejected(self, field):
+        """A box tensor one column narrower or wider than its target, which numpy
+        would otherwise broadcast, is refused."""
+        widths = list(BOX_WIDTHS)
+        widths[field] = 2 if widths[field] == 1 else 1
+        pred = _pred_rows(np.zeros((2, 2)), *(np.ones((2, w)) for w in widths))
+        gt = GroundTruthObject(0, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
+        with pytest.raises(nm.ShapeError, match="component_loss"):
+            component_loss(pred, range(2), [1], TargetArrays.of([gt]))
 
 
 def _value_and_grads(build, arrays, proj):
@@ -371,24 +386,36 @@ class TestFusedOpsMatchComposite:
 
 
 def _block_args(rng, rows, block, positives, classes=3):
-    """Random head outputs of ``rows`` rows, and the op's other arguments for one block.
+    """Random head outputs of ``rows`` rows, and ``component_loss``'s other arguments.
 
-    Returns the six arrays (logits, then the box tensors) and the arguments
-    after them: block, positive rows, onehot, box targets, target corners
-    and normaliser. Every target box is a real box.
+    Returns the six arrays (logits, then the box tensors) and the list
+    [block, positive rows, targets]. The targets' box and corner arrays are
+    views of one table, so a test may overwrite them in place. Every target
+    box is a real box.
     """
     arrays = [rng.normal(size=(rows, classes)) * 3.0,
               *_random_centers_lrtb(rng, rows), rng.uniform(1.0, 4.0, (rows, 3)),
               rng.normal(size=(rows, 2)), rng.uniform(5.0, 40.0, (rows, 1))]
-    onehot = np.zeros((len(block), classes))
-    for r in positives:
-        onehot[list(block).index(r), rng.integers(classes)] = 1.0
+    target_classes = np.array([rng.integers(classes) for _ in positives], dtype=np.intp)
     m = len(positives)
     box_targets = [a[list(positives)] + rng.normal(size=(m, a.shape[1])) * 0.05
                    for a in arrays[1:]]
     box_targets[1] = np.abs(box_targets[1])
     corners = _op_corners(box_targets[0], box_targets[1])
-    return arrays, [block, positives, onehot, box_targets, corners, float(max(1, m))]
+    table = np.concatenate([*box_targets, corners], axis=1)
+    return arrays, [block, positives, TargetArrays(target_classes, table)]
+
+
+def _op(ts, block, positives, targets):
+    return component_loss(PredictionRows(*ts), block, positives, targets)
+
+
+def _reference(ts, block, positives, targets):
+    """``reference_block_loss`` called with ``component_loss``'s arguments."""
+    onehot = np.zeros((len(block), ts[0].data.shape[1]))
+    onehot[[list(block).index(r) for r in positives], targets.classes] = 1.0
+    return reference_block_loss(ts[0], ts[1:], block, positives, onehot, targets.boxes,
+                                targets.corners, float(max(1, len(targets))))
 
 
 def _taped(build, arrays, upstream):
@@ -398,16 +425,15 @@ def _taped(build, arrays, upstream):
 
 
 def _assert_bitwise(arrays, args, upstream):
-    """``block_loss`` on ``arrays`` equals ``reference_block_loss``, value and gradients."""
+    """``component_loss`` on ``arrays`` equals ``reference_block_loss``, value and gradients."""
     def build(op):
-        return lambda ts: op(ts[0], ts[1:], *args)
+        return lambda ts: op(ts, *args)
 
-    assert (_taped(build(nm.block_loss), arrays, upstream)
-            == _taped(build(reference_block_loss), arrays, upstream))
+    assert _taped(build(_op), arrays, upstream) == _taped(build(_reference), arrays, upstream)
 
 
 class TestBlockLossBitwise:
-    """``block_loss`` equals the 14-node composition it replaced, bit for bit."""
+    """``component_loss`` equals the 14-node composition it replaced, bit for bit."""
 
     @pytest.mark.parametrize("block,positives", [
         (range(2, 7), [5, 2, 6]),   # learnable rows of a larger stack, some matched
@@ -451,20 +477,20 @@ class TestBlockLossBitwise:
         m = len(special)
         arrays, args = _block_args(rng, m + 2, range(m + 2), list(range(1, m + 1)))
         arrays[1][1:m + 1], arrays[2][1:m + 1] = centers, lrtb
-        args[4] = special
+        args[2].corners[:] = special
         _assert_bitwise(arrays, args, rng.normal())
         for _ in range(10):
             arrays, args = _block_args(rng, 8, range(1, 8), [6, 1, 2, 5, 4, 3])
             own = _op_corners(arrays[1], arrays[2])[[6, 1, 2, 5, 4, 3]]
             # near the prediction; copy some of its coordinates to tie
             target = own + rng.uniform(-0.04, 0.04, size=own.shape)
-            args[4] = np.where(rng.random(size=own.shape) < 0.3, own, target)
+            args[2].corners[:] = np.where(rng.random(size=own.shape) < 0.3, own, target)
             _assert_bitwise(arrays, args, rng.normal())
 
     def test_l1_exact_zeros(self):
         rng = np.random.default_rng(13)
         arrays, args = _block_args(rng, 6, range(6), [4, 0, 3])
-        for t, a in zip(args[3], arrays[1:]):
+        for t, a in zip(args[2].boxes, arrays[1:]):
             t[1] = a[0]  # exact zeros: gradient 0 there in both
         for upstream in (0.8, -0.8):
             _assert_bitwise(arrays, args, upstream)
@@ -478,20 +504,19 @@ class TestBlockLossBitwise:
         cases = [_block_args(rng, 12, block, pos)[1] for block, pos in layout]
 
         def summed(op):
-            return lambda ts: nm.weighted_sum([op(ts[0], ts[1:], *args) for args in cases],
+            return lambda ts: nm.weighted_sum([op(ts, *args) for args in cases],
                                               [1.0] * len(cases))
 
-        assert (_taped(summed(nm.block_loss), arrays, 0.7)
-                == _taped(summed(reference_block_loss), arrays, 0.7))
+        assert _taped(summed(_op), arrays, 0.7) == _taped(summed(_reference), arrays, 0.7)
 
     def test_rows_checked(self):
-        arrays, args = _block_args(np.random.default_rng(33), 6, range(6), [1, 2])
-        tensors = [nm.Tensor(a) for a in arrays]
+        arrays, (block, _, targets) = _block_args(np.random.default_rng(33), 6, range(6), [1, 2])
+        pred = PredictionRows(*(nm.Tensor(a) for a in arrays))
         with pytest.raises(ValueError, match="positive rows repeat a row"):
-            nm.block_loss(tensors[0], tensors[1:], args[0], [2, 2], *args[2:])
+            component_loss(pred, block, [2, 2], targets)
         with pytest.raises(ValueError, match="block rows repeat a row"):
-            nm.block_loss(tensors[0], tensors[1:], [0, 1, 1, 2, 3, 4], *args[1:])
+            component_loss(pred, [0, 1, 1, 2, 3, 4], [1, 2], targets)
         with pytest.raises(IndexError, match="block rows"):
-            nm.block_loss(tensors[0], tensors[1:], range(1, 7), *args[1:])
+            component_loss(pred, range(1, 7), [1, 2], targets)
         with pytest.raises(IndexError, match="positive rows"):
-            nm.block_loss(tensors[0], tensors[1:], args[0], [1, -1], *args[2:])
+            component_loss(pred, block, [1, -1], targets)

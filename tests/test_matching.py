@@ -4,7 +4,7 @@ import pytest
 from vqdet.geometry import GroundTruthObject
 from vqdet.losses import TargetArrays
 from vqdet.matching import hungarian, matching_cost
-from vqdet.numerics import W_CENTER, W_CLS, W_GIOU
+from vqdet.losses import W_CENTER, W_CLS, W_GIOU
 from oracles import (box2d_corners, brute_force_min_cost, flagged_hungarian_scan, giou2d,
                      loop_matching_cost)
 

@@ -64,6 +64,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             DetectorConfig(**{field: value})
 
+    @pytest.mark.parametrize("config,field,value", [
+        (DetectorConfig, "lambda_distill", True), (DetectorConfig, "lambda_distill", "0.5"),
+        (DetectorConfig, "confidence_threshold", "x"),
+        (DetectorConfig, "confidence_threshold", None),
+        *[(NoiseConfig, f.name, v) for f in fields(NoiseConfig) for v in (False, "x", None)],
+    ])
+    def test_non_real_float_field_rejected_naming_the_field(self, config, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number"):
+            config(**{field: value})
+
     def test_numpy_integer_counts_accepted(self):
         assert DetectorConfig(layers=np.int64(2)).layers == 2
 

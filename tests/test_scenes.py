@@ -16,6 +16,7 @@ from vqdet.scenes import (
     ap40,
     dataset_ground_truths,
     generate_scene,
+    grid_channels,
     per_class_ap40,
 )
 
@@ -45,7 +46,7 @@ class TestGenerateScene:
     def test_forced_empty_scene(self):
         scene = generate_scene(np.random.default_rng(0), SMALL, "s0", 0, num_objects=0)
         assert scene.objects == []
-        assert scene.grid.shape == (8, 8, SMALL.input_channels)
+        assert scene.grid.shape == (8, 8, grid_channels(SMALL.num_classes))
         assert np.abs(scene.grid).max() < 1.0  # pure noise, no splats
 
     def test_fixed_seed_bit_identical(self):

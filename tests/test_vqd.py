@@ -7,7 +7,8 @@ from numpy.testing import assert_array_equal
 from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject
 from vqdet.gradcheck import OP_TOLERANCE, check_params_fn
-from vqdet.losses import PredictionRows, TargetArrays
+from vqdet.losses import (W_ANGLE, W_CENTER, W_CLS, W_DEPTH, W_GIOU, W_LRTB, W_SIZE,
+                          PredictionRows, TargetArrays)
 from vqdet.vqd import (
     BETA,
     DETERMINISTIC,
@@ -177,9 +178,9 @@ class TestDenoisingLoss:
         size = abs(3.0 - 3.5) + abs(1.5 - 1.6) + abs(1.6 - 1.5)
         angle = abs(0.1 - math.sin(0.3)) + abs(1.0 - math.cos(0.3))
         depth = abs(21.5 - 20.0)
-        recon = (nm.W_CLS * cls + nm.W_CENTER * center + nm.W_LRTB * lrtb
-                 + nm.W_GIOU * giou_term + nm.W_SIZE * size
-                 + nm.W_ANGLE * angle + nm.W_DEPTH * depth)
+        recon = (W_CLS * cls + W_CENTER * center + W_LRTB * lrtb
+                 + W_GIOU * giou_term + W_SIZE * size
+                 + W_ANGLE * angle + W_DEPTH * depth)
         kl = 3 * 0.5 * (math.exp(log_var) + mu ** 2 - 1.0 - log_var)
         expected = recon + BETA * kl
         assert out.total.item() == pytest.approx(expected, abs=1e-10)
