@@ -8,11 +8,15 @@ ground-truth leakage into matched queries), lets noisy rows read the
 learnable block and their own block, and separates noisy blocks from each
 other. Self-attention applies the mask within each group and computes no
 logit across groups, so groups share weights but never activations.
+
+An attention block's parameters are four ``(w, b)`` pairs, the query, key,
+value and output projections in that order, each declared by
+:meth:`numerics.ParameterStore.linear`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,31 +43,8 @@ def build_denoising_mask(n: int, k: int, c: int) -> np.ndarray:
     return allow
 
 
-@dataclass
-class AttentionParams:
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-
-
-def attention_params(store: nm.ParameterStore, prefix: str, d: int) -> AttentionParams:
-    def w(name):
-        return store.param(f"{prefix}.{name}.w", (d, d), scale=0.1)
-
-    def b(name):
-        return store.param(f"{prefix}.{name}.b", (d,), scale=0.0)
-
-    return AttentionParams(wq=w("q"), bq=b("q"), wk=w("k"), bk=b("k"),
-                           wv=w("v"), bv=b("v"), wo=w("o"), bo=b("o"))
-
-
 def masked_multihead_self_attention(q: Tensor, allow: np.ndarray,
-                                    params: AttentionParams, heads: int
+                                    params: Sequence[tuple[Tensor, Tensor]], heads: int
                                     ) -> tuple[Tensor, np.ndarray]:
     """Self-attention of G stacked groups, each restricted to ``allow``.
 
@@ -73,17 +54,16 @@ def masked_multihead_self_attention(q: Tensor, allow: np.ndarray,
     output and the head-averaged (G, S, S) attention map, off the tape.
     Disallowed positions are exactly zero in every head.
     """
-    out, p = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
-                                    nm.linear(q, params.wk, params.bk),
-                                    nm.linear(q, params.wv, params.bv),
-                                    heads, allow)
-    return nm.linear(out, params.wo, params.bo), p.sum(axis=1) / heads
+    pq, pk, pv, po = params
+    out, p = nm.multihead_attention(nm.linear(q, *pq), nm.linear(q, *pk),
+                                    nm.linear(q, *pv), heads, allow)
+    return nm.linear(out, *po), p.sum(axis=1) / heads
 
 
 def multihead_cross_attention(q: Tensor, memory: Tensor,
-                              params: AttentionParams, heads: int) -> Tensor:
+                              params: Sequence[tuple[Tensor, Tensor]], heads: int) -> Tensor:
     """Unmasked attention of query rows over a separate memory sequence."""
-    out, _ = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
-                                    nm.linear(memory, params.wk, params.bk),
-                                    nm.linear(memory, params.wv, params.bv), heads)
-    return nm.linear(out, params.wo, params.bo)
+    pq, pk, pv, po = params
+    out, _ = nm.multihead_attention(nm.linear(q, *pq), nm.linear(memory, *pk),
+                                    nm.linear(memory, *pv), heads)
+    return nm.linear(out, *po)

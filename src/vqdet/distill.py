@@ -3,18 +3,18 @@
 Queries from every non-final layer are pulled toward the final layer's
 queries at the positions the final layer's Hungarian assignment selected
 (noisy rows correspond by construction and are all included). A shared
-two-layer MLP refines the student before the smooth-L1 alignment, and each
-query's term is scaled by the final prediction's 3D IoU with its ground
-truth, so knowledge flows preferentially out of the good final queries. The
-teacher side is off the tape: distillation never drags the final layer
-toward the students. The student rows of every non-final layer and group are
-gathered from the step's layer-major stack of decoder rows in one op, so the
-refiner and the loss run once per step.
+two-layer MLP, two ``(w, b)`` pairs, refines the student before the smooth-L1
+alignment, and each query's term is scaled by the final prediction's 3D IoU
+with its ground truth, so knowledge flows preferentially out of the good
+final queries. The teacher side is off the tape: distillation never drags
+the final layer toward the students. The student rows of every non-final
+layer and group are gathered from the step's layer-major stack of decoder
+rows in one op, so the refiner and the loss run once per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,28 +23,10 @@ from .geometry import OrientedBox3D, iou3d
 from .numerics import Tensor
 
 
-@dataclass
-class RefinerParams:
-    """Two-layer MLP (width D in and out) shared across all student layers."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-
-def refiner_params(store: nm.ParameterStore, width: int) -> RefinerParams:
-    return RefinerParams(
-        w1=store.param("refiner.1.w", (width, width), scale=0.1),
-        b1=store.param("refiner.1.b", (width,), scale=0.0),
-        w2=store.param("refiner.2.w", (width, width), scale=0.1),
-        b2=store.param("refiner.2.b", (width,), scale=0.0),
-    )
-
-
-def refine(queries: Tensor, params: RefinerParams) -> Tensor:
-    return nm.linear(nm.relu(nm.linear(queries, params.w1, params.b1)),
-                     params.w2, params.b2)
+def refine(queries: Tensor, refiner: Sequence[tuple[Tensor, Tensor]]) -> Tensor:
+    """The refiner's two ``(w, b)`` layers with a ReLU between them."""
+    first, second = refiner
+    return nm.linear(nm.relu(nm.linear(queries, *first)), *second)
 
 
 def iou_weights(decoded_boxes: list[OrientedBox3D], gt_indices: list[int],
@@ -58,7 +40,7 @@ def iou_weights(decoded_boxes: list[OrientedBox3D], gt_indices: list[int],
 
 
 def forward_looking_distill(stack: Tensor, layers: int, rows: np.ndarray,
-                            row_weights: np.ndarray, refiner: RefinerParams,
+                            row_weights: np.ndarray, refiner: Sequence[tuple[Tensor, Tensor]],
                             teacher: np.ndarray) -> Tensor:
     """Sum over non-final layers of the weighted query-alignment loss.
 

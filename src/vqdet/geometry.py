@@ -126,13 +126,12 @@ def backproject(u: float, v: float, depth: float):
     return np.array([(u - CX) * depth / FOCAL, (v - CY) * depth / FOCAL, depth])
 
 
-def bev_corners(box: OrientedBox3D) -> np.ndarray:
-    """Bird's-eye-view footprint corners, counter-clockwise, in (x, z)."""
+def bev_corners(box: OrientedBox3D) -> list[tuple[float, float]]:
+    """Bird's-eye-view footprint corners, counter-clockwise, as (x, z) pairs."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     hl, hw = box.l3d / 2.0, box.w3d / 2.0
     local = [(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)]
-    return np.array([(box.x + dx * c - dz * s, box.z + dx * s + dz * c)
-                     for dx, dz in local])
+    return [(box.x + dx * c - dz * s, box.z + dx * s + dz * c) for dx, dz in local]
 
 
 def _polygon_area(poly: np.ndarray) -> float:
@@ -142,29 +141,37 @@ def _polygon_area(poly: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def _clip_polygon(subject: np.ndarray, clipper: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against a convex CCW clipper."""
-    output = list(subject)
+def _clip_polygon(subject: list[tuple[float, float]],
+                  clipper: list[tuple[float, float]]) -> np.ndarray:
+    """Sutherland-Hodgman clip of a polygon against a convex CCW clipper.
+
+    Corners are float pairs: float64 2-vectors give the same IEEE results at
+    numpy's per-call cost for every scalar operation.
+    """
+    output = subject
     for i in range(len(clipper)):
         if not output:
             break
-        p1 = clipper[i]
-        p2 = clipper[(i + 1) % len(clipper)]
-        edge = p2 - p1
+        x1, y1 = clipper[i]
+        x2, y2 = clipper[(i + 1) % len(clipper)]
+        ex, ey = x2 - x1, y2 - y1
         input_list, output = output, []
-        prev = input_list[-1]
-        prev_in = edge[0] * (prev[1] - p1[1]) - edge[1] * (prev[0] - p1[0]) >= 0.0
-        for cur in input_list:
-            cur_in = edge[0] * (cur[1] - p1[1]) - edge[1] * (cur[0] - p1[0]) >= 0.0
+        px, py = input_list[-1]
+        prev_in = ex * (py - y1) - ey * (px - x1) >= 0.0
+        for cx, cy in input_list:
+            cur_in = ex * (cy - y1) - ey * (cx - x1) >= 0.0
             if cur_in != prev_in:
                 # segment crosses the clip line; add the intersection point
-                dr = cur - prev
-                denom = edge[0] * dr[1] - edge[1] * dr[0]
-                t = (edge[0] * (p1[1] - prev[1]) - edge[1] * (p1[0] - prev[0])) / denom
-                output.append(prev + t * dr)
+                dx, dy = cx - px, cy - py
+                denom = ex * dy - ey * dx
+                num = ex * (y1 - py) - ey * (x1 - px)
+                # rounding can put a segment parallel to the line on both sides of
+                # it; float64 division by zero then gives inf or NaN, not an error
+                t = num / denom if denom else float(np.float64(num) / denom)
+                output.append((px + t * dx, py + t * dy))
             if cur_in:
-                output.append(cur)
-            prev, prev_in = cur, cur_in
+                output.append((cx, cy))
+            px, py, prev_in = cx, cy, cur_in
     return np.array(output) if output else np.zeros((0, 2))
 
 

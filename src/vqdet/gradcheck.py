@@ -187,10 +187,8 @@ def _check_gather_concat(rng) -> float:
 
 
 def _attention_params(ts):
-    from .attention import AttentionParams
-
-    return AttentionParams(wq=ts[0], bq=ts[1], wk=ts[2], bk=ts[3],
-                           wv=ts[4], bv=ts[5], wo=ts[6], bo=ts[7])
+    """The (w, b) pairs of the q, k, v and o projections from ts[0:8]."""
+    return list(zip(ts[0:8:2], ts[1:8:2]))
 
 
 def _attention_weights(rng, d: int) -> list[np.ndarray]:

@@ -232,6 +232,9 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
     pos = _unique_rows(positive_rows, z.shape[0], "positive rows")
     if len(positive_rows) != len(targets):
         raise ValueError(f"{len(positive_rows)} positive rows vs {len(targets)} targets")
+    outside = [row for row in positive_rows if row not in block]
+    if outside:
+        raise ValueError(f"component_loss: positive rows {outside} are not in the block")
     onehot = np.zeros((len(block), z.shape[1]))
     onehot[[block.index(row) for row in positive_rows], targets.classes] = 1.0
     normalizer = float(max(1, len(targets)))

@@ -38,13 +38,11 @@ import numpy as np
 
 from . import numerics as nm
 from .attention import (
-    AttentionParams,
-    attention_params,
     build_denoising_mask,
     masked_multihead_self_attention,
     multihead_cross_attention,
 )
-from .distill import RefinerParams, forward_looking_distill, iou_weights, refiner_params
+from .distill import forward_looking_distill, iou_weights
 from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject, iou3d
 from .losses import PredictionRows, TargetArrays, component_loss
 from .matching import Assignment, hungarian, matching_cost
@@ -170,50 +168,49 @@ class Detector:
         return (self.store.param(f"{name}.g", (d,), init=np.ones(d)),
                 self.store.param(f"{name}.b", (d,), scale=0.0))
 
-    def _linear(self, name: str, din: int, dout: int,
-                bias_init: float = 0.0) -> tuple[Tensor, Tensor]:
-        return (self.store.param(f"{name}.w", (din, dout), scale=0.1),
-                self.store.param(f"{name}.b", (dout,),
-                                 init=np.full(dout, bias_init)))
-
     def _build(self) -> None:
         cfg = self.cfg
+        store = self.store
         d = cfg.width
         hidden = 2 * d
-        self.enc_proj = self._linear("enc.proj", self.input_channels, d)
-        self.enc_attn = attention_params(self.store, "enc.attn", d)
+
+        def attention(prefix: str) -> list[tuple[Tensor, Tensor]]:
+            return [store.linear(f"{prefix}.{p}", d, d) for p in "qkvo"]
+
+        self.enc_proj = store.linear("enc.proj", self.input_channels, d)
+        self.enc_attn = attention("enc.attn")
         self.enc_ln1 = self._ln("enc.ln1")
         self.enc_ln2 = self._ln("enc.ln2")
-        self.enc_ffn1 = self._linear("enc.ffn.1", d, hidden)
-        self.enc_ffn2 = self._linear("enc.ffn.2", hidden, d)
+        self.enc_ffn1 = store.linear("enc.ffn.1", d, hidden)
+        self.enc_ffn2 = store.linear("enc.ffn.2", hidden, d)
 
-        self.dec_self: list[AttentionParams] = []
-        self.dec_cross: list[AttentionParams] = []
+        self.dec_self = []
+        self.dec_cross = []
         self.dec_lns = []
         self.dec_ffn = []
         for i in range(cfg.layers):
-            self.dec_self.append(attention_params(self.store, f"dec{i}.self", d))
-            self.dec_cross.append(attention_params(self.store, f"dec{i}.cross", d))
+            self.dec_self.append(attention(f"dec{i}.self"))
+            self.dec_cross.append(attention(f"dec{i}.cross"))
             self.dec_lns.append((self._ln(f"dec{i}.ln1"), self._ln(f"dec{i}.ln2"),
                                  self._ln(f"dec{i}.ln3")))
-            self.dec_ffn.append((self._linear(f"dec{i}.ffn.1", d, hidden),
-                                 self._linear(f"dec{i}.ffn.2", hidden, d)))
+            self.dec_ffn.append((store.linear(f"dec{i}.ffn.1", d, hidden),
+                                 store.linear(f"dec{i}.ffn.2", hidden, d)))
 
         self.out_ln = self._ln("out_ln")
-        self.head_cls = self._linear("head.cls", d, cfg.num_classes, bias_init=-2.5)
-        self.head_center = self._linear("head.center", d, 2)
-        self.head_lrtb = self._linear("head.lrtb", d, 4, bias_init=-1.8)
-        self.head_size = self._linear("head.size", d, 3, bias_init=1.5)
-        self.head_angle = self._linear("head.angle", d, 2)
-        self.head_depth = self._linear("head.depth", d, 1, bias_init=20.0)
+        self.head_cls = store.linear("head.cls", d, cfg.num_classes, bias=-2.5)
+        self.head_center = store.linear("head.center", d, 2)
+        self.head_lrtb = store.linear("head.lrtb", d, 4, bias=-1.8)
+        self.head_size = store.linear("head.size", d, 3, bias=1.5)
+        self.head_angle = store.linear("head.angle", d, 2)
+        self.head_depth = store.linear("head.depth", d, 1, bias=20.0)
 
         gn = cfg.groups * cfg.queries_per_group
-        self.query_content = self.store.param("queries.content", (gn, d), scale=0.02)
-        self.query_ref = self.store.param("queries.ref", (gn, 2), scale=1.0)
-        self.lref = self._linear("lref", 2, d)
-        self.aref = self._linear("aref", 6, d)
-        self.vqg = VariationalQueryGenerator(self.store, cfg.num_classes, d)
-        self.refiner: RefinerParams = refiner_params(self.store, d)
+        self.query_content = store.param("queries.content", (gn, d), scale=0.02)
+        self.query_ref = store.param("queries.ref", (gn, 2), scale=1.0)
+        self.lref = store.linear("lref", 2, d)
+        self.aref = store.linear("aref", 6, d)
+        self.vqg = VariationalQueryGenerator(store, cfg.num_classes, d)
+        self.refiner = [store.linear(f"refiner.{i}", d, d) for i in (1, 2)]
 
     # forward passes ---------------------------------------------------------
 

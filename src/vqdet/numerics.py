@@ -25,44 +25,21 @@ separate nodes and the like) live beside the oracles that use them, in
 The tape is rebuilt from scratch each training step and is single-threaded
 within a step. Data is always float64; there is no broadcasting beyond the
 two cases the model needs (same shape, and a scalar operand); ``linear``
-adds its own bias.
+adds its own bias. Every affine layer is a ``(w, b)`` pair that
+:meth:`ParameterStore.linear` declares; a checkpoint is an ``.npz`` archive
+of float64 arrays keyed by parameter name.
 """
 
 from __future__ import annotations
 
+import io
 import math
-import struct
+import tokenize
+import zipfile
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-
-__all__ = [
-    "Tensor",
-    "ParameterStore",
-    "ShapeError",
-    "DegenerateMaskError",
-    "DoubleBackwardError",
-    "backward",
-    "no_grad",
-    "linear",
-    "relu",
-    "sigmoid",
-    "softplus",
-    "exp",
-    "clamp",
-    "multihead_attention",
-    "layer_norm",
-    "weighted_row_smooth_l1",
-    "gaussian_kl",
-    "weighted_sum",
-    "sum_all",
-    "concat_rows",
-    "concat_cols",
-    "gather_rows",
-    "save_checkpoint",
-    "load_checkpoint",
-]
 
 
 class ShapeError(ValueError):
@@ -567,9 +544,9 @@ def _first_non_finite(order: list[Tensor], store: "ParameterStore | None") -> st
 class ParameterStore:
     """Named trainable tensors with deterministic iteration order.
 
-    Parameters are created through :meth:`param`; creation order fixes
-    iteration order, so two stores built by the same code path are aligned
-    name-for-name. ``rng_seed`` seeds the initializer stream.
+    Parameters are created through :meth:`param` or :meth:`linear`; creation
+    order fixes iteration order, so two stores built by the same code path
+    are aligned name-for-name. ``rng_seed`` seeds the initializer stream.
     """
 
     def __init__(self, rng_seed: int = 0):
@@ -597,6 +574,11 @@ class ParameterStore:
         self._params[name] = t
         return t
 
+    def linear(self, name: str, din: int, dout: int, bias: float = 0.0) -> tuple[Tensor, Tensor]:
+        """``name.w``, (din, dout) drawn N(0, 0.1^2), and ``name.b`` filled with ``bias``."""
+        return (self.param(f"{name}.w", (din, dout), scale=0.1),
+                self.param(f"{name}.b", (dout,), init=np.full(dout, bias)))
+
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
@@ -614,82 +596,52 @@ class ParameterStore:
             t.grad = None
 
 
-# Checkpoint file layout: magic "VQD1", u32 version, u32 record count, then
-# one record per parameter: u32 name length, UTF-8 name, u32 rank, u64
-# extents, and the row-major little-endian float64 payload. Records run to
-# end of file.
-
-_MAGIC = b"VQD1"
-_VERSION = 2
+# What zipfile and numpy raise on a damaged archive: BadZipFile (CRC-32, directory),
+# OSError (offset), RuntimeError (method, encryption flag), EOFError, ValueError and,
+# from numpy's fallback header parser, TokenError.
+_ARCHIVE_ERRORS = (ValueError, EOFError, OSError, RuntimeError, zipfile.BadZipFile,
+                   tokenize.TokenError)
 
 
 def save_checkpoint(store: ParameterStore, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _VERSION, len(store.names())))
-        for name, t in store.items():
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", t.data.ndim))
-            for ext in t.data.shape:
-                f.write(struct.pack("<Q", ext))
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    """Write the store to ``path`` as an ``.npz`` archive keyed by parameter name."""
+    with open(path, "wb") as f:  # given a name, np.savez would append ".npz" to it
+        np.savez(f, **{name: t.data for name, t in store.items()})
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back into a name -> array map.
 
-    A truncated file, bytes after the last record, a name that is not
-    UTF-8 or appears twice, a value that is NaN or infinite, or a record
-    count other than the header's raise ValueError naming the path and the
-    record.
+    A file that is not an ``.npz`` archive (an empty, truncated or bare
+    ``.npy`` file) raises ValueError naming the path, as does an entry whose
+    CRC-32 fails, that is not float64, repeats a name, holds a NaN or
+    infinity, or has a comment (none is written; a damaged comment length
+    hides the entries after it), naming the entry too.
     """
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    version, expected = struct.unpack_from("<II", blob, 4)
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
-    out: dict[str, np.ndarray] = {}
-
-    def take(n: int, record: str) -> int:
-        """Start of the next n bytes of ``record``; raises if the file ends first."""
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ValueError(f"{path}: {record} is truncated: it needs {pos + n} bytes, "
-                             f"the file has {len(blob)}")
-        start, pos = pos, pos + n
-        return start
-
-    while pos < len(blob):
-        record = f"record {len(out)}"
-        if len(blob) - pos < 4:
-            raise ValueError(f"{path}: {len(blob) - pos} trailing bytes after "
-                             f"{len(out)} records, where {record} would start")
-        (nlen,) = struct.unpack_from("<I", blob, take(4, record))
-        start = take(nlen, record)
         try:
-            name = blob[start:start + nlen].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {record} has a name that is not UTF-8: {exc}") from exc
-        record = f"record {len(out)} ({name!r})"
-        if name in out:
-            raise ValueError(f"{path}: {record} repeats a parameter name")
-        (rank,) = struct.unpack_from("<I", blob, take(4, record))
-        shape = struct.unpack_from(f"<{rank}Q", blob, take(8 * rank, record))
-        count = math.prod(shape)
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count, record))
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{path}: {record} holds a value that is not finite")
-        out[name] = arr.reshape(shape).astype(np.float64)
-    if len(out) != expected:
-        raise ValueError(f"{path}: the header promises {expected} records, "
-                         f"the file holds {len(out)}")
+            archive = zipfile.ZipFile(f)
+        except _ARCHIVE_ERRORS as exc:
+            raise ValueError(f"{path}: not an .npz archive: {exc}") from exc
+        out: dict[str, np.ndarray] = {}
+        for info in archive.infolist():
+            name = info.filename.removesuffix(".npy")
+            entry = f"{path}: entry {name!r}"
+            if name in out:
+                raise ValueError(f"{entry} repeats a parameter name")
+            if info.comment:
+                raise ValueError(f"{entry} has a comment; the archive's directory is damaged")
+            try:
+                # np.load of the archive would check an entry's CRC-32 only once it read
+                # the entry to its end, which a damaged shape in the header prevents
+                arr = np.load(io.BytesIO(archive.read(info)), allow_pickle=False)
+            except _ARCHIVE_ERRORS as exc:
+                raise ValueError(f"{entry} is unreadable: {exc}") from exc
+            if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+                raise ValueError(f"{entry} is not a float64 array")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{entry} holds a value that is not finite")
+            out[name] = arr
     return out
 
 

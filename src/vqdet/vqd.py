@@ -76,12 +76,9 @@ class VariationalQueryGenerator:
         ce = min(width, 16)  # class embedding width
         cont = 12  # anchor (6) + dims (3) + sin/cos yaw (2) + scaled depth (1)
         self.class_table = store.param("vqg.class_table", (num_classes, ce))
-        self.w_in = store.param("vqg.in.w", (ce + cont, width), scale=0.1)
-        self.b_in = store.param("vqg.in.b", (width,), scale=0.0)
-        self.w_mu = store.param("vqg.mu.w", (width, width), scale=0.1)
-        self.b_mu = store.param("vqg.mu.b", (width,), scale=0.0)
-        self.w_lv = store.param("vqg.lv.w", (width, width), scale=0.1)
-        self.b_lv = store.param("vqg.lv.b", (width,), scale=0.0)
+        self.embed = store.linear("vqg.in", ce + cont, width)
+        self.mu_head = store.linear("vqg.mu", width, width)
+        self.log_var_head = store.linear("vqg.lv", width, width)
 
     def encode(self, boxes: TargetArrays) -> LatentDistribution:
         """Embed K noisy boxes into a (K, D) latent distribution.
@@ -98,9 +95,9 @@ class VariationalQueryGenerator:
                                boxes.table[:, 11:12] / DEPTH_FEATURE_SCALE], axis=1)
         class_rows = nm.gather_rows(self.class_table, classes)
         feats = nm.concat_cols([class_rows, nm.Tensor(cont)])
-        hidden = nm.relu(nm.linear(feats, self.w_in, self.b_in))
-        mu = nm.linear(hidden, self.w_mu, self.b_mu)
-        log_var = nm.clamp(nm.linear(hidden, self.w_lv, self.b_lv),
+        hidden = nm.relu(nm.linear(feats, *self.embed))
+        mu = nm.linear(hidden, *self.mu_head)
+        log_var = nm.clamp(nm.linear(hidden, *self.log_var_head),
                            -self.LOG_VAR_CLAMP, self.LOG_VAR_CLAMP)
         return LatentDistribution(mu=mu, log_var=log_var)
 

@@ -5,7 +5,6 @@ from numpy.testing import assert_array_equal
 
 from vqdet import numerics as nm
 from vqdet.attention import (
-    AttentionParams,
     build_denoising_mask,
     masked_multihead_self_attention,
 )
@@ -14,12 +13,12 @@ from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 from oracles import composite_multihead_attention, narrow_rows, softmax_rows
 
 
-def _params(rng, d, requires_grad=False) -> AttentionParams:
+def _params(rng, d, requires_grad=False) -> list[tuple[nm.Tensor, nm.Tensor]]:
+    """The (w, b) pairs of the q, k, v and o projections."""
     def t(shape, s=0.3):
         return nm.Tensor(rng.normal(size=shape) * s, requires_grad=requires_grad)
 
-    return AttentionParams(wq=t((d, d)), bq=t((d,)), wk=t((d, d)), bk=t((d,)),
-                           wv=t((d, d)), bv=t((d,)), wo=t((d, d)), bo=t((d,)))
+    return [(t((d, d)), t((d,))) for _ in "qkvo"]
 
 
 class TestBuildDenoisingMask:
@@ -109,9 +108,9 @@ class TestMultiheadAttentionOp:
 
         params = _params(rng, 4)
         _, attn = masked_multihead_self_attention(q, allow, params, heads=2)
-        _, weights = nm.multihead_attention(nm.linear(q, params.wq, params.bq),
-                                            nm.linear(q, params.wk, params.bk),
-                                            nm.linear(q, params.wv, params.bv), 2, allow)
+        pq, pk, pv, _ = params
+        _, weights = nm.multihead_attention(nm.linear(q, *pq), nm.linear(q, *pk),
+                                            nm.linear(q, *pv), 2, allow)
         assert attn.shape == (2, 4, 4)
         assert attn.tobytes() == (weights.sum(axis=1) / 2).tobytes()
 
@@ -145,12 +144,10 @@ class TestMaskedAttention:
         masked, _ = masked_multihead_self_attention(
             q, np.ones((s, s), bool), params, heads=2)
 
-        projected = [nm.linear(q, w, b) for w, b in ((params.wq, params.bq),
-                                                    (params.wk, params.bk),
-                                                    (params.wv, params.bv))]
+        projected = [nm.linear(q, w, b) for w, b in params[:3]]
         unmasked, _ = nm.multihead_attention(*projected, 2)
-        assert_array_equal(masked.data, nm.linear(unmasked, params.wo, params.bo).data)
-        ref = nm.linear(composite_multihead_attention(*projected, 2), params.wo, params.bo)
+        assert_array_equal(masked.data, nm.linear(unmasked, *params[3]).data)
+        ref = nm.linear(composite_multihead_attention(*projected, 2), *params[3])
         assert _relative(masked.data, ref.data) <= 1e-12
 
     def test_masked_columns_exactly_zero(self):
@@ -172,8 +169,7 @@ class TestMaskedAttention:
         q0 = rng.normal(size=(s, d))
 
         def build(ts):
-            ps = AttentionParams(wq=ts[0], bq=ts[1], wk=ts[2], bk=ts[3],
-                                 wv=ts[4], bv=ts[5], wo=ts[6], bo=ts[7])
+            ps = list(zip(ts[0:8:2], ts[1:8:2]))
             out, _ = masked_multihead_self_attention(ts[8], allow, ps, 2)
             return nm.sum_all(out * nm.Tensor(proj))
 

@@ -3,23 +3,19 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vqdet import numerics as nm
-from vqdet.distill import RefinerParams, forward_looking_distill, iou_weights, refine
+from vqdet.distill import forward_looking_distill, iou_weights, refine
 from vqdet.geometry import OrientedBox3D, iou3d
 
 
-def _identity_refiner(d: int, offset: float = 50.0) -> RefinerParams:
+def _identity_refiner(d: int, offset: float = 50.0) -> list[tuple[nm.Tensor, nm.Tensor]]:
     """ReLU MLP acting as the identity for inputs above -offset (test hook)."""
-    return RefinerParams(
-        w1=nm.Tensor(np.eye(d)), b1=nm.Tensor(np.full(d, offset)),
-        w2=nm.Tensor(np.eye(d)), b2=nm.Tensor(np.full(d, -offset)))
+    return [(nm.Tensor(np.eye(d)), nm.Tensor(np.full(d, offset))),
+            (nm.Tensor(np.eye(d)), nm.Tensor(np.full(d, -offset)))]
 
 
-def _random_refiner(rng, d: int) -> RefinerParams:
-    return RefinerParams(
-        w1=nm.Tensor(rng.normal(size=(d, d)) * 0.3),
-        b1=nm.Tensor(rng.normal(size=d) * 0.1),
-        w2=nm.Tensor(rng.normal(size=(d, d)) * 0.3),
-        b2=nm.Tensor(rng.normal(size=d) * 0.1))
+def _random_refiner(rng, d: int) -> list[tuple[nm.Tensor, nm.Tensor]]:
+    return [(nm.Tensor(rng.normal(size=(d, d)) * 0.3), nm.Tensor(rng.normal(size=d) * 0.1))
+            for _ in range(2)]
 
 
 class TestIoUWeights:
@@ -73,7 +69,7 @@ class TestForwardLookingDistill:
         layers = [nm.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
                   for _ in range(3)]
         refiner = _random_refiner(rng, 4)
-        for t in (refiner.w1, refiner.b1, refiner.w2, refiner.b2):
+        for t in (*refiner[0], *refiner[1]):
             t.requires_grad = True
         out = _distill(layers, [[0, 1, 2]], [np.full(3, 0.7)], refiner)
         nm.backward(out)
@@ -127,7 +123,8 @@ class TestForwardLookingDistill:
 
         def run(loop: bool):
             layers = [nm.Tensor(x, requires_grad=True) for x in data]
-            refiner = RefinerParams(*(nm.Tensor(x, requires_grad=True) for x in refiner_data))
+            w1, b1, w2, b2 = (nm.Tensor(x, requires_grad=True) for x in refiner_data)
+            refiner = [(w1, b1), (w2, b2)]
             if loop:
                 total = nm.Tensor(0.0)
                 for layer in layers[:-1]:
@@ -143,7 +140,7 @@ class TestForwardLookingDistill:
                                                 np.concatenate(rows), np.concatenate(scaled),
                                                 refiner, np.concatenate(teacher))
             nm.backward(total)
-            leaves = layers[:-1] + [refiner.w1, refiner.b1, refiner.w2, refiner.b2]
+            leaves = layers[:-1] + [w1, b1, w2, b2]
             return total.item(), [t.grad for t in leaves]
 
         (want, want_grads), (got, got_grads) = run(loop=True), run(loop=False)

@@ -37,3 +37,11 @@ def test_checker_finds_the_unused_names():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_no_module_defines_all():
+    """The package re-exports nothing, so an ``__all__`` would only drift from the module."""
+    defining = [p.name for p in sorted(SRC.glob("*.py"))
+                if any(isinstance(n, ast.Name) and n.id == "__all__" and isinstance(n.ctx, ast.Store)
+                       for n in ast.walk(ast.parse(p.read_text())))]
+    assert defining == []

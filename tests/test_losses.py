@@ -520,3 +520,10 @@ class TestBlockLossBitwise:
             component_loss(pred, range(1, 7), [1, 2], targets)
         with pytest.raises(IndexError, match="positive rows"):
             component_loss(pred, block, [1, -1], targets)
+
+    def test_positive_row_outside_the_block_rejected(self):
+        arrays, (_, _, targets) = _block_args(np.random.default_rng(34), 4, range(4), [3])
+        pred = PredictionRows(*(nm.Tensor(a) for a in arrays))
+        with pytest.raises(ValueError,
+                           match=r"component_loss: positive rows \[3\] are not in the block"):
+            component_loss(pred, range(2), [3], targets)

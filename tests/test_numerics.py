@@ -1,4 +1,5 @@
 import math
+import zipfile
 import zlib
 
 import numpy as np
@@ -397,33 +398,41 @@ class TestCheckpoint:
         store.param("layer.w", (3, 4))
         store.param("layer.b", (4,), scale=0.0)
         store.param("scalar", ())
-        path = tmp_path / "ckpt.bin"
+        path = tmp_path / "ckpt.npz"
         nm.save_checkpoint(store, path)
         values = nm.load_checkpoint(path)
         assert set(values) == {"layer.w", "layer.b", "scalar"}
         for name, t in store.items():
             assert_array_equal(values[name], t.data)
 
-    def test_magic_and_layout(self, tmp_path):
-        store = nm.ParameterStore(rng_seed=0)
-        store.param("p", (2,), scale=0.0)
+    def test_writes_exactly_path_as_npz_keyed_by_name(self, tmp_path):
+        store = nm.ParameterStore(rng_seed=3)
+        store.linear("layer", 3, 4)
+        store.param("scalar", ())
         path = tmp_path / "ckpt.bin"
         nm.save_checkpoint(store, path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"VQD1"
-        assert int.from_bytes(blob[4:8], "little") == 2
-        assert int.from_bytes(blob[8:12], "little") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive.files == ["layer.w", "layer.b", "scalar"]
+            for name, t in store.items():
+                assert archive[name].tobytes() == t.data.tobytes()
 
-    def test_bad_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize("blob", [b"", b"NOPE" + b"\x00" * 16, "npy"],
+                             ids=["empty", "junk", "bare npy"])
+    def test_not_an_archive_rejected(self, tmp_path, blob):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
+        if blob == "npy":
+            with open(path, "wb") as f:
+                np.save(f, np.ones(3))
+        else:
+            path.write_bytes(blob)
+        with pytest.raises(ValueError, match=r"junk\.bin: not an \.npz archive"):
             nm.load_checkpoint(path)
 
     def test_restore_into(self, tmp_path):
         store = nm.ParameterStore(rng_seed=3)
         store.param("w", (2, 2))
-        path = tmp_path / "c.bin"
+        path = tmp_path / "c.npz"
         nm.save_checkpoint(store, path)
         other = nm.ParameterStore(rng_seed=99)
         other.param("w", (2, 2))
@@ -434,7 +443,7 @@ class TestCheckpoint:
         store = nm.ParameterStore(rng_seed=3)
         store.param("w", (2, 2))
         store.param("extra.b", (2,))
-        path = tmp_path / "c.bin"
+        path = tmp_path / "c.npz"
         nm.save_checkpoint(store, path)
         smaller = nm.ParameterStore(rng_seed=4)
         smaller.param("w", (2, 2))
@@ -453,11 +462,34 @@ class TestCheckpoint:
 
         small = dict(groups=1, queries_per_group=2, noisy_groups=0, width=8, heads=2,
                      feature_size=3, num_classes=2)
-        path = tmp_path / "deep.bin"
+        path = tmp_path / "deep.npz"
         nm.save_checkpoint(Detector(DetectorConfig(layers=6, **small), seed=0).store, path)
         with pytest.raises(KeyError, match="dec4"):
             nm.restore_into(Detector(DetectorConfig(layers=4, **small), seed=0).store,
                             nm.load_checkpoint(path))
+
+    def test_restored_detector_gives_bitwise_equal_loss_and_gradient(self, tmp_path):
+        """A default detector saved, then restored into one built from another seed."""
+        from vqdet.geometry import NoiseConfig
+        from vqdet.model import Detector, DetectorConfig, training_loss
+        from vqdet.scenes import SceneConfig, generate_scene
+        from vqdet.vqd import DenoisingConfig
+
+        scene = generate_scene(np.random.default_rng(70_000), SceneConfig(),
+                               "train-0000070000", 70_000, num_objects=1)
+
+        def loss_and_grads(det):
+            noisy = det.draw_noisy_queries(scene, NoiseConfig(), np.random.default_rng((7, 1)))
+            out = training_loss(det, scene, noisy, DenoisingConfig())
+            nm.backward(out.total, det.store)
+            return out.total.data.tobytes(), [t.grad.tobytes() for t in det.store.tensors()]
+
+        saved = Detector(DetectorConfig(), seed=7)
+        path = tmp_path / "detector.npz"
+        nm.save_checkpoint(saved.store, path)
+        restored = Detector(DetectorConfig(), seed=8)
+        nm.restore_into(restored.store, nm.load_checkpoint(path))
+        assert loss_and_grads(restored) == loss_and_grads(saved)
 
     def _saved(self, tmp_path):
         store = nm.ParameterStore(rng_seed=1)
@@ -465,49 +497,80 @@ class TestCheckpoint:
         store.param("b", (2,))
         path = tmp_path / "ckpt.bin"
         nm.save_checkpoint(store, path)
-        return path, path.read_bytes()
+        return store, path, path.read_bytes()
 
-    def test_truncated_file_names_path_and_record(self, tmp_path):
-        path, blob = self._saved(tmp_path)
-        for cut in (3, 16, 20):
+    def test_truncated_file_names_path(self, tmp_path):
+        _, path, blob = self._saved(tmp_path)
+        for cut in (3, 16, 20, len(blob) // 2):
             path.write_bytes(blob[:-cut])
-            with pytest.raises(ValueError, match=r"ckpt\.bin: record 1 \('b'\) is truncated"):
+            with pytest.raises(ValueError, match=r"ckpt\.bin: not an \.npz archive"):
                 nm.load_checkpoint(path)
 
-    def test_file_cut_at_a_record_boundary_rejected(self, tmp_path):
-        path, blob = self._saved(tmp_path)
-        path.write_bytes(blob[:12 + 4 + 3 + 4 + 16 + 48])  # header and record 0 only
-        with pytest.raises(ValueError,
-                           match=r"ckpt\.bin: the header promises 2 records, the file holds 1"):
+    def test_flipped_payload_byte_names_path_and_entry(self, tmp_path):
+        store, path, blob = self._saved(tmp_path)
+        at = blob.index(store["b"].data.tobytes()) + 3
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 0x10]) + blob[at + 1:])
+        with pytest.raises(ValueError, match=r"ckpt\.bin: entry 'b' is unreadable: Bad CRC-32"):
             nm.load_checkpoint(path)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        path, blob = self._saved(tmp_path)
-        path.write_bytes(blob + b"\x00\x00")
-        with pytest.raises(ValueError, match=r"ckpt\.bin: 2 trailing bytes after 2 records"):
+    def test_flipped_shape_in_a_large_entry_names_path_and_entry(self, tmp_path):
+        """An entry over zipfile's 4 KiB read size: its header is parsed before its end is read."""
+        store = nm.ParameterStore(rng_seed=1)
+        store.linear("layer", 64, 64)
+        path = tmp_path / "ckpt.bin"
+        nm.save_checkpoint(store, path)
+        blob = path.read_bytes()
+        at = blob.index(b"(64, 64)") + 5
+        path.write_bytes(blob[:at] + b"4" + blob[at + 1:])  # shape (64, 44)
+        with pytest.raises(ValueError, match=r"ckpt\.bin: entry 'layer\.w' is unreadable: "
+                                             r"Bad CRC-32"):
             nm.load_checkpoint(path)
 
-    def test_name_not_utf8_names_path_and_record(self, tmp_path):
-        path, blob = self._saved(tmp_path)
-        path.write_bytes(blob[:16] + b"\xff" + blob[17:])  # first byte of record 0's name
-        with pytest.raises(ValueError, match=r"ckpt\.bin: record 0 has a name that is not UTF-8"):
-            nm.load_checkpoint(path)
+    def test_every_flipped_bit_is_rejected_or_changes_no_value(self, tmp_path):
+        store, path, blob = self._saved(tmp_path)
+        rejected = 0
+        for at in range(len(blob)):
+            for bit in (0x01, 0x80):
+                path.write_bytes(blob[:at] + bytes([blob[at] ^ bit]) + blob[at + 1:])
+                try:
+                    values = nm.load_checkpoint(path)
+                except ValueError as exc:
+                    assert str(path) in str(exc)
+                    rejected += 1
+                    continue
+                assert list(values) == store.names()
+                for name, t in store.items():
+                    assert values[name].tobytes() == t.data.tobytes()
+        assert rejected > len(blob)
 
     def test_duplicated_name_rejected(self, tmp_path):
-        path, blob = self._saved(tmp_path)
-        first_record = blob[12:12 + 4 + 3 + 4 + 16 + 48]
-        path.write_bytes(blob + first_record)
-        with pytest.raises(ValueError, match=r"ckpt\.bin: record 2 \('a\.w'\) repeats"):
+        _, path, blob = self._saved(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            first = archive.read("a.w.npy")
+        with zipfile.ZipFile(path, "a") as archive:
+            with pytest.warns(UserWarning, match="Duplicate name"):
+                archive.writestr("a.w.npy", first)
+        with pytest.raises(ValueError, match=r"ckpt\.bin: entry 'a\.w' repeats"):
+            nm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.ones(2, dtype=np.float32), np.arange(2),
+                                       np.array(["x", "y"])],
+                             ids=["float32", "int", "str"])
+    def test_entry_not_float64_rejected(self, tmp_path, value):
+        path = tmp_path / "ckpt.bin"
+        with open(path, "wb") as f:
+            np.savez(f, **{"a.w": np.zeros((2, 3)), "b": value})
+        with pytest.raises(ValueError, match=r"ckpt\.bin: entry 'b' is not a float64 array"):
             nm.load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_names_path_and_record(self, tmp_path, bad):
+    def test_non_finite_value_names_path_and_entry(self, tmp_path, bad):
         store = nm.ParameterStore(rng_seed=1)
         store.param("a.w", (2, 3))
         store.param("b", (2,))
         store["b"].data[1] = bad
         path = tmp_path / "ckpt.bin"
         nm.save_checkpoint(store, path)
-        with pytest.raises(ValueError, match=r"ckpt\.bin: record 1 \('b'\) holds a value "
+        with pytest.raises(ValueError, match=r"ckpt\.bin: entry 'b' holds a value "
                                              r"that is not finite"):
             nm.load_checkpoint(path)
