@@ -166,8 +166,8 @@ def _clip_polygon(subject: list[tuple[float, float]],
                 denom = ex * dy - ey * dx
                 num = ex * (y1 - py) - ey * (x1 - px)
                 # rounding can put a segment parallel to the line on both sides of
-                # it; float64 division by zero then gives inf or NaN, not an error
-                t = num / denom if denom else float(np.float64(num) / denom)
+                # it; it lies on the line, so keep all of it: end at cur, start at prev
+                t = num / denom if denom else float(prev_in)
                 output.append((px + t * dx, py + t * dy))
             if cur_in:
                 output.append((cx, cy))

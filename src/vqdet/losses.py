@@ -20,8 +20,9 @@ targets alike.
 :func:`component_loss` scores one block as one tape op with a closed-form
 gradient: it reads the block's logits and its positive rows of the five
 regression tensors in place, computes the focal, GIoU and five L1 terms and
-adds them with the ``W_*`` weights, so it records one tape node. Callers add
-block losses with one ``weighted_sum``.
+adds them with the ``W_*`` weights, so it records one tape node. Its VJP
+hands back only those rows' gradients, as ``numerics.RowGrad`` values.
+Callers add block losses with one ``weighted_sum``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import numpy as np
 
 from .geometry import GroundTruthObject
-from .numerics import ShapeError, Tensor, _node, _sigmoid, _softplus
+from .numerics import RowGrad, ShapeError, Tensor, _node
 
 # The weights of the objective's seven terms and its focal parameters.
 W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH = 2.0, 5.0, 5.0, 2.0, 1.0, 1.0, 0.5
@@ -109,11 +110,14 @@ def _focal_sum(z: np.ndarray, t: np.ndarray):
     """Sigmoid focal loss of logits ``z`` against targets ``t``, summed over all entries.
 
     Stable form: log p = -softplus(-z) and log(1-p) = -softplus(z), with the
-    modulating factors written as exp(gamma * log(.)) <= 1. Returns the sum
-    and a VJP mapping the gradient ``gs`` of the sum to that of ``z``.
+    modulating factors written as exp(gamma * log(.)) <= 1; the softplus and
+    sigmoid terms share e = exp(-|z|). Returns the sum and a VJP mapping the
+    gradient ``gs`` of the sum to that of ``z``.
     """
-    log_p = -_softplus(-z)
-    log_1mp = -_softplus(z)
+    e = np.exp(-np.abs(z))
+    log1p_e = np.log1p(e)
+    log_p = -(np.maximum(-z, 0.0) + log1p_e)
+    log_1mp = -(np.maximum(z, 0.0) + log1p_e)
     mod_pos = np.exp(log_1mp * FOCAL_GAMMA)  # (1 - p)^gamma
     mod_neg = np.exp(log_p * FOCAL_GAMMA)    # p^gamma
     w_pos = FOCAL_ALPHA * t
@@ -126,7 +130,10 @@ def _focal_sum(z: np.ndarray, t: np.ndarray):
         g_log_p = g_pos * mod_pos + g_neg * log_1mp * mod_neg * FOCAL_GAMMA
         g_log_1mp = g_pos * log_p * mod_pos * FOCAL_GAMMA + g_neg * mod_neg
         # d log p / dz = sigmoid(-z), d log(1-p) / dz = -sigmoid(z)
-        return g_log_p * _sigmoid(-z) - g_log_1mp * _sigmoid(z)
+        one_pe = 1.0 + e
+        large, small = 1.0 / one_pe, e / one_pe  # sigmoid(|z|) and sigmoid(-|z|)
+        return (g_log_p * np.where(z <= 0, large, small)
+                - g_log_1mp * np.where(z >= 0, large, small))
 
     return weighted.sum(), vjp
 
@@ -134,34 +141,29 @@ def _focal_sum(z: np.ndarray, t: np.ndarray):
 def _giou_sum(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
     """Sum over rows of the GIoU of predicted and target corner boxes.
 
-    Row i's predicted corner box (x0, y0, x1, y1) is center ``c[i]`` minus
-    its left/top and plus its right/bottom distance ``e[i]``, scored against
-    the corner box ``tc[i]``. Target boxes must be non-degenerate; their
-    positive areas bound union and hull away from zero, keeping the divisions
-    safe. Every min/max routes its gradient to the predicted coordinate on a
-    tie, and a zero-width intersection passes no gradient. Returns the sum and
-    a VJP mapping the gradient ``g`` of the sum to those of ``c`` and ``e``.
+    Row i's predicted corner box is center ``c[i]`` minus its left/top and
+    plus its right/bottom distance ``e[i]``, scored against the corner box
+    ``tc[i]``. Corners are packed as (k, 2) columns of x and y: ``lo`` and
+    ``hi`` are the prediction's (x0, y0) and (x1, y1), so one call serves
+    both axes. Target boxes must be non-degenerate; their positive areas
+    bound union and hull away from zero, keeping the divisions safe. Every
+    min/max routes its gradient to the predicted coordinate on a tie, and a
+    zero-width intersection passes no gradient. Returns the sum and a VJP
+    mapping the gradient ``g`` of the sum to those of ``c`` and ``e``.
     """
-    ax0, ay0 = c[:, :1] - e[:, 0:1], c[:, 1:] - e[:, 2:3]
-    ax1, ay1 = c[:, :1] + e[:, 1:2], c[:, 1:] + e[:, 3:4]
-    bx0, by0, bx1, by1 = (tc[:, j:j + 1] for j in range(4))
+    lo, hi = c - e[:, 0::2], c + e[:, 1::2]
+    tlo, thi = tc[:, :2], tc[:, 2:]
     # take_* marks where the predicted coordinate wins each min/max
-    take_ix1, take_iy1 = ax1 <= bx1, ay1 <= by1
-    take_ix0, take_iy0 = ax0 >= bx0, ay0 >= by0
-    take_hx1, take_hy1 = ax1 >= bx1, ay1 >= by1
-    take_hx0, take_hy0 = ax0 <= bx0, ay0 <= by0
-    raw_w = np.where(take_ix1, ax1, bx1) - np.where(take_ix0, ax0, bx0)
-    raw_h = np.where(take_iy1, ay1, by1) - np.where(take_iy0, ay0, by0)
-    keep_w, keep_h = raw_w > 0.0, raw_h > 0.0
-    inter_w = np.where(keep_w, raw_w, 0.0)
-    inter_h = np.where(keep_h, raw_h, 0.0)
-    inter = inter_w * inter_h
-    wa, ha = ax1 - ax0, ay1 - ay0
-    area_b = (tc[:, 2] - tc[:, 0])[:, None] * (tc[:, 3] - tc[:, 1])[:, None]
-    union = wa * ha + area_b - inter
-    hull_w = np.where(take_hx1, ax1, bx1) - np.where(take_hx0, ax0, bx0)
-    hull_h = np.where(take_hy1, ay1, by1) - np.where(take_hy0, ay0, by0)
-    hull = hull_w * hull_h
+    take_i1, take_i0 = hi <= thi, lo >= tlo
+    take_h1, take_h0 = hi >= thi, lo <= tlo
+    raw = np.where(take_i1, hi, thi) - np.where(take_i0, lo, tlo)
+    keep = raw > 0.0
+    inter_wh = np.where(keep, raw, 0.0)
+    inter = inter_wh[:, 0] * inter_wh[:, 1]
+    wh, twh = hi - lo, thi - tlo
+    union = wh[:, 0] * wh[:, 1] + twh[:, 0] * twh[:, 1] - inter
+    hull_wh = np.where(take_h1, hi, thi) - np.where(take_h0, lo, tlo)
+    hull = hull_wh[:, 0] * hull_wh[:, 1]
     giou = inter / union - (hull - union) / hull
 
     def vjp(g):
@@ -169,21 +171,15 @@ def _giou_sum(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
         g_inter = g / union
         g_union = -g * inter / (union * union) + g / hull
         g_hull = -g * union / (hull * hull)
-        # union = wa * ha + area_b - inter
+        # union = w * h + area of the target - inter; each width takes the other height
         g_inter = g_inter - g_union
-        g_w = g_inter * inter_h * keep_w
-        g_h = g_inter * inter_w * keep_h
-        g_hw = g_hull * hull_h
-        g_hh = g_hull * hull_w
-        g_wa = g_union * ha
-        g_ha = g_union * wa
-        gx0 = -g_w * take_ix0 - g_wa - g_hw * take_hx0
-        gy0 = -g_h * take_iy0 - g_ha - g_hh * take_hy0
-        gx1 = g_w * take_ix1 + g_wa + g_hw * take_hx1
-        gy1 = g_h * take_iy1 + g_ha + g_hh * take_hy1
-        # x0 = cx - l, y0 = cy - t, x1 = cx + r, y1 = cy + b
-        return (np.concatenate([gx0 + gx1, gy0 + gy1], axis=1),
-                np.concatenate([-gx0, gx1, -gy0, gy1], axis=1))
+        g_inter_wh = g_inter[:, None] * inter_wh[:, ::-1] * keep
+        g_hull_wh = g_hull[:, None] * hull_wh[:, ::-1]
+        g_wh = g_union[:, None] * wh[:, ::-1]
+        g_lo = -g_inter_wh * take_i0 - g_wh - g_hull_wh * take_h0
+        g_hi = g_inter_wh * take_i1 + g_wh + g_hull_wh * take_h1
+        # (x0, y0) = c - (l, t) and (x1, y1) = c + (r, b)
+        return g_lo + g_hi, np.stack([-g_lo, g_hi], axis=2).reshape(-1, 4)
 
     return giou.sum(), vjp
 
@@ -221,9 +217,10 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
     - L1 of the positive size3d, angle and depth against their targets.
 
     Without positive rows only the focal term remains and the box tensors
-    are not parents. Each term's value and gradient are bitwise those of the
-    term written as its own node; the targets receive no gradient, and the
-    L1 gradient at pred == target is 0.
+    are not parents. The VJP gives each parent a ``RowGrad`` of the block's
+    or the positive rows. Each term's value and gradient are bitwise those
+    of the term written as its own node; the targets receive no gradient,
+    and the L1 gradient at pred == target is 0.
     """
     logits = pred.class_logits
     boxes = [pred.centers, pred.lrtb, pred.size3d, pred.angle, pred.depth]
@@ -263,15 +260,9 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
             row_grads += [g * w * l1_scale * np.sign(d)
                           for w, d in zip((W_CENTER, W_LRTB, W_SIZE, W_ANGLE, W_DEPTH), diffs)]
             g_centers, g_lrtb = giou_vjp(g * W_GIOU * cls_scale)
-            row_grads[1] = row_grads[1] + g_centers
-            row_grads[2] = row_grads[2] + g_lrtb
-        grads = []
-        for parent, rows, rows_g in zip(parents, (block_ind, *[pos] * 5), row_grads):
-            full = None
-            if parent.requires_grad:
-                full = np.zeros_like(parent.data)
-                full[rows] += rows_g  # not =: a -0.0 lands as +0.0, as in gather_rows
-            grads.append(full)
-        return tuple(grads)
+            row_grads[1] += g_centers
+            row_grads[2] += g_lrtb
+        return tuple(RowGrad(rows, rows_g)
+                     for rows, rows_g in zip((block_ind, *[pos] * 5), row_grads))
 
     return _node(np.asarray(out), parents, vjp)

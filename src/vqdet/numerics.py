@@ -6,7 +6,11 @@ operations record their inputs and a vector-Jacobian closure; calling
 :func:`backward` on a scalar loss walks the recorded graph once in reverse
 topological order and accumulates gradients into the ``requires_grad``
 leaves on the path, such as parameters. A non-finite loss stops
-:func:`backward` with an error naming the first non-finite tensor.
+:func:`backward` with an error naming the first non-finite tensor. A VJP may
+give a parent a :class:`RowGrad`, which :func:`backward` adds in place
+(``acc[rows] += values``, into zeros the first time): the dense sum up to
+the sign of its zeros. A leaf's gradient starts as ``g + 0.0``, so every
+zero a leaf receives is +0.0.
 
 Inside :func:`no_grad` the same ops compute the same values but record
 nothing: inference and finite-difference probes, which need only values,
@@ -16,8 +20,7 @@ in the VJP, not in the forward op, so untaped calls do not pay for it.
 The module holds the generic operations the detector runs; a weighted sum
 of scalar losses is one node. The set-prediction objective is not generic:
 its one op, weights and kernels live in :mod:`losses`, which records its
-node with :func:`_node` and reuses the stable :func:`_sigmoid` and
-:func:`_softplus`. Reference ops that only the tests compose (matmul,
+node with :func:`_node`. Reference ops that only the tests compose (matmul,
 softmax, row and column slices, elementwise min/max, the loss terms as
 separate nodes and the like) live beside the oracles that use them, in
 ``tests/oracles.py``.
@@ -37,7 +40,7 @@ import math
 import tokenize
 import zipfile
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -131,6 +134,12 @@ def no_grad() -> Iterator[None]:
         _recording = saved
 
 
+class RowGrad(NamedTuple):
+    """A gradient that is ``values`` at the unique ``rows`` (slice or index array), else 0."""
+    rows: slice | np.ndarray
+    values: np.ndarray
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
     if _recording and any(p.requires_grad for p in parents):
@@ -183,7 +192,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: incompatible shapes {x.data.shape} and {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"linear: bias shape {b.data.shape} vs width {w.data.shape[1]}")
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
 
     def vjp(g):
         return (g @ w.data.T if x.requires_grad else None,
@@ -204,18 +214,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(a.data)
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed without overflow; derivative is sigmoid(x)."""
-    return _node(_softplus(a.data), (a,), lambda g: (g * _sigmoid(a.data),))
+    """log(1 + e^x) without overflow; its derivative sigmoid(x) reuses exp(-|x|)."""
+    e = np.exp(-np.abs(a.data))
+    return _node(np.maximum(a.data, 0.0) + np.log1p(e), (a,),
+                 lambda g: (g * np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -304,9 +312,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm: x {x.data.shape}, gain {gain.data.shape}, bias {bias.data.shape}")
     d = x.data.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.sum(axis=1, keepdims=True) / d  # np.mean's arithmetic
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -407,37 +415,27 @@ def sum_all(a: Tensor) -> Tensor:
 
 def concat_rows(tensors: Sequence[Tensor]) -> Tensor:
     """Stack matrices vertically."""
-    ts = list(tensors)
-    if not ts:
-        raise ShapeError("concat_rows: empty input")
-    width = ts[0].data.shape[1]
-    for t in ts:
-        if t.data.ndim != 2 or t.data.shape[1] != width:
-            raise ShapeError(f"concat_rows: widths differ ({t.data.shape} vs width {width})")
-    out = np.concatenate([t.data for t in ts], axis=0)
-
-    def vjp(g):
-        offsets = np.cumsum([0] + [t.data.shape[0] for t in ts])
-        return tuple(g[offsets[i]:offsets[i + 1]] if t.requires_grad else None
-                     for i, t in enumerate(ts))
-
-    return _node(out, tuple(ts), vjp)
+    return _concat(list(tensors), 0, "concat_rows")
 
 
 def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    ts = list(tensors)
+    """Stack matrices side by side."""
+    return _concat(list(tensors), 1, "concat_cols")
+
+
+def _concat(ts: list[Tensor], axis: int, op: str) -> Tensor:
     if not ts:
-        raise ShapeError("concat_cols: empty input")
-    rows = ts[0].data.shape[0]
+        raise ShapeError(f"{op}: empty input")
+    size = ts[0].data.shape[1 - axis]
     for t in ts:
-        if t.data.ndim != 2 or t.data.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row counts differ ({t.data.shape} vs {rows})")
-    out = np.concatenate([t.data for t in ts], axis=1)
+        if t.data.ndim != 2 or t.data.shape[1 - axis] != size:
+            raise ShapeError(f"{op}: shape {t.data.shape} vs {size} along axis {1 - axis}")
+    out = np.concatenate([t.data for t in ts], axis=axis)
 
     def vjp(g):
-        offsets = np.cumsum([0] + [t.data.shape[1] for t in ts])
-        return tuple(g[:, offsets[i]:offsets[i + 1]] if t.requires_grad else None
-                     for i, t in enumerate(ts))
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in ts])
+        return tuple(g[(slice(None),) * axis + (slice(lo, hi),)] if t.requires_grad else None
+                     for t, lo, hi in zip(ts, offsets, offsets[1:]))
 
     return _node(out, tuple(ts), vjp)
 
@@ -452,6 +450,8 @@ def gather_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
     out = a.data[ind]
 
     def vjp(g):
+        if np.bincount(ind, minlength=1).max() <= 1:  # unique: np.add.at's 0.0 + g, cheaper
+            return (RowGrad(ind, g),)
         gx = np.zeros_like(a.data)
         np.add.at(gx, ind, g)
         return (gx,)
@@ -502,14 +502,19 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
             continue
         if node._vjp is None:  # a leaf
             if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+                node.grad = np.add(g, 0.0, out=np.empty_like(node.data))
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
-            if acc is None:
+            if isinstance(pg, RowGrad):
+                if acc is None:
+                    acc = grads[id(parent)] = np.zeros_like(parent.data)
+                acc[pg.rows] += pg.values
+            elif acc is None:
                 # Own the buffer, so that a later in-place add changes only
                 # this entry. A VJP of 0-d operands returns a numpy scalar,
                 # which += would rebind instead of update.

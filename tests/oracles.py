@@ -29,8 +29,12 @@ import math
 import numpy as np
 
 from vqdet import numerics as nm
-from vqdet.numerics import (DegenerateMaskError, ShapeError, Tensor, _node, _sigmoid,
-                            _softplus)
+from vqdet.numerics import DegenerateMaskError, ShapeError, Tensor, _node, _sigmoid
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) without overflow, in the float operations of ``nm.softplus``."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

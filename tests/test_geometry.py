@@ -100,6 +100,24 @@ class TestIoU3D:
             moved = iou3d(_transform(a, dx, dz, dyaw), _transform(b, dx, dz, dyaw))
             assert moved == pytest.approx(base, abs=1e-9)
 
+    @pytest.mark.parametrize("shift, expected", [(1.0, 0.0), (0.5, 1.0 / 3.0)])
+    def test_boxes_shifted_along_their_length_axis(self, shift, expected):
+        """Equal boxes shifted by a full length share an edge; by half, overlap by half.
+
+        Their footprints have collinear edges, which rounding can put on both
+        sides of a clip line.
+        """
+        rng = np.random.default_rng(17)
+        yaws = np.concatenate([rng.uniform(-math.pi, math.pi, 2000),
+                               np.arange(-2, 3) * (math.pi / 2)])
+        for yaw in yaws:
+            l3d, w3d, h3d = rng.uniform(0.5, 5.0, size=3)
+            x, y, z = rng.uniform(-10, 10), rng.uniform(-2, 2), rng.uniform(5, 50)
+            a = OrientedBox3D(x, y, z, l3d, w3d, h3d, yaw)
+            b = OrientedBox3D(x + shift * l3d * math.cos(yaw), y,
+                              z + shift * l3d * math.sin(yaw), l3d, w3d, h3d, yaw)
+            assert abs(iou3d(a, b) - expected) <= 1e-12, (a, b)
+
     def test_matches_monte_carlo_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(40):

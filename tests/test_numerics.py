@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from vqdet import numerics as nm
 from vqdet.gradcheck import _away_from, check_scalar_fn, OP_TOLERANCE
+from vqdet.losses import PredictionRows, TargetArrays, component_loss, corner_boxes
 
 from oracles import (absolute, divide, matmul, maximum, minimum, narrow_cols, narrow_rows,
                      softmax_rows, transpose)
@@ -273,6 +274,93 @@ def test_gather_rows_scatter_adds_duplicates():
     out = nm.gather_rows(x, [1, 1, 2])
     nm.backward(nm.sum_all(out))
     assert_array_equal(x.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("idx", [[4, 0, 2, 5], [1, 1, 2, 4, 1], list(range(6)), []])
+def test_gather_rows_gradient_bitwise_equals_add_at(idx):
+    """Unique indices take the row-gradient path, repeated ones ``np.add.at``; both
+    give a leaf the ``np.add.at`` scatter of the upstream gradient bit for bit."""
+    rng = np.random.default_rng(12)
+    x = nm.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    out = nm.gather_rows(x, idx)
+    g = rng.normal(size=out.data.shape)
+    g[:, 0] = -0.0
+    unique = len(set(idx)) == len(idx)
+    assert isinstance(out._vjp(g)[0], nm.RowGrad) == unique
+    nm.backward(nm._node(np.asarray(0.0), (out,), lambda _: (g,)))
+    want = np.zeros((6, 3))
+    np.add.at(want, np.asarray(idx, dtype=np.intp), g)
+    assert x.grad.tobytes() == want.tobytes()
+
+
+def _row_op(x: nm.Tensor, rows, values: np.ndarray, dense: bool) -> nm.Tensor:
+    """A scalar node whose VJP gives ``x`` ``g * values`` at ``rows``: as a RowGrad or dense."""
+    def vjp(g):
+        if not dense:
+            return (nm.RowGrad(rows, g * values),)
+        full = np.zeros_like(x.data)
+        full[rows] += g * values
+        return (full,)
+
+    return nm._node(np.asarray(0.0), (x,), vjp)
+
+
+@pytest.mark.parametrize("dense_first", [False, True])
+def test_row_gradients_accumulate_bitwise_like_dense_ones(dense_first):
+    """An intermediate fed by two row-gradient ops and a dense op gives its leaf's
+    gradient bitwise as when every op hands back a dense gradient, signed zeros included."""
+    rng = np.random.default_rng(13)
+    data = rng.normal(size=(7, 3))
+    mask = nm.Tensor((rng.random((7, 3)) < 0.5) * 1.0)  # its zeros give -0.0 under weight -1
+    v1, v2 = rng.normal(size=(3, 3)), rng.normal(size=(2, 3))
+    v1[0], v2[1, 2] = -0.0, -0.0
+    v2[0] = -v1[2]  # row 5 receives v1[2] and -v1[2]
+    grads = []
+    for dense in (False, True):
+        x = nm.Tensor(data, requires_grad=True)
+        y = x * 3.0
+        ops = [_row_op(y, np.array([1, 4, 5]), v1, dense), _row_op(y, slice(5, 7), v2, dense)]
+        ops.insert(0 if dense_first else 2, nm.sum_all(y * mask))
+        nm.backward(nm.weighted_sum(ops, [-1.0, -1.0, -1.0]))
+        grads.append(x.grad)
+    assert (grads[0] == 0.0).sum() >= 3
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+@pytest.mark.parametrize("row_grad", [False, True])
+def test_negative_zero_upstream_lands_as_positive_zero_in_a_leaf(row_grad):
+    x = nm.Tensor(np.ones((3, 2)), requires_grad=True)
+    minus_zero = np.full((3, 2), -0.0)
+    grad = nm.RowGrad(slice(0, 3), minus_zero) if row_grad else minus_zero
+    nm.backward(nm._node(np.asarray(1.0), (x,), lambda g: (grad,)))
+    assert not np.signbit(x.grad).any()
+    assert_array_equal(x.grad, np.zeros((3, 2)))
+
+
+def test_component_loss_hands_back_no_array_of_the_stacked_size():
+    rng = np.random.default_rng(14)
+    rows = 12
+    stacked = [rng.normal(size=(rows, 3)), rng.uniform(0.3, 0.7, (rows, 2)),
+               rng.uniform(0.05, 0.2, (rows, 4)), rng.uniform(1.0, 4.0, (rows, 3)),
+               rng.normal(size=(rows, 2)), rng.uniform(5.0, 40.0, (rows, 1))]
+    ts = [nm.Tensor(a, requires_grad=True) for a in stacked]
+    positives = [9, 11]
+    regression = [a[positives] + 0.01 for a in stacked[1:]]
+    table = np.concatenate([*regression, corner_boxes(regression[0], regression[1])], axis=1)
+    loss = component_loss(PredictionRows(*ts), range(8, 12), positives,
+                          TargetArrays(np.array([0, 2]), table))
+    grads = loss._vjp(np.asarray(1.0))
+    assert [type(pg) for pg in grads] == [nm.RowGrad] * 6
+    assert [pg.values.shape for pg in grads] == [(4, 3), (2, 2), (2, 4), (2, 3), (2, 2), (2, 1)]
+
+
+@pytest.mark.parametrize("op, shapes", [(nm.concat_rows, [(2, 3), (2, 4)]),
+                                        (nm.concat_cols, [(2, 3), (3, 3)]),
+                                        (nm.concat_rows, [(2, 3), (3,)]),
+                                        (nm.concat_cols, [])])
+def test_concat_rejects_mismatched_shapes_naming_the_op(op, shapes):
+    with pytest.raises(nm.ShapeError, match=op.__name__):
+        op([nm.Tensor(np.zeros(s)) for s in shapes])
 
 
 def test_concat_narrow_round_trip():
