@@ -6,7 +6,8 @@ depth. A noisy box is one too: :func:`apply_box_noise` corrupts a ground
 truth into another :class:`GroundTruthObject`. Image coordinates are
 normalized to [0, 1] on both axes. The camera frame is x right, y down, z
 forward; yaw rotates a box about the vertical (y) axis, turning its length
-axis from +x toward +z.
+axis from +x toward +z. :func:`backproject` lifts a point or whole columns
+of image coordinates and depths with the same formula.
 """
 
 from __future__ import annotations
@@ -121,9 +122,12 @@ def project_to_image(point) -> tuple[float, float]:
     return FOCAL * x / z + CX, FOCAL * y / z + CY
 
 
-def backproject(u: float, v: float, depth: float):
-    """Invert projection at a known depth; returns a camera-frame point."""
-    return np.array([(u - CX) * depth / FOCAL, (v - CY) * depth / FOCAL, depth])
+def backproject(u, v, depth):
+    """Invert projection at a known depth: the camera-frame ``(x, y, z)``.
+
+    One formula serves a point of floats and columns of equal-shape arrays.
+    """
+    return (u - CX) * depth / FOCAL, (v - CY) * depth / FOCAL, depth
 
 
 def bev_corners(box: OrientedBox3D) -> list[tuple[float, float]]:
@@ -242,8 +246,7 @@ def apply_box_noise(gt: GroundTruthObject, cfg: NoiseConfig, rng: np.random.Gene
 
 def box3d_from_ground_truth(gt: GroundTruthObject) -> OrientedBox3D:
     """Lift a ground truth to a camera-frame oriented box via its depth."""
-    center = backproject(gt.x_c, gt.y_c, gt.d)
-    return OrientedBox3D(center[0], center[1], center[2], gt.l3d, gt.w3d, gt.h3d, gt.theta)
+    return OrientedBox3D(*backproject(gt.x_c, gt.y_c, gt.d), gt.l3d, gt.w3d, gt.h3d, gt.theta)
 
 
 def box3d_corners(box: OrientedBox3D) -> np.ndarray:

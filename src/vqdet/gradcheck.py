@@ -50,44 +50,29 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
 
 
-def check_scalar_fn(build: Callable[[list[nm.Tensor]], nm.Tensor],
-                    arrays: list[np.ndarray]) -> float:
+def check_gradients(loss_fn: Callable[[], nm.Tensor], leaves: Sequence[nm.Tensor]) -> float:
     """Max relative error between tape gradients and central differences.
 
-    ``build`` maps leaf tensors to a scalar loss; it is re-invoked on every
-    finite-difference probe, so it must be a pure function of the arrays.
-    The probes need values only, so they run under ``no_grad``.
+    ``loss_fn`` must be a pure function of the leaves' current values, with
+    any detached or discrete inner decision frozen by the caller. The
+    leaves' gradients are cleared first, and a leaf the loss does not reach
+    has a zero gradient. The probes perturb each ``t.data`` in place; they
+    need values only, so they run under ``no_grad``.
     """
+    for t in leaves:
+        t.grad = None
+    nm.backward(loss_fn())
+    analytic = [np.zeros_like(t.data) if t.grad is None else t.grad for t in leaves]
+    with nm.no_grad():
+        numeric = numeric_gradients(lambda: float(loss_fn().data), [t.data for t in leaves])
+    return max(relative_error(a, n) for a, n in zip(analytic, numeric))
+
+
+def check_scalar_fn(build: Callable[[list[nm.Tensor]], nm.Tensor],
+                    arrays: list[np.ndarray]) -> float:
+    """:func:`check_gradients` of ``build``, a map from leaves over ``arrays`` to a loss."""
     leaves = [nm.Tensor(a, requires_grad=True) for a in arrays]
-    loss = build(leaves)
-    nm.backward(loss)
-    analytic = [np.zeros_like(a) if t.grad is None else t.grad
-                for a, t in zip(arrays, leaves)]
-
-    def f() -> float:
-        return float(build([nm.Tensor(a) for a in arrays]).data)
-
-    with nm.no_grad():
-        numeric = numeric_gradients(f, arrays)
-    return max(relative_error(a, n) for a, n in zip(analytic, numeric))
-
-
-def check_params_fn(loss_fn: Callable[[], nm.Tensor], store: nm.ParameterStore) -> float:
-    """Compare store-parameter gradients of ``loss_fn`` against central diffs.
-
-    ``loss_fn`` must be a pure function of the store's current parameter
-    values (detached or discrete inner decisions frozen by the caller); the
-    probe mutates parameter data in place. The probes run under ``no_grad``.
-    """
-    store.zero_grad()
-    loss = loss_fn()
-    nm.backward(loss, store)
-    names = store.names()
-    analytic = [store[n].grad.copy() for n in names]
-    arrays = [store[n].data for n in names]
-    with nm.no_grad():
-        numeric = numeric_gradients(lambda: float(loss_fn().data), arrays)
-    return max(relative_error(a, n) for a, n in zip(analytic, numeric))
+    return check_gradients(lambda: build(leaves), leaves)
 
 
 def _away_from(x: np.ndarray, kinks: Sequence[float]) -> np.ndarray:
@@ -246,7 +231,7 @@ def _check_box_encoder(rng) -> float:
         dist = gen.encode(boxes)
         return nm.sum_all(dist.mu * nm.Tensor(pm)) + nm.sum_all(dist.log_var * nm.Tensor(pv))
 
-    return check_params_fn(loss_fn, store)
+    return check_gradients(loss_fn, list(store.tensors()))
 
 
 def _check_feature_encoder(rng) -> float:
@@ -262,7 +247,7 @@ def _check_feature_encoder(rng) -> float:
         mem = det.encode_features(grid)
         return nm.sum_all(mem * nm.Tensor(proj))
 
-    return check_params_fn(loss_fn, det.store)
+    return check_gradients(loss_fn, list(det.store.tensors()))
 
 
 def _check_end_to_end(rng) -> float:
@@ -291,7 +276,7 @@ def _check_end_to_end(rng) -> float:
     def loss_fn():
         return training_loss(det, scene, noisy, dn_cfg, replay=replay).total
 
-    return check_params_fn(loss_fn, det.store)
+    return check_gradients(loss_fn, list(det.store.tensors()))
 
 
 # name -> (check fn, tolerance, number of random repeats)

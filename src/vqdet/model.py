@@ -309,20 +309,13 @@ class Detector:
 
 
 def decode_box_rows(pred: PredictionRows, rows: Sequence[int]) -> list[OrientedBox3D]:
-    """Detached 3D boxes for the given query rows (for IoU weights / eval)."""
-    centers = pred.centers.data
-    sizes = pred.size3d.data
-    angles = pred.angle.data
-    depths = pred.depth.data
-    out = []
-    for r in rows:
-        d = float(depths[r, 0])
-        x, y, z = backproject(centers[r, 0], centers[r, 1], d)
-        yaw = math.atan2(angles[r, 0], angles[r, 1])
-        out.append(OrientedBox3D(float(x), float(y), float(z),
-                                 float(sizes[r, 0]), float(sizes[r, 1]),
-                                 float(sizes[r, 2]), yaw))
-    return out
+    """Detached 3D boxes of plain floats for the given query rows (IoU weights, eval)."""
+    rows = list(rows)
+    centers = pred.centers.data[rows]
+    xyz = np.column_stack(backproject(centers[:, 0], centers[:, 1], pred.depth.data[rows, 0]))
+    return [OrientedBox3D(*center, *size, math.atan2(sin, cos))
+            for center, size, (sin, cos) in zip(xyz.tolist(), pred.size3d.data[rows].tolist(),
+                                                pred.angle.data[rows].tolist())]
 
 
 def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
@@ -433,14 +426,10 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
         rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
         pred = det.apply_heads(rows[-1], refs)
     probs = pred.class_probs()
-    detections = []
-    boxes = decode_box_rows(pred, range(n))
-    corners = pred.corner_boxes_array()
-    for r in range(n):
-        score = float(probs[r].max())
-        if score < cfg.confidence_threshold:
-            continue
-        detections.append(Detection(
-            scene_id=scene.scene_id, category=int(probs[r].argmax()),
-            score=score, box3d=boxes[r], corners2d=tuple(corners[r])))
-    return detections
+    decoded = zip(probs.max(axis=1).tolist(), probs.argmax(axis=1).tolist(),
+                  decode_box_rows(pred, range(n)), pred.corner_boxes_array().tolist())
+    # a row goes only when its score is below the threshold, so a NaN score stays
+    return [Detection(scene_id=scene.scene_id, category=category, score=score, box3d=box,
+                      corners2d=tuple(corners))
+            for score, category, box, corners in decoded
+            if not score < cfg.confidence_threshold]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    BehindCameraError,
     GroundTruthObject,
     OrientedBox3D,
     backproject,
@@ -36,7 +35,8 @@ CLASS_DIMENSIONS = [
     (0.9, 0.8, 1.8),   # pedestrian-like
 ]
 # Object centers lie this near and far, in meters. The near depth must exceed a
-# jittered box's reach toward the camera, or a corner can land at z <= 0.
+# jittered box's reach toward the camera, or a corner can land at z <= 0 and
+# project_to_image raises BehindCameraError.
 DEPTH_RANGE = (6.0, 40.0)
 DIM_JITTER = 0.15  # each dimension is scaled by U(1 - DIM_JITTER, 1 + DIM_JITTER)
 GRID_NOISE = 0.05  # standard deviation of the Gaussian noise added to every grid entry
@@ -95,22 +95,11 @@ def _sample_object(rng: np.random.Generator, cfg: SceneConfig) -> GroundTruthObj
     x, y, _ = backproject(u_c, v_c, depth)
     box = OrientedBox3D(x, y, depth, dims[0], dims[1], dims[2], yaw)
 
-    us, vs = [], []
-    for corner in box3d_corners(box):
-        try:
-            cu, cv = project_to_image(corner)
-        except BehindCameraError:
-            continue
-        us.append(cu)
-        vs.append(cv)
-    u_min = max(min(us), u_c - 1.2)
-    u_max = min(max(us), u_c + 1.2)
-    v_min = max(min(vs), v_c - 1.2)
-    v_max = min(max(vs), v_c + 1.2)
+    us, vs = zip(*(project_to_image(corner) for corner in box3d_corners(box)))
     gt = GroundTruthObject(
         c=cls, x_c=u_c, y_c=v_c,
-        l=u_c - max(u_min, -0.2), r=min(u_max, 1.2) - u_c,
-        t=v_c - max(v_min, -0.2), b=min(v_max, 1.2) - v_c,
+        l=u_c - max(min(us), -0.2), r=min(max(us), 1.2) - u_c,
+        t=v_c - max(min(vs), -0.2), b=min(max(vs), 1.2) - v_c,
         l3d=dims[0], w3d=dims[1], h3d=dims[2], theta=yaw, d=depth)
     gt.validate(cfg.num_classes)
     return gt
@@ -118,9 +107,13 @@ def _sample_object(rng: np.random.Generator, cfg: SceneConfig) -> GroundTruthObj
 
 def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: str,
                    seed: int, num_objects: int | None = None) -> Scene:
-    """Sample one scene; ``num_objects`` overrides the K ~ U{1..max} draw."""
-    k = int(rng.integers(1, cfg.max_objects + 1)) if num_objects is None else num_objects
-    objects = [_sample_object(rng, cfg) for _ in range(k)]
+    """Sample one scene; ``num_objects``, a count from 0, overrides the K ~ U{1..max} draw."""
+    if num_objects is None:
+        num_objects = int(rng.integers(1, cfg.max_objects + 1))
+    elif (isinstance(num_objects, bool) or not isinstance(num_objects, (int, np.integer))
+          or num_objects < 0):
+        raise ValueError(f"num_objects must be a nonnegative integer, got {num_objects!r}")
+    objects = [_sample_object(rng, cfg) for _ in range(num_objects)]
     f = cfg.feature_size
     grid = np.zeros((f, f, grid_channels(cfg.num_classes)))
     nc = cfg.num_classes

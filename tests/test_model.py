@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -10,8 +10,15 @@ from vqdet import model
 from vqdet import numerics as nm
 from vqdet.attention import build_denoising_mask
 from vqdet.distill import iou_weights, refine
-from vqdet.geometry import NoiseConfig, apply_box_noise, iou3d
-from vqdet.losses import TargetArrays, component_loss
+from vqdet.geometry import (
+    NoiseConfig,
+    OrientedBox3D,
+    apply_box_noise,
+    backproject,
+    iou3d,
+    project_to_image,
+)
+from vqdet.losses import PredictionRows, TargetArrays, component_loss
 from vqdet.matching import hungarian, matching_cost
 from vqdet.model import (
     Detector,
@@ -534,11 +541,26 @@ class TestInference:
                 assert da == db
 
     def test_decode_box_rows_roundtrip_center(self):
-        det = Detector(TINY, seed=25)
-        scene = _scene(26)
-        dets = inference(det, scene)
-        if dets:
-            assert all(d.box3d.z > 0 for d in dets)
+        """The one array pass equals a per-row scalar lift, bit for bit, as plain floats."""
+        rng = np.random.default_rng(25)
+        m = 12
+        pred = PredictionRows(*(nm.Tensor(a) for a in (
+            rng.normal(size=(m, 2)), rng.uniform(-0.2, 1.2, (m, 2)), rng.uniform(0.0, 0.4, (m, 4)),
+            rng.uniform(0.1, 8.0, (m, 3)), rng.normal(size=(m, 2)), rng.uniform(0.5, 90.0, (m, 1)))))
+        centers, depths = pred.centers.data, pred.depth.data
+        rows = [7, 0, 11, 3, 3]
+        boxes = decode_box_rows(pred, rows)
+        assert len(boxes) == len(rows) and decode_box_rows(pred, []) == []
+        for r, box in zip(rows, boxes):
+            u, v, d = (float(x) for x in (centers[r, 0], centers[r, 1], depths[r, 0]))
+            sin, cos = pred.angle.data[r].tolist()
+            lifted = OrientedBox3D(*backproject(u, v, d), *pred.size3d.data[r].tolist(),
+                                   math.atan2(sin, cos))
+            assert all(type(x) is float for x in astuple(box))
+            assert [x.hex() for x in astuple(box)] == [x.hex() for x in astuple(lifted)]
+            pu, pv = project_to_image((box.x, box.y, box.z))
+            assert abs(pu - u) <= 1e-12 and abs(pv - v) <= 1e-12
+            assert box.z.hex() == d.hex()
 
     def test_identical_parameter_names_across_modes(self):
         base = Detector(DetectorConfig(groups=2, queries_per_group=3, noisy_groups=0,

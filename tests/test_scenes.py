@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vqdet import scenes
-from vqdet.geometry import MAX_DEPTH, OrientedBox3D
+from vqdet.geometry import MAX_DEPTH, BehindCameraError, OrientedBox3D
 from vqdet.scenes import (
     CLASS_DIMENSIONS,
     DEPTH_RANGE,
@@ -41,6 +41,12 @@ class TestSceneConfigValidation:
                                          for l3d, w3d, _ in CLASS_DIMENSIONS)
         assert reach < DEPTH_RANGE[0] < DEPTH_RANGE[1] < MAX_DEPTH
 
+    def test_corner_behind_the_camera_raises(self, monkeypatch):
+        """Nearer than a box's reach, a corner crosses the camera plane: no silent 2D box."""
+        monkeypatch.setattr(scenes, "DEPTH_RANGE", (1.0, 2.0))
+        with pytest.raises(BehindCameraError):
+            generate_scene(np.random.default_rng(0), SMALL, "s", 0, num_objects=8)
+
 
 class TestGenerateScene:
     def test_forced_empty_scene(self):
@@ -48,6 +54,15 @@ class TestGenerateScene:
         assert scene.objects == []
         assert scene.grid.shape == (8, 8, grid_channels(SMALL.num_classes))
         assert np.abs(scene.grid).max() < 1.0  # pure noise, no splats
+
+    @pytest.mark.parametrize("count", [-3, 2.5, True, "2", np.float64(2.0)])
+    def test_num_objects_must_be_a_nonnegative_integer(self, count):
+        with pytest.raises(ValueError, match="^num_objects must be a nonnegative integer"):
+            generate_scene(np.random.default_rng(0), SMALL, "s", 0, num_objects=count)
+
+    def test_num_objects_accepts_numpy_integers(self):
+        scene = generate_scene(np.random.default_rng(0), SMALL, "s", 0, num_objects=np.int64(2))
+        assert len(scene.objects) == 2
 
     def test_fixed_seed_bit_identical(self):
         a = generate_scene(np.random.default_rng(7), SMALL, "s", 7)

@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 
 from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject
-from vqdet.gradcheck import OP_TOLERANCE, check_params_fn
+from vqdet.gradcheck import OP_TOLERANCE, check_gradients
 from vqdet.losses import (W_ANGLE, W_CENTER, W_CLS, W_DEPTH, W_GIOU, W_LRTB, W_SIZE,
                           PredictionRows, TargetArrays)
 from vqdet.vqd import (
@@ -69,7 +69,7 @@ class TestEncoder:
         def loss_fn():
             return nm.sum_all(gen.encode(boxes).mu * nm.Tensor(pm))
 
-        assert check_params_fn(loss_fn, store) <= OP_TOLERANCE
+        assert check_gradients(loss_fn, list(store.tensors())) <= OP_TOLERANCE
 
 
 class TestReparameterization:
