@@ -7,7 +7,9 @@ truth into another :class:`GroundTruthObject`. Image coordinates are
 normalized to [0, 1] on both axes. The camera frame is x right, y down, z
 forward; yaw rotates a box about the vertical (y) axis, turning its length
 axis from +x toward +z. :func:`backproject` lifts a point or whole columns
-of image coordinates and depths with the same formula.
+of image coordinates and depths with the same formula. :func:`bev_corners`
+gives an oriented box's one set of corners, its footprint: :func:`iou3d`
+clips it, and the scene sampler projects it at the box's bottom and top.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class GroundTruthObject:
     def validate(self, num_classes: int) -> None:
         if not 0 <= self.c < num_classes:
             raise ValueError(f"category {self.c} out of range")
-        if min(self.l, self.r, self.t, self.b) < 0:
-            raise ValueError("edge distances must be nonnegative")
+        if min(self.l, self.r, self.t, self.b) <= 0:
+            raise ValueError("edge distances must be positive")
         if not (self.x_c - self.l >= -0.25 and self.x_c + self.r <= 1.25
                 and self.y_c - self.t >= -0.25 and self.y_c + self.b <= 1.25):
             raise ValueError("2D box leaves the allowed frame margin")
@@ -248,14 +250,3 @@ def box3d_from_ground_truth(gt: GroundTruthObject) -> OrientedBox3D:
     """Lift a ground truth to a camera-frame oriented box via its depth."""
     return OrientedBox3D(*backproject(gt.x_c, gt.y_c, gt.d), gt.l3d, gt.w3d, gt.h3d, gt.theta)
 
-
-def box3d_corners(box: OrientedBox3D) -> np.ndarray:
-    """All eight corners of the oriented box, shape (8, 3)."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    hl, hw, hh = box.l3d / 2, box.w3d / 2, box.h3d / 2
-    corners = []
-    for dx in (-hl, hl):
-        for dy in (-hh, hh):
-            for dz in (-hw, hw):
-                corners.append((box.x + dx * c - dz * s, box.y + dy, box.z + dx * s + dz * c))
-    return np.array(corners)

@@ -7,13 +7,15 @@ differences (step 1e-6, double precision). The reported figure per check is
     max_i |analytic_i - numeric_i| / max(|analytic_i|, |numeric_i|, 1e-3)
 
 i.e. a relative error with an absolute floor that keeps near-zero entries
-from dividing by noise. The registry is the single source of truth for the
+from dividing by noise; a NaN entry counts as an infinite error, so its
+check fails. The registry is the single source of truth for the
 operation list printed by the ``grad-check`` CLI command. The reference ops
 that only the tests compose are checked by the tests, with the same helpers.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Callable, Sequence
 
@@ -47,7 +49,8 @@ def numeric_gradients(f: Callable[[], float], arrays: list[np.ndarray]) -> list[
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
-    return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+    err = float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+    return math.inf if math.isnan(err) else err
 
 
 def check_gradients(loss_fn: Callable[[], nm.Tensor], leaves: Sequence[nm.Tensor]) -> float:
@@ -116,14 +119,14 @@ def _elementwise(op: Callable[[nm.Tensor], nm.Tensor], shape: tuple[int, ...],
 
 def _check_component_loss(rng) -> float:
     """A block of a 6-row stack with two positive rows, and a block without any."""
-    from .losses import PredictionRows, TargetArrays, component_loss
+    from .losses import PredictionRows, TargetArrays, component_loss, corner_boxes
 
     centers = rng.uniform(0.3, 0.7, (6, 2))
     lrtb = rng.uniform(0.1, 0.3, (6, 4))
     arrays = [rng.normal(size=(6, 2)) * 2.0, centers, lrtb, rng.normal(size=(6, 3)),
               rng.normal(size=(6, 2)), rng.normal(size=(6, 1))]
     positives = [3, 1]
-    corners = np.concatenate([centers - lrtb[:, [0, 2]], centers + lrtb[:, [1, 3]]], axis=1)
+    corners = corner_boxes(centers, lrtb)
     table = np.concatenate(
         [a[positives] + _away_from(rng.normal(size=(2, a.shape[1])), [0.0]) for a in arrays[1:]]
         + [corners[positives] + rng.uniform(0.01, 0.15, (2, 4))], axis=1)  # no min/max ties

@@ -14,8 +14,14 @@ A box row, target or noisy box, has one array form, :class:`TargetArrays`,
 built once per step from a list of :class:`GroundTruthObject`. A block's
 targets are the ground truths' bundle (a noisy block) or its matched rows
 (``take``); the matching cost reads the same bundle, and the query
-generator the noisy boxes'. :func:`corner_boxes` serves predictions and
-targets alike.
+generator the noisy boxes'. :func:`corner_boxes` serves the targets' table
+and the detections alike.
+
+:func:`giou_pairs` is the one generalized IoU (arXiv 1902.09630): one
+kernel, from predicted centers and edge distances against target corner
+boxes, returns the values and their VJP. :func:`component_loss` sums it
+over the positive rows, and the matching cost broadcasts it over every
+(row, target) pair, so the matcher and the loss score the same GIoU.
 
 :func:`component_loss` scores one block as one tape op with a closed-form
 gradient: it reads the block's logits and its positive rows of the five
@@ -66,10 +72,6 @@ class PredictionRows:
     def class_probs(self) -> np.ndarray:
         """Detached per-class sigmoid probabilities, for matching/inference."""
         return 1.0 / (1.0 + np.exp(-self.class_logits.data))
-
-    def corner_boxes_array(self) -> np.ndarray:
-        """Detached (rows, 4) corner boxes, for matching."""
-        return corner_boxes(self.centers.data, self.lrtb.data)
 
 
 class TargetArrays:
@@ -138,36 +140,39 @@ def _focal_sum(z: np.ndarray, t: np.ndarray):
     return weighted.sum(), vjp
 
 
-def _giou_sum(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
-    """Sum over rows of the GIoU of predicted and target corner boxes.
+def giou_pairs(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
+    """GIoU of predicted and target corner boxes, pair by pair.
 
-    Row i's predicted corner box is center ``c[i]`` minus its left/top and
-    plus its right/bottom distance ``e[i]``, scored against the corner box
-    ``tc[i]``. Corners are packed as (k, 2) columns of x and y: ``lo`` and
-    ``hi`` are the prediction's (x0, y0) and (x1, y1), so one call serves
-    both axes. Target boxes must be non-degenerate; their positive areas
-    bound union and hull away from zero, keeping the divisions safe. Every
-    min/max routes its gradient to the predicted coordinate on a tie, and a
-    zero-width intersection passes no gradient. Returns the sum and a VJP
-    mapping the gradient ``g`` of the sum to those of ``c`` and ``e``.
+    A predicted corner box is center ``c`` minus its left/top and plus its
+    right/bottom distance ``e``, scored against the target corner box
+    ``tc``. Corners are packed with x and y on the last axis: ``lo`` and
+    ``hi`` are the prediction's (x0, y0) and (x1, y1), so one expression
+    serves both axes. The leading axes broadcast: (k, 2), (k, 4) and (k, 4)
+    arrays score k pairs, and (n, 1, 2), (n, 1, 4) and (m, 4) arrays every
+    (prediction, target) pair, the matching cost's (n, m) grid. Target boxes
+    must have positive extent; their areas bound union and hull away from
+    zero, keeping the divisions safe. Every min/max routes its gradient to
+    the predicted coordinate on a tie, and a zero-width intersection passes
+    no gradient. Returns the GIoU values and a VJP, for k pairs, mapping
+    their gradient ``g`` to those of ``c`` and ``e``.
     """
-    lo, hi = c - e[:, 0::2], c + e[:, 1::2]
-    tlo, thi = tc[:, :2], tc[:, 2:]
+    lo, hi = c - e[..., 0::2], c + e[..., 1::2]
+    tlo, thi = tc[..., :2], tc[..., 2:]
     # take_* marks where the predicted coordinate wins each min/max
     take_i1, take_i0 = hi <= thi, lo >= tlo
     take_h1, take_h0 = hi >= thi, lo <= tlo
     raw = np.where(take_i1, hi, thi) - np.where(take_i0, lo, tlo)
     keep = raw > 0.0
     inter_wh = np.where(keep, raw, 0.0)
-    inter = inter_wh[:, 0] * inter_wh[:, 1]
+    inter = inter_wh[..., 0] * inter_wh[..., 1]
     wh, twh = hi - lo, thi - tlo
-    union = wh[:, 0] * wh[:, 1] + twh[:, 0] * twh[:, 1] - inter
+    union = wh[..., 0] * wh[..., 1] + twh[..., 0] * twh[..., 1] - inter
     hull_wh = np.where(take_h1, hi, thi) - np.where(take_h0, lo, tlo)
-    hull = hull_wh[:, 0] * hull_wh[:, 1]
+    hull = hull_wh[..., 0] * hull_wh[..., 1]
     giou = inter / union - (hull - union) / hull
 
     def vjp(g):
-        # giou = inter / union - (hull - union) / hull, the same g for every row
+        # giou = inter / union - (hull - union) / hull; g is a scalar or one per pair
         g_inter = g / union
         g_union = -g * inter / (union * union) + g / hull
         g_hull = -g * union / (hull * hull)
@@ -181,7 +186,7 @@ def _giou_sum(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
         # (x0, y0) = c - (l, t) and (x1, y1) = c + (r, b)
         return g_lo + g_hi, np.stack([-g_lo, g_hi], axis=2).reshape(-1, 4)
 
-    return giou.sum(), vjp
+    return giou, vjp
 
 
 def _unique_rows(rows: Sequence[int], count: int, what: str):
@@ -248,9 +253,9 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
         diffs = [p - a for p, a in zip(preds, targets.boxes)]
         l1_scale = 1.0 / normalizer
         l1 = [np.abs(d).sum() * l1_scale for d in diffs]
-        giou, giou_vjp = _giou_sum(preds[0], preds[1], targets.corners)
+        giou, giou_vjp = giou_pairs(preds[0], preds[1], targets.corners)
         # the terms in weight order, added left to right
-        out = (out + l1[0] * W_CENTER + l1[1] * W_LRTB + (giou * cls_scale + 1.0) * W_GIOU
+        out = (out + l1[0] * W_CENTER + l1[1] * W_LRTB + (giou.sum() * cls_scale + 1.0) * W_GIOU
                + l1[2] * W_SIZE + l1[3] * W_ANGLE + l1[4] * W_DEPTH)
 
     def vjp(g):

@@ -10,8 +10,8 @@ numpy scalars at about half the cost per operation, and visits only the
 columns not yet in the alternating tree.
 Assignments are discrete: no gradient flows through them, only through the
 losses later evaluated at the matched pairs. The cost weighs its class,
-center and GIoU terms with the set-prediction objective's own weights, which
-:mod:`losses` owns.
+center and GIoU terms with the set-prediction objective's own weights, and
+scores GIoU with the objective's own kernel; :mod:`losses` owns both.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import W_CENTER, W_CLS, W_GIOU, TargetArrays
+from .losses import W_CENTER, W_CLS, W_GIOU, TargetArrays, giou_pairs
 
 
 @dataclass
@@ -113,43 +113,15 @@ def hungarian(cost: np.ndarray) -> Assignment:
     return Assignment(pairs=pairs, total_cost=total)
 
 
-def _giou2d_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Generalized IoU of every (row of a, row of b) pair, as an (n, m) matrix.
-
-    The operations are those of the scalar reference ``giou2d`` in
-    ``tests/oracles.py``, in its order, with Python's min/max tie rule (the
-    first argument wins), so every entry is bitwise equal to it, including
-    its degenerate-hull and zero-union branches.
-    """
-    if (a[:, 0] > a[:, 2]).any() or (a[:, 1] > a[:, 3]).any() \
-            or (b[:, 0] > b[:, 2]).any() or (b[:, 1] > b[:, 3]).any():
-        raise ValueError("corner box has min > max")
-    ax0, ay0, ax1, ay1 = (a[:, j:j + 1] for j in range(4))
-    bx0, by0, bx1, by1 = b.T
-    inter_w = np.where(bx1 < ax1, bx1, ax1) - np.where(bx0 > ax0, bx0, ax0)
-    inter_h = np.where(by1 < ay1, by1, ay1) - np.where(by0 > ay0, by0, ay0)
-    inter = np.where(inter_w > 0.0, inter_w, 0.0) * np.where(inter_h > 0.0, inter_h, 0.0)
-    area_a = (ax1 - ax0) * (ay1 - ay0)
-    area_b = (bx1 - bx0) * (by1 - by0)
-    union = area_a + area_b - inter
-    hull = (np.where(bx1 > ax1, bx1, ax1) - np.where(bx0 < ax0, bx0, ax0)) \
-        * (np.where(by1 > ay1, by1, ay1) - np.where(by0 < ay0, by0, ay0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iou = np.where(union > 0.0, inter / union, 0.0)
-        giou = iou - (hull - union) / hull
-    # a hull of zero area: both boxes collapse to one point or a shared segment
-    same = (ax0 == bx0) & (ay0 == by0) & (ax1 == bx1) & (ay1 == by1)
-    return np.where(hull <= 0.0, np.where(same, 1.0, 0.0), giou)
-
-
-def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
-                  corner_boxes: np.ndarray, targets: TargetArrays) -> np.ndarray:
+def matching_cost(class_probs: np.ndarray, centers: np.ndarray, lrtb: np.ndarray,
+                  targets: TargetArrays) -> np.ndarray:
     """(num queries, num targets) DETR matching cost from detached predictions.
 
     cost = W_CLS * (1 - p[target class]) + W_CENTER * L1(center)
-         + W_GIOU * (1 - giou2d), with the objective's own weights and
-    target arrays from :mod:`losses`; all inputs are plain arrays, off the
-    tape.
+         + W_GIOU * (1 - GIoU), with the objective's own weights, target
+    arrays and GIoU kernel from :mod:`losses`, broadcast over every (query,
+    target) pair of the queries' centers and edge distances; all inputs are
+    plain arrays, off the tape.
     """
     nq = class_probs.shape[0]
     if nq == 0 or len(targets) == 0:
@@ -158,5 +130,5 @@ def matching_cost(class_probs: np.ndarray, centers: np.ndarray,
     cls_term = 1.0 - class_probs[:, targets.classes]
     center_term = (np.abs(centers[:, 0:1] - gt_xy[:, 0])
                    + np.abs(centers[:, 1:2] - gt_xy[:, 1]))
-    giou_term = 1.0 - _giou2d_grid(np.asarray(corner_boxes, dtype=np.float64), targets.corners)
-    return W_CLS * cls_term + W_CENTER * center_term + W_GIOU * giou_term
+    giou, _ = giou_pairs(centers[:, None], lrtb[:, None], targets.corners)
+    return W_CLS * cls_term + W_CENTER * center_term + W_GIOU * (1.0 - giou)

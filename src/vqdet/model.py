@@ -44,7 +44,7 @@ from .attention import (
 )
 from .distill import forward_looking_distill, iou_weights
 from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject, iou3d
-from .losses import PredictionRows, TargetArrays, component_loss
+from .losses import PredictionRows, TargetArrays, component_loss, corner_boxes
 from .matching import Assignment, hungarian, matching_cost
 from .numerics import ParameterStore, Tensor
 from .scenes import Detection, Scene, grid_channels
@@ -326,7 +326,9 @@ def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
     outputs: block b = l*G + g, layer l's group g, owns rows [b*s, (b+1)*s)
     of both, n learnable rows, then the noisy rows, where noisy row
     n + j*k + i reconstructs ground truth i. One matching cost over the
-    learnable rows of every block gives each block its Hungarian assignment.
+    learnable rows of every block gives each block its Hungarian assignment;
+    a non-finite cost raises FloatingPointError naming the first non-finite
+    tensor behind it.
     With distillation on, the final layer's matched learnable rows and all
     noisy rows of every group are decoded once: their 3D IoU with their
     ground truths, divided by the row count R, weights them, and the final
@@ -337,7 +339,10 @@ def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
     n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
     learnable = (np.arange(cfg.layers * groups)[:, None] * s + np.arange(n)).ravel()
     cost = matching_cost(pred.class_probs()[learnable], pred.centers.data[learnable],
-                         pred.corner_boxes_array()[learnable], targets)
+                         pred.lrtb.data[learnable], targets)
+    if not np.isfinite(cost).all():
+        culprit = nm.first_non_finite([pred.class_logits, pred.centers, pred.lrtb], det.store)
+        raise FloatingPointError(f"step_decisions: matching cost is not finite; {culprit}")
     assignments = [[hungarian(cost[b * n:(b + 1) * n])
                     for b in range(layer * groups, (layer + 1) * groups)]
                    for layer in range(cfg.layers)]
@@ -427,7 +432,8 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
         pred = det.apply_heads(rows[-1], refs)
     probs = pred.class_probs()
     decoded = zip(probs.max(axis=1).tolist(), probs.argmax(axis=1).tolist(),
-                  decode_box_rows(pred, range(n)), pred.corner_boxes_array().tolist())
+                  decode_box_rows(pred, range(n)),
+                  corner_boxes(pred.centers.data, pred.lrtb.data).tolist())
     # a row goes only when its score is below the threshold, so a NaN score stays
     return [Detection(scene_id=scene.scene_id, category=category, score=score, box3d=box,
                       corners2d=tuple(corners))

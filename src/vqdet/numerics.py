@@ -6,7 +6,8 @@ operations record their inputs and a vector-Jacobian closure; calling
 :func:`backward` on a scalar loss walks the recorded graph once in reverse
 topological order and accumulates gradients into the ``requires_grad``
 leaves on the path, such as parameters. A non-finite loss stops
-:func:`backward` with an error naming the first non-finite tensor. A VJP may
+:func:`backward` with an error naming the first non-finite tensor, which
+:func:`first_non_finite` finds by the same walk. A VJP may
 give a parent a :class:`RowGrad`, which :func:`backward` adds in place
 (``acc[rows] += values``, into zeros the first time): the dense sum up to
 the sign of its zeros. A leaf's gradient starts as ``g + 0.0``, so every
@@ -373,8 +374,6 @@ def gaussian_kl(mu: Tensor, log_var: Tensor) -> Tensor:
     """
     if mu.data.shape != log_var.data.shape:
         raise ShapeError(f"gaussian_kl: shapes {mu.data.shape} vs {log_var.data.shape}")
-    if not (np.isfinite(mu.data).all() and np.isfinite(log_var.data).all()):
-        raise FloatingPointError("gaussian_kl: non-finite input")
     rows = mu.data.shape[0] if mu.data.ndim >= 1 else 1
     if mu.data.size == 0:
         return _node(np.asarray(0.0), (mu, log_var), lambda g: (np.zeros_like(mu.data),
@@ -475,26 +474,11 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
         raise DoubleBackwardError("backward already ran for this loss; rebuild the graph")
     loss._backward_done = True
 
-    # Iterative post-order over the requires_grad subgraph.
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
     if not np.isfinite(loss.data).all():
         raise FloatingPointError(f"backward: loss is {float(loss.data)!r}; "
-                                 f"{_first_non_finite(order, store)}")
+                                 f"{first_non_finite([loss], store)}")
 
+    order = _post_order([loss])
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
@@ -529,15 +513,37 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
                 t.grad = np.zeros_like(t.data)
 
 
-def _first_non_finite(order: list[Tensor], store: "ParameterStore | None") -> str:
-    """Describe the first tensor of ``order`` holding a NaN or an infinity.
+def _post_order(roots: Sequence[Tensor]) -> list[Tensor]:
+    """``roots`` and their recorded ancestors, each after all of its parents."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(r, False) for r in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+    return order
 
-    Parents precede their outputs in ``order``, so every recorded input of
-    the named tensor is finite: it is where the non-finite values start.
-    ``order`` ends with the non-finite loss, so there is always one. An op
-    is named by the function that made its VJP.
+
+def first_non_finite(roots: Sequence[Tensor], store: "ParameterStore | None") -> str:
+    """Describe the first tensor on the tape of ``roots`` holding a NaN or an infinity.
+
+    The tape is walked in post-order, so every recorded input of the named
+    tensor is finite: it is where the non-finite values start. An op is
+    named by the function that made its VJP, a parameter of ``store`` by its
+    name.
     """
-    t = next(t for t in order if not np.isfinite(t.data).all())
+    t = next((t for t in _post_order(roots) if not np.isfinite(t.data).all()), None)
+    if t is None:
+        return "every tensor on its tape is finite"
     if t._vjp is not None:
         what = f"{t._vjp.__qualname__.split('.')[0]} output"
     else:

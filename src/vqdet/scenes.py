@@ -20,7 +20,7 @@ from .geometry import (
     GroundTruthObject,
     OrientedBox3D,
     backproject,
-    box3d_corners,
+    bev_corners,
     box3d_from_ground_truth,
     iou3d,
     project_to_image,
@@ -95,7 +95,10 @@ def _sample_object(rng: np.random.Generator, cfg: SceneConfig) -> GroundTruthObj
     x, y, _ = backproject(u_c, v_c, depth)
     box = OrientedBox3D(x, y, depth, dims[0], dims[1], dims[2], yaw)
 
-    us, vs = zip(*(project_to_image(corner) for corner in box3d_corners(box)))
+    # the box's eight corners: its footprint at y - h3d/2 and y + h3d/2
+    hh = box.h3d / 2
+    us, vs = zip(*(project_to_image((x, y, z)) for x, z in bev_corners(box)
+                   for y in (box.y - hh, box.y + hh)))
     gt = GroundTruthObject(
         c=cls, x_c=u_c, y_c=v_c,
         l=u_c - max(min(us), -0.2), r=min(max(us), 1.2) - u_c,

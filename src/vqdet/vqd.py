@@ -35,17 +35,14 @@ BETA = 0.1  # weight of the KL term in the variational denoising loss
 
 @dataclass
 class LatentDistribution:
-    """Per-noisy-query Gaussian parameters, each (K, D); log_var pre-clamped."""
+    """Per-noisy-query Gaussian parameters, each (K, D); log_var pre-clamped.
+
+    A non-finite entry is not checked here: the step's matching cost or its
+    loss is, and the error names the first non-finite tensor.
+    """
 
     mu: Tensor
     log_var: Tensor
-
-    def __post_init__(self):
-        if self.mu.data.shape != self.log_var.data.shape:
-            raise nm.ShapeError(
-                f"latent shapes differ: {self.mu.data.shape} vs {self.log_var.data.shape}")
-        if not (np.isfinite(self.mu.data).all() and np.isfinite(self.log_var.data).all()):
-            raise FloatingPointError("latent distribution has non-finite entries")
 
 
 @dataclass(frozen=True)

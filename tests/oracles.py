@@ -200,9 +200,14 @@ def points_in_oriented_box(points: np.ndarray, box) -> np.ndarray:
 
 def monte_carlo_iou3d(a, b, n_samples: int, rng: np.random.Generator) -> float:
     """Volume-sampled IoU over the union's axis-aligned bounding box."""
-    from vqdet.geometry import box3d_corners
-
-    corners = np.vstack([box3d_corners(a), box3d_corners(b)])
+    corners = []
+    for box in (a, b):
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        for dx, dy, dz in itertools.product((-box.l3d / 2, box.l3d / 2),
+                                            (-box.h3d / 2, box.h3d / 2),
+                                            (-box.w3d / 2, box.w3d / 2)):
+            corners.append((box.x + dx * c - dz * s, box.y + dy, box.z + dx * s + dz * c))
+    corners = np.array(corners)
     lo = corners.min(axis=0)
     hi = corners.max(axis=0)
     pts = rng.uniform(lo, hi, size=(n_samples, 3))

@@ -56,6 +56,15 @@ class TestProjection:
 
 
 class TestGroundTruthValidation:
+    @pytest.mark.parametrize("edge", range(4))
+    def test_zero_edge_distance_rejected(self, edge):
+        """The GIoU kernel divides by the target's 2D area, so every edge distance is positive."""
+        lrtb = [0.1, 0.1, 0.1, 0.1]
+        lrtb[edge] = 0.0
+        gt = GroundTruthObject(0, 0.5, 0.5, *lrtb, 3.5, 1.6, 1.5, 0.0, 20.0)
+        with pytest.raises(ValueError, match="edge distances must be positive"):
+            gt.validate(num_classes=3)
+
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_yaw_rejected(self, theta):
         gt = GroundTruthObject(0, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, theta, 20.0)

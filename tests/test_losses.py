@@ -24,6 +24,7 @@ from vqdet.losses import (
     PredictionRows,
     TargetArrays,
     component_loss,
+    corner_boxes,
 )
 from oracles import (
     box2d_corners,
@@ -346,16 +347,13 @@ class TestFusedOpsMatchComposite:
                                   [c, e], rng.normal())
 
     def test_corner_boxes(self):
-        """Matching's detached corner boxes are the composite's and the ones giou_loss scores."""
+        """Detached corner boxes are the composite's and the ones giou_loss scores."""
         rng = np.random.default_rng(12)
-        centers, lrtb = _random_centers_lrtb(rng, 5)
-        pred = PredictionRows(*(nm.Tensor(a) for a in (
-            np.zeros((5, 3)), centers, lrtb, np.ones((5, 3)), np.ones((5, 2)), np.ones((5, 1)))))
-        boxes = pred.corner_boxes_array()
-        composite = composite_corner_boxes(nm.Tensor(centers), nm.Tensor(lrtb))
-        assert boxes.tobytes() == composite.data.tobytes()
+        centers, lrtb = (nm.Tensor(a) for a in _random_centers_lrtb(rng, 5))
+        boxes = corner_boxes(centers.data, lrtb.data)
+        assert boxes.tobytes() == composite_corner_boxes(centers, lrtb).data.tobytes()
         # every box against itself has GIoU 1
-        assert giou_loss(pred.centers, pred.lrtb, boxes, 5.0).item() == pytest.approx(
+        assert giou_loss(centers, lrtb, boxes, 5.0).item() == pytest.approx(
             0.0, abs=1e-15)
 
     def test_l1_loss(self):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from vqdet.geometry import GroundTruthObject
-from vqdet.losses import TargetArrays
+from vqdet.losses import W_CENTER, W_CLS, W_GIOU, TargetArrays, corner_boxes, giou_pairs
 from vqdet.matching import hungarian, matching_cost
-from vqdet.losses import W_CENTER, W_CLS, W_GIOU
 from oracles import (box2d_corners, brute_force_min_cost, flagged_hungarian_scan, giou2d,
                      loop_matching_cost)
 
@@ -14,13 +13,11 @@ def _gt(c=0, x=0.5, y=0.5, half=0.1):
 
 
 def _features(rng, nq=4):
-    """Detached (class probs, centers, corner boxes) of ``nq`` random queries."""
+    """Detached (class probs, centers, edge distances) of ``nq`` random queries."""
     probs = rng.random((nq, 3))
     centers = rng.random((nq, 2))
     sizes = rng.uniform(0.05, 0.2, size=(nq, 2))
-    boxes = np.stack([centers[:, 0] - sizes[:, 0], centers[:, 1] - sizes[:, 1],
-                      centers[:, 0] + sizes[:, 0], centers[:, 1] + sizes[:, 1]], axis=1)
-    return probs, centers, boxes
+    return probs, centers, np.repeat(sizes, 2, axis=1)
 
 
 class TestHungarian:
@@ -129,8 +126,8 @@ class TestMatchingCost:
         gt = _gt(c=1)
         probs = np.array([[0.0, 1.0, 0.0]])
         centers = np.array([[gt.x_c, gt.y_c]])
-        boxes = np.array([box2d_corners(gt)])
-        cost = matching_cost(probs, centers, boxes, TargetArrays.of([gt]))
+        lrtb = np.array([[gt.l, gt.r, gt.t, gt.b]])
+        cost = matching_cost(probs, centers, lrtb, TargetArrays.of([gt]))
         assert cost[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_ground_truths_empty_columns(self):
@@ -146,8 +143,9 @@ class TestMatchingCost:
         g1 = _gt(c=1, x=0.7, y=0.6)
         probs = np.array([[0.8, 0.2, 0.0], [0.1, 0.6, 0.3]])
         centers = np.array([[0.42, 0.40], [0.70, 0.65]])
-        boxes = np.array([[0.3, 0.3, 0.5, 0.5], [0.6, 0.5, 0.8, 0.7]])
-        cost = matching_cost(probs, centers, boxes, TargetArrays.of([g0, g1]))
+        lrtb = np.array([[0.12, 0.08, 0.1, 0.1], [0.1, 0.1, 0.15, 0.05]])
+        boxes = corner_boxes(centers, lrtb)
+        cost = matching_cost(probs, centers, lrtb, TargetArrays.of([g0, g1]))
         for i, (p, ctr, box) in enumerate(zip(probs, centers, boxes)):
             for j, gt in enumerate([g0, g1]):
                 expected = (W_CLS * (1 - p[gt.c])
@@ -161,26 +159,29 @@ class TestMatchingCost:
         for nq, ng in [(1, 1), (16, 4), (16, 12), (5, 9)]:
             probs = rng.random((nq, 3))
             centers = rng.random((nq, 2))
-            lo = rng.uniform(0.0, 0.7, size=(nq, 2))
-            boxes = np.concatenate([lo, lo + rng.uniform(0.0, 0.3, size=(nq, 2))], axis=1)
+            lrtb = rng.uniform(0.0, 0.3, size=(nq, 4))
             gts = [GroundTruthObject(int(rng.integers(3)), *rng.uniform(0.2, 0.8, 2),
-                                     *rng.uniform(0.0, 0.2, 4), 4, 2, 1.5, 0.0, 20)
+                                     *rng.uniform(0.01, 0.2, 4), 4, 2, 1.5, 0.0, 20)
                    for _ in range(ng)]
             # a query on its ground truth (every min/max ties), one on a shared
-            # edge (zero-width intersection) and two points: the same point
-            # (degenerate hull) and distinct points (zero union)
-            gts[0] = GroundTruthObject(0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 4, 2, 1.5, 0.0, 20)
-            boxes[0] = box2d_corners(gts[-1])
+            # edge (zero-width intersection) and two points
+            g = gts[-1]
+            centers[0], lrtb[0] = (g.x_c, g.y_c), (g.l, g.r, g.t, g.b)
             if nq > 3:
-                boxes[1] = [0.5, 0.5, 0.5, 0.5]
-                boxes[2] = [0.2, 0.1, 0.2, 0.1]
-                g = box2d_corners(gts[-1])
-                boxes[3] = [g[2], g[1], g[2] + 0.1, g[3]]
-            got = matching_cost(probs, centers, boxes, TargetArrays.of(gts))
-            want = loop_matching_cost(probs, centers, boxes, gts)
+                centers[1], lrtb[1] = (0.5, 0.5), 0.0
+                centers[2], lrtb[2] = (0.2, 0.1), 0.0
+                x0, y0, x1, y1 = box2d_corners(g)
+                centers[3], lrtb[3] = (x1, y0), (0.0, 0.1, 0.0, y1 - y0)
+            got = matching_cost(probs, centers, lrtb, TargetArrays.of(gts))
+            want = loop_matching_cost(probs, centers, corner_boxes(centers, lrtb), gts)
             assert got.tobytes() == want.tobytes()
 
-    def test_inverted_box_rejected(self):
-        boxes = np.array([[0.3, 0.3, 0.2, 0.5]])
-        with pytest.raises(ValueError, match="min > max"):
-            matching_cost(np.zeros((1, 3)), np.zeros((1, 2)), boxes, TargetArrays.of([_gt()]))
+    def test_giou_is_the_loss_kernel_pair_by_pair(self):
+        """Broadcast over (query, target) pairs, the loss's kernel gives each pair's GIoU."""
+        rng = np.random.default_rng(7)
+        _, centers, lrtb = _features(rng, nq=6)
+        targets = TargetArrays.of([_gt(x=0.3), _gt(x=0.6, half=0.05), _gt(half=0.2)])
+        grid, _ = giou_pairs(centers[:, None], lrtb[:, None], targets.corners)
+        for j in range(len(targets)):
+            pairs, _ = giou_pairs(centers, lrtb, targets.take([j] * 6).corners)
+            assert grid[:, j].tobytes() == pairs.tobytes()

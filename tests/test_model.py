@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import astuple, fields, replace
 
@@ -18,7 +19,7 @@ from vqdet.geometry import (
     iou3d,
     project_to_image,
 )
-from vqdet.losses import PredictionRows, TargetArrays, component_loss
+from vqdet.losses import PredictionRows, TargetArrays, component_loss, corner_boxes
 from vqdet.matching import hungarian, matching_cost
 from vqdet.model import (
     Detector,
@@ -273,13 +274,19 @@ class TestTrainingLoss:
         again = training_loss(det, scene, noisy, DenoisingConfig(), replay=d)
         assert again.total.data.tobytes() == first.total.data.tobytes()
 
-    def test_planted_nan_parameter_is_named_by_backward(self):
+    @pytest.mark.parametrize("name", ["enc.proj.w", "dec0.ffn.1.w", "head.lrtb.b",
+                                      "queries.ref", "vqg.mu.b", "refiner.2.b"])
+    def test_planted_nan_parameter_is_named_by_backward(self, name):
+        """The matching cost's check or backward names the parameter, whichever sees it first."""
         det = Detector(TINY, seed=29)
         scene = _scene(30, num_objects=2)
-        det.store["refiner.2.b"].data[3] = np.nan  # reaches only the distillation term
-        out = training_loss(det, scene, _noisy(det, scene), DenoisingConfig())
-        assert np.isfinite(out.detection.item()) and np.isnan(out.total.item())
-        with pytest.raises(FloatingPointError, match=r"parameter 'refiner\.2\.b' \(8,\)"):
+        param = det.store[name]
+        param.data.flat[3] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match=re.escape(f"parameter '{name}' {param.data.shape}")):
+            out = training_loss(det, scene, _noisy(det, scene), DenoisingConfig())
+            # only the distillation term reads the refiner
+            assert name == "refiner.2.b" and np.isfinite(out.detection.item())
             nm.backward(out.total, det.store)
 
     def test_fixed_noise_fixed_loss(self):
@@ -417,11 +424,11 @@ class TestStackedScoring:
         stack, pred, s = _stacked_rows(det, scene, noisy)
         decisions = step_decisions(det, stack, pred, scene, TargetArrays.of(scene.objects), s)
         n = self.CFG.queries_per_group
-        probs, centers, boxes = pred.class_probs(), pred.centers.data, pred.corner_boxes_array()
+        probs, centers, lrtb = pred.class_probs(), pred.centers.data, pred.lrtb.data
         assert len(costs) == 1 and len(solved) == self.CFG.layers * self.CFG.groups
         for b, given in enumerate(solved):
             rows_b = slice(b * s, b * s + n)
-            alone = matching_cost(probs[rows_b], centers[rows_b], boxes[rows_b],
+            alone = matching_cost(probs[rows_b], centers[rows_b], lrtb[rows_b],
                                   TargetArrays.of(scene.objects))
             assert alone.tobytes() == given.tobytes()
             layer, g = divmod(b, self.CFG.groups)
@@ -498,7 +505,7 @@ class TestInference:
         pred = det.apply_heads(rows[-1], refs)
         assert pred.class_logits.requires_grad
         boxes = decode_box_rows(pred, list(range(n)))
-        probs, corners = pred.class_probs(), pred.corner_boxes_array()
+        probs, corners = pred.class_probs(), corner_boxes(pred.centers.data, pred.lrtb.data)
         dets = inference(det, scene)
         assert len(dets) == n
         for r, d in enumerate(dets):

@@ -100,11 +100,6 @@ def test_gaussian_kl_unit_values():
         0.5 * (math.e - 2.0), abs=1e-12)
 
 
-def test_gaussian_kl_rejects_non_finite():
-    with pytest.raises(FloatingPointError):
-        nm.gaussian_kl(nm.Tensor(np.array([np.inf])), nm.Tensor(np.array([0.0])))
-
-
 def test_gaussian_kl_nonnegative_property():
     rng = np.random.default_rng(7)
     for _ in range(50):
