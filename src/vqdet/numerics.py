@@ -15,8 +15,15 @@ zero a leaf receives is +0.0.
 
 Inside :func:`no_grad` the same ops compute the same values but record
 nothing: inference and finite-difference probes, which need only values,
-keep no graph alive. A value that only the backward pass reads is computed
-in the VJP, not in the forward op, so untaped calls do not pay for it.
+keep no graph alive.
+
+The kernels follow three rules. No ``np.where`` over a data-dependent mask
+on a large array: over random signs it mispredicts a branch per entry, so
+:func:`relu` is ``np.maximum`` and an add of 0.0. Attention normalises after
+the value product: the (R, dh) product is scaled by the reciprocal row sums
+instead of the (R, T) weights. A value that only the backward pass reads is
+computed in the VJP, not in the forward op, so untaped calls do not pay for
+it.
 
 The module holds the generic operations the detector runs; a weighted sum
 of scalar losses is one node. The set-prediction objective is not generic:
@@ -206,7 +213,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0) that passes NaN on; no gradient at exactly 0."""
-    return _node(np.where(a.data <= 0.0, 0.0, a.data), (a,), lambda g: (g * (a.data > 0.0),))
+    out = np.maximum(a.data, 0.0)
+    out += 0.0  # the sign of np.maximum(-0.0, 0.0) is the build's choice; -0.0 + 0.0 is +0.0
+    return _node(out, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -239,7 +248,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                        allow: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                        allow: np.ndarray | None = None) -> tuple[Tensor, np.ndarray | None]:
     """Scaled dot-product attention over ``heads`` column blocks, as one node.
 
     ``q`` is (R, D) and ``k``, ``v`` are (T, D); head h reads columns
@@ -247,12 +256,19 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     row attends to every key row. With an (S, S) boolean ``allow``, R = T =
     G*S and the rows form G consecutive groups of S; row i of a group attends
     to row j of the same group where ``allow[i, j]`` and never to another
-    group. The row max over allowed logits is subtracted before
-    exponentiation, and disallowed weights are exactly 0.
+    group. The queries are scaled by 1/sqrt(dh) before the logits product,
+    the row max over allowed logits is subtracted before exponentiation, and
+    the value product of the unnormalised exponentials is divided by their
+    row sums afterwards, as in FlashAttention (arXiv 2205.14135).
 
-    Returns the (R, D) output on the tape and the per-head weights off it, a
-    read-only (G, H, S, S) array; G = 1 and the weights are (1, H, R, T)
-    without ``allow``.
+    Mask separation is exact for finite values only: a disallowed weight is
+    exactly 0, but the value product still multiplies it by the disallowed
+    row's values, and 0 * NaN is NaN, so one NaN in a noisy value row reaches
+    every learnable row of its group.
+
+    Returns the (R, D) output on the tape and, for a masked call, the
+    per-head weights off it: a read-only (G, H, S, S) array, exactly 0 off
+    the mask. An unmasked call returns ``None`` in their place.
     """
     r, d = q.data.shape
     t = k.data.shape[0]
@@ -274,36 +290,46 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    def split(x, n):  # (G*n, D) -> (G, H, n, dh)
+    def split(x, n):  # (G*n, D) -> (G, H, n, dh), a view
         return x.reshape(groups, n, heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x, n):  # (G, H, n, dh) -> (G*n, D)
-        return x.transpose(0, 2, 1, 3).reshape(groups * n, d)
+    def product(a, b, n, factor=None):  # [factor *] a @ b, fresh: backward keeps it
+        y = np.empty((groups * n, d))
+        np.matmul(a, b, out=split(y, n))
+        if factor is not None:
+            y *= factor
+        return y
 
-    qh, kh, vh = split(q.data, rows), split(k.data, cols), split(v.data, cols)
-    p = qh @ kh.swapaxes(-1, -2)
-    p *= scale
+    kh, vh = split(k.data, cols), split(v.data, cols)
+    e = split(q.data * scale, rows) @ kh.swapaxes(-1, -2)
     if allow is not None:
-        np.copyto(p, -np.inf, where=~allow)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    p.flags.writeable = False  # the backward reads it
-    out = merge(p @ vh, rows)
+        np.copyto(e, -np.inf, where=~allow)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    inv = 1.0 / e.sum(axis=-1, keepdims=True)
+    out = product(e, vh, rows)
+    out.reshape(groups, rows, heads, dh)[...] *= inv.swapaxes(1, 2)  # split(out) *= inv
+    weights = None
+    if allow is not None:
+        weights = e * inv
+        weights.flags.writeable = False
 
     def vjp(g):
-        gh = split(g, rows)
-        ds = gh @ vh.swapaxes(-1, -2)
-        # rowsum(dP * P) = rowsum(dO * O) per head: an (R, dh) product
-        # instead of an (R, T) one (FlashAttention, arXiv 2205.14135).
-        ds -= (gh * split(out, rows)).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        return (merge(ds @ kh, rows) if q.requires_grad else None,
-                merge(ds.swapaxes(-1, -2) @ qh, cols) if k.requires_grad else None,
-                merge(p.swapaxes(-1, -2) @ gh, cols) if v.requires_grad else None)
+        # With P = e * inv, dS = e * (dO * inv @ V^T - rowsum(dO * inv * O)): the
+        # row sums of dP * P are an (R, dh) product instead of an (R, T) one.
+        gp = split(g, rows) * inv
+        delta = (gp * split(out, rows)).sum(axis=-1, keepdims=True)
+        gv = product(e.swapaxes(-1, -2), gp, cols) if v.requires_grad else None
+        ds = gp @ vh.swapaxes(-1, -2)
+        del gp  # not read again: free it before the q and k products allocate
+        ds -= delta
+        ds *= e
+        return (product(ds, kh, rows, scale) if q.requires_grad else None,
+                product(ds.swapaxes(-1, -2), split(q.data, rows), cols, scale)
+                if k.requires_grad else None,
+                gv)
 
-    return _node(out, (q, k, v), vjp), p
+    return _node(out, (q, k, v), vjp), weights
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -317,8 +343,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xc = x.data - mu
     var = (xc * xc).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat = np.multiply(xc, inv, out=xc)  # xc is not read again
+    out = xhat * gain.data
+    out += bias.data
 
     def vjp(g):
         gxhat = g * gain.data
@@ -490,6 +517,7 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
             else:
                 node.grad += g
             continue
+        g_taken = False  # g was popped, so backward owns it: one parent may keep it
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:
                 continue
@@ -502,7 +530,10 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
                 # Own the buffer, so that a later in-place add changes only
                 # this entry. A VJP of 0-d operands returns a numpy scalar,
                 # which += would rebind instead of update.
-                owned = isinstance(pg, np.ndarray) and pg.base is None and pg is not g
+                if pg is g:
+                    owned, g_taken = not g_taken, True
+                else:
+                    owned = isinstance(pg, np.ndarray) and pg.base is None
                 grads[id(parent)] = pg if owned else np.array(pg)
             else:
                 acc += pg

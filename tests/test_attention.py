@@ -70,11 +70,22 @@ class TestMultiheadAttentionOp:
         (2, 4, 4, np.eye(4, dtype=bool) | (np.random.default_rng(0).random((4, 4)) > 0.5)),
         (3, 4, 4, np.ones((4, 4), dtype=bool)),
     ]
+    # the encoder's unmasked 256-row self-attention and the decoder's two masked
+    # groups of 28 rows, at the model's D = 64 and 4 heads
+    MODEL_CASES = [(1, 256, 256, None), (2, 28, 28, build_denoising_mask(16, 4, 3))]
 
     @pytest.mark.parametrize("groups,s,t,allow", CASES)
     def test_matches_per_head_composite(self, groups, s, t, allow):
+        self._check_against_composite(groups, s, t, allow, d=8, heads=2)
+
+    @pytest.mark.parametrize("groups,s,t,allow", MODEL_CASES)
+    def test_matches_per_head_composite_at_model_shapes(self, groups, s, t, allow):
+        self._check_against_composite(groups, s, t, allow, d=64, heads=4)
+
+    @staticmethod
+    def _check_against_composite(groups, s, t, allow, d, heads):
+        """Output and all three input gradients within 1e-12 relative."""
         rng = np.random.default_rng(groups * 100 + s * 10 + t)
-        d, heads = 8, 2
         arrays = [rng.normal(size=(groups * s, d)), rng.normal(size=(groups * t, d)),
                   rng.normal(size=(groups * t, d))]
         proj = rng.normal(size=(groups * s, d))
@@ -103,7 +114,8 @@ class TestMultiheadAttentionOp:
                 want = softmax_rows(nm.Tensor(q.data[rows, cols] @ k.data[rows, cols].T
                                               / np.sqrt(2)), allow).data
                 np.testing.assert_allclose(weights[g, h], want, rtol=0, atol=1e-15)
-        _, full = nm.multihead_attention(q, k, nm.Tensor(rng.normal(size=(8, 4))), 2)
+        _, full = nm.multihead_attention(q, k, nm.Tensor(rng.normal(size=(8, 4))), 2,
+                                         np.ones((8, 8), dtype=bool))
         assert full.shape == (1, 2, 8, 8)
 
         params = _params(rng, 4)
@@ -113,6 +125,27 @@ class TestMultiheadAttentionOp:
                                             nm.linear(q, *pv), 2, allow)
         assert attn.shape == (2, 4, 4)
         assert attn.tobytes() == (weights.sum(axis=1) / 2).tobytes()
+
+    @pytest.mark.parametrize("groups,s,t,allow", MODEL_CASES)
+    def test_weights_only_for_a_masked_call(self, groups, s, t, allow):
+        """Masked: read-only, exactly 0 off the mask, rows summing to 1; unmasked: None."""
+        rng = np.random.default_rng(s)
+        q, k, v = (nm.Tensor(rng.normal(size=(groups * s, 64))) for _ in "qkv")
+        _, weights = nm.multihead_attention(q, k, v, 4, allow)
+        if allow is None:
+            assert weights is None
+            return
+        assert weights.shape == (groups, 4, s, s) and not weights.flags.writeable
+        assert not weights[:, :, ~allow].any()
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+    def test_gradients_are_fresh_arrays(self):
+        """backward keeps a VJP's array only if no other array shares its memory."""
+        rng = np.random.default_rng(3)
+        leaves = [nm.Tensor(rng.normal(size=(56, 64)), requires_grad=True) for _ in "qkv"]
+        out, _ = nm.multihead_attention(*leaves, 4, build_denoising_mask(16, 4, 3))
+        grads = out._vjp(rng.normal(size=(56, 64)))
+        assert all(gr.shape == (56, 64) and gr.base is None for gr in grads)
 
     def test_rejects_rows_that_are_not_whole_groups(self):
         x = nm.Tensor(np.zeros((5, 4)))

@@ -172,6 +172,38 @@ def test_relu_on_finite_inputs_and_its_tie_rule():
     assert leaf.grad.tolist() == [0.0, 0.0, 0.0, 3.0, 3.0]
 
 
+def test_relu_tie_rule_on_a_long_array():
+    """The (256, 128) FFN hidden, special values past the first 8 entries: +0.0 for
+    both zeros, x itself above 0, bytewise, and NaN stays NaN."""
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=256 * 128)
+    specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 5e-324]
+    at = rng.choice(np.arange(8, x.size), size=800, replace=False)
+    x[at] = np.resize(specials, at.size)
+    x = x.reshape(256, 128)
+    out = nm.relu(nm.Tensor(x)).data
+    nan = np.isnan(x)
+    assert nan.sum() == 100 and np.isnan(out[nan]).all()
+    assert out[~nan].tobytes() == np.where(x > 0.0, x, 0.0)[~nan].tobytes()
+
+
+def test_layer_norm_at_the_encoder_shape_bytewise():
+    """Forward bytes equal the plain expression; the VJP bytes equal its closed form."""
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(256, 64)) * 3.0 + 1.5
+    gain, bias, g = rng.normal(size=64), rng.normal(size=64), rng.normal(size=(256, 64))
+    out = nm.layer_norm(*(nm.Tensor(a, requires_grad=True) for a in (x, gain, bias)))
+    mu = np.mean(x, axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean((x - mu) * (x - mu), axis=1, keepdims=True) + 1e-5)
+    assert out.data.tobytes() == ((x - mu) * inv * gain + bias).tobytes()
+    xhat, gxhat, d = (x - mu) * inv, g * gain, 64
+    want = (inv / d * (d * gxhat - gxhat.sum(axis=1, keepdims=True)
+                       - xhat * (gxhat * xhat).sum(axis=1, keepdims=True)),
+            (g * xhat).sum(axis=0), g.sum(axis=0))
+    for got, w in zip(out._vjp(g), want):
+        assert got.tobytes() == w.tobytes()
+
+
 def _taped_chain(x: nm.Tensor) -> nm.Tensor:
     return nm.sum_all(nm.softplus(nm.linear(x, x, nm.Tensor(np.ones(2)))) * 2.0)
 
@@ -239,6 +271,29 @@ def test_backward_accumulates_into_a_scalar_used_twice():
     y = x * 2.0
     nm.backward(y * 3.0 + y * 5.0)
     assert x.grad == 16.0
+
+
+def test_a_tensor_added_to_itself_gets_twice_the_gradient():
+    rng = np.random.default_rng(17)
+    x = nm.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = x * 1.0
+    c = rng.normal(size=(3, 4))
+    nm.backward(nm.sum_all((y + y) * nm.Tensor(c)))
+    assert x.grad.tobytes() == (c + c).tobytes()
+
+
+@pytest.mark.parametrize("sum_first", [False, True])
+def test_the_parents_of_a_sum_accumulate_separately(sum_first):
+    """``u + w`` hands both parents the same upstream array; backward keeps it for one
+    and copies it for the other, so that ``u * w``, reached after the sum when
+    ``sum_first``, adds into two separate gradients."""
+    rng = np.random.default_rng(18)
+    x = nm.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    u, w = x * 2.0, x * 3.0
+    c = rng.normal(size=(3, 4))
+    terms = [nm.sum_all((u + w) * nm.Tensor(c)), nm.sum_all(u * w)]
+    nm.backward(nm.weighted_sum(terms if sum_first else terms[::-1], [1.0, 1.0]))
+    assert_allclose(x.grad, 5.0 * c + 12.0 * x.data, rtol=1e-14, atol=0)
 
 
 def test_weighted_sum_bitwise_equals_written_out_sum():
