@@ -16,7 +16,7 @@ value and output projections in that order, each declared by
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,19 +45,19 @@ def build_denoising_mask(n: int, k: int, c: int) -> np.ndarray:
 
 def masked_multihead_self_attention(q: Tensor, allow: np.ndarray,
                                     params: Sequence[tuple[Tensor, Tensor]], heads: int
-                                    ) -> tuple[Tensor, np.ndarray]:
+                                    ) -> tuple[Tensor, Callable[[], np.ndarray]]:
     """Self-attention of G stacked groups, each restricted to ``allow``.
 
     ``q`` holds G groups of S rows, group-major, under the (S, S) bool
     matrix ``allow`` of :func:`build_denoising_mask`; the same weights
     apply to every group and no row sees another group. Returns the projected
-    output and the head-averaged (G, S, S) attention map, off the tape.
-    Disallowed positions are exactly zero in every head.
+    output and a function forming the head-averaged (G, S, S) attention map
+    off the tape, exactly zero at disallowed positions.
     """
     pq, pk, pv, po = params
-    out, p = nm.multihead_attention(nm.linear(q, *pq), nm.linear(q, *pk),
-                                    nm.linear(q, *pv), heads, allow)
-    return nm.linear(out, *po), p.sum(axis=1) / heads
+    out, weights = nm.multihead_attention(nm.linear(q, *pq), nm.linear(q, *pk),
+                                          nm.linear(q, *pv), heads, allow)
+    return nm.linear(out, *po), lambda: weights().sum(axis=1) / heads
 
 
 def multihead_cross_attention(q: Tensor, memory: Tensor,

@@ -117,26 +117,31 @@ def _elementwise(op: Callable[[nm.Tensor], nm.Tensor], shape: tuple[int, ...],
     return check
 
 
+def _check_decode_heads(rng) -> float:
+    """Raw head rows of 3 layer blocks over 4 reference points, 2 classes."""
+    from .losses import decode_heads
+
+    raw, ref = rng.normal(size=(12, 14)) * 2.0, rng.normal(size=(4, 2))
+    p = rng.normal(size=(12, 14))
+    return check_scalar_fn(lambda ts: nm.sum_all(decode_heads(*ts) * nm.Tensor(p)), [raw, ref])
+
+
 def _check_component_loss(rng) -> float:
     """A block of a 6-row stack with two positive rows, and a block without any."""
-    from .losses import PredictionRows, TargetArrays, component_loss, corner_boxes
+    from .losses import TargetArrays, component_loss, corner_boxes
 
-    centers = rng.uniform(0.3, 0.7, (6, 2))
-    lrtb = rng.uniform(0.1, 0.3, (6, 4))
-    arrays = [rng.normal(size=(6, 2)) * 2.0, centers, lrtb, rng.normal(size=(6, 3)),
-              rng.normal(size=(6, 2)), rng.normal(size=(6, 1))]
+    centers, lrtb = rng.uniform(0.3, 0.7, (6, 2)), rng.uniform(0.1, 0.3, (6, 4))
+    pred = np.concatenate([rng.normal(size=(6, 2)) * 2.0, centers, lrtb, rng.normal(size=(6, 3)),
+                           rng.normal(size=(6, 2)), rng.normal(size=(6, 1))], axis=1)
     positives = [3, 1]
-    corners = corner_boxes(centers, lrtb)
     table = np.concatenate(
-        [a[positives] + _away_from(rng.normal(size=(2, a.shape[1])), [0.0]) for a in arrays[1:]]
-        + [corners[positives] + rng.uniform(0.01, 0.15, (2, 4))], axis=1)  # no min/max ties
+        [pred[positives, 2:] + _away_from(rng.normal(size=(2, 12)), [0.0]),
+         corner_boxes(centers, lrtb)[positives] + rng.uniform(0.01, 0.15, (2, 4))],
+        axis=1)  # no min/max ties
     targets = TargetArrays(rng.integers(2, size=2), table)
-    boxes = [nm.Tensor(a) for a in arrays[1:]]
-    return max(
-        check_scalar_fn(lambda ts: component_loss(PredictionRows(*ts), range(1, 5), positives,
-                                                  targets), arrays),
-        check_scalar_fn(lambda ts: component_loss(PredictionRows(ts[0], *boxes), range(2, 6), [],
-                                                  targets.take([])), arrays[:1]))
+    return max(check_scalar_fn(lambda ts: component_loss(ts[0], block, pos, t), [pred])
+               for block, pos, t in [(range(1, 5), positives, targets),
+                                     (range(2, 6), [], targets.take([]))])
 
 
 def _check_weighted_sum(rng) -> float:
@@ -288,12 +293,12 @@ REGISTRY: dict[str, tuple[Callable, float, int]] = {
     "layer_norm": (_check_layer_norm, OP_TOLERANCE, 50),
     "relu": (_elementwise(nm.relu, (4, 4), kinks=[0.0]), OP_TOLERANCE, 50),
     "sigmoid": (_elementwise(nm.sigmoid, (4, 4), scale=3.0), OP_TOLERANCE, 50),
-    "softplus": (_elementwise(nm.softplus, (4, 4), scale=3.0), OP_TOLERANCE, 50),
     "exp": (_elementwise(nm.exp, (3, 4)), OP_TOLERANCE, 50),
     "clamp": (_elementwise(lambda t: nm.clamp(t, -1.5, 1.5), (4, 4), scale=2.0,
                            kinks=[-1.5, 1.5]), OP_TOLERANCE, 50),
     "weighted_row_smooth_l1": (_check_weighted_row_smooth_l1, OP_TOLERANCE, 50),
     "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
+    "decode_heads": (_check_decode_heads, OP_TOLERANCE, 50),
     "component_loss": (_check_component_loss, OP_TOLERANCE, 50),
     "weighted_sum": (_check_weighted_sum, OP_TOLERANCE, 50),
     "gather_concat": (_check_gather_concat, OP_TOLERANCE, 50),

@@ -1,39 +1,41 @@
-"""The set-prediction objective that scores detection and denoising blocks.
+"""The prediction rows and the set-prediction objective that scores them.
 
-The head outputs of every decoder layer's stacked rows are one
-:class:`PredictionRows` bundle, and a block is a set of its rows: one
-layer's learnable queries of one group, or one noisy block. The objective is
-DETR's (arXiv 2005.12872): sigmoid focal classification over every row of
-the block (positives one-hot, the rest background) and L1 / GIoU regression
-over the positive rows only, each term normalized by the positive count, so
-magnitudes do not scale with the number of objects. It is fixed, so its
-weights and focal parameters are the constants ``W_*`` and ``FOCAL_*`` of
-this module; the matching cost reads the class, center and GIoU weights.
+The heads decode query rows into one (rows, C + 12) prediction tensor, whose
+column layout this module owns: C class logits, then 12 box columns in the
+order of the first 12 columns of :class:`TargetArrays`' table (center, lrtb,
+size3d, a raw (sin, cos) yaw, depth). The negative slices ``CENTER`` to
+``DEPTH`` name the same columns of a prediction row and of a target's box
+row whatever C is. :func:`decode_heads` makes the tensor as one tape op.
+
+Every decoder layer's stacked rows are decoded at once, and a block is a set
+of their rows: one layer's learnable queries of one group, or one noisy
+block. The objective is DETR's (arXiv 2005.12872): sigmoid focal
+classification over every row of the block (positives one-hot, the rest
+background) and L1 / GIoU regression over the positive rows only, each term
+normalized by the positive count, so magnitudes do not scale with the number
+of objects. It is fixed, so its weights and focal parameters are the
+constants ``W_*`` and ``FOCAL_*`` of this module; the matching cost reads
+the class, center and GIoU weights.
 
 A box row, target or noisy box, has one array form, :class:`TargetArrays`,
 built once per step from a list of :class:`GroundTruthObject`. A block's
 targets are the ground truths' bundle (a noisy block) or its matched rows
 (``take``); the matching cost reads the same bundle, and the query
 generator the noisy boxes'. :func:`corner_boxes` serves the targets' table
-and the detections alike.
+and the detections alike. :func:`giou_pairs` is the one generalized IoU
+(arXiv 1902.09630), values and VJP from predicted centers and edge
+distances against target corner boxes: :func:`component_loss` sums it over
+the positive rows, and the matching cost broadcasts it over every (row,
+target) pair, so the matcher and the loss score the same GIoU.
 
-:func:`giou_pairs` is the one generalized IoU (arXiv 1902.09630): one
-kernel, from predicted centers and edge distances against target corner
-boxes, returns the values and their VJP. :func:`component_loss` sums it
-over the positive rows, and the matching cost broadcasts it over every
-(row, target) pair, so the matcher and the loss score the same GIoU.
-
-:func:`component_loss` scores one block as one tape op with a closed-form
-gradient: it reads the block's logits and its positive rows of the five
-regression tensors in place, computes the focal, GIoU and five L1 terms and
-adds them with the ``W_*`` weights, so it records one tape node. Its VJP
-hands back only those rows' gradients, as ``numerics.RowGrad`` values.
-Callers add block losses with one ``weighted_sum``.
+:func:`component_loss` scores one block as one tape node with a closed-form
+gradient, reading the block's rows of the prediction tensor in place; its
+VJP hands back one ``numerics.RowGrad`` of those rows. Callers add block
+losses with one ``weighted_sum``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import math
@@ -46,6 +48,16 @@ from .numerics import RowGrad, ShapeError, Tensor, _node
 W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH = 2.0, 5.0, 5.0, 2.0, 1.0, 1.0, 0.5
 FOCAL_ALPHA, FOCAL_GAMMA = 0.25, 2.0
 
+# The box columns of a prediction row: block widths, slices and per-column L1 weights.
+BOX_WIDTHS = (2, 4, 3, 2, 1)
+BOX_COLUMNS = sum(BOX_WIDTHS)
+LOGITS = slice(None, -BOX_COLUMNS)
+CENTER, LRTB, SIZE3D, ANGLE, DEPTH = BOX_SLICES = (
+    slice(-12, -10), slice(-10, -6), slice(-6, -3), slice(-3, -1), slice(-1, None))
+W_BOX = np.repeat([W_CENTER, W_LRTB, W_SIZE, W_ANGLE, W_DEPTH], BOX_WIDTHS)
+# lrtb, size3d and depth are positive: the head op passes them through softplus
+SOFTPLUS_COLUMNS = np.repeat([False, True, True, False, True], BOX_WIDTHS)
+
 
 def corner_boxes(centers: np.ndarray, lrtb: np.ndarray) -> np.ndarray:
     """(rows, 4) corner boxes (x0, y0, x1, y1) from (rows, 2) centers and
@@ -54,42 +66,55 @@ def corner_boxes(centers: np.ndarray, lrtb: np.ndarray) -> np.ndarray:
                      centers[:, 0] + lrtb[:, 1], centers[:, 1] + lrtb[:, 3]], axis=1)
 
 
-@dataclass
-class PredictionRows:
-    """Decoded head outputs for a stack of query rows.
+def decode_heads(raw: Tensor, ref: Tensor) -> Tensor:
+    """Prediction rows from the head layer's raw (rows, C + 12) output, as one node.
 
-    class_logits are pre-sigmoid; angle is a raw (sin, cos) pair; lrtb and
-    depth are post-activation (nonnegative / positive).
+    lrtb, size3d and depth go through softplus, log(1 + e^x) without
+    overflow. Row i of every block of R rows (one block per layer of a
+    layer-major stack) adds row i of the (R, 2) reference points ``ref`` to
+    its center. The VJP scales the softplus columns by sigmoid(x), reusing
+    exp(-|x|), and sums the center gradient over the blocks for ``ref``.
     """
+    x, r = raw.data, ref.data.shape[0]
+    if (x.ndim != 2 or x.shape[1] <= BOX_COLUMNS or ref.data.shape != (r, 2) or not r
+            or x.shape[0] % r):
+        raise ShapeError(f"decode_heads: raw {x.shape} vs reference points {ref.data.shape}")
+    box = x[:, -BOX_COLUMNS:]
+    e = np.exp(-np.abs(box))
+    out = x.copy()
+    np.copyto(out[:, -BOX_COLUMNS:], np.maximum(box, 0.0) + np.log1p(e), where=SOFTPLUS_COLUMNS)
+    out.reshape(-1, r, x.shape[1])[:, :, CENTER] += ref.data
 
-    class_logits: Tensor  # (rows, num_classes)
-    centers: Tensor       # (rows, 2)
-    lrtb: Tensor          # (rows, 4)
-    size3d: Tensor        # (rows, 3)
-    angle: Tensor         # (rows, 2)
-    depth: Tensor         # (rows, 1)
+    def vjp(g):
+        g_raw = g.copy()
+        g_box = g_raw[:, -BOX_COLUMNS:]
+        np.multiply(g_box, np.where(box >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), out=g_box,
+                    where=SOFTPLUS_COLUMNS)
+        return g_raw, g[:, CENTER].reshape(-1, r, 2).sum(axis=0)
 
-    def class_probs(self) -> np.ndarray:
-        """Detached per-class sigmoid probabilities, for matching/inference."""
-        return 1.0 / (1.0 + np.exp(-self.class_logits.data))
+    return _node(out, (raw, ref), vjp)
+
+
+def class_probs(pred: np.ndarray) -> np.ndarray:
+    """Detached per-class sigmoid probabilities of prediction rows, for matching and inference."""
+    return 1.0 / (1.0 + np.exp(-pred[:, LOGITS]))
 
 
 class TargetArrays:
     """Box rows as the arrays the loss, the matcher and the query generator read.
 
     Row i belongs to object i: ``classes`` holds the (K,) class ids, and one
-    (K, 16) ``table`` the rest. ``boxes`` are views of its five regression
-    targets in head order (center, lrtb, size3d, (sin, cos) yaw and depth)
-    and ``corners`` of its (K, 4) corner boxes; its first six columns are
-    the 2D box. The targets of matched objects are one :meth:`take`.
+    (K, 16) ``table`` the rest, its first six columns the 2D box. ``boxes``
+    views its 12 regression columns, laid out as a prediction row's box
+    columns, and ``corners`` its (K, 4) corner boxes. The targets of matched
+    objects are one :meth:`take`.
     """
 
     def __init__(self, classes: np.ndarray, table: np.ndarray):
         self.classes = classes
         self.table = table
-        self.boxes = (table[:, 0:2], table[:, 2:6], table[:, 6:9], table[:, 9:11],
-                      table[:, 11:12])
-        self.corners = table[:, 12:16]
+        self.boxes = table[:, :BOX_COLUMNS]
+        self.corners = table[:, BOX_COLUMNS:]
 
     @staticmethod
     def of(objects: Sequence[GroundTruthObject]) -> "TargetArrays":
@@ -203,9 +228,9 @@ def _unique_rows(rows: Sequence[int], count: int, what: str):
     return ind
 
 
-def component_loss(pred: PredictionRows, block: Sequence[int],
+def component_loss(pred: Tensor, block: Sequence[int],
                    positive_rows: Sequence[int], targets: TargetArrays) -> Tensor:
-    """Set-prediction loss of one block of rows of ``pred``, as one node.
+    """Set-prediction loss of one block of prediction rows of ``pred``, as one node.
 
     ``block`` lists the block's rows of ``pred``, and ``positive_rows[i]``,
     one of them, is supervised toward target i of ``targets``; each list
@@ -221,53 +246,48 @@ def component_loss(pred: PredictionRows, block: Sequence[int],
       their centers and lrtb against the targets' corner boxes;
     - L1 of the positive size3d, angle and depth against their targets.
 
-    Without positive rows only the focal term remains and the box tensors
-    are not parents. The VJP gives each parent a ``RowGrad`` of the block's
-    or the positive rows. Each term's value and gradient are bitwise those
-    of the term written as its own node; the targets receive no gradient,
-    and the L1 gradient at pred == target is 0.
+    Without positive rows only the focal term remains. The VJP hands back
+    one ``RowGrad`` of the block's rows: the focal gradient in the logit
+    columns, the box terms' in the positive rows' box columns. Each term's
+    value and gradient are bitwise those of the term written as its own
+    node; the targets receive no gradient, and the L1 gradient at
+    pred == target is 0.
     """
-    logits = pred.class_logits
-    boxes = [pred.centers, pred.lrtb, pred.size3d, pred.angle, pred.depth]
-    z = logits.data
-    block_ind = _unique_rows(block, z.shape[0], "block rows")
-    pos = _unique_rows(positive_rows, z.shape[0], "positive rows")
+    x = pred.data
+    if x.ndim != 2 or x.shape[1] <= BOX_COLUMNS:
+        raise ShapeError(f"component_loss: prediction rows {x.shape} have no class column")
+    block_ind = _unique_rows(block, x.shape[0], "block rows")
+    pos = _unique_rows(positive_rows, x.shape[0], "positive rows")
     if len(positive_rows) != len(targets):
         raise ValueError(f"{len(positive_rows)} positive rows vs {len(targets)} targets")
     outside = [row for row in positive_rows if row not in block]
     if outside:
         raise ValueError(f"component_loss: positive rows {outside} are not in the block")
-    onehot = np.zeros((len(block), z.shape[1]))
-    onehot[[block.index(row) for row in positive_rows], targets.classes] = 1.0
+    at = [block.index(row) for row in positive_rows]
+    onehot = np.zeros((len(block), x.shape[1] - BOX_COLUMNS))
+    onehot[at, targets.classes] = 1.0
     normalizer = float(max(1, len(targets)))
-    focal, focal_vjp = _focal_sum(z[block_ind], onehot)
-    cls_scale = -1.0 / normalizer
+    focal, focal_vjp = _focal_sum(x[block_ind, LOGITS], onehot)
+    cls_scale, l1_scale = -1.0 / normalizer, 1.0 / normalizer
     out = focal * cls_scale * W_CLS
-    parents = (logits,)
-    if len(positive_rows):
-        preds = [h.data[pos] for h in boxes]
-        if any(p.shape != a.shape for p, a in zip(preds, targets.boxes)):
-            raise ShapeError(f"component_loss: positive rows {[p.shape for p in preds]} vs "
-                             f"targets {[a.shape for a in targets.boxes]}")
-        parents = (logits, *boxes)
-        diffs = [p - a for p, a in zip(preds, targets.boxes)]
-        l1_scale = 1.0 / normalizer
-        l1 = [np.abs(d).sum() * l1_scale for d in diffs]
-        giou, giou_vjp = giou_pairs(preds[0], preds[1], targets.corners)
+    box = x[pos, -BOX_COLUMNS:]
+    diff = box - targets.boxes
+    if at:
+        l1 = [np.abs(diff[:, cols]).sum() * l1_scale for cols in BOX_SLICES]
+        giou, giou_vjp = giou_pairs(box[:, CENTER], box[:, LRTB], targets.corners)
         # the terms in weight order, added left to right
         out = (out + l1[0] * W_CENTER + l1[1] * W_LRTB + (giou.sum() * cls_scale + 1.0) * W_GIOU
                + l1[2] * W_SIZE + l1[3] * W_ANGLE + l1[4] * W_DEPTH)
 
     def vjp(g):
         g = float(g)
-        row_grads = [focal_vjp(g * W_CLS * cls_scale)]
-        if len(parents) > 1:
-            row_grads += [g * w * l1_scale * np.sign(d)
-                          for w, d in zip((W_CENTER, W_LRTB, W_SIZE, W_ANGLE, W_DEPTH), diffs)]
-            g_centers, g_lrtb = giou_vjp(g * W_GIOU * cls_scale)
-            row_grads[1] += g_centers
-            row_grads[2] += g_lrtb
-        return tuple(RowGrad(rows, rows_g)
-                     for rows, rows_g in zip((block_ind, *[pos] * 5), row_grads))
+        rows_g = np.zeros((len(block), x.shape[1]))
+        rows_g[:, LOGITS] = focal_vjp(g * W_CLS * cls_scale)
+        if at:
+            g_box = g * W_BOX * l1_scale * np.sign(diff)
+            for cols, g_giou in zip((CENTER, LRTB), giou_vjp(g * W_GIOU * cls_scale)):
+                g_box[:, cols] += g_giou
+            rows_g[at, -BOX_COLUMNS:] = g_box
+        return (RowGrad(block_ind, rows_g),)
 
-    return _node(np.asarray(out), parents, vjp)
+    return _node(np.asarray(out), (pred,), vjp)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import W_CENTER, W_CLS, W_GIOU, TargetArrays, giou_pairs
+from .losses import CENTER, W_CENTER, W_CLS, W_GIOU, TargetArrays, giou_pairs
 
 
 @dataclass
@@ -126,7 +126,7 @@ def matching_cost(class_probs: np.ndarray, centers: np.ndarray, lrtb: np.ndarray
     nq = class_probs.shape[0]
     if nq == 0 or len(targets) == 0:
         return np.zeros((nq, len(targets)))
-    gt_xy = targets.boxes[0]
+    gt_xy = targets.boxes[:, CENTER]
     cls_term = 1.0 - class_probs[:, targets.classes]
     center_term = (np.abs(centers[:, 0:1] - gt_xy[:, 0])
                    + np.abs(centers[:, 1:2] - gt_xy[:, 1]))

@@ -7,24 +7,27 @@ N learnable queries first, then C noisy blocks of K. The decoder runs L
 pre-norm layers once over all rows, each applying mask-separated
 self-attention within every group, then cross-attention over the encoded
 grid, then a feed-forward block, and returns every layer's rows. Shared
-prediction heads decode the rows a caller reads: the training loss stacks
-the L layers' rows layer-major, so layer l owns rows [l*G*S, (l+1)*G*S), and
-decodes the stack in one call for deep supervision. Learnable queries
-carry learned 2D reference points. The noisy boxes are one
-:class:`TargetArrays` bundle like the targets; a noisy query anchors at its
-box, the first six table columns, with the center as reference point.
+prediction heads, one affine layer and one :func:`losses.decode_heads` op,
+decode the rows a caller reads into one (rows, C + 12) tensor in the column
+layout of :mod:`losses`: the training loss stacks the L layers' rows
+layer-major, so layer l owns rows [l*G*S, (l+1)*G*S), and decodes the stack
+in one call for deep supervision, one layer's G*S reference points serving
+every layer. Learnable queries carry learned 2D reference points. The noisy
+boxes are one :class:`TargetArrays` bundle like the targets; a noisy query
+anchors at its box, the first six table columns, with its center as
+reference point.
 Inference stacks the first group's learnable queries alone, so its outputs
 depend on the weights and the scene alone, never on training-time
-configuration. It records no tape (:func:`numerics.no_grad`) and decodes
-only the final layer's rows.
+configuration. It records no tape (:func:`numerics.no_grad`), decodes
+only the final layer's rows and forms no attention map.
 
 The training loss first makes every detached decision of the step
 (:func:`step_decisions`: one matching cost for every layer and group, their
 Hungarian assignments, and the distillation rows, IoU weights and teacher
-values), then scores the stacked head outputs under those decisions: the
-detection, denoising and distillation terms all read the one stack. A
-replayed step passes earlier decisions and shares the scoring, so it is the
-function the tape differentiates.
+values), then scores the prediction tensor under those decisions: the
+detection and denoising terms read its column views, and distillation the
+stack of decoder rows. A replayed step passes earlier decisions and shares
+the scoring, so it is the function the tape differentiates.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,7 +47,8 @@ from .attention import (
 )
 from .distill import forward_looking_distill, iou_weights
 from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject, iou3d
-from .losses import PredictionRows, TargetArrays, component_loss, corner_boxes
+from .losses import (ANGLE, BOX_WIDTHS, CENTER, DEPTH, LRTB, SIZE3D, TargetArrays, class_probs,
+                     component_loss, corner_boxes, decode_heads)
 from .matching import Assignment, hungarian, matching_cost
 from .numerics import ParameterStore, Tensor
 from .scenes import Detection, Scene, grid_channels
@@ -197,12 +201,9 @@ class Detector:
                                  store.linear(f"dec{i}.ffn.2", hidden, d)))
 
         self.out_ln = self._ln("out_ln")
-        self.head_cls = store.linear("head.cls", d, cfg.num_classes, bias=-2.5)
-        self.head_center = store.linear("head.center", d, 2)
-        self.head_lrtb = store.linear("head.lrtb", d, 4, bias=-1.8)
-        self.head_size = store.linear("head.size", d, 3, bias=1.5)
-        self.head_angle = store.linear("head.angle", d, 2)
-        self.head_depth = store.linear("head.depth", d, 1, bias=20.0)
+        # class logits, then the box columns of losses: center, lrtb, size3d, angle, depth
+        self.head = store.linear("head", d, (cfg.num_classes, *BOX_WIDTHS),
+                                 bias=(-2.5, 0.0, -1.8, 1.5, 0.0, 20.0))
 
         gn = cfg.groups * cfg.queries_per_group
         self.query_content = store.param("queries.content", (gn, d), scale=0.02)
@@ -269,34 +270,26 @@ class Detector:
         refs = nm.gather_rows(nm.concat_rows([refs, nm.Tensor(table[:, :2])]), order)
         return queries, refs, build_denoising_mask(n, k, c), dist
 
-    def apply_heads(self, q: Tensor, ref: Tensor) -> PredictionRows:
-        """Decode query rows with the heads every layer shares."""
-        h = nm.layer_norm(q, *self.out_ln)
-        return PredictionRows(
-            class_logits=nm.linear(h, *self.head_cls),
-            centers=ref + nm.linear(h, *self.head_center),
-            lrtb=nm.softplus(nm.linear(h, *self.head_lrtb)),
-            size3d=nm.softplus(nm.linear(h, *self.head_size)),
-            angle=nm.linear(h, *self.head_angle),
-            depth=nm.softplus(nm.linear(h, *self.head_depth)),
-        )
+    def apply_heads(self, q: Tensor, ref: Tensor) -> Tensor:
+        """Prediction rows of one or more layers' rows ``q``, layer-major, from the shared
+        heads; ``ref`` holds the reference points of one layer's rows."""
+        return decode_heads(nm.linear(nm.layer_norm(q, *self.out_ln), *self.head), ref)
 
     def decoder_forward(self, memory: Tensor, queries: Tensor, allow: np.ndarray
-                        ) -> tuple[list[Tensor], list[np.ndarray]]:
+                        ) -> tuple[list[Tensor], Callable[[], np.ndarray]]:
         """Every layer once over all stacked rows; memory K/V once per layer.
 
         Self-attention within each group obeys the (S, S) mask ``allow``.
-        Returns each layer's (G*S, D) rows and its head-averaged (G, S, S)
-        self-attention map; the caller applies :meth:`apply_heads` to the
-        rows it reads.
+        Returns each layer's (G*S, D) rows and a function that forms the
+        final layer's head-averaged (G, S, S) self-attention map; the caller
+        applies :meth:`apply_heads` to the rows it reads.
         """
         cfg = self.cfg
-        rows, maps = [], []
-        q = queries
+        rows, q = [], queries
         for i in range(cfg.layers):
             (ln1, ln2, ln3) = self.dec_lns[i]
             ffn1, ffn2 = self.dec_ffn[i]
-            sa, attn = masked_multihead_self_attention(
+            sa, final_map = masked_multihead_self_attention(
                 nm.layer_norm(q, *ln1), allow, self.dec_self[i], cfg.heads)
             q = q + sa
             q = q + multihead_cross_attention(
@@ -304,27 +297,26 @@ class Detector:
             hidden = nm.relu(nm.linear(nm.layer_norm(q, *ln3), *ffn1))
             q = q + nm.linear(hidden, *ffn2)
             rows.append(q)
-            maps.append(attn)
-        return rows, maps
+        return rows, final_map
 
 
-def decode_box_rows(pred: PredictionRows, rows: Sequence[int]) -> list[OrientedBox3D]:
-    """Detached 3D boxes of plain floats for the given query rows (IoU weights, eval)."""
-    rows = list(rows)
-    centers = pred.centers.data[rows]
-    xyz = np.column_stack(backproject(centers[:, 0], centers[:, 1], pred.depth.data[rows, 0]))
+def decode_box_rows(pred: np.ndarray, rows: Sequence[int]) -> list[OrientedBox3D]:
+    """Detached 3D boxes of plain floats for the given prediction rows (IoU weights, eval)."""
+    box = pred[list(rows)]
+    u, v = box[:, CENTER].T
+    xyz = np.column_stack(backproject(u, v, box[:, DEPTH].ravel()))
     return [OrientedBox3D(*center, *size, math.atan2(sin, cos))
-            for center, size, (sin, cos) in zip(xyz.tolist(), pred.size3d.data[rows].tolist(),
-                                                pred.angle.data[rows].tolist())]
+            for center, size, (sin, cos) in zip(xyz.tolist(), box[:, SIZE3D].tolist(),
+                                                box[:, ANGLE].tolist())]
 
 
-def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
+def step_decisions(det: Detector, stack: Tensor, pred: Tensor,
                    scene: Scene, targets: TargetArrays, s: int) -> DetachedDecisions:
     """Every detached decision of a step, from the decoder's outputs.
 
-    ``stack`` holds every layer's rows, layer-major, and ``pred`` their head
-    outputs: block b = l*G + g, layer l's group g, owns rows [b*s, (b+1)*s)
-    of both, n learnable rows, then the noisy rows, where noisy row
+    ``stack`` holds every layer's rows, layer-major, and ``pred`` their
+    prediction rows: block b = l*G + g, layer l's group g, owns rows [b*s,
+    (b+1)*s) of both, n learnable rows, then the noisy rows, where noisy row
     n + j*k + i reconstructs ground truth i. One matching cost over the
     learnable rows of every block gives each block its Hungarian assignment;
     a non-finite cost raises FloatingPointError naming the first non-finite
@@ -338,10 +330,10 @@ def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
     cfg = det.cfg
     n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
     learnable = (np.arange(cfg.layers * groups)[:, None] * s + np.arange(n)).ravel()
-    cost = matching_cost(pred.class_probs()[learnable], pred.centers.data[learnable],
-                         pred.lrtb.data[learnable], targets)
+    learned = pred.data[learnable]
+    cost = matching_cost(class_probs(learned), learned[:, CENTER], learned[:, LRTB], targets)
     if not np.isfinite(cost).all():
-        culprit = nm.first_non_finite([pred.class_logits, pred.centers, pred.lrtb], det.store)
+        culprit = nm.first_non_finite([pred], det.store)
         raise FloatingPointError(f"step_decisions: matching cost is not finite; {culprit}")
     assignments = [[hungarian(cost[b * n:(b + 1) * n])
                     for b in range(layer * groups, (layer + 1) * groups)]
@@ -355,7 +347,7 @@ def step_decisions(det: Detector, stack: Tensor, pred: PredictionRows,
         for g, assign in enumerate(assignments[-1]):
             rows += [g * s + r for r in assign.query_indices() + noisy_rows]
             row_gts += assign.gt_indices() + noisy_gts
-        boxes = decode_box_rows(pred, [final + r for r in rows])
+        boxes = decode_box_rows(pred.data, [final + r for r in rows])
         weights = iou_weights(boxes, row_gts, [b for _, b in scene.gt_boxes3d()]) / len(rows)
     rows = np.array(rows, dtype=int)
     return DetachedDecisions(assignments=assignments, distill_rows=rows,
@@ -368,19 +360,20 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
     """Full per-scene loss with deep supervision on every decoder layer.
 
     The L layers' rows are stacked once, layer-major, and the shared heads
-    decode the stack in one call; every term reads that one bundle, and the
-    matcher and the losses read one :class:`TargetArrays` of the scene's
-    objects. The step's decisions come from :func:`step_decisions`, or from
-    ``replay``, decisions of an earlier call; under pinned decisions the loss
-    is a pure differentiable function of the parameters.
+    decode the stack in one call; the detection and denoising terms read the
+    prediction tensor, distillation the stack, and the matcher and the losses
+    one :class:`TargetArrays` of the scene's objects. The step's decisions
+    come from :func:`step_decisions`, or from ``replay``, decisions of an
+    earlier call; under pinned decisions the loss is a pure differentiable
+    function of the parameters.
     """
     cfg = det.cfg
     n, gts = cfg.queries_per_group, scene.objects
     memory = det.encode_features(scene.grid)
     queries, refs, allow, dist = det.build_group_inputs(noisy, dn_cfg.mode)
-    layer_rows, maps = det.decoder_forward(memory, queries, allow)
+    layer_rows, final_map = det.decoder_forward(memory, queries, allow)
     stack = nm.concat_rows(layer_rows)
-    pred = det.apply_heads(stack, nm.concat_rows([refs] * cfg.layers))
+    pred = det.apply_heads(stack, refs)
     s = allow.shape[0]
     targets = TargetArrays.of(gts)
     decisions = (step_decisions(det, stack, pred, scene, targets, s) if replay is None
@@ -393,8 +386,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
               for b, assign in enumerate(a for layer in decisions.assignments for a in layer)]
     detection = nm.weighted_sum(scored, [1.0] * len(scored))
     # noisy block j of block b: rows b*s + n + j*k onwards, one per ground truth
-    k = len(gts)
-    groups = cfg.groups
+    k, groups = len(gts), cfg.groups
     blocks = [[range(b * s + lo, b * s + lo + k)
                for b in range(layer * groups, (layer + 1) * groups) for lo in range(n, s, k)]
               for layer in range(cfg.layers)] if k else []
@@ -407,7 +399,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
                             [1.0, 1.0, cfg.lambda_distill])
     return StepLoss(total=total, detection=detection, denoising=dn,
                     distillation=distillation, decisions=decisions,
-                    attention_maps=maps[-1])
+                    attention_maps=final_map())
 
 
 # Nothing calls this; bench/tracing.py still looks it up by name, so it stays
@@ -429,11 +421,11 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
         memory = det.encode_features(scene.grid)
         queries, refs = det.learnable_queries(1)
         rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
-        pred = det.apply_heads(rows[-1], refs)
-    probs = pred.class_probs()
+        pred = det.apply_heads(rows[-1], refs).data
+    probs = class_probs(pred)
     decoded = zip(probs.max(axis=1).tolist(), probs.argmax(axis=1).tolist(),
                   decode_box_rows(pred, range(n)),
-                  corner_boxes(pred.centers.data, pred.lrtb.data).tolist())
+                  corner_boxes(pred[:, CENTER], pred[:, LRTB]).tolist())
     # a row goes only when its score is below the threshold, so a NaN score stays
     return [Detection(scene_id=scene.scene_id, category=category, score=score, box3d=box,
                       corners2d=tuple(corners))

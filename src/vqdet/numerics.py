@@ -29,9 +29,9 @@ The module holds the generic operations the detector runs; a weighted sum
 of scalar losses is one node. The set-prediction objective is not generic:
 its one op, weights and kernels live in :mod:`losses`, which records its
 node with :func:`_node`. Reference ops that only the tests compose (matmul,
-softmax, row and column slices, elementwise min/max, the loss terms as
-separate nodes and the like) live beside the oracles that use them, in
-``tests/oracles.py``.
+softmax, softplus, row and column slices, elementwise min/max, the loss
+terms as separate nodes and the like) live beside the oracles that use
+them, in ``tests/oracles.py``.
 
 The tape is rebuilt from scratch each training step and is single-threaded
 within a step. Data is always float64; there is no broadcasting beyond the
@@ -229,13 +229,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x) without overflow; its derivative sigmoid(x) reuses exp(-|x|)."""
-    e = np.exp(-np.abs(a.data))
-    return _node(np.maximum(a.data, 0.0) + np.log1p(e), (a,),
-                 lambda g: (g * np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),))
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _node(out, (a,), lambda g: (g * out,))
@@ -266,9 +259,9 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     row's values, and 0 * NaN is NaN, so one NaN in a noisy value row reaches
     every learnable row of its group.
 
-    Returns the (R, D) output on the tape and, for a masked call, the
-    per-head weights off it: a read-only (G, H, S, S) array, exactly 0 off
-    the mask. An unmasked call returns ``None`` in their place.
+    Returns the (R, D) output on the tape and, for a masked call, a function
+    forming the per-head (G, H, S, S) weights off it, exactly 0 off the
+    mask, only for a caller that reads them; an unmasked call returns None.
     """
     r, d = q.data.shape
     t = k.data.shape[0]
@@ -309,10 +302,6 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     inv = 1.0 / e.sum(axis=-1, keepdims=True)
     out = product(e, vh, rows)
     out.reshape(groups, rows, heads, dh)[...] *= inv.swapaxes(1, 2)  # split(out) *= inv
-    weights = None
-    if allow is not None:
-        weights = e * inv
-        weights.flags.writeable = False
 
     def vjp(g):
         # With P = e * inv, dS = e * (dO * inv @ V^T - rowsum(dO * inv * O)): the
@@ -329,7 +318,7 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                 if k.requires_grad else None,
                 gv)
 
-    return _node(out, (q, k, v), vjp), weights
+    return _node(out, (q, k, v), vjp), None if allow is None else lambda: e * inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -361,15 +350,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(out, (x, gain, bias), vjp)
 
 
-def _huber(d: np.ndarray) -> np.ndarray:
-    ad = np.abs(d)
-    return np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
-
-
-def _huber_grad(d: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(d) < 1.0, d, np.sign(d))
-
-
 def weighted_row_smooth_l1(pred: Tensor, target: Tensor, row_weights: np.ndarray) -> Tensor:
     """Sum over rows of row_weight * (per-row mean Huber of pred - target).
 
@@ -383,10 +363,11 @@ def weighted_row_smooth_l1(pred: Tensor, target: Tensor, row_weights: np.ndarray
     if pred.data.ndim != 2 or w.shape != (pred.data.shape[0],):
         raise ShapeError(f"weighted_row_smooth_l1: weights {w.shape} vs rows {pred.data.shape}")
     d = pred.data - target.data
-    out = np.asarray((w * _huber(d).mean(axis=1)).sum())
+    ad = np.abs(d)
+    out = np.asarray((w * np.where(ad < 1.0, 0.5 * d * d, ad - 0.5).mean(axis=1)).sum())
 
     def vjp(g):
-        gd = float(g) * (w[:, None] / d.shape[1]) * _huber_grad(d)
+        gd = float(g) * (w[:, None] / d.shape[1]) * np.where(ad < 1.0, d, np.sign(d))
         return (gd if pred.requires_grad else None,
                 -gd if target.requires_grad else None)
 
@@ -401,10 +382,7 @@ def gaussian_kl(mu: Tensor, log_var: Tensor) -> Tensor:
     """
     if mu.data.shape != log_var.data.shape:
         raise ShapeError(f"gaussian_kl: shapes {mu.data.shape} vs {log_var.data.shape}")
-    rows = mu.data.shape[0] if mu.data.ndim >= 1 else 1
-    if mu.data.size == 0:
-        return _node(np.asarray(0.0), (mu, log_var), lambda g: (np.zeros_like(mu.data),
-                                                                np.zeros_like(log_var.data)))
+    rows = max(mu.data.shape[0], 1) if mu.data.ndim >= 1 else 1
     ev = np.exp(log_var.data)
     out = np.asarray(0.5 * (ev + mu.data ** 2 - 1.0 - log_var.data).sum() / rows)
 
@@ -616,10 +594,15 @@ class ParameterStore:
         self._params[name] = t
         return t
 
-    def linear(self, name: str, din: int, dout: int, bias: float = 0.0) -> tuple[Tensor, Tensor]:
-        """``name.w``, (din, dout) drawn N(0, 0.1^2), and ``name.b`` filled with ``bias``."""
-        return (self.param(f"{name}.w", (din, dout), scale=0.1),
-                self.param(f"{name}.b", (dout,), init=np.full(dout, bias)))
+    def linear(self, name: str, din: int, dout: int | Sequence[int],
+               bias: float | Sequence[float] = 0.0) -> tuple[Tensor, Tensor]:
+        """``name.w``, (din, dout) drawn N(0, 0.1^2), and ``name.b`` filled with ``bias``;
+        given block widths and a bias per block, each block is drawn as its own layer."""
+        widths = np.atleast_1d(dout)
+        w = np.concatenate([self._rng.normal(0.0, 0.1, size=(din, k)) for k in widths], axis=1)
+        return (self.param(f"{name}.w", w.shape, init=w),
+                self.param(f"{name}.b", w.shape[1:],
+                           init=np.repeat(np.broadcast_to(bias, widths.shape), widths)))
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

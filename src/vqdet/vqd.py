@@ -7,9 +7,9 @@ reconstruction loss reaches the embedding through mu and log_var but never
 through the noise sample. The deterministic mode short-circuits sampling to
 mu and drops the KL term, which is the conventional denoising baseline the
 variational scheme is compared against. The denoising loss reads every
-layer's noisy blocks from the one stacked :class:`PredictionRows` bundle of
-the step, one ``component_loss`` per block, each one tape node; every call
-reads the ground truths' one :class:`TargetArrays` as it is. One
+layer's noisy blocks from the step's one stacked prediction tensor (the
+columns of :mod:`losses`), one ``component_loss`` per block, each one tape
+node; every call reads the ground truths' one :class:`TargetArrays` as it is. One
 ``weighted_sum`` adds each layer's blocks, one more takes the layers' block
 means, and in variational mode a last one adds the KL term with weight
 :data:`BETA`, so the sums record L + 2 tape nodes (L + 1 without KL).
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import PredictionRows, TargetArrays, component_loss
+from .losses import TargetArrays, component_loss
 from .numerics import Tensor
 
 VARIATIONAL = "variational"
@@ -119,12 +119,12 @@ class DenoisingLoss:
     kl: Tensor
 
 
-def denoising_loss(pred: PredictionRows, layer_blocks: Sequence[Sequence[Sequence[int]]],
+def denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequence[int]]],
                    targets: TargetArrays, dist: LatentDistribution | None,
                    cfg: DenoisingConfig) -> DenoisingLoss:
     """Reconstruction loss over the noisy blocks plus :data:`BETA` times the KL term.
 
-    ``pred`` holds the stacked head outputs of every decoder layer, and
+    ``pred`` holds the stacked prediction rows of every decoder layer, and
     ``layer_blocks[l]`` lists layer l's noisy blocks, each block its rows of
     ``pred``. Row i of a block reconstructs target i of ``targets``, the
     step's one :class:`TargetArrays` bundle, which every block's call reads

@@ -5,10 +5,10 @@ enumeration, per-element loops) or composed from simpler tape operations, and
 shares no code with the implementations under test.
 
 The simpler tape operations themselves (matmul, transpose, narrow_rows,
-narrow_cols, softmax_rows, divide, minimum, maximum, absolute) are defined
-here too. The detector runs none of them, so they are reference ops recorded
-with ``numerics._node``; ``tests/test_numerics.py`` checks their gradients
-against central differences. ``giou2d`` is the scalar reference for the matcher's
+narrow_cols, softmax_rows, softplus, divide, minimum, maximum, absolute)
+are defined here too. The detector runs none of them, so they are reference
+ops recorded with ``numerics._node``; ``tests/test_numerics.py`` checks
+their gradients against central differences. ``giou2d`` is the scalar reference for the matcher's
 vectorised GIoU, and ``box2d_corners`` the scalar reference for the corner
 boxes of ``losses.corner_boxes``.
 
@@ -18,9 +18,10 @@ faster forms must equal bit for bit.
 
 The focal, GIoU and L1 terms that ``losses.component_loss`` fuses are kept
 here as the single-node ops they were, and ``reference_block_loss`` composes
-them the way the detector scored a block before the fusion. They share only
-the stable sigmoid and softplus helpers and the objective's constants with
-the library, since the op must equal them bit for bit.
+them the way the detector scored a block before the fusion, from the six
+column blocks of one prediction tensor (``split_prediction``). They share
+only the stable sigmoid helper and the objective's constants with the
+library, since the op must equal them bit for bit.
 """
 
 import itertools
@@ -33,8 +34,15 @@ from vqdet.numerics import DegenerateMaskError, ShapeError, Tensor, _node, _sigm
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + e^x) without overflow, in the float operations of ``nm.softplus``."""
+    """log(1 + e^x) without overflow, in the float operations of :func:`softplus`."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + e^x) without overflow; its derivative sigmoid(x) reuses exp(-|x|)."""
+    e = np.exp(-np.abs(a.data))
+    return _node(np.maximum(a.data, 0.0) + np.log1p(e), (a,),
+                 lambda g: (g * np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -482,8 +490,8 @@ def reference_block_loss(logits, boxes, block, positive_rows, onehot, box_target
 
 def composite_focal_loss(logits, target_onehot, alpha, gamma, normalizer):
     t = np.asarray(target_onehot, dtype=np.float64)
-    log_p = -nm.softplus(-logits)
-    log_1mp = -nm.softplus(logits)
+    log_p = -softplus(-logits)
+    log_1mp = -softplus(logits)
     pos = nm.exp(log_1mp * gamma) * log_p
     neg = nm.exp(log_p * gamma) * log_1mp
     weighted = pos * nm.Tensor(alpha * t) + neg * nm.Tensor((1.0 - alpha) * (1.0 - t))
@@ -518,6 +526,22 @@ def composite_giou_loss(centers, lrtb, target_corners, normalizer):
 
 def composite_l1_loss(pred, target, normalizer):
     return nm.sum_all(absolute(pred - nm.Tensor(target))) * (1.0 / normalizer)
+
+
+def split_prediction(pred):
+    """The class logits and the five box tensors of a (rows, C + 12) prediction
+    tensor, as narrow nodes."""
+    c = pred.data.shape[1] - 12
+    bounds = [0, c, c + 2, c + 6, c + 9, c + 11, c + 12]
+    return [narrow_cols(pred, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def composite_decode_heads(raw, ref):
+    """``losses.decode_heads`` from column narrows, softplus, a tiled ``ref`` and an add."""
+    logits, center, lrtb, size3d, angle, depth = split_prediction(raw)
+    tiled = nm.concat_rows([ref] * (raw.data.shape[0] // ref.data.shape[0]))
+    return nm.concat_cols([logits, center + tiled, softplus(lrtb), softplus(size3d), angle,
+                           softplus(depth)])
 
 
 def composite_multihead_attention(q, k, v, heads, allow=None):

@@ -101,12 +101,14 @@ class TestMultiheadAttentionOp:
             assert _relative(got, want) <= 1e-12
 
     def test_map_is_head_average_per_group(self):
-        """The op hands out read-only per-head weights; self-attention averages them."""
+        """The op hands out a function forming the per-head weights; self-attention's
+        averages them."""
         rng = np.random.default_rng(1)
         allow = build_denoising_mask(2, 1, 2)
         q, k, v = (nm.Tensor(rng.normal(size=(8, 4))) for _ in range(3))
-        _, weights = nm.multihead_attention(q, k, v, 2, allow)
-        assert weights.shape == (2, 2, 4, 4) and not weights.flags.writeable
+        _, weights_of = nm.multihead_attention(q, k, v, 2, allow)
+        weights = weights_of()
+        assert weights.shape == (2, 2, 4, 4)
         for g in range(2):
             rows = slice(4 * g, 4 * g + 4)
             for h in range(2):
@@ -116,26 +118,29 @@ class TestMultiheadAttentionOp:
                 np.testing.assert_allclose(weights[g, h], want, rtol=0, atol=1e-15)
         _, full = nm.multihead_attention(q, k, nm.Tensor(rng.normal(size=(8, 4))), 2,
                                          np.ones((8, 8), dtype=bool))
-        assert full.shape == (1, 2, 8, 8)
+        assert full().shape == (1, 2, 8, 8)
 
         params = _params(rng, 4)
         _, attn = masked_multihead_self_attention(q, allow, params, heads=2)
         pq, pk, pv, _ = params
         _, weights = nm.multihead_attention(nm.linear(q, *pq), nm.linear(q, *pk),
                                             nm.linear(q, *pv), 2, allow)
-        assert attn.shape == (2, 4, 4)
-        assert attn.tobytes() == (weights.sum(axis=1) / 2).tobytes()
+        assert attn().shape == (2, 4, 4)
+        assert attn().tobytes() == (weights().sum(axis=1) / 2).tobytes()
 
     @pytest.mark.parametrize("groups,s,t,allow", MODEL_CASES)
     def test_weights_only_for_a_masked_call(self, groups, s, t, allow):
-        """Masked: read-only, exactly 0 off the mask, rows summing to 1; unmasked: None."""
+        """Masked: a fresh array on each call, exactly 0 off the mask, rows summing to
+        1; unmasked: None."""
         rng = np.random.default_rng(s)
         q, k, v = (nm.Tensor(rng.normal(size=(groups * s, 64))) for _ in "qkv")
-        _, weights = nm.multihead_attention(q, k, v, 4, allow)
+        _, weights_of = nm.multihead_attention(q, k, v, 4, allow)
         if allow is None:
-            assert weights is None
+            assert weights_of is None
             return
-        assert weights.shape == (groups, 4, s, s) and not weights.flags.writeable
+        weights = weights_of()
+        assert weights.shape == (groups, 4, s, s) and weights.base is None
+        assert weights_of() is not weights and weights_of().tobytes() == weights.tobytes()
         assert not weights[:, :, ~allow].any()
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
@@ -167,7 +172,7 @@ class TestMaskedAttention:
         q = nm.Tensor(rng.normal(size=(1, 4)))
         out, attn = masked_multihead_self_attention(q, np.ones((1, 1), bool), params, heads=2)
         assert out.data.shape == (1, 4)
-        assert_array_equal(attn, [[[1.0]]])
+        assert_array_equal(attn(), [[[1.0]]])
 
     def test_all_true_mask_matches_unmasked_softmax(self):
         rng = np.random.default_rng(2)
@@ -188,7 +193,8 @@ class TestMaskedAttention:
         allow = build_denoising_mask(2, 1, 2)
         params = _params(rng, 4)
         q = nm.Tensor(rng.normal(size=(4, 4)))
-        _, (attn,) = masked_multihead_self_attention(q, allow, params, heads=2)
+        _, maps = masked_multihead_self_attention(q, allow, params, heads=2)
+        (attn,) = maps()
         assert_array_equal(attn[~allow], np.zeros((~allow).sum()))
         np.testing.assert_allclose(attn.sum(axis=1), np.ones(4), atol=1e-12)
 
@@ -245,7 +251,7 @@ class TestSeparatedGroupAttention:
             rows = nm.Tensor(q.data[4 * g:4 * g + 4])
             direct, direct_map = masked_multihead_self_attention(rows, self.MASK, params, 2)
             assert_array_equal(out.data[4 * g:4 * g + 4], direct.data)
-            assert_array_equal(maps[g], direct_map[0])
+            assert_array_equal(maps()[g], direct_map()[0])
 
     def test_cross_group_independence(self):
         rng = np.random.default_rng(7)
@@ -265,7 +271,7 @@ class TestSeparatedGroupAttention:
         out, maps = masked_multihead_self_attention(q, self.MASK, params, heads=2)
         for g in (1, 2):
             assert_array_equal(out.data[4 * g:4 * g + 4], out.data[:4])
-            assert_array_equal(maps[g], maps[0])
+            assert_array_equal(maps()[g], maps()[0])
 
     def test_cross_group_gradient_exactly_zero(self):
         rng = np.random.default_rng(9)

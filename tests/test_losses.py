@@ -21,14 +21,16 @@ from vqdet.losses import (
     W_GIOU,
     W_LRTB,
     W_SIZE,
-    PredictionRows,
+    BOX_SLICES,
     TargetArrays,
     component_loss,
     corner_boxes,
+    decode_heads,
 )
 from oracles import (
     box2d_corners,
     composite_corner_boxes,
+    composite_decode_heads,
     composite_focal_loss,
     composite_giou_loss,
     composite_l1_loss,
@@ -37,6 +39,7 @@ from oracles import (
     giou_loss,
     l1_loss,
     reference_block_loss,
+    split_prediction,
 )
 
 # widths of the five box tensors: centers, lrtb, size3d, angle, depth
@@ -44,10 +47,13 @@ BOX_WIDTHS = (2, 4, 3, 2, 1)
 
 
 def _pred_rows(class_logits, centers, lrtb, size3d, angle, depth):
-    return PredictionRows(
-        class_logits=nm.Tensor(class_logits), centers=nm.Tensor(centers),
-        lrtb=nm.Tensor(lrtb), size3d=nm.Tensor(size3d),
-        angle=nm.Tensor(angle), depth=nm.Tensor(depth))
+    """One prediction tensor: the logits, then the five box column blocks."""
+    return nm.Tensor(np.concatenate([class_logits, centers, lrtb, size3d, angle, depth], axis=1))
+
+
+def _box_fields(targets):
+    """The five regression targets of ``targets``, one view per box column block."""
+    return [targets.boxes[:, cols] for cols in BOX_SLICES]
 
 
 def _hand_focal(logits, onehot, alpha, gamma):
@@ -145,7 +151,7 @@ def _random_gts(rng, k):
 
 
 def _target_bytes(targets):
-    return [a.tobytes() for a in (targets.classes, *targets.boxes, targets.corners)]
+    return [a.tobytes() for a in (targets.classes, *_box_fields(targets), targets.corners)]
 
 
 class TestTargetArrays:
@@ -160,7 +166,7 @@ class TestTargetArrays:
                 np.array([[gt.d] for gt in gts]),
                 np.array([box2d_corners(gt) for gt in gts])]
         assert len(t) == 5
-        for got, expected in zip((t.classes, *t.boxes, t.corners), want):
+        for got, expected in zip((t.classes, *_box_fields(t), t.corners), want):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.astype(got.dtype).tobytes()
 
@@ -177,7 +183,7 @@ class TestTargetArrays:
         t = TargetArrays.of([])
         assert len(t) == 0
         assert t.classes.shape == (0,)
-        assert [a.shape for a in t.boxes] == [(0, w) for w in BOX_WIDTHS]
+        assert [a.shape for a in _box_fields(t)] == [(0, w) for w in BOX_WIDTHS]
         assert t.corners.shape == (0, 4)
 
 
@@ -240,22 +246,21 @@ class TestComponentLoss:
         stacked = [rng.uniform(0.05, 0.3, size=(10, w)) for w in (3, *BOX_WIDTHS)]
         gts = [GroundTruthObject(j % 3, 0.5, 0.4, 0.1, 0.2, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
                for j in range(len(positives))]
+        stacked = np.concatenate(stacked, axis=1)
         results = []
-        for arrays, rows, pos in ((stacked, block, positives),
-                                  ([a[block.start:block.stop] for a in stacked],
-                                   range(len(block)), [r - block.start for r in positives])):
-            leaves = [nm.Tensor(a.copy(), requires_grad=True) for a in arrays]
-            loss = component_loss(PredictionRows(*leaves), rows, pos, TargetArrays.of(gts))
+        for array, rows, pos in ((stacked, block, positives),
+                                 (stacked[block.start:block.stop], range(len(block)),
+                                  [r - block.start for r in positives])):
+            leaf = nm.Tensor(array.copy(), requires_grad=True)
+            loss = component_loss(leaf, rows, pos, TargetArrays.of(gts))
             nm.backward(loss)
-            results.append((loss, [t.grad for t in leaves]))
-        (whole, whole_grads), (cut, cut_grads) = results
+            results.append((loss, leaf.grad))
+        (whole, g_whole), (cut, g_cut) = results
         assert whole.data.tobytes() == cut.data.tobytes()
-        for g_whole, g_cut in zip(whole_grads, cut_grads):
-            if g_cut is None:  # a regression tensor, when nothing is positive
-                assert g_whole is None
-                continue
-            assert g_whole[block.start:block.stop].tobytes() == g_cut.tobytes()
-            assert not g_whole[:block.start].any() and not g_whole[block.stop:].any()
+        assert g_whole[block.start:block.stop].tobytes() == g_cut.tobytes()
+        assert not g_whole[:block.start].any() and not g_whole[block.stop:].any()
+        if not positives:  # the box columns get no gradient
+            assert not g_whole[:, 3:].any()
 
     def test_mismatched_counts_rejected(self):
         pred = _pred_rows(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 4)),
@@ -263,16 +268,13 @@ class TestComponentLoss:
         with pytest.raises(ValueError):
             component_loss(pred, range(2), [0], TargetArrays.of([]))
 
-    @pytest.mark.parametrize("field", range(5))
-    def test_box_width_mismatch_rejected(self, field):
-        """A box tensor one column narrower or wider than its target, which numpy
-        would otherwise broadcast, is refused."""
-        widths = list(BOX_WIDTHS)
-        widths[field] = 2 if widths[field] == 1 else 1
-        pred = _pred_rows(np.zeros((2, 2)), *(np.ones((2, w)) for w in widths))
+    @pytest.mark.parametrize("shape", [(2, 12), (2, 11), (24,)])
+    def test_rows_without_a_class_column_rejected(self, shape):
+        """Prediction rows of 12 columns or fewer, which would leave no class
+        column or shift the box columns, are refused."""
         gt = GroundTruthObject(0, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
         with pytest.raises(nm.ShapeError, match="component_loss"):
-            component_loss(pred, range(2), [1], TargetArrays.of([gt]))
+            component_loss(nm.Tensor(np.ones(shape)), range(2), [1], TargetArrays.of([gt]))
 
 
 def _value_and_grads(build, arrays, proj):
@@ -368,8 +370,7 @@ class TestFusedOpsMatchComposite:
     def test_component_loss_records_few_nodes(self):
         rng = np.random.default_rng(14)
         rows = 6
-        pred = PredictionRows(*(nm.Tensor(rng.random(size=(rows, w)), requires_grad=True)
-                                for w in (3, *BOX_WIDTHS)))
+        pred = nm.Tensor(rng.random(size=(rows, 3 + sum(BOX_WIDTHS))), requires_grad=True)
         gts = [GroundTruthObject(k % 3, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
                for k in range(4)]
         loss = component_loss(pred, range(rows), [0, 2, 3, 5], TargetArrays.of(gts))
@@ -379,8 +380,29 @@ class TestFusedOpsMatchComposite:
             if t._parents and id(t) not in seen:
                 seen.add(id(t))
                 stack.extend(t._parents)
-        # the block loss alone; the six head tensors are leaves
+        # the block loss alone; the prediction tensor is a leaf
         assert len(seen) == 1
+
+    @pytest.mark.parametrize("layers", [1, 4])
+    def test_decode_heads(self, layers):
+        """The head op against narrows, softplus, tiled reference points and an add,
+        with saturated raw values on both tails."""
+        rng = np.random.default_rng(15 + layers)
+        for trial in range(10):
+            raw = rng.normal(size=(5 * layers, 3 + sum(BOX_WIDTHS))) * 4.0
+            if trial % 2:
+                raw[rng.random(size=raw.shape) < 0.2] = 40.0
+                raw[rng.random(size=raw.shape) < 0.2] = -40.0
+            ref = rng.uniform(0.0, 1.0, (5, 2))
+            _assert_fused_matches(lambda ts: decode_heads(ts[0], ts[1]),
+                                  lambda ts: composite_decode_heads(ts[0], ts[1]),
+                                  [raw, ref], rng.normal(size=raw.shape))
+
+    @pytest.mark.parametrize("raw_shape,ref_shape", [
+        ((6, 15), (4, 2)), ((6, 12), (3, 2)), ((6, 15), (3, 3)), ((6, 15), (0, 2)), ((15,), (3, 2))])
+    def test_decode_heads_rejects_mismatched_shapes(self, raw_shape, ref_shape):
+        with pytest.raises(nm.ShapeError, match="decode_heads"):
+            decode_heads(nm.Tensor(np.zeros(raw_shape)), nm.Tensor(np.zeros(ref_shape)))
 
 
 def _block_args(rng, rows, block, positives, classes=3):
@@ -405,21 +427,24 @@ def _block_args(rng, rows, block, positives, classes=3):
 
 
 def _op(ts, block, positives, targets):
-    return component_loss(PredictionRows(*ts), block, positives, targets)
+    return component_loss(ts[0], block, positives, targets)
 
 
 def _reference(ts, block, positives, targets):
-    """``reference_block_loss`` called with ``component_loss``'s arguments."""
-    onehot = np.zeros((len(block), ts[0].data.shape[1]))
+    """``reference_block_loss`` called with ``component_loss``'s arguments, on the
+    six column blocks of the one prediction tensor."""
+    logits, *boxes = split_prediction(ts[0])
+    onehot = np.zeros((len(block), logits.data.shape[1]))
     onehot[[list(block).index(r) for r in positives], targets.classes] = 1.0
-    return reference_block_loss(ts[0], ts[1:], block, positives, onehot, targets.boxes,
+    return reference_block_loss(logits, boxes, block, positives, onehot, _box_fields(targets),
                                 targets.corners, float(max(1, len(targets))))
 
 
 def _taped(build, arrays, upstream):
-    """``_value_and_grads`` of ``build`` as bytes, for bitwise comparison."""
-    out, grads = _value_and_grads(build, arrays, upstream)
-    return [out.tobytes()] + [None if g is None else g.tobytes() for g in grads]
+    """``_value_and_grads`` of ``build`` on the one prediction tensor of ``arrays``,
+    as bytes, for bitwise comparison."""
+    out, grads = _value_and_grads(build, [np.concatenate(arrays, axis=1)], upstream)
+    return [out.tobytes()] + [g.tobytes() for g in grads]
 
 
 def _assert_bitwise(arrays, args, upstream):
@@ -488,8 +513,8 @@ class TestBlockLossBitwise:
     def test_l1_exact_zeros(self):
         rng = np.random.default_rng(13)
         arrays, args = _block_args(rng, 6, range(6), [4, 0, 3])
-        for t, a in zip(args[2].boxes, arrays[1:]):
-            t[1] = a[0]  # exact zeros: gradient 0 there in both
+        # exact zeros: gradient 0 there in both
+        args[2].boxes[1] = np.concatenate(arrays[1:], axis=1)[0]
         for upstream in (0.8, -0.8):
             _assert_bitwise(arrays, args, upstream)
 
@@ -509,7 +534,7 @@ class TestBlockLossBitwise:
 
     def test_rows_checked(self):
         arrays, (block, _, targets) = _block_args(np.random.default_rng(33), 6, range(6), [1, 2])
-        pred = PredictionRows(*(nm.Tensor(a) for a in arrays))
+        pred = nm.Tensor(np.concatenate(arrays, axis=1))
         with pytest.raises(ValueError, match="positive rows repeat a row"):
             component_loss(pred, block, [2, 2], targets)
         with pytest.raises(ValueError, match="block rows repeat a row"):
@@ -521,7 +546,7 @@ class TestBlockLossBitwise:
 
     def test_positive_row_outside_the_block_rejected(self):
         arrays, (_, _, targets) = _block_args(np.random.default_rng(34), 4, range(4), [3])
-        pred = PredictionRows(*(nm.Tensor(a) for a in arrays))
+        pred = nm.Tensor(np.concatenate(arrays, axis=1))
         with pytest.raises(ValueError,
                            match=r"component_loss: positive rows \[3\] are not in the block"):
             component_loss(pred, range(2), [3], targets)

@@ -19,7 +19,8 @@ from vqdet.geometry import (
     iou3d,
     project_to_image,
 )
-from vqdet.losses import PredictionRows, TargetArrays, component_loss, corner_boxes
+from vqdet.losses import (CENTER, LRTB, TargetArrays, class_probs, component_loss,
+                          corner_boxes)
 from vqdet.matching import hungarian, matching_cost
 from vqdet.model import (
     Detector,
@@ -156,8 +157,8 @@ class TestDecoderForward:
         scene = _scene(2, cfg=SceneConfig(feature_size=4, num_classes=2))
         memory = det.encode_features(scene.grid)
         queries, _, allow, _ = det.build_group_inputs(_noisy(det, scene), DETERMINISTIC)
-        rows, maps = det.decoder_forward(memory, queries, allow)
-        assert len(rows) == len(maps) == 1
+        rows, final_map = det.decoder_forward(memory, queries, allow)
+        assert len(rows) == 1 and final_map().shape == (1, 2, 2)
         assert rows[0].data.shape == (2, 8)
 
     def test_learnable_path_unchanged_by_noisy_blocks(self):
@@ -181,10 +182,7 @@ class TestDecoderForward:
                 assert_array_equal(lw.data[g * s:g * s + n], lo.data[g * n:(g + 1) * n])
                 pw = det.apply_heads(lw, refs_with)
                 po = det.apply_heads(lo, refs_without)
-                assert_array_equal(pw.class_logits.data[g * s:g * s + n],
-                                   po.class_logits.data[g * n:(g + 1) * n])
-                assert_array_equal(pw.centers.data[g * s:g * s + n],
-                                   po.centers.data[g * n:(g + 1) * n])
+                assert_array_equal(pw.data[g * s:g * s + n], po.data[g * n:(g + 1) * n])
 
     def test_attention_maps_row_stochastic(self):
         det = Detector(TINY, seed=5)
@@ -192,11 +190,10 @@ class TestDecoderForward:
         noisy = _noisy(det, scene)
         memory = det.encode_features(scene.grid)
         queries, _, allow, _ = det.build_group_inputs(noisy, VARIATIONAL)
-        _, maps = det.decoder_forward(memory, queries, allow)
-        for layer_map in maps:
-            for attn in layer_map:
-                np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
-                assert_array_equal(attn[~allow], 0.0)
+        _, final_map = det.decoder_forward(memory, queries, allow)
+        for attn in final_map():
+            np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
+            assert_array_equal(attn[~allow], 0.0)
 
 
 class TestOverallLoss:
@@ -274,7 +271,7 @@ class TestTrainingLoss:
         again = training_loss(det, scene, noisy, DenoisingConfig(), replay=d)
         assert again.total.data.tobytes() == first.total.data.tobytes()
 
-    @pytest.mark.parametrize("name", ["enc.proj.w", "dec0.ffn.1.w", "head.lrtb.b",
+    @pytest.mark.parametrize("name", ["enc.proj.w", "dec0.ffn.1.w", "head.b",
                                       "queries.ref", "vqg.mu.b", "refiner.2.b"])
     def test_planted_nan_parameter_is_named_by_backward(self, name):
         """The matching cost's check or backward names the parameter, whichever sees it first."""
@@ -304,7 +301,7 @@ def _stacked_rows(det, scene, noisy):
     queries, refs, allow, _ = det.build_group_inputs(noisy, VARIATIONAL)
     rows, _ = det.decoder_forward(memory, queries, allow)
     stack = nm.concat_rows(rows)
-    return stack, det.apply_heads(stack, nm.concat_rows([refs] * det.cfg.layers)), allow.shape[0]
+    return stack, det.apply_heads(stack, refs), allow.shape[0]
 
 
 class TestStepDecisions:
@@ -340,7 +337,7 @@ class TestStepDecisions:
             # matched rows against their match, noisy row i of a block against gt i
             targets += assign.gt_indices() + [(r - g * s - n) % k for r in noisy]
         assert decisions.distill_rows.tolist() == rows
-        boxes = decode_box_rows(pred, [final + r for r in rows])
+        boxes = decode_box_rows(pred.data, [final + r for r in rows])
         assert weighed == [(boxes, targets, gt_boxes)]  # one call per step
         want = np.array([iou3d(box, gt_boxes[j]) for box, j in zip(boxes, targets)])
         w = decisions.distill_weights
@@ -424,7 +421,7 @@ class TestStackedScoring:
         stack, pred, s = _stacked_rows(det, scene, noisy)
         decisions = step_decisions(det, stack, pred, scene, TargetArrays.of(scene.objects), s)
         n = self.CFG.queries_per_group
-        probs, centers, lrtb = pred.class_probs(), pred.centers.data, pred.lrtb.data
+        probs, centers, lrtb = class_probs(pred.data), pred.data[:, CENTER], pred.data[:, LRTB]
         assert len(costs) == 1 and len(solved) == self.CFG.layers * self.CFG.groups
         for b, given in enumerate(solved):
             rows_b = slice(b * s, b * s + n)
@@ -486,6 +483,47 @@ class TestStackedScoring:
                          "hungarian": self.CFG.layers * self.CFG.groups}
 
 
+def _recorded(roots, stop=()):
+    """Recorded tape nodes reachable from ``roots`` and not from ``stop``."""
+    def walk(start):
+        seen, todo = {}, list(start)
+        while todo:
+            t = todo.pop()
+            if t._parents and id(t) not in seen:
+                seen[id(t)] = t
+                todo.extend(t._parents)
+        return seen
+    stopped = walk(stop)
+    return [t for key, t in walk(roots).items() if key not in stopped]
+
+
+class TestHeads:
+    def test_one_head_layer_of_six_column_blocks(self):
+        store = Detector(DetectorConfig(), seed=7).store
+        assert len(store.names()) == 143
+        assert [name for name in store.names() if name.startswith("head")] == ["head.w", "head.b"]
+        assert store["head.w"].data.shape == (64, 15)
+        assert store["head.b"].data.tolist() == [-2.5] * 3 + [0.0] * 2 + [-1.8] * 4 + [1.5] * 3 \
+            + [0.0] * 2 + [20.0]
+
+    @pytest.mark.parametrize("num_objects", [1, 2, 3, 4, 12])
+    def test_default_train_step_tape(self, num_objects):
+        """At most 162 nodes a step; the heads add 2 after the output layer norm
+        (10 before: six affine layers, three softplus and the reference add)."""
+        det = Detector(DetectorConfig(), seed=7)
+        scene = generate_scene(np.random.default_rng(7), SceneConfig(), "s7", 7,
+                               num_objects=num_objects)
+        noisy = _noisy(det, scene, seed=8)
+        out = training_loss(det, scene, noisy, DenoisingConfig())
+        assert len(_recorded([out.total])) <= 162
+        queries, refs, allow, _ = det.build_group_inputs(noisy, VARIATIONAL)
+        rows, _ = det.decoder_forward(det.encode_features(scene.grid), queries, allow)
+        stack = nm.concat_rows(rows)
+        added = _recorded([det.apply_heads(stack, refs)], [stack, refs])
+        assert sorted(t._vjp.__qualname__.split(".")[0] for t in added) == [
+            "decode_heads", "layer_norm", "linear"]
+
+
 class TestInference:
     def test_threshold_one_empty(self):
         cfg = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
@@ -503,9 +541,10 @@ class TestInference:
         n = TINY.queries_per_group
         rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
         pred = det.apply_heads(rows[-1], refs)
-        assert pred.class_logits.requires_grad
-        boxes = decode_box_rows(pred, list(range(n)))
-        probs, corners = pred.class_probs(), corner_boxes(pred.centers.data, pred.lrtb.data)
+        assert pred.requires_grad
+        boxes = decode_box_rows(pred.data, list(range(n)))
+        probs = class_probs(pred.data)
+        corners = corner_boxes(pred.data[:, CENTER], pred.data[:, LRTB])
         dets = inference(det, scene)
         assert len(dets) == n
         for r, d in enumerate(dets):
@@ -551,17 +590,17 @@ class TestInference:
         """The one array pass equals a per-row scalar lift, bit for bit, as plain floats."""
         rng = np.random.default_rng(25)
         m = 12
-        pred = PredictionRows(*(nm.Tensor(a) for a in (
+        logits, centers, lrtb, size3d, angle, depths = (
             rng.normal(size=(m, 2)), rng.uniform(-0.2, 1.2, (m, 2)), rng.uniform(0.0, 0.4, (m, 4)),
-            rng.uniform(0.1, 8.0, (m, 3)), rng.normal(size=(m, 2)), rng.uniform(0.5, 90.0, (m, 1)))))
-        centers, depths = pred.centers.data, pred.depth.data
+            rng.uniform(0.1, 8.0, (m, 3)), rng.normal(size=(m, 2)), rng.uniform(0.5, 90.0, (m, 1)))
+        pred = np.concatenate([logits, centers, lrtb, size3d, angle, depths], axis=1)
         rows = [7, 0, 11, 3, 3]
         boxes = decode_box_rows(pred, rows)
         assert len(boxes) == len(rows) and decode_box_rows(pred, []) == []
         for r, box in zip(rows, boxes):
             u, v, d = (float(x) for x in (centers[r, 0], centers[r, 1], depths[r, 0]))
-            sin, cos = pred.angle.data[r].tolist()
-            lifted = OrientedBox3D(*backproject(u, v, d), *pred.size3d.data[r].tolist(),
+            sin, cos = angle[r].tolist()
+            lifted = OrientedBox3D(*backproject(u, v, d), *size3d[r].tolist(),
                                    math.atan2(sin, cos))
             assert all(type(x) is float for x in astuple(box))
             assert [x.hex() for x in astuple(box)] == [x.hex() for x in astuple(lifted)]

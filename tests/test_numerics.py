@@ -8,10 +8,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from vqdet import numerics as nm
 from vqdet.gradcheck import _away_from, check_scalar_fn, OP_TOLERANCE
-from vqdet.losses import PredictionRows, TargetArrays, component_loss, corner_boxes
+from vqdet.losses import TargetArrays, component_loss, corner_boxes
 
 from oracles import (absolute, divide, matmul, maximum, minimum, narrow_cols, narrow_rows,
-                     softmax_rows, transpose)
+                     softmax_rows, softplus, transpose)
 
 
 def test_matmul_identity():
@@ -138,7 +138,7 @@ def test_backward_names_planted_nan_parameter():
     w = store.param("a.w", (3, 2))
     b = store.param("a.b", (2,), scale=0.0)
     b.data[1] = np.nan
-    loss = nm.sum_all(nm.softplus(nm.linear(nm.Tensor(np.ones((4, 3))), w, b)))
+    loss = nm.sum_all(softplus(nm.linear(nm.Tensor(np.ones((4, 3))), w, b)))
     with pytest.raises(FloatingPointError, match=r"parameter 'a\.b' \(2,\)"):
         nm.backward(loss, store)
     assert w.grad is None
@@ -205,7 +205,7 @@ def test_layer_norm_at_the_encoder_shape_bytewise():
 
 
 def _taped_chain(x: nm.Tensor) -> nm.Tensor:
-    return nm.sum_all(nm.softplus(nm.linear(x, x, nm.Tensor(np.ones(2)))) * 2.0)
+    return nm.sum_all(softplus(nm.linear(x, x, nm.Tensor(np.ones(2)))) * 2.0)
 
 
 def test_no_grad_records_no_tape_and_same_values():
@@ -393,15 +393,15 @@ def test_component_loss_hands_back_no_array_of_the_stacked_size():
     stacked = [rng.normal(size=(rows, 3)), rng.uniform(0.3, 0.7, (rows, 2)),
                rng.uniform(0.05, 0.2, (rows, 4)), rng.uniform(1.0, 4.0, (rows, 3)),
                rng.normal(size=(rows, 2)), rng.uniform(5.0, 40.0, (rows, 1))]
-    ts = [nm.Tensor(a, requires_grad=True) for a in stacked]
+    pred = nm.Tensor(np.concatenate(stacked, axis=1), requires_grad=True)
     positives = [9, 11]
     regression = [a[positives] + 0.01 for a in stacked[1:]]
     table = np.concatenate([*regression, corner_boxes(regression[0], regression[1])], axis=1)
-    loss = component_loss(PredictionRows(*ts), range(8, 12), positives,
-                          TargetArrays(np.array([0, 2]), table))
-    grads = loss._vjp(np.asarray(1.0))
-    assert [type(pg) for pg in grads] == [nm.RowGrad] * 6
-    assert [pg.values.shape for pg in grads] == [(4, 3), (2, 2), (2, 4), (2, 3), (2, 2), (2, 1)]
+    loss = component_loss(pred, range(8, 12), positives, TargetArrays(np.array([0, 2]), table))
+    (grad,) = loss._vjp(np.asarray(1.0))
+    assert type(grad) is nm.RowGrad and grad.rows == slice(8, 12)
+    assert grad.values.shape == (4, 15)
+    assert not grad.values[[0, 2], 3:].any() and grad.values[[1, 3], 3:].all()
 
 
 @pytest.mark.parametrize("op, shapes", [(nm.concat_rows, [(2, 3), (2, 4)]),
@@ -485,6 +485,12 @@ def _transpose_narrow_cols_case(rng):
     return lambda ts: nm.sum_all(transpose(narrow_cols(ts[0], 1, 2)) * nm.Tensor(p)), [x]
 
 
+def _softplus_case(rng):
+    x = rng.normal(size=(4, 4)) * 3.0
+    p = rng.normal(size=(4, 4))
+    return lambda ts: nm.sum_all(softplus(ts[0]) * nm.Tensor(p)), [x]
+
+
 def _narrow_rows_case(rng):
     x = rng.normal(size=(5, 3))
     p = rng.normal(size=(3, 3))
@@ -494,6 +500,7 @@ def _narrow_rows_case(rng):
 REFERENCE_OP_CASES = {
     "matmul": _matmul_case,
     "softmax_rows": _softmax_rows_case,
+    "softplus": _softplus_case,
     "absolute": _absolute_case,
     "divide": _divide_case,
     "minimum_maximum": _minimum_maximum_case,
@@ -521,6 +528,23 @@ class TestParameterStore:
         a = nm.ParameterStore(rng_seed=12).param("w", (4, 4))
         b = nm.ParameterStore(rng_seed=12).param("w", (4, 4))
         assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_linear_blocks_draw_what_separate_layers_draw(self, seed):
+        """A layer of column blocks is its blocks' separate layers side by side,
+        bitwise, and the parameter after it gets the same draw."""
+        widths, biases = (3, 2, 4, 3, 2, 1), (-2.5, 0.0, -1.8, 1.5, 0.0, 20.0)
+        joint = nm.ParameterStore(rng_seed=seed)
+        w, b = joint.linear("head", 8, widths, bias=biases)
+        after = joint.param("next", (5, 4))
+        apart = nm.ParameterStore(rng_seed=seed)
+        blocks = [apart.linear(f"head{i}", 8, k, bias=v)
+                  for i, (k, v) in enumerate(zip(widths, biases))]
+        assert joint.names() == ["head.w", "head.b", "next"]
+        assert w.data.shape == (8, 15) and b.data.shape == (15,)
+        assert w.data.tobytes() == np.concatenate([bw.data for bw, _ in blocks], 1).tobytes()
+        assert b.data.tobytes() == np.concatenate([bb.data for _, bb in blocks]).tobytes()
+        assert after.data.tobytes() == apart.param("next", (5, 4)).data.tobytes()
 
     def test_repeated_name_rejected(self):
         s = nm.ParameterStore(rng_seed=0)

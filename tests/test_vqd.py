@@ -7,8 +7,8 @@ from numpy.testing import assert_array_equal
 from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject
 from vqdet.gradcheck import OP_TOLERANCE, check_gradients
-from vqdet.losses import (W_ANGLE, W_CENTER, W_CLS, W_DEPTH, W_GIOU, W_LRTB, W_SIZE,
-                          PredictionRows, TargetArrays)
+from vqdet.losses import (CENTER, W_ANGLE, W_CENTER, W_CLS, W_DEPTH, W_GIOU, W_LRTB, W_SIZE,
+                          TargetArrays)
 from vqdet.vqd import (
     BETA,
     DETERMINISTIC,
@@ -122,13 +122,9 @@ def _perfect_rows(gt: GroundTruthObject, rows=1, num_classes=2):
     """``rows`` stacked copies of a saturated, exact prediction of ``gt``."""
     logits = np.full((rows, num_classes), -40.0)
     logits[:, gt.c] = 40.0
-    return PredictionRows(
-        class_logits=nm.Tensor(logits),
-        centers=nm.Tensor(np.tile([gt.x_c, gt.y_c], (rows, 1))),
-        lrtb=nm.Tensor(np.tile([gt.l, gt.r, gt.t, gt.b], (rows, 1))),
-        size3d=nm.Tensor(np.tile([gt.l3d, gt.w3d, gt.h3d], (rows, 1))),
-        angle=nm.Tensor(np.tile([math.sin(gt.theta), math.cos(gt.theta)], (rows, 1))),
-        depth=nm.Tensor(np.full((rows, 1), gt.d)))
+    box = [gt.x_c, gt.y_c, gt.l, gt.r, gt.t, gt.b, gt.l3d, gt.w3d, gt.h3d,
+           math.sin(gt.theta), math.cos(gt.theta), gt.d]
+    return nm.Tensor(np.concatenate([logits, np.tile(box, (rows, 1))], axis=1))
 
 
 class TestDenoisingLoss:
@@ -154,13 +150,9 @@ class TestDenoisingLoss:
         """K=1 block with known offsets; reconstruction + KL recomputed by hand."""
         gt = self.GT
         logits = np.array([[0.2, 1.1]])
-        pred = PredictionRows(
-            class_logits=nm.Tensor(logits),
-            centers=nm.Tensor(np.array([[0.47, 0.55]])),
-            lrtb=nm.Tensor(np.array([[0.12, 0.1, 0.09, 0.1]])),
-            size3d=nm.Tensor(np.array([[3.0, 1.5, 1.6]])),
-            angle=nm.Tensor(np.array([[0.1, 1.0]])),
-            depth=nm.Tensor(np.array([[21.5]])))
+        # logits, then center, lrtb, size3d, angle and depth
+        pred = nm.Tensor(np.concatenate([logits, [[0.47, 0.55, 0.12, 0.1, 0.09, 0.1,
+                                                   3.0, 1.5, 1.6, 0.1, 1.0, 21.5]]], axis=1))
         mu, log_var = 0.4, -0.6
         dist = LatentDistribution(mu=nm.Tensor(np.full((1, 3), mu)),
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
@@ -194,7 +186,7 @@ class TestDenoisingLoss:
     def test_layer_and_block_normalization(self):
         """Two layers sum; two blocks in a layer average."""
         pred = _perfect_rows(self.GT, rows=2)
-        pred.centers.data[:] += 0.03  # the same nonzero loss in both rows
+        pred.data[:, CENTER] += 0.03  # the same nonzero loss in both rows
         cfg = DenoisingConfig(mode=DETERMINISTIC)
         targets = TargetArrays.of([self.GT])
         one = denoising_loss(pred, [[range(1)]], targets, None, cfg)
