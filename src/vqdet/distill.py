@@ -50,11 +50,10 @@ def forward_looking_distill(stack: Tensor, layers: int, rows: np.ndarray,
     learnable rows plus all noisy rows), ``row_weights`` their IoU weights
     divided by R, and ``teacher`` the final layer's (R, D) values at those
     rows, constants taken off the tape. Per layer the loss averages over the
-    R rows; with no rows it is 0.
+    R rows; with no rows, or no layer but the teacher, it is 0, and the
+    refiner's gradient is exactly zero.
     """
     students = layers - 1
-    if not students or not len(rows):
-        return nm.Tensor(0.0)
     stride = stack.data.shape[0] // layers
     idx = (np.arange(students)[:, None] * stride + rows).ravel()
     refined = refine(nm.gather_rows(stack, idx), refiner)

@@ -229,65 +229,62 @@ def _unique_rows(rows: Sequence[int], count: int, what: str):
 
 
 def component_loss(pred: Tensor, block: Sequence[int],
-                   positive_rows: Sequence[int], targets: TargetArrays) -> Tensor:
+                   positives: Sequence[int], targets: TargetArrays) -> Tensor:
     """Set-prediction loss of one block of prediction rows of ``pred``, as one node.
 
-    ``block`` lists the block's rows of ``pred``, and ``positive_rows[i]``,
-    one of them, is supervised toward target i of ``targets``; each list
-    holds unique rows. The op reads those rows in place. Its value adds
-    seven terms, each divided by the normaliser max(1, len(targets)), with
-    the ``W_*`` weights in this order:
+    ``block`` lists the block's rows of ``pred``, and ``positives[i]`` is a
+    position in ``block``, the row supervised toward target i of
+    ``targets``; each list holds unique entries. The op reads those rows in
+    place. Its value adds seven terms, each divided by the normaliser
+    max(1, len(targets)), with the ``W_*`` weights in this order:
 
     - sigmoid focal loss (``FOCAL_ALPHA``, ``FOCAL_GAMMA``) of the block's
       logits against the one-hot target classes, every other row of the
       block background;
     - L1 of the positive centers and lrtb against their targets;
     - one minus GIoU, summed over the positive rows, of the corner boxes of
-      their centers and lrtb against the targets' corner boxes;
+      their centers and lrtb against the targets' corner boxes, computed as
+      the constant len(positives) / normaliser (exactly 1.0 with positives,
+      0.0 without) minus the normalised GIoU sum;
     - L1 of the positive size3d, angle and depth against their targets.
 
-    Without positive rows only the focal term remains. The VJP hands back
-    one ``RowGrad`` of the block's rows: the focal gradient in the logit
-    columns, the box terms' in the positive rows' box columns. Each term's
-    value and gradient are bitwise those of the term written as its own
-    node; the targets receive no gradient, and the L1 gradient at
-    pred == target is 0.
+    Without positives every box term sums to 0 and only the focal term
+    counts. The VJP hands back one ``RowGrad`` of the block's rows: the
+    focal gradient in the logit columns, the box terms' in the positive
+    rows' box columns. Each term's value and gradient are bitwise those of
+    the term written as its own node; the targets receive no gradient, and
+    the L1 gradient at pred == target is 0.
     """
     x = pred.data
     if x.ndim != 2 or x.shape[1] <= BOX_COLUMNS:
         raise ShapeError(f"component_loss: prediction rows {x.shape} have no class column")
     block_ind = _unique_rows(block, x.shape[0], "block rows")
-    pos = _unique_rows(positive_rows, x.shape[0], "positive rows")
-    if len(positive_rows) != len(targets):
-        raise ValueError(f"{len(positive_rows)} positive rows vs {len(targets)} targets")
-    outside = [row for row in positive_rows if row not in block]
-    if outside:
-        raise ValueError(f"component_loss: positive rows {outside} are not in the block")
-    at = [block.index(row) for row in positive_rows]
+    at = _unique_rows(positives, len(block), "positives")
+    if len(positives) != len(targets):
+        raise ValueError(f"{len(positives)} positives vs {len(targets)} targets")
+    rows = x[block_ind]
     onehot = np.zeros((len(block), x.shape[1] - BOX_COLUMNS))
-    onehot[at, targets.classes] = 1.0
+    onehot[at] = np.eye(onehot.shape[1])[targets.classes]
     normalizer = float(max(1, len(targets)))
-    focal, focal_vjp = _focal_sum(x[block_ind, LOGITS], onehot)
+    focal, focal_vjp = _focal_sum(rows[:, LOGITS], onehot)
     cls_scale, l1_scale = -1.0 / normalizer, 1.0 / normalizer
-    out = focal * cls_scale * W_CLS
-    box = x[pos, -BOX_COLUMNS:]
+    box = rows[at, -BOX_COLUMNS:]
     diff = box - targets.boxes
-    if at:
-        l1 = [np.abs(diff[:, cols]).sum() * l1_scale for cols in BOX_SLICES]
-        giou, giou_vjp = giou_pairs(box[:, CENTER], box[:, LRTB], targets.corners)
-        # the terms in weight order, added left to right
-        out = (out + l1[0] * W_CENTER + l1[1] * W_LRTB + (giou.sum() * cls_scale + 1.0) * W_GIOU
-               + l1[2] * W_SIZE + l1[3] * W_ANGLE + l1[4] * W_DEPTH)
+    l1 = [np.abs(diff[:, cols]).sum() * l1_scale for cols in BOX_SLICES]
+    giou, giou_vjp = giou_pairs(box[:, CENTER], box[:, LRTB], targets.corners)
+    # the terms in weight order, added left to right
+    out = (focal * cls_scale * W_CLS + l1[0] * W_CENTER + l1[1] * W_LRTB
+           + (giou.sum() * cls_scale + len(positives) / normalizer) * W_GIOU
+           + l1[2] * W_SIZE + l1[3] * W_ANGLE + l1[4] * W_DEPTH)
 
     def vjp(g):
         g = float(g)
         rows_g = np.zeros((len(block), x.shape[1]))
         rows_g[:, LOGITS] = focal_vjp(g * W_CLS * cls_scale)
-        if at:
-            g_box = g * W_BOX * l1_scale * np.sign(diff)
-            for cols, g_giou in zip((CENTER, LRTB), giou_vjp(g * W_GIOU * cls_scale)):
-                g_box[:, cols] += g_giou
-            rows_g[at, -BOX_COLUMNS:] = g_box
+        g_box = g * W_BOX * l1_scale * np.sign(diff)
+        for cols, g_giou in zip((CENTER, LRTB), giou_vjp(g * W_GIOU * cls_scale)):
+            g_box[:, cols] += g_giou
+        rows_g[at, -BOX_COLUMNS:] = g_box
         return (RowGrad(block_ind, rows_g),)
 
     return _node(np.asarray(out), (pred,), vjp)

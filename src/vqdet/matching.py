@@ -99,8 +99,6 @@ def hungarian(cost: np.ndarray) -> Assignment:
     if cost.ndim != 2:
         raise ValueError(f"cost must be a matrix, got shape {cost.shape}")
     n, m = cost.shape
-    if n == 0 or m == 0:
-        return Assignment(pairs=[], total_cost=0.0)
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
     if n <= m:
@@ -123,9 +121,6 @@ def matching_cost(class_probs: np.ndarray, centers: np.ndarray, lrtb: np.ndarray
     target) pair of the queries' centers and edge distances; all inputs are
     plain arrays, off the tape.
     """
-    nq = class_probs.shape[0]
-    if nq == 0 or len(targets) == 0:
-        return np.zeros((nq, len(targets)))
     gt_xy = targets.boxes[:, CENTER]
     cls_term = 1.0 - class_probs[:, targets.classes]
     center_term = (np.abs(centers[:, 0:1] - gt_xy[:, 0])

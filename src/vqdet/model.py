@@ -249,14 +249,15 @@ class Detector:
         return nm.gather_rows(self.query_content, rows) + nm.linear(ref, *self.lref), ref
 
     def build_group_inputs(self, noisy: NoisyDraw, mode: str
-                           ) -> tuple[Tensor, Tensor, np.ndarray,
-                                      LatentDistribution | None]:
-        """Stacked (G*S, D) queries, (G*S, 2) references, the (S, S) mask, latents."""
+                           ) -> tuple[Tensor, Tensor, np.ndarray, LatentDistribution]:
+        """Stacked (G*S, D) queries, (G*S, 2) references, the (S, S) mask, latents.
+
+        The latents hold one row per noisy row, G*C*K in all: 0 rows without
+        noisy groups or objects, where S = N.
+        """
         cfg = self.cfg
         n, groups = cfg.queries_per_group, cfg.groups
         queries, refs = self.learnable_queries(groups)
-        if cfg.noisy_groups == 0 or noisy.num_objects == 0:
-            return queries, refs, build_denoising_mask(n, 0, 0), None
         k, c = noisy.num_objects, cfg.noisy_groups
         dist = self.vqg.encode(noisy.boxes)
         z = sample_reparameterized(dist, mode, noisy.eps)
@@ -380,8 +381,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
                  else replay)
 
     # block b = l*G + g starts at row b*s of the stack
-    scored = [component_loss(pred, range(b * s, b * s + n),
-                             [b * s + q for q in assign.query_indices()],
+    scored = [component_loss(pred, range(b * s, b * s + n), assign.query_indices(),
                              targets.take(assign.gt_indices()))
               for b, assign in enumerate(a for layer in decisions.assignments for a in layer)]
     detection = nm.weighted_sum(scored, [1.0] * len(scored))

@@ -152,8 +152,12 @@ def ap40(detections: list[Detection],
     detections across scenes, but the input order of equal-score detections
     within one scene can change it. Each ground truth can be claimed once, by
     the highest-ranked same-class detection whose IoU3D clears the threshold.
-    Returns NaN when there are no ground truths.
+    Returns NaN when there are no ground truths. A NaN score has no rank, so
+    it raises ValueError naming the scene of the first one.
     """
+    nan_scene = next((d.scene_id for d in detections if math.isnan(d.score)), None)
+    if nan_scene is not None:
+        raise ValueError(f"ap40: a detection of scene {nan_scene!r} has a NaN score")
     total_gts = sum(len(v) for v in ground_truths.values())
     if total_gts == 0:
         return float("nan")

@@ -120,7 +120,7 @@ class DenoisingLoss:
 
 
 def denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequence[int]]],
-                   targets: TargetArrays, dist: LatentDistribution | None,
+                   targets: TargetArrays, dist: LatentDistribution,
                    cfg: DenoisingConfig) -> DenoisingLoss:
     """Reconstruction loss over the noisy blocks plus :data:`BETA` times the KL term.
 
@@ -130,15 +130,16 @@ def denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequence[int]]]
     step's one :class:`TargetArrays` bundle, which every block's call reads
     as it is; every row is positive. Reconstruction averages over the blocks
     of a layer and sums over layers, mirroring deep supervision. The KL term is computed once
-    from the latent distribution, skipped in deterministic mode.
+    from ``dist``, the latents of the step's noisy rows (0 rows without any, giving a KL of
+    0), and skipped in deterministic mode.
     """
     zero = nm.Tensor(0.0)
     layers = [blocks for blocks in layer_blocks if blocks]
-    sums = [nm.weighted_sum([component_loss(pred, block, block, targets)
+    sums = [nm.weighted_sum([component_loss(pred, block, range(len(block)), targets)
                              for block in blocks], [1.0] * len(blocks)) for blocks in layers]
     recon = nm.weighted_sum(sums, [1.0 / len(blocks) for blocks in layers]) if layers else zero
 
-    if cfg.mode == DETERMINISTIC or dist is None:
+    if cfg.mode == DETERMINISTIC:
         kl = zero
         total = recon
     else:

@@ -236,8 +236,8 @@ class TestComponentLoss:
         assert got == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("block,positives", [
-        (range(2, 7), [5, 2, 6]),   # a group's learnable rows, some matched
-        (range(7, 10), [7, 8, 9]),  # a noisy block, every row positive
+        (range(2, 7), [3, 0, 4]),   # a group's learnable rows, some matched
+        (range(7, 10), [0, 1, 2]),  # a noisy block, every row positive
         (range(0, 4), []),          # no positives: background only
     ])
     def test_stacked_rows_equal_a_standalone_block(self, block, positives):
@@ -248,11 +248,10 @@ class TestComponentLoss:
                for j in range(len(positives))]
         stacked = np.concatenate(stacked, axis=1)
         results = []
-        for array, rows, pos in ((stacked, block, positives),
-                                 (stacked[block.start:block.stop], range(len(block)),
-                                  [r - block.start for r in positives])):
+        for array, rows in ((stacked, block),
+                            (stacked[block.start:block.stop], range(len(block)))):
             leaf = nm.Tensor(array.copy(), requires_grad=True)
-            loss = component_loss(leaf, rows, pos, TargetArrays.of(gts))
+            loss = component_loss(leaf, rows, positives, TargetArrays.of(gts))
             nm.backward(loss)
             results.append((loss, leaf.grad))
         (whole, g_whole), (cut, g_cut) = results
@@ -409,7 +408,7 @@ def _block_args(rng, rows, block, positives, classes=3):
     """Random head outputs of ``rows`` rows, and ``component_loss``'s other arguments.
 
     Returns the six arrays (logits, then the box tensors) and the list
-    [block, positive rows, targets]. The targets' box and corner arrays are
+    [block, positions in the block, targets]. The targets' box and corner arrays are
     views of one table, so a test may overwrite them in place. Every target
     box is a real box.
     """
@@ -418,7 +417,7 @@ def _block_args(rng, rows, block, positives, classes=3):
               rng.normal(size=(rows, 2)), rng.uniform(5.0, 40.0, (rows, 1))]
     target_classes = np.array([rng.integers(classes) for _ in positives], dtype=np.intp)
     m = len(positives)
-    box_targets = [a[list(positives)] + rng.normal(size=(m, a.shape[1])) * 0.05
+    box_targets = [a[[block[p] for p in positives]] + rng.normal(size=(m, a.shape[1])) * 0.05
                    for a in arrays[1:]]
     box_targets[1] = np.abs(box_targets[1])
     corners = _op_corners(box_targets[0], box_targets[1])
@@ -435,9 +434,9 @@ def _reference(ts, block, positives, targets):
     six column blocks of the one prediction tensor."""
     logits, *boxes = split_prediction(ts[0])
     onehot = np.zeros((len(block), logits.data.shape[1]))
-    onehot[[list(block).index(r) for r in positives], targets.classes] = 1.0
-    return reference_block_loss(logits, boxes, block, positives, onehot, _box_fields(targets),
-                                targets.corners, float(max(1, len(targets))))
+    onehot[list(positives), targets.classes] = 1.0
+    return reference_block_loss(logits, boxes, block, [block[p] for p in positives], onehot,
+                                _box_fields(targets), targets.corners, float(max(1, len(targets))))
 
 
 def _taped(build, arrays, upstream):
@@ -459,11 +458,11 @@ class TestBlockLossBitwise:
     """``component_loss`` equals the 14-node composition it replaced, bit for bit."""
 
     @pytest.mark.parametrize("block,positives", [
-        (range(2, 7), [5, 2, 6]),   # learnable rows of a larger stack, some matched
-        (range(7, 10), range(7, 10)),  # a noisy block read in place, every row positive
+        (range(2, 7), [3, 0, 4]),   # learnable rows of a larger stack, some matched
+        (range(7, 10), range(3)),   # a noisy block read in place, every row positive
         (range(0, 10), [9, 0, 4, 1]),  # the whole stack
         (range(3, 8), []),          # no positives: background only
-        ([9, 3, 4, 0], [4]),        # rows that are no range
+        ([9, 3, 4, 0], [2]),        # rows that are no range
     ])
     def test_equals_reference(self, block, positives):
         rng = np.random.default_rng(31)
@@ -474,7 +473,7 @@ class TestBlockLossBitwise:
     def test_saturated_logits(self):
         rng = np.random.default_rng(10)
         for trial in range(10):
-            arrays, args = _block_args(rng, 9, range(1, 8), [] if trial % 2 else [3, 6])
+            arrays, args = _block_args(rng, 9, range(1, 8), [] if trial % 2 else [2, 5])
             logits = arrays[0]
             logits[rng.random(size=logits.shape) < 0.4] = 40.0
             logits[rng.random(size=logits.shape) < 0.4] = -40.0
@@ -503,7 +502,7 @@ class TestBlockLossBitwise:
         args[2].corners[:] = special
         _assert_bitwise(arrays, args, rng.normal())
         for _ in range(10):
-            arrays, args = _block_args(rng, 8, range(1, 8), [6, 1, 2, 5, 4, 3])
+            arrays, args = _block_args(rng, 8, range(1, 8), [5, 0, 1, 4, 3, 2])
             own = _op_corners(arrays[1], arrays[2])[[6, 1, 2, 5, 4, 3]]
             # near the prediction; copy some of its coordinates to tie
             target = own + rng.uniform(-0.04, 0.04, size=own.shape)
@@ -521,8 +520,8 @@ class TestBlockLossBitwise:
     def test_blocks_of_one_stack_summed(self):
         """Several blocks of one stack, added as the detector adds them."""
         rng = np.random.default_rng(32)
-        layout = [(range(0, 4), [2, 0]), (range(4, 7), [4, 5, 6]), (range(7, 10), []),
-                  (range(10, 12), [11])]
+        layout = [(range(0, 4), [2, 0]), (range(4, 7), [0, 1, 2]), (range(7, 10), []),
+                  (range(10, 12), [1])]
         arrays, _ = _block_args(rng, 12, range(12), [])
         cases = [_block_args(rng, 12, block, pos)[1] for block, pos in layout]
 
@@ -535,18 +534,19 @@ class TestBlockLossBitwise:
     def test_rows_checked(self):
         arrays, (block, _, targets) = _block_args(np.random.default_rng(33), 6, range(6), [1, 2])
         pred = nm.Tensor(np.concatenate(arrays, axis=1))
-        with pytest.raises(ValueError, match="positive rows repeat a row"):
+        with pytest.raises(ValueError, match="positives repeat a row"):
             component_loss(pred, block, [2, 2], targets)
         with pytest.raises(ValueError, match="block rows repeat a row"):
             component_loss(pred, [0, 1, 1, 2, 3, 4], [1, 2], targets)
         with pytest.raises(IndexError, match="block rows"):
             component_loss(pred, range(1, 7), [1, 2], targets)
-        with pytest.raises(IndexError, match="positive rows"):
+        with pytest.raises(IndexError, match="positives"):
             component_loss(pred, block, [1, -1], targets)
 
     def test_positive_row_outside_the_block_rejected(self):
+        """Position 3 is a row of the stack but not of the 2-row block."""
         arrays, (_, _, targets) = _block_args(np.random.default_rng(34), 4, range(4), [3])
         pred = nm.Tensor(np.concatenate(arrays, axis=1))
-        with pytest.raises(ValueError,
-                           match=r"component_loss: positive rows \[3\] are not in the block"):
+        with pytest.raises(IndexError,
+                           match=r"component_loss: positives out of range for 2 rows"):
             component_loss(pred, range(2), [3], targets)

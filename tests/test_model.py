@@ -271,6 +271,27 @@ class TestTrainingLoss:
         again = training_loss(det, scene, noisy, DenoisingConfig(), replay=d)
         assert again.total.data.tobytes() == first.total.data.tobytes()
 
+    @pytest.mark.parametrize("cfg,num_objects,mode,zero", [
+        (TINY, 0, VARIATIONAL, ("vqg.", "aref.", "refiner.")),
+        (TINY, 0, DETERMINISTIC, ("vqg.", "aref.", "refiner.")),
+        (replace(TINY, noisy_groups=0), 2, VARIATIONAL, ("vqg.", "aref.")),
+        (replace(TINY, lambda_distill=0.0), 2, VARIATIONAL, ("refiner.",)),
+        (replace(TINY, layers=1), 2, VARIATIONAL, ("refiner.",)),
+    ])
+    def test_every_arm_takes_its_gradients_from_the_tape(self, cfg, num_objects, mode, zero):
+        """Without a store, backward reaches every parameter the arm's ops read: a generator
+        without noisy rows and a refiner without distillation rows get exact zeros."""
+        det = Detector(cfg, seed=31)
+        scene = _scene(32, num_objects=num_objects)
+        out = training_loss(det, scene, _noisy(det, scene), DenoisingConfig(mode))
+        nm.backward(out.total)
+        # deterministic mode samples mu itself, so no op reads the log-variance head
+        unread = ["vqg.lv.w", "vqg.lv.b"] if mode == DETERMINISTIC else []
+        assert [name for name, t in det.store.items() if t.grad is None] == unread
+        zeros = {name: t.grad for name, t in det.store.items()
+                 if name.startswith(zero) and name not in unread}
+        assert zeros and all(g.tobytes() == np.zeros_like(g).tobytes() for g in zeros.values())
+
     @pytest.mark.parametrize("name", ["enc.proj.w", "dec0.ffn.1.w", "head.b",
                                       "queries.ref", "vqg.mu.b", "refiner.2.b"])
     def test_planted_nan_parameter_is_named_by_backward(self, name):
@@ -359,14 +380,15 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
     for pred, layer_assign in zip(preds, decisions.assignments):
         for g, assign in enumerate(layer_assign):
             detection = detection + component_loss(
-                pred, range(g * s, g * s + n), [g * s + q for q in assign.query_indices()],
+                pred, range(g * s, g * s + n), assign.query_indices(),
                 TargetArrays.of([gts[j] for j in assign.gt_indices()]))
     blocks = [range(g * s + lo, g * s + lo + k) for g in range(groups) for lo in range(n, s, k)]
     recon = nm.Tensor(0.0)
     for pred in preds:
         layer_term = nm.Tensor(0.0)
         for block in blocks:
-            layer_term = layer_term + component_loss(pred, block, block, TargetArrays.of(gts))
+            layer_term = layer_term + component_loss(pred, block, range(k),
+                                                     TargetArrays.of(gts))
         recon = recon + layer_term * (1.0 / len(blocks))
     denoising = recon + nm.gaussian_kl(dist.mu, dist.log_var) * BETA
     # the weights are taken as given: step_decisions has already divided them by R
@@ -446,14 +468,15 @@ class TestStackedScoring:
         detection = nm.Tensor(0.0)
         for b, assign in enumerate(a for layer in out.decisions.assignments for a in layer):
             detection = detection + component_loss(
-                pred, range(b * s, b * s + n), [b * s + q for q in assign.query_indices()],
+                pred, range(b * s, b * s + n), assign.query_indices(),
                 TargetArrays.of([gts[j] for j in assign.gt_indices()]))
         recon = nm.Tensor(0.0)
         for layer in range(cfg.layers):
             blocks = [range(b * s + lo, b * s + lo + k)
                       for b in range(layer * cfg.groups, (layer + 1) * cfg.groups)
                       for lo in range(n, s, k)]
-            terms = [component_loss(pred, block, block, TargetArrays.of(gts)) for block in blocks]
+            terms = [component_loss(pred, block, range(k), TargetArrays.of(gts))
+                     for block in blocks]
             recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
         for got, want in ((out.detection, detection),
                           (out.denoising.reconstruction, recon)):

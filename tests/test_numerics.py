@@ -394,10 +394,10 @@ def test_component_loss_hands_back_no_array_of_the_stacked_size():
                rng.uniform(0.05, 0.2, (rows, 4)), rng.uniform(1.0, 4.0, (rows, 3)),
                rng.normal(size=(rows, 2)), rng.uniform(5.0, 40.0, (rows, 1))]
     pred = nm.Tensor(np.concatenate(stacked, axis=1), requires_grad=True)
-    positives = [9, 11]
-    regression = [a[positives] + 0.01 for a in stacked[1:]]
+    regression = [a[[9, 11]] + 0.01 for a in stacked[1:]]
     table = np.concatenate([*regression, corner_boxes(regression[0], regression[1])], axis=1)
-    loss = component_loss(pred, range(8, 12), positives, TargetArrays(np.array([0, 2]), table))
+    # rows 9 and 11 of the stack are positions 1 and 3 of the block
+    loss = component_loss(pred, range(8, 12), [1, 3], TargetArrays(np.array([0, 2]), table))
     (grad,) = loss._vjp(np.asarray(1.0))
     assert type(grad) is nm.RowGrad and grad.rows == slice(8, 12)
     assert grad.values.shape == (4, 15)

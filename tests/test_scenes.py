@@ -158,6 +158,18 @@ class TestAP40:
         values = {ap40(list(order), gts, 0.5) for order in itertools.permutations(tied)}
         assert values == {ap40(tied, gts, 0.5)}
 
+    def test_nan_score_rejected_naming_its_scene(self):
+        """Ranked, NaN scores made AP depend on how scenes interleave (0.5 to 0.833)."""
+        gts = {"a": [(0, _box(0.0))], "b": [(0, _box(0.0))]}
+        a = [_det("a", math.nan, _box(100.0)), _det("a", 0.5, _box(0.0))]
+        b = [_det("b", 0.9, _box(0.0)), _det("b", math.nan, _box(100.0))]
+        for from_a in itertools.combinations(range(4), 2):
+            ia, ib = iter(a), iter(b)
+            order = [next(ia) if i in from_a else next(ib) for i in range(4)]
+            first = next(d.scene_id for d in order if math.isnan(d.score))
+            with pytest.raises(ValueError, match=f"scene '{first}' has a NaN score"):
+                ap40(order, gts, 0.5)
+
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(0)
         gts = self._two_scene_truth()

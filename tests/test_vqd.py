@@ -189,10 +189,10 @@ class TestDenoisingLoss:
         pred.data[:, CENTER] += 0.03  # the same nonzero loss in both rows
         cfg = DenoisingConfig(mode=DETERMINISTIC)
         targets = TargetArrays.of([self.GT])
-        one = denoising_loss(pred, [[range(1)]], targets, None, cfg)
+        one = denoising_loss(pred, [[range(1)]], targets, self._dist(), cfg)
         assert one.total.item() > 0.1
-        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], targets, None, cfg)
-        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], targets, None, cfg)
+        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], targets, self._dist(), cfg)
+        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], targets, self._dist(), cfg)
         assert two_blocks.total.item() == pytest.approx(one.total.item(), abs=1e-12)
         assert two_layers.total.item() == pytest.approx(2 * one.total.item(), abs=1e-12)
 
