@@ -413,7 +413,8 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
 
     Queries with maximum class confidence below the configured threshold are
     discarded; there is no non-maximum suppression. Nothing is recorded on
-    the tape, and the heads decode the final layer's rows only.
+    the tape, the heads decode the final layer's rows only, and only the
+    kept rows are decoded into boxes and corners.
     """
     cfg = det.cfg
     n = cfg.queries_per_group
@@ -423,11 +424,13 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
         rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
         pred = det.apply_heads(rows[-1], refs).data
     probs = class_probs(pred)
-    decoded = zip(probs.max(axis=1).tolist(), probs.argmax(axis=1).tolist(),
-                  decode_box_rows(pred, range(n)),
-                  corner_boxes(pred[:, CENTER], pred[:, LRTB]).tolist())
+    scores = probs.max(axis=1)
     # a row goes only when its score is below the threshold, so a NaN score stays
+    keep = np.flatnonzero(~(scores < cfg.confidence_threshold))
+    kept = pred[keep]
+    decoded = zip(scores[keep].tolist(), probs[keep].argmax(axis=1).tolist(),
+                  decode_box_rows(kept, range(len(keep))),
+                  corner_boxes(kept[:, CENTER], kept[:, LRTB]).tolist())
     return [Detection(scene_id=scene.scene_id, category=category, score=score, box3d=box,
                       corners2d=tuple(corners))
-            for score, category, box, corners in decoded
-            if not score < cfg.confidence_threshold]
+            for score, category, box, corners in decoded]

@@ -33,10 +33,15 @@ softmax, softplus, row and column slices, elementwise min/max, the loss
 terms as separate nodes and the like) live beside the oracles that use
 them, in ``tests/oracles.py``.
 
-The tape is rebuilt from scratch each training step and is single-threaded
-within a step. Data is always float64; there is no broadcasting beyond the
-two cases the model needs (same shape, and a scalar operand); ``linear``
-adds its own bias. Every affine layer is a ``(w, b)`` pair that
+The tape is rebuilt from scratch each training step. At most two threads
+run a step: the caller, which alone records and walks the tape, and, where
+the process may use two CPUs, one worker that runs heads of the largest
+attention calls (:func:`multihead_attention`). The worker only does
+arithmetic on the arrays of the call that submitted it, and that call does
+not return while the worker may still touch them, so no value depends on
+which thread computed it. Data is always float64; there is no broadcasting
+beyond the two cases the model needs (same shape, and a scalar operand);
+``linear`` adds its own bias. Every affine layer is a ``(w, b)`` pair that
 :meth:`ParameterStore.linear` declares; a checkpoint is an ``.npz`` archive
 of float64 arrays keyed by parameter name.
 """
@@ -45,8 +50,11 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import tokenize
+import weakref
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -240,6 +248,53 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
                  lambda g: (g * ((a.data >= lo) & (a.data <= hi)),))
 
 
+# An attention call whose heads each form at least this many logits runs them
+# one at a time, shared between the caller and _worker.
+SPLIT_LOGITS = 256 * 256
+
+
+def _start_worker() -> None:
+    """One worker thread for attention heads, only where the process may use two CPUs."""
+    global _worker
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    _worker = ThreadPoolExecutor(max_workers=1) if (cpus or 1) > 1 else None
+
+
+_start_worker()
+if hasattr(os, "register_at_fork"):  # a forked child has no thread behind the parent's worker
+    os.register_at_fork(after_in_child=_start_worker)
+
+
+def _run_heads(kernel: Callable[[Iterator[slice]], None], heads: int, logits: int) -> None:
+    """Run ``kernel`` over every head of an attention call, given its head slices.
+
+    With fewer than SPLIT_LOGITS ``logits`` per head, one slice covers all
+    heads. Otherwise each head is its own slice, and the caller and the
+    worker, if there is one, run the kernel over one shared iterator of them,
+    so a head goes to whichever thread asks first. A worker that has not
+    started by the time the caller runs out of heads is cancelled; one that
+    has is waited for, and its exception is raised here. The kernel only
+    does arithmetic on arrays that no two heads share, and records nothing.
+    """
+    if logits < SPLIT_LOGITS:
+        kernel(iter([slice(0, heads)]))
+        return
+    shared = iter([slice(h, h + 1) for h in range(heads)])
+    # A weak reference: a cancelled call queued behind a late worker must not
+    # keep the arrays that its kernel holds alive.
+    pending = None if _worker is None else _worker.submit(_call, weakref.ref(kernel), shared)
+    try:
+        kernel(shared)
+    finally:
+        if pending is not None and not pending.cancel():
+            pending.result()
+
+
+def _call(kernel_ref: weakref.ref, head_slices: Iterator[slice]) -> None:
+    # Only a call that was not cancelled runs, and its caller holds the kernel.
+    kernel_ref()(head_slices)
+
+
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                         allow: np.ndarray | None = None) -> tuple[Tensor, np.ndarray | None]:
     """Scaled dot-product attention over ``heads`` column blocks, as one node.
@@ -253,6 +308,17 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     the row max over allowed logits is subtracted before exponentiation, and
     the value product of the unnormalised exponentials is divided by their
     row sums afterwards, as in FlashAttention (arXiv 2205.14135).
+
+    The forward pass and the VJP each run one kernel body over slices of
+    heads. A call whose heads each form fewer than ``SPLIT_LOGITS`` logits
+    runs it once over all heads. A larger call (today only the encoder's
+    256 x 256 self-attention) runs it one head at a time, each head on
+    whichever of the caller and the module's one worker thread takes it
+    first (:func:`_run_heads`); without a worker the caller runs them all. A
+    head's products, row reductions and elementwise passes are the same
+    operations on the same values whichever way it runs, so the output, the
+    weights and the gradients are bitwise the same on one thread or two,
+    and with the heads run together or one at a time.
 
     Mask separation is exact for finite values only: a disallowed weight is
     exactly 0, but the value product still multiplies it by the disallowed
@@ -280,43 +346,62 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
             bad = int(np.flatnonzero(~allow.any(axis=1))[0])
             raise DegenerateMaskError(f"row {bad} has no allowed column")
         groups, rows, cols = r // s, s, s
+        blocked = ~allow
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
     def split(x, n):  # (G*n, D) -> (G, H, n, dh), a view
         return x.reshape(groups, n, heads, dh).transpose(0, 2, 1, 3)
 
-    def product(a, b, n, factor=None):  # [factor *] a @ b, fresh: backward keeps it
-        y = np.empty((groups * n, d))
-        np.matmul(a, b, out=split(y, n))
-        if factor is not None:
-            y *= factor
-        return y
+    def scale_heads(x, n, h, factor):  # x's columns of heads h *= factor, in memory order
+        block = x.reshape(groups, n, heads, dh)[:, :, h]
+        block *= factor
 
-    kh, vh = split(k.data, cols), split(v.data, cols)
-    e = split(q.data * scale, rows) @ kh.swapaxes(-1, -2)
-    if allow is not None:
-        np.copyto(e, -np.inf, where=~allow)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    inv = 1.0 / e.sum(axis=-1, keepdims=True)
-    out = product(e, vh, rows)
-    out.reshape(groups, rows, heads, dh)[...] *= inv.swapaxes(1, 2)  # split(out) *= inv
+    qh, kh, vh = split(q.data * scale, rows), split(k.data, cols), split(v.data, cols)
+    e = np.empty((groups, heads, rows, cols))
+    inv = np.empty((groups, heads, rows, 1))
+    out = np.empty((r, d))
+    oh = split(out, rows)
+    logits = groups * rows * cols  # per head
+
+    def forward(head_slices):
+        for h in head_slices:
+            eh = np.matmul(qh[:, h], kh[:, h].swapaxes(-1, -2), out=e[:, h])
+            if allow is not None:
+                np.copyto(eh, -np.inf, where=blocked)
+            eh -= eh.max(axis=-1, keepdims=True)
+            np.exp(eh, out=eh)
+            np.divide(1.0, eh.sum(axis=-1, keepdims=True), out=inv[:, h])
+            np.matmul(eh, vh[:, h], out=oh[:, h])
+            scale_heads(out, rows, h, inv[:, h].swapaxes(1, 2))
+
+    _run_heads(forward, heads, logits)
 
     def vjp(g):
-        # With P = e * inv, dS = e * (dO * inv @ V^T - rowsum(dO * inv * O)): the
-        # row sums of dP * P are an (R, dh) product instead of an (R, T) one.
-        gp = split(g, rows) * inv
-        delta = (gp * split(out, rows)).sum(axis=-1, keepdims=True)
-        gv = product(e.swapaxes(-1, -2), gp, cols) if v.requires_grad else None
-        ds = gp @ vh.swapaxes(-1, -2)
-        del gp  # not read again: free it before the q and k products allocate
-        ds -= delta
-        ds *= e
-        return (product(ds, kh, rows, scale) if q.requires_grad else None,
-                product(ds.swapaxes(-1, -2), split(q.data, rows), cols, scale)
-                if k.requires_grad else None,
-                gv)
+        gh, qu = split(g, rows), split(q.data, rows)
+        gq, gk, gv = (np.empty(x.data.shape) if x.requires_grad else None for x in (q, k, v))
+
+        def backward(head_slices):
+            ds = None  # one buffer for all of this thread's heads
+            for h in head_slices:
+                # With P = e * inv, dS = e * (dO * inv @ V^T - rowsum(dO * inv * O)): the
+                # row sums of dP * P are an (R, dh) product instead of an (R, T) one.
+                gp = gh[:, h] * inv[:, h]
+                delta = (gp * oh[:, h]).sum(axis=-1, keepdims=True)
+                if gv is not None:
+                    np.matmul(e[:, h].swapaxes(-1, -2), gp, out=split(gv, cols)[:, h])
+                ds = np.matmul(gp, vh[:, h].swapaxes(-1, -2), out=ds)
+                ds -= delta
+                ds *= e[:, h]
+                if gq is not None:
+                    np.matmul(ds, kh[:, h], out=split(gq, rows)[:, h])
+                    scale_heads(gq, rows, h, scale)
+                if gk is not None:
+                    np.matmul(ds.swapaxes(-1, -2), qu[:, h], out=split(gk, cols)[:, h])
+                    scale_heads(gk, cols, h, scale)
+
+        _run_heads(backward, heads, logits)
+        return gq, gk, gv
 
     return _node(out, (q, k, v), vjp), None if allow is None else lambda: e * inv
 

@@ -16,6 +16,10 @@ boxes of ``losses.corner_boxes``.
 bodies of the Hungarian scan and the box noise, which the library's
 faster forms must equal bit for bit.
 
+``HalfHeadsWorker`` stands in for the attention worker thread with a fixed
+schedule: its thread runs the first heads of a call, whenever it starts,
+so a test knows that both threads computed some.
+
 The focal, GIoU and L1 terms that ``losses.component_loss`` fuses are kept
 here as the single-node ops they were, and ``reference_block_loss`` composes
 them the way the detector scored a block before the fusion, from the six
@@ -26,6 +30,8 @@ library, since the op must equal them bit for bit.
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -566,3 +572,24 @@ def composite_multihead_attention(q, k, v, heads, allow=None):
             contexts.append(matmul(softmax_rows(logits, allow), vh))
         groups.append(nm.concat_cols(contexts))
     return nm.concat_rows(groups)
+
+
+class HalfHeadsWorker:
+    """A worker for ``numerics._worker`` that always runs the first ``take`` heads.
+
+    ``submit(fn, kernel_ref, head_slices)`` takes that many of the shared
+    head slices at once and runs ``fn`` over them on its own thread; the
+    caller runs the rest. The returned handle cannot be cancelled, so the
+    caller waits for the thread. ``calls`` lists the submitted kernels by name.
+    """
+
+    def __init__(self, take: int = 2):
+        self.take = take
+        self.pool = ThreadPoolExecutor(max_workers=1)
+        self.calls = []
+
+    def submit(self, fn, kernel_ref, head_slices):
+        mine = list(itertools.islice(head_slices, self.take))
+        self.calls.append(kernel_ref().__name__)
+        future = self.pool.submit(fn, kernel_ref, iter(mine))
+        return SimpleNamespace(cancel=lambda: False, result=future.result)

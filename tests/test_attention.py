@@ -1,3 +1,8 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +15,7 @@ from vqdet.attention import (
 )
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 
-from oracles import composite_multihead_attention, narrow_rows, softmax_rows
+from oracles import HalfHeadsWorker, composite_multihead_attention, narrow_rows, softmax_rows
 
 
 def _params(rng, d, requires_grad=False) -> list[tuple[nm.Tensor, nm.Tensor]]:
@@ -283,3 +288,113 @@ class TestSeparatedGroupAttention:
         nm.backward(nm.sum_all(first * first))
         assert not q.grad[4:].any()
         assert np.abs(q.grad[:4]).max() > 0
+
+
+@pytest.fixture
+def half_heads():
+    worker = HalfHeadsWorker()
+    yield worker
+    worker.pool.shutdown()
+
+
+def _attention_bytes(groups, s, t, allow, untaped=True):
+    """Output, the three gradients, the weights (masked) and the untaped output, as bytes.
+
+    ``no_grad`` switches recording off for every thread, so a caller racing
+    other threads passes ``untaped=False``."""
+    rng = np.random.default_rng(0)
+    leaves = [nm.Tensor(rng.normal(size=(groups * n, 64)), requires_grad=True)
+              for n in (s, t, t)]
+    out, weights_of = nm.multihead_attention(*leaves, 4, allow)
+    grads = out._vjp(rng.normal(size=out.data.shape))
+    found = [out.data.tobytes()] + [gr.tobytes() for gr in grads]
+    found.append(b"" if weights_of is None else weights_of().tobytes())
+    if untaped:
+        with nm.no_grad():
+            found.append(nm.multihead_attention(*leaves, 4, allow)[0].data.tobytes())
+    return found
+
+
+class TestHeadsOnTwoThreads:
+    """The encoder-sized call runs its heads one at a time on two threads, bit for bit."""
+
+    # unmasked 256 x 256, and one masked group of 256 rows
+    BIG = [(1, 256, 256, None), (1, 256, 256, build_denoising_mask(64, 16, 12))]
+
+    @pytest.mark.parametrize("groups,s,t,allow", BIG)
+    def test_bitwise_with_worker_without_and_all_heads_at_once(self, groups, s, t, allow,
+                                                               monkeypatch, half_heads):
+        monkeypatch.setattr(nm, "_worker", None)
+        alone = _attention_bytes(groups, s, t, allow)
+        monkeypatch.setattr(nm, "_worker", half_heads)
+        assert _attention_bytes(groups, s, t, allow) == alone
+        assert half_heads.calls == ["forward", "backward", "forward"]
+        with ThreadPoolExecutor(max_workers=1) as pool:  # heads go to whichever asks first
+            monkeypatch.setattr(nm, "_worker", pool)
+            for _ in range(3):
+                assert _attention_bytes(groups, s, t, allow) == alone
+        monkeypatch.setattr(nm, "SPLIT_LOGITS", float("inf"))  # one slice of all heads
+        assert _attention_bytes(groups, s, t, allow) == alone
+
+    def test_worker_sees_the_encoder_call_only(self, monkeypatch, half_heads):
+        """One submission per forward and one per VJP at 256 x 256; none for the
+        decoder's cross-attention or masked self-attention."""
+        monkeypatch.setattr(nm, "_worker", half_heads)
+        for rows in (16, 56, 104):
+            _attention_bytes(1, rows, 256, None)
+        _attention_bytes(2, 52, 52, build_denoising_mask(16, 12, 3))
+        assert half_heads.calls == []
+        rng = np.random.default_rng(1)
+        leaves = [nm.Tensor(rng.normal(size=(256, 64)), requires_grad=True) for _ in "qkv"]
+        out, _ = nm.multihead_attention(*leaves, 4)
+        assert half_heads.calls == ["forward"]
+        nm.backward(nm.sum_all(out))
+        assert half_heads.calls == ["forward", "backward"]
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        failed = SimpleNamespace(cancel=lambda: False, result=lambda: 1 / 0)
+        monkeypatch.setattr(nm, "_worker", SimpleNamespace(submit=lambda *args: failed))
+        x = nm.Tensor(np.ones((256, 64)))
+        with pytest.raises(ZeroDivisionError):
+            nm.multihead_attention(x, x, x, 4)
+
+    def test_worker_that_never_starts_leaves_every_head_to_the_caller(self, monkeypatch):
+        """The caller computes every head, and the cancelled calls left in the
+        worker's queue hold no kernel, so they keep no array of the call alive."""
+        monkeypatch.setattr(nm, "_worker", None)
+        alone = _attention_bytes(1, 256, 256, None)
+        queued = []
+
+        def submit(fn, kernel_ref, head_slices):
+            queued.append(kernel_ref)
+            return SimpleNamespace(cancel=lambda: True, result=lambda: None)
+
+        monkeypatch.setattr(nm, "_worker", SimpleNamespace(submit=submit))
+        assert _attention_bytes(1, 256, 256, None) == alone
+        assert len(queued) == 3 and all(ref() is None for ref in queued)
+
+    def test_callers_on_three_threads_share_one_worker(self, monkeypatch):
+        """Three callers racing for one worker, with the interpreter switching
+        threads every microsecond: every call still computes every head once."""
+        monkeypatch.setattr(nm, "_worker", None)
+        want = _attention_bytes(1, 256, 256, None, untaped=False)
+        results = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            monkeypatch.setattr(nm, "_worker", pool)
+
+            def caller():
+                for _ in range(4):
+                    results.append(_attention_bytes(1, 256, 256, None, untaped=False) == want)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                callers = [threading.Thread(target=caller) for _ in range(3)]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert results == [True] * 12

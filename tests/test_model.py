@@ -33,6 +33,8 @@ from vqdet.model import (
 from vqdet.scenes import SceneConfig, generate_scene
 from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig
 
+from oracles import HalfHeadsWorker
+
 TINY = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
                       heads=2, layers=2, feature_size=4, num_classes=2)
 TINY_SCENE = SceneConfig(feature_size=4, num_classes=2, max_objects=2)
@@ -609,6 +611,35 @@ class TestInference:
             for da, db in zip(outputs[0], other):
                 assert da == db
 
+    def test_kept_rows_equal_decoding_every_row_then_filtering(self, monkeypatch):
+        """Only kept rows are decoded, bit for bit as when every row is, and a NaN
+        score is kept."""
+        det = Detector(DetectorConfig(), seed=26)
+        scene = generate_scene(np.random.default_rng(27), SceneConfig(), "s27", 27)
+
+        def with_nan_row(pred):
+            probs = class_probs(pred)
+            probs[3] = np.nan
+            return probs
+
+        decoded = []
+
+        def counted(pred, rows):
+            decoded.append(len(rows))
+            return decode_box_rows(pred, rows)
+
+        monkeypatch.setattr(model, "class_probs", with_nan_row)
+        monkeypatch.setattr(model, "decode_box_rows", counted)
+        every = inference(Detector(replace(det.cfg, confidence_threshold=0.0), seed=26), scene)
+        assert len(every) == det.cfg.queries_per_group
+        threshold = float(np.median([d.score for d in every if not math.isnan(d.score)]))
+        kept = inference(Detector(replace(det.cfg, confidence_threshold=threshold), seed=26),
+                         scene)
+        want = [d for d in every if not d.score < threshold]
+        assert 1 < len(kept) < len(every) and decoded == [len(every), len(kept)]
+        assert [repr(d) for d in kept] == [repr(d) for d in want]
+        assert sum(math.isnan(d.score) for d in kept) == 1
+
     def test_decode_box_rows_roundtrip_center(self):
         """The one array pass equals a per-row scalar lift, bit for bit, as plain floats."""
         rng = np.random.default_rng(25)
@@ -639,3 +670,32 @@ class TestInference:
         assert base.store.names() == full.store.names()
         for name in base.store.names():
             assert_array_equal(base.store[name].data, full.store[name].data)
+
+
+class TestWorkerThread:
+    def test_train_step_and_inference_bitwise_with_worker_on_and_off(self, monkeypatch):
+        """A default step's loss and every gradient, and inference on 4 held-out
+        scenes, are the same bytes whether the encoder's heads run on one thread
+        or two."""
+        scene = generate_scene(np.random.default_rng(7), SceneConfig(), "s7", 7)
+        held_out = [generate_scene(np.random.default_rng(s), SceneConfig(), f"h{s}", s)
+                    for s in range(50, 54)]
+        every_row = DetectorConfig(confidence_threshold=0.0)
+
+        def run():
+            det = Detector(every_row, seed=7)
+            out = training_loss(det, scene, _noisy(det, scene, seed=8), DenoisingConfig())
+            nm.backward(out.total)
+            return ([out.total.data.tobytes()]
+                    + [name.encode() + t.grad.tobytes() for name, t in det.store.items()]
+                    + [repr(inference(det, s)).encode() for s in held_out])
+
+        monkeypatch.setattr(nm, "_worker", None)
+        alone = run()
+        worker = HalfHeadsWorker()
+        try:
+            monkeypatch.setattr(nm, "_worker", worker)
+            assert run() == alone
+        finally:
+            worker.pool.shutdown()
+        assert worker.calls == ["forward", "backward"] + ["forward"] * 4
