@@ -2,14 +2,19 @@
 
 Ground-truth objects carry a twelve-field tuple: category, projected center,
 distances to the four 2D box edges, metric 3D dimensions, yaw, and central
-depth. A noisy box is one too: :func:`apply_box_noise` corrupts a ground
-truth into another :class:`GroundTruthObject`. Image coordinates are
-normalized to [0, 1] on both axes. The camera frame is x right, y down, z
-forward; yaw rotates a box about the vertical (y) axis, turning its length
-axis from +x toward +z. :func:`backproject` lifts a point or whole columns
-of image coordinates and depths with the same formula. :func:`bev_corners`
-gives an oriented box's one set of corners, its footprint: :func:`iou3d`
-clips it, and the scene sampler projects it at the box's bottom and top.
+depth; :func:`box_fields` turns a list of them into a class column and an
+(n, 11) array of the other fields. :func:`corrupt_boxes` noises n such rows
+at once with one fixed set of generator calls whatever n is, in this order:
+six uniforms per row (center shift x and y, then the four edge scales), one
+flip test per row, one label offset per row when there is more than one
+class, then five uniforms per row (three dimension scales, yaw, depth).
+Image coordinates are normalized to [0, 1] on both axes. The camera frame is
+x right, y down, z forward; yaw rotates a box about the vertical (y) axis,
+turning its length axis from +x toward +z. :func:`backproject` lifts a point
+or whole columns of image coordinates and depths with the same formula.
+:func:`bev_corners` gives an oriented box's one set of corners, its
+footprint: :func:`iou3d` clips it, and the scene sampler projects it at the
+box's bottom and top.
 """
 
 from __future__ import annotations
@@ -17,12 +22,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 FOCAL, CX, CY = 1.2, 0.5, 0.5  # the pinhole camera, in normalized image units
 MAX_DEPTH = 120.0  # meters; a ground truth lies nearer than this
+# the bounds of a noisy box's fields, in GroundTruthObject order after c
+NOISY_FIELD_MIN = np.array([-np.inf] * 6 + [0.05] * 3 + [-np.inf, 0.51])
+NOISY_FIELD_MAX = np.array([np.inf] * 6 + [29.9] * 3 + [np.inf, 119.0])
 
 
 class BehindCameraError(ValueError):
@@ -88,10 +97,13 @@ class OrientedBox3D:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Corruption strengths for turning a ground truth into a noisy box.
+    """Corruption strengths for turning ground truths into noisy boxes.
 
     Defaults follow the published 2D denoising recipe (center shift and box
     scale 0.4, label flip 0.25) extended with mild 3D attribute jitter.
+    :func:`corrupt_boxes` applies them to n rows with, in this order,
+    ``uniform(-1, 1, (n, 6))``, ``random(n)``, ``integers(num_classes - 1,
+    size=n)`` (only with more than one class) and ``uniform(-1, 1, (n, 5))``.
     """
 
     center_shift_scale: float = 0.4
@@ -204,46 +216,53 @@ def iou3d(a: OrientedBox3D, b: OrientedBox3D) -> float:
     return min(max(inter / union, 0.0), 1.0)
 
 
-def apply_box_noise(gt: GroundTruthObject, cfg: NoiseConfig, rng: np.random.Generator,
-                    num_classes: int) -> GroundTruthObject:
-    """Corrupt one ground truth into a noisy box of the same form.
+def box_fields(objects: Sequence[GroundTruthObject]) -> tuple[np.ndarray, np.ndarray]:
+    """The (n,) classes and the (n, 11) other fields of ``objects``, in field order."""
+    fields = np.array([(gt.x_c, gt.y_c, gt.l, gt.r, gt.t, gt.b, gt.l3d, gt.w3d, gt.h3d,
+                        gt.theta, gt.d) for gt in objects], dtype=np.float64)
+    return np.array([gt.c for gt in objects], dtype=np.intp), fields.reshape(len(objects), 11)
 
-    The whole 2D box is shifted by up to ±center_shift_scale of its half
+
+def corrupt_boxes(classes: np.ndarray, fields: np.ndarray, cfg: NoiseConfig,
+                  rng: np.random.Generator, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corrupt n ground truths, the arrays of :func:`box_fields`, into noisy boxes.
+
+    Each whole 2D box is shifted by up to ±center_shift_scale of its half
     extent per axis, each edge distance is scaled independently, the label is
-    resampled over the other classes with label_flip_prob, and dimensions,
-    yaw, and depth receive their configured jitter. Outputs are re-clamped to
-    the ground-truth invariants. The draws are grouped into three generator
-    calls, four on a label flip: six uniforms (center shift x, y and the four
-    edge scales), one flip test, the new label on a flip, then five uniforms
-    (three dimension scales, yaw, depth). The order is fixed, so a seeded
-    generator reproduces the output bit-for-bit.
+    resampled over the other classes with label_flip_prob (a flipped class c
+    becomes (c + 1 + offset) % num_classes), and dimensions, yaw, and depth
+    receive their configured jitter. Outputs are re-clamped to the
+    ground-truth invariants. The draws are the generator calls listed in
+    :class:`NoiseConfig`, in that order, so a seeded generator reproduces
+    the output bit for bit.
     """
-    u_x, u_y, s_l, s_r, s_t, s_b = rng.uniform(-1.0, 1.0, size=6).tolist()
-    half_x = (gt.l + gt.r) / 2.0
-    half_y = (gt.t + gt.b) / 2.0
-    dx = u_x * cfg.center_shift_scale * half_x
-    dy = u_y * cfg.center_shift_scale * half_y
-    box_range = cfg.box_scale_range
-    l, r = gt.l * (1.0 + s_l * box_range), gt.r * (1.0 + s_r * box_range)
-    t, b = gt.t * (1.0 + s_t * box_range), gt.b * (1.0 + s_b * box_range)
-    x_c = gt.x_c + dx
-    y_c = gt.y_c + dy
-    # keep the noisy box inside the frame margin the invariants allow
-    x_c = min(max(x_c, -0.25 + l), 1.25 - r) if l + r <= 1.5 else gt.x_c
-    y_c = min(max(y_c, -0.25 + t), 1.25 - b) if t + b <= 1.5 else gt.y_c
+    n = len(classes)
+    shift_edges = rng.uniform(-1.0, 1.0, (n, 6))
+    flipped = rng.random(n) < cfg.label_flip_prob
+    if num_classes > 1:
+        offsets = rng.integers(num_classes - 1, size=n)
+        classes = np.where(flipped, (classes + 1 + offsets) % num_classes, classes)
+    # one draw per field, in field order, times the field's noise strength
+    shift, box, dim = cfg.center_shift_scale, cfg.box_scale_range, cfg.dim_scale_range
+    strengths = np.array([shift, shift, box, box, box, box, dim, dim, dim,
+                          cfg.angle_jitter_rad, cfg.depth_jitter_frac])
+    jitter = np.concatenate([shift_edges, rng.uniform(-1.0, 1.0, (n, 5))], axis=1) * strengths
 
-    c = gt.c
-    if rng.random() < cfg.label_flip_prob and num_classes > 1:
-        c = (gt.c + 1 + int(rng.integers(num_classes - 1))) % num_classes
-
-    s_l3d, s_w3d, s_h3d, u_theta, u_d = rng.uniform(-1.0, 1.0, size=5).tolist()
-    dim_range = cfg.dim_scale_range
-    l3d = min(max(gt.l3d * (1.0 + s_l3d * dim_range), 0.05), 29.9)
-    w3d = min(max(gt.w3d * (1.0 + s_w3d * dim_range), 0.05), 29.9)
-    h3d = min(max(gt.h3d * (1.0 + s_h3d * dim_range), 0.05), 29.9)
-    theta = wrap_angle(gt.theta + u_theta * cfg.angle_jitter_rad)
-    d = min(max(gt.d * (1.0 + u_d * cfg.depth_jitter_frac), 0.51), 119.0)
-    return GroundTruthObject(c, x_c, y_c, l, r, t, b, l3d, w3d, h3d, theta, d)
+    # edges, dimensions and depth scale by 1 + jitter; dimensions and depth are clamped
+    out = np.minimum(np.maximum(fields * (1.0 + jitter), NOISY_FIELD_MIN), NOISY_FIELD_MAX)
+    # a center moves by its jitter times the half extent, clamped into the frame margin;
+    # a box too wide for the margin keeps its center
+    centers = fields[:, :2] + jitter[:, :2] * ((fields[:, 2:6:2] + fields[:, 3:6:2]) / 2.0)
+    near, far = out[:, 2:6:2], out[:, 3:6:2]  # the (l, t) and (r, b) edge distances
+    moved = np.minimum(np.maximum(centers, -0.25 + near), 1.25 - far)
+    out[:, :2] = np.where(near + far <= 1.5, moved, fields[:, :2])
+    # the yaw is shifted by its jitter, and wrap_angle applied to the column; pi itself
+    # passes through wrap_angle's fmod branch unchanged, so |yaw| < pi picks the rows it keeps
+    theta = fields[:, 9] + jitter[:, 9]
+    wrapped = np.fmod(theta + math.pi, TWO_PI)
+    wrapped = np.where(wrapped <= 0.0, wrapped + TWO_PI, wrapped) - math.pi
+    out[:, 9] = np.where(np.abs(theta) < math.pi, theta, wrapped)
+    return classes, out
 
 
 def box3d_from_ground_truth(gt: GroundTruthObject) -> OrientedBox3D:

@@ -226,7 +226,7 @@ def _check_cross_attention(rng) -> float:
 def _check_box_encoder(rng) -> float:
     from .geometry import GroundTruthObject
     from .losses import TargetArrays
-    from .vqd import VariationalQueryGenerator
+    from .vqd import VARIATIONAL, VariationalQueryGenerator
 
     store = nm.ParameterStore(rng_seed=11)
     gen = VariationalQueryGenerator(store, num_classes=3, width=6)
@@ -237,7 +237,7 @@ def _check_box_encoder(rng) -> float:
     pv = rng.normal(size=(2, 6))
 
     def loss_fn():
-        dist = gen.encode(boxes)
+        dist = gen.encode(boxes, VARIATIONAL)
         return nm.sum_all(dist.mu * nm.Tensor(pm)) + nm.sum_all(dist.log_var * nm.Tensor(pv))
 
     return check_gradients(loss_fn, list(store.tensors()))

@@ -18,15 +18,15 @@ constants ``W_*`` and ``FOCAL_*`` of this module; the matching cost reads
 the class, center and GIoU weights.
 
 A box row, target or noisy box, has one array form, :class:`TargetArrays`,
-built once per step from a list of :class:`GroundTruthObject`. A block's
-targets are the ground truths' bundle (a noisy block) or its matched rows
-(``take``); the matching cost reads the same bundle, and the query
-generator the noisy boxes'. :func:`corner_boxes` serves the targets' table
-and the detections alike. :func:`giou_pairs` is the one generalized IoU
-(arXiv 1902.09630), values and VJP from predicted centers and edge
-distances against target corner boxes: :func:`component_loss` sums it over
-the positive rows, and the matching cost broadcasts it over every (row,
-target) pair, so the matcher and the loss score the same GIoU.
+built once per step from the field arrays of ground truths or of noisy
+boxes. A block's targets are the ground truths' bundle (a noisy block) or
+its matched rows (``take``); the matching cost reads the same bundle, and
+the query generator the noisy boxes'. :func:`corner_boxes` serves the
+targets' table and the detections alike. :func:`giou_pairs` is the one
+generalized IoU (arXiv 1902.09630), values and VJP from predicted centers
+and edge distances against target corner boxes: :func:`component_loss`
+sums it over the positive rows, and the matching cost broadcasts it over
+every (row, target) pair, so the matcher and the loss score the same GIoU.
 
 :func:`component_loss` scores one block as one tape node with a closed-form
 gradient, reading the block's rows of the prediction tensor in place; its
@@ -38,10 +38,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import math
 import numpy as np
 
-from .geometry import GroundTruthObject
+from .geometry import GroundTruthObject, box_fields
 from .numerics import RowGrad, ShapeError, Tensor, _node
 
 # The weights of the objective's seven terms and its focal parameters.
@@ -62,8 +61,7 @@ SOFTPLUS_COLUMNS = np.repeat([False, True, True, False, True], BOX_WIDTHS)
 def corner_boxes(centers: np.ndarray, lrtb: np.ndarray) -> np.ndarray:
     """(rows, 4) corner boxes (x0, y0, x1, y1) from (rows, 2) centers and
     (rows, 4) distances to the left, right, top and bottom edges."""
-    return np.stack([centers[:, 0] - lrtb[:, 0], centers[:, 1] - lrtb[:, 2],
-                     centers[:, 0] + lrtb[:, 1], centers[:, 1] + lrtb[:, 3]], axis=1)
+    return np.concatenate([centers - lrtb[:, 0::2], centers + lrtb[:, 1::2]], axis=1)
 
 
 def decode_heads(raw: Tensor, ref: Tensor) -> Tensor:
@@ -118,11 +116,15 @@ class TargetArrays:
 
     @staticmethod
     def of(objects: Sequence[GroundTruthObject]) -> "TargetArrays":
-        rows = np.array([[gt.x_c, gt.y_c, gt.l, gt.r, gt.t, gt.b, gt.l3d, gt.w3d, gt.h3d,
-                          math.sin(gt.theta), math.cos(gt.theta), gt.d]
-                         for gt in objects], dtype=np.float64).reshape(len(objects), 12)
-        table = np.concatenate([rows, corner_boxes(rows[:, 0:2], rows[:, 2:6])], axis=1)
-        return TargetArrays(np.array([gt.c for gt in objects], dtype=np.intp), table)
+        return TargetArrays.from_fields(*box_fields(objects))
+
+    @staticmethod
+    def from_fields(classes: np.ndarray, fields: np.ndarray) -> "TargetArrays":
+        """The arrays of (K,) classes and (K, 11) fields in ``geometry.box_fields`` order."""
+        theta = fields[:, 9:10]
+        table = np.concatenate([fields[:, :9], np.sin(theta), np.cos(theta), fields[:, 10:],
+                                corner_boxes(fields[:, 0:2], fields[:, 2:6])], axis=1)
+        return TargetArrays(classes, table)
 
     def take(self, indices: Sequence[int]) -> "TargetArrays":
         """The targets of objects ``indices``, in that order."""

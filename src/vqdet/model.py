@@ -13,9 +13,9 @@ layout of :mod:`losses`: the training loss stacks the L layers' rows
 layer-major, so layer l owns rows [l*G*S, (l+1)*G*S), and decodes the stack
 in one call for deep supervision, one layer's G*S reference points serving
 every layer. Learnable queries carry learned 2D reference points. The noisy
-boxes are one :class:`TargetArrays` bundle like the targets; a noisy query
-anchors at its box, the first six table columns, with its center as
-reference point.
+boxes are one :class:`TargetArrays` bundle like the targets, drawn for all
+rows at once; a noisy query anchors at its box, the first six table columns,
+with its center as reference point.
 Inference stacks the first group's learnable queries alone, so its outputs
 depend on the weights and the scene alone, never on training-time
 configuration. It records no tape (:func:`numerics.no_grad`), decodes
@@ -46,7 +46,8 @@ from .attention import (
     multihead_cross_attention,
 )
 from .distill import forward_looking_distill, iou_weights
-from .geometry import NoiseConfig, OrientedBox3D, apply_box_noise, backproject, iou3d
+from .geometry import (NoiseConfig, OrientedBox3D, backproject, box_fields, corrupt_boxes,
+                       iou3d)
 from .losses import (ANGLE, BOX_WIDTHS, CENTER, DEPTH, LRTB, SIZE3D, TargetArrays, class_probs,
                      component_loss, corner_boxes, decode_heads)
 from .matching import Assignment, hungarian, matching_cost
@@ -118,7 +119,10 @@ class NoisyDraw:
     """The step's frozen randomness: box noise and reparameterization noise.
 
     ``boxes`` holds one noisy copy of a ground truth per noisy row, group-,
-    then block-, then object-major, in the row form of the targets.
+    then block-, then object-major, in the row form of the targets. The
+    n = G*C*K rows come from five generator calls whatever K is: the four
+    of :func:`geometry.corrupt_boxes` (three with one class), then
+    ``standard_normal((n, D))`` for ``eps``.
     """
 
     boxes: TargetArrays          # G*C*K noisy boxes
@@ -230,17 +234,18 @@ class Detector:
 
     def draw_noisy_queries(self, scene: Scene, noise_cfg: NoiseConfig,
                            rng: np.random.Generator) -> NoisyDraw:
-        """Draw every random input of the step's noisy blocks up front."""
+        """Draw every random input of the step's noisy blocks up front, in the order
+        of :class:`NoisyDraw`."""
         cfg = self.cfg
-        k = len(scene.objects)
+        classes, fields = box_fields(scene.objects)
+        # one copy of every ground truth per noisy block, block-major
         blocks = cfg.groups * cfg.noisy_groups
-        boxes = []
-        eps = np.empty((blocks * k, cfg.width))
-        for b in range(blocks):
-            boxes += [apply_box_noise(obj, noise_cfg, rng, cfg.num_classes)
-                      for obj in scene.objects]
-            eps[b * k:(b + 1) * k] = rng.standard_normal((k, cfg.width))
-        return NoisyDraw(boxes=TargetArrays.of(boxes), eps=eps, num_objects=k)
+        classes, fields = corrupt_boxes(classes[None].repeat(blocks, 0).ravel(),
+                                        fields[None].repeat(blocks, 0).reshape(-1, 11),
+                                        noise_cfg, rng, cfg.num_classes)
+        eps = rng.standard_normal((len(classes), cfg.width))
+        return NoisyDraw(boxes=TargetArrays.from_fields(classes, fields), eps=eps,
+                         num_objects=len(scene.objects))
 
     def learnable_queries(self, groups: int) -> tuple[Tensor, Tensor]:
         """The first ``groups`` groups' learnable queries and reference points."""
@@ -253,13 +258,14 @@ class Detector:
         """Stacked (G*S, D) queries, (G*S, 2) references, the (S, S) mask, latents.
 
         The latents hold one row per noisy row, G*C*K in all: 0 rows without
-        noisy groups or objects, where S = N.
+        noisy groups or objects, where S = N. ``mode`` decides whether they
+        carry a log-variance.
         """
         cfg = self.cfg
         n, groups = cfg.queries_per_group, cfg.groups
         queries, refs = self.learnable_queries(groups)
         k, c = noisy.num_objects, cfg.noisy_groups
-        dist = self.vqg.encode(noisy.boxes)
+        dist = self.vqg.encode(noisy.boxes, mode)
         z = sample_reparameterized(dist, mode, noisy.eps)
         table = noisy.boxes.table
         noisy_q = z + nm.linear(nm.Tensor(table[:, :6]), *self.aref)

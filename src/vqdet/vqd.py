@@ -5,11 +5,12 @@ targets, are embedded into a per-query latent Gaussian (mu, log sigma^2);
 queries are drawn with the reparameterization trick so the gradient of the
 reconstruction loss reaches the embedding through mu and log_var but never
 through the noise sample. The deterministic mode short-circuits sampling to
-mu and drops the KL term, which is the conventional denoising baseline the
-variational scheme is compared against. The denoising loss reads every
-layer's noisy blocks from the step's one stacked prediction tensor (the
-columns of :mod:`losses`), one ``component_loss`` per block, each one tape
-node; every call reads the ground truths' one :class:`TargetArrays` as it is. One
+mu, runs no log-variance head and drops the KL term, which is the
+conventional denoising baseline the variational scheme is compared against.
+The denoising loss reads every layer's noisy blocks from the step's one
+stacked prediction tensor (the columns of :mod:`losses`), one
+``component_loss`` per block, each one tape node; every call reads the
+ground truths' one :class:`TargetArrays` as it is. One
 ``weighted_sum`` adds each layer's blocks, one more takes the layers' block
 means, and in variational mode a last one adds the KL term with weight
 :data:`BETA`, so the sums record L + 2 tape nodes (L + 1 without KL).
@@ -37,12 +38,13 @@ BETA = 0.1  # weight of the KL term in the variational denoising loss
 class LatentDistribution:
     """Per-noisy-query Gaussian parameters, each (K, D); log_var pre-clamped.
 
-    A non-finite entry is not checked here: the step's matching cost or its
+    ``log_var`` is None in deterministic mode, which reads mu alone. A
+    non-finite entry is not checked here: the step's matching cost or its
     loss is, and the error names the first non-finite tensor.
     """
 
     mu: Tensor
-    log_var: Tensor
+    log_var: Tensor | None
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class VariationalQueryGenerator:
     The noisy category goes through a learned table; the anchor box and the
     continuous noisy attributes go through a linear embedding. Both feed a
     hidden layer with two output heads for mu and log_var (clamped to
-    [-10, 10]).
+    [-10, 10]); deterministic mode runs the mu head alone.
     """
 
     LOG_VAR_CLAMP = 10.0
@@ -77,12 +79,13 @@ class VariationalQueryGenerator:
         self.mu_head = store.linear("vqg.mu", width, width)
         self.log_var_head = store.linear("vqg.lv", width, width)
 
-    def encode(self, boxes: TargetArrays) -> LatentDistribution:
+    def encode(self, boxes: TargetArrays, mode: str) -> LatentDistribution:
         """Embed K noisy boxes into a (K, D) latent distribution.
 
         The continuous features are the boxes' first 11 table columns (2D
         box, dimensions, sin and cos of the yaw) and their depth over
-        :data:`DEPTH_FEATURE_SCALE`.
+        :data:`DEPTH_FEATURE_SCALE`. In deterministic mode nothing reads the
+        log-variance, so it is not computed.
         """
         classes = boxes.classes
         bad = classes[(classes < 0) | (classes >= self.num_classes)]
@@ -94,6 +97,8 @@ class VariationalQueryGenerator:
         feats = nm.concat_cols([class_rows, nm.Tensor(cont)])
         hidden = nm.relu(nm.linear(feats, *self.embed))
         mu = nm.linear(hidden, *self.mu_head)
+        if mode == DETERMINISTIC:
+            return LatentDistribution(mu=mu, log_var=None)
         log_var = nm.clamp(nm.linear(hidden, *self.log_var_head),
                            -self.LOG_VAR_CLAMP, self.LOG_VAR_CLAMP)
         return LatentDistribution(mu=mu, log_var=log_var)

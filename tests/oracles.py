@@ -12,9 +12,9 @@ their gradients against central differences. ``giou2d`` is the scalar reference 
 vectorised GIoU, and ``box2d_corners`` the scalar reference for the corner
 boxes of ``losses.corner_boxes``.
 
-``flagged_hungarian_scan`` and ``draw_by_draw_box_noise`` are earlier
-bodies of the Hungarian scan and the box noise, which the library's
-faster forms must equal bit for bit.
+``flagged_hungarian_scan`` is an earlier body of the Hungarian scan, and
+``scalar_box_noise`` the box noise of one row in scalar arithmetic; the
+library's array forms must equal them bit for bit.
 
 ``HalfHeadsWorker`` stands in for the attention worker thread with a fixed
 schedule: its thread runs the first heads of a call, whenever it starts,
@@ -321,40 +321,41 @@ def flagged_hungarian_scan(cost: np.ndarray) -> list[int]:
     return row_to_col
 
 
-def draw_by_draw_box_noise(gt, cfg, rng: np.random.Generator, num_classes: int):
-    """``geometry.apply_box_noise`` as it was with one generator call per draw.
+def scalar_box_noise(gt, cfg, num_classes: int, shift_edges, flip_test: float, offset: int,
+                     jitter):
+    """``geometry.corrupt_boxes`` for one ground truth, one float at a time.
 
-    The draws, in order: two uniforms for the center shift, four for the
-    edge scales, the flip test, the new label on a flip, three dimension
-    scales, yaw and depth. The library groups the same draws into three
-    calls (four on a flip) and must return the same values and leave the
-    generator at the same position.
+    It is fed one row of the step's draws: the six uniforms ``shift_edges``
+    (center shift x and y, then the four edge scales), the flip test, the
+    label offset (unread with one class) and the five uniforms ``jitter``
+    (three dimension scales, yaw and depth).
     """
     from vqdet.geometry import GroundTruthObject, wrap_angle
 
+    u_x, u_y, s_l, s_r, s_t, s_b = (float(u) for u in shift_edges)
     half_x = (gt.l + gt.r) / 2.0
     half_y = (gt.t + gt.b) / 2.0
-    dx = rng.uniform(-1.0, 1.0) * cfg.center_shift_scale * half_x
-    dy = rng.uniform(-1.0, 1.0) * cfg.center_shift_scale * half_y
-    scales = 1.0 + rng.uniform(-1.0, 1.0, size=4) * cfg.box_scale_range
-    l, r = gt.l * scales[0], gt.r * scales[1]
-    t, b = gt.t * scales[2], gt.b * scales[3]
+    dx = u_x * cfg.center_shift_scale * half_x
+    dy = u_y * cfg.center_shift_scale * half_y
+    box_range = cfg.box_scale_range
+    l, r = gt.l * (1.0 + s_l * box_range), gt.r * (1.0 + s_r * box_range)
+    t, b = gt.t * (1.0 + s_t * box_range), gt.b * (1.0 + s_b * box_range)
     x_c = gt.x_c + dx
     y_c = gt.y_c + dy
     x_c = min(max(x_c, -0.25 + l), 1.25 - r) if l + r <= 1.5 else gt.x_c
     y_c = min(max(y_c, -0.25 + t), 1.25 - b) if t + b <= 1.5 else gt.y_c
 
     c = gt.c
-    if rng.random() < cfg.label_flip_prob and num_classes > 1:
-        c = (gt.c + 1 + int(rng.integers(num_classes - 1))) % num_classes
+    if flip_test < cfg.label_flip_prob and num_classes > 1:
+        c = (gt.c + 1 + int(offset)) % num_classes
 
-    dim_scales = 1.0 + rng.uniform(-1.0, 1.0, size=3) * cfg.dim_scale_range
-    l3d = float(min(max(gt.l3d * dim_scales[0], 0.05), 29.9))
-    w3d = float(min(max(gt.w3d * dim_scales[1], 0.05), 29.9))
-    h3d = float(min(max(gt.h3d * dim_scales[2], 0.05), 29.9))
-    theta = wrap_angle(gt.theta + rng.uniform(-1.0, 1.0) * cfg.angle_jitter_rad)
-    d = float(min(max(gt.d * (1.0 + rng.uniform(-1.0, 1.0) * cfg.depth_jitter_frac),
-                      0.51), 119.0))
+    s_l3d, s_w3d, s_h3d, u_theta, u_d = (float(u) for u in jitter)
+    dim_range = cfg.dim_scale_range
+    l3d = min(max(gt.l3d * (1.0 + s_l3d * dim_range), 0.05), 29.9)
+    w3d = min(max(gt.w3d * (1.0 + s_w3d * dim_range), 0.05), 29.9)
+    h3d = min(max(gt.h3d * (1.0 + s_h3d * dim_range), 0.05), 29.9)
+    theta = wrap_angle(gt.theta + u_theta * cfg.angle_jitter_rad)
+    d = min(max(gt.d * (1.0 + u_d * cfg.depth_jitter_frac), 0.51), 119.0)
     return GroundTruthObject(c, x_c, y_c, l, r, t, b, l3d, w3d, h3d, theta, d)
 
 

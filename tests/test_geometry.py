@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,16 +10,16 @@ from vqdet.geometry import (
     GroundTruthObject,
     NoiseConfig,
     OrientedBox3D,
-    apply_box_noise,
     backproject,
     box3d_from_ground_truth,
+    box_fields,
+    corrupt_boxes,
     iou3d,
     project_to_image,
     wrap_angle,
 )
 from vqdet.losses import TargetArrays
-from oracles import (box2d_corners, draw_by_draw_box_noise, giou2d, monte_carlo_iou3d,
-                     raster_giou2d)
+from oracles import box2d_corners, giou2d, monte_carlo_iou3d, raster_giou2d
 
 
 def _random_gt(rng, num_classes=3):
@@ -222,70 +221,78 @@ class TestBoxNoise:
             NoiseConfig(**{field: value})
 
     def test_identity_noise(self):
-        gt = GroundTruthObject(1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 4, 2, 1.5, 0.3, 20)
+        gts = [GroundTruthObject(1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 4, 2, 1.5, 0.3, 20),
+               GroundTruthObject(2, 0.3, 0.6, 0.1, 0.2, 0.05, 0.1, 3, 1, 1.2, -3.0, 40)]
         cfg = NoiseConfig(center_shift_scale=0, box_scale_range=0, label_flip_prob=0,
                           dim_scale_range=0, angle_jitter_rad=0, depth_jitter_frac=0)
-        noisy = apply_box_noise(gt, cfg, np.random.default_rng(0), num_classes=3)
-        assert noisy == gt
+        classes, fields = box_fields(gts)
+        got_classes, got = corrupt_boxes(classes, fields, cfg, np.random.default_rng(0), 3)
+        assert got_classes.tolist() == [1, 2]
+        assert got.tobytes() == fields.tobytes()
 
     def test_always_flip_two_classes(self):
-        gt = GroundTruthObject(0, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 4, 2, 1.5, 0.0, 20)
-        cfg = NoiseConfig(label_flip_prob=1.0)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            assert apply_box_noise(gt, cfg, rng, num_classes=2).c == 1
+        classes = np.array([0, 1] * 25)
+        got, _ = corrupt_boxes(classes, np.tile(_one_box_fields(), (50, 1)),
+                               NoiseConfig(label_flip_prob=1.0), np.random.default_rng(1), 2)
+        assert got.tolist() == [1, 0] * 25
+
+    @pytest.mark.parametrize("num_classes", [3, 5])
+    def test_a_flipped_class_never_equals_the_original(self, num_classes):
+        classes = np.arange(2000) % num_classes
+        got, _ = corrupt_boxes(classes, np.tile(_one_box_fields(), (2000, 1)),
+                               NoiseConfig(label_flip_prob=1.0), np.random.default_rng(2),
+                               num_classes)
+        assert (got != classes).all() and got.min() == 0 and got.max() == num_classes - 1
 
     def test_seeded_reproducibility(self):
-        gt = GroundTruthObject(2, 0.4, 0.6, 0.15, 0.1, 0.05, 0.2, 4, 2, 1.5, 1.0, 30)
-        cfg = NoiseConfig()
-        a = apply_box_noise(gt, cfg, np.random.default_rng(77), num_classes=3)
-        b = apply_box_noise(gt, cfg, np.random.default_rng(77), num_classes=3)
-        assert a == b
+        classes, fields = box_fields([_random_gt(np.random.default_rng(i)) for i in range(6)])
+        a = corrupt_boxes(classes, fields, NoiseConfig(), np.random.default_rng(77), 3)
+        b = corrupt_boxes(classes, fields, NoiseConfig(), np.random.default_rng(77), 3)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
     def test_center_shift_statistics(self):
         gt = GroundTruthObject(0, 0.5, 0.5, 0.2, 0.2, 0.2, 0.2, 4, 2, 1.5, 0.0, 20)
         cfg = NoiseConfig(center_shift_scale=0.4, box_scale_range=0, label_flip_prob=0,
                           dim_scale_range=0, angle_jitter_rad=0, depth_jitter_frac=0)
-        rng = np.random.default_rng(5)
         n = 10 ** 5
-        shifts = np.empty(n)
-        for i in range(n):
-            shifts[i] = apply_box_noise(gt, cfg, rng, num_classes=3).x_c - gt.x_c
+        classes, fields = box_fields([gt])
+        _, noisy = corrupt_boxes(np.tile(classes, n), np.tile(fields, (n, 1)), cfg,
+                                 np.random.default_rng(5), 3)
+        shifts = noisy[:, 0] - gt.x_c
         half_extent = 0.2
         assert np.abs(shifts).max() <= 0.4 * half_extent + 1e-12
         # U(-0.08, 0.08): sd = 0.08/sqrt(3); mean within 3 standard errors
         se = 0.08 / math.sqrt(3) / math.sqrt(n)
         assert abs(shifts.mean()) <= 3 * se
 
-    @pytest.mark.parametrize("flip", [0.0, 0.25, 1.0])
-    @pytest.mark.parametrize("num_classes", [1, 2, 3])
-    def test_grouped_draws_equal_draw_by_draw_bitwise(self, flip, num_classes):
-        """Same values, and the generator left where the draw-by-draw body leaves it."""
-        cfg = NoiseConfig(label_flip_prob=flip)
-        for seed in range(20):
-            gts = [_random_gt(np.random.default_rng((seed, i)), num_classes) for i in range(12)]
-            # a box too wide to shift, and one against the frame margin
-            gts[0] = GroundTruthObject(0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 4, 2, 1.5, 3.1, 20)
-            gts[1] = GroundTruthObject(0, 0.01, 0.99, 0.2, 0.01, 0.01, 0.2, 29, 0.1, 1.5, -3.1, 110)
-            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for gt in gts:
-                got = apply_box_noise(gt, cfg, got_rng, num_classes)
-                want = draw_by_draw_box_noise(gt, cfg, want_rng, num_classes)
-                assert isinstance(got, GroundTruthObject)
-                assert got.c == want.c and type(got.c) is int
-                assert np.array(astuple(got)[1:]).tobytes() \
-                    == np.array(astuple(want)[1:]).tobytes()
-                block = got_rng.standard_normal((2, 5))
-                assert block.tobytes() == want_rng.standard_normal((2, 5)).tobytes()
+    def test_yaw_column_is_wrapped_like_wrap_angle(self):
+        """Without jitter the yaw column is wrap_angle of the yaw, at and beyond ±pi too."""
+        yaws = [math.pi, -math.pi, np.nextafter(math.pi, 4.0), np.nextafter(math.pi, 0.0),
+                np.nextafter(-math.pi, -4.0), np.nextafter(-math.pi, 0.0), 0.0, 7.0, -7.0,
+                12.5, -3 * math.pi]
+        gts = [GroundTruthObject(0, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 4, 2, 1.5, float(yaw), 20)
+               for yaw in yaws]
+        cfg = NoiseConfig(center_shift_scale=0, box_scale_range=0, label_flip_prob=0,
+                          dim_scale_range=0, angle_jitter_rad=0, depth_jitter_frac=0)
+        _, noisy = corrupt_boxes(*box_fields(gts), cfg, np.random.default_rng(0), 1)
+        assert [x.hex() for x in noisy[:, 9].tolist()] == [wrap_angle(float(y)).hex()
+                                                            for y in yaws]
 
     def test_outputs_satisfy_invariants(self):
-        rng = np.random.default_rng(6)
-        cfg = NoiseConfig()
-        for _ in range(300):
-            gt = _random_gt(rng)
-            noisy = apply_box_noise(gt, cfg, rng, num_classes=3)
+        gts = [_random_gt(np.random.default_rng((6, i))) for i in range(300)]
+        # a box too wide to shift, one against the frame margin, yaws next to ±pi
+        gts[0] = GroundTruthObject(0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 4, 2, 1.5, 3.1, 20)
+        gts[1] = GroundTruthObject(0, 0.01, 0.99, 0.2, 0.01, 0.01, 0.2, 29, 0.1, 1.5, -3.1, 110)
+        classes, fields = corrupt_boxes(*box_fields(gts), NoiseConfig(),
+                                        np.random.default_rng(6), 3)
+        for c, row in zip(classes.tolist(), fields.tolist()):
+            noisy = GroundTruthObject(c, *row)
             noisy.validate(num_classes=3)
             assert -math.pi < noisy.theta <= math.pi
+
+
+def _one_box_fields():
+    return box_fields([_random_gt(np.random.default_rng(3))])[1]
 
 
 def test_box3d_from_ground_truth_center_projects_back():

@@ -83,7 +83,8 @@ class TestHungarian:
 
 
 def _step_sized_matrices(rng):
-    """Random, near-tie and integer-cost matrices of a step's sizes, both ways round."""
+    """Random, near-tie, integer-cost and nearly additive matrices of a step's sizes,
+    both ways round."""
     for shape in [(12, 16), (16, 12)]:
         for _ in range(20):
             yield rng.normal(size=shape) * rng.uniform(0.5, 10)
@@ -91,6 +92,19 @@ def _step_sized_matrices(rng):
             yield (np.tile(rng.uniform(1.0, 9.0, size=shape[1]), (shape[0], 1))
                    + rng.integers(0, 3, size=shape) * 1e-12)
             yield rng.integers(0, 4, size=shape).astype(float)
+            yield _nearly_additive(rng, *shape)
+
+
+def _nearly_additive(rng, rows, cols):
+    """A query term plus a target term plus 1e-3 of noise, as at initial weights: every
+    target has the same cheapest query, whichever axis holds the 16 queries."""
+    queries, targets = max(rows, cols), min(rows, cols)
+    query_term = rng.uniform(0.5, 2.0, size=queries)
+    query_term[rng.integers(queries)] = 0.0
+    cost = (query_term[:, None] + rng.uniform(1.0, 9.0, size=targets)
+            + rng.uniform(0.0, 1e-3, size=(queries, targets)))
+    assert len(set(cost.argmin(axis=0).tolist())) == 1
+    return cost if rows == queries else cost.T
 
 
 class TestHungarianAtStepSizes:

@@ -12,9 +12,9 @@ from vqdet import numerics as nm
 from vqdet.attention import build_denoising_mask
 from vqdet.distill import iou_weights, refine
 from vqdet.geometry import (
+    GroundTruthObject,
     NoiseConfig,
     OrientedBox3D,
-    apply_box_noise,
     backproject,
     iou3d,
     project_to_image,
@@ -31,9 +31,9 @@ from vqdet.model import (
     training_loss,
 )
 from vqdet.scenes import SceneConfig, generate_scene
-from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig
+from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig, VariationalQueryGenerator
 
-from oracles import HalfHeadsWorker
+from oracles import HalfHeadsWorker, scalar_box_noise
 
 TINY = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
                       heads=2, layers=2, feature_size=4, num_classes=2)
@@ -125,22 +125,85 @@ class TestEncodeFeatures:
             det.encode_features(np.zeros((5, 4, det.input_channels)))
 
 
+class CountingGenerator:
+    """A generator proxy that records the name of every method called on it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+def _oracle_draw(cfg, objects, noise_cfg, seed):
+    """The noisy boxes and latent noise of a step: the documented generator calls,
+    then the scalar oracle fed one row of their draws per noisy box."""
+    rng = np.random.default_rng(seed)
+    n = cfg.groups * cfg.noisy_groups * len(objects)
+    shift_edges = rng.uniform(-1.0, 1.0, (n, 6))
+    flip_tests = rng.random(n)
+    offsets = (rng.integers(cfg.num_classes - 1, size=n) if cfg.num_classes > 1
+               else np.zeros(n, dtype=int))
+    jitter = rng.uniform(-1.0, 1.0, (n, 5))
+    eps = rng.standard_normal((n, cfg.width))
+    gts = objects * (cfg.groups * cfg.noisy_groups)
+    boxes = [scalar_box_noise(gt, noise_cfg, cfg.num_classes, *draws)
+             for gt, *draws in zip(gts, shift_edges, flip_tests, offsets, jitter)]
+    return TargetArrays.of(boxes), eps
+
+
+# a box that often grows too wide to shift, one against the frame margin, and yaws
+# next to ±pi
+EDGE_BOXES = [GroundTruthObject(0, 0.5, 0.5, 0.7, 0.7, 0.7, 0.7, 4, 2, 1.5, 3.1, 20),
+              GroundTruthObject(0, 0.01, 0.99, 0.2, 0.01, 0.01, 0.2, 29, 0.1, 1.5, -3.1, 110)]
+
+
 class TestNoisyDraw:
-    def test_boxes_equal_target_arrays_of_the_per_object_draws_bitwise(self):
-        cfg = replace(TINY, noisy_groups=3, num_classes=3)
+    @pytest.mark.parametrize("k,noisy_groups,num_classes,flip", [
+        (3, 3, 3, 0.25), (3, 3, 3, 0.0), (3, 3, 3, 1.0), (3, 3, 2, 1.0), (3, 3, 1, 1.0),
+        (12, 3, 3, 0.25), (0, 3, 3, 0.25), (3, 0, 3, 0.25)])
+    def test_rows_equal_target_arrays_of_the_scalar_oracle_bitwise(self, k, noisy_groups,
+                                                                    num_classes, flip):
+        cfg = replace(TINY, noisy_groups=noisy_groups, num_classes=num_classes)
         det = Detector(cfg, seed=0)
-        scene = _scene(16, num_objects=3, cfg=SceneConfig(feature_size=4, max_objects=3))
-        noisy = _noisy(det, scene, seed=5)
-        rng = np.random.default_rng(5)
-        draws, eps = [], []
-        for _ in range(cfg.groups * cfg.noisy_groups):
-            draws += [apply_box_noise(gt, NoiseConfig(), rng, cfg.num_classes)
-                      for gt in scene.objects]
-            eps.append(rng.standard_normal((3, cfg.width)))
-        want = TargetArrays.of(draws)
-        assert noisy.boxes.classes.tobytes() == want.classes.tobytes()
-        assert noisy.boxes.table.tobytes() == want.table.tobytes()
-        assert noisy.eps.tobytes() == np.concatenate(eps).tobytes()
+        scene = _scene(16, num_objects=k,
+                       cfg=SceneConfig(feature_size=4, num_classes=num_classes, max_objects=12))
+        if k:
+            scene = replace(scene, objects=scene.objects[:-2] + EDGE_BOXES)
+        noise_cfg = NoiseConfig(label_flip_prob=flip)
+        for seed in range(5):
+            noisy = det.draw_noisy_queries(scene, noise_cfg, np.random.default_rng(seed))
+            want, eps = _oracle_draw(cfg, scene.objects, noise_cfg, seed)
+            assert noisy.num_objects == k and len(noisy.boxes) == 2 * noisy_groups * k
+            assert noisy.boxes.classes.dtype == want.classes.dtype
+            assert noisy.boxes.classes.tobytes() == want.classes.tobytes()
+            assert noisy.boxes.table.tobytes() == want.table.tobytes()
+            assert noisy.eps.tobytes() == eps.tobytes()
+
+    def test_draw_is_reproducible_from_the_seed(self):
+        det = Detector(TINY, seed=0)
+        scene = _scene(18, num_objects=2)
+        a, b = _noisy(det, scene, seed=3), _noisy(det, scene, seed=3)
+        assert a.boxes.classes.tobytes() == b.boxes.classes.tobytes()
+        assert a.boxes.table.tobytes() == b.boxes.table.tobytes()
+        assert a.eps.tobytes() == b.eps.tobytes()
+
+    @pytest.mark.parametrize("num_classes,calls", [
+        (3, ["uniform", "random", "integers", "uniform", "standard_normal"]),
+        (1, ["uniform", "random", "uniform", "standard_normal"])])
+    def test_generator_calls_do_not_depend_on_the_object_count(self, num_classes, calls):
+        cfg = replace(TINY, num_classes=num_classes)
+        det = Detector(cfg, seed=0)
+        scene_cfg = SceneConfig(feature_size=4, num_classes=num_classes, max_objects=12)
+        for k in (0, 1, 4, 12):
+            rng = CountingGenerator(np.random.default_rng(k))
+            det.draw_noisy_queries(_scene(19, num_objects=k, cfg=scene_cfg), NoiseConfig(), rng)
+            assert rng.calls == calls
 
     def test_noisy_reference_points_are_the_box_centers(self):
         det = Detector(TINY, seed=0)
@@ -293,6 +356,31 @@ class TestTrainingLoss:
         zeros = {name: t.grad for name, t in det.store.items()
                  if name.startswith(zero) and name not in unread}
         assert zeros and all(g.tobytes() == np.zeros_like(g).tobytes() for g in zeros.values())
+
+    def test_only_variational_mode_runs_the_log_variance_head(self, monkeypatch):
+        """Deterministic mode makes no clamp node, variational mode one; either step's
+        loss and gradients are the bytes of an encoder that runs the head in both modes."""
+        scene = _scene(32, num_objects=2)
+        clamps = []
+        clamp = nm.clamp
+        monkeypatch.setattr(nm, "clamp", lambda *args: clamps.append(args) or clamp(*args))
+
+        def step(mode):
+            clamps.clear()
+            det = Detector(TINY, seed=31)
+            out = training_loss(det, scene, _noisy(det, scene), DenoisingConfig(mode))
+            nm.backward(out.total)
+            grads = [name.encode() + (b"" if t.grad is None else t.grad.tobytes())
+                     for name, t in det.store.items()]
+            return len(clamps), [out.total.data.tobytes()] + grads
+
+        (det_clamps, det_step), (var_clamps, var_step) = step(DETERMINISTIC), step(VARIATIONAL)
+        assert (det_clamps, var_clamps) == (0, 1)
+        encode = VariationalQueryGenerator.encode
+        monkeypatch.setattr(VariationalQueryGenerator, "encode",
+                            lambda self, boxes, mode: encode(self, boxes, VARIATIONAL))
+        assert step(DETERMINISTIC) == (1, det_step)
+        assert step(VARIATIONAL) == (1, var_step)
 
     @pytest.mark.parametrize("name", ["enc.proj.w", "dec0.ffn.1.w", "head.b",
                                       "queries.ref", "vqg.mu.b", "refiner.2.b"])

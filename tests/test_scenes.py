@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vqdet import scenes
-from vqdet.geometry import MAX_DEPTH, BehindCameraError, OrientedBox3D
+from vqdet.geometry import FOCAL, MAX_DEPTH, BehindCameraError, OrientedBox3D
 from vqdet.scenes import (
     CLASS_DIMENSIONS,
     DEPTH_RANGE,
@@ -210,3 +210,32 @@ class TestAP40:
         assert set(gts) == {s.scene_id for s in built}
         for s in built:
             assert len(gts[s.scene_id]) == len(s.objects)
+
+
+def test_depth_cue_ceilings_of_the_default_scenes():
+    """What a depth predictor can reach on the scenes of seeds 0 to 2,999, so that a
+    change to the scene constants sees the ceilings it moves.
+
+    A constant (the median depth), and the pinhole depth s·FOCAL·h3d/(t + b)
+    from each object's 2D box height with one fitted scale s (the median
+    ratio), using the true 3D height or its class's mean height in
+    ``CLASS_DIMENSIONS``. A vertical splat
+    narrower than its 0.03 floor, (t + b)·0.3 < 0.03, shows the grid no 2D
+    height at all.
+    """
+    objects = [gt for seed in range(3000)
+               for gt in generate_scene(np.random.default_rng(seed), SceneConfig(), f"s{seed}",
+                                        seed).objects]
+    assert len(objects) == 7646
+    depth = np.array([gt.d for gt in objects])
+    height_2d = np.array([gt.t + gt.b for gt in objects])
+    assert np.abs(depth - np.median(depth)).mean() == pytest.approx(8.4629, abs=1e-4)
+
+    def pinhole_mae(h3d):
+        geometric = FOCAL * h3d / height_2d
+        return np.abs(np.median(depth / geometric) * geometric - depth).mean()
+
+    assert pinhole_mae(np.array([gt.h3d for gt in objects])) == pytest.approx(2.8640, abs=1e-4)
+    class_h3d = np.array([CLASS_DIMENSIONS[gt.c][2] for gt in objects])
+    assert pinhole_mae(class_h3d) == pytest.approx(3.2615, abs=1e-4)
+    assert (height_2d * 0.3 < 0.03).mean() == pytest.approx(0.32187, abs=1e-5)

@@ -36,14 +36,14 @@ class TestEncoder:
     def test_deterministic(self):
         gen, _ = _generator()
         boxes = _noisy_boxes()
-        a = gen.encode(boxes)
-        b = gen.encode(boxes)
+        a = gen.encode(boxes, VARIATIONAL)
+        b = gen.encode(boxes, VARIATIONAL)
         assert_array_equal(a.mu.data, b.mu.data)
         assert_array_equal(a.log_var.data, b.log_var.data)
 
     def test_empty_input_empty_output(self):
         gen, _ = _generator()
-        dist = gen.encode(TargetArrays.of([]))
+        dist = gen.encode(TargetArrays.of([]), VARIATIONAL)
         assert dist.mu.data.shape == (0, 8)
         assert nm.gaussian_kl(dist.mu, dist.log_var).item() == 0.0
 
@@ -51,13 +51,13 @@ class TestEncoder:
         gen, _ = _generator(num_classes=2)
         boxes = _noisy_boxes()
         with pytest.raises(IndexError, match="category"):
-            gen.encode(boxes)
+            gen.encode(boxes, VARIATIONAL)
 
     def test_log_var_clamped(self):
         gen, store = _generator()
         store["vqg.lv.b"].data[:] = 50.0
         boxes = _noisy_boxes()
-        dist = gen.encode(boxes)
+        dist = gen.encode(boxes, VARIATIONAL)
         assert dist.log_var.data.max() <= 10.0
 
     def test_gradient_through_embedding(self):
@@ -67,7 +67,7 @@ class TestEncoder:
         pm = rng.normal(size=(2, 6))
 
         def loss_fn():
-            return nm.sum_all(gen.encode(boxes).mu * nm.Tensor(pm))
+            return nm.sum_all(gen.encode(boxes, VARIATIONAL).mu * nm.Tensor(pm))
 
         assert check_gradients(loss_fn, list(store.tensors())) <= OP_TOLERANCE
 
