@@ -91,9 +91,14 @@ def _check_linear(rng) -> float:
     w = rng.normal(size=(4, 2))
     b = rng.normal(size=(2,))
     proj = rng.normal(size=(3, 2))
-    return check_scalar_fn(
+    small = check_scalar_fn(
         lambda ts: nm.sum_all(nm.linear(ts[0], ts[1], ts[2]) * nm.Tensor(proj)),
         [x, w, b])
+    # over DEFER_ROWS rows backward takes the weight and bias gradients as deferred products
+    x = nm.Tensor(rng.normal(size=(nm.DEFER_ROWS, 2)))
+    w, b = rng.normal(size=(2, 3)), rng.normal(size=(3,))
+    proj = nm.Tensor(rng.normal(size=(nm.DEFER_ROWS, 3)))
+    return max(small, check_scalar_fn(lambda ts: nm.sum_all(nm.linear(x, *ts) * proj), [w, b]))
 
 
 def _check_layer_norm(rng) -> float:

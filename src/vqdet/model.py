@@ -46,8 +46,7 @@ from .attention import (
     multihead_cross_attention,
 )
 from .distill import forward_looking_distill, iou_weights
-from .geometry import (NoiseConfig, OrientedBox3D, backproject, box_fields, corrupt_boxes,
-                       iou3d)
+from .geometry import NoiseConfig, OrientedBox3D, backproject, corrupt_boxes, iou3d
 from .losses import (ANGLE, BOX_WIDTHS, CENTER, DEPTH, LRTB, SIZE3D, TargetArrays, class_probs,
                      component_loss, corner_boxes, decode_heads)
 from .matching import Assignment, hungarian, matching_cost
@@ -237,7 +236,7 @@ class Detector:
         """Draw every random input of the step's noisy blocks up front, in the order
         of :class:`NoisyDraw`."""
         cfg = self.cfg
-        classes, fields = box_fields(scene.objects)
+        classes, fields = scene.fields
         # one copy of every ground truth per noisy block, block-major
         blocks = cfg.groups * cfg.noisy_groups
         classes, fields = corrupt_boxes(classes[None].repeat(blocks, 0).ravel(),
@@ -369,7 +368,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
     The L layers' rows are stacked once, layer-major, and the shared heads
     decode the stack in one call; the detection and denoising terms read the
     prediction tensor, distillation the stack, and the matcher and the losses
-    one :class:`TargetArrays` of the scene's objects. The step's decisions
+    the scene's :attr:`Scene.targets`, built once per scene. The step's decisions
     come from :func:`step_decisions`, or from ``replay``, decisions of an
     earlier call; under pinned decisions the loss is a pure differentiable
     function of the parameters.
@@ -382,7 +381,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
     stack = nm.concat_rows(layer_rows)
     pred = det.apply_heads(stack, refs)
     s = allow.shape[0]
-    targets = TargetArrays.of(gts)
+    targets = scene.targets
     decisions = (step_decisions(det, stack, pred, scene, targets, s) if replay is None
                  else replay)
 

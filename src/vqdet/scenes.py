@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +23,12 @@ from .geometry import (
     backproject,
     bev_corners,
     box3d_from_ground_truth,
+    box_fields,
     iou3d,
     project_to_image,
     wrap_angle,
 )
+from .losses import TargetArrays
 
 
 # class-conditional mean dimensions (l3d, w3d, h3d), in meters
@@ -68,6 +71,18 @@ class Scene:
     seed: int
     objects: list[GroundTruthObject]
     grid: np.ndarray  # (F, F, channels) float64
+
+    # Built on first use and kept: a scene's objects do not change, and
+    # dataclasses.replace makes a new scene that builds its own.
+    @cached_property
+    def fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """The objects' classes and other fields, :func:`geometry.box_fields`."""
+        return box_fields(self.objects)
+
+    @cached_property
+    def targets(self) -> TargetArrays:
+        """The objects as the arrays the loss and the matcher read."""
+        return TargetArrays.from_fields(*self.fields)
 
     def gt_boxes3d(self) -> list[tuple[int, OrientedBox3D]]:
         return [(gt.c, box3d_from_ground_truth(gt)) for gt in self.objects]

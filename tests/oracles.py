@@ -16,9 +16,11 @@ boxes of ``losses.corner_boxes``.
 ``scalar_box_noise`` the box noise of one row in scalar arithmetic; the
 library's array forms must equal them bit for bit.
 
-``HalfHeadsWorker`` stands in for the attention worker thread with a fixed
-schedule: its thread runs the first heads of a call, whenever it starts,
-so a test knows that both threads computed some.
+``HalfHeadsWorker`` stands in for the worker thread with a fixed schedule:
+its thread runs the first heads of an attention call, whenever it starts,
+so a test knows that both threads computed some, and every leaf product.
+``LateWorker`` runs nothing until the caller asks for a result, and
+``real_worker`` gives the worker thread itself.
 
 The focal, GIoU and L1 terms that ``losses.component_loss`` fuses are kept
 here as the single-node ops they were, and ``reference_block_loss`` composes
@@ -28,6 +30,7 @@ only the stable sigmoid helper and the objective's constants with the
 library, since the op must equal them bit for bit.
 """
 
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -578,19 +581,42 @@ def composite_multihead_attention(q, k, v, heads, allow=None):
 class HalfHeadsWorker:
     """A worker for ``numerics._worker`` that always runs the first ``take`` heads.
 
-    ``submit(fn, kernel_ref, head_slices)`` takes that many of the shared
-    head slices at once and runs ``fn`` over them on its own thread; the
-    caller runs the rest. The returned handle cannot be cancelled, so the
-    caller waits for the thread. ``calls`` lists the submitted kernels by name.
+    An attention call's job, ``submit(kernel, head_slices)``, takes that
+    many of the shared head slices at once and runs the kernel over them on
+    its own thread; the caller runs the rest. A leaf product's job,
+    ``submit(compute)``, runs on the thread too. No returned handle can be
+    cancelled, so the caller waits for the thread. ``calls`` lists the
+    submitted attention kernels by name, and ``products`` the futures of
+    the leaf products, in submission order.
     """
 
     def __init__(self, take: int = 2):
         self.take = take
         self.pool = ThreadPoolExecutor(max_workers=1)
         self.calls = []
+        self.products = []
 
-    def submit(self, fn, kernel_ref, head_slices):
-        mine = list(itertools.islice(head_slices, self.take))
-        self.calls.append(kernel_ref().__name__)
-        future = self.pool.submit(fn, kernel_ref, iter(mine))
+    def submit(self, fn, *args):
+        if args:
+            self.calls.append(fn.__name__)
+            args = (iter(list(itertools.islice(args[0], self.take))),)
+        future = self.pool.submit(fn, *args)
+        if not args:
+            self.products.append(future)
         return SimpleNamespace(cancel=lambda: False, result=future.result)
+
+
+def real_worker():
+    """The module's worker thread, or a new one where the process may use only one CPU."""
+    return nm._worker or nm._Worker()
+
+
+class LateWorker:
+    """A worker for ``numerics._worker`` that runs a job only when its result is asked for.
+
+    Its handles cannot be cancelled, so the caller runs every head of an
+    attention call, and every leaf product runs after backward's walk.
+    """
+
+    def submit(self, fn, *args):
+        return SimpleNamespace(cancel=lambda: False, result=functools.cache(lambda: fn(*args)))

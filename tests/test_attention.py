@@ -1,6 +1,6 @@
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +15,8 @@ from vqdet.attention import (
 )
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 
-from oracles import HalfHeadsWorker, composite_multihead_attention, narrow_rows, softmax_rows
+from oracles import (HalfHeadsWorker, composite_multihead_attention, narrow_rows, real_worker,
+                     softmax_rows)
 
 
 def _params(rng, d, requires_grad=False) -> list[tuple[nm.Tensor, nm.Tensor]]:
@@ -315,6 +316,18 @@ def _attention_bytes(groups, s, t, allow, untaped=True):
     return found
 
 
+def _projected_attention_grads():
+    """Gradient bytes of the leaves of an encoder-sized attention layer: its input
+    and its q, k, v projections over 256 rows, whose products backward defers."""
+    rng = np.random.default_rng(3)
+    x = nm.Tensor(rng.normal(size=(256, 64)), requires_grad=True)
+    params = [[nm.Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((64, 64), (64,))]
+              for _ in "qkv"]
+    out, _ = nm.multihead_attention(*(nm.linear(x, w, b) for w, b in params), 4)
+    nm.backward(nm.sum_all(out * nm.Tensor(rng.normal(size=out.shape))))
+    return [t.grad.tobytes() for t in [x, *(p for pair in params for p in pair)]]
+
+
 class TestHeadsOnTwoThreads:
     """The encoder-sized call runs its heads one at a time on two threads, bit for bit."""
 
@@ -324,15 +337,15 @@ class TestHeadsOnTwoThreads:
     @pytest.mark.parametrize("groups,s,t,allow", BIG)
     def test_bitwise_with_worker_without_and_all_heads_at_once(self, groups, s, t, allow,
                                                                monkeypatch, half_heads):
+        worker = real_worker()
         monkeypatch.setattr(nm, "_worker", None)
         alone = _attention_bytes(groups, s, t, allow)
         monkeypatch.setattr(nm, "_worker", half_heads)
         assert _attention_bytes(groups, s, t, allow) == alone
         assert half_heads.calls == ["forward", "backward", "forward"]
-        with ThreadPoolExecutor(max_workers=1) as pool:  # heads go to whichever asks first
-            monkeypatch.setattr(nm, "_worker", pool)
-            for _ in range(3):
-                assert _attention_bytes(groups, s, t, allow) == alone
+        monkeypatch.setattr(nm, "_worker", worker)  # heads go to whichever thread asks first
+        for _ in range(3):
+            assert _attention_bytes(groups, s, t, allow) == alone
         monkeypatch.setattr(nm, "SPLIT_LOGITS", float("inf"))  # one slice of all heads
         assert _attention_bytes(groups, s, t, allow) == alone
 
@@ -359,42 +372,51 @@ class TestHeadsOnTwoThreads:
             nm.multihead_attention(x, x, x, 4)
 
     def test_worker_that_never_starts_leaves_every_head_to_the_caller(self, monkeypatch):
-        """The caller computes every head, and the cancelled calls left in the
+        """The caller computes every head, and the cancelled jobs left in the
         worker's queue hold no kernel, so they keep no array of the call alive."""
+        worker = real_worker()
         monkeypatch.setattr(nm, "_worker", None)
         alone = _attention_bytes(1, 256, 256, None)
-        queued = []
+        gate = threading.Event()
+        blocker = worker.submit(gate.wait, 5)  # holds every later job in the queue
+        kernels = []
 
-        def submit(fn, kernel_ref, head_slices):
-            queued.append(kernel_ref)
-            return SimpleNamespace(cancel=lambda: True, result=lambda: None)
+        def submit(kernel, *args):
+            kernels.append(weakref.ref(kernel))
+            return worker.submit(kernel, *args)
 
         monkeypatch.setattr(nm, "_worker", SimpleNamespace(submit=submit))
-        assert _attention_bytes(1, 256, 256, None) == alone
-        assert len(queued) == 3 and all(ref() is None for ref in queued)
+        try:
+            assert _attention_bytes(1, 256, 256, None) == alone
+            assert len(kernels) == 3 and all(ref() is None for ref in kernels)
+        finally:
+            gate.set()
+        assert blocker.result()
 
     def test_callers_on_three_threads_share_one_worker(self, monkeypatch):
-        """Three callers racing for one worker, with the interpreter switching
-        threads every microsecond: every call still computes every head once."""
+        """Three callers racing for the module's worker, with the interpreter
+        switching threads every microsecond: every call still computes every
+        head once, and backward every leaf product once, bit for bit."""
+        worker = real_worker()
         monkeypatch.setattr(nm, "_worker", None)
-        want = _attention_bytes(1, 256, 256, None, untaped=False)
+        want = _attention_bytes(1, 256, 256, None, untaped=False), _projected_attention_grads()
+        monkeypatch.setattr(nm, "_worker", worker)
         results = []
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            monkeypatch.setattr(nm, "_worker", pool)
 
-            def caller():
-                for _ in range(4):
-                    results.append(_attention_bytes(1, 256, 256, None, untaped=False) == want)
+        def caller():
+            for _ in range(4):
+                results.append((_attention_bytes(1, 256, 256, None, untaped=False),
+                                _projected_attention_grads()) == want)
 
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                callers = [threading.Thread(target=caller) for _ in range(3)]
-                for t in callers:
-                    t.start()
-                for t in callers:
-                    t.join(timeout=60)
-            finally:
-                sys.setswitchinterval(interval)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert results == [True] * 12

@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 from collections import Counter
 from dataclasses import astuple, fields, replace
 
@@ -33,7 +34,7 @@ from vqdet.model import (
 from vqdet.scenes import SceneConfig, generate_scene
 from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig, VariationalQueryGenerator
 
-from oracles import HalfHeadsWorker, scalar_box_noise
+from oracles import HalfHeadsWorker, LateWorker, real_worker, scalar_box_noise
 
 TINY = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
                       heads=2, layers=2, feature_size=4, num_classes=2)
@@ -760,30 +761,62 @@ class TestInference:
             assert_array_equal(base.store[name].data, full.store[name].data)
 
 
+# the affine layers over the 256 grid tokens: the encoder's and the decoder's memory keys and values
+GRID_LAYERS = (["enc.proj"] + [f"enc.attn.{p}" for p in "qkvo"] + ["enc.ffn.1", "enc.ffn.2"]
+               + [f"dec{i}.cross.{p}" for i in range(DetectorConfig().layers) for p in "kv"])
+
+
 class TestWorkerThread:
-    def test_train_step_and_inference_bitwise_with_worker_on_and_off(self, monkeypatch):
-        """A default step's loss and every gradient, and inference on 4 held-out
-        scenes, are the same bytes whether the encoder's heads run on one thread
-        or two."""
-        scene = generate_scene(np.random.default_rng(7), SceneConfig(), "s7", 7)
+    SCENE = generate_scene(np.random.default_rng(7), SceneConfig(), "s7", 7)
+
+    def _step(self):
+        det = Detector(DetectorConfig(confidence_threshold=0.0), seed=7)
+        out = training_loss(det, self.SCENE, _noisy(det, self.SCENE, seed=8), DenoisingConfig())
+        nm.backward(out.total)
+        return det, out
+
+    def _run(self):
+        det, out = self._step()
         held_out = [generate_scene(np.random.default_rng(s), SceneConfig(), f"h{s}", s)
                     for s in range(50, 54)]
-        every_row = DetectorConfig(confidence_threshold=0.0)
+        return ([out.total.data.tobytes()]
+                + [name.encode() + t.grad.tobytes() for name, t in det.store.items()]
+                + [repr(inference(det, s)).encode() for s in held_out])
 
-        def run():
-            det = Detector(every_row, seed=7)
-            out = training_loss(det, scene, _noisy(det, scene, seed=8), DenoisingConfig())
-            nm.backward(out.total)
-            return ([out.total.data.tobytes()]
-                    + [name.encode() + t.grad.tobytes() for name, t in det.store.items()]
-                    + [repr(inference(det, s)).encode() for s in held_out])
-
+    @pytest.mark.parametrize("kind", ["real", "half_heads", "late"])
+    def test_train_step_and_inference_bitwise_with_worker_on_and_off(self, kind, monkeypatch):
+        """A default step's loss and every gradient, and inference on 4 held-out
+        scenes, are the same bytes whether the encoder's heads and the grid
+        layers' leaf products run on the caller or on another thread, early or
+        only after the walk."""
+        real = real_worker()
         monkeypatch.setattr(nm, "_worker", None)
-        alone = run()
-        worker = HalfHeadsWorker()
-        try:
-            monkeypatch.setattr(nm, "_worker", worker)
-            assert run() == alone
-        finally:
+        alone = self._run()
+        worker = {"real": real, "half_heads": HalfHeadsWorker(), "late": LateWorker()}[kind]
+        monkeypatch.setattr(nm, "_worker", worker)
+        assert self._run() == alone
+        if kind == "half_heads":
             worker.pool.shutdown()
-        assert worker.calls == ["forward", "backward"] + ["forward"] * 4
+            assert worker.calls == ["forward", "backward"] + ["forward"] * 4
+
+    def test_worker_sees_the_grid_layers_products_only(self, monkeypatch):
+        """The step submits the weight and bias products of the 15 layers over the
+        grid tokens, and none of the decoder's layers over its 38 to 104 query rows."""
+        worker = HalfHeadsWorker()
+        monkeypatch.setattr(nm, "_worker", worker)
+        det, _ = self._step()
+        worker.pool.shutdown()
+        products = [f.result() for f in worker.products]
+        deferred = [name for name, t in det.store.items()
+                    if any(p.shape == t.grad.shape and np.array_equal(p, t.grad) for p in products)]
+        assert deferred == [f"{layer}.{p}" for layer in GRID_LAYERS for p in "wb"]
+        assert len(products) == 2 * len(GRID_LAYERS) == 30
+
+    def test_one_worker_thread_for_every_step_and_inference(self):
+        """After the first step has started the worker thread, steps and inference start none."""
+        self._step()
+        before = threading.active_count()
+        for _ in range(3):
+            det, _ = self._step()
+            inference(det, self.SCENE)
+        assert threading.active_count() == before

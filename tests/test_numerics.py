@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import zipfile
 import zlib
 
@@ -10,8 +12,8 @@ from vqdet import numerics as nm
 from vqdet.gradcheck import _away_from, check_scalar_fn, OP_TOLERANCE
 from vqdet.losses import TargetArrays, component_loss, corner_boxes
 
-from oracles import (absolute, divide, matmul, maximum, minimum, narrow_cols, narrow_rows,
-                     softmax_rows, softplus, transpose)
+from oracles import (HalfHeadsWorker, LateWorker, absolute, divide, matmul, maximum, minimum,
+                     narrow_cols, narrow_rows, real_worker, softmax_rows, softplus, transpose)
 
 
 def test_matmul_identity():
@@ -385,6 +387,99 @@ def test_negative_zero_upstream_lands_as_positive_zero_in_a_leaf(row_grad):
     nm.backward(nm._node(np.asarray(1.0), (x,), lambda g: (grad,)))
     assert not np.signbit(x.grad).any()
     assert_array_equal(x.grad, np.zeros((3, 2)))
+
+
+def _leaf_op(x: nm.Tensor, product) -> nm.Tensor:
+    """A scalar node whose VJP hands ``x`` the zero-argument call ``product`` as its gradient."""
+    return nm._node(np.asarray(0.0), (x,), lambda g: (nm.LeafGrad(product),))
+
+
+class TestDeferredLeafProducts:
+    """Leaf gradients handed to backward as calls: same bytes, and no job outlives backward."""
+
+    @pytest.mark.parametrize("worker", [None, "real", "half_heads", "late"])
+    @pytest.mark.parametrize("big_first", [False, True])
+    def test_leaf_gradients_bitwise_as_in_line(self, worker, big_first, monkeypatch):
+        """Weights read by a linear layer over 256 rows and by one over 3 rows, in
+        either order, reach the same bytes across two backward calls as with every
+        product in line."""
+        rng = np.random.default_rng(15)
+        big, small = rng.normal(size=(256, 2)), rng.normal(size=(3, 2))
+        proj_big, proj_small = rng.normal(size=(256, 3)), rng.normal(size=(3, 3))
+        w0, b0 = rng.normal(size=(2, 3)), rng.normal(size=(3,))
+
+        def grads():
+            w, b = nm.Tensor(w0, requires_grad=True), nm.Tensor(b0, requires_grad=True)
+            for _ in range(2):
+                terms = [nm.sum_all(nm.linear(nm.Tensor(big), w, b) * nm.Tensor(proj_big)),
+                         nm.sum_all(nm.linear(nm.Tensor(small), w, b) * nm.Tensor(proj_small))]
+                nm.backward(nm.weighted_sum(terms if big_first else terms[::-1], [1.0, -3.0]))
+            return w.grad.tobytes() + b.grad.tobytes()
+
+        monkeypatch.setattr(nm, "DEFER_ROWS", math.inf)
+        in_line = grads()
+        monkeypatch.setattr(nm, "DEFER_ROWS", 256)
+        fakes = {"real": real_worker, "half_heads": HalfHeadsWorker, "late": LateWorker}
+        monkeypatch.setattr(nm, "_worker", worker and fakes[worker]())
+        assert grads() == in_line
+
+    @pytest.mark.parametrize("worker", [None, "real", "half_heads"])
+    def test_an_exception_in_a_leaf_product_reaches_the_caller(self, worker, monkeypatch):
+        """backward raises it with no product running or left to start, and adds no
+        deferred product to a gradient."""
+        monkeypatch.setattr(nm, "_worker", worker and {"real": real_worker,
+                                                       "half_heads": HalfHeadsWorker}[worker]())
+        started, finished = [], []  # list appends are atomic, += on a counter is not
+
+        def slow():
+            started.append(True)
+            time.sleep(0.05)
+            finished.append(True)
+            return np.ones(3)
+
+        leaves = [nm.Tensor(np.ones(3), requires_grad=True) for _ in range(3)]
+        ops = [_leaf_op(x, p) for x, p in zip(leaves, [slow, lambda: 1 / 0, slow])]
+        with pytest.raises(ZeroDivisionError):
+            nm.backward(nm.weighted_sum(ops, [1.0] * 3))
+        after = len(started), len(finished)
+        time.sleep(0.1)
+        assert (len(started), len(finished)) == after and after[0] == after[1] >= 1
+        # without a worker the products run in line, and the walk had passed the first leaf
+        assert [x.grad is None for x in leaves] == [worker is not None, True, True]
+
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_a_vjp_raising_mid_walk_leaves_no_job_behind(self, queued, monkeypatch):
+        """A product the worker is running when a later VJP raises has finished
+        when backward raises; one still queued never runs. Neither reaches its leaf."""
+        worker = real_worker()
+        monkeypatch.setattr(nm, "_worker", worker)
+        gate, started = threading.Event(), threading.Event()
+        state = []
+
+        def product():
+            started.set()
+            time.sleep(0.05)
+            state.append("finished")
+            return np.ones(3)
+
+        def raising_vjp(g):
+            if not queued:
+                assert started.wait(5)  # the product is running now
+            raise RuntimeError("vjp failed")
+
+        x, y = (nm.Tensor(np.ones(3), requires_grad=True) for _ in "xy")
+        blocker = worker.submit(gate.wait, 5) if queued else None  # holds the product in the queue
+        loss = nm.weighted_sum([_leaf_op(x, product),
+                                nm._node(np.asarray(0.0), (y,), raising_vjp)], [1.0, 1.0])
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            nm.backward(loss)
+        assert state == ([] if queued else ["finished"])
+        if queued:
+            gate.set()
+            blocker.result()
+            worker.submit(lambda: None).result()  # the worker has passed the product
+            assert not started.is_set()
+        assert x.grad is None and y.grad is None
 
 
 def test_component_loss_hands_back_no_array_of_the_stacked_size():

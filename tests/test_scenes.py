@@ -1,12 +1,14 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from vqdet import scenes
-from vqdet.geometry import FOCAL, MAX_DEPTH, BehindCameraError, OrientedBox3D
+from vqdet.geometry import FOCAL, MAX_DEPTH, BehindCameraError, OrientedBox3D, box_fields
+from vqdet.losses import TargetArrays
 from vqdet.scenes import (
     CLASS_DIMENSIONS,
     DEPTH_RANGE,
@@ -69,6 +71,22 @@ class TestGenerateScene:
         b = generate_scene(np.random.default_rng(7), SMALL, "s", 7)
         assert_array_equal(a.grid, b.grid)
         assert a.objects == b.objects
+
+    def test_arrays_built_once_and_rebuilt_by_replace(self):
+        """A scene's fields and targets are those of its objects, bit for bit, built
+        on first use and kept; a scene made by replace builds its own."""
+        scene = generate_scene(np.random.default_rng(7), SMALL, "s", 7, num_objects=3)
+        assert len(scene.targets) == 3
+        cut = replace(scene, objects=scene.objects[:1])
+        assert len(cut.targets) == 1
+        for s in (scene, cut):
+            classes, fields = box_fields(s.objects)
+            want = TargetArrays.of(s.objects)
+            assert s.fields[0].tobytes() == classes.tobytes()
+            assert s.fields[1].tobytes() == fields.tobytes()
+            assert s.targets.classes.tobytes() == want.classes.tobytes()
+            assert s.targets.table.tobytes() == want.table.tobytes()
+            assert s.fields is s.fields and s.targets is s.targets
 
     def test_objects_satisfy_invariants(self):
         for seed in range(200):
