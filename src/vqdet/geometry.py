@@ -95,6 +95,17 @@ class OrientedBox3D:
         return self.l3d * self.w3d * self.h3d
 
 
+def check_setting(name: str, value, lo: float, hi: float = math.inf, *,
+                  integer: bool = False, closed: bool = False) -> None:
+    """Raise ValueError, starting with ``name``, unless ``value`` is an integer if ``integer``,
+    else a real number, is not a bool, and lies in [lo, hi), or in [lo, hi] if ``closed``."""
+    kind = (int, np.integer) if integer else numbers.Real
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (lo <= value <= hi if closed else lo <= value < hi)):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'} in "
+                         f"[{lo:g}, {hi:g}{']' if closed else ')'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Corruption strengths for turning ground truths into noisy boxes.
@@ -114,18 +125,10 @@ class NoiseConfig:
     depth_jitter_frac: float = 0.1
 
     def __post_init__(self):
+        closed = {"label_flip_prob": 1.0, "angle_jitter_rad": math.pi}  # else [0, 1)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-        for name in ("center_shift_scale", "box_scale_range", "dim_scale_range",
-                     "depth_jitter_frac"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not 0 <= self.label_flip_prob <= 1:
-            raise ValueError(f"label_flip_prob must lie in [0, 1], got {self.label_flip_prob}")
-        if not 0 <= self.angle_jitter_rad <= math.pi:
-            raise ValueError(f"angle_jitter_rad must lie in [0, pi], got {self.angle_jitter_rad}")
+            check_setting(f.name, getattr(self, f.name), 0, closed.get(f.name, 1),
+                          closed=f.name in closed)
 
 
 def project_to_image(point) -> tuple[float, float]:

@@ -33,8 +33,7 @@ the scoring, so it is the function the tape differentiates.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +45,8 @@ from .attention import (
     multihead_cross_attention,
 )
 from .distill import forward_looking_distill, iou_weights
-from .geometry import NoiseConfig, OrientedBox3D, backproject, corrupt_boxes, iou3d
+from .geometry import (NoiseConfig, OrientedBox3D, backproject, check_setting, corrupt_boxes,
+                       iou3d)
 from .losses import (ANGLE, BOX_WIDTHS, CENTER, DEPTH, LRTB, SIZE3D, TargetArrays, class_probs,
                      component_loss, corner_boxes, decode_heads)
 from .matching import Assignment, hungarian, matching_cost
@@ -76,29 +76,16 @@ class DetectorConfig:
     confidence_threshold: float = 0.2
 
     def __post_init__(self):
-        for name in ("groups", "queries_per_group", "noisy_groups", "width", "heads", "layers",
-                     "feature_size", "num_classes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if name == "noisy_groups" and value < 0:
-                raise ValueError(f"noisy_groups must be nonnegative, got {value}")
-            if name != "noisy_groups" and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for f in fields(self):  # the counts; only noisy_groups may be 0
+            if f.type == "int":
+                lo = 0 if f.name == "noisy_groups" else 1
+                check_setting(f.name, getattr(self, f.name), lo, integer=True)
+        check_setting("lambda_distill", self.lambda_distill, 0)
+        check_setting("confidence_threshold", self.confidence_threshold, 0, 1, closed=True)
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
         if self.width % 4 != 0:
             raise ValueError(f"width {self.width} must be a multiple of 4 for the 2D position code")
-        for name in ("lambda_distill", "confidence_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not (math.isfinite(self.lambda_distill) and self.lambda_distill >= 0):
-            raise ValueError(f"lambda_distill must be finite and nonnegative, "
-                             f"got {self.lambda_distill}")
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ValueError(f"confidence_threshold must lie in [0, 1], "
-                             f"got {self.confidence_threshold}")
 
 
 def sincos_positions_2d(size: int, width: int) -> np.ndarray:
@@ -257,15 +244,15 @@ class Detector:
         """Stacked (G*S, D) queries, (G*S, 2) references, the (S, S) mask, latents.
 
         The latents hold one row per noisy row, G*C*K in all: 0 rows without
-        noisy groups or objects, where S = N. ``mode`` decides whether they
-        carry a log-variance.
+        noisy groups or objects, where S = N. ``mode`` goes to the generator's
+        ``encode``, which alone decides whether they carry a log-variance.
         """
         cfg = self.cfg
         n, groups = cfg.queries_per_group, cfg.groups
         queries, refs = self.learnable_queries(groups)
         k, c = noisy.num_objects, cfg.noisy_groups
         dist = self.vqg.encode(noisy.boxes, mode)
-        z = sample_reparameterized(dist, mode, noisy.eps)
+        z = sample_reparameterized(dist, noisy.eps)
         table = noisy.boxes.table
         noisy_q = z + nm.linear(nm.Tensor(table[:, :6]), *self.aref)
         # learnable rows of every group, then noisy rows of every group -> group-major
@@ -371,10 +358,15 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
     the scene's :attr:`Scene.targets`, built once per scene. The step's decisions
     come from :func:`step_decisions`, or from ``replay``, decisions of an
     earlier call; under pinned decisions the loss is a pure differentiable
-    function of the parameters.
+    function of the parameters. ``noisy`` must be a draw for ``scene``: one
+    with other than G*C*K rows for its K objects raises ValueError.
     """
     cfg = det.cfg
     n, gts = cfg.queries_per_group, scene.objects
+    want = cfg.groups * cfg.noisy_groups * len(gts)
+    if len(noisy.boxes) != want:
+        raise ValueError(f"training_loss: the noisy draw has {len(noisy.boxes)} rows, but "
+                         f"groups * noisy_groups * objects is {want} for this scene")
     memory = det.encode_features(scene.grid)
     queries, refs, allow, dist = det.build_group_inputs(noisy, dn_cfg.mode)
     layer_rows, final_map = det.decoder_forward(memory, queries, allow)
@@ -395,7 +387,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
     blocks = [[range(b * s + lo, b * s + lo + k)
                for b in range(layer * groups, (layer + 1) * groups) for lo in range(n, s, k)]
               for layer in range(cfg.layers)] if k else []
-    dn = denoising_loss(pred, blocks, targets, dist, dn_cfg)
+    dn = denoising_loss(pred, blocks, targets, dist)
     distillation = forward_looking_distill(
         stack, cfg.layers, decisions.distill_rows, decisions.distill_weights,
         det.refiner, decisions.teacher_rows)

@@ -17,7 +17,8 @@ worker thread described below.
 
 Inside :func:`no_grad` the same ops compute the same values but record
 nothing: inference and finite-difference probes, which need only values,
-keep no graph alive.
+keep no graph alive. The switch is per thread: ops that another thread runs
+meanwhile are recorded as usual.
 
 The kernels follow three rules. No ``np.where`` over a data-dependent mask
 on a large array: over random signs it mispredicts a branch per entry, so
@@ -138,8 +139,11 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-# Cleared inside no_grad(): ops then record nothing on the tape.
-_recording = True
+class _Recording(threading.local):
+    on = True  # cleared inside no_grad(), for the calling thread only
+
+
+_recording = _Recording()
 
 
 @contextmanager
@@ -149,14 +153,13 @@ def no_grad() -> Iterator[None]:
     Every op output inside the block has ``requires_grad`` False, no parents
     and no VJP closure, so it keeps no input alive. Values are bitwise those
     of the taped ops. The previous state is restored on exit, also when the
-    block raises, so blocks nest.
+    block raises, so blocks nest. Other threads keep recording.
     """
-    global _recording
-    saved, _recording = _recording, False
+    saved, _recording.on = _recording.on, False
     try:
         yield
     finally:
-        _recording = saved
+        _recording.on = saved
 
 
 class RowGrad(NamedTuple):
@@ -178,7 +181,7 @@ class LeafGrad(NamedTuple):
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if _recording.on and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._vjp = vjp

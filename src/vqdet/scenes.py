@@ -12,7 +12,7 @@ so scenes are regenerated from seeds and never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -24,6 +24,7 @@ from .geometry import (
     bev_corners,
     box3d_from_ground_truth,
     box_fields,
+    check_setting,
     iou3d,
     project_to_image,
     wrap_angle,
@@ -57,12 +58,8 @@ class SceneConfig:
     max_objects: int = 4
 
     def __post_init__(self):
-        for name in ("feature_size", "num_classes", "max_objects"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for f in fields(self):
+            check_setting(f.name, getattr(self, f.name), 1, integer=True)
 
 
 @dataclass
@@ -128,9 +125,7 @@ def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: str,
     """Sample one scene; ``num_objects``, a count from 0, overrides the K ~ U{1..max} draw."""
     if num_objects is None:
         num_objects = int(rng.integers(1, cfg.max_objects + 1))
-    elif (isinstance(num_objects, bool) or not isinstance(num_objects, (int, np.integer))
-          or num_objects < 0):
-        raise ValueError(f"num_objects must be a nonnegative integer, got {num_objects!r}")
+    check_setting("num_objects", num_objects, 0, integer=True)
     objects = [_sample_object(rng, cfg) for _ in range(num_objects)]
     f = cfg.feature_size
     grid = np.zeros((f, f, grid_channels(cfg.num_classes)))

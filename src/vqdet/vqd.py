@@ -4,15 +4,16 @@ Noisy ground-truth boxes, one :class:`TargetArrays` bundle like the
 targets, are embedded into a per-query latent Gaussian (mu, log sigma^2);
 queries are drawn with the reparameterization trick so the gradient of the
 reconstruction loss reaches the embedding through mu and log_var but never
-through the noise sample. The deterministic mode short-circuits sampling to
-mu, runs no log-variance head and drops the KL term, which is the
-conventional denoising baseline the variational scheme is compared against.
+through the noise sample. Only :meth:`VariationalQueryGenerator.encode`
+reads the denoising mode. In deterministic mode, the DN-DETR baseline the
+variational scheme is compared against, it gives latents without a
+log-variance, so sampling returns mu and the loss drops the KL term.
 The denoising loss reads every layer's noisy blocks from the step's one
 stacked prediction tensor (the columns of :mod:`losses`), one
 ``component_loss`` per block, each one tape node; every call reads the
 ground truths' one :class:`TargetArrays` as it is. One
 ``weighted_sum`` adds each layer's blocks, one more takes the layers' block
-means, and in variational mode a last one adds the KL term with weight
+means, and with a log-variance a last one adds the KL term with weight
 :data:`BETA`, so the sums record L + 2 tape nodes (L + 1 without KL).
 """
 
@@ -38,7 +39,7 @@ BETA = 0.1  # weight of the KL term in the variational denoising loss
 class LatentDistribution:
     """Per-noisy-query Gaussian parameters, each (K, D); log_var pre-clamped.
 
-    ``log_var`` is None in deterministic mode, which reads mu alone. A
+    ``log_var`` is None in the deterministic arm, which samples mu and has no KL term. A
     non-finite entry is not checked here: the step's matching cost or its
     loss is, and the error names the first non-finite tensor.
     """
@@ -104,13 +105,13 @@ class VariationalQueryGenerator:
         return LatentDistribution(mu=mu, log_var=log_var)
 
 
-def sample_reparameterized(dist: LatentDistribution, mode: str, eps: np.ndarray) -> Tensor:
+def sample_reparameterized(dist: LatentDistribution, eps: np.ndarray) -> Tensor:
     """z = mu + exp(log_var / 2) * eps for standard normal draws ``eps``.
 
-    Gradients flow to mu and log_var only; eps stays off the tape. In
-    deterministic mode the sample is mu itself and ``eps`` is unused.
+    Gradients flow to mu and log_var only; eps stays off the tape. Without a
+    log-variance the sample is mu itself and ``eps`` is unused.
     """
-    if mode == DETERMINISTIC:
+    if dist.log_var is None:
         return dist.mu
     if eps.shape != dist.mu.data.shape:
         raise nm.ShapeError(f"eps shape {eps.shape} vs mu {dist.mu.data.shape}")
@@ -125,8 +126,7 @@ class DenoisingLoss:
 
 
 def denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequence[int]]],
-                   targets: TargetArrays, dist: LatentDistribution,
-                   cfg: DenoisingConfig) -> DenoisingLoss:
+                   targets: TargetArrays, dist: LatentDistribution) -> DenoisingLoss:
     """Reconstruction loss over the noisy blocks plus :data:`BETA` times the KL term.
 
     ``pred`` holds the stacked prediction rows of every decoder layer, and
@@ -136,7 +136,7 @@ def denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequence[int]]]
     as it is; every row is positive. Reconstruction averages over the blocks
     of a layer and sums over layers, mirroring deep supervision. The KL term is computed once
     from ``dist``, the latents of the step's noisy rows (0 rows without any, giving a KL of
-    0), and skipped in deterministic mode.
+    0), and skipped when ``dist`` has no log-variance, the deterministic arm.
     """
     zero = nm.Tensor(0.0)
     layers = [blocks for blocks in layer_blocks if blocks]
@@ -144,10 +144,8 @@ def denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequence[int]]]
                              for block in blocks], [1.0] * len(blocks)) for blocks in layers]
     recon = nm.weighted_sum(sums, [1.0 / len(blocks) for blocks in layers]) if layers else zero
 
-    if cfg.mode == DETERMINISTIC:
-        kl = zero
-        total = recon
-    else:
-        kl = nm.gaussian_kl(dist.mu, dist.log_var)
-        total = nm.weighted_sum([recon, kl], [1.0, BETA])
+    if dist.log_var is None:
+        return DenoisingLoss(total=recon, reconstruction=recon, kl=zero)
+    kl = nm.gaussian_kl(dist.mu, dist.log_var)
+    total = nm.weighted_sum([recon, kl], [1.0, BETA])
     return DenoisingLoss(total=total, reconstruction=recon, kl=kl)

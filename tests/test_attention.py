@@ -298,11 +298,8 @@ def half_heads():
     worker.pool.shutdown()
 
 
-def _attention_bytes(groups, s, t, allow, untaped=True):
-    """Output, the three gradients, the weights (masked) and the untaped output, as bytes.
-
-    ``no_grad`` switches recording off for every thread, so a caller racing
-    other threads passes ``untaped=False``."""
+def _attention_bytes(groups, s, t, allow):
+    """Output, the three gradients, the weights (masked) and the untaped output, as bytes."""
     rng = np.random.default_rng(0)
     leaves = [nm.Tensor(rng.normal(size=(groups * n, 64)), requires_grad=True)
               for n in (s, t, t)]
@@ -310,9 +307,8 @@ def _attention_bytes(groups, s, t, allow, untaped=True):
     grads = out._vjp(rng.normal(size=out.data.shape))
     found = [out.data.tobytes()] + [gr.tobytes() for gr in grads]
     found.append(b"" if weights_of is None else weights_of().tobytes())
-    if untaped:
-        with nm.no_grad():
-            found.append(nm.multihead_attention(*leaves, 4, allow)[0].data.tobytes())
+    with nm.no_grad():
+        found.append(nm.multihead_attention(*leaves, 4, allow)[0].data.tobytes())
     return found
 
 
@@ -399,13 +395,13 @@ class TestHeadsOnTwoThreads:
         head once, and backward every leaf product once, bit for bit."""
         worker = real_worker()
         monkeypatch.setattr(nm, "_worker", None)
-        want = _attention_bytes(1, 256, 256, None, untaped=False), _projected_attention_grads()
+        want = _attention_bytes(1, 256, 256, None), _projected_attention_grads()
         monkeypatch.setattr(nm, "_worker", worker)
         results = []
 
         def caller():
             for _ in range(4):
-                results.append((_attention_bytes(1, 256, 256, None, untaped=False),
+                results.append((_attention_bytes(1, 256, 256, None),
                                 _projected_attention_grads()) == want)
 
         interval = sys.getswitchinterval()

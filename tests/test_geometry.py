@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from vqdet.geometry import (
     wrap_angle,
 )
 from vqdet.losses import TargetArrays
+from vqdet.model import DetectorConfig
+from vqdet.scenes import SceneConfig
 from oracles import box2d_corners, giou2d, monte_carlo_iou3d, raster_giou2d
 
 
@@ -204,6 +207,35 @@ def _random_corner_box(rng):
     # inside the 2e-3 comparison tolerance
     x0, y0 = rng.uniform(0, 1.0, size=2)
     return (x0, y0, x0 + rng.uniform(0.3, 1.0), y0 + rng.uniform(0.3, 1.0))
+
+
+SETTINGS = [(config, f) for config in (DetectorConfig, SceneConfig, NoiseConfig)
+            for f in fields(config)]
+# every count lies in [1, inf) and every real number in [0, ...), with this exception
+LOWEST = {"noisy_groups": 0}
+
+
+@pytest.mark.parametrize("config,field", SETTINGS,
+                         ids=[f"{config.__name__}.{f.name}" for config, f in SETTINGS])
+def test_every_setting_is_checked_naming_its_field(config, field):
+    """Each field of each config rejects a bool, a str, None, NaN, infinity and a value
+    below its range, with an error that starts with its name, and accepts numpy scalars."""
+    integer = isinstance(field.default, int)
+    lowest = LOWEST.get(field.name, 1 if integer else 0)
+    below = lowest - 1 if integer else math.nextafter(lowest, -math.inf)
+    for value in (True, False, str(field.default), None, math.nan, math.inf, below):
+        with pytest.raises(ValueError, match=f"^{field.name} "):
+            config(**{field.name: value})
+    for kind in ((np.int64, np.int32) if integer else (np.float64, np.float32)):
+        assert getattr(config(**{field.name: kind(field.default)}), field.name) == kind(
+            field.default)
+
+
+def test_closed_bounds_accepted():
+    NoiseConfig(center_shift_scale=0, label_flip_prob=1, angle_jitter_rad=math.pi)
+    DetectorConfig(noisy_groups=0, lambda_distill=0, confidence_threshold=1)
+    DetectorConfig(confidence_threshold=0.0)
+    SceneConfig(feature_size=1, num_classes=1, max_objects=1)
 
 
 class TestBoxNoise:

@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import signal
 import threading
+import time
+import warnings
 from collections import Counter
 from dataclasses import astuple, fields, replace
 
@@ -359,8 +363,9 @@ class TestTrainingLoss:
         assert zeros and all(g.tobytes() == np.zeros_like(g).tobytes() for g in zeros.values())
 
     def test_only_variational_mode_runs_the_log_variance_head(self, monkeypatch):
-        """Deterministic mode makes no clamp node, variational mode one; either step's
-        loss and gradients are the bytes of an encoder that runs the head in both modes."""
+        """Deterministic mode makes no clamp node, variational mode one. A deterministic
+        step's loss and gradients are the bytes of an encoder that runs the head and
+        drops its log-variance, which leaves a deterministic distribution."""
         scene = _scene(32, num_objects=2)
         clamps = []
         clamp = nm.clamp
@@ -377,11 +382,11 @@ class TestTrainingLoss:
 
         (det_clamps, det_step), (var_clamps, var_step) = step(DETERMINISTIC), step(VARIATIONAL)
         assert (det_clamps, var_clamps) == (0, 1)
+        assert det_step != var_step
         encode = VariationalQueryGenerator.encode
-        monkeypatch.setattr(VariationalQueryGenerator, "encode",
-                            lambda self, boxes, mode: encode(self, boxes, VARIATIONAL))
+        monkeypatch.setattr(VariationalQueryGenerator, "encode", lambda self, boxes, mode: replace(
+            encode(self, boxes, VARIATIONAL), log_var=None))
         assert step(DETERMINISTIC) == (1, det_step)
-        assert step(VARIATIONAL) == (1, var_step)
 
     @pytest.mark.parametrize("name", ["enc.proj.w", "dec0.ffn.1.w", "head.b",
                                       "queries.ref", "vqg.mu.b", "refiner.2.b"])
@@ -405,6 +410,15 @@ class TestTrainingLoss:
         a = training_loss(det, scene, noisy, DenoisingConfig())
         b = training_loss(det, scene, noisy, DenoisingConfig())
         assert a.total.item() == b.total.item()
+
+    @pytest.mark.parametrize("drawn,scored", [(4, 2), (1, 3), (0, 2), (2, 0)])
+    def test_draw_of_another_scene_rejected_naming_both_counts(self, drawn, scored):
+        """G*C*K noisy rows for one scene's K objects do not score a scene of other K."""
+        det = Detector(TINY, seed=15)
+        noisy = _noisy(det, _scene(16, num_objects=drawn))
+        rows = TINY.groups * TINY.noisy_groups * np.array([drawn, scored])
+        with pytest.raises(ValueError, match=rf"has {rows[0]} rows, .* is {rows[1]} "):
+            training_loss(det, _scene(17, num_objects=scored), noisy, DenoisingConfig())
 
 
 def _stacked_rows(det, scene, noisy):
@@ -820,3 +834,40 @@ class TestWorkerThread:
             det, _ = self._step()
             inference(det, self.SCENE)
         assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_fresh_worker_and_the_parents_bytes(self, monkeypatch):
+        """A forked child has no thread behind the parent's worker, so the fork hook gives
+        it a new one, not yet started; its default step, backward and inference are the
+        parent's bytes, and it exits in time (else it is killed and the test fails)."""
+        monkeypatch.setattr(nm, "_worker", real_worker())
+        want = self._run()  # the parent's worker thread is running from here on
+        parent_worker = nm._worker
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():  # fork() in a multi-threaded process may warn
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child reports through the pipe and never returns into pytest
+            code = 1
+            try:
+                worker = nm._worker
+                fresh = worker is not parent_worker and (worker is None
+                                                         or worker.thread.ident is None)
+                same = self._run() == want
+                served = worker is None or worker.thread.is_alive()
+                os.write(write_end, f"{fresh} {same} {served}".encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        with os.fdopen(read_end, "rb") as pipe:
+            report = pipe.read().decode()
+        assert status[0] == pid, "the forked child did not exit within 60 s"
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+        assert report == "True True True"

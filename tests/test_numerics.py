@@ -249,6 +249,33 @@ def test_no_grad_restored_after_exception_and_nesting():
     assert x.grad is not None and np.isfinite(x.grad).all()
 
 
+def test_no_grad_on_another_thread_leaves_this_thread_taped():
+    """While one thread sits inside no_grad, another thread's ops record and backward
+    reaches its weights; the untaped thread's ops record nothing."""
+    entered, release = threading.Event(), threading.Event()
+    untaped = []
+
+    def inside_no_grad():
+        with nm.no_grad():
+            entered.set()
+            release.wait(timeout=30)
+            untaped.append(_taped_chain(nm.Tensor(np.ones((2, 2)), requires_grad=True)))
+
+    other = threading.Thread(target=inside_no_grad)
+    other.start()
+    try:
+        assert entered.wait(timeout=30)
+        w = nm.Tensor(np.ones((2, 3)), requires_grad=True)
+        out = nm.linear(nm.Tensor(np.ones((4, 2))), w, nm.Tensor(np.zeros(3)))
+        assert out.requires_grad
+        nm.backward(nm.sum_all(out))
+        assert_array_equal(w.grad, np.full((2, 3), 4.0))
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive() and not untaped[0].requires_grad
+
+
 def test_backward_composite_matches_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 4))

@@ -57,9 +57,10 @@ class TestGenerateScene:
         assert scene.grid.shape == (8, 8, grid_channels(SMALL.num_classes))
         assert np.abs(scene.grid).max() < 1.0  # pure noise, no splats
 
-    @pytest.mark.parametrize("count", [-3, 2.5, True, "2", np.float64(2.0)])
+    @pytest.mark.parametrize("count", [-3, -1, 2.5, True, "2", np.float64(2.0), math.nan,
+                                       math.inf])
     def test_num_objects_must_be_a_nonnegative_integer(self, count):
-        with pytest.raises(ValueError, match="^num_objects must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=r"^num_objects must be an integer in \[0, inf\)"):
             generate_scene(np.random.default_rng(0), SMALL, "s", 0, num_objects=count)
 
     def test_num_objects_accepts_numpy_integers(self):

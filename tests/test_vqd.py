@@ -53,6 +53,13 @@ class TestEncoder:
         with pytest.raises(IndexError, match="category"):
             gen.encode(boxes, VARIATIONAL)
 
+    def test_deterministic_mode_runs_the_mu_head_alone(self):
+        gen, _ = _generator()
+        boxes = _noisy_boxes()
+        dist = gen.encode(boxes, DETERMINISTIC)
+        assert dist.log_var is None
+        assert dist.mu.data.tobytes() == gen.encode(boxes, VARIATIONAL).mu.data.tobytes()
+
     def test_log_var_clamped(self):
         gen, store = _generator()
         store["vqg.lv.b"].data[:] = 50.0
@@ -79,19 +86,19 @@ class TestReparameterization:
     def test_zero_eps_returns_mu(self):
         mu = np.array([[1.0, -2.0]])
         dist = self._dist(mu, np.zeros((1, 2)))
-        z = sample_reparameterized(dist, VARIATIONAL, np.zeros((1, 2)))
+        z = sample_reparameterized(dist, np.zeros((1, 2)))
         assert_array_equal(z.data, mu)
 
     def test_clamp_floor_vanishing_variance(self):
         mu = np.array([[0.5, 0.5]])
         dist = self._dist(mu, np.full((1, 2), -10.0))
         eps = np.array([[1.0, -1.0]])
-        z = sample_reparameterized(dist, VARIATIONAL, eps)
+        z = sample_reparameterized(dist, eps)
         assert np.abs(z.data - mu).max() <= math.exp(-5.0) + 1e-12
 
-    def test_deterministic_mode_is_mu(self):
-        dist = self._dist(np.array([[0.3, 0.7]]), np.zeros((1, 2)))
-        z = sample_reparameterized(dist, DETERMINISTIC, np.ones((1, 2)))
+    def test_no_log_variance_is_mu(self):
+        dist = LatentDistribution(mu=nm.Tensor(np.array([[0.3, 0.7]])), log_var=None)
+        z = sample_reparameterized(dist, np.ones((1, 2)))
         assert z is dist.mu
 
     def test_sample_statistics(self):
@@ -100,7 +107,7 @@ class TestReparameterization:
         log_var = np.tile([0.0, 1.0, -1.0, 0.5], (n, 1))
         dist = self._dist(mu, log_var)
         eps = np.random.default_rng(42).standard_normal((n, d))
-        z = sample_reparameterized(dist, VARIATIONAL, eps).data
+        z = sample_reparameterized(dist, eps).data
         var = np.exp(log_var[0])
         for j in range(d):
             se = math.sqrt(var[j] / n)
@@ -112,7 +119,7 @@ class TestReparameterization:
         log_var = nm.Tensor(np.zeros((2, 3)), requires_grad=True)
         dist = LatentDistribution(mu=mu, log_var=log_var)
         eps = np.full((2, 3), 0.7)
-        z = sample_reparameterized(dist, VARIATIONAL, eps)
+        z = sample_reparameterized(dist, eps)
         nm.backward(nm.sum_all(z))
         assert_array_equal(mu.grad, np.ones((2, 3)))
         np.testing.assert_allclose(log_var.grad, 0.5 * 0.7 * np.ones((2, 3)), atol=1e-12)
@@ -131,18 +138,19 @@ class TestDenoisingLoss:
     GT = GroundTruthObject(1, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
 
     def _dist(self, mu=0.0, log_var=0.0):
-        return LatentDistribution(mu=nm.Tensor(np.full((1, 4), mu)),
-                                  log_var=nm.Tensor(np.full((1, 4), log_var)))
+        """Latents of one row; a ``log_var`` of None makes them deterministic."""
+        lv = None if log_var is None else nm.Tensor(np.full((1, 4), log_var))
+        return LatentDistribution(mu=nm.Tensor(np.full((1, 4), mu)), log_var=lv)
 
     def test_perfect_reconstruction_and_standard_latent_is_zero(self):
         out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], TargetArrays.of([self.GT]),
-                             self._dist(0.0, 0.0), DenoisingConfig())
+                             self._dist(0.0, 0.0))
         assert out.kl.item() == 0.0
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
-    def test_deterministic_mode_skips_kl(self):
+    def test_no_log_variance_skips_kl(self):
         out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], TargetArrays.of([self.GT]),
-                             self._dist(3.0, 2.0), DenoisingConfig(mode=DETERMINISTIC))
+                             self._dist(3.0, None))
         assert out.kl.item() == 0.0
         assert out.total.item() == out.reconstruction.item()
 
@@ -156,7 +164,7 @@ class TestDenoisingLoss:
         mu, log_var = 0.4, -0.6
         dist = LatentDistribution(mu=nm.Tensor(np.full((1, 3), mu)),
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
-        out = denoising_loss(pred, [[range(1)]], TargetArrays.of([gt]), dist, DenoisingConfig())
+        out = denoising_loss(pred, [[range(1)]], TargetArrays.of([gt]), dist)
 
         from oracles import box2d_corners, giou2d
         p = 1.0 / (1.0 + np.exp(-logits))
@@ -181,18 +189,17 @@ class TestDenoisingLoss:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="targets"):
             denoising_loss(_perfect_rows(self.GT), [[range(1)]],
-                           TargetArrays.of([self.GT, self.GT]), self._dist(), DenoisingConfig())
+                           TargetArrays.of([self.GT, self.GT]), self._dist())
 
     def test_layer_and_block_normalization(self):
         """Two layers sum; two blocks in a layer average."""
         pred = _perfect_rows(self.GT, rows=2)
         pred.data[:, CENTER] += 0.03  # the same nonzero loss in both rows
-        cfg = DenoisingConfig(mode=DETERMINISTIC)
-        targets = TargetArrays.of([self.GT])
-        one = denoising_loss(pred, [[range(1)]], targets, self._dist(), cfg)
+        targets, dist = TargetArrays.of([self.GT]), self._dist(log_var=None)
+        one = denoising_loss(pred, [[range(1)]], targets, dist)
         assert one.total.item() > 0.1
-        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], targets, self._dist(), cfg)
-        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], targets, self._dist(), cfg)
+        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], targets, dist)
+        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], targets, dist)
         assert two_blocks.total.item() == pytest.approx(one.total.item(), abs=1e-12)
         assert two_layers.total.item() == pytest.approx(2 * one.total.item(), abs=1e-12)
 
