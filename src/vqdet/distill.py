@@ -57,5 +57,5 @@ def forward_looking_distill(stack: Tensor, layers: int, rows: np.ndarray,
     stride = stack.data.shape[0] // layers
     idx = (np.arange(students)[:, None] * stride + rows).ravel()
     refined = refine(nm.gather_rows(stack, idx), refiner)
-    return nm.weighted_row_smooth_l1(refined, nm.Tensor(np.tile(teacher, (students, 1))),
+    return nm.weighted_row_smooth_l1(refined, np.tile(teacher, (students, 1)),
                                      np.tile(row_weights, students))

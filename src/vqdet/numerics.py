@@ -11,9 +11,7 @@ leaves on the path, such as parameters. A non-finite loss stops
 give a parent a :class:`RowGrad`, which :func:`backward` adds in place
 (``acc[rows] += values``, into zeros the first time): the dense sum up to
 the sign of its zeros. A leaf's gradient starts as ``g + 0.0``, so every
-zero a leaf receives is +0.0. A VJP may give a leaf a :class:`LeafGrad`,
-a call that computes its gradient, which :func:`backward` may run on the
-worker thread described below.
+zero a leaf receives is +0.0.
 
 Inside :func:`no_grad` the same ops compute the same values but record
 nothing: inference and finite-difference probes, which need only values,
@@ -39,21 +37,15 @@ them, in ``tests/oracles.py``.
 The tape is rebuilt from scratch each training step. At most two threads
 run a step: the caller, which alone records and walks the tape and writes
 gradients, and, where the process may use two CPUs, one worker thread,
-started by its first job, that runs two kinds of job off one queue: heads of
-the largest attention calls (:func:`multihead_attention`), and the weight
-and bias products that :func:`linear` over many rows hands :func:`backward`
-as a :class:`LeafGrad`. A job only does arithmetic on arrays of the call
-that submitted it: a heads kernel writes the slices of its own heads, a
-leaf product reads the tape and returns a new array. The submitting call
-does not return, normally or by raising, while its job is queued or
-running, and backward adds the products to the leaves' gradients on the
-caller, in the order in which the walk submitted them; without a worker
-the caller computes them as the walk meets them. So no value depends on
-which thread computed it. Data is always float64; there is no broadcasting
-beyond the two cases the model needs (same shape, and a scalar operand);
-``linear`` adds its own bias. Every affine layer is a ``(w, b)`` pair that
-:meth:`ParameterStore.linear` declares; a checkpoint is an ``.npz`` archive
-of float64 arrays keyed by parameter name.
+started by its first job, that runs heads of the largest attention calls
+(:func:`multihead_attention`). The worker only does arithmetic on the
+arrays of the call that submitted it, and that call does not return,
+normally or by raising, while its job is queued or running, so no value
+depends on which thread computed it. Data is always float64; there is no
+broadcasting beyond the two cases the model needs (same shape, and a scalar
+operand); ``linear`` adds its own bias. Every affine layer is a ``(w, b)``
+pair that :meth:`ParameterStore.linear` declares; a checkpoint is an
+``.npz`` archive of float64 arrays keyed by parameter name.
 """
 
 from __future__ import annotations
@@ -65,7 +57,7 @@ import queue
 import threading
 import tokenize
 import zipfile
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -168,17 +160,6 @@ class RowGrad(NamedTuple):
     values: np.ndarray
 
 
-class LeafGrad(NamedTuple):
-    """A leaf's gradient as a zero-argument call, which :func:`backward` may run on the worker.
-
-    ``compute`` must be pure: it reads tape arrays and the VJP's ``g``,
-    returns a new array and writes nothing, so it may run at any time before
-    backward returns. Given to a parent that is not a leaf, or without a
-    worker, it runs at once.
-    """
-    compute: Callable[[], np.ndarray]
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
     if _recording.on and any(p.requires_grad for p in parents):
@@ -235,12 +216,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out += b.data
 
     def vjp(g):
-        def leaf(product):
-            return LeafGrad(product) if len(x.data) >= DEFER_ROWS else product()
-
         return (g @ w.data.T if x.requires_grad else None,
-                leaf(lambda: x.data.T @ g) if w.requires_grad else None,
-                leaf(lambda: g.sum(axis=0)) if b.requires_grad else None)
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
 
     return _node(out, (x, w, b), vjp)
 
@@ -277,9 +255,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 # An attention call whose heads each form at least this many logits runs them
 # one at a time, shared between the caller and _worker.
 SPLIT_LOGITS = 256 * 256
-# A linear layer over at least this many rows hands backward its weight and
-# bias products as LeafGrads, for _worker.
-DEFER_ROWS = 256
 
 
 class _Job:
@@ -356,13 +331,11 @@ def _run_heads(kernel: Callable[[Iterator[slice]], None], heads: int, logits: in
     With fewer than SPLIT_LOGITS ``logits`` per head, one slice covers all
     heads. Otherwise each head is its own slice, and the caller and the
     worker, if there is one, run the kernel over one shared iterator of them,
-    so a head goes to whichever thread asks first. This is the worker's
-    first kind of job; the second is a leaf product of :func:`backward`, and
-    a heads job queued behind products may find every head taken. A job the
-    worker has not started by the time the caller runs out of heads is
-    cancelled; one it has is waited for, and its exception is raised here.
-    The kernel only does arithmetic on arrays of its call that no two heads
-    share, and records nothing.
+    so a head goes to whichever thread asks first. A job the worker has not
+    started by the time the caller runs out of heads is cancelled; one it
+    has is waited for, and its exception is raised here. The kernel only
+    does arithmetic on arrays of its call that no two heads share, and
+    records nothing.
     """
     if logits < SPLIT_LOGITS:
         kernel(iter([slice(0, heads)]))
@@ -377,7 +350,8 @@ def _run_heads(kernel: Callable[[Iterator[slice]], None], heads: int, logits: in
 
 
 def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                        allow: np.ndarray | None = None) -> tuple[Tensor, np.ndarray | None]:
+                        allow: np.ndarray | None = None
+                        ) -> tuple[Tensor, Callable[[], np.ndarray] | None]:
     """Scaled dot-product attention over ``heads`` column blocks, as one node.
 
     ``q`` is (R, D) and ``k``, ``v`` are (T, D); head h reads columns
@@ -395,12 +369,11 @@ def multihead_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     runs it once over all heads. A larger call (today only the encoder's
     256 x 256 self-attention) runs it one head at a time, each head on
     whichever of the caller and the module's worker thread takes it first
-    (:func:`_run_heads`); without a worker, or with the worker still busy
-    with earlier jobs such as backward's leaf products, the caller runs them
-    all. A head's products, row reductions and elementwise passes are the
-    same operations on the same values whichever way it runs, so the
-    output, the weights and the gradients are bitwise the same on one
-    thread or two, and with the heads run together or one at a time.
+    (:func:`_run_heads`); without a worker the caller runs them all. A
+    head's products, row reductions and elementwise passes are the same
+    operations on the same values whichever way it runs, so the output, the
+    weights and the gradients are bitwise the same on one thread or two, and
+    with the heads run together or one at a time.
 
     Mask separation is exact for finite values only: a disallowed weight is
     exactly 0, but the value product still multiplies it by the disallowed
@@ -517,28 +490,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(out, (x, gain, bias), vjp)
 
 
-def weighted_row_smooth_l1(pred: Tensor, target: Tensor, row_weights: np.ndarray) -> Tensor:
+def weighted_row_smooth_l1(pred: Tensor, target: np.ndarray, row_weights: np.ndarray) -> Tensor:
     """Sum over rows of row_weight * (per-row mean Huber of pred - target).
 
-    Row weights are plain numbers, not tape values; no gradient flows into
-    them, and any normalisation over rows is folded into them by the caller.
-    An empty pred sums to exactly 0.
+    The target and the row weights are plain arrays, not tape values; no
+    gradient flows into them, and any normalisation over rows is folded into
+    the weights by the caller. An empty pred sums to exactly 0.
     """
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"weighted_row_smooth_l1: shapes {pred.data.shape} vs {target.data.shape}")
+    target = np.asarray(target, dtype=np.float64)
+    if pred.data.shape != target.shape:
+        raise ShapeError(f"weighted_row_smooth_l1: shapes {pred.data.shape} vs {target.shape}")
     w = np.asarray(row_weights, dtype=np.float64)
     if pred.data.ndim != 2 or w.shape != (pred.data.shape[0],):
         raise ShapeError(f"weighted_row_smooth_l1: weights {w.shape} vs rows {pred.data.shape}")
-    d = pred.data - target.data
+    d = pred.data - target
     ad = np.abs(d)
     out = np.asarray((w * np.where(ad < 1.0, 0.5 * d * d, ad - 0.5).mean(axis=1)).sum())
 
     def vjp(g):
-        gd = float(g) * (w[:, None] / d.shape[1]) * np.where(ad < 1.0, d, np.sign(d))
-        return (gd if pred.requires_grad else None,
-                -gd if target.requires_grad else None)
+        return (float(g) * (w[:, None] / d.shape[1]) * np.where(ad < 1.0, d, np.sign(d)),)
 
-    return _node(out, (pred, target), vjp)
+    return _node(out, (pred,), vjp)
 
 
 def gaussian_kl(mu: Tensor, log_var: Tensor) -> Tensor:
@@ -597,9 +569,12 @@ def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
 def _concat(ts: list[Tensor], axis: int, op: str) -> Tensor:
     if not ts:
         raise ShapeError(f"{op}: empty input")
+    for t in ts:
+        if t.data.ndim != 2:
+            raise ShapeError(f"{op}: expected matrices, got shape {t.data.shape}")
     size = ts[0].data.shape[1 - axis]
     for t in ts:
-        if t.data.ndim != 2 or t.data.shape[1 - axis] != size:
+        if t.data.shape[1 - axis] != size:
             raise ShapeError(f"{op}: shape {t.data.shape} vs {size} along axis {1 - axis}")
     out = np.concatenate([t.data for t in ts], axis=axis)
 
@@ -639,15 +614,6 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
     A non-finite loss raises FloatingPointError naming the first non-finite
     tensor on its tape, in topological order: an op by name and shape, or a
     parameter of ``store`` by its name.
-
-    A :class:`LeafGrad` given to a leaf is submitted to the worker, if there
-    is one, when the walk meets it. After the walk the caller runs, from the
-    last, the ones the worker has not started, then adds every product to
-    its leaf's gradient in submission order. A leaf that the walk reaches
-    again first takes its pending product, so each leaf sums its gradients
-    in the order of a walk that computes them in line, and the bytes do not
-    depend on the worker. If the walk or a product raises, every job is
-    cancelled or waited for before backward raises, and no product is added.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
@@ -661,75 +627,41 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
 
     order = _post_order([loss])
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    worker = _worker
-    # leaf id -> (leaf, its product, the product's job), in submission order
-    deferred: dict[int, tuple[Tensor, Callable[[], np.ndarray], _Job]] = {}
-    try:
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:  # a leaf
+            if node.grad is None:
+                node.grad = np.add(g, 0.0, out=np.empty_like(node.data))
+            else:
+                node.grad += g
+            continue
+        g_taken = False  # g was popped, so backward owns it: one parent may keep it
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is None or not parent.requires_grad:
                 continue
-            if node._vjp is None:  # a leaf
-                _add_to_grad(node, g)
-                continue
-            g_taken = False  # g was popped, so backward owns it: one parent may keep it
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if isinstance(pg, LeafGrad):
-                    if worker is None or parent._vjp is not None or key in grads or key in deferred:
-                        pg = pg.compute()
-                    else:
-                        deferred[key] = parent, pg.compute, worker.submit(pg.compute)
-                        continue
-                if key in deferred:  # an earlier product is added first, as in line
-                    _, compute, job = deferred.pop(key)
-                    grads[key] = np.array(_product(compute, job))
-                acc = grads.get(key)
-                if isinstance(pg, RowGrad):
-                    if acc is None:
-                        acc = grads[key] = np.zeros_like(parent.data)
-                    acc[pg.rows] += pg.values
-                elif acc is None:
-                    # Own the buffer, so that a later in-place add changes only
-                    # this entry. A VJP of 0-d operands returns a numpy scalar,
-                    # which += would rebind instead of update.
-                    if pg is g:
-                        owned, g_taken = not g_taken, True
-                    else:
-                        owned = isinstance(pg, np.ndarray) and pg.base is None
-                    grads[key] = pg if owned else np.array(pg)
+            acc = grads.get(id(parent))
+            if isinstance(pg, RowGrad):
+                if acc is None:
+                    acc = grads[id(parent)] = np.zeros_like(parent.data)
+                acc[pg.rows] += pg.values
+            elif acc is None:
+                # Own the buffer, so that a later in-place add changes only
+                # this entry. A VJP of 0-d operands returns a numpy scalar,
+                # which += would rebind instead of update.
+                if pg is g:
+                    owned, g_taken = not g_taken, True
                 else:
-                    acc += pg
-        # from the last: the caller runs the jobs that the worker has not reached
-        products = {key: _product(compute, job)
-                    for key, (_, compute, job) in reversed(deferred.items())}
-    except BaseException:  # no job outlives backward: cancel those not started, wait for the rest
-        for _, _, job in deferred.values():
-            if not job.cancel():
-                with suppress(Exception):
-                    job.result()
-        raise
-    for key, (leaf, _, _) in deferred.items():
-        _add_to_grad(leaf, products[key])
+                    owned = isinstance(pg, np.ndarray) and pg.base is None
+                grads[id(parent)] = pg if owned else np.array(pg)
+            else:
+                acc += pg
 
     if store is not None:
         for t in store.tensors():
             if t.grad is None:
                 t.grad = np.zeros_like(t.data)
-
-
-def _product(compute: Callable[[], np.ndarray], job: _Job) -> np.ndarray:
-    """A deferred product: the job's result, or computed here if the worker has not started it."""
-    return compute() if job.cancel() else job.result()
-
-
-def _add_to_grad(leaf: Tensor, g: np.ndarray) -> None:
-    if leaf.grad is None:
-        leaf.grad = np.add(g, 0.0, out=np.empty_like(leaf.data))
-    else:
-        leaf.grad += g
 
 
 def _post_order(roots: Sequence[Tensor]) -> list[Tensor]:

@@ -18,9 +18,9 @@ library's array forms must equal them bit for bit.
 
 ``HalfHeadsWorker`` stands in for the worker thread with a fixed schedule:
 its thread runs the first heads of an attention call, whenever it starts,
-so a test knows that both threads computed some, and every leaf product.
-``LateWorker`` runs nothing until the caller asks for a result, and
-``real_worker`` gives the worker thread itself.
+so a test knows that both threads computed some. ``LateWorker`` runs
+nothing until the caller asks for a result, and ``real_worker`` gives the
+worker thread itself.
 
 The focal, GIoU and L1 terms that ``losses.component_loss`` fuses are kept
 here as the single-node ops they were, and ``reference_block_loss`` composes
@@ -583,26 +583,19 @@ class HalfHeadsWorker:
 
     An attention call's job, ``submit(kernel, head_slices)``, takes that
     many of the shared head slices at once and runs the kernel over them on
-    its own thread; the caller runs the rest. A leaf product's job,
-    ``submit(compute)``, runs on the thread too. No returned handle can be
+    its own thread; the caller runs the rest. No returned handle can be
     cancelled, so the caller waits for the thread. ``calls`` lists the
-    submitted attention kernels by name, and ``products`` the futures of
-    the leaf products, in submission order.
+    submitted kernels by name, in submission order.
     """
 
     def __init__(self, take: int = 2):
         self.take = take
         self.pool = ThreadPoolExecutor(max_workers=1)
         self.calls = []
-        self.products = []
 
-    def submit(self, fn, *args):
-        if args:
-            self.calls.append(fn.__name__)
-            args = (iter(list(itertools.islice(args[0], self.take))),)
-        future = self.pool.submit(fn, *args)
-        if not args:
-            self.products.append(future)
+    def submit(self, kernel, head_slices):
+        self.calls.append(kernel.__name__)
+        future = self.pool.submit(kernel, iter(list(itertools.islice(head_slices, self.take))))
         return SimpleNamespace(cancel=lambda: False, result=future.result)
 
 
@@ -615,7 +608,7 @@ class LateWorker:
     """A worker for ``numerics._worker`` that runs a job only when its result is asked for.
 
     Its handles cannot be cancelled, so the caller runs every head of an
-    attention call, and every leaf product runs after backward's walk.
+    attention call, and the job then finds no head left.
     """
 
     def submit(self, fn, *args):

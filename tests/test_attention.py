@@ -314,7 +314,7 @@ def _attention_bytes(groups, s, t, allow):
 
 def _projected_attention_grads():
     """Gradient bytes of the leaves of an encoder-sized attention layer: its input
-    and its q, k, v projections over 256 rows, whose products backward defers."""
+    and its q, k, v projections over 256 rows."""
     rng = np.random.default_rng(3)
     x = nm.Tensor(rng.normal(size=(256, 64)), requires_grad=True)
     params = [[nm.Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((64, 64), (64,))]
@@ -392,7 +392,7 @@ class TestHeadsOnTwoThreads:
     def test_callers_on_three_threads_share_one_worker(self, monkeypatch):
         """Three callers racing for the module's worker, with the interpreter
         switching threads every microsecond: every call still computes every
-        head once, and backward every leaf product once, bit for bit."""
+        head once, and backward every gradient, bit for bit."""
         worker = real_worker()
         monkeypatch.setattr(nm, "_worker", None)
         want = _attention_bytes(1, 256, 256, None), _projected_attention_grads()

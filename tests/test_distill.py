@@ -132,7 +132,7 @@ class TestForwardLookingDistill:
                     for r, w, t in zip(rows, weights, teacher):
                         refined = refine(nm.gather_rows(layer, r), refiner)
                         layer_term = layer_term + nm.weighted_row_smooth_l1(
-                            refined, nm.Tensor(t), w) * (1.0 / len(r))
+                            refined, t, w) * (1.0 / len(r))
                     total = total + layer_term * (1.0 / len(rows))
             else:
                 scaled = [w / (len(r) * len(rows)) for r, w in zip(rows, weights)]

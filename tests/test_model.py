@@ -7,6 +7,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import astuple, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -503,7 +504,7 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
             in_g = decisions.distill_rows // s == g
             refined = refine(nm.gather_rows(layer, decisions.distill_rows[in_g]), det.refiner)
             distillation = distillation + nm.weighted_row_smooth_l1(
-                refined, nm.Tensor(decisions.teacher_rows[in_g]),
+                refined, decisions.teacher_rows[in_g],
                 decisions.distill_weights[in_g])
     total = detection + denoising + distillation * cfg.lambda_distill
     return total, detection, denoising, distillation
@@ -775,11 +776,6 @@ class TestInference:
             assert_array_equal(base.store[name].data, full.store[name].data)
 
 
-# the affine layers over the 256 grid tokens: the encoder's and the decoder's memory keys and values
-GRID_LAYERS = (["enc.proj"] + [f"enc.attn.{p}" for p in "qkvo"] + ["enc.ffn.1", "enc.ffn.2"]
-               + [f"dec{i}.cross.{p}" for i in range(DetectorConfig().layers) for p in "kv"])
-
-
 class TestWorkerThread:
     SCENE = generate_scene(np.random.default_rng(7), SceneConfig(), "s7", 7)
 
@@ -800,9 +796,8 @@ class TestWorkerThread:
     @pytest.mark.parametrize("kind", ["real", "half_heads", "late"])
     def test_train_step_and_inference_bitwise_with_worker_on_and_off(self, kind, monkeypatch):
         """A default step's loss and every gradient, and inference on 4 held-out
-        scenes, are the same bytes whether the encoder's heads and the grid
-        layers' leaf products run on the caller or on another thread, early or
-        only after the walk."""
+        scenes, are the same bytes whether the encoder's heads run on the caller
+        alone or shared with another thread, which may start early or never."""
         real = real_worker()
         monkeypatch.setattr(nm, "_worker", None)
         alone = self._run()
@@ -813,18 +808,20 @@ class TestWorkerThread:
             worker.pool.shutdown()
             assert worker.calls == ["forward", "backward"] + ["forward"] * 4
 
-    def test_worker_sees_the_grid_layers_products_only(self, monkeypatch):
-        """The step submits the weight and bias products of the 15 layers over the
-        grid tokens, and none of the decoder's layers over its 38 to 104 query rows."""
-        worker = HalfHeadsWorker()
-        monkeypatch.setattr(nm, "_worker", worker)
+    def test_a_step_submits_two_jobs_and_inference_one(self, monkeypatch):
+        """The encoder attention's forward and its VJP are the worker's only jobs in a
+        default step, and its forward the only one in inference."""
+        worker, jobs = real_worker(), []
+
+        def submit(fn, *args):
+            jobs.append(fn.__name__)
+            return worker.submit(fn, *args)
+
+        monkeypatch.setattr(nm, "_worker", SimpleNamespace(submit=submit))
         det, _ = self._step()
-        worker.pool.shutdown()
-        products = [f.result() for f in worker.products]
-        deferred = [name for name, t in det.store.items()
-                    if any(p.shape == t.grad.shape and np.array_equal(p, t.grad) for p in products)]
-        assert deferred == [f"{layer}.{p}" for layer in GRID_LAYERS for p in "wb"]
-        assert len(products) == 2 * len(GRID_LAYERS) == 30
+        assert jobs == ["forward", "backward"]
+        inference(det, self.SCENE)
+        assert jobs == ["forward", "backward", "forward"]
 
     def test_one_worker_thread_for_every_step_and_inference(self):
         """After the first step has started the worker thread, steps and inference start none."""
