@@ -11,8 +11,8 @@ from vqdet import numerics as nm
 from vqdet.gradcheck import _away_from, check_scalar_fn, OP_TOLERANCE
 from vqdet.losses import TargetArrays, component_loss, corner_boxes
 
-from oracles import (absolute, divide, matmul, maximum, minimum, narrow_cols, narrow_rows,
-                     softmax_rows, softplus, transpose)
+from oracles import (HalfHeadsWorker, LateWorker, absolute, divide, matmul, maximum, minimum,
+                     narrow_cols, narrow_rows, real_worker, softmax_rows, softplus, transpose)
 
 
 def test_matmul_identity():
@@ -413,6 +413,121 @@ def test_negative_zero_upstream_lands_as_positive_zero_in_a_leaf(row_grad):
     nm.backward(nm._node(np.asarray(1.0), (x,), lambda g: (grad,)))
     assert not np.signbit(x.grad).any()
     assert_array_equal(x.grad, np.zeros((3, 2)))
+
+
+def _leaf_op(x: nm.Tensor) -> nm.Tensor:
+    """A scalar node whose VJP hands ``x`` a gradient of ones."""
+    return nm._node(np.asarray(0.0), (x,), lambda g: (np.ones_like(x.data),))
+
+
+def _raising_op(x: nm.Tensor, vjp) -> nm.Tensor:
+    """A copy of ``x`` on the tape whose VJP is ``vjp``, which is meant to raise."""
+    return nm._node(x.data.copy(), (x,), vjp)
+
+
+class _CountingWorker:
+    """Hands each job to ``worker`` and keeps its handle, and records each kernel run."""
+
+    def __init__(self, worker):
+        self.worker, self.jobs, self.runs = worker, [], []
+
+    def submit(self, kernel, *args):
+        def counted(*a):
+            self.runs.append(kernel.__name__)
+            return kernel(*a)
+
+        self.jobs.append(self.worker.submit(counted, *args))
+        return self.jobs[-1]
+
+
+class TestBackwardWithTheWorker:
+    """Leaf gradients are computed in line whatever the worker does, and a VJP
+    that raises leaves no attention job behind."""
+
+    @pytest.mark.parametrize("worker", [None, "real", "half_heads", "late"])
+    @pytest.mark.parametrize("big_first", [False, True])
+    def test_leaf_gradients_bitwise_with_any_worker(self, worker, big_first, monkeypatch):
+        """Weights read by a linear layer over 256 rows, whose output feeds an
+        encoder-sized attention, and by one over 3 rows, in either order, reach
+        the same bytes across two backward calls as with no worker."""
+        rng = np.random.default_rng(15)
+        big, small = rng.normal(size=(256, 2)), rng.normal(size=(3, 2))
+        proj_big, proj_small = rng.normal(size=(256, 3)), rng.normal(size=(3, 3))
+        w0, b0 = rng.normal(size=(2, 3)), rng.normal(size=(3,))
+
+        def grads():
+            w, b = nm.Tensor(w0, requires_grad=True), nm.Tensor(b0, requires_grad=True)
+            for _ in range(2):
+                h = nm.linear(nm.Tensor(big), w, b)
+                out, _ = nm.multihead_attention(h, h, h, 3)  # 256 x 256 logits a head
+                terms = [nm.sum_all(out * nm.Tensor(proj_big)),
+                         nm.sum_all(nm.linear(nm.Tensor(small), w, b) * nm.Tensor(proj_small))]
+                nm.backward(nm.weighted_sum(terms if big_first else terms[::-1], [1.0, -3.0]))
+            return w.grad.tobytes() + b.grad.tobytes()
+
+        monkeypatch.setattr(nm, "_worker", None)
+        alone = grads()
+        fakes = {"real": real_worker, "half_heads": HalfHeadsWorker, "late": LateWorker}
+        counting = _CountingWorker(fakes[worker]()) if worker else None
+        monkeypatch.setattr(nm, "_worker", counting)
+        assert grads() == alone
+        if counting is not None:
+            if worker == "half_heads":
+                counting.worker.pool.shutdown()
+            # the attention's forward and VJP, twice; the real worker may have run none
+            assert [job.result() for job in counting.jobs] == [None] * 4
+
+    @pytest.mark.parametrize("worker", [None, "real", "half_heads"])
+    def test_an_exception_in_a_vjp_reaches_the_caller(self, worker, monkeypatch):
+        """A VJP raising under an encoder-sized attention stops the walk there:
+        backward raises it after the attention's job has settled, and no leaf
+        under the raising node gets a gradient."""
+        fakes = {"real": real_worker, "half_heads": HalfHeadsWorker}
+        counting = _CountingWorker(fakes[worker]()) if worker else None
+        monkeypatch.setattr(nm, "_worker", counting)
+        rng = np.random.default_rng(16)
+        x0, x2 = (nm.Tensor(np.ones(3), requires_grad=True) for _ in "02")
+        x1 = nm.Tensor(rng.normal(size=(256, 64)), requires_grad=True)
+        r = _raising_op(x1, lambda g: (1 / 0,))
+        out, _ = nm.multihead_attention(r, r, r, 4)
+        with pytest.raises(ZeroDivisionError):
+            nm.backward(nm.weighted_sum([_leaf_op(x0), nm.sum_all(out), _leaf_op(x2)], [1.0] * 3))
+        assert x1.grad is None
+        assert [x.grad is None for x in (x0, x2)] == [False, True]  # the walk had passed x0
+        if counting is not None:
+            if worker == "half_heads":
+                counting.worker.pool.shutdown()
+            else:
+                assert not any(job.done.locked() for job in counting.jobs)
+            assert len(counting.jobs) == 2  # the attention's forward and its VJP
+
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_a_vjp_raising_mid_walk_leaves_no_job_behind(self, queued, monkeypatch):
+        """The attention VJP's job has run or was cancelled when a later VJP
+        raises; one still queued behind another job never runs its kernel."""
+        worker = _CountingWorker(real_worker())
+        monkeypatch.setattr(nm, "_worker", worker)
+        x = nm.Tensor(np.random.default_rng(17).normal(size=(256, 64)), requires_grad=True)
+
+        def fail(g):
+            raise RuntimeError("vjp failed")
+
+        r = _raising_op(x, fail)
+        out, _ = nm.multihead_attention(r, r, r, 4)
+        gate = threading.Event()
+        blocker = worker.worker.submit(gate.wait, 5) if queued else None  # holds the VJP's job
+        try:
+            with pytest.raises(RuntimeError, match="vjp failed"):
+                nm.backward(nm.sum_all(out))
+            assert len(worker.jobs) == 2
+            assert not any(job.done.locked() for job in worker.jobs)
+        finally:
+            gate.set()
+        if queued:
+            assert blocker.result()
+            worker.worker.submit(lambda: None).result()  # the worker has passed the VJP's job
+            assert worker.jobs[1].call is None and worker.runs.count("backward") == 0
+        assert x.grad is None
 
 
 def test_component_loss_hands_back_no_array_of_the_stacked_size():
