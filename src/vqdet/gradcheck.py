@@ -127,22 +127,27 @@ def _check_decode_heads(rng) -> float:
 
 
 def _check_component_loss(rng) -> float:
-    """A block of a 6-row stack with two positive rows, and a block without any."""
-    from .losses import TargetArrays, component_loss, corner_boxes
+    """Two blocks of a 7-row stack in one row kernel, one with two positive rows and
+    one without any, their block sums weighed at random."""
+    from .losses import TargetArrays, block_terms, component_loss, corner_boxes
 
-    centers, lrtb = rng.uniform(0.3, 0.7, (6, 2)), rng.uniform(0.1, 0.3, (6, 4))
-    pred = np.concatenate([rng.normal(size=(6, 2)) * 2.0, centers, lrtb, rng.normal(size=(6, 3)),
-                           rng.normal(size=(6, 2)), rng.normal(size=(6, 1))], axis=1)
+    centers, lrtb = rng.uniform(0.3, 0.7, (7, 2)), rng.uniform(0.1, 0.3, (7, 4))
+    pred = np.concatenate([rng.normal(size=(7, 2)) * 2.0, centers, lrtb, rng.normal(size=(7, 3)),
+                           rng.normal(size=(7, 2)), rng.normal(size=(7, 1))], axis=1)
     positives = [3, 1]
     table = np.concatenate(
         [pred[positives, 2:] + _away_from(rng.normal(size=(2, 12)), [0.0]),
          corner_boxes(centers, lrtb)[positives] + rng.uniform(0.01, 0.15, (2, 4))],
         axis=1)  # no min/max ties
     targets = TargetArrays(rng.integers(2, size=2), table)
-    # positions 2 and 0 of rows 1 to 4 are the positive rows 3 and 1
-    return max(check_scalar_fn(lambda ts: component_loss(ts[0], block, pos, t), [pred])
-               for block, pos, t in [(range(1, 5), [2, 0], targets),
-                                     (range(2, 6), [], targets.take([]))])
+    weights = rng.normal(size=2)
+
+    def build(ts):
+        # positions 2 and 0 of rows 1 to 4 are the positive rows 3 and 1
+        terms, blocks = block_terms(ts[0], [range(1, 5), [6, 5, 0]], [[2, 0], []], targets)
+        return nm.weighted_sum([component_loss(terms, b) for b in blocks], weights)
+
+    return check_scalar_fn(build, [pred])
 
 
 def _check_weighted_sum(rng) -> float:

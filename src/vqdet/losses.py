@@ -24,19 +24,27 @@ its matched rows (``take``); the matching cost reads the same bundle, and
 the query generator the noisy boxes'. :func:`corner_boxes` serves the
 targets' table and the detections alike. :func:`giou_pairs` is the one
 generalized IoU (arXiv 1902.09630), values and VJP from predicted centers
-and edge distances against target corner boxes: :func:`component_loss`
-sums it over the positive rows, and the matching cost broadcasts it over
-every (row, target) pair, so the matcher and the loss score the same GIoU.
+and edge distances against target corner boxes: the loss scores it over
+the positive rows, and the matching cost broadcasts it over every (row,
+target) pair, so the matcher and the loss score the same GIoU.
 
-:func:`component_loss` scores one block as one tape node with a closed-form
-gradient, reading the block's rows of the prediction tensor in place; its
-VJP hands back one ``numerics.RowGrad`` of those rows. Callers add block
-losses with one ``weighted_sum``.
+The objective is two ops with closed-form gradients. The row kernel
+:func:`block_terms` scores every block of one call site at once, as one
+tape node: the focal entries of the blocks' rows and the L1 and GIoU
+entries of their positive rows, packed so that each block's entries form
+one slice. Its VJP runs each term's expression once over every entry and
+hands back one ``numerics.RowGrad`` of the blocks' rows. Then
+:func:`component_loss`, one node per block, sums that block's slice with
+its normaliser and the ``W_*`` weights. An entry goes through the float
+operations it would alone, and a sum reads its entries in the order of a
+block scored alone, so a block's loss and gradient are bitwise the same
+whichever blocks share its kernel call. Callers add block losses with one
+``weighted_sum``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,13 +55,12 @@ from .numerics import RowGrad, ShapeError, Tensor, _node
 W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH = 2.0, 5.0, 5.0, 2.0, 1.0, 1.0, 0.5
 FOCAL_ALPHA, FOCAL_GAMMA = 0.25, 2.0
 
-# The box columns of a prediction row: block widths, slices and per-column L1 weights.
+# The box columns of a prediction row: block widths and slices.
 BOX_WIDTHS = (2, 4, 3, 2, 1)
 BOX_COLUMNS = sum(BOX_WIDTHS)
 LOGITS = slice(None, -BOX_COLUMNS)
 CENTER, LRTB, SIZE3D, ANGLE, DEPTH = BOX_SLICES = (
     slice(-12, -10), slice(-10, -6), slice(-6, -3), slice(-3, -1), slice(-1, None))
-W_BOX = np.repeat([W_CENTER, W_LRTB, W_SIZE, W_ANGLE, W_DEPTH], BOX_WIDTHS)
 # lrtb, size3d and depth are positive: the head op passes them through softplus
 SOFTPLUS_COLUMNS = np.repeat([False, True, True, False, True], BOX_WIDTHS)
 
@@ -135,13 +142,13 @@ class TargetArrays:
         return len(self.classes)
 
 
-def _focal_sum(z: np.ndarray, t: np.ndarray):
-    """Sigmoid focal loss of logits ``z`` against targets ``t``, summed over all entries.
+def _focal_terms(z: np.ndarray, t: np.ndarray):
+    """Sigmoid focal loss of logits ``z`` against targets ``t``, entry by entry.
 
     Stable form: log p = -softplus(-z) and log(1-p) = -softplus(z), with the
     modulating factors written as exp(gamma * log(.)) <= 1; the softplus and
-    sigmoid terms share e = exp(-|z|). Returns the sum and a VJP mapping the
-    gradient ``gs`` of the sum to that of ``z``.
+    sigmoid terms share e = exp(-|z|). Returns the entries and a VJP mapping
+    their gradient ``gs``, one per entry, to that of ``z``.
     """
     e = np.exp(-np.abs(z))
     log1p_e = np.log1p(e)
@@ -164,7 +171,7 @@ def _focal_sum(z: np.ndarray, t: np.ndarray):
         return (g_log_p * np.where(z <= 0, large, small)
                 - g_log_1mp * np.where(z >= 0, large, small))
 
-    return weighted.sum(), vjp
+    return weighted, vjp
 
 
 def giou_pairs(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
@@ -216,77 +223,151 @@ def giou_pairs(c: np.ndarray, e: np.ndarray, tc: np.ndarray):
     return giou, vjp
 
 
-def _unique_rows(rows: Sequence[int], count: int, what: str):
-    """Index of unique ``rows`` out of ``count``: a slice for a step-1 range, else an array."""
-    if isinstance(rows, range) and rows.step == 1:
-        if rows and (rows.start < 0 or rows.stop > count):
-            raise IndexError(f"component_loss: {what} {rows} out of range for {count} rows")
-        return slice(rows.start, rows.stop)
-    ind = np.asarray(rows, dtype=np.int64)
-    if ind.size and (ind.min() < 0 or ind.max() >= count):
-        raise IndexError(f"component_loss: {what} out of range for {count} rows")
-    if len(set(ind.tolist())) != ind.size:
-        raise ValueError(f"component_loss: {what} repeat a row")
-    return ind
+def _indices(rows: Sequence[int]) -> np.ndarray:
+    if isinstance(rows, range):
+        return np.arange(rows.start, rows.stop, rows.step)
+    return np.asarray(rows, dtype=np.intp)
 
 
-def component_loss(pred: Tensor, block: Sequence[int],
-                   positives: Sequence[int], targets: TargetArrays) -> Tensor:
-    """Set-prediction loss of one block of prediction rows of ``pred``, as one node.
+# The entries a block's positive row adds to each term after the focal one:
+# center, lrtb, GIoU, size3d, angle, depth.
+BOX_TERM_ENTRIES = (2, 4, 1, 3, 2, 1)
+# The seven terms' weights, the focal and GIoU ones negated: a term's entries
+# add to the loss as their sum times weight over the normaliser.
+TERM_WEIGHTS = np.array([-W_CLS, W_CENTER, W_LRTB, -W_GIOU, W_SIZE, W_ANGLE, W_DEPTH])
 
-    ``block`` lists the block's rows of ``pred``, and ``positives[i]`` is a
-    position in ``block``, the row supervised toward target i of
-    ``targets``; each list holds unique entries. The op reads those rows in
-    place. Its value adds seven terms, each divided by the normaliser
-    max(1, len(targets)), with the ``W_*`` weights in this order:
 
-    - sigmoid focal loss (``FOCAL_ALPHA``, ``FOCAL_GAMMA``) of the block's
-      logits against the one-hot target classes, every other row of the
-      block background;
-    - L1 of the positive centers and lrtb against their targets;
-    - one minus GIoU, summed over the positive rows, of the corner boxes of
-      their centers and lrtb against the targets' corner boxes, computed as
-      the constant len(positives) / normaliser (exactly 1.0 with positives,
-      0.0 without) minus the normalised GIoU sum;
-    - L1 of the positive size3d, angle and depth against their targets.
+class Block(NamedTuple):
+    """One block's entries of a :func:`block_terms` result.
 
-    Without positives every box term sums to 0 and only the focal term
-    counts. The VJP hands back one ``RowGrad`` of the block's rows: the
-    focal gradient in the logit columns, the box terms' in the positive
-    rows' box columns. Each term's value and gradient are bitwise those of
-    the term written as its own node; the targets receive no gradient, and
-    the L1 gradient at pred == target is 0.
+    ``bounds`` holds the 8 offsets of its seven term slices, one after the
+    other, and ``positives`` its positive count.
+    """
+    bounds: tuple[int, ...]
+    positives: int
+
+
+def block_terms(pred: Tensor, blocks: Sequence[Sequence[int]],
+                positives: Sequence[Sequence[int]], targets: TargetArrays
+                ) -> tuple[Tensor, list[Block]]:
+    """The loss entries of several blocks of prediction rows of ``pred``, as one node.
+
+    ``blocks[b]`` lists block b's rows of ``pred``, unique over all blocks,
+    and ``positives[b]`` unique positions in it: the rows supervised toward
+    the next targets of ``targets``, which holds every block's targets in
+    block order. The op reads those rows once, and returns a 1-D tensor of
+    entries with one :class:`Block` per block. A block's entries form one
+    slice, its seven terms in the order of their weights:
+
+    - the sigmoid focal entries (``FOCAL_ALPHA``, ``FOCAL_GAMMA``) of the
+      block's logits against the one-hot target classes, row-major, every
+      other row background;
+    - |pred - target| of the positive centers, then of their lrtb, row-major;
+    - the GIoU of the positive rows' corner boxes against the targets';
+    - |pred - target| of the positive size3d, angle and depth.
+
+    The VJP takes one gradient per entry and runs the focal, L1 and GIoU
+    expressions once over every entry; it hands back one ``RowGrad`` of the
+    blocks' rows: the focal gradient in the logit columns, the box terms' in
+    the positive rows' box columns. The targets receive no gradient, and the
+    L1 gradient at pred == target is 0.
     """
     x = pred.data
     if x.ndim != 2 or x.shape[1] <= BOX_COLUMNS:
-        raise ShapeError(f"component_loss: prediction rows {x.shape} have no class column")
-    block_ind = _unique_rows(block, x.shape[0], "block rows")
-    at = _unique_rows(positives, len(block), "positives")
-    if len(positives) != len(targets):
-        raise ValueError(f"{len(positives)} positives vs {len(targets)} targets")
-    rows = x[block_ind]
-    onehot = np.zeros((len(block), x.shape[1] - BOX_COLUMNS))
-    onehot[at] = np.eye(onehot.shape[1])[targets.classes]
-    normalizer = float(max(1, len(targets)))
-    focal, focal_vjp = _focal_sum(rows[:, LOGITS], onehot)
-    cls_scale, l1_scale = -1.0 / normalizer, 1.0 / normalizer
-    box = rows[at, -BOX_COLUMNS:]
+        raise ShapeError(f"block_terms: prediction rows {x.shape} have no class column")
+    if len(blocks) != len(positives):
+        raise ValueError(f"block_terms: {len(blocks)} blocks vs {len(positives)} positive lists")
+    sizes = np.array([len(rows) for rows in blocks], dtype=np.intp)
+    counts = np.array([len(at) for at in positives], dtype=np.intp)
+    if counts.sum() != len(targets):
+        raise ValueError(f"{counts.sum()} positives vs {len(targets)} targets")
+    none = np.zeros(0, dtype=np.intp)
+    rows = np.concatenate([none, *map(_indices, blocks)])
+    if rows.size and (rows.min() < 0 or rows.max() >= x.shape[0]):
+        raise IndexError(f"block_terms: block rows out of range for {x.shape[0]} rows")
+    at = np.concatenate([none, *map(_indices, positives)])
+    if ((at < 0) | (at >= np.repeat(sizes, counts))).any():
+        raise IndexError("block_terms: positives out of range of their blocks")
+    at += np.repeat(np.cumsum(sizes) - sizes, counts)  # rows of ``picked``
+    for what, ind in (("block rows", rows), ("positives", at)):
+        if np.bincount(ind).max(initial=0) > 1:
+            raise ValueError(f"block_terms: {what} repeat a row")
+
+    picked = x[rows]
+    onehot = np.zeros((len(rows), x.shape[1] - BOX_COLUMNS))
+    onehot[at, targets.classes] = 1.0
+    focal, focal_vjp = _focal_terms(picked[:, LOGITS], onehot)
+    box = picked[at, -BOX_COLUMNS:]
     diff = box - targets.boxes
-    l1 = [np.abs(diff[:, cols]).sum() * l1_scale for cols in BOX_SLICES]
     giou, giou_vjp = giou_pairs(box[:, CENTER], box[:, LRTB], targets.corners)
-    # the terms in weight order, added left to right
-    out = (focal * cls_scale * W_CLS + l1[0] * W_CENTER + l1[1] * W_LRTB
-           + (giou.sum() * cls_scale + len(positives) / normalizer) * W_GIOU
-           + l1[2] * W_SIZE + l1[3] * W_ANGLE + l1[4] * W_DEPTH)
+    l1 = [np.abs(diff[:, cols]) for cols in BOX_SLICES]
+    terms = [focal, l1[0], l1[1], giou, l1[2], l1[3], l1[4]]
+
+    # entries of (block, term) pairs: term-major as computed, block-major as returned
+    sz = np.outer(counts, (0, *BOX_TERM_ENTRIES))
+    sz[:, 0] = sizes * onehot.shape[1]
+    ends = np.cumsum(sz.ravel()).reshape(sz.shape)
+    term_ends = np.cumsum(sz, axis=0) + (np.cumsum(sz.sum(axis=0)) - sz.sum(axis=0))
+    order = np.repeat((term_ends - ends).ravel(), sz.ravel()) + np.arange(sz.sum())
+    entries = np.concatenate([t.ravel() for t in terms])[order]
+    bounds = np.concatenate([ends[:, :1] - sz[:, :1], ends], axis=1)
 
     def vjp(g):
-        g = float(g)
-        rows_g = np.zeros((len(block), x.shape[1]))
-        rows_g[:, LOGITS] = focal_vjp(g * W_CLS * cls_scale)
-        g_box = g * W_BOX * l1_scale * np.sign(diff)
-        for cols, g_giou in zip((CENTER, LRTB), giou_vjp(g * W_GIOU * cls_scale)):
-            g_box[:, cols] += g_giou
-        rows_g[at, -BOX_COLUMNS:] = g_box
-        return (RowGrad(block_ind, rows_g),)
+        g_terms = np.empty_like(g)
+        g_terms[order] = g
+        g_focal, g_center, g_lrtb, g_giou, g_size, g_angle, g_depth = np.split(
+            g_terms, np.cumsum([t.size for t in terms[:-1]]))
+        picked_g = np.zeros_like(picked)
+        picked_g[:, LOGITS] = focal_vjp(g_focal.reshape(focal.shape))
+        g_l1 = (g_center, g_lrtb, g_size, g_angle, g_depth)
+        g_box = np.concatenate([gt.reshape(t.shape) for gt, t in zip(g_l1, l1)], axis=1)
+        g_box *= np.sign(diff)
+        for cols, g_giou_box in zip((CENTER, LRTB), giou_vjp(g_giou)):
+            g_box[:, cols] += g_giou_box
+        picked_g[at, -BOX_COLUMNS:] = g_box
+        return (RowGrad(rows, picked_g),)
 
-    return _node(np.asarray(out), (pred,), vjp)
+    return (_node(entries, (pred,), vjp),
+            [Block(tuple(b), c) for b, c in zip(bounds.tolist(), counts.tolist())])
+
+
+def component_loss(terms: Tensor, block: Block) -> Tensor:
+    """Set-prediction loss of one block, as one node reading its slice of ``terms``.
+
+    ``terms`` and ``block`` come from :func:`block_terms`. The value adds the
+    seven terms, each its entries' sum divided by the normaliser
+    max(1, positives), with the ``W_*`` weights in this order:
+
+    - minus the focal sum (the focal loss);
+    - the L1 sums of the positive centers and lrtb;
+    - one minus GIoU, summed over the positive rows, computed as the
+      constant positives / normaliser (exactly 1.0 with positives, 0.0
+      without) minus the normalised GIoU sum;
+    - the L1 sums of the positive size3d, angle and depth.
+
+    Without positives every box term sums to 0 and only the focal term
+    counts. The VJP hands back one ``RowGrad`` of the block's slice: every
+    entry of a term gets the gradient times the term's weight over the
+    normaliser. Each sum reads its entries in the order the term's own
+    array held them, so value and gradient are bitwise those of the term
+    written as its own node.
+    """
+    x, bounds = terms.data, block.bounds
+    if x.ndim != 1 or bounds[-1] > x.shape[0]:
+        raise ShapeError(f"component_loss: block {bounds} of entries {x.shape}")
+    focal, center, lrtb, giou, size, angle, depth = (
+        np.add.reduce(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    normalizer = float(max(1, block.positives))
+    cls_scale, l1_scale = -1.0 / normalizer, 1.0 / normalizer
+    # the terms in weight order, added left to right
+    out = (focal * cls_scale * W_CLS + center * l1_scale * W_CENTER + lrtb * l1_scale * W_LRTB
+           + (giou * cls_scale + block.positives / normalizer) * W_GIOU
+           + size * l1_scale * W_SIZE + angle * l1_scale * W_ANGLE + depth * l1_scale * W_DEPTH)
+
+    def vjp(g):
+        # (g * -w) * (1 / n) is (g * w) * (-1 / n) bit for bit: only signs move
+        scalars = float(g) * TERM_WEIGHTS * l1_scale
+        lengths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        return (RowGrad(slice(bounds[0], bounds[-1]), np.repeat(scalars, lengths)),)
+
+    return _node(np.asarray(out), (terms,), vjp)

@@ -12,22 +12,25 @@ decode the rows a caller reads into one (rows, C + 12) tensor in the column
 layout of :mod:`losses`: the training loss stacks the L layers' rows
 layer-major, so layer l owns rows [l*G*S, (l+1)*G*S), and decodes the stack
 in one call for deep supervision, one layer's G*S reference points serving
-every layer. Learnable queries carry learned 2D reference points. The noisy
+every layer. Learnable queries carry learned 2D reference points, and a
+training step reads every group's parameter rows as they are. The noisy
 boxes are one :class:`TargetArrays` bundle like the targets, drawn for all
 rows at once; a noisy query anchors at its box, the first six table columns,
 with its center as reference point.
-Inference stacks the first group's learnable queries alone, so its outputs
-depend on the weights and the scene alone, never on training-time
-configuration. It records no tape (:func:`numerics.no_grad`), decodes
-only the final layer's rows and forms no attention map.
+Inference takes the first group's rows of the learnable queries alone, so
+its outputs depend on the weights and the scene alone, never on
+training-time configuration. It records no tape (:func:`numerics.no_grad`),
+decodes only the final layer's rows and forms no attention map.
 
 The training loss first makes every detached decision of the step
 (:func:`step_decisions`: one matching cost for every layer and group, their
 Hungarian assignments, and the distillation rows, IoU weights and teacher
 values), then scores the prediction tensor under those decisions: the
-detection and denoising terms read its column views, and distillation the
-stack of decoder rows. A replayed step passes earlier decisions and shares
-the scoring, so it is the function the tape differentiates.
+detection and the denoising term each read its rows through one row kernel,
+:func:`losses.block_terms`, with one ``component_loss`` node per block
+summing that block's entries, and distillation reads the stack of decoder
+rows. A replayed step passes earlier decisions and shares the scoring, so it
+is the function the tape differentiates.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from .attention import (
 from .distill import forward_looking_distill, iou_weights
 from .geometry import (NoiseConfig, OrientedBox3D, backproject, check_setting, corrupt_boxes,
                        iou3d)
-from .losses import (ANGLE, BOX_WIDTHS, CENTER, DEPTH, LRTB, SIZE3D, TargetArrays, class_probs,
-                     component_loss, corner_boxes, decode_heads)
+from .losses import (ANGLE, BOX_WIDTHS, CENTER, DEPTH, LRTB, SIZE3D, TargetArrays, block_terms,
+                     class_probs, component_loss, corner_boxes, decode_heads)
 from .matching import Assignment, hungarian, matching_cost
 from .numerics import ParameterStore, Tensor
 from .scenes import Detection, Scene, grid_channels
@@ -233,11 +236,10 @@ class Detector:
         return NoisyDraw(boxes=TargetArrays.from_fields(classes, fields), eps=eps,
                          num_objects=len(scene.objects))
 
-    def learnable_queries(self, groups: int) -> tuple[Tensor, Tensor]:
-        """The first ``groups`` groups' learnable queries and reference points."""
-        rows = np.arange(groups * self.cfg.queries_per_group)
-        ref = nm.sigmoid(nm.gather_rows(self.query_ref, rows))
-        return nm.gather_rows(self.query_content, rows) + nm.linear(ref, *self.lref), ref
+    def learnable_queries(self) -> tuple[Tensor, Tensor]:
+        """Every group's learnable queries and reference points, group-major."""
+        ref = nm.sigmoid(self.query_ref)
+        return self.query_content + nm.linear(ref, *self.lref), ref
 
     def build_group_inputs(self, noisy: NoisyDraw, mode: str
                            ) -> tuple[Tensor, Tensor, np.ndarray, LatentDistribution]:
@@ -249,7 +251,7 @@ class Detector:
         """
         cfg = self.cfg
         n, groups = cfg.queries_per_group, cfg.groups
-        queries, refs = self.learnable_queries(groups)
+        queries, refs = self.learnable_queries()
         k, c = noisy.num_objects, cfg.noisy_groups
         dist = self.vqg.encode(noisy.boxes, mode)
         z = sample_reparameterized(dist, noisy.eps)
@@ -378,9 +380,11 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
                  else replay)
 
     # block b = l*G + g starts at row b*s of the stack
-    scored = [component_loss(pred, range(b * s, b * s + n), assign.query_indices(),
-                             targets.take(assign.gt_indices()))
-              for b, assign in enumerate(a for layer in decisions.assignments for a in layer)]
+    assigned = [a for layer in decisions.assignments for a in layer]
+    terms, blocks = block_terms(pred, [range(b * s, b * s + n) for b in range(len(assigned))],
+                                [a.query_indices() for a in assigned],
+                                targets.take([j for a in assigned for j in a.gt_indices()]))
+    scored = [component_loss(terms, block) for block in blocks]
     detection = nm.weighted_sum(scored, [1.0] * len(scored))
     # noisy block j of block b: rows b*s + n + j*k onwards, one per ground truth
     k, groups = len(gts), cfg.groups
@@ -417,7 +421,7 @@ def inference(det: Detector, scene: Scene) -> list[Detection]:
     n = cfg.queries_per_group
     with nm.no_grad():
         memory = det.encode_features(scene.grid)
-        queries, refs = det.learnable_queries(1)
+        queries, refs = (nm.Tensor(t.data[:n]) for t in det.learnable_queries())
         rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
         pred = det.apply_heads(rows[-1], refs).data
     probs = class_probs(pred)

@@ -12,7 +12,7 @@ so scenes are regenerated from seeds and never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,13 +53,17 @@ def grid_channels(num_classes: int) -> int:
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """Scene settings; a scene holds at most one object per grid cell, F * F in all."""
+
     feature_size: int = 16
     num_classes: int = 3
     max_objects: int = 4
 
     def __post_init__(self):
-        for f in fields(self):
-            check_setting(f.name, getattr(self, f.name), 1, integer=True)
+        check_setting("feature_size", self.feature_size, 1, integer=True)
+        check_setting("num_classes", self.num_classes, 1, integer=True)
+        check_setting("max_objects", self.max_objects, 1, self.feature_size ** 2, integer=True,
+                      closed=True)
 
 
 @dataclass
@@ -122,10 +126,12 @@ def _sample_object(rng: np.random.Generator, cfg: SceneConfig) -> GroundTruthObj
 
 def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: str,
                    seed: int, num_objects: int | None = None) -> Scene:
-    """Sample one scene; ``num_objects``, a count from 0, overrides the K ~ U{1..max} draw."""
+    """Sample one scene; ``num_objects``, a count from 0 to F * F, overrides the
+    K ~ U{1..max} draw and is checked before any draw."""
     if num_objects is None:
         num_objects = int(rng.integers(1, cfg.max_objects + 1))
-    check_setting("num_objects", num_objects, 0, integer=True)
+    check_setting("num_objects", num_objects, 0, cfg.feature_size ** 2, integer=True,
+                  closed=True)
     objects = [_sample_object(rng, cfg) for _ in range(num_objects)]
     f = cfg.feature_size
     grid = np.zeros((f, f, grid_channels(cfg.num_classes)))

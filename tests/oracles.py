@@ -22,12 +22,16 @@ so a test knows that both threads computed some. ``LateWorker`` runs
 nothing until the caller asks for a result, and ``real_worker`` gives the
 worker thread itself.
 
-The focal, GIoU and L1 terms that ``losses.component_loss`` fuses are kept
-here as the single-node ops they were, and ``reference_block_loss`` composes
-them the way the detector scored a block before the fusion, from the six
-column blocks of one prediction tensor (``split_prediction``). They share
-only the stable sigmoid helper and the objective's constants with the
-library, since the op must equal them bit for bit.
+``one_node_block_loss`` is a block's loss as the one node the detector
+recorded per block before ``losses.block_terms`` computed every block's
+entries at once; the kernel and its block sums must equal it bit for bit.
+It shares the objective's constants and ``giou_pairs`` with the library.
+The focal, GIoU and L1 terms it fuses are kept here as the single-node ops
+they were, and ``reference_block_loss`` composes them the way the detector
+scored a block before that fusion, from the six column blocks of one
+prediction tensor (``split_prediction``). They share only the stable sigmoid
+helper and the objective's constants with the library, since the ops must
+equal them bit for bit.
 """
 
 import functools
@@ -36,10 +40,15 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
+from typing import Sequence
+
 import numpy as np
 
 from vqdet import numerics as nm
-from vqdet.numerics import DegenerateMaskError, ShapeError, Tensor, _node, _sigmoid
+from vqdet.losses import (BOX_COLUMNS, BOX_SLICES, BOX_WIDTHS, CENTER, FOCAL_ALPHA, FOCAL_GAMMA,
+                          LOGITS, LRTB, W_ANGLE, W_CENTER, W_CLS, W_DEPTH, W_GIOU, W_LRTB,
+                          W_SIZE, giou_pairs)
+from vqdet.numerics import DegenerateMaskError, RowGrad, ShapeError, Tensor, _node, _sigmoid
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -369,8 +378,6 @@ def box2d_corners(gt) -> tuple[float, float, float, float]:
 
 def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:
     """Matching cost filled one ground truth at a time, scalar GIoU per query."""
-    from vqdet.losses import W_CENTER, W_CLS, W_GIOU
-
     nq = class_probs.shape[0]
     cost = np.zeros((nq, len(gts)))
     for j, gt in enumerate(gts):
@@ -384,7 +391,7 @@ def loop_matching_cost(class_probs, centers, corner_boxes, gts) -> np.ndarray:
     return cost
 
 
-# The loss terms that ``losses.component_loss`` fuses, each as the single node
+# The loss terms that ``one_node_block_loss`` fuses, each as the single node
 # it was before the fusion, and a block's loss composed from them: six row
 # gathers, the seven terms and their weighted sum. ``reference_block_loss``
 # takes the one-hot classes, box targets, corners and normaliser as plain
@@ -474,10 +481,7 @@ def l1_loss(pred, target, normalizer):
 
 def reference_block_loss(logits, boxes, block, positive_rows, onehot, box_targets,
                          target_corners, normalizer):
-    """``losses.component_loss`` as 14 nodes: gathers, single-node terms, their sum."""
-    from vqdet.losses import (FOCAL_ALPHA, FOCAL_GAMMA, W_ANGLE, W_CENTER, W_CLS, W_DEPTH,
-                              W_GIOU, W_LRTB, W_SIZE)
-
+    """``one_node_block_loss`` as 14 nodes: gathers, single-node terms, their sum."""
     cls = focal_loss(nm.gather_rows(logits, list(block)), onehot, FOCAL_ALPHA, FOCAL_GAMMA,
                      normalizer)
     if not len(positive_rows):
@@ -491,6 +495,121 @@ def reference_block_loss(logits, boxes, block, positive_rows, onehot, box_target
          l1_loss(size3d, t_size, normalizer), l1_loss(angle, t_angle, normalizer),
          l1_loss(depth, t_depth, normalizer)],
         [W_CLS, W_CENTER, W_LRTB, W_GIOU, W_SIZE, W_ANGLE, W_DEPTH])
+
+
+# ``losses.component_loss`` as it was before the row kernel, one node per block
+# that computed its own entries and summed them: ``losses.block_terms`` and the
+# block sums must equal it bit for bit. Its focal helper returned the sum, and
+# ``W_BOX`` weighs each box column's L1 gradient.
+
+W_BOX = np.repeat([W_CENTER, W_LRTB, W_SIZE, W_ANGLE, W_DEPTH], BOX_WIDTHS)
+
+def _focal_sum(z: np.ndarray, t: np.ndarray):
+    """Sigmoid focal loss of logits ``z`` against targets ``t``, summed over all entries.
+
+    Stable form: log p = -softplus(-z) and log(1-p) = -softplus(z), with the
+    modulating factors written as exp(gamma * log(.)) <= 1; the softplus and
+    sigmoid terms share e = exp(-|z|). Returns the sum and a VJP mapping the
+    gradient ``gs`` of the sum to that of ``z``.
+    """
+    e = np.exp(-np.abs(z))
+    log1p_e = np.log1p(e)
+    log_p = -(np.maximum(-z, 0.0) + log1p_e)
+    log_1mp = -(np.maximum(z, 0.0) + log1p_e)
+    mod_pos = np.exp(log_1mp * FOCAL_GAMMA)  # (1 - p)^gamma
+    mod_neg = np.exp(log_p * FOCAL_GAMMA)    # p^gamma
+    w_pos = FOCAL_ALPHA * t
+    w_neg = (1.0 - FOCAL_ALPHA) * (1.0 - t)
+    weighted = mod_pos * log_p * w_pos + mod_neg * log_1mp * w_neg
+
+    def vjp(gs):
+        g_pos = gs * w_pos
+        g_neg = gs * w_neg
+        g_log_p = g_pos * mod_pos + g_neg * log_1mp * mod_neg * FOCAL_GAMMA
+        g_log_1mp = g_pos * log_p * mod_pos * FOCAL_GAMMA + g_neg * mod_neg
+        # d log p / dz = sigmoid(-z), d log(1-p) / dz = -sigmoid(z)
+        one_pe = 1.0 + e
+        large, small = 1.0 / one_pe, e / one_pe  # sigmoid(|z|) and sigmoid(-|z|)
+        return (g_log_p * np.where(z <= 0, large, small)
+                - g_log_1mp * np.where(z >= 0, large, small))
+
+    return weighted.sum(), vjp
+
+
+def _unique_rows(rows: Sequence[int], count: int, what: str):
+    """Index of unique ``rows`` out of ``count``: a slice for a step-1 range, else an array."""
+    if isinstance(rows, range) and rows.step == 1:
+        if rows and (rows.start < 0 or rows.stop > count):
+            raise IndexError(f"component_loss: {what} {rows} out of range for {count} rows")
+        return slice(rows.start, rows.stop)
+    ind = np.asarray(rows, dtype=np.int64)
+    if ind.size and (ind.min() < 0 or ind.max() >= count):
+        raise IndexError(f"component_loss: {what} out of range for {count} rows")
+    if len(set(ind.tolist())) != ind.size:
+        raise ValueError(f"component_loss: {what} repeat a row")
+    return ind
+
+
+def one_node_block_loss(pred: Tensor, block: Sequence[int],
+                        positives: Sequence[int], targets) -> Tensor:
+    """Set-prediction loss of one block of prediction rows of ``pred``, as one node.
+
+    ``block`` lists the block's rows of ``pred``, and ``positives[i]`` is a
+    position in ``block``, the row supervised toward target i of
+    ``targets``; each list holds unique entries. The op reads those rows in
+    place. Its value adds seven terms, each divided by the normaliser
+    max(1, len(targets)), with the ``W_*`` weights in this order:
+
+    - sigmoid focal loss (``FOCAL_ALPHA``, ``FOCAL_GAMMA``) of the block's
+      logits against the one-hot target classes, every other row of the
+      block background;
+    - L1 of the positive centers and lrtb against their targets;
+    - one minus GIoU, summed over the positive rows, of the corner boxes of
+      their centers and lrtb against the targets' corner boxes, computed as
+      the constant len(positives) / normaliser (exactly 1.0 with positives,
+      0.0 without) minus the normalised GIoU sum;
+    - L1 of the positive size3d, angle and depth against their targets.
+
+    Without positives every box term sums to 0 and only the focal term
+    counts. The VJP hands back one ``RowGrad`` of the block's rows: the
+    focal gradient in the logit columns, the box terms' in the positive
+    rows' box columns. Each term's value and gradient are bitwise those of
+    the term written as its own node; the targets receive no gradient, and
+    the L1 gradient at pred == target is 0.
+    """
+    x = pred.data
+    if x.ndim != 2 or x.shape[1] <= BOX_COLUMNS:
+        raise ShapeError(f"component_loss: prediction rows {x.shape} have no class column")
+    block_ind = _unique_rows(block, x.shape[0], "block rows")
+    at = _unique_rows(positives, len(block), "positives")
+    if len(positives) != len(targets):
+        raise ValueError(f"{len(positives)} positives vs {len(targets)} targets")
+    rows = x[block_ind]
+    onehot = np.zeros((len(block), x.shape[1] - BOX_COLUMNS))
+    onehot[at] = np.eye(onehot.shape[1])[targets.classes]
+    normalizer = float(max(1, len(targets)))
+    focal, focal_vjp = _focal_sum(rows[:, LOGITS], onehot)
+    cls_scale, l1_scale = -1.0 / normalizer, 1.0 / normalizer
+    box = rows[at, -BOX_COLUMNS:]
+    diff = box - targets.boxes
+    l1 = [np.abs(diff[:, cols]).sum() * l1_scale for cols in BOX_SLICES]
+    giou, giou_vjp = giou_pairs(box[:, CENTER], box[:, LRTB], targets.corners)
+    # the terms in weight order, added left to right
+    out = (focal * cls_scale * W_CLS + l1[0] * W_CENTER + l1[1] * W_LRTB
+           + (giou.sum() * cls_scale + len(positives) / normalizer) * W_GIOU
+           + l1[2] * W_SIZE + l1[3] * W_ANGLE + l1[4] * W_DEPTH)
+
+    def vjp(g):
+        g = float(g)
+        rows_g = np.zeros((len(block), x.shape[1]))
+        rows_g[:, LOGITS] = focal_vjp(g * W_CLS * cls_scale)
+        g_box = g * W_BOX * l1_scale * np.sign(diff)
+        for cols, g_giou in zip((CENTER, LRTB), giou_vjp(g * W_GIOU * cls_scale)):
+            g_box[:, cols] += g_giou
+        rows_g[at, -BOX_COLUMNS:] = g_box
+        return (RowGrad(block_ind, rows_g),)
+
+    return _node(np.asarray(out), (pred,), vjp)
 
 
 # Loss terms as graphs of elementwise tape ops, one node per operation. The

@@ -1,7 +1,8 @@
 """Component losses checked against straightline hand-executed formulas, the
 single-node loss terms of ``tests/oracles.py`` against the composite graphs of
-elementwise ops, and the one-node ``component_loss`` against those terms
-composed the way the detector composed them before, bit for bit."""
+elementwise ops, and the row kernel ``block_terms`` with its block sums
+``component_loss`` against those terms composed the way the detector composed
+them before and against the one-node block loss it replaced, bit for bit."""
 
 import math
 
@@ -22,7 +23,9 @@ from vqdet.losses import (
     W_LRTB,
     W_SIZE,
     BOX_SLICES,
+    Block,
     TargetArrays,
+    block_terms,
     component_loss,
     corner_boxes,
     decode_heads,
@@ -38,6 +41,7 @@ from oracles import (
     giou2d,
     giou_loss,
     l1_loss,
+    one_node_block_loss,
     reference_block_loss,
     split_prediction,
 )
@@ -49,6 +53,12 @@ BOX_WIDTHS = (2, 4, 3, 2, 1)
 def _pred_rows(class_logits, centers, lrtb, size3d, angle, depth):
     """One prediction tensor: the logits, then the five box column blocks."""
     return nm.Tensor(np.concatenate([class_logits, centers, lrtb, size3d, angle, depth], axis=1))
+
+
+def _block_loss(pred, block, positives, targets):
+    """One block's loss: the row kernel over that block alone, and its block sum."""
+    terms, (scored,) = block_terms(pred, [block], [positives], targets)
+    return component_loss(terms, scored)
 
 
 def _box_fields(targets):
@@ -105,7 +115,7 @@ def _random_centers_lrtb(rng, m):
 class TestGIoUPairs:
     """``giou_loss``: one minus the mean GIoU of predicted and target box pairs.
 
-    ``component_loss`` computes this term with the same float operations.
+    ``block_terms`` computes this term's entries with the same float operations.
     """
 
     def test_matches_scalar_giou(self):
@@ -199,7 +209,7 @@ class TestComponentLoss:
         angle = np.array([[0.2, 0.9], [0.0, 1.0]])
         depth = np.array([[18.0], [30.0]])
         pred = _pred_rows(logits, centers, lrtb, size3d, angle, depth)
-        got = component_loss(pred, range(2), [0], TargetArrays.of([gt])).item()
+        got = _block_loss(pred, range(2), [0], TargetArrays.of([gt])).item()
 
         onehot = np.zeros((2, 2))
         onehot[0, 0] = 1.0
@@ -220,7 +230,7 @@ class TestComponentLoss:
         logits = np.array([[2.0, -1.0], [0.5, 0.5]])
         pred = _pred_rows(logits, np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
-        got = component_loss(pred, range(2), [], TargetArrays.of([])).item()
+        got = _block_loss(pred, range(2), [], TargetArrays.of([])).item()
         expected = W_CLS * _hand_focal(logits, np.zeros((2, 2)), FOCAL_ALPHA, FOCAL_GAMMA)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -232,7 +242,7 @@ class TestComponentLoss:
             logits, np.array([[0.5, 0.5]]), np.array([[0.1, 0.1, 0.1, 0.1]]),
             np.array([[3.5, 1.6, 1.5]]),
             np.array([[math.sin(0.3), math.cos(0.3)]]), np.array([[20.0]]))
-        got = component_loss(pred, range(1), [0], TargetArrays.of([gt])).item()
+        got = _block_loss(pred, range(1), [0], TargetArrays.of([gt])).item()
         assert got == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("block,positives", [
@@ -251,7 +261,7 @@ class TestComponentLoss:
         for array, rows in ((stacked, block),
                             (stacked[block.start:block.stop], range(len(block)))):
             leaf = nm.Tensor(array.copy(), requires_grad=True)
-            loss = component_loss(leaf, rows, positives, TargetArrays.of(gts))
+            loss = _block_loss(leaf, rows, positives, TargetArrays.of(gts))
             nm.backward(loss)
             results.append((loss, leaf.grad))
         (whole, g_whole), (cut, g_cut) = results
@@ -265,15 +275,15 @@ class TestComponentLoss:
         pred = _pred_rows(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 4)),
                           np.zeros((2, 3)), np.zeros((2, 2)), np.ones((2, 1)))
         with pytest.raises(ValueError):
-            component_loss(pred, range(2), [0], TargetArrays.of([]))
+            _block_loss(pred, range(2), [0], TargetArrays.of([]))
 
     @pytest.mark.parametrize("shape", [(2, 12), (2, 11), (24,)])
     def test_rows_without_a_class_column_rejected(self, shape):
         """Prediction rows of 12 columns or fewer, which would leave no class
         column or shift the box columns, are refused."""
         gt = GroundTruthObject(0, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
-        with pytest.raises(nm.ShapeError, match="component_loss"):
-            component_loss(nm.Tensor(np.ones(shape)), range(2), [1], TargetArrays.of([gt]))
+        with pytest.raises(nm.ShapeError, match="block_terms"):
+            block_terms(nm.Tensor(np.ones(shape)), [range(2)], [[1]], TargetArrays.of([gt]))
 
 
 def _value_and_grads(build, arrays, proj):
@@ -366,21 +376,23 @@ class TestFusedOpsMatchComposite:
                               lambda ts: composite_l1_loss(ts[0], target, 3.0),
                               [pred], rng.normal())
 
-    def test_component_loss_records_few_nodes(self):
+    def test_block_losses_record_few_nodes(self):
         rng = np.random.default_rng(14)
-        rows = 6
+        rows = 9
         pred = nm.Tensor(rng.random(size=(rows, 3 + sum(BOX_WIDTHS))), requires_grad=True)
         gts = [GroundTruthObject(k % 3, 0.5, 0.5, 0.1, 0.1, 0.1, 0.1, 3.5, 1.6, 1.5, 0.3, 20.0)
-               for k in range(4)]
-        loss = component_loss(pred, range(rows), [0, 2, 3, 5], TargetArrays.of(gts))
-        seen, stack = set(), [loss]
+               for k in range(5)]
+        terms, blocks = block_terms(pred, [range(6), [8, 6], [7]], [[0, 2, 3, 5], [1], []],
+                                    TargetArrays.of(gts))
+        losses = [component_loss(terms, block) for block in blocks]
+        seen, stack = set(), list(losses)
         while stack:
             t = stack.pop()
             if t._parents and id(t) not in seen:
                 seen.add(id(t))
                 stack.extend(t._parents)
-        # the block loss alone; the prediction tensor is a leaf
-        assert len(seen) == 1
+        # the kernel and one sum per block; the prediction tensor is a leaf
+        assert len(seen) == 1 + len(blocks)
 
     @pytest.mark.parametrize("layers", [1, 4])
     def test_decode_heads(self, layers):
@@ -405,7 +417,7 @@ class TestFusedOpsMatchComposite:
 
 
 def _block_args(rng, rows, block, positives, classes=3):
-    """Random head outputs of ``rows`` rows, and ``component_loss``'s other arguments.
+    """Random head outputs of ``rows`` rows, and one block's other loss arguments.
 
     Returns the six arrays (logits, then the box tensors) and the list
     [block, positions in the block, targets]. The targets' box and corner arrays are
@@ -426,11 +438,15 @@ def _block_args(rng, rows, block, positives, classes=3):
 
 
 def _op(ts, block, positives, targets):
-    return component_loss(ts[0], block, positives, targets)
+    return _block_loss(ts[0], block, positives, targets)
+
+
+def _one_node(ts, block, positives, targets):
+    return one_node_block_loss(ts[0], block, positives, targets)
 
 
 def _reference(ts, block, positives, targets):
-    """``reference_block_loss`` called with ``component_loss``'s arguments, on the
+    """``reference_block_loss`` called with one block's loss arguments, on the
     six column blocks of the one prediction tensor."""
     logits, *boxes = split_prediction(ts[0])
     onehot = np.zeros((len(block), logits.data.shape[1]))
@@ -447,15 +463,19 @@ def _taped(build, arrays, upstream):
 
 
 def _assert_bitwise(arrays, args, upstream):
-    """``component_loss`` on ``arrays`` equals ``reference_block_loss``, value and gradients."""
+    """One block's loss on ``arrays`` equals ``reference_block_loss`` and the one-node
+    block loss, value and gradients."""
     def build(op):
         return lambda ts: op(ts, *args)
 
-    assert _taped(build(_op), arrays, upstream) == _taped(build(_reference), arrays, upstream)
+    got = _taped(build(_op), arrays, upstream)
+    assert got == _taped(build(_reference), arrays, upstream)
+    assert got == _taped(build(_one_node), arrays, upstream)
 
 
 class TestBlockLossBitwise:
-    """``component_loss`` equals the 14-node composition it replaced, bit for bit."""
+    """The kernel and its block sum equal the 14-node composition and the one-node
+    block loss they replaced, bit for bit."""
 
     @pytest.mark.parametrize("block,positives", [
         (range(2, 7), [3, 0, 4]),   # learnable rows of a larger stack, some matched
@@ -518,10 +538,11 @@ class TestBlockLossBitwise:
             _assert_bitwise(arrays, args, upstream)
 
     def test_blocks_of_one_stack_summed(self):
-        """Several blocks of one stack, added as the detector adds them."""
+        """Several blocks of one stack in one kernel call, added as the detector adds
+        them, against each block scored alone."""
         rng = np.random.default_rng(32)
         layout = [(range(0, 4), [2, 0]), (range(4, 7), [0, 1, 2]), (range(7, 10), []),
-                  (range(10, 12), [1])]
+                  ([11, 10], [1])]
         arrays, _ = _block_args(rng, 12, range(12), [])
         cases = [_block_args(rng, 12, block, pos)[1] for block, pos in layout]
 
@@ -529,24 +550,63 @@ class TestBlockLossBitwise:
             return lambda ts: nm.weighted_sum([op(ts, *args) for args in cases],
                                               [1.0] * len(cases))
 
-        assert _taped(summed(_op), arrays, 0.7) == _taped(summed(_reference), arrays, 0.7)
+        def one_kernel(ts):
+            blocks, positives, targets = zip(*cases)
+            taken = TargetArrays(np.concatenate([t.classes for t in targets]),
+                                 np.concatenate([t.table for t in targets]))
+            terms, scored = block_terms(ts[0], blocks, positives, taken)
+            return nm.weighted_sum([component_loss(terms, b) for b in scored],
+                                   [1.0] * len(scored))
+
+        got = _taped(one_kernel, arrays, 0.7)
+        assert got == _taped(summed(_reference), arrays, 0.7)
+        assert got == _taped(summed(_one_node), arrays, 0.7)
+
+    def test_blocks_own_one_slice_each(self):
+        """Block b's seven terms lie end to end, after block b - 1's, and hold the
+        focal entries of its rows and the box entries of its positives."""
+        rng = np.random.default_rng(35)
+        arrays, _ = _block_args(rng, 8, range(8), [])
+        targets = _block_args(rng, 8, [0, 1, 2], [0, 1, 2])[1][2]
+        pred = nm.Tensor(np.concatenate(arrays, axis=1))
+        terms, blocks = block_terms(pred, [range(5, 8), [0], range(1, 3)], [[2, 0], [], [1]],
+                                    targets)
+        assert blocks[0].bounds[0] == 0 and blocks[-1].bounds[-1] == terms.data.size
+        for block, after in zip(blocks, blocks[1:]):
+            assert block.bounds[-1] == after.bounds[0]
+        widths = [3, 2, 4, 1, 3, 2, 1]
+        for block, rows, positives in zip(blocks, (3, 1, 2), (2, 0, 1)):
+            assert block.positives == positives
+            assert np.diff(block.bounds).tolist() == [rows * widths[0]] + [
+                positives * w for w in widths[1:]]
+
+    def test_component_loss_reads_only_its_slice(self):
+        terms = nm.Tensor(np.arange(10.0), requires_grad=True)
+        with pytest.raises(nm.ShapeError, match="component_loss"):
+            component_loss(terms, Block((4, 5, 6, 7, 8, 9, 10, 11), 1))
+        with pytest.raises(nm.ShapeError, match="component_loss"):
+            component_loss(nm.Tensor(np.zeros((2, 5))), Block((0,) * 8, 0))
 
     def test_rows_checked(self):
         arrays, (block, _, targets) = _block_args(np.random.default_rng(33), 6, range(6), [1, 2])
         pred = nm.Tensor(np.concatenate(arrays, axis=1))
         with pytest.raises(ValueError, match="positives repeat a row"):
-            component_loss(pred, block, [2, 2], targets)
+            _block_loss(pred, block, [2, 2], targets)
         with pytest.raises(ValueError, match="block rows repeat a row"):
-            component_loss(pred, [0, 1, 1, 2, 3, 4], [1, 2], targets)
+            _block_loss(pred, [0, 1, 1, 2, 3, 4], [1, 2], targets)
         with pytest.raises(IndexError, match="block rows"):
-            component_loss(pred, range(1, 7), [1, 2], targets)
+            _block_loss(pred, range(1, 7), [1, 2], targets)
         with pytest.raises(IndexError, match="positives"):
-            component_loss(pred, block, [1, -1], targets)
+            _block_loss(pred, block, [1, -1], targets)
+        with pytest.raises(ValueError, match="block rows repeat a row"):
+            block_terms(pred, [range(3), range(2, 6)], [[1, 2], []], targets)
+        with pytest.raises(ValueError, match="2 blocks vs 1 positive lists"):
+            block_terms(pred, [range(3), range(3, 6)], [[1, 2]], targets)
 
     def test_positive_row_outside_the_block_rejected(self):
         """Position 3 is a row of the stack but not of the 2-row block."""
         arrays, (_, _, targets) = _block_args(np.random.default_rng(34), 4, range(4), [3])
         pred = nm.Tensor(np.concatenate(arrays, axis=1))
         with pytest.raises(IndexError,
-                           match=r"component_loss: positives out of range for 2 rows"):
-            component_loss(pred, range(2), [3], targets)
+                           match=r"block_terms: positives out of range of their blocks"):
+            _block_loss(pred, range(2), [3], targets)

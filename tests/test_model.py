@@ -25,9 +25,8 @@ from vqdet.geometry import (
     iou3d,
     project_to_image,
 )
-from vqdet.losses import (CENTER, LRTB, TargetArrays, class_probs, component_loss,
-                          corner_boxes)
-from vqdet.matching import hungarian, matching_cost
+from vqdet.losses import CENTER, LRTB, TargetArrays, class_probs, corner_boxes
+from vqdet.matching import Assignment, hungarian, matching_cost
 from vqdet.model import (
     Detector,
     DetectorConfig,
@@ -39,7 +38,8 @@ from vqdet.model import (
 from vqdet.scenes import SceneConfig, generate_scene
 from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig, VariationalQueryGenerator
 
-from oracles import HalfHeadsWorker, LateWorker, real_worker, scalar_box_noise
+from oracles import (HalfHeadsWorker, LateWorker, one_node_block_loss, real_worker,
+                     scalar_box_noise)
 
 TINY = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
                       heads=2, layers=2, feature_size=4, num_classes=2)
@@ -485,7 +485,7 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
     detection = nm.Tensor(0.0)
     for pred, layer_assign in zip(preds, decisions.assignments):
         for g, assign in enumerate(layer_assign):
-            detection = detection + component_loss(
+            detection = detection + one_node_block_loss(
                 pred, range(g * s, g * s + n), assign.query_indices(),
                 TargetArrays.of([gts[j] for j in assign.gt_indices()]))
     blocks = [range(g * s + lo, g * s + lo + k) for g in range(groups) for lo in range(n, s, k)]
@@ -493,8 +493,8 @@ def _per_layer_reference(det, scene, noisy, dn_cfg, decisions):
     for pred in preds:
         layer_term = nm.Tensor(0.0)
         for block in blocks:
-            layer_term = layer_term + component_loss(pred, block, range(k),
-                                                     TargetArrays.of(gts))
+            layer_term = layer_term + one_node_block_loss(pred, block, range(k),
+                                                          TargetArrays.of(gts))
         recon = recon + layer_term * (1.0 / len(blocks))
     denoising = recon + nm.gaussian_kl(dist.mu, dist.log_var) * BETA
     # the weights are taken as given: step_decisions has already divided them by R
@@ -559,21 +559,33 @@ class TestStackedScoring:
             layer, g = divmod(b, self.CFG.groups)
             assert hungarian(alone).pairs == decisions.assignments[layer][g].pairs
 
-    def test_loss_sums_equal_the_plus_chains_bitwise(self):
-        """Detection and reconstruction sums, against ``+`` chains in value and gradient."""
+    @pytest.mark.parametrize("cfg,scene_cfg,num_objects,blank", [
         # 12 detection blocks and 3 noisy blocks a layer; at these seeds either
         # sum reversed, or 1/3 weighing each block instead of the layer's sum,
         # changes the rounding
-        cfg = replace(TINY, layers=4, groups=3, noisy_groups=1)
+        (replace(TINY, layers=4, groups=3, noisy_groups=1), TINY_SCENE, 2, False),
+        (DetectorConfig(), SceneConfig(), 1, False),
+        (DetectorConfig(), SceneConfig(), 4, False),
+        (DetectorConfig(), SceneConfig(), 12, False),
+        (DetectorConfig(), SceneConfig(), 4, True),
+    ])
+    def test_loss_sums_equal_the_plus_chains_bitwise(self, cfg, scene_cfg, num_objects, blank):
+        """Detection and reconstruction sums, against ``+`` chains of the one-node
+        block loss in value and gradient; with ``blank``, a detection block has no
+        positives."""
         det = Detector(cfg, seed=49)
-        scene = _scene(50, num_objects=2)
+        scene = _scene(50, num_objects=num_objects, cfg=scene_cfg)
         noisy = _noisy(det, scene)
-        out = training_loss(det, scene, noisy, DenoisingConfig())
+        decisions = training_loss(det, scene, noisy, DenoisingConfig()).decisions
+        if blank:
+            first, *rest = decisions.assignments
+            decisions = replace(decisions, assignments=[[Assignment([], 0.0), *first[1:]], *rest])
+        out = training_loss(det, scene, noisy, DenoisingConfig(), replay=decisions)
         n, gts, k = cfg.queries_per_group, scene.objects, len(scene.objects)
         stack, pred, s = _stacked_rows(det, scene, noisy)
         detection = nm.Tensor(0.0)
         for b, assign in enumerate(a for layer in out.decisions.assignments for a in layer):
-            detection = detection + component_loss(
+            detection = detection + one_node_block_loss(
                 pred, range(b * s, b * s + n), assign.query_indices(),
                 TargetArrays.of([gts[j] for j in assign.gt_indices()]))
         recon = nm.Tensor(0.0)
@@ -581,7 +593,7 @@ class TestStackedScoring:
             blocks = [range(b * s + lo, b * s + lo + k)
                       for b in range(layer * cfg.groups, (layer + 1) * cfg.groups)
                       for lo in range(n, s, k)]
-            terms = [component_loss(pred, block, range(k), TargetArrays.of(gts))
+            terms = [one_node_block_loss(pred, block, range(k), TargetArrays.of(gts))
                      for block in blocks]
             recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
         for got, want in ((out.detection, detection),
@@ -666,8 +678,8 @@ class TestInference:
         det = Detector(replace(TINY, confidence_threshold=0.0), seed=21)
         scene = _scene(22)
         memory = det.encode_features(scene.grid)
-        queries, refs = det.learnable_queries(1)
         n = TINY.queries_per_group
+        queries, refs = (nm.gather_rows(t, range(n)) for t in det.learnable_queries())
         rows, _ = det.decoder_forward(memory, queries, build_denoising_mask(n, 0, 0))
         pred = det.apply_heads(rows[-1], refs)
         assert pred.requires_grad

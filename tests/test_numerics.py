@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from vqdet import numerics as nm
 from vqdet.gradcheck import _away_from, check_scalar_fn, OP_TOLERANCE
-from vqdet.losses import TargetArrays, component_loss, corner_boxes
+from vqdet.losses import TargetArrays, block_terms, component_loss, corner_boxes
 
 from oracles import (HalfHeadsWorker, LateWorker, absolute, divide, matmul, maximum, minimum,
                      narrow_cols, narrow_rows, real_worker, softmax_rows, softplus, transpose)
@@ -540,9 +540,17 @@ def test_component_loss_hands_back_no_array_of_the_stacked_size():
     regression = [a[[9, 11]] + 0.01 for a in stacked[1:]]
     table = np.concatenate([*regression, corner_boxes(regression[0], regression[1])], axis=1)
     # rows 9 and 11 of the stack are positions 1 and 3 of the block
-    loss = component_loss(pred, range(8, 12), [1, 3], TargetArrays(np.array([0, 2]), table))
-    (grad,) = loss._vjp(np.asarray(1.0))
-    assert type(grad) is nm.RowGrad and grad.rows == slice(8, 12)
+    terms, (block,) = block_terms(pred, [range(8, 12)], [[1, 3]],
+                                  TargetArrays(np.array([0, 2]), table))
+    loss = component_loss(terms, block)
+    (sum_grad,) = loss._vjp(np.asarray(1.0))
+    lo, hi = block.bounds[0], block.bounds[-1]
+    assert type(sum_grad) is nm.RowGrad and sum_grad.rows == slice(lo, hi)
+    assert sum_grad.values.shape == (hi - lo,) == (4 * 3 + 2 * 13,)
+    g_terms = np.zeros(terms.data.shape)
+    g_terms[sum_grad.rows] = sum_grad.values
+    (grad,) = terms._vjp(g_terms)
+    assert type(grad) is nm.RowGrad and grad.rows.tolist() == [8, 9, 10, 11]
     assert grad.values.shape == (4, 15)
     assert not grad.values[[0, 2], 3:].any() and grad.values[[1, 3], 3:].all()
 

@@ -37,6 +37,13 @@ class TestSceneConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SceneConfig(**{field: value})
 
+    @pytest.mark.parametrize("size,count", [(16, 257), (2, 5), (16, 10**30)])
+    def test_more_objects_than_grid_cells_rejected(self, size, count):
+        assert SceneConfig(feature_size=size, max_objects=size * size).max_objects == size * size
+        with pytest.raises(ValueError, match=rf"^max_objects must be an integer in "
+                                             rf"\[1, {size * size}\], got {count}$"):
+            SceneConfig(feature_size=size, max_objects=count)
+
     def test_nearest_accepted_depth_samples_valid_scenes(self):
         # A box turned by its yaw reaches half its footprint diagonal toward the camera.
         reach = (1.0 + DIM_JITTER) * max(math.hypot(l3d, w3d) / 2.0
@@ -60,8 +67,22 @@ class TestGenerateScene:
     @pytest.mark.parametrize("count", [-3, -1, 2.5, True, "2", np.float64(2.0), math.nan,
                                        math.inf])
     def test_num_objects_must_be_a_nonnegative_integer(self, count):
-        with pytest.raises(ValueError, match=r"^num_objects must be an integer in \[0, inf\)"):
+        with pytest.raises(ValueError, match=r"^num_objects must be an integer in \[0, 64\]"):
             generate_scene(np.random.default_rng(0), SMALL, "s", 0, num_objects=count)
+
+    @pytest.mark.parametrize("count", [65, 10**30])
+    def test_more_objects_than_grid_cells_rejected_before_any_draw(self, count):
+        """At most F * F objects; a larger count fails before the generator is read."""
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"generate_scene read rng.{name}")
+
+        with pytest.raises(ValueError, match=rf"^num_objects must be an integer in \[0, 64\], "
+                                             rf"got {count}$"):
+            generate_scene(NoDraws(), SMALL, "s", 0, num_objects=count)
+        tiny = SceneConfig(feature_size=2, max_objects=1)
+        scene = generate_scene(np.random.default_rng(0), tiny, "s", 0, num_objects=4)
+        assert len(scene.objects) == 4
 
     def test_num_objects_accepts_numpy_integers(self):
         scene = generate_scene(np.random.default_rng(0), SMALL, "s", 0, num_objects=np.int64(2))
