@@ -29,17 +29,17 @@ the positive rows, and the matching cost broadcasts it over every (row,
 target) pair, so the matcher and the loss score the same GIoU.
 
 The objective is two ops with closed-form gradients. The row kernel
-:func:`block_terms` scores every block of one call site at once, as one
-tape node: the focal entries of the blocks' rows and the L1 and GIoU
-entries of their positive rows, packed so that each block's entries form
-one slice. Its VJP runs each term's expression once over every entry and
-hands back one ``numerics.RowGrad`` of the blocks' rows. Then
-:func:`component_loss`, one node per block, sums that block's slice with
-its normaliser and the ``W_*`` weights. An entry goes through the float
-operations it would alone, and a sum reads its entries in the order of a
-block scored alone, so a block's loss and gradient are bitwise the same
-whichever blocks share its kernel call. Callers add block losses with one
-``weighted_sum``.
+:func:`block_terms` scores every block of a training step at once, the
+detection and the noisy blocks alike, as one tape node: the focal entries
+of the blocks' rows and the L1 and GIoU entries of their positive rows,
+packed so that each block's entries form one slice. Its VJP runs each
+term's expression once over every entry and hands back one
+``numerics.RowGrad`` of the blocks' rows. Then :func:`component_loss`, one
+node per block, sums that block's slice with its normaliser and the
+``W_*`` weights. An entry goes through the float operations it would
+alone, and a sum reads its entries in the order of a block scored alone,
+so a block's loss and gradient are bitwise the same whichever blocks share
+its kernel call. Callers add block losses with one ``weighted_sum``.
 """
 
 from __future__ import annotations

@@ -25,12 +25,12 @@ decodes only the final layer's rows and forms no attention map.
 The training loss first makes every detached decision of the step
 (:func:`step_decisions`: one matching cost for every layer and group, their
 Hungarian assignments, and the distillation rows, IoU weights and teacher
-values), then scores the prediction tensor under those decisions: the
-detection and the denoising term each read its rows through one row kernel,
-:func:`losses.block_terms`, with one ``component_loss`` node per block
-summing that block's entries, and distillation reads the stack of decoder
-rows. A replayed step passes earlier decisions and shares the scoring, so it
-is the function the tape differentiates.
+values), then scores the prediction tensor under those decisions: one row
+kernel, :func:`losses.block_terms`, scores the detection and the noisy
+blocks, and one ``component_loss`` node per block sums its entries, which
+the detection term and :func:`vqd.denoising_loss` add. Distillation reads
+the stack of decoder rows. A replayed step passes earlier decisions and
+shares the scoring, so it is the function the tape differentiates.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class NoisyDraw:
 
     boxes: TargetArrays          # G*C*K noisy boxes
     eps: np.ndarray              # (G*C*K, D) standard normals, same order
-    num_objects: int
 
 
 @dataclass
@@ -233,8 +232,7 @@ class Detector:
                                         fields[None].repeat(blocks, 0).reshape(-1, 11),
                                         noise_cfg, rng, cfg.num_classes)
         eps = rng.standard_normal((len(classes), cfg.width))
-        return NoisyDraw(boxes=TargetArrays.from_fields(classes, fields), eps=eps,
-                         num_objects=len(scene.objects))
+        return NoisyDraw(boxes=TargetArrays.from_fields(classes, fields), eps=eps)
 
     def learnable_queries(self) -> tuple[Tensor, Tensor]:
         """Every group's learnable queries and reference points, group-major."""
@@ -250,9 +248,9 @@ class Detector:
         ``encode``, which alone decides whether they carry a log-variance.
         """
         cfg = self.cfg
-        n, groups = cfg.queries_per_group, cfg.groups
+        n, groups, c = cfg.queries_per_group, cfg.groups, cfg.noisy_groups
+        k = len(noisy.boxes) // max(1, groups * c)  # rows of a noisy block
         queries, refs = self.learnable_queries()
-        k, c = noisy.num_objects, cfg.noisy_groups
         dist = self.vqg.encode(noisy.boxes, mode)
         z = sample_reparameterized(dist, noisy.eps)
         table = noisy.boxes.table
@@ -379,19 +377,22 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
     decisions = (step_decisions(det, stack, pred, scene, targets, s) if replay is None
                  else replay)
 
-    # block b = l*G + g starts at row b*s of the stack
+    # block b = l*G + g starts at row b*s of the stack; its noisy block j at row
+    # b*s + n + j*k, whose row i reconstructs ground truth i
     assigned = [a for layer in decisions.assignments for a in layer]
-    terms, blocks = block_terms(pred, [range(b * s, b * s + n) for b in range(len(assigned))],
-                                [a.query_indices() for a in assigned],
-                                targets.take([j for a in assigned for j in a.gt_indices()]))
-    scored = [component_loss(terms, block) for block in blocks]
+    k, per_layer = len(gts), cfg.groups * cfg.noisy_groups
+    noisy_blocks = [range(b * s + lo, b * s + lo + k)
+                    for b in range(len(assigned)) for lo in range(n, s, k)] if k else []
+    terms, blocks = block_terms(
+        pred, [range(b * s, b * s + n) for b in range(len(assigned))] + noisy_blocks,
+        [a.query_indices() for a in assigned] + [range(k)] * len(noisy_blocks),
+        targets.take([j for a in assigned for j in a.gt_indices()]
+                     + list(range(k)) * len(noisy_blocks)))
+    scored = [component_loss(terms, block) for block in blocks[:len(assigned)]]
     detection = nm.weighted_sum(scored, [1.0] * len(scored))
-    # noisy block j of block b: rows b*s + n + j*k onwards, one per ground truth
-    k, groups = len(gts), cfg.groups
-    blocks = [[range(b * s + lo, b * s + lo + k)
-               for b in range(layer * groups, (layer + 1) * groups) for lo in range(n, s, k)]
-              for layer in range(cfg.layers)] if k else []
-    dn = denoising_loss(pred, blocks, targets, dist)
+    noisy_scored = blocks[len(assigned):]
+    dn = denoising_loss(terms, [noisy_scored[layer * per_layer:(layer + 1) * per_layer]
+                                for layer in range(cfg.layers)], dist)
     distillation = forward_looking_distill(
         stack, cfg.layers, decisions.distill_rows, decisions.distill_weights,
         det.refiner, decisions.teacher_rows)

@@ -8,14 +8,13 @@ through the noise sample. Only :meth:`VariationalQueryGenerator.encode`
 reads the denoising mode. In deterministic mode, the DN-DETR baseline the
 variational scheme is compared against, it gives latents without a
 log-variance, so sampling returns mu and the loss drops the KL term.
-The denoising loss scores every layer's noisy blocks of the step's one
-stacked prediction tensor (the columns of :mod:`losses`) in one row kernel,
-``losses.block_terms``, against the ground truths' one :class:`TargetArrays`
-repeated once per block; then one ``component_loss`` per block, each one
-tape node, sums that block's entries. One ``weighted_sum`` adds each
-layer's blocks, one more takes the layers' block means, and with a
-log-variance a last one adds the KL term with weight :data:`BETA`, so the
-sums record L + 2 tape nodes (L + 1 without KL).
+The denoising loss sums the noisy blocks' losses that the training loss's
+one row kernel, ``losses.block_terms``, scored with the detection blocks:
+one ``component_loss`` per block, each one tape node, sums that block's
+entries. One ``weighted_sum`` adds each layer's blocks, one more takes the
+layers' block means, and with a log-variance a last one adds the KL term
+with weight :data:`BETA`, so the sums record L + 2 tape nodes (L + 1
+without KL).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numerics as nm
-from .losses import TargetArrays, block_terms, component_loss
+from .losses import Block, TargetArrays, component_loss
 from .numerics import Tensor
 
 VARIATIONAL = "variational"
@@ -126,31 +125,20 @@ class DenoisingLoss:
     kl: Tensor
 
 
-def denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequence[int]]],
-                   targets: TargetArrays, dist: LatentDistribution) -> DenoisingLoss:
+def denoising_loss(terms: Tensor, layer_blocks: Sequence[Sequence[Block]],
+                   dist: LatentDistribution) -> DenoisingLoss:
     """Reconstruction loss over the noisy blocks plus :data:`BETA` times the KL term.
 
-    ``pred`` holds the stacked prediction rows of every decoder layer, and
-    ``layer_blocks[l]`` lists layer l's noisy blocks, each block its rows of
-    ``pred``. Row i of a block reconstructs target i of ``targets``, the
-    step's one :class:`TargetArrays` bundle, so every row is positive; a
-    block of another length raises ValueError. Reconstruction averages over
-    the blocks of a layer and sums over layers, mirroring deep supervision.
-    The KL term is computed once from ``dist``, the latents of the step's
-    noisy rows (0 rows without any, giving a KL of 0), and skipped when
-    ``dist`` has no log-variance, the deterministic arm.
+    ``terms`` holds the loss entries of ``losses.block_terms``, and
+    ``layer_blocks[l]`` lists layer l's noisy blocks among its blocks.
+    Reconstruction averages over the blocks of a layer and sums over layers,
+    mirroring deep supervision. The KL term is computed once from ``dist``,
+    the latents of the step's noisy rows (0 rows without any, giving a KL of
+    0), and skipped when ``dist`` has no log-variance, the deterministic arm.
     """
     zero = nm.Tensor(0.0)
     layers = [blocks for blocks in layer_blocks if blocks]
-    flat = [block for blocks in layers for block in blocks]
-    for block in flat:
-        if len(block) != len(targets):
-            raise ValueError(f"denoising_loss: {len(block)} rows of a noisy block vs "
-                             f"{len(targets)} targets")
-    terms, scored = block_terms(pred, flat, [range(len(block)) for block in flat],
-                                targets.take(np.tile(np.arange(len(targets)), len(flat))))
-    scored = iter(scored)
-    sums = [nm.weighted_sum([component_loss(terms, next(scored)) for _ in blocks],
+    sums = [nm.weighted_sum([component_loss(terms, block) for block in blocks],
                             [1.0] * len(blocks)) for blocks in layers]
     recon = nm.weighted_sum(sums, [1.0 / len(blocks) for blocks in layers]) if layers else zero
 

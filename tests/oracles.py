@@ -32,6 +32,10 @@ scored a block before that fusion, from the six column blocks of one
 prediction tensor (``split_prediction``). They share only the stable sigmoid
 helper and the objective's constants with the library, since the ops must
 equal them bit for bit.
+
+``site_local_denoising_loss`` is the denoising loss as it was when it made
+its own ``block_terms`` call over the noisy blocks, apart from the detection
+blocks' call; a step that scores both in one call must equal it bit for bit.
 """
 
 import functools
@@ -47,8 +51,9 @@ import numpy as np
 from vqdet import numerics as nm
 from vqdet.losses import (BOX_COLUMNS, BOX_SLICES, BOX_WIDTHS, CENTER, FOCAL_ALPHA, FOCAL_GAMMA,
                           LOGITS, LRTB, W_ANGLE, W_CENTER, W_CLS, W_DEPTH, W_GIOU, W_LRTB,
-                          W_SIZE, giou_pairs)
+                          W_SIZE, TargetArrays, block_terms, component_loss, giou_pairs)
 from vqdet.numerics import DegenerateMaskError, RowGrad, ShapeError, Tensor, _node, _sigmoid
+from vqdet.vqd import BETA, DenoisingLoss, LatentDistribution
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -610,6 +615,37 @@ def one_node_block_loss(pred: Tensor, block: Sequence[int],
         return (RowGrad(block_ind, rows_g),)
 
     return _node(np.asarray(out), (pred,), vjp)
+
+
+def site_local_denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequence[int]]],
+                              targets: TargetArrays, dist: LatentDistribution) -> DenoisingLoss:
+    """Reconstruction over the noisy blocks of ``pred`` plus ``BETA`` times the KL term.
+
+    ``layer_blocks[l]`` lists layer l's noisy blocks, each block its rows of
+    ``pred``; row i of a block reconstructs target i of ``targets``, and a
+    block of another length raises ValueError. One
+    ``block_terms`` call scores every block, one ``component_loss`` per block
+    sums it, and reconstruction averages a layer's blocks and sums the layers.
+    """
+    zero = nm.Tensor(0.0)
+    layers = [blocks for blocks in layer_blocks if blocks]
+    flat = [block for blocks in layers for block in blocks]
+    for block in flat:
+        if len(block) != len(targets):
+            raise ValueError(f"denoising_loss: {len(block)} rows of a noisy block vs "
+                             f"{len(targets)} targets")
+    terms, scored = block_terms(pred, flat, [range(len(block)) for block in flat],
+                                targets.take(np.tile(np.arange(len(targets)), len(flat))))
+    scored = iter(scored)
+    sums = [nm.weighted_sum([component_loss(terms, next(scored)) for _ in blocks],
+                            [1.0] * len(blocks)) for blocks in layers]
+    recon = nm.weighted_sum(sums, [1.0 / len(blocks) for blocks in layers]) if layers else zero
+
+    if dist.log_var is None:
+        return DenoisingLoss(total=recon, reconstruction=recon, kl=zero)
+    kl = nm.gaussian_kl(dist.mu, dist.log_var)
+    total = nm.weighted_sum([recon, kl], [1.0, BETA])
+    return DenoisingLoss(total=total, reconstruction=recon, kl=kl)
 
 
 # Loss terms as graphs of elementwise tape ops, one node per operation. The

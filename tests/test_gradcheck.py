@@ -26,10 +26,8 @@ def test_inputs_do_not_depend_on_the_string_hash_seed():
     assert _linear_error_in_fresh_process("1") == _linear_error_in_fresh_process("2")
 
 
-@pytest.mark.parametrize("name", [n for n in gradcheck.REGISTRY
-                                  if n != "end_to_end_minimal_model"])
+@pytest.mark.parametrize("name", list(gradcheck.REGISTRY))
 def test_registered_check_passes(name):
-    """Every check but the end-to-end one, which takes over 10 s, runs in tier-1."""
     (row,) = run_suite(names=[name])
     assert row[0] == name and row[3], row
 

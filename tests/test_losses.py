@@ -602,6 +602,8 @@ class TestBlockLossBitwise:
             block_terms(pred, [range(3), range(2, 6)], [[1, 2], []], targets)
         with pytest.raises(ValueError, match="2 blocks vs 1 positive lists"):
             block_terms(pred, [range(3), range(3, 6)], [[1, 2]], targets)
+        with pytest.raises(ValueError, match="3 positives vs 2 targets"):
+            block_terms(pred, [range(3), range(3, 6)], [[1, 2], [0]], targets)
 
     def test_positive_row_outside_the_block_rejected(self):
         """Position 3 is a row of the stack but not of the 2-row block."""

@@ -16,7 +16,7 @@ from numpy.testing import assert_array_equal
 from vqdet import model
 from vqdet import numerics as nm
 from vqdet.attention import build_denoising_mask
-from vqdet.distill import iou_weights, refine
+from vqdet.distill import forward_looking_distill, iou_weights, refine
 from vqdet.geometry import (
     GroundTruthObject,
     NoiseConfig,
@@ -25,7 +25,8 @@ from vqdet.geometry import (
     iou3d,
     project_to_image,
 )
-from vqdet.losses import CENTER, LRTB, TargetArrays, class_probs, corner_boxes
+from vqdet.losses import (CENTER, LRTB, TargetArrays, block_terms, class_probs,
+                          component_loss, corner_boxes)
 from vqdet.matching import Assignment, hungarian, matching_cost
 from vqdet.model import (
     Detector,
@@ -39,7 +40,7 @@ from vqdet.scenes import SceneConfig, generate_scene
 from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig, VariationalQueryGenerator
 
 from oracles import (HalfHeadsWorker, LateWorker, one_node_block_loss, real_worker,
-                     scalar_box_noise)
+                     scalar_box_noise, site_local_denoising_loss)
 
 TINY = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
                       heads=2, layers=2, feature_size=4, num_classes=2)
@@ -185,7 +186,7 @@ class TestNoisyDraw:
         for seed in range(5):
             noisy = det.draw_noisy_queries(scene, noise_cfg, np.random.default_rng(seed))
             want, eps = _oracle_draw(cfg, scene.objects, noise_cfg, seed)
-            assert noisy.num_objects == k and len(noisy.boxes) == 2 * noisy_groups * k
+            assert len(noisy.boxes) == 2 * noisy_groups * k
             assert noisy.boxes.classes.dtype == want.classes.dtype
             assert noisy.boxes.classes.tobytes() == want.classes.tobytes()
             assert noisy.boxes.table.tobytes() == want.table.tobytes()
@@ -606,6 +607,50 @@ class TestStackedScoring:
                 grads.append(b"".join(t.grad.tobytes() for t in det.store.tensors()))
             assert grads[0] == grads[1]
 
+    @pytest.mark.parametrize("mode", [VARIATIONAL, DETERMINISTIC])
+    @pytest.mark.parametrize("num_objects", [0, 3, 12])
+    def test_one_kernel_call_equals_a_call_per_site_bitwise(self, num_objects, mode):
+        """The step scores detection and noisy blocks in one ``block_terms`` call:
+        its values and every parameter gradient are those of a detection call and
+        the site-local denoising oracle's call, bit for bit."""
+        cfg = DetectorConfig()
+        det = Detector(cfg, seed=61)
+        scene = generate_scene(np.random.default_rng(62), SceneConfig(), "s62", 62,
+                               num_objects=num_objects)
+        noisy = _noisy(det, scene)
+        out = training_loss(det, scene, noisy, DenoisingConfig(mode))
+        queries, refs, allow, dist = det.build_group_inputs(noisy, mode)
+        rows, _ = det.decoder_forward(det.encode_features(scene.grid), queries, allow)
+        stack = nm.concat_rows(rows)
+        pred = det.apply_heads(stack, refs)
+        n, s, k, decisions = cfg.queries_per_group, allow.shape[0], num_objects, out.decisions
+        assigned = [a for layer in decisions.assignments for a in layer]
+        terms, blocks = block_terms(
+            pred, [range(b * s, b * s + n) for b in range(len(assigned))],
+            [a.query_indices() for a in assigned],
+            scene.targets.take([j for a in assigned for j in a.gt_indices()]))
+        detection = nm.weighted_sum([component_loss(terms, block) for block in blocks],
+                                    [1.0] * len(blocks))
+        noisy_blocks = [[range(b * s + lo, b * s + lo + k)
+                         for b in range(layer * cfg.groups, (layer + 1) * cfg.groups)
+                         for lo in range(n, s, k)] for layer in range(cfg.layers)] if k else []
+        dn = site_local_denoising_loss(pred, noisy_blocks, scene.targets, dist)
+        distillation = forward_looking_distill(stack, cfg.layers, decisions.distill_rows,
+                                               decisions.distill_weights, det.refiner,
+                                               decisions.teacher_rows)
+        total = nm.weighted_sum([detection, dn.total, distillation],
+                                [1.0, 1.0, cfg.lambda_distill])
+        for got, want in ((out.detection, detection),
+                          (out.denoising.reconstruction, dn.reconstruction),
+                          (out.denoising.kl, dn.kl), (out.total, total)):
+            assert got.data.tobytes() == want.data.tobytes()
+        grads = []
+        for loss in (out.total, total):
+            det.store.zero_grad()
+            nm.backward(loss, det.store)
+            grads.append([t.grad.tobytes() for t in det.store.tensors()])
+        assert grads[0] == grads[1]
+
     def test_heads_and_matching_cost_run_once_per_step(self, monkeypatch):
         det, scene, noisy = self._inputs()
         calls = Counter()
@@ -649,14 +694,17 @@ class TestHeads:
 
     @pytest.mark.parametrize("num_objects", [1, 2, 3, 4, 12])
     def test_default_train_step_tape(self, num_objects):
-        """At most 162 nodes a step; the heads add 2 after the output layer norm
-        (10 before: six affine layers, three softplus and the reference add)."""
+        """At most 161 nodes a step, one of them the row kernel that scores every
+        block; the heads add 2 after the output layer norm (10 before: six affine
+        layers, three softplus and the reference add)."""
         det = Detector(DetectorConfig(), seed=7)
         scene = generate_scene(np.random.default_rng(7), SceneConfig(), "s7", 7,
                                num_objects=num_objects)
         noisy = _noisy(det, scene, seed=8)
         out = training_loss(det, scene, noisy, DenoisingConfig())
-        assert len(_recorded([out.total])) <= 162
+        step = _recorded([out.total])
+        assert len(step) <= 161
+        assert [t._vjp.__qualname__.split(".")[0] for t in step].count("block_terms") == 1
         queries, refs, allow, _ = det.build_group_inputs(noisy, VARIATIONAL)
         rows, _ = det.decoder_forward(det.encode_features(scene.grid), queries, allow)
         stack = nm.concat_rows(rows)

@@ -8,7 +8,7 @@ from vqdet import numerics as nm
 from vqdet.geometry import GroundTruthObject
 from vqdet.gradcheck import OP_TOLERANCE, check_gradients
 from vqdet.losses import (CENTER, W_ANGLE, W_CENTER, W_CLS, W_DEPTH, W_GIOU, W_LRTB, W_SIZE,
-                          TargetArrays)
+                          TargetArrays, block_terms)
 from vqdet.vqd import (
     BETA,
     DETERMINISTIC,
@@ -142,15 +142,23 @@ class TestDenoisingLoss:
         lv = None if log_var is None else nm.Tensor(np.full((1, 4), log_var))
         return LatentDistribution(mu=nm.Tensor(np.full((1, 4), mu)), log_var=lv)
 
+    def _loss(self, pred, layer_rows, dist):
+        """``denoising_loss`` of one-row blocks, ``layer_rows[l]`` layer l's, each row
+        scored by ``block_terms`` against :attr:`GT`."""
+        flat = [block for blocks in layer_rows for block in blocks]
+        terms, scored = block_terms(pred, flat, [range(1)] * len(flat),
+                                    TargetArrays.of([self.GT] * len(flat)))
+        scored = iter(scored)
+        return denoising_loss(terms, [[next(scored) for _ in blocks] for blocks in layer_rows],
+                              dist)
+
     def test_perfect_reconstruction_and_standard_latent_is_zero(self):
-        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], TargetArrays.of([self.GT]),
-                             self._dist(0.0, 0.0))
+        out = self._loss(_perfect_rows(self.GT), [[range(1)]], self._dist(0.0, 0.0))
         assert out.kl.item() == 0.0
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_no_log_variance_skips_kl(self):
-        out = denoising_loss(_perfect_rows(self.GT), [[range(1)]], TargetArrays.of([self.GT]),
-                             self._dist(3.0, None))
+        out = self._loss(_perfect_rows(self.GT), [[range(1)]], self._dist(3.0, None))
         assert out.kl.item() == 0.0
         assert out.total.item() == out.reconstruction.item()
 
@@ -164,7 +172,7 @@ class TestDenoisingLoss:
         mu, log_var = 0.4, -0.6
         dist = LatentDistribution(mu=nm.Tensor(np.full((1, 3), mu)),
                                   log_var=nm.Tensor(np.full((1, 3), log_var)))
-        out = denoising_loss(pred, [[range(1)]], TargetArrays.of([gt]), dist)
+        out = self._loss(pred, [[range(1)]], dist)
 
         from oracles import box2d_corners, giou2d
         p = 1.0 / (1.0 + np.exp(-logits))
@@ -186,20 +194,15 @@ class TestDenoisingLoss:
         assert out.total.item() == pytest.approx(expected, abs=1e-10)
         assert out.kl.item() == pytest.approx(kl, abs=1e-12)
 
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="targets"):
-            denoising_loss(_perfect_rows(self.GT), [[range(1)]],
-                           TargetArrays.of([self.GT, self.GT]), self._dist())
-
     def test_layer_and_block_normalization(self):
         """Two layers sum; two blocks in a layer average."""
         pred = _perfect_rows(self.GT, rows=2)
         pred.data[:, CENTER] += 0.03  # the same nonzero loss in both rows
-        targets, dist = TargetArrays.of([self.GT]), self._dist(log_var=None)
-        one = denoising_loss(pred, [[range(1)]], targets, dist)
+        dist = self._dist(log_var=None)
+        one = self._loss(pred, [[range(1)]], dist)
         assert one.total.item() > 0.1
-        two_blocks = denoising_loss(pred, [[range(1), range(1, 2)]], targets, dist)
-        two_layers = denoising_loss(pred, [[range(1)], [range(1, 2)]], targets, dist)
+        two_blocks = self._loss(pred, [[range(1), range(1, 2)]], dist)
+        two_layers = self._loss(pred, [[range(1)], [range(1, 2)]], dist)
         assert two_blocks.total.item() == pytest.approx(one.total.item(), abs=1e-12)
         assert two_layers.total.item() == pytest.approx(2 * one.total.item(), abs=1e-12)
 
