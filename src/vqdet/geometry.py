@@ -98,8 +98,10 @@ class OrientedBox3D:
 def check_setting(name: str, value, lo: float, hi: float = math.inf, *,
                   integer: bool = False, closed: bool = False) -> None:
     """Raise ValueError, starting with ``name``, unless ``value`` is an integer if ``integer``,
-    else a real number, is not a bool, and lies in [lo, hi), or in [lo, hi] if ``closed``."""
+    else a real number, is not a bool, and lies in [lo, hi), or in [lo, hi] if ``closed`` or
+    ``integer``."""
     kind = (int, np.integer) if integer else numbers.Real
+    closed = closed or integer
     if (isinstance(value, bool) or not isinstance(value, kind)
             or not (lo <= value <= hi if closed else lo <= value < hi)):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a real number'} in "

@@ -127,24 +127,24 @@ def _check_decode_heads(rng) -> float:
 
 
 def _check_component_loss(rng) -> float:
-    """Two blocks of a 7-row stack in one row kernel, one with two positive rows and
-    one without any, their block sums weighed at random."""
+    """Three blocks of a 7-row stack in one row kernel, a run of two with one positive
+    row each and one without any, their block sums weighed at random."""
     from .losses import TargetArrays, block_terms, component_loss, corner_boxes
 
     centers, lrtb = rng.uniform(0.3, 0.7, (7, 2)), rng.uniform(0.1, 0.3, (7, 4))
     pred = np.concatenate([rng.normal(size=(7, 2)) * 2.0, centers, lrtb, rng.normal(size=(7, 3)),
                            rng.normal(size=(7, 2)), rng.normal(size=(7, 1))], axis=1)
-    positives = [3, 1]
+    positives = [2, 3]
     table = np.concatenate(
         [pred[positives, 2:] + _away_from(rng.normal(size=(2, 12)), [0.0]),
          corner_boxes(centers, lrtb)[positives] + rng.uniform(0.01, 0.15, (2, 4))],
         axis=1)  # no min/max ties
     targets = TargetArrays(rng.integers(2, size=2), table)
-    weights = rng.normal(size=2)
+    weights = rng.normal(size=3)
 
     def build(ts):
-        # positions 2 and 0 of rows 1 to 4 are the positive rows 3 and 1
-        terms, blocks = block_terms(ts[0], [range(1, 5), [6, 5, 0]], [[2, 0], []], targets)
+        # position 1 of rows 1 and 2 and of rows 4 and 3: the positive rows 2 and 3
+        terms, blocks = block_terms(ts[0], [[1, 2], [4, 3], [6, 5, 0]], [[1], [1], []], targets)
         return nm.weighted_sum([component_loss(terms, b) for b in blocks], weights)
 
     return check_scalar_fn(build, [pred])

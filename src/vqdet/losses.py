@@ -30,20 +30,22 @@ target) pair, so the matcher and the loss score the same GIoU.
 
 The objective is two ops with closed-form gradients. The row kernel
 :func:`block_terms` scores every block of a training step at once, the
-detection and the noisy blocks alike, as one tape node: the focal entries
-of the blocks' rows and the L1 and GIoU entries of their positive rows,
-packed so that each block's entries form one slice. Its VJP runs each
-term's expression once over every entry and hands back one
-``numerics.RowGrad`` of the blocks' rows. Then :func:`component_loss`, one
-node per block, sums that block's slice with its normaliser and the
-``W_*`` weights. An entry goes through the float operations it would
-alone, and a sum reads its entries in the order of a block scored alone,
-so a block's loss and gradient are bitwise the same whichever blocks share
-its kernel call. Callers add block losses with one ``weighted_sum``.
+detection and the noisy blocks alike, as one tape node: it computes the
+focal entries of the blocks' rows and the L1 and GIoU entries of their
+positive rows, and returns one row per block of its seven term sums. Its
+VJP spreads each sum's gradient over its entries, runs each term's
+expression once over every entry and hands back one ``numerics.RowGrad``
+of the blocks' rows. Then :func:`component_loss`, one node per block,
+weighs its row with the normaliser and the ``W_*`` weights. An entry goes
+through the float operations it would alone, and a sum reads its entries
+in the order of a block scored alone, so a block's loss and gradient are
+bitwise the same whichever blocks share its kernel call. Callers add
+block losses with one ``weighted_sum``.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -101,8 +103,10 @@ def decode_heads(raw: Tensor, ref: Tensor) -> Tensor:
 
 
 def class_probs(pred: np.ndarray) -> np.ndarray:
-    """Detached per-class sigmoid probabilities of prediction rows, for matching and inference."""
-    return 1.0 / (1.0 + np.exp(-pred[:, LOGITS]))
+    """Detached per-class sigmoid probabilities of prediction rows, for matching and inference;
+    exp overflows for logits below about -709, giving the correct 0.0 unreported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-pred[:, LOGITS]))
 
 
 class TargetArrays:
@@ -229,48 +233,44 @@ def _indices(rows: Sequence[int]) -> np.ndarray:
     return np.asarray(rows, dtype=np.intp)
 
 
-# The entries a block's positive row adds to each term after the focal one:
-# center, lrtb, GIoU, size3d, angle, depth.
-BOX_TERM_ENTRIES = (2, 4, 1, 3, 2, 1)
-# The seven terms' weights, the focal and GIoU ones negated: a term's entries
-# add to the loss as their sum times weight over the normaliser.
+# The seven terms' weights, the focal and GIoU ones negated: a term's sum adds
+# to the loss as the sum times weight over the normaliser.
 TERM_WEIGHTS = np.array([-W_CLS, W_CENTER, W_LRTB, -W_GIOU, W_SIZE, W_ANGLE, W_DEPTH])
 
 
 class Block(NamedTuple):
-    """One block's entries of a :func:`block_terms` result.
-
-    ``bounds`` holds the 8 offsets of its seven term slices, one after the
-    other, and ``positives`` its positive count.
-    """
-    bounds: tuple[int, ...]
+    """A block's row of :func:`block_terms` sums, and its positive count."""
+    row: int
     positives: int
 
 
 def block_terms(pred: Tensor, blocks: Sequence[Sequence[int]],
                 positives: Sequence[Sequence[int]], targets: TargetArrays
                 ) -> tuple[Tensor, list[Block]]:
-    """The loss entries of several blocks of prediction rows of ``pred``, as one node.
+    """The term sums of several blocks of prediction rows of ``pred``, as one node.
 
     ``blocks[b]`` lists block b's rows of ``pred``, unique over all blocks,
     and ``positives[b]`` unique positions in it: the rows supervised toward
     the next targets of ``targets``, which holds every block's targets in
-    block order. The op reads those rows once, and returns a 1-D tensor of
-    entries with one :class:`Block` per block. A block's entries form one
-    slice, its seven terms in the order of their weights:
+    block order. The op reads those rows once, and returns a (blocks, 7)
+    tensor with one :class:`Block` per block. Row b holds block b's sums of
+    the entries of its seven terms, in the order of their weights:
 
     - the sigmoid focal entries (``FOCAL_ALPHA``, ``FOCAL_GAMMA``) of the
-      block's logits against the one-hot target classes, row-major, every
-      other row background;
-    - |pred - target| of the positive centers, then of their lrtb, row-major;
+      block's logits against the one-hot target classes, every other row
+      background;
+    - |pred - target| of the positive centers, then of their lrtb;
     - the GIoU of the positive rows' corner boxes against the targets';
     - |pred - target| of the positive size3d, angle and depth.
 
-    The VJP takes one gradient per entry and runs the focal, L1 and GIoU
-    expressions once over every entry; it hands back one ``RowGrad`` of the
-    blocks' rows: the focal gradient in the logit columns, the box terms' in
-    the positive rows' box columns. The targets receive no gradient, and the
-    L1 gradient at pred == target is 0.
+    A block's entries of a term are consecutive rows of the term's array, so
+    a run of blocks with equal row and positive counts sums as the rows of
+    one matrix, each row alone: the sums are bitwise those of a block scored
+    alone. The VJP spreads each sum's gradient over its entries, runs the
+    focal, L1 and GIoU expressions once over every entry, and hands back one
+    ``RowGrad`` of the blocks' rows: the focal gradient in the logit
+    columns, the box terms' in the positive rows' box columns. The targets
+    receive no gradient, and the L1 gradient at pred == target is 0.
     """
     x = pred.data
     if x.ndim != 2 or x.shape[1] <= BOX_COLUMNS:
@@ -301,42 +301,39 @@ def block_terms(pred: Tensor, blocks: Sequence[Sequence[int]],
     diff = box - targets.boxes
     giou, giou_vjp = giou_pairs(box[:, CENTER], box[:, LRTB], targets.corners)
     l1 = [np.abs(diff[:, cols]) for cols in BOX_SLICES]
-    terms = [focal, l1[0], l1[1], giou, l1[2], l1[3], l1[4]]
+    terms = [focal, l1[0], l1[1], giou[:, None], l1[2], l1[3], l1[4]]
 
-    # entries of (block, term) pairs: term-major as computed, block-major as returned
-    sz = np.outer(counts, (0, *BOX_TERM_ENTRIES))
-    sz[:, 0] = sizes * onehot.shape[1]
-    ends = np.cumsum(sz.ravel()).reshape(sz.shape)
-    term_ends = np.cumsum(sz, axis=0) + (np.cumsum(sz.sum(axis=0)) - sz.sum(axis=0))
-    order = np.repeat((term_ends - ends).ravel(), sz.ravel()) + np.arange(sz.sum())
-    entries = np.concatenate([t.ravel() for t in terms])[order]
-    bounds = np.concatenate([ends[:, :1] - sz[:, :1], ends], axis=1)
+    sums = np.empty((len(blocks), len(terms)))
+    b, first = 0, [0] * len(terms)  # the next block, and each term's next row
+    for (size, count), run in groupby(zip(sizes.tolist(), counts.tolist())):
+        n = len(list(run))
+        for t, term in enumerate(terms):
+            stop = first[t] + n * (size if t == 0 else count)
+            sums[b:b + n, t] = term[first[t]:stop].reshape(n, -1).sum(axis=1)
+            first[t] = stop
+        b += n
 
     def vjp(g):
-        g_terms = np.empty_like(g)
-        g_terms[order] = g
-        g_focal, g_center, g_lrtb, g_giou, g_size, g_angle, g_depth = np.split(
-            g_terms, np.cumsum([t.size for t in terms[:-1]]))
         picked_g = np.zeros_like(picked)
-        picked_g[:, LOGITS] = focal_vjp(g_focal.reshape(focal.shape))
-        g_l1 = (g_center, g_lrtb, g_size, g_angle, g_depth)
-        g_box = np.concatenate([gt.reshape(t.shape) for gt, t in zip(g_l1, l1)], axis=1)
-        g_box *= np.sign(diff)
-        for cols, g_giou_box in zip((CENTER, LRTB), giou_vjp(g_giou)):
+        picked_g[:, LOGITS] = focal_vjp(np.repeat(g[:, 0], sizes)[:, None])
+        g_pos = np.repeat(g, counts, axis=0)  # each positive row's block gradients
+        # the five L1 terms' gradients over their box columns
+        g_box = np.repeat(g_pos[:, [1, 2, 4, 5, 6]], BOX_WIDTHS, axis=1) * np.sign(diff)
+        for cols, g_giou_box in zip((CENTER, LRTB), giou_vjp(g_pos[:, 3])):
             g_box[:, cols] += g_giou_box
         picked_g[at, -BOX_COLUMNS:] = g_box
         return (RowGrad(rows, picked_g),)
 
-    return (_node(entries, (pred,), vjp),
-            [Block(tuple(b), c) for b, c in zip(bounds.tolist(), counts.tolist())])
+    return (_node(sums, (pred,), vjp),
+            [Block(row, c) for row, c in enumerate(counts.tolist())])
 
 
 def component_loss(terms: Tensor, block: Block) -> Tensor:
-    """Set-prediction loss of one block, as one node reading its slice of ``terms``.
+    """Set-prediction loss of one block, as one node reading its row of ``terms``.
 
     ``terms`` and ``block`` come from :func:`block_terms`. The value adds the
-    seven terms, each its entries' sum divided by the normaliser
-    max(1, positives), with the ``W_*`` weights in this order:
+    seven term sums, each divided by the normaliser max(1, positives), with
+    the ``W_*`` weights in this order:
 
     - minus the focal sum (the focal loss);
     - the L1 sums of the positive centers and lrtb;
@@ -346,17 +343,14 @@ def component_loss(terms: Tensor, block: Block) -> Tensor:
     - the L1 sums of the positive size3d, angle and depth.
 
     Without positives every box term sums to 0 and only the focal term
-    counts. The VJP hands back one ``RowGrad`` of the block's slice: every
-    entry of a term gets the gradient times the term's weight over the
-    normaliser. Each sum reads its entries in the order the term's own
-    array held them, so value and gradient are bitwise those of the term
-    written as its own node.
+    counts. The VJP hands back one ``RowGrad`` of the block's row: each
+    term's sum gets the gradient times the term's weight over the
+    normaliser.
     """
-    x, bounds = terms.data, block.bounds
-    if x.ndim != 1 or bounds[-1] > x.shape[0]:
-        raise ShapeError(f"component_loss: block {bounds} of entries {x.shape}")
-    focal, center, lrtb, giou, size, angle, depth = (
-        np.add.reduce(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    x, row = terms.data, block.row
+    if x.shape[1:] != TERM_WEIGHTS.shape or not 0 <= row < x.shape[0]:
+        raise ShapeError(f"component_loss: row {row} of term sums {x.shape}")
+    focal, center, lrtb, giou, size, angle, depth = x[row].tolist()
     normalizer = float(max(1, block.positives))
     cls_scale, l1_scale = -1.0 / normalizer, 1.0 / normalizer
     # the terms in weight order, added left to right
@@ -366,8 +360,6 @@ def component_loss(terms: Tensor, block: Block) -> Tensor:
 
     def vjp(g):
         # (g * -w) * (1 / n) is (g * w) * (-1 / n) bit for bit: only signs move
-        scalars = float(g) * TERM_WEIGHTS * l1_scale
-        lengths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        return (RowGrad(slice(bounds[0], bounds[-1]), np.repeat(scalars, lengths)),)
+        return (RowGrad(row, float(g) * TERM_WEIGHTS * l1_scale),)
 
     return _node(np.asarray(out), (terms,), vjp)

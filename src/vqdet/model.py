@@ -26,10 +26,10 @@ The training loss first makes every detached decision of the step
 (:func:`step_decisions`: one matching cost for every layer and group, their
 Hungarian assignments, and the distillation rows, IoU weights and teacher
 values), then scores the prediction tensor under those decisions: one row
-kernel, :func:`losses.block_terms`, scores the detection and the noisy
-blocks, and one ``component_loss`` node per block sums its entries, which
-the detection term and :func:`vqd.denoising_loss` add. Distillation reads
-the stack of decoder rows. A replayed step passes earlier decisions and
+kernel, :func:`losses.block_terms`, sums the seven terms of each detection
+and noisy block, and one ``component_loss`` node per block weighs its sums,
+which the detection term and :func:`vqd.denoising_loss` add. Distillation
+reads the stack of decoder rows. A replayed step passes earlier decisions and
 shares the scoring, so it is the function the tape differentiates.
 """
 
@@ -54,7 +54,7 @@ from .losses import (ANGLE, BOX_WIDTHS, CENTER, DEPTH, LRTB, SIZE3D, TargetArray
                      class_probs, component_loss, corner_boxes, decode_heads)
 from .matching import Assignment, hungarian, matching_cost
 from .numerics import ParameterStore, Tensor
-from .scenes import Detection, Scene, grid_channels
+from .scenes import MAX_COUNT, MAX_FEATURE_SIZE, Detection, Scene, grid_channels
 from .vqd import (
     DenoisingConfig,
     DenoisingLoss,
@@ -82,7 +82,8 @@ class DetectorConfig:
         for f in fields(self):  # the counts; only noisy_groups may be 0
             if f.type == "int":
                 lo = 0 if f.name == "noisy_groups" else 1
-                check_setting(f.name, getattr(self, f.name), lo, integer=True)
+                hi = MAX_FEATURE_SIZE if f.name == "feature_size" else MAX_COUNT
+                check_setting(f.name, getattr(self, f.name), lo, hi, integer=True)
         check_setting("lambda_distill", self.lambda_distill, 0)
         check_setting("confidence_threshold", self.confidence_threshold, 0, 1, closed=True)
         if self.width % self.heads != 0:

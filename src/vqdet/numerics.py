@@ -155,8 +155,8 @@ def no_grad() -> Iterator[None]:
 
 
 class RowGrad(NamedTuple):
-    """A gradient that is ``values`` at the unique ``rows`` (slice or index array), else 0."""
-    rows: slice | np.ndarray
+    """A gradient that is ``values`` at the unique ``rows`` (int, slice or index array), else 0."""
+    rows: int | slice | np.ndarray
     values: np.ndarray
 
 

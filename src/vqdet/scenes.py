@@ -46,6 +46,12 @@ DIM_JITTER = 0.15  # each dimension is scaled by U(1 - DIM_JITTER, 1 + DIM_JITTE
 GRID_NOISE = 0.05  # standard deviation of the Gaussian noise added to every grid entry
 
 
+# The largest count of a config, and its largest grid side: at a width of 4,096
+# a feed-forward weight takes 256 MiB, and a 64 x 64 grid makes an encoder
+# attention map of 128 MiB a head.
+MAX_COUNT, MAX_FEATURE_SIZE = 4096, 64
+
+
 def grid_channels(num_classes: int) -> int:
     """Per-class amplitude, inverse depth, sin yaw and cos yaw."""
     return num_classes + 3
@@ -60,10 +66,9 @@ class SceneConfig:
     max_objects: int = 4
 
     def __post_init__(self):
-        check_setting("feature_size", self.feature_size, 1, integer=True)
-        check_setting("num_classes", self.num_classes, 1, integer=True)
-        check_setting("max_objects", self.max_objects, 1, self.feature_size ** 2, integer=True,
-                      closed=True)
+        check_setting("feature_size", self.feature_size, 1, MAX_FEATURE_SIZE, integer=True)
+        check_setting("num_classes", self.num_classes, 1, MAX_COUNT, integer=True)
+        check_setting("max_objects", self.max_objects, 1, self.feature_size ** 2, integer=True)
 
 
 @dataclass
@@ -130,8 +135,7 @@ def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: str,
     K ~ U{1..max} draw and is checked before any draw."""
     if num_objects is None:
         num_objects = int(rng.integers(1, cfg.max_objects + 1))
-    check_setting("num_objects", num_objects, 0, cfg.feature_size ** 2, integer=True,
-                  closed=True)
+    check_setting("num_objects", num_objects, 0, cfg.feature_size ** 2, integer=True)
     objects = [_sample_object(rng, cfg) for _ in range(num_objects)]
     f = cfg.feature_size
     grid = np.zeros((f, f, grid_channels(cfg.num_classes)))

@@ -8,13 +8,13 @@ through the noise sample. Only :meth:`VariationalQueryGenerator.encode`
 reads the denoising mode. In deterministic mode, the DN-DETR baseline the
 variational scheme is compared against, it gives latents without a
 log-variance, so sampling returns mu and the loss drops the KL term.
-The denoising loss sums the noisy blocks' losses that the training loss's
-one row kernel, ``losses.block_terms``, scored with the detection blocks:
-one ``component_loss`` per block, each one tape node, sums that block's
-entries. One ``weighted_sum`` adds each layer's blocks, one more takes the
-layers' block means, and with a log-variance a last one adds the KL term
-with weight :data:`BETA`, so the sums record L + 2 tape nodes (L + 1
-without KL).
+The denoising loss sums the noisy blocks' losses from the term sums that
+the training loss's one row kernel, ``losses.block_terms``, formed with the
+detection blocks': one ``component_loss`` per block, each one tape node,
+weighs that block's row of sums. One ``weighted_sum`` adds each layer's
+blocks, one more takes the layers' block means, and with a log-variance a
+last one adds the KL term with weight :data:`BETA`, so the sums record
+L + 2 tape nodes (L + 1 without KL).
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def denoising_loss(terms: Tensor, layer_blocks: Sequence[Sequence[Block]],
                    dist: LatentDistribution) -> DenoisingLoss:
     """Reconstruction loss over the noisy blocks plus :data:`BETA` times the KL term.
 
-    ``terms`` holds the loss entries of ``losses.block_terms``, and
+    ``terms`` holds the term sums of ``losses.block_terms``, and
     ``layer_blocks[l]`` lists layer l's noisy blocks among its blocks.
     Reconstruction averages over the blocks of a layer and sums over layers,
     mirroring deep supervision. The KL term is computed once from ``dist``,

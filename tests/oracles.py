@@ -623,9 +623,9 @@ def site_local_denoising_loss(pred: Tensor, layer_blocks: Sequence[Sequence[Sequ
 
     ``layer_blocks[l]`` lists layer l's noisy blocks, each block its rows of
     ``pred``; row i of a block reconstructs target i of ``targets``, and a
-    block of another length raises ValueError. One
-    ``block_terms`` call scores every block, one ``component_loss`` per block
-    sums it, and reconstruction averages a layer's blocks and sums the layers.
+    block of another length raises ValueError. One ``block_terms`` call sums
+    every block's terms, one ``component_loss`` per block weighs its row, and
+    reconstruction averages a layer's blocks and sums the layers.
     """
     zero = nm.Tensor(0.0)
     layers = [blocks for blocks in layer_blocks if blocks]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -21,7 +22,7 @@ from vqdet.geometry import (
 )
 from vqdet.losses import TargetArrays
 from vqdet.model import DetectorConfig
-from vqdet.scenes import SceneConfig
+from vqdet.scenes import MAX_COUNT, MAX_FEATURE_SIZE, SceneConfig
 from oracles import box2d_corners, giou2d, monte_carlo_iou3d, raster_giou2d
 
 
@@ -229,6 +230,32 @@ def test_every_setting_is_checked_naming_its_field(config, field):
     for kind in ((np.int64, np.int32) if integer else (np.float64, np.float32)):
         assert getattr(config(**{field.name: kind(field.default)}), field.name) == kind(
             field.default)
+
+
+COUNTS = [(config, f) for config, f in SETTINGS if config is not NoiseConfig
+          and isinstance(f.default, int)]
+
+
+@pytest.mark.parametrize("config,field", COUNTS,
+                         ids=[f"{config.__name__}.{f.name}" for config, f in COUNTS])
+def test_oversized_count_rejected_before_any_allocation(config, field):
+    """Each count accepts its largest value and rejects the next one and 4 * 10**30,
+    with an error that starts with its name, allocating less than 64 KiB."""
+    hi = {"feature_size": MAX_FEATURE_SIZE,
+          "max_objects": SceneConfig().feature_size ** 2}.get(field.name, MAX_COUNT)
+    # heads must divide the width
+    wider = {"width": hi} if config is DetectorConfig and field.name == "heads" else {}
+    assert getattr(config(**{field.name: hi}, **wider), field.name) == hi
+    for value in (hi + 1, 4 * 10**30):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^{field.name} must be an integer in "
+                                                 rf"\[\d, {hi}\], got {value}$"):
+                config(**{field.name: value})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def test_closed_bounds_accepted():

@@ -5,12 +5,14 @@ elementwise ops, and the row kernel ``block_terms`` with its block sums
 them before and against the one-node block loss it replaced, bit for bit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from vqdet import model
 from vqdet import numerics as nm
-from vqdet.geometry import GroundTruthObject
+from vqdet.geometry import GroundTruthObject, NoiseConfig
 from vqdet.gradcheck import OP_TOLERANCE, check_scalar_fn
 from vqdet.losses import (
     FOCAL_ALPHA,
@@ -23,13 +25,22 @@ from vqdet.losses import (
     W_LRTB,
     W_SIZE,
     BOX_SLICES,
+    CENTER,
+    LOGITS,
+    LRTB,
     Block,
     TargetArrays,
     block_terms,
+    class_probs,
     component_loss,
     corner_boxes,
     decode_heads,
+    _focal_terms,
+    giou_pairs,
 )
+from vqdet.model import Detector, DetectorConfig, training_loss
+from vqdet.scenes import SceneConfig, generate_scene
+from vqdet.vqd import DenoisingConfig
 from oracles import (
     box2d_corners,
     composite_corner_boxes,
@@ -110,6 +121,23 @@ def _op_corners(centers, lrtb):
 
 def _random_centers_lrtb(rng, m):
     return rng.uniform(0.2, 0.8, size=(m, 2)), rng.uniform(0.05, 0.3, size=(m, 4))
+
+
+class TestClassProbs:
+    def test_saturated_logits_raise_no_warning(self):
+        """Logits of -800 and 800 give exactly 0.0 and 1.0, and NaN stays NaN, with
+        warnings as errors; the overflow of exp(800) is not reported."""
+        pred = np.concatenate([[[-800.0, 800.0, math.nan]], np.zeros((1, 12))], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = class_probs(pred)
+        assert probs[0, :2].tolist() == [0.0, 1.0] and math.isnan(probs[0, 2])
+
+    def test_finite_logits_give_the_plain_formula(self):
+        z = np.random.default_rng(5).uniform(-700.0, 700.0, size=(64, 3))
+        z[0], z[1] = [-700.0, 700.0, 0.0], [-1e-300, 1e-300, -0.0]
+        pred = np.concatenate([z, np.ones((64, 12))], axis=1)
+        assert class_probs(pred).tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
 
 
 class TestGIoUPairs:
@@ -473,6 +501,33 @@ def _assert_bitwise(arrays, args, upstream):
     assert got == _taped(build(_one_node), arrays, upstream)
 
 
+def _entries_alone(pred, block, positives, targets):
+    """One block's entries of the seven terms, computed from its rows alone."""
+    rows = pred[list(block)]
+    onehot = np.zeros((len(rows), rows.shape[1] - sum(BOX_WIDTHS)))
+    onehot[list(positives), targets.classes] = 1.0
+    focal, _ = _focal_terms(rows[:, LOGITS], onehot)
+    box = rows[list(positives), -sum(BOX_WIDTHS):]
+    diff = box - targets.boxes
+    giou, _ = giou_pairs(box[:, CENTER], box[:, LRTB], targets.corners)
+    l1 = [np.abs(diff[:, cols]) for cols in BOX_SLICES]
+    return [focal, l1[0], l1[1], giou, l1[2], l1[3], l1[4]]
+
+
+def _assert_rows_sum_blocks_alone(pred, blocks, positives, targets):
+    """One ``block_terms`` call over ``blocks``, the targets of block b being
+    ``targets[b]``: row b is ``np.add.reduce`` of each term's entries of block
+    b scored alone, bit for bit."""
+    taken = TargetArrays(np.concatenate([t.classes for t in targets]),
+                         np.concatenate([t.table for t in targets]))
+    terms, scored = block_terms(nm.Tensor(pred), blocks, positives, taken)
+    assert terms.data.shape == (len(blocks), 7)
+    assert scored == [Block(b, len(at)) for b, at in enumerate(positives)]
+    for row, args in zip(terms.data, zip(blocks, positives, targets)):
+        alone = [np.add.reduce(e.ravel()) for e in _entries_alone(pred, *args)]
+        assert row.tobytes() == np.array(alone).tobytes()
+
+
 class TestBlockLossBitwise:
     """The kernel and its block sum equal the 14-node composition and the one-node
     block loss they replaced, bit for bit."""
@@ -562,30 +617,54 @@ class TestBlockLossBitwise:
         assert got == _taped(summed(_reference), arrays, 0.7)
         assert got == _taped(summed(_one_node), arrays, 0.7)
 
-    def test_blocks_own_one_slice_each(self):
-        """Block b's seven terms lie end to end, after block b - 1's, and hold the
-        focal entries of its rows and the box entries of its positives."""
+    @pytest.mark.parametrize("layout", [
+        # a run of three equal blocks
+        [(range(0, 3), [0, 2]), (range(3, 6), [1, 2]), ([8, 7, 6], [2, 0])],
+        # a run broken by one odd block, then taken up again
+        [(range(0, 4), [1]), (range(4, 8), [3]), ([9, 8], [0, 1]), (range(10, 14), [0]),
+         (range(14, 18), [2])],
+        # blocks without positives, alone and in a run
+        [(range(0, 5), [4, 1]), ([6, 5], []), (range(7, 9), []), (range(9, 12), [])],
+    ])
+    def test_rows_sum_their_blocks_alone(self, layout):
+        """Row b of the kernel's output holds block b's seven sums, each the
+        ``np.add.reduce`` of that block's entries scored alone, bit for bit."""
         rng = np.random.default_rng(35)
-        arrays, _ = _block_args(rng, 8, range(8), [])
-        targets = _block_args(rng, 8, [0, 1, 2], [0, 1, 2])[1][2]
-        pred = nm.Tensor(np.concatenate(arrays, axis=1))
-        terms, blocks = block_terms(pred, [range(5, 8), [0], range(1, 3)], [[2, 0], [], [1]],
-                                    targets)
-        assert blocks[0].bounds[0] == 0 and blocks[-1].bounds[-1] == terms.data.size
-        for block, after in zip(blocks, blocks[1:]):
-            assert block.bounds[-1] == after.bounds[0]
-        widths = [3, 2, 4, 1, 3, 2, 1]
-        for block, rows, positives in zip(blocks, (3, 1, 2), (2, 0, 1)):
-            assert block.positives == positives
-            assert np.diff(block.bounds).tolist() == [rows * widths[0]] + [
-                positives * w for w in widths[1:]]
+        arrays, _ = _block_args(rng, 18, range(18), [])
+        cases = [_block_args(rng, 18, block, pos)[1] for block, pos in layout]
+        pred = np.concatenate(arrays, axis=1)
+        _assert_rows_sum_blocks_alone(pred, *zip(*cases))
 
-    def test_component_loss_reads_only_its_slice(self):
-        terms = nm.Tensor(np.arange(10.0), requires_grad=True)
+    @pytest.mark.parametrize("num_objects", [0, 1, 4, 12])
+    def test_default_step_rows_sum_their_blocks_alone(self, num_objects, monkeypatch):
+        """The same for the one kernel call of a default training step: its 8
+        detection blocks, then its 24 noisy blocks when the scene has objects."""
+        calls = []
+
+        def recorded(pred, blocks, positives, targets):
+            calls.append((pred.data, blocks, positives, targets))
+            return block_terms(pred, blocks, positives, targets)
+
+        monkeypatch.setattr(model, "block_terms", recorded)
+        det = Detector(DetectorConfig(), seed=71)
+        scene = generate_scene(np.random.default_rng(72), SceneConfig(), "s72", 72,
+                               num_objects=num_objects)
+        noisy = det.draw_noisy_queries(scene, NoiseConfig(), np.random.default_rng(73))
+        training_loss(det, scene, noisy, DenoisingConfig())
+        (pred, blocks, positives, targets), = calls
+        assert len(blocks) == (32 if num_objects else 8)
+        ends = np.cumsum([len(at) for at in positives])
+        per_block = [targets.take(range(end - len(at), end)) for at, end in zip(positives, ends)]
+        _assert_rows_sum_blocks_alone(pred, blocks, positives, per_block)
+
+    def test_component_loss_reads_only_its_row(self):
+        terms = nm.Tensor(np.arange(14.0).reshape(2, 7), requires_grad=True)
         with pytest.raises(nm.ShapeError, match="component_loss"):
-            component_loss(terms, Block((4, 5, 6, 7, 8, 9, 10, 11), 1))
+            component_loss(terms, Block(2, 1))
         with pytest.raises(nm.ShapeError, match="component_loss"):
-            component_loss(nm.Tensor(np.zeros((2, 5))), Block((0,) * 8, 0))
+            component_loss(terms, Block(-1, 1))
+        with pytest.raises(nm.ShapeError, match="component_loss"):
+            component_loss(nm.Tensor(np.zeros((2, 5))), Block(0, 0))
 
     def test_rows_checked(self):
         arrays, (block, _, targets) = _block_args(np.random.default_rng(33), 6, range(6), [1, 2])

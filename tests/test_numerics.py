@@ -539,20 +539,20 @@ def test_component_loss_hands_back_no_array_of_the_stacked_size():
     pred = nm.Tensor(np.concatenate(stacked, axis=1), requires_grad=True)
     regression = [a[[9, 11]] + 0.01 for a in stacked[1:]]
     table = np.concatenate([*regression, corner_boxes(regression[0], regression[1])], axis=1)
-    # rows 9 and 11 of the stack are positions 1 and 3 of the block
-    terms, (block,) = block_terms(pred, [range(8, 12)], [[1, 3]],
-                                  TargetArrays(np.array([0, 2]), table))
+    # rows 9 and 11 of the stack are positions 1 and 3 of the second block
+    terms, (_, block) = block_terms(pred, [range(8), range(8, 12)], [[], [1, 3]],
+                                    TargetArrays(np.array([0, 2]), table))
     loss = component_loss(terms, block)
     (sum_grad,) = loss._vjp(np.asarray(1.0))
-    lo, hi = block.bounds[0], block.bounds[-1]
-    assert type(sum_grad) is nm.RowGrad and sum_grad.rows == slice(lo, hi)
-    assert sum_grad.values.shape == (hi - lo,) == (4 * 3 + 2 * 13,)
+    assert terms.data.shape == (2, 7)
+    assert type(sum_grad) is nm.RowGrad and sum_grad.rows == block.row == 1
+    assert sum_grad.values.shape == (7,)
     g_terms = np.zeros(terms.data.shape)
     g_terms[sum_grad.rows] = sum_grad.values
     (grad,) = terms._vjp(g_terms)
-    assert type(grad) is nm.RowGrad and grad.rows.tolist() == [8, 9, 10, 11]
-    assert grad.values.shape == (4, 15)
-    assert not grad.values[[0, 2], 3:].any() and grad.values[[1, 3], 3:].all()
+    assert type(grad) is nm.RowGrad and grad.rows.tolist() == list(range(12))
+    assert grad.values.shape == (12, 15) and not grad.values[:8].any()
+    assert not grad.values[[8, 10], 3:].any() and grad.values[[9, 11], 3:].all()
 
 
 @pytest.mark.parametrize("op, shapes", [(nm.concat_rows, [(2, 3), (2, 4)]),
