@@ -5,9 +5,12 @@ means/log-variances, logits, losses) lives in a :class:`Tensor`. Forward
 operations record their inputs and a vector-Jacobian closure; calling
 :func:`backward` on a scalar loss walks the recorded graph once in reverse
 topological order and accumulates gradients into the ``requires_grad``
-leaves on the path, such as parameters. A non-finite loss stops
-:func:`backward` with an error naming the first non-finite tensor, which
-:func:`first_non_finite` finds by the same walk. A VJP may
+leaves on the path, such as parameters. A graph is walked once: an op's
+closure is dropped as soon as it has run, which frees an attention call's
+exponentials mid-walk, and a later walk through that op raises
+:class:`DoubleBackwardError`; node values and parents stay. A non-finite
+loss stops :func:`backward` with an error naming the first non-finite
+tensor, which :func:`first_non_finite` finds by the same walk. A VJP may
 give a parent a :class:`RowGrad`, which :func:`backward` adds in place
 (``acc[rows] += values``, into zeros the first time): the dense sum up to
 the sign of its zeros. A leaf's gradient starts as ``g + 0.0``, so every
@@ -72,7 +75,7 @@ class DegenerateMaskError(ValueError):
 
 
 class DoubleBackwardError(RuntimeError):
-    """backward() was called twice on the same loss without a reset."""
+    """backward() reached a loss or an op it had already walked; rebuild the graph."""
 
 
 class Tensor:
@@ -605,12 +608,19 @@ def gather_rows(a: Tensor, idx: Sequence[int]) -> Tensor:
     return _node(out, (a,), vjp)
 
 
+def _consumed(g):
+    """The VJP of an op that backward has already run through."""
+    raise DoubleBackwardError("backward already ran through this node; rebuild the graph")
+
+
 def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
     """Populate gradients of everything the scalar ``loss`` depends on.
 
     If ``store`` is given, parameters that the loss does not reach receive an
-    explicit zero gradient. Calling twice on the same loss raises
-    :class:`DoubleBackwardError`; rebuild the graph (a new step) to reset.
+    explicit zero gradient. Each op's VJP is dropped once it has run, so a
+    second call on the same loss, or on any loss whose tape reaches an op
+    that a walk ran through, raises :class:`DoubleBackwardError` before it
+    writes a gradient; run the forward again to walk another loss of it.
     A non-finite loss raises FloatingPointError naming the first non-finite
     tensor on its tape, in topological order: an op by name and shape, or a
     parameter of ``store`` by its name.
@@ -626,6 +636,9 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
                                  f"{first_non_finite([loss], store)}")
 
     order = _post_order([loss])
+    if any(node._vjp is _consumed for node in order):
+        raise DoubleBackwardError("backward already ran through an op of this loss; "
+                                  "rebuild the graph")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
@@ -657,6 +670,7 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
                 grads[id(parent)] = pg if owned else np.array(pg)
             else:
                 acc += pg
+        node._vjp = _consumed  # frees what only the closure held
 
     if store is not None:
         for t in store.tensors():

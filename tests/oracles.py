@@ -20,7 +20,8 @@ library's array forms must equal them bit for bit.
 its thread runs the first heads of an attention call, whenever it starts,
 so a test knows that both threads computed some. ``LateWorker`` runs
 nothing until the caller asks for a result, and ``real_worker`` gives the
-worker thread itself.
+worker thread itself. ``recorded`` walks a tape as the benchmark's tracer
+counts it.
 
 ``one_node_block_loss`` is a block's loss as the one node the detector
 recorded per block before ``losses.block_terms`` computed every block's
@@ -752,6 +753,21 @@ class HalfHeadsWorker:
         self.calls.append(kernel.__name__)
         future = self.pool.submit(kernel, iter(list(itertools.islice(head_slices, self.take))))
         return SimpleNamespace(cancel=lambda: False, result=future.result)
+
+
+def recorded(roots, stop=()) -> list[Tensor]:
+    """Recorded tape nodes reachable from ``roots`` and not from ``stop``: the
+    tensors with parents, as ``bench/tracing.walk_tape`` counts them."""
+    def walk(start):
+        seen, todo = {}, list(start)
+        while todo:
+            t = todo.pop()
+            if t._parents and id(t) not in seen:
+                seen[id(t)] = t
+                todo.extend(t._parents)
+        return seen
+    stopped = walk(stop)
+    return [t for key, t in walk(roots).items() if key not in stopped]
 
 
 def real_worker():

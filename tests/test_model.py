@@ -39,7 +39,7 @@ from vqdet.model import (
 from vqdet.scenes import SceneConfig, generate_scene
 from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig, VariationalQueryGenerator
 
-from oracles import (HalfHeadsWorker, LateWorker, one_node_block_loss, real_worker,
+from oracles import (HalfHeadsWorker, LateWorker, one_node_block_loss, real_worker, recorded,
                      scalar_box_noise, site_local_denoising_loss)
 
 TINY = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
@@ -573,7 +573,7 @@ class TestStackedScoring:
     def test_loss_sums_equal_the_plus_chains_bitwise(self, cfg, scene_cfg, num_objects, blank):
         """Detection and reconstruction sums, against ``+`` chains of the one-node
         block loss in value and gradient; with ``blank``, a detection block has no
-        positives."""
+        positives. A graph is walked once, so every backward gets its own forward."""
         det = Detector(cfg, seed=49)
         scene = _scene(50, num_objects=num_objects, cfg=scene_cfg)
         noisy = _noisy(det, scene)
@@ -581,24 +581,32 @@ class TestStackedScoring:
         if blank:
             first, *rest = decisions.assignments
             decisions = replace(decisions, assignments=[[Assignment([], 0.0), *first[1:]], *rest])
-        out = training_loss(det, scene, noisy, DenoisingConfig(), replay=decisions)
         n, gts, k = cfg.queries_per_group, scene.objects, len(scene.objects)
-        stack, pred, s = _stacked_rows(det, scene, noisy)
-        detection = nm.Tensor(0.0)
-        for b, assign in enumerate(a for layer in out.decisions.assignments for a in layer):
-            detection = detection + one_node_block_loss(
-                pred, range(b * s, b * s + n), assign.query_indices(),
-                TargetArrays.of([gts[j] for j in assign.gt_indices()]))
-        recon = nm.Tensor(0.0)
-        for layer in range(cfg.layers):
-            blocks = [range(b * s + lo, b * s + lo + k)
-                      for b in range(layer * cfg.groups, (layer + 1) * cfg.groups)
-                      for lo in range(n, s, k)]
-            terms = [one_node_block_loss(pred, block, range(k), TargetArrays.of(gts))
-                     for block in blocks]
-            recon = recon + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
-        for got, want in ((out.detection, detection),
-                          (out.denoising.reconstruction, recon)):
+
+        def detection(pred, s):
+            chain = nm.Tensor(0.0)
+            for b, assign in enumerate(a for layer in decisions.assignments for a in layer):
+                chain = chain + one_node_block_loss(
+                    pred, range(b * s, b * s + n), assign.query_indices(),
+                    TargetArrays.of([gts[j] for j in assign.gt_indices()]))
+            return chain
+
+        def reconstruction(pred, s):
+            chain = nm.Tensor(0.0)
+            for layer in range(cfg.layers):
+                blocks = [range(b * s + lo, b * s + lo + k)
+                          for b in range(layer * cfg.groups, (layer + 1) * cfg.groups)
+                          for lo in range(n, s, k)]
+                terms = [one_node_block_loss(pred, block, range(k), TargetArrays.of(gts))
+                         for block in blocks]
+                chain = chain + sum(terms[1:], terms[0]) * (1.0 / len(blocks))
+            return chain
+
+        for site, plus_chain in ((lambda out: out.detection, detection),
+                                 (lambda out: out.denoising.reconstruction, reconstruction)):
+            got = site(training_loss(det, scene, noisy, DenoisingConfig(), replay=decisions))
+            _, pred, s = _stacked_rows(det, scene, noisy)
+            want = plus_chain(pred, s)
             assert got.data.tobytes() == want.data.tobytes()
             grads = []
             for loss in (got, want):
@@ -669,20 +677,6 @@ class TestStackedScoring:
                          "hungarian": self.CFG.layers * self.CFG.groups}
 
 
-def _recorded(roots, stop=()):
-    """Recorded tape nodes reachable from ``roots`` and not from ``stop``."""
-    def walk(start):
-        seen, todo = {}, list(start)
-        while todo:
-            t = todo.pop()
-            if t._parents and id(t) not in seen:
-                seen[id(t)] = t
-                todo.extend(t._parents)
-        return seen
-    stopped = walk(stop)
-    return [t for key, t in walk(roots).items() if key not in stopped]
-
-
 class TestHeads:
     def test_one_head_layer_of_six_column_blocks(self):
         store = Detector(DetectorConfig(), seed=7).store
@@ -703,14 +697,14 @@ class TestHeads:
                                num_objects=num_objects)
         noisy = _noisy(det, scene, seed=8)
         out = training_loss(det, scene, noisy, DenoisingConfig())
-        step = _recorded([out.total])
+        step = recorded([out.total])
         assert len(step) <= 161
         (kernel,) = [t for t in step if t._vjp.__qualname__.split(".")[0] == "block_terms"]
         assert kernel.data.shape == (32, 7)
         queries, refs, allow, _ = det.build_group_inputs(noisy, VARIATIONAL)
         rows, _ = det.decoder_forward(det.encode_features(scene.grid), queries, allow)
         stack = nm.concat_rows(rows)
-        added = _recorded([det.apply_heads(stack, refs)], [stack, refs])
+        added = recorded([det.apply_heads(stack, refs)], [stack, refs])
         assert sorted(t._vjp.__qualname__.split(".")[0] for t in added) == [
             "decode_heads", "layer_norm", "linear"]
 

@@ -1,18 +1,27 @@
+import gc
 import math
 import threading
+import weakref
 import zipfile
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from vqdet import numerics as nm
+from vqdet.attention import build_denoising_mask
+from vqdet.geometry import NoiseConfig
 from vqdet.gradcheck import _away_from, check_scalar_fn, OP_TOLERANCE
 from vqdet.losses import TargetArrays, block_terms, component_loss, corner_boxes
+from vqdet.model import Detector, DetectorConfig, training_loss
+from vqdet.scenes import SceneConfig, generate_scene
+from vqdet.vqd import DenoisingConfig
 
 from oracles import (HalfHeadsWorker, LateWorker, absolute, divide, matmul, maximum, minimum,
-                     narrow_cols, narrow_rows, real_worker, softmax_rows, softplus, transpose)
+                     narrow_cols, narrow_rows, real_worker, recorded, softmax_rows, softplus,
+                     transpose)
 
 
 def test_matmul_identity():
@@ -132,6 +141,82 @@ def test_backward_twice_raises():
     nm.backward(loss)
     with pytest.raises(nm.DoubleBackwardError):
         nm.backward(loss)
+
+
+def test_a_second_walk_through_a_walked_op_raises_before_any_gradient():
+    """Two losses share an op: after the first walk, backward of the second raises,
+    and the leaf it reaches before the shared op keeps its gradient byte for byte."""
+    rng = np.random.default_rng(19)
+    x, y = (nm.Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in "xy")
+    shared = nm.sum_all(x * 3.0)
+    nm.backward(nm.weighted_sum([shared, nm.sum_all(y)], [1.0, 2.0]))
+    before = x.grad.tobytes() + y.grad.tobytes()
+    with pytest.raises(nm.DoubleBackwardError, match="rebuild the graph"):
+        nm.backward(nm.weighted_sum([nm.sum_all(y * 5.0), shared], [1.0, 1.0]))
+    assert x.grad.tobytes() + y.grad.tobytes() == before
+    with pytest.raises(nm.DoubleBackwardError):  # a walked op as the loss
+        nm.backward(shared)
+
+
+def _saved(vjp, name: str) -> np.ndarray:
+    """The array that the VJP closure ``vjp`` holds under ``name``."""
+    return vjp.__closure__[vjp.__code__.co_freevars.index(name)].cell_contents
+
+
+@contextmanager
+def _refcounting_only():
+    """No cyclic garbage collection: what dies inside dies by reference counting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("call", ["encoder, worker", "encoder, no worker", "masked decoder"])
+def test_attention_exponentials_die_with_their_vjp(call, monkeypatch):
+    """An attention call's saved exponentials are freed once its VJP has run,
+    before the walk reaches the op below it."""
+    monkeypatch.setattr(nm, "_worker", None if call == "encoder, no worker" else real_worker())
+    rows, allow = (56, build_denoising_mask(16, 4, 3)) if call == "masked decoder" else (256, None)
+    rng = np.random.default_rng(20)
+    x = nm.Tensor(rng.normal(size=(rows, 64)), requires_grad=True)
+    alive = []
+
+    def vjp(g):  # the op below the attention: is its map still alive?
+        alive.append(e() is not None)
+        return (g,)
+
+    below = nm._node(x.data.copy(), (x,), vjp)
+    out, weights = nm.multihead_attention(below, below, below, 4, allow)
+    e = weakref.ref(_saved(out._vjp, "e"))
+    if weights is not None:
+        weights()  # read the maps, as the step does, and drop the function
+        del weights
+    with _refcounting_only():
+        nm.backward(nm.sum_all(out * nm.Tensor(rng.normal(size=out.data.shape))))
+        assert alive == [False] and e() is None
+    assert np.isfinite(x.grad).all()
+
+
+def test_a_steps_attention_maps_die_in_backward_and_its_tape_stays_readable():
+    """Every attention map of the default step is freed by its backward, and the
+    tape walked afterwards still has its 161 nodes and their bytes."""
+    det = Detector(DetectorConfig(), seed=7)
+    scene = generate_scene(np.random.default_rng(7), SceneConfig(), "s7", 7, num_objects=4)
+    noisy = det.draw_noisy_queries(scene, NoiseConfig(), np.random.default_rng(8))
+    out = training_loss(det, scene, noisy, DenoisingConfig())
+    tape = [(id(t), t.data.nbytes) for t in recorded([out.total])]
+    maps = [weakref.ref(_saved(t._vjp, "e")) for t in recorded([out.total])
+            if t._vjp.__qualname__.startswith("multihead_attention.")]
+    assert len(maps) == 1 + 2 * DetectorConfig().layers  # the encoder's, then two a layer
+    with _refcounting_only():
+        nm.backward(out.total, det.store)
+        assert [m() is None for m in maps] == [True] * len(maps)
+    assert len(tape) == 161
+    assert [(id(t), t.data.nbytes) for t in recorded([out.total])] == tape
 
 
 def test_backward_names_planted_nan_parameter():

@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "vqdet"
 
 # Kept without a caller: an exact resume needs the trained weights and, unlike
-# scenes, they cannot be regenerated from a seed (ROADMAP item 4).
+# scenes, they cannot be regenerated from a seed. Their caller is the exact
+# resume of the training step (ROADMAP item 1a).
 EXEMPT = {"numerics.py: save_checkpoint", "numerics.py: load_checkpoint",
           "numerics.py: restore_into"}
 
