@@ -11,6 +11,14 @@ from dividing by noise; a NaN entry counts as an infinite error, so its
 check fails. The registry is the single source of truth for the
 operation list printed by the ``grad-check`` CLI command. The reference ops
 that only the tests compose are checked by the tests, with the same helpers.
+
+An entry of :data:`REGISTRY` maps a name to (check, tolerance, repeats),
+where a check maps a generator to its worst error. Most checks are one row
+of :func:`_projected`: the op, a ``(shape, scale)`` spec per differentiated
+input, the points it is not differentiable at, and a draw of its other
+inputs; its loss is the op's output projected onto a random P and summed.
+An entry whose inputs are structured, such as a kink placed relative to a
+target or a whole detector's parameters, is a function written by hand.
 """
 
 from __future__ import annotations
@@ -22,6 +30,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numerics as nm
+from .attention import masked_multihead_self_attention, multihead_cross_attention
+from .geometry import GroundTruthObject, NoiseConfig
+from .losses import TargetArrays, block_terms, component_loss, corner_boxes, decode_heads
+from .model import Detector, DetectorConfig, training_loss
+from .scenes import SceneConfig, generate_scene
+from .vqd import VARIATIONAL, DenoisingConfig, VariationalQueryGenerator
 
 STEP = 1e-6
 OP_TOLERANCE = 1e-5
@@ -86,51 +100,40 @@ def _away_from(x: np.ndarray, kinks: Sequence[float]) -> np.ndarray:
     return x
 
 
-def _check_linear(rng) -> float:
-    x = rng.normal(size=(3, 4))
-    w = rng.normal(size=(4, 2))
-    b = rng.normal(size=(2,))
-    proj = rng.normal(size=(3, 2))
-    return check_scalar_fn(
-        lambda ts: nm.sum_all(nm.linear(ts[0], ts[1], ts[2]) * nm.Tensor(proj)),
-        [x, w, b])
+def _projected(op: Callable[..., nm.Tensor], *specs: tuple[tuple[int, ...], float],
+               kinks: Sequence[float] = (), consts: Callable = lambda rng: ()) -> Callable:
+    """Check of ``sum(op(*leaves, *consts(rng)) * P)``.
 
-
-def _check_layer_norm(rng) -> float:
-    x = rng.normal(size=(5, 6))
-    gain = rng.normal(size=(6,)) + 1.0
-    bias = rng.normal(size=(6,))
-    proj = rng.normal(size=(5, 6))
-    return check_scalar_fn(
-        lambda ts: nm.sum_all(nm.layer_norm(ts[0], ts[1], ts[2]) * nm.Tensor(proj)),
-        [x, gain, bias])
-
-
-def _elementwise(op: Callable[[nm.Tensor], nm.Tensor], shape: tuple[int, ...],
-                 scale: float = 1.0, kinks: Sequence[float] = ()) -> Callable:
-    """Check of ``op`` on N(0, scale^2) entries kept away from its ``kinks``."""
+    Each leaf is N(0, scale^2) of its ``(shape, scale)`` spec, kept away from
+    ``kinks``; ``consts`` draws the op's other inputs, and P is N(0, 1) with
+    the shape of the op's output.
+    """
     def check(rng) -> float:
-        x = _away_from(rng.normal(size=shape) * scale, kinks)
-        p = rng.normal(size=shape)
-        return check_scalar_fn(lambda ts: nm.sum_all(op(ts[0]) * nm.Tensor(p)), [x])
+        arrays = [_away_from(rng.normal(size=shape) * scale, kinks) for shape, scale in specs]
+        fixed = consts(rng)
+        p = nm.Tensor(rng.normal(size=op(*map(nm.Tensor, arrays), *fixed).shape))
+        return check_scalar_fn(lambda ts: nm.sum_all(op(*ts, *fixed) * p), arrays)
 
     return check
 
 
-def _check_decode_heads(rng) -> float:
-    """Raw head rows of 3 layer blocks over 4 reference points, 2 classes."""
-    from .losses import decode_heads
+def _gather_concat(x: nm.Tensor, y: nm.Tensor) -> nm.Tensor:
+    cat = nm.concat_rows([x, y])
+    return nm.concat_cols([nm.gather_rows(cat, i) for i in ([0, 2, 2, 6], [1, 2, 3, 4])])
 
-    raw, ref = rng.normal(size=(12, 14)) * 2.0, rng.normal(size=(4, 2))
-    p = rng.normal(size=(12, 14))
-    return check_scalar_fn(lambda ts: nm.sum_all(decode_heads(*ts) * nm.Tensor(p)), [raw, ref])
+
+def _attention_params(ts):
+    """The (w, b) pairs of the q, k, v and o projections from ts[0:8]."""
+    return list(zip(ts[0:8:2], ts[1:8:2]))
+
+
+# wq, bq, wk, bk, wv, bv, wo, bo of an attention block of width 8
+_ATTENTION_WEIGHTS = (((8, 8), 0.3), ((8,), 0.1)) * 4
 
 
 def _check_component_loss(rng) -> float:
     """Three blocks of a 7-row stack in one row kernel, a run of two with one positive
     row each and one without any, their block sums weighed at random."""
-    from .losses import TargetArrays, block_terms, component_loss, corner_boxes
-
     centers, lrtb = rng.uniform(0.3, 0.7, (7, 2)), rng.uniform(0.1, 0.3, (7, 4))
     pred = np.concatenate([rng.normal(size=(7, 2)) * 2.0, centers, lrtb, rng.normal(size=(7, 3)),
                            rng.normal(size=(7, 2)), rng.normal(size=(7, 1))], axis=1)
@@ -150,12 +153,6 @@ def _check_component_loss(rng) -> float:
     return check_scalar_fn(build, [pred])
 
 
-def _check_weighted_sum(rng) -> float:
-    terms = [np.asarray(v) for v in rng.normal(size=3)]
-    w = rng.normal(size=3)
-    return check_scalar_fn(lambda ts: nm.weighted_sum(ts, w), terms)
-
-
 def _check_weighted_row_smooth_l1(rng) -> float:
     pred = rng.normal(size=(4, 3)) * 2.0
     target = rng.normal(size=(4, 3)) * 2.0
@@ -165,74 +162,7 @@ def _check_weighted_row_smooth_l1(rng) -> float:
     return check_scalar_fn(lambda ts: nm.weighted_row_smooth_l1(ts[0], target, w), [pred])
 
 
-def _check_gaussian_kl(rng) -> float:
-    mu = rng.normal(size=(3, 4))
-    log_var = rng.normal(size=(3, 4))
-    return check_scalar_fn(lambda ts: nm.gaussian_kl(ts[0], ts[1]), [mu, log_var])
-
-
-def _check_gather_concat(rng) -> float:
-    x = rng.normal(size=(5, 3))
-    y = rng.normal(size=(2, 3))
-    p = rng.normal(size=(4, 6))
-
-    def build(ts):
-        cat = nm.concat_rows([ts[0], ts[1]])
-        wide = nm.concat_cols([nm.gather_rows(cat, [0, 2, 2, 6]),
-                               nm.gather_rows(cat, [1, 2, 3, 4])])
-        return nm.sum_all(wide * nm.Tensor(p))
-
-    return check_scalar_fn(build, [x, y])
-
-
-def _attention_params(ts):
-    """The (w, b) pairs of the q, k, v and o projections from ts[0:8]."""
-    return list(zip(ts[0:8:2], ts[1:8:2]))
-
-
-def _attention_weights(rng, d: int) -> list[np.ndarray]:
-    """wq, bq, wk, bk, wv, bv, wo, bo for an attention block of width d."""
-    return [a for _ in range(4) for a in (rng.normal(size=(d, d)) * 0.3,
-                                          rng.normal(size=(d,)) * 0.1)]
-
-
-def _check_masked_attention(rng) -> float:
-    """Two groups of s rows stacked under one mask."""
-    from .attention import masked_multihead_self_attention
-
-    s, d, h = 5, 8, 2
-    q = rng.normal(size=(2 * s, d)) * 0.5
-    allow = np.eye(s, dtype=bool) | (rng.random(size=(s, s)) > 0.4)
-    proj = rng.normal(size=(2 * s, d))
-
-    def build(ts):
-        out, _ = masked_multihead_self_attention(ts[8], allow, _attention_params(ts), h)
-        return nm.sum_all(out * nm.Tensor(proj))
-
-    return check_scalar_fn(build, _attention_weights(rng, d) + [q])
-
-
-def _check_cross_attention(rng) -> float:
-    """Three query rows over a memory of five."""
-    from .attention import multihead_cross_attention
-
-    d, h = 8, 2
-    q = rng.normal(size=(3, d)) * 0.5
-    memory = rng.normal(size=(5, d)) * 0.5
-    proj = rng.normal(size=(3, d))
-
-    def build(ts):
-        out = multihead_cross_attention(ts[8], ts[9], _attention_params(ts), h)
-        return nm.sum_all(out * nm.Tensor(proj))
-
-    return check_scalar_fn(build, _attention_weights(rng, d) + [q, memory])
-
-
 def _check_box_encoder(rng) -> float:
-    from .geometry import GroundTruthObject
-    from .losses import TargetArrays
-    from .vqd import VARIATIONAL, VariationalQueryGenerator
-
     store = nm.ParameterStore(rng_seed=11)
     gen = VariationalQueryGenerator(store, num_classes=3, width=6)
     boxes = TargetArrays.of([
@@ -249,19 +179,12 @@ def _check_box_encoder(rng) -> float:
 
 
 def _check_feature_encoder(rng) -> float:
-    from .model import DetectorConfig, Detector
-
-    cfg = DetectorConfig(groups=1, queries_per_group=2, noisy_groups=0, width=8,
-                         heads=2, layers=1, feature_size=3, num_classes=2)
-    det = Detector(cfg, seed=13)
+    det = Detector(DetectorConfig(groups=1, queries_per_group=2, noisy_groups=0, width=8,
+                                  heads=2, layers=1, num_classes=2), seed=13)
     grid = rng.normal(size=(3, 3, det.input_channels))
-    proj = rng.normal(size=(9, 8))
-
-    def loss_fn():
-        mem = det.encode_features(grid)
-        return nm.sum_all(mem * nm.Tensor(proj))
-
-    return check_gradients(loss_fn, list(det.store.tensors()))
+    proj = nm.Tensor(rng.normal(size=(9, 8)))
+    return check_gradients(lambda: nm.sum_all(det.encode_features(grid) * proj),
+                           list(det.store.tensors()))
 
 
 def _check_end_to_end(rng) -> float:
@@ -271,45 +194,49 @@ def _check_end_to_end(rng) -> float:
     values, IoU weights, reparameterization noise) are captured once and
     replayed on every probe, matching what the tape differentiates.
     """
-    from .model import DetectorConfig, Detector, training_loss
-    from .scenes import SceneConfig, generate_scene
-    from .geometry import NoiseConfig
-    from .vqd import DenoisingConfig
-
     cfg = DetectorConfig(groups=2, queries_per_group=2, noisy_groups=1, width=8,
-                         heads=2, layers=2, feature_size=4, num_classes=2)
+                         heads=2, layers=2, num_classes=2)
     scene_cfg = SceneConfig(feature_size=4, num_classes=2, max_objects=1)
     scene = generate_scene(np.random.default_rng(3), scene_cfg, scene_id="chk", seed=3)
     det = Detector(cfg, seed=5)
     dn_cfg = DenoisingConfig()
     noisy = det.draw_noisy_queries(scene, NoiseConfig(), np.random.default_rng(17))
 
-    first = training_loss(det, scene, noisy, dn_cfg)
-    replay = first.decisions
-
-    def loss_fn():
-        return training_loss(det, scene, noisy, dn_cfg, replay=replay).total
-
-    return check_gradients(loss_fn, list(det.store.tensors()))
+    replay = training_loss(det, scene, noisy, dn_cfg).decisions
+    return check_gradients(lambda: training_loss(det, scene, noisy, dn_cfg, replay=replay).total,
+                           list(det.store.tensors()))
 
 
 # name -> (check fn, tolerance, number of random repeats)
 REGISTRY: dict[str, tuple[Callable, float, int]] = {
-    "linear": (_check_linear, OP_TOLERANCE, 50),
-    "layer_norm": (_check_layer_norm, OP_TOLERANCE, 50),
-    "relu": (_elementwise(nm.relu, (4, 4), kinks=[0.0]), OP_TOLERANCE, 50),
-    "sigmoid": (_elementwise(nm.sigmoid, (4, 4), scale=3.0), OP_TOLERANCE, 50),
-    "exp": (_elementwise(nm.exp, (3, 4)), OP_TOLERANCE, 50),
-    "clamp": (_elementwise(lambda t: nm.clamp(t, -1.5, 1.5), (4, 4), scale=2.0,
-                           kinks=[-1.5, 1.5]), OP_TOLERANCE, 50),
+    "linear": (_projected(nm.linear, ((3, 4), 1.0), ((4, 2), 1.0), ((2,), 1.0)),
+               OP_TOLERANCE, 50),
+    "layer_norm": (_projected(lambda x, gain, bias: nm.layer_norm(x, gain + 1.0, bias),
+                              ((5, 6), 1.0), ((6,), 1.0), ((6,), 1.0)), OP_TOLERANCE, 50),
+    "relu": (_projected(nm.relu, ((4, 4), 1.0), kinks=[0.0]), OP_TOLERANCE, 50),
+    "sigmoid": (_projected(nm.sigmoid, ((4, 4), 3.0)), OP_TOLERANCE, 50),
+    "exp": (_projected(nm.exp, ((3, 4), 1.0)), OP_TOLERANCE, 50),
+    "clamp": (_projected(lambda t: nm.clamp(t, -1.5, 1.5), ((4, 4), 2.0), kinks=[-1.5, 1.5]),
+              OP_TOLERANCE, 50),
     "weighted_row_smooth_l1": (_check_weighted_row_smooth_l1, OP_TOLERANCE, 50),
-    "gaussian_kl": (_check_gaussian_kl, OP_TOLERANCE, 50),
-    "decode_heads": (_check_decode_heads, OP_TOLERANCE, 50),
+    "gaussian_kl": (_projected(nm.gaussian_kl, ((3, 4), 1.0), ((3, 4), 1.0)), OP_TOLERANCE, 50),
+    # raw head rows of 3 layer blocks over 4 reference points, 2 classes
+    "decode_heads": (_projected(decode_heads, ((12, 14), 2.0), ((4, 2), 1.0)), OP_TOLERANCE, 50),
     "component_loss": (_check_component_loss, OP_TOLERANCE, 50),
-    "weighted_sum": (_check_weighted_sum, OP_TOLERANCE, 50),
-    "gather_concat": (_check_gather_concat, OP_TOLERANCE, 50),
-    "masked_multihead_attention": (_check_masked_attention, OP_TOLERANCE, 5),
-    "multihead_cross_attention": (_check_cross_attention, OP_TOLERANCE, 5),
+    "weighted_sum": (_projected(lambda a, b, c, w: nm.weighted_sum([a, b, c], w),
+                                ((), 1.0), ((), 1.0), ((), 1.0),
+                                consts=lambda rng: (rng.normal(size=3),)), OP_TOLERANCE, 50),
+    "gather_concat": (_projected(_gather_concat, ((5, 3), 1.0), ((2, 3), 1.0)), OP_TOLERANCE, 50),
+    # two groups of 5 rows stacked under one mask
+    "masked_multihead_attention": (_projected(
+        lambda q, *w: masked_multihead_self_attention(q, w[8], _attention_params(w), 2)[0],
+        ((10, 8), 0.5), *_ATTENTION_WEIGHTS,
+        consts=lambda rng: (np.eye(5, dtype=bool) | (rng.random(size=(5, 5)) > 0.4),)),
+        OP_TOLERANCE, 5),
+    # three query rows over a memory of five
+    "multihead_cross_attention": (_projected(
+        lambda q, memory, *w: multihead_cross_attention(q, memory, _attention_params(w), 2),
+        ((3, 8), 0.5), ((5, 8), 0.5), *_ATTENTION_WEIGHTS), OP_TOLERANCE, 5),
     "noisy_box_encoder": (_check_box_encoder, OP_TOLERANCE, 5),
     "feature_encoder": (_check_feature_encoder, OP_TOLERANCE, 3),
     "end_to_end_minimal_model": (_check_end_to_end, END_TO_END_TOLERANCE, 1),

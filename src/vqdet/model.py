@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,7 +74,6 @@ class DetectorConfig:
     width: int = 64
     heads: int = 4
     layers: int = 4
-    feature_size: int = 16
     num_classes: int = 3
     lambda_distill: float = 0.5
     confidence_threshold: float = 0.2
@@ -82,8 +82,7 @@ class DetectorConfig:
         for f in fields(self):  # the counts; only noisy_groups may be 0
             if f.type == "int":
                 lo = 0 if f.name == "noisy_groups" else 1
-                hi = MAX_FEATURE_SIZE if f.name == "feature_size" else MAX_COUNT
-                check_setting(f.name, getattr(self, f.name), lo, hi, integer=True)
+                check_setting(f.name, getattr(self, f.name), lo, MAX_COUNT, integer=True)
         check_setting("lambda_distill", self.lambda_distill, 0)
         check_setting("confidence_threshold", self.confidence_threshold, 0, 1, closed=True)
         if self.width % self.heads != 0:
@@ -92,8 +91,10 @@ class DetectorConfig:
             raise ValueError(f"width {self.width} must be a multiple of 4 for the 2D position code")
 
 
+@cache
 def sincos_positions_2d(size: int, width: int) -> np.ndarray:
-    """Fixed (size*size, width) positional code; half for x, half for y."""
+    """Fixed (size*size, width) positional code; half for x, half for y. Read-only,
+    as every call with the same arguments returns the same array."""
     quarter = width // 4
     omega = 1.0 / (100.0 ** (np.arange(quarter) / max(quarter, 1)))
     coords = np.arange(size)
@@ -101,7 +102,9 @@ def sincos_positions_2d(size: int, width: int) -> np.ndarray:
                                np.cos(np.outer(coords, omega))], axis=1)
     rows = np.repeat(per_axis, size, axis=0)       # v varies slowly
     cols = np.tile(per_axis, (size, 1))            # u varies quickly
-    return np.concatenate([cols, rows], axis=1)
+    code = np.concatenate([cols, rows], axis=1)
+    code.flags.writeable = False
+    return code
 
 
 @dataclass
@@ -155,7 +158,6 @@ class Detector:
         self.cfg = cfg
         self.input_channels = grid_channels(cfg.num_classes)
         self.store = ParameterStore(rng_seed=seed)
-        self.pos_enc = sincos_positions_2d(cfg.feature_size, cfg.width)
         self._build()
 
     # parameter construction -------------------------------------------------
@@ -209,13 +211,14 @@ class Detector:
     # forward passes ---------------------------------------------------------
 
     def encode_features(self, grid: np.ndarray) -> Tensor:
-        """One pre-norm self-attention layer over grid tokens plus positions."""
-        f = self.cfg.feature_size
-        if grid.shape != (f, f, self.input_channels):
-            raise ValueError(f"grid shape {grid.shape}, expected "
-                             f"({f}, {f}, {self.input_channels})")
+        """One pre-norm self-attention layer over the tokens of an (F, F, C + 3) grid
+        plus their positions, for 1 <= F <= ``MAX_FEATURE_SIZE`` as in a ``SceneConfig``."""
+        f = grid.shape[0] if grid.ndim == 3 else 0
+        if not 1 <= f <= MAX_FEATURE_SIZE or grid.shape != (f, f, self.input_channels):
+            raise ValueError(f"grid shape {grid.shape}, expected (F, F, {self.input_channels}) "
+                             f"with 1 <= F <= {MAX_FEATURE_SIZE}")
         tokens = nm.Tensor(grid.reshape(f * f, self.input_channels))
-        x = nm.linear(tokens, *self.enc_proj) + nm.Tensor(self.pos_enc)
+        x = nm.linear(tokens, *self.enc_proj) + nm.Tensor(sincos_positions_2d(f, self.cfg.width))
         normed = nm.layer_norm(x, *self.enc_ln1)
         x = x + multihead_cross_attention(normed, normed, self.enc_attn, self.cfg.heads)
         hidden = nm.relu(nm.linear(nm.layer_norm(x, *self.enc_ln2), *self.enc_ffn1))

@@ -75,7 +75,7 @@ class DegenerateMaskError(ValueError):
 
 
 class DoubleBackwardError(RuntimeError):
-    """backward() reached a loss or an op it had already walked; rebuild the graph."""
+    """backward() reached an op it had already walked; rebuild the graph."""
 
 
 class Tensor:
@@ -88,7 +88,7 @@ class Tensor:
     intermediate results live only for the duration of :func:`backward`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -97,7 +97,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-        self._backward_done = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -620,17 +619,15 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
     explicit zero gradient. Each op's VJP is dropped once it has run, so a
     second call on the same loss, or on any loss whose tape reaches an op
     that a walk ran through, raises :class:`DoubleBackwardError` before it
-    writes a gradient; run the forward again to walk another loss of it.
+    writes a gradient; run the forward again to walk another loss of it. A
+    leaf used as its own loss has no op to drop, so like any leaf gradient
+    its ``grad`` accumulates on every call.
     A non-finite loss raises FloatingPointError naming the first non-finite
     tensor on its tape, in topological order: an op by name and shape, or a
     parameter of ``store`` by its name.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if loss._backward_done:
-        raise DoubleBackwardError("backward already ran for this loss; rebuild the graph")
-    loss._backward_done = True
-
     if not np.isfinite(loss.data).all():
         raise FloatingPointError(f"backward: loss is {float(loss.data)!r}; "
                                  f"{first_non_finite([loss], store)}")

@@ -33,17 +33,18 @@ from vqdet.model import (
     DetectorConfig,
     decode_box_rows,
     inference,
+    sincos_positions_2d,
     step_decisions,
     training_loss,
 )
-from vqdet.scenes import SceneConfig, generate_scene
+from vqdet.scenes import MAX_FEATURE_SIZE, SceneConfig, generate_scene
 from vqdet.vqd import BETA, DETERMINISTIC, VARIATIONAL, DenoisingConfig, VariationalQueryGenerator
 
 from oracles import (HalfHeadsWorker, LateWorker, one_node_block_loss, real_worker, recorded,
                      scalar_box_noise, site_local_denoising_loss)
 
 TINY = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
-                      heads=2, layers=2, feature_size=4, num_classes=2)
+                      heads=2, layers=2, num_classes=2)
 TINY_SCENE = SceneConfig(feature_size=4, num_classes=2, max_objects=2)
 
 
@@ -68,7 +69,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("lambda_distill", math.nan), ("lambda_distill", math.inf), ("lambda_distill", -0.5),
         ("groups", 0), ("queries_per_group", 0), ("noisy_groups", -1), ("width", 0),
-        ("heads", 0), ("layers", 0), ("feature_size", 0), ("num_classes", 0),
+        ("heads", 0), ("layers", 0), ("num_classes", 0),
     ])
     def test_bad_value_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -76,7 +77,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("noisy_groups", 1.5), ("layers", 2.0), ("queries_per_group", 2.5), ("groups", "2"),
-        ("width", 64.0), ("heads", None), ("feature_size", True), ("num_classes", 3.0),
+        ("width", 64.0), ("heads", None), ("num_classes", 3.0),
     ])
     def test_non_integer_count_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
@@ -99,11 +100,11 @@ class TestConfig:
         # the full option surface: a new knob has to change this test
         assert [f.name for f in fields(DetectorConfig)] == [
             "groups", "queries_per_group", "noisy_groups", "width", "heads", "layers",
-            "feature_size", "num_classes", "lambda_distill", "confidence_threshold"]
+            "num_classes", "lambda_distill", "confidence_threshold"]
         assert [f.name for f in fields(DenoisingConfig)] == ["mode"]
         cfg = DetectorConfig()
         assert (cfg.groups, cfg.queries_per_group, cfg.noisy_groups) == (2, 16, 3)
-        assert (cfg.width, cfg.heads, cfg.layers, cfg.feature_size) == (64, 4, 4, 16)
+        assert (cfg.width, cfg.heads, cfg.layers) == (64, 4, 4)
         assert (cfg.lambda_distill, BETA) == (0.5, 0.1)
         assert cfg.confidence_threshold == 0.2
         store = Detector(cfg, seed=0).store
@@ -121,15 +122,26 @@ class TestEncodeFeatures:
 
     def test_output_shape_any_size(self):
         cfg = DetectorConfig(groups=1, queries_per_group=2, noisy_groups=0, width=8,
-                             heads=2, layers=1, feature_size=6, num_classes=2)
+                             heads=2, layers=1, num_classes=2)
         det = Detector(cfg, seed=0)
-        out = det.encode_features(np.zeros((6, 6, det.input_channels)))
-        assert out.data.shape == (36, 8)
+        for f in (1, 6):
+            out = det.encode_features(np.zeros((f, f, det.input_channels)))
+            assert out.data.shape == (f * f, 8)
 
     def test_rejects_wrong_shape(self):
+        """The grid alone sets F, so its bound is checked there, naming the grid."""
         det = Detector(TINY, seed=0)
-        with pytest.raises(ValueError, match="grid shape"):
-            det.encode_features(np.zeros((5, 4, det.input_channels)))
+        over = MAX_FEATURE_SIZE + 1
+        for shape in [(5, 4, 5), (0, 0, 5), (over, over, 5), (4, 4, 6), (4, 4)]:
+            with pytest.raises(ValueError, match=rf"^grid shape {re.escape(str(shape))}, "
+                                                 rf"expected \(F, F, 5\) with 1 <= F <= "
+                                                 rf"{MAX_FEATURE_SIZE}$"):
+                det.encode_features(np.zeros(shape))
+
+    def test_positions_are_cached_read_only(self):
+        code = sincos_positions_2d(4, 8)
+        assert sincos_positions_2d(4, 8) is code and not code.flags.writeable
+        assert code.shape == (16, 8)
 
 
 class CountingGenerator:
@@ -224,7 +236,7 @@ class TestNoisyDraw:
 class TestDecoderForward:
     def test_single_layer_trace(self):
         cfg = DetectorConfig(groups=1, queries_per_group=2, noisy_groups=0, width=8,
-                             heads=2, layers=1, feature_size=4, num_classes=2)
+                             heads=2, layers=1, num_classes=2)
         det = Detector(cfg, seed=1)
         scene = _scene(2, cfg=SceneConfig(feature_size=4, num_classes=2))
         memory = det.encode_features(scene.grid)
@@ -712,7 +724,7 @@ class TestHeads:
 class TestInference:
     def test_threshold_one_empty(self):
         cfg = DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
-                             heads=2, layers=2, feature_size=4, num_classes=2,
+                             heads=2, layers=2, num_classes=2,
                              confidence_threshold=1.0)
         det = Detector(cfg, seed=17)
         assert inference(det, _scene(18)) == []
@@ -750,15 +762,15 @@ class TestInference:
         scene = _scene(22)
         variants = [
             DetectorConfig(groups=2, queries_per_group=3, noisy_groups=0, width=8,
-                           heads=2, layers=2, feature_size=4, num_classes=2,
+                           heads=2, layers=2, num_classes=2,
                            lambda_distill=0.0,
                            confidence_threshold=0.0),
             DetectorConfig(groups=2, queries_per_group=3, noisy_groups=2, width=8,
-                           heads=2, layers=2, feature_size=4, num_classes=2,
+                           heads=2, layers=2, num_classes=2,
                            lambda_distill=0.5,
                            confidence_threshold=0.0),
             DetectorConfig(groups=2, queries_per_group=3, noisy_groups=3, width=8,
-                           heads=2, layers=2, feature_size=4, num_classes=2,
+                           heads=2, layers=2, num_classes=2,
                            lambda_distill=0.0,
                            confidence_threshold=0.0),
         ]
@@ -824,8 +836,7 @@ class TestInference:
 
     def test_identical_parameter_names_across_modes(self):
         base = Detector(DetectorConfig(groups=2, queries_per_group=3, noisy_groups=0,
-                                       width=8, heads=2, layers=2, feature_size=4,
-                                       num_classes=2), seed=1)
+                                       width=8, heads=2, layers=2, num_classes=2), seed=1)
         full = Detector(TINY, seed=1)
         assert base.store.names() == full.store.names()
         for name in base.store.names():

@@ -143,6 +143,14 @@ def test_backward_twice_raises():
         nm.backward(loss)
 
 
+def test_a_leaf_loss_accumulates_on_every_call():
+    """A leaf has no VJP for backward to drop, so a second call adds to its gradient."""
+    x = nm.Tensor(np.float64(2.0), requires_grad=True)
+    nm.backward(x)
+    nm.backward(x)
+    assert x.grad == 2.0
+
+
 def test_a_second_walk_through_a_walked_op_raises_before_any_gradient():
     """Two losses share an op: after the first walk, backward of the second raises,
     and the leaf it reaches before the shared op keeps its gradient byte for byte."""
@@ -859,8 +867,7 @@ class TestCheckpoint:
     def test_deeper_detector_checkpoint_does_not_restore_into_shallower(self, tmp_path):
         from vqdet.model import Detector, DetectorConfig
 
-        small = dict(groups=1, queries_per_group=2, noisy_groups=0, width=8, heads=2,
-                     feature_size=3, num_classes=2)
+        small = dict(groups=1, queries_per_group=2, noisy_groups=0, width=8, heads=2, num_classes=2)
         path = tmp_path / "deep.npz"
         nm.save_checkpoint(Detector(DetectorConfig(layers=6, **small), seed=0).store, path)
         with pytest.raises(KeyError, match="dec4"):
