@@ -38,14 +38,15 @@ class BehindCameraError(ValueError):
     """Projection was asked for a point at or behind the camera plane."""
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]; values already in range pass through."""
-    if -math.pi < theta <= math.pi:
-        return theta
-    t = math.fmod(theta + math.pi, TWO_PI)
-    if t <= 0.0:
-        t += TWO_PI
-    return t - math.pi
+def wrap_angle(theta: np.ndarray | float) -> np.ndarray:
+    """Wrap angles to (-pi, pi], elementwise; values already in range pass through.
+
+    pi itself passes through the fmod branch unchanged, so ``|theta| < pi``
+    picks the values that are kept as they are.
+    """
+    wrapped = np.fmod(theta + math.pi, TWO_PI)
+    wrapped = np.where(wrapped <= 0.0, wrapped + TWO_PI, wrapped) - math.pi
+    return np.where(np.abs(theta) < math.pi, theta, wrapped)
 
 
 @dataclass(frozen=True)
@@ -261,12 +262,7 @@ def corrupt_boxes(classes: np.ndarray, fields: np.ndarray, cfg: NoiseConfig,
     near, far = out[:, 2:6:2], out[:, 3:6:2]  # the (l, t) and (r, b) edge distances
     moved = np.minimum(np.maximum(centers, -0.25 + near), 1.25 - far)
     out[:, :2] = np.where(near + far <= 1.5, moved, fields[:, :2])
-    # the yaw is shifted by its jitter, and wrap_angle applied to the column; pi itself
-    # passes through wrap_angle's fmod branch unchanged, so |yaw| < pi picks the rows it keeps
-    theta = fields[:, 9] + jitter[:, 9]
-    wrapped = np.fmod(theta + math.pi, TWO_PI)
-    wrapped = np.where(wrapped <= 0.0, wrapped + TWO_PI, wrapped) - math.pi
-    out[:, 9] = np.where(np.abs(theta) < math.pi, theta, wrapped)
+    out[:, 9] = wrap_angle(fields[:, 9] + jitter[:, 9])
     return classes, out
 
 

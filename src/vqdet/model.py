@@ -307,28 +307,29 @@ def decode_box_rows(pred: np.ndarray, rows: Sequence[int]) -> list[OrientedBox3D
                                                 box[:, ANGLE].tolist())]
 
 
-def step_decisions(det: Detector, stack: Tensor, pred: Tensor,
-                   scene: Scene, targets: TargetArrays, s: int) -> DetachedDecisions:
+def step_decisions(det: Detector, stack: Tensor, pred: Tensor, scene: Scene) -> DetachedDecisions:
     """Every detached decision of a step, from the decoder's outputs.
 
     ``stack`` holds every layer's rows, layer-major, and ``pred`` their
     prediction rows: block b = l*G + g, layer l's group g, owns rows [b*s,
-    (b+1)*s) of both, n learnable rows, then the noisy rows, where noisy row
-    n + j*k + i reconstructs ground truth i. One matching cost over the
-    learnable rows of every block gives each block its Hungarian assignment;
-    a non-finite cost raises FloatingPointError naming the first non-finite
-    tensor behind it.
+    (b+1)*s) of both, s = n + C*k for the scene's k ground truths: n
+    learnable rows, then the noisy rows, where noisy row n + j*k + i
+    reconstructs ground truth i. One matching cost over the learnable rows
+    of every block, against the scene's :attr:`Scene.targets`, gives each
+    block its Hungarian assignment; a non-finite cost raises
+    FloatingPointError naming the first non-finite tensor behind it.
     With distillation on, the final layer's matched learnable rows and all
     noisy rows of every group are decoded once: their 3D IoU with their
     ground truths, divided by the row count R, weights them, and the final
-    layer's query values there are the teacher. ``targets`` are the arrays
-    of ``scene.objects``.
+    layer's query values there are the teacher.
     """
     cfg = det.cfg
     n, gts, groups = cfg.queries_per_group, scene.objects, cfg.groups
+    s = n + cfg.noisy_groups * len(gts)
     learnable = (np.arange(cfg.layers * groups)[:, None] * s + np.arange(n)).ravel()
     learned = pred.data[learnable]
-    cost = matching_cost(class_probs(learned), learned[:, CENTER], learned[:, LRTB], targets)
+    cost = matching_cost(class_probs(learned), learned[:, CENTER], learned[:, LRTB],
+                         scene.targets)
     if not np.isfinite(cost).all():
         culprit = nm.first_non_finite([pred], det.store)
         raise FloatingPointError(f"step_decisions: matching cost is not finite; {culprit}")
@@ -377,9 +378,7 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
     stack = nm.concat_rows(layer_rows)
     pred = det.apply_heads(stack, refs)
     s = allow.shape[0]
-    targets = scene.targets
-    decisions = (step_decisions(det, stack, pred, scene, targets, s) if replay is None
-                 else replay)
+    decisions = step_decisions(det, stack, pred, scene) if replay is None else replay
 
     # block b = l*G + g starts at row b*s of the stack; its noisy block j at row
     # b*s + n + j*k, whose row i reconstructs ground truth i
@@ -390,8 +389,8 @@ def training_loss(det: Detector, scene: Scene, noisy: NoisyDraw,
     terms, blocks = block_terms(
         pred, [range(b * s, b * s + n) for b in range(len(assigned))] + noisy_blocks,
         [a.query_indices() for a in assigned] + [range(k)] * len(noisy_blocks),
-        targets.take([j for a in assigned for j in a.gt_indices()]
-                     + list(range(k)) * len(noisy_blocks)))
+        scene.targets.take([j for a in assigned for j in a.gt_indices()]
+                           + list(range(k)) * len(noisy_blocks)))
     scored = [component_loss(terms, block) for block in blocks[:len(assigned)]]
     detection = nm.weighted_sum(scored, [1.0] * len(scored))
     noisy_scored = blocks[len(assigned):]

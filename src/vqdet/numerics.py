@@ -41,14 +41,15 @@ The tape is rebuilt from scratch each training step. At most two threads
 run a step: the caller, which alone records and walks the tape and writes
 gradients, and, where the process may use two CPUs, one worker thread,
 started by its first job, that runs heads of the largest attention calls
-(:func:`multihead_attention`). The worker only does arithmetic on the
-arrays of the call that submitted it, and that call does not return,
-normally or by raising, while its job is queued or running, so no value
-depends on which thread computed it. Data is always float64; there is no
-broadcasting beyond the two cases the model needs (same shape, and a scalar
-operand); ``linear`` adds its own bias. Every affine layer is a ``(w, b)``
-pair that :meth:`ParameterStore.linear` declares; a checkpoint is an
-``.npz`` archive of float64 arrays keyed by parameter name.
+(:func:`multihead_attention`). Its job is a :class:`concurrent.futures.Future`
+that the call cancels while it is still pending, and otherwise waits for. The
+worker only does arithmetic on the arrays of the call that submitted it, and
+that call does not return, normally or by raising, while its job is queued or
+running, so no value depends on which thread computed it. Data is always
+float64; there is no broadcasting beyond the two cases the model needs (same
+shape, and a scalar operand); ``linear`` adds its own bias. Every affine layer
+is a ``(w, b)`` pair that :meth:`ParameterStore.linear` declares; a
+checkpoint is an ``.npz`` archive of float64 arrays keyed by parameter name.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ import queue
 import threading
 import tokenize
 import zipfile
+from concurrent.futures import Future
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -259,43 +261,37 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 SPLIT_LOGITS = 256 * 256
 
 
-class _Job:
-    """A call queued for the worker: ``cancel`` it before it starts, or wait for its ``result``."""
+class _Job(Future):
+    """A call queued for the worker. Whichever of ``run`` and ``cancel`` first takes
+    the Future out of its pending state decides whether the call runs; either way
+    the job then drops the call, so a settled job keeps no array alive."""
 
     def __init__(self, fn: Callable, args: tuple):
-        self.call, self.value, self.error = (fn, args), None, None
-        self.claim = threading.Lock()  # taken by whichever of run and cancel comes first
-        self.done = threading.Lock()  # held until the call has run or was cancelled
-        self.done.acquire()
+        super().__init__()
+        self.call = fn, args
 
     def run(self) -> None:
-        if self.claim.acquire(blocking=False):
+        if self.set_running_or_notify_cancel():
+            (fn, args), self.call = self.call, None
             try:
-                self.value = self.call[0](*self.call[1])
+                value = fn(*args)
             except BaseException as exc:
-                self.error = exc
-            self.call = None  # a finished job keeps no array alive
-            self.done.release()
+                del fn, args  # exc's traceback holds this frame
+                self.set_exception(exc)
+            else:
+                self.set_result(value)
 
     def cancel(self) -> bool:
         """True, and the call never runs and is dropped, if it had not started."""
-        if not self.claim.acquire(blocking=False):
+        if not super().cancel():
             return False
         self.call = None
-        self.done.release()
         return True
-
-    def result(self):
-        """The call's value once it has run; its exception is raised here."""
-        with self.done:
-            pass
-        if self.error is not None:
-            raise self.error
-        return self.value
 
 
 class _Worker:
-    """One daemon thread, started by the first job, that runs the submitted calls in order."""
+    """One daemon thread, started by the first job, that runs the submitted calls in order:
+    each job still pending when its turn comes, none that its caller cancelled first."""
 
     def __init__(self):
         self.jobs: queue.SimpleQueue[_Job] = queue.SimpleQueue()
@@ -723,9 +719,8 @@ class ParameterStore:
     """
 
     def __init__(self, rng_seed: int = 0):
-        self.rng_seed = int(rng_seed)
         self._params: dict[str, Tensor] = {}
-        self._rng = np.random.default_rng(self.rng_seed)
+        self._rng = np.random.default_rng(int(rng_seed))
 
     def param(self, name: str, shape: tuple[int, ...], scale: float = 0.02,
               init: np.ndarray | None = None) -> Tensor:

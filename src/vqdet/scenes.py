@@ -112,7 +112,7 @@ def _sample_object(rng: np.random.Generator, cfg: SceneConfig) -> GroundTruthObj
     depth = rng.uniform(*DEPTH_RANGE)
     u_c = rng.uniform(0.15, 0.85)
     v_c = rng.uniform(0.15, 0.85)
-    yaw = wrap_angle(rng.uniform(-math.pi, math.pi))
+    yaw = float(wrap_angle(rng.uniform(-math.pi, math.pi)))
     x, y, _ = backproject(u_c, v_c, depth)
     box = OrientedBox3D(x, y, depth, dims[0], dims[1], dims[2], yaw)
 

@@ -72,7 +72,6 @@ class VariationalQueryGenerator:
 
     def __init__(self, store: nm.ParameterStore, num_classes: int, width: int):
         self.num_classes = num_classes
-        self.width = width
         ce = min(width, 16)  # class embedding width
         cont = 12  # anchor (6) + dims (3) + sin/cos yaw (2) + scaled depth (1)
         self.class_table = store.param("vqg.class_table", (num_classes, ce))

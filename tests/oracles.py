@@ -12,9 +12,10 @@ their gradients against central differences. ``giou2d`` is the scalar reference 
 vectorised GIoU, and ``box2d_corners`` the scalar reference for the corner
 boxes of ``losses.corner_boxes``.
 
-``flagged_hungarian_scan`` is an earlier body of the Hungarian scan, and
-``scalar_box_noise`` the box noise of one row in scalar arithmetic; the
-library's array forms must equal them bit for bit.
+``flagged_hungarian_scan`` is an earlier body of the Hungarian scan,
+``scalar_box_noise`` the box noise of one row in scalar arithmetic and
+``scalar_wrap_angle`` the yaw wrap of one float; the library's array forms
+must equal them bit for bit.
 
 ``HalfHeadsWorker`` stands in for the worker thread with a fixed schedule:
 its thread runs the first heads of an attention call, whenever it starts,
@@ -339,6 +340,16 @@ def flagged_hungarian_scan(cost: np.ndarray) -> list[int]:
     return row_to_col
 
 
+def scalar_wrap_angle(theta: float) -> float:
+    """``geometry.wrap_angle`` for one float: wrap to (-pi, pi]; values in range pass through."""
+    if -math.pi < theta <= math.pi:
+        return theta
+    t = math.fmod(theta + math.pi, 2.0 * math.pi)
+    if t <= 0.0:
+        t += 2.0 * math.pi
+    return t - math.pi
+
+
 def scalar_box_noise(gt, cfg, num_classes: int, shift_edges, flip_test: float, offset: int,
                      jitter):
     """``geometry.corrupt_boxes`` for one ground truth, one float at a time.
@@ -348,7 +359,7 @@ def scalar_box_noise(gt, cfg, num_classes: int, shift_edges, flip_test: float, o
     label offset (unread with one class) and the five uniforms ``jitter``
     (three dimension scales, yaw and depth).
     """
-    from vqdet.geometry import GroundTruthObject, wrap_angle
+    from vqdet.geometry import GroundTruthObject
 
     u_x, u_y, s_l, s_r, s_t, s_b = (float(u) for u in shift_edges)
     half_x = (gt.l + gt.r) / 2.0
@@ -372,7 +383,7 @@ def scalar_box_noise(gt, cfg, num_classes: int, shift_edges, flip_test: float, o
     l3d = min(max(gt.l3d * (1.0 + s_l3d * dim_range), 0.05), 29.9)
     w3d = min(max(gt.w3d * (1.0 + s_w3d * dim_range), 0.05), 29.9)
     h3d = min(max(gt.h3d * (1.0 + s_h3d * dim_range), 0.05), 29.9)
-    theta = wrap_angle(gt.theta + u_theta * cfg.angle_jitter_rad)
+    theta = scalar_wrap_angle(gt.theta + u_theta * cfg.angle_jitter_rad)
     d = min(max(gt.d * (1.0 + u_d * cfg.depth_jitter_frac), 0.51), 119.0)
     return GroundTruthObject(c, x_c, y_c, l, r, t, b, l3d, w3d, h3d, theta, d)
 

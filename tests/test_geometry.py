@@ -23,7 +23,7 @@ from vqdet.geometry import (
 from vqdet.losses import TargetArrays
 from vqdet.model import DetectorConfig
 from vqdet.scenes import MAX_COUNT, MAX_FEATURE_SIZE, SceneConfig
-from oracles import box2d_corners, giou2d, monte_carlo_iou3d, raster_giou2d
+from oracles import box2d_corners, giou2d, monte_carlo_iou3d, raster_giou2d, scalar_wrap_angle
 
 
 def _random_gt(rng, num_classes=3):
@@ -155,7 +155,7 @@ def _transform(box: OrientedBox3D, dx: float, dz: float, dyaw: float) -> Oriente
     x = box.x * c - box.z * s + dx
     z = box.x * s + box.z * c + dz
     return OrientedBox3D(x, box.y, z, box.l3d, box.w3d, box.h3d,
-                         wrap_angle(box.yaw + dyaw))
+                         scalar_wrap_angle(box.yaw + dyaw))
 
 
 def _box2d(x_c, y_c, l, r, t, b):
@@ -325,7 +325,8 @@ class TestBoxNoise:
         assert abs(shifts.mean()) <= 3 * se
 
     def test_yaw_column_is_wrapped_like_wrap_angle(self):
-        """Without jitter the yaw column is wrap_angle of the yaw, at and beyond ±pi too."""
+        """Without jitter the yaw column is the scalar wrap of the yaw, at and beyond ±pi
+        too, and so is wrap_angle of one float, as a scene's yaw is wrapped."""
         yaws = [math.pi, -math.pi, np.nextafter(math.pi, 4.0), np.nextafter(math.pi, 0.0),
                 np.nextafter(-math.pi, -4.0), np.nextafter(-math.pi, 0.0), 0.0, 7.0, -7.0,
                 12.5, -3 * math.pi]
@@ -334,8 +335,9 @@ class TestBoxNoise:
         cfg = NoiseConfig(center_shift_scale=0, box_scale_range=0, label_flip_prob=0,
                           dim_scale_range=0, angle_jitter_rad=0, depth_jitter_frac=0)
         _, noisy = corrupt_boxes(*box_fields(gts), cfg, np.random.default_rng(0), 1)
-        assert [x.hex() for x in noisy[:, 9].tolist()] == [wrap_angle(float(y)).hex()
-                                                            for y in yaws]
+        want = [scalar_wrap_angle(float(y)).hex() for y in yaws]
+        assert [x.hex() for x in noisy[:, 9].tolist()] == want
+        assert [float(wrap_angle(float(y))).hex() for y in yaws] == want
 
     def test_outputs_satisfy_invariants(self):
         gts = [_random_gt(np.random.default_rng((6, i))) for i in range(300)]

@@ -448,7 +448,7 @@ class TestStepDecisions:
     def _decide(self, cfg, scene):
         det = Detector(cfg, seed=31)
         stack, pred, s = _stacked_rows(det, scene, _noisy(det, scene))
-        return step_decisions(det, stack, pred, scene, TargetArrays.of(scene.objects), s), s
+        return step_decisions(det, stack, pred, scene), s
 
     def test_every_group_gives_one_positive_per_ground_truth(self):
         """G independent matches: each ground truth collects G positives per layer."""
@@ -466,7 +466,7 @@ class TestStepDecisions:
         weighed = []
         monkeypatch.setattr(model, "iou_weights",
                             lambda *a: weighed.append(a) or iou_weights(*a))
-        decisions = step_decisions(det, stack, pred, scene, TargetArrays.of(scene.objects), s)
+        decisions = step_decisions(det, stack, pred, scene)
         n, k = TINY.queries_per_group, len(scene.objects)
         final = (TINY.layers - 1) * TINY.groups * s
         gt_boxes = [b for _, b in scene.gt_boxes3d()]
@@ -560,7 +560,7 @@ class TestStackedScoring:
                             lambda *a: costs.append(matching_cost(*a)) or costs[-1])
         monkeypatch.setattr(model, "hungarian", lambda c: solved.append(c) or hungarian(c))
         stack, pred, s = _stacked_rows(det, scene, noisy)
-        decisions = step_decisions(det, stack, pred, scene, TargetArrays.of(scene.objects), s)
+        decisions = step_decisions(det, stack, pred, scene)
         n = self.CFG.queries_per_group
         probs, centers, lrtb = class_probs(pred.data), pred.data[:, CENTER], pred.data[:, LRTB]
         assert len(costs) == 1 and len(solved) == self.CFG.layers * self.CFG.groups
